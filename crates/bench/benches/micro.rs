@@ -18,10 +18,21 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::hint::black_box;
 
+/// The feature crate's golden-bits test, shared by path: its pool and the
+/// checksum captured before the hash-free statistics kernels.
+#[path = "../../features/tests/golden_bits.rs"]
+mod golden_bits;
+
 fn bench_feature_extraction(c: &mut Criterion) {
     if !criterion::filter_allows("feature_extraction") {
         return;
     }
+    // Same bits first, then time.
+    assert_eq!(
+        golden_bits::golden_pool_checksum(),
+        golden_bits::GOLDEN_CHECKSUM,
+        "extract_features moved a bit; its timing means nothing"
+    );
     let mut rng = StdRng::seed_from_u64(1);
     let ds = generate_dataset("bench", &DatasetSpec::small().multi_table(), &mut rng);
     let cfg = FeatureConfig::default();

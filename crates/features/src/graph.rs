@@ -1,6 +1,15 @@
 //! Feature extraction and graph modeling.
+//!
+//! [`extract_features`] is the first layer of every `Dataset` request, and
+//! on a cache-missing one nearly all of its time. It owns one
+//! [`StatsScratch`] per call — local, so parallel callers (`AutoCe::train`,
+//! `embed_batch`) share nothing — and hands it to `ce_storage::stats`'
+//! hash-free kernels for every column and join edge. The kernels may change
+//! latency, never bits: `tests/golden_bits.rs` pins a checksum of every
+//! vertex and edge value captured before they replaced the `HashSet`
+//! definitions.
 
-use ce_storage::stats::{equality_rate, join_correlation, ColumnStats};
+use ce_storage::stats::{equality_rate, join_correlation_with, ColumnStats, StatsScratch};
 use ce_storage::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -69,14 +78,16 @@ fn log_norm(v: f64) -> f32 {
 pub fn extract_features(ds: &Dataset, cfg: &FeatureConfig) -> FeatureGraph {
     let m = cfg.max_columns;
     let per_col = COLUMN_FEATURES + m;
+    let mut scratch = StatsScratch::default();
     let mut vertices = Vec::with_capacity(ds.num_tables());
     for table in &ds.tables {
-        let data_cols = table.data_column_indices();
-        let used = data_cols.len().min(m);
+        let mut data_cols = table.data_column_indices();
+        data_cols.truncate(m);
+        let used = data_cols.len();
         let mut v = vec![0.0f32; cfg.vertex_dim()];
-        for (slot, &c) in data_cols.iter().take(m).enumerate() {
+        for (slot, &c) in data_cols.iter().enumerate() {
             let col = &table.columns[c];
-            let s = ColumnStats::compute(col);
+            let s = ColumnStats::compute_with(col, &mut scratch);
             let base = slot * per_col;
             v[base] = squash(s.skewness);
             v[base + 1] = squash(s.kurtosis);
@@ -84,13 +95,12 @@ pub fn extract_features(ds: &Dataset, cfg: &FeatureConfig) -> FeatureGraph {
             v[base + 3] = squash(s.mean_dev / s.range().max(1.0));
             v[base + 4] = log_norm(s.range());
             v[base + 5] = log_norm(s.ndv as f64);
-            // Correlation slots against the other (first m) columns.
-            for (other_slot, &oc) in data_cols.iter().take(used).enumerate() {
-                if other_slot == slot {
-                    continue;
-                }
-                v[base + COLUMN_FEATURES + other_slot] =
-                    equality_rate(col, &table.columns[oc]) as f32;
+            // Correlation slots against the later (first m) columns; the
+            // rate is symmetric, so one pass fills both columns' slots.
+            for (other_slot, &oc) in data_cols.iter().enumerate().skip(slot + 1) {
+                let rate = equality_rate(col, &table.columns[oc]) as f32;
+                v[base + COLUMN_FEATURES + other_slot] = rate;
+                v[other_slot * per_col + COLUMN_FEATURES + slot] = rate;
             }
         }
         let tail = cfg.vertex_dim() - 2;
@@ -102,7 +112,7 @@ pub fn extract_features(ds: &Dataset, cfg: &FeatureConfig) -> FeatureGraph {
     let n = ds.num_tables();
     let mut edges = vec![vec![0.0f32; n]; n];
     for e in &ds.joins {
-        edges[e.pk_table][e.fk_table] = join_correlation(ds, e) as f32;
+        edges[e.pk_table][e.fk_table] = join_correlation_with(ds, e, &mut scratch) as f32;
     }
     FeatureGraph { vertices, edges }
 }
@@ -217,5 +227,18 @@ mod tests {
                 assert!(v.iter().all(|x| x.is_finite() && x.abs() <= 2.0));
             }
         }
+    }
+
+    #[test]
+    fn full_i64_span_column_yields_finite_features() {
+        use ce_storage::{Column, Table};
+        // `max - min` overflows i64 here; the range must not.
+        let wide = Column::data("w", vec![i64::MIN, 0, i64::MAX]);
+        let table = Table::with_columns("t", vec![wide]).unwrap();
+        let ds = Dataset::new("wide", vec![table], vec![]).unwrap();
+        let g = extract_features(&ds, &FeatureConfig::default());
+        assert!(g.vertices[0].iter().all(|x| x.is_finite()));
+        assert_eq!(g.vertices[0][4], log_norm(2f64.powi(64)));
+        assert_eq!(g.vertices[0][5], log_norm(3.0));
     }
 }

@@ -15,6 +15,20 @@
 //! correlation feature is the same-position equality rate (the reverse of
 //! the generator's F2 process), and edge weights reverse F3 (FK-over-PK set
 //! coverage).
+//!
+//! ## Cost and the bits contract
+//!
+//! Extraction reads every cell of the first `m` data columns a handful of
+//! times and is the dominant cost of a `Dataset` request, so its integer
+//! statistics run on `ce_storage::stats`' hash-free kernels: distinct
+//! counts and FK-over-PK coverage mark a bitmap over the value span when
+//! the span is small next to the row count (dictionary codes — the normal
+//! case) and sort a scratch copy otherwise; the equality rate is computed
+//! once per unordered column pair. The choice of path depends on the
+//! column's span and length only, the float moment passes keep their row
+//! order, and so the kernels change latency, never bits —
+//! `tests/golden_bits.rs` pins a checksum of every vertex and edge value
+//! captured under the earlier `HashSet` definitions.
 
 pub mod csr;
 pub mod graph;

@@ -63,7 +63,7 @@ use crate::shard::ShardedAdvisor;
 use autoce::index::IndexConfig;
 use autoce::online::DriftDetector;
 use autoce::{validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
-use ce_features::{extract_features, FeatureGraph};
+use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::{
     Counter, Histogram, MetricsRegistry, MetricsSnapshot, Sample, SampleValue, DEPTH_BUCKETS,
@@ -428,6 +428,9 @@ struct Stats {
 /// are stable API — the catalogue lives in `docs/observability.md`.
 struct ObsHandles {
     registry: MetricsRegistry,
+    /// `ce_serve_feature_extract_ns`: `extract_features` on the calling
+    /// thread, per `Dataset` request (`recommend`, `adapt`).
+    feature_extract_ns: Histogram,
     /// `ce_serve_queue_wait_ns`: enqueue → worker-drain wait per queued
     /// request.
     queue_wait_ns: Histogram,
@@ -454,6 +457,7 @@ impl ObsHandles {
         let r = registry;
         ObsHandles {
             registry: r.clone(),
+            feature_extract_ns: r.histogram("ce_serve_feature_extract_ns", &[], LATENCY_NS_BUCKETS),
             queue_wait_ns: r.histogram("ce_serve_queue_wait_ns", &[], LATENCY_NS_BUCKETS),
             encode_ns_worker: r.histogram(
                 "ce_serve_encode_ns",
@@ -549,6 +553,12 @@ impl<B> Shared<B> {
         plock(&self.snapshot).clone()
     }
 
+    /// `extract_features` under the `ce_serve_feature_extract_ns` span.
+    fn extract(&self, ds: &Dataset, feature: &FeatureConfig) -> FeatureGraph {
+        let _extract = self.obs.feature_extract_ns.start_span();
+        extract_features(ds, feature)
+    }
+
     /// The error a refused request should carry right now.
     fn refusal(&self) -> ServeError {
         if self.worker_failed.load(Ordering::Acquire) {
@@ -575,17 +585,28 @@ impl<B> Clone for ServeHandle<B> {
 }
 
 impl<B: AdvisorBackend + 'static> ServeHandle<B> {
-    /// Recommends a model for a dataset: features are extracted
-    /// caller-side (CPU-cheap), then the request rides [`Self::query`].
-    /// Blocks until the response arrives; applies backpressure (blocks)
-    /// while the request queue is full.
+    /// Recommends a model for a dataset: features are extracted on the
+    /// calling thread, then the request rides [`Self::query`]. Blocks
+    /// until the response arrives; applies backpressure (blocks) while the
+    /// request queue is full.
+    ///
+    /// Extraction is the dominant cost of this call, not a cheap prelude.
+    /// On the `e2e` benchmark's `dataset-cold` workload (4–10 small
+    /// tables, every request a cache miss) it was 1228 µs of a 1285 µs
+    /// call (0.96–0.99 of it) under hash-set statistics; with the dense
+    /// kernels of `ce_storage::stats` it is ≈0.2 ms of a ≈0.25 ms call
+    /// (0.75–0.97 across traced runs) — still an order of magnitude above
+    /// encode + queue + vote. Callers that re-ask about one dataset
+    /// should extract once and use [`Self::recommend_graph`].
+    /// `ce_serve_feature_extract_ns` times it.
     pub fn recommend(
         &self,
         ds: &Dataset,
         w: MetricWeights,
     ) -> Result<Recommendation, AdvisorError> {
         let feature = self.shared.current().feature_config();
-        self.recommend_graph(extract_features(ds, &feature), w)
+        let graph = self.shared.extract(ds, &feature);
+        self.recommend_graph(graph, w)
     }
 
     /// Recommends from a pre-extracted feature graph. Thin wrapper over
@@ -1086,7 +1107,7 @@ impl AdvisorService<ShardedAdvisor> {
     pub fn adapt(&self, ds: &Dataset, testbed: &TestbedConfig, seed: u64) -> bool {
         let mut admin = self.admin.lock().expect("admin lock");
         let snap = self.shared.current();
-        let graph = extract_features(ds, &snap.config().feature);
+        let graph = self.shared.extract(ds, &snap.config().feature);
         let x = snap.embed_graph(&graph);
         if snap.distance_to_embedding(&x) <= admin.detector.threshold() {
             return false;

@@ -398,5 +398,17 @@ fn metrics_snapshot_reports_instrumented_serving() {
     let text = snap.render_prometheus();
     let reparsed = autoce::MetricsSnapshot::from_bytes(&snap.to_bytes()).expect("binary codec");
     assert_eq!(reparsed.render_prometheus(), text);
+    // `Dataset` requests extract on the calling thread, under their own span.
+    let (_, extracts) = snap.histogram_totals("ce_serve_feature_extract_ns", &[]);
+    assert_eq!(extracts, 0, "graph requests never extract");
+    for ds in &datasets[..2] {
+        let r = handle.recommend(ds, w).expect("dataset served");
+        assert_eq!(r.model, flat.recommend(ds, w));
+    }
+    let (extract_sum, extracts) = service
+        .metrics_snapshot()
+        .histogram_totals("ce_serve_feature_extract_ns", &[]);
+    assert_eq!(extracts, 2, "one extraction per dataset request");
+    assert!(extract_sum > 0);
     drop(service);
 }

@@ -12,7 +12,8 @@
 //!   (Yannakakis-style) join counting for ground-truth cardinalities, and a
 //!   weighted full-join sampler (the NeuroCard-style join sample source).
 //! * [`stats`]: per-column summaries (min/max/NDV/histograms) consumed by the
-//!   feature extractor and the histogram-based estimators.
+//!   feature extractor and the histogram-based estimators; distinct counts
+//!   and set coverage run on dense-bitmap / sorted-run kernels, never hashes.
 
 pub mod column;
 pub mod dataset;

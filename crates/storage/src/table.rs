@@ -2,8 +2,8 @@
 
 use crate::column::{Column, ColumnRole, Value};
 use crate::error::StorageError;
+use crate::stats::first_duplicate;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A named table of equal-length columns.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -109,15 +109,11 @@ impl Table {
             }
         }
         if let Some(pk) = self.primary_key_index() {
-            let col = &self.columns[pk];
-            let mut seen = HashSet::with_capacity(col.len());
-            for &v in &col.data {
-                if !seen.insert(v) {
-                    return Err(StorageError::NonTreeJoin(format!(
-                        "duplicate primary key value {v} in table `{}`",
-                        self.name
-                    )));
-                }
+            if let Some(v) = first_duplicate(&self.columns[pk].data) {
+                return Err(StorageError::NonTreeJoin(format!(
+                    "duplicate primary key value {v} in table `{}`",
+                    self.name
+                )));
             }
         }
         Ok(())
@@ -140,6 +136,11 @@ mod tests {
     fn pk_uniqueness_checked() {
         let t = Table::with_columns("t", vec![Column::primary_key("id", vec![1, 2, 2])]).unwrap();
         assert!(t.validate().is_err());
+        // The message names the first row value that repeats an earlier one.
+        let t = Table::with_columns("t", vec![Column::primary_key("id", vec![5, 3, 9, 3, 5, 5])])
+            .unwrap();
+        let msg = t.validate().unwrap_err().to_string();
+        assert!(msg.contains("value 3 in table `t`"), "{msg}");
     }
 
     #[test]
