@@ -10,7 +10,7 @@ use ce_gnn::reference::{train_encoder_reference, ReferenceEncoder};
 use ce_gnn::{train_encoder, train_encoder_per_graph, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::{build_model, ModelKind, TrainContext};
 use ce_optsim::{optimize_query, DatasetIndexes, TrueCardEstimator};
-use ce_testbed::MetricWeights;
+use ce_testbed::{label_dataset, MetricWeights};
 use ce_workload::{generate_workload, label_workload, WorkloadSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -22,6 +22,12 @@ use std::hint::black_box;
 /// checksum captured before the hash-free statistics kernels.
 #[path = "../../features/tests/golden_bits.rs"]
 mod golden_bits;
+
+/// The testbed crate's golden-bits test, shared by path: its pool, the
+/// benchmark's testbed and the checksum captured before the labelling
+/// kernels (presorted GBDT, prepared counter, dx-free first layer).
+#[path = "../../testbed/tests/golden_label_bits.rs"]
+mod golden_label_bits;
 
 fn bench_feature_extraction(c: &mut Criterion) {
     if !criterion::filter_allows("feature_extraction") {
@@ -39,6 +45,34 @@ fn bench_feature_extraction(c: &mut Criterion) {
     c.bench_function("feature_extraction", |b| {
         b.iter(|| black_box(extract_features(&ds, &cfg)))
     });
+}
+
+fn bench_label_dataset(c: &mut Criterion) {
+    if !criterion::filter_allows("label_dataset") {
+        return;
+    }
+    // Same bits first, then time.
+    assert_eq!(
+        golden_label_bits::golden_pool_checksum(),
+        golden_label_bits::GOLDEN_CHECKSUM,
+        "label_dataset moved a bit; its timing means nothing"
+    );
+    let cfg = golden_label_bits::bench_testbed();
+    // The end-to-end benchmark's corpus shape and its drift shape.
+    for (name, tables) in [
+        ("label_dataset_7_tables", 7),
+        ("label_dataset_24_tables", 24),
+    ] {
+        let spec = DatasetSpec {
+            tables: SpecRange {
+                lo: tables,
+                hi: tables,
+            },
+            ..DatasetSpec::small()
+        };
+        let ds = generate_dataset("bench", &spec, &mut StdRng::seed_from_u64(1));
+        c.bench_function(name, |b| b.iter(|| black_box(label_dataset(&ds, &cfg, 1))));
+    }
 }
 
 fn bench_advisor_paths(c: &mut Criterion) {
@@ -933,6 +967,7 @@ criterion_group!(
         bench_advisor_service,
         bench_indexed_knn,
         bench_feature_extraction,
+        bench_label_dataset,
         bench_advisor_paths,
         bench_model_inference,
         bench_optimizer

@@ -77,7 +77,10 @@ impl SchemaEncoder {
         if hi <= lo {
             return 0.0;
         }
-        (((v - lo) as f64 / (hi - lo) as f64).clamp(0.0, 1.0)) as f32
+        // Subtract in `i128`: bounds and literals may lie more than
+        // `i64::MAX` apart.
+        let wide = |a: Value, b: Value| (i128::from(a) - i128::from(b)) as f64;
+        ((wide(v, lo) / wide(hi, lo)).clamp(0.0, 1.0)) as f32
     }
 
     /// Flat encoding of a query.

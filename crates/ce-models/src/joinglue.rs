@@ -16,7 +16,7 @@
 //! (Example 1) — the error grows when predicate columns correlate with join
 //! fanout.
 
-use ce_storage::exec::query_cardinality;
+use ce_storage::exec::CardinalityCounter;
 use ce_storage::{Dataset, Query};
 use std::collections::HashMap;
 
@@ -38,6 +38,7 @@ impl JoinIndex {
             n <= 20,
             "join index enumeration not intended for >20 tables"
         );
+        let mut counter = CardinalityCounter::new(ds);
         for mask in 1u32..(1 << n) {
             let tables: Vec<usize> = (0..n).filter(|&t| mask & (1 << t) != 0).collect();
             let Some(joins) = spanning_joins(ds, &tables) else {
@@ -48,7 +49,7 @@ impl JoinIndex {
                 joins,
                 predicates: vec![],
             };
-            if let Ok(card) = query_cardinality(ds, &q) {
+            if let Ok(card) = counter.count(&q) {
                 sizes.insert(tables, card);
             }
         }
@@ -120,6 +121,7 @@ fn spanning_joins(ds: &Dataset, tables: &[usize]) -> Option<Vec<(usize, usize)>>
 mod tests {
     use super::*;
     use ce_datagen::{generate_dataset, DatasetSpec};
+    use ce_storage::exec::query_cardinality;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -193,19 +193,30 @@ impl Dense {
     /// Backward pass: accumulates weight gradients and returns the gradient
     /// w.r.t. the input. Must follow a `forward` call.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        // dx = g·Wᵀ.
+        self.backward_params(grad_out).matmul(&self.w.transpose())
+    }
+
+    /// The parameter half of [`Self::backward`]: accumulates the weight and
+    /// bias gradients and returns `g`, the output gradient taken through
+    /// the activation — everything but the `g·Wᵀ` input gradient. A network's
+    /// first layer, whose input gradient nobody reads, stops here.
+    pub fn backward_params(&mut self, grad_out: &Matrix) -> Matrix {
         let y = self.y_cache.as_ref().expect("backward before forward");
         let x = self.x_cache.as_ref().expect("backward before forward");
         let mut g = grad_out.clone();
         self.activation.backward(y, &mut g);
-        // dW += xᵀ·g ; db += Σ_rows g ; dx = g·Wᵀ.
-        let gw = x.transpose().matmul(&g);
+        // dW += xᵀ·g ; db += Σ_rows g. The product is taken into a zeroed
+        // buffer first, then added: accumulating straight into a non-zero
+        // `gw` (several backward calls per step) would re-associate the sum.
+        let gw = x.matmul_transposed_left(&g);
         self.gw.add_assign(&gw);
         for r in 0..g.rows {
             for (acc, &v) in self.gb.iter_mut().zip(g.row(r)) {
                 *acc += v;
             }
         }
-        g.matmul(&self.w.transpose())
+        g
     }
 
     /// Pure backward: given the input `x` and the post-activation output
@@ -366,6 +377,33 @@ mod tests {
                 gin.data[i]
             );
         }
+    }
+
+    /// `backward` takes `xᵀ·g` through the fused kernel; the products it
+    /// replaced materialised `xᵀ`. Several calls accumulate before a step
+    /// (set models backpropagate once per set element).
+    #[test]
+    fn backward_matches_materialised_transpose_oracle() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for (rows, input, output) in [(1, 1, 1), (3, 5, 2), (7, 4, 9), (30, 37, 64), (64, 70, 1)] {
+            let mut layer = Dense::new(input, output, Activation::Tanh, &mut rng);
+            let mut gw = Matrix::zeros(input, output);
+            for _ in 0..3 {
+                let x = Matrix::xavier(rows, input, &mut rng);
+                let y = layer.forward(&x);
+                let grad_out = Matrix::xavier(rows, output, &mut rng);
+                let dx = layer.backward(&grad_out);
+                let mut g = grad_out.clone();
+                layer.activation.backward(&y, &mut g);
+                gw.add_assign(&x.transpose().matmul(&g));
+                assert_eq!(bits(&layer.gw), bits(&gw), "{rows}x{input}x{output}");
+                assert_eq!(bits(&dx), bits(&g.matmul(&layer.w.transpose())));
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

@@ -92,10 +92,21 @@ impl Mlp {
     }
 
     /// Convenience: one full MSE training step on a batch. Returns the loss.
+    ///
+    /// Same parameter bits as `forward` + [`Self::backward`] + `step`; the
+    /// first layer's input gradient, which that sequence computes and
+    /// drops, is not computed.
     pub fn train_mse(&mut self, x: &Matrix, y: &Matrix, lr: f32) -> f32 {
         let pred = self.forward(x);
-        let (loss, grad) = mse_loss(&pred, y);
-        self.backward(&grad);
+        let (loss, mut g) = mse_loss(&pred, y);
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("an MLP has at least one layer");
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
         self.step(lr);
         loss
     }
@@ -104,8 +115,49 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The step `train_mse` replaced: the full backward pass, first layer's
+    /// input gradient included.
+    fn train_mse_oracle(mlp: &mut Mlp, x: &Matrix, y: &Matrix, lr: f32) -> f32 {
+        let pred = mlp.forward(x);
+        let (loss, grad) = mse_loss(&pred, y);
+        mlp.backward(&grad);
+        mlp.step(lr);
+        loss
+    }
+
+    proptest! {
+        #[test]
+        fn train_mse_matches_full_backward_oracle(
+            seed in 0u64..1_000_000,
+            input in 1usize..9,
+            hidden in prop::collection::vec(1usize..12, 0..3),
+            output in 1usize..3,
+            rows in 1usize..11,
+            act in 0usize..4,
+        ) {
+            let acts = [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Linear];
+            let mut sizes = vec![input];
+            sizes.extend(&hidden);
+            sizes.push(output);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fast = Mlp::new(&sizes, acts[act], acts[(act + 2) % 4], &mut rng);
+            let mut slow = fast.clone();
+            for step in 0..5 {
+                let x = Matrix::xavier(rows, input, &mut rng);
+                let y = Matrix::xavier(rows, output, &mut rng);
+                let a = fast.train_mse(&x, &y, 1e-2);
+                let b = train_mse_oracle(&mut slow, &x, &y, 1e-2);
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "loss at step {}", step);
+                // `Debug` prints weights, biases, cleared gradients and all
+                // four Adam moments of every layer to round-trip precision.
+                prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "state at step {}", step);
+            }
+        }
+    }
 
     #[test]
     fn fits_nonlinear_function() {

@@ -431,6 +431,9 @@ struct ObsHandles {
     /// `ce_serve_feature_extract_ns`: `extract_features` on the calling
     /// thread, per `Dataset` request (`recommend`, `adapt`).
     feature_extract_ns: Histogram,
+    /// `ce_serve_adapt_label_ns`: `label_dataset` on the adapting thread,
+    /// per adaptation that passed the drift test.
+    adapt_label_ns: Histogram,
     /// `ce_serve_queue_wait_ns`: enqueue → worker-drain wait per queued
     /// request.
     queue_wait_ns: Histogram,
@@ -458,6 +461,7 @@ impl ObsHandles {
         ObsHandles {
             registry: r.clone(),
             feature_extract_ns: r.histogram("ce_serve_feature_extract_ns", &[], LATENCY_NS_BUCKETS),
+            adapt_label_ns: r.histogram("ce_serve_adapt_label_ns", &[], LATENCY_NS_BUCKETS),
             queue_wait_ns: r.histogram("ce_serve_queue_wait_ns", &[], LATENCY_NS_BUCKETS),
             encode_ns_worker: r.histogram(
                 "ce_serve_encode_ns",
@@ -523,7 +527,11 @@ struct QueueState {
 /// while holding the cache lock, and the service must keep refusing (or
 /// serving) cleanly instead of cascading panics through every submitter.
 /// All states guarded here are safe to take mid-poison — the cache is
-/// regenerable and the queue's invariants are single-field.
+/// regenerable, the queue's invariants are single-field, and the admin
+/// state changes in whole steps (the reservoir observes one index at a
+/// time, the detector is replaced by assignment): an adaptation that died
+/// half-way leaves at worst a sampled index the next adaptation's own
+/// newcomer takes.
 fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -1105,14 +1113,17 @@ impl AdvisorService<ShardedAdvisor> {
     /// service's generation-tagged cache picks the change up through
     /// [`AdvisorBackend::generation`].
     pub fn adapt(&self, ds: &Dataset, testbed: &TestbedConfig, seed: u64) -> bool {
-        let mut admin = self.admin.lock().expect("admin lock");
+        let mut admin = plock(&self.admin);
         let snap = self.shared.current();
         let graph = self.shared.extract(ds, &snap.config().feature);
         let x = snap.embed_graph(&graph);
         if snap.distance_to_embedding(&x) <= admin.detector.threshold() {
             return false;
         }
-        let label = label_dataset(ds, testbed, seed);
+        let label = {
+            let _label = self.shared.obs.adapt_label_ns.start_span();
+            label_dataset(ds, testbed, seed)
+        };
         let mut next = (*snap).clone();
         // Adapt through the service's own registry so refresh/train phase
         // timings join the serving metrics in one snapshot.

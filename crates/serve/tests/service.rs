@@ -8,6 +8,7 @@ use autoce::AdvisorError;
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::extract_features;
 use ce_serve::{AdvisorService, Reservoir, ServeConfig, ShardedAdvisor};
+use ce_storage::Dataset;
 use ce_testbed::MetricWeights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,6 +85,14 @@ fn concurrent_clients_get_flat_identical_answers() {
     service.shutdown();
 }
 
+/// Five tables against the fixtures' single-table corpus: always drifts.
+fn five_table_dataset() -> Dataset {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut spec = DatasetSpec::small().multi_table();
+    spec.tables = SpecRange { lo: 5, hi: 5 };
+    generate_dataset("odd", &spec, &mut rng)
+}
+
 #[test]
 fn adaptation_is_reservoir_bounded_and_swaps_snapshots() {
     let (datasets, flat) = common::trained_advisor(16, 0xada2);
@@ -95,12 +104,8 @@ fn adaptation_is_reservoir_bounded_and_swaps_snapshots() {
     assert!(!service.adapt(&datasets[0], &testbed, 1));
     assert_eq!(service.snapshot().generation(), 0);
 
-    // A wildly different dataset (5 tables vs the single-table corpus)
-    // must drift, adapt, and swap the snapshot.
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut spec = DatasetSpec::small().multi_table();
-    spec.tables = SpecRange { lo: 5, hi: 5 };
-    let odd = generate_dataset("odd", &spec, &mut rng);
+    // A wildly different dataset must drift, adapt, and swap the snapshot.
+    let odd = five_table_dataset();
     let before = service.snapshot();
     assert!(service.adapt(&odd, &testbed, 7));
     let after = service.snapshot();
@@ -121,6 +126,32 @@ fn adaptation_is_reservoir_bounded_and_swaps_snapshots() {
         .expect("service is running");
     assert_eq!(rec.generation, 1);
     assert!(!rec.cache_hit, "cache must be cleared on snapshot swap");
+    service.shutdown();
+}
+
+/// An adaptation that panics (here on a dataset whose join edge names a
+/// column that does not exist) dies holding the admin lock. Later
+/// adaptations must take the poisoned lock and carry on, as every other
+/// lock of the service does.
+#[test]
+fn adapt_survives_a_poisoned_admin_lock() {
+    let (_, flat) = common::trained_advisor(8, 0xada3);
+    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
+    let testbed = common::testbed();
+    let odd = five_table_dataset();
+    let mut broken = odd.clone();
+    broken.joins[0].pk_col = usize::MAX;
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        service.adapt(&broken, &testbed, 7)
+    }));
+    assert!(died.is_err(), "the broken dataset must panic inside adapt");
+    assert_eq!(service.stats().adaptations, 0);
+    assert!(
+        service.adapt(&odd, &testbed, 7),
+        "the admin path is still open"
+    );
+    assert_eq!(service.snapshot().generation(), 1);
+    assert_eq!(service.stats().adaptations, 1);
     service.shutdown();
 }
 
@@ -410,5 +441,20 @@ fn metrics_snapshot_reports_instrumented_serving() {
         .histogram_totals("ce_serve_feature_extract_ns", &[]);
     assert_eq!(extracts, 2, "one extraction per dataset request");
     assert!(extract_sum > 0);
+    // Labelling has its own span, recorded only by adaptations that pass
+    // the drift test.
+    let testbed = common::testbed();
+    assert!(!service.adapt(&datasets[0], &testbed, 1));
+    let snap = service.metrics_snapshot();
+    let (_, labels) = snap.histogram_totals("ce_serve_adapt_label_ns", &[]);
+    assert_eq!(labels, 0, "in-distribution datasets are never labelled");
+    let (_, extracts) = snap.histogram_totals("ce_serve_feature_extract_ns", &[]);
+    assert_eq!(extracts, 3, "adapt extracts under the same span");
+    assert!(service.adapt(&five_table_dataset(), &testbed, 7));
+    let (label_sum, labels) = service
+        .metrics_snapshot()
+        .histogram_totals("ce_serve_adapt_label_ns", &[]);
+    assert_eq!(labels, 1, "one labelling per adaptation");
+    assert!(label_sum > 0);
     drop(service);
 }

@@ -70,9 +70,14 @@ impl Dataset {
 
     /// Looks up the join edge between two tables (either direction).
     pub fn join_between(&self, a: usize, b: usize) -> Option<&JoinEdge> {
-        self.joins
-            .iter()
-            .find(|j| (j.fk_table == a && j.pk_table == b) || (j.fk_table == b && j.pk_table == a))
+        self.join_position(a, b).map(|e| &self.joins[e])
+    }
+
+    /// Index into [`Self::joins`] of the edge [`Self::join_between`] finds.
+    pub(crate) fn join_position(&self, a: usize, b: usize) -> Option<usize> {
+        self.joins.iter().position(|j| {
+            (j.fk_table == a && j.pk_table == b) || (j.fk_table == b && j.pk_table == a)
+        })
     }
 
     /// Join edges incident to `table` (as either side).

@@ -341,14 +341,13 @@ impl EquiDepthHistogram {
         for (i, &ub) in self.bounds.iter().enumerate() {
             let bucket_lo = lower;
             let bucket_hi = ub;
-            lower = ub + 1;
+            // Only the last bound can be `i64::MAX`.
+            lower = ub.saturating_add(1);
             if bucket_hi < lo || bucket_lo > hi {
                 continue;
             }
-            let width = (bucket_hi - bucket_lo + 1) as f64;
-            let olo = lo.max(bucket_lo);
-            let ohi = hi.min(bucket_hi);
-            let overlap = (ohi - olo + 1) as f64;
+            let width = (wide_span(bucket_lo, bucket_hi) + 1) as f64;
+            let overlap = (wide_span(lo.max(bucket_lo), hi.min(bucket_hi)) + 1) as f64;
             selected += self.counts[i] as f64 * (overlap / width).clamp(0.0, 1.0);
         }
         (selected / self.total as f64).clamp(0.0, 1.0)
@@ -461,6 +460,18 @@ mod tests {
         assert!((half - 0.5).abs() < 0.01, "half = {half}");
         assert_eq!(h.selectivity(2000, 3000), 0.0);
         assert_eq!(h.selectivity(10, 5), 0.0);
+    }
+
+    #[test]
+    fn histogram_selectivity_spans_the_whole_i64_range() {
+        // Bucket widths and overlaps exceed `i64::MAX`; the last upper
+        // bound has no successor.
+        let c = Column::data("ext", vec![i64::MIN, 0, i64::MAX, 0]);
+        let h = EquiDepthHistogram::build(&c, 2);
+        assert_eq!(h.selectivity(i64::MIN, i64::MAX), 1.0);
+        let upper = h.selectivity(1, i64::MAX);
+        assert!(upper > 0.0 && upper < 1.0, "upper = {upper}");
+        assert_eq!(h.selectivity(i64::MAX, i64::MIN), 0.0);
     }
 
     #[test]

@@ -87,6 +87,20 @@ impl ModelPerformance {
     }
 }
 
+#[cfg(test)]
+impl ModelPerformance {
+    /// The bits of the four accuracy statistics, for exact comparisons.
+    pub(crate) fn qerror_bits(&self) -> [u64; 4] {
+        [
+            self.qerror_mean,
+            self.qerror_p50,
+            self.qerror_p95,
+            self.qerror_p99,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
 fn non_zero_or(v: f64, fallback: f64) -> f64 {
     if v > 0.0 {
         v
@@ -327,10 +341,28 @@ mod tests {
         let b = label_dataset(&ds, &quick_cfg(), 13);
         for (x, y) in a.performances.iter().zip(&b.performances) {
             assert_eq!(x.kind, y.kind);
-            assert!(
-                (x.qerror_mean - y.qerror_mean).abs() < 1e-9,
-                "q-error deterministic"
-            );
+            assert_eq!(x.qerror_bits(), y.qerror_bits(), "q-error deterministic");
+        }
+    }
+
+    /// A data column spanning more than `i64::MAX`: the workload
+    /// generator's range arithmetic and the flat encoding's normalization
+    /// must neither overflow nor yield a non-finite q-error.
+    #[test]
+    fn labels_a_column_spanning_the_whole_i64_range() {
+        let mut rng = StdRng::seed_from_u64(205);
+        let mut ds = generate_dataset("wide", &DatasetSpec::small(), &mut rng);
+        for table in &mut ds.tables {
+            let c = table.data_column_indices()[0];
+            for (row, v) in table.columns[c].data.iter_mut().enumerate() {
+                *v = [i64::MIN, 0, i64::MAX, *v][row % 4];
+            }
+        }
+        let label = label_dataset(&ds, &quick_cfg(), 15);
+        for p in &label.performances {
+            for q in p.qerror_bits().map(f64::from_bits) {
+                assert!(q.is_finite() && q >= 1.0, "{:?}: {q}", p.kind);
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 //! Templates are derived from the dataset's own join graph so the module
 //! works against the IMDB-like simulator (or any other dataset).
 
-use crate::gen::WorkloadSpec;
-use ce_storage::{Dataset, Predicate, Query, Value};
+use crate::gen::{range_around, span_f64, WorkloadSpec};
+use ce_storage::{Dataset, Query, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -41,14 +41,9 @@ impl QueryTemplate {
                 } else {
                     col.data[rng.gen_range(0..col.len())]
                 };
-                let span = ((hi_v - lo_v) as f64).max(1.0);
+                let span = span_f64((lo_v, hi_v));
                 let width = (rng.gen::<f64>() * span * 0.3) as Value;
-                Predicate {
-                    table: t,
-                    column: c,
-                    lo: (center - width).max(lo_v),
-                    hi: (center + width).min(hi_v),
-                }
+                range_around(t, c, center, width, (lo_v, hi_v))
             })
             .collect();
         Query {

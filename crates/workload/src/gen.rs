@@ -38,15 +38,72 @@ impl Default for WorkloadSpec {
     }
 }
 
-/// Generates `spec.num_queries` valid queries over `ds`.
+/// Generates `spec.num_queries` valid queries over `ds`. A column's bounds
+/// are scanned once for the whole workload, however many predicates land
+/// on it.
 pub fn generate_workload<R: Rng>(ds: &Dataset, spec: &WorkloadSpec, rng: &mut R) -> Vec<Query> {
+    let mut bounds = ColumnBounds::new(ds);
     (0..spec.num_queries)
-        .map(|_| generate_query(ds, spec, rng))
+        .map(|_| query_within(&mut bounds, spec, rng))
         .collect()
 }
 
 /// Generates one query.
 pub fn generate_query<R: Rng>(ds: &Dataset, spec: &WorkloadSpec, rng: &mut R) -> Query {
+    query_within(&mut ColumnBounds::new(ds), spec, rng)
+}
+
+/// `(min, max)` of every column a predicate has been drawn on so far, each
+/// found by one scan on first use (`(0, 0)` for an empty column).
+struct ColumnBounds<'a> {
+    ds: &'a Dataset,
+    known: Vec<Vec<Option<(Value, Value)>>>,
+}
+
+impl<'a> ColumnBounds<'a> {
+    fn new(ds: &'a Dataset) -> Self {
+        ColumnBounds {
+            ds,
+            known: ds
+                .tables
+                .iter()
+                .map(|t| vec![None; t.num_columns()])
+                .collect(),
+        }
+    }
+
+    fn of(&mut self, table: usize, col: usize) -> (Value, Value) {
+        let column = &self.ds.tables[table].columns[col];
+        *self.known[table][col]
+            .get_or_insert_with(|| (column.min().unwrap_or(0), column.max().unwrap_or(0)))
+    }
+}
+
+/// The column's value span as a float, at least 1. Subtracts in `i128`: a
+/// column may span more than `i64::MAX`.
+pub(crate) fn span_f64((lo_v, hi_v): (Value, Value)) -> f64 {
+    ((i128::from(hi_v) - i128::from(lo_v)) as f64).max(1.0)
+}
+
+/// The closed range `width` either side of `center`, clamped to the
+/// column's bounds (and to `i64` on the way there).
+pub(crate) fn range_around(
+    table: usize,
+    column: usize,
+    center: Value,
+    width: Value,
+    (lo_v, hi_v): (Value, Value),
+) -> Predicate {
+    Predicate {
+        table,
+        column,
+        lo: center.saturating_sub(width).max(lo_v),
+        hi: center.saturating_add(width).min(hi_v),
+    }
+}
+
+fn query_within<R: Rng>(bounds: &mut ColumnBounds<'_>, spec: &WorkloadSpec, rng: &mut R) -> Query {
+    let ds = bounds.ds;
     let hi = spec.max_tables.min(ds.num_tables()).max(1);
     let lo = spec.min_tables.clamp(1, hi);
     let want = rng.gen_range(lo..=hi);
@@ -87,7 +144,7 @@ pub fn generate_query<R: Rng>(ds: &Dataset, spec: &WorkloadSpec, rng: &mut R) ->
         cols.shuffle(rng);
         let n_preds = rng.gen_range(0..=spec.max_predicates_per_table.min(cols.len()));
         for &c in cols.iter().take(n_preds) {
-            predicates.push(random_predicate(ds, t, c, rng));
+            predicates.push(random_predicate(bounds, t, c, rng));
         }
     }
     // Honor the minimum predicate count by force-adding to random tables.
@@ -97,7 +154,7 @@ pub fn generate_query<R: Rng>(ds: &Dataset, spec: &WorkloadSpec, rng: &mut R) ->
         let &t = tables.as_slice().choose(rng).expect("tables nonempty");
         let cols = ds.tables[t].data_column_indices();
         if let Some(&c) = cols.as_slice().choose(rng) {
-            predicates.push(random_predicate(ds, t, c, rng));
+            predicates.push(random_predicate(bounds, t, c, rng));
         }
     }
 
@@ -108,24 +165,23 @@ pub fn generate_query<R: Rng>(ds: &Dataset, spec: &WorkloadSpec, rng: &mut R) ->
     }
 }
 
-fn random_predicate<R: Rng>(ds: &Dataset, table: usize, col: usize, rng: &mut R) -> Predicate {
-    let column = &ds.tables[table].columns[col];
-    let lo_v = column.min().unwrap_or(0);
-    let hi_v = column.max().unwrap_or(0);
+fn random_predicate<R: Rng>(
+    bounds: &mut ColumnBounds<'_>,
+    table: usize,
+    col: usize,
+    rng: &mut R,
+) -> Predicate {
+    let column = &bounds.ds.tables[table].columns[col];
+    let (lo_v, hi_v) = bounds.of(table, col);
     // Center on an existing row value; width is a random fraction of the range.
     let center = if column.is_empty() {
         lo_v
     } else {
         column.data[rng.gen_range(0..column.len())]
     };
-    let span = ((hi_v - lo_v) as f64).max(1.0);
+    let span = span_f64((lo_v, hi_v));
     let width = (rng.gen::<f64>().powi(2) * span * 0.5) as Value;
-    Predicate {
-        table,
-        column: col,
-        lo: (center - width).max(lo_v),
-        hi: (center + width).min(hi_v),
-    }
+    range_around(table, col, center, width, (lo_v, hi_v))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Ground-truth labeling of workloads (paper Stage 1, step "acquire the true
 //! cardinalities by running the queries in the database").
 
-use ce_storage::exec::query_cardinality;
+use ce_storage::exec::CardinalityCounter;
 use ce_storage::{Dataset, Query, StorageError};
 use serde::{Deserialize, Serialize};
 
@@ -14,14 +14,16 @@ pub struct LabeledQuery {
     pub true_card: u64,
 }
 
-/// Labels every query with its exact cardinality.
+/// Labels every query with its exact cardinality, through one
+/// [`CardinalityCounter`] prepared over `ds`.
 pub fn label_workload(ds: &Dataset, queries: &[Query]) -> Result<Vec<LabeledQuery>, StorageError> {
+    let mut counter = CardinalityCounter::new(ds);
     queries
         .iter()
         .map(|q| {
             Ok(LabeledQuery {
                 query: q.clone(),
-                true_card: query_cardinality(ds, q)?,
+                true_card: counter.count(q)?,
             })
         })
         .collect()
@@ -44,6 +46,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate_workload, WorkloadSpec};
     use ce_datagen::{generate_dataset, DatasetSpec};
+    use ce_storage::exec::query_cardinality;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
