@@ -51,6 +51,7 @@ use crate::backend::{validate_nonzero, AdvisorError};
 use ce_nn::index::{i8_scale, quantize_f16, quantize_i8, sq_dist_f16, sq_dist_i8};
 use ce_nn::kmeans::kmeans;
 use ce_nn::matrix::euclidean;
+use ce_nn::packed::PackedRows;
 use ce_obs::{Counter, Histogram, MetricsRegistry, COUNT_BUCKETS, LATENCY_NS_BUCKETS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -302,31 +303,38 @@ impl KnnIndex {
         // Coarse structure: k-means over a deterministic stride sample
         // (every build is a pure function of embeddings + config).
         let p = cfg.partitions.min(n);
-        let sample: Vec<Vec<f32>> = if n <= cfg.sample_cap {
-            embeddings.iter().map(|e| e.to_vec()).collect()
+        let strided: Vec<&[f32]>;
+        let sample = if n <= cfg.sample_cap {
+            embeddings
         } else {
-            (0..cfg.sample_cap)
-                .map(|i| embeddings[i * n / cfg.sample_cap].to_vec())
-                .collect()
+            strided = (0..cfg.sample_cap)
+                .map(|i| embeddings[i * n / cfg.sample_cap])
+                .collect();
+            &strided
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let km = kmeans(&sample, p, cfg.kmeans_iters, &mut rng);
+        let km = kmeans(sample, p, cfg.kmeans_iters, &mut rng);
         let p = km.centroids.len();
 
         // Assign every point to its nearest centroid (ties to the lowest
-        // partition index) and record exact radii.
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut radii = vec![0f32; p];
-        for (i, e) in embeddings.iter().enumerate() {
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for (c, cent) in km.centroids.iter().enumerate() {
-                let d = euclidean(e, cent);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+        // partition index) and record exact radii: one kernel pass per
+        // centroid over a transient pack of the embeddings, each distance
+        // the bits of the `euclidean` call it replaces.
+        let packed = PackedRows::from_rows(embeddings);
+        let mut nearest = vec![(0usize, f32::INFINITY); n];
+        let mut dists = Vec::new();
+        for (c, cent) in km.centroids.iter().enumerate() {
+            packed.dists_into(cent, &mut dists);
+            for ((best, best_d), &d) in nearest.iter_mut().zip(&dists) {
+                if d < *best_d {
+                    *best_d = d;
+                    *best = c;
                 }
             }
+        }
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); p];
+        let mut radii = vec![0f32; p];
+        for (i, &(best, best_d)) in nearest.iter().enumerate() {
             members[best].push(i as u32);
             radii[best] = radii[best].max(best_d);
         }
@@ -485,6 +493,31 @@ impl KnnIndex {
     }
 }
 
+impl KnnIndex {
+    /// FNV-1a over the built structure: per partition its member count,
+    /// member positions and radius bits, then every centroid's bits. Two
+    /// builds print the same value exactly when they partition alike.
+    fn structure_checksum(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (members, radius) in self.members.iter().zip(&self.radii) {
+            fold(&(members.len() as u64).to_le_bytes());
+            for m in members {
+                fold(&m.to_le_bytes());
+            }
+            fold(&radius.to_bits().to_le_bytes());
+        }
+        for c in &self.centroids {
+            fold(&c.to_bits().to_le_bytes());
+        }
+        h
+    }
+}
+
 impl std::fmt::Debug for KnnIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KnnIndex")
@@ -493,6 +526,10 @@ impl std::fmt::Debug for KnnIndex {
             .field("dim", &self.dim)
             .field("partitions", &self.radii.len())
             .field("quant", &self.cfg.quant)
+            .field(
+                "structure",
+                &format_args!("{:#018x}", self.structure_checksum()),
+            )
             .finish()
     }
 }

@@ -12,6 +12,7 @@ use ce_features::extract_features;
 use ce_gnn::train::train_encoder_incremental;
 use ce_gnn::DmlConfig;
 use ce_nn::matrix::euclidean;
+use ce_nn::packed::PackedRows;
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, TestbedConfig};
 use rayon::prelude::*;
@@ -25,6 +26,9 @@ impl DriftDetector {
     /// Percentile of within-RCS nearest-neighbor distances used as the
     /// drift threshold (the paper takes the 90th).
     pub const PERCENTILE: f64 = 90.0;
+
+    /// Rows per task of the fit's fan-out.
+    const FIT_CHUNK: usize = 64;
 
     /// Builds the detector from the current RCS.
     pub fn fit(advisor: &AutoCe) -> Self {
@@ -42,23 +46,59 @@ impl DriftDetector {
     /// entries concatenated in global-index order so both produce the same
     /// threshold).
     ///
-    /// The O(n²) nearest-neighbor scan fans out over the rayon pool, one
-    /// row per task, and the per-row minima are collected **in row order**
-    /// before the percentile rank — the threshold is bit-identical at any
-    /// thread count.
+    /// The O(n²) nearest-neighbor scan packs the embeddings once (a
+    /// transient [`PackedRows`]) and takes one kernel pass per row. A row's
+    /// minimum is taken over the *squared* sums and rooted once: `sqrt` is
+    /// monotone and correctly rounded, so that is the smallest root bit for
+    /// bit, and `f32::min` skips a NaN either way. Rows fan out over the
+    /// rayon pool in chunks of 64, each task on its own scratch, and the
+    /// per-row minima are collected **in row order** before the percentile
+    /// rank — the threshold is bit-identical at any thread count, and to
+    /// the pairwise `euclidean` loop this replaced (kept as the test
+    /// oracle).
     pub fn from_embeddings(embeddings: &[&[f32]]) -> Self {
-        let rows: Vec<usize> = (0..embeddings.len()).collect();
-        let mut nn_dists: Vec<f32> = rows
+        let packed = PackedRows::from_rows(embeddings);
+        let chunks: Vec<usize> = (0..embeddings.len()).step_by(Self::FIT_CHUNK).collect();
+        let minima: Vec<Vec<f32>> = chunks
             .par_iter()
-            .map(|&i| {
-                embeddings
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, o)| euclidean(embeddings[i], o))
-                    .fold(f32::INFINITY, f32::min)
+            .map(|&start| {
+                let mut sq = Vec::new();
+                (start..embeddings.len().min(start + Self::FIT_CHUNK))
+                    .map(|i| {
+                        packed.sq_dists_into(embeddings[i], &mut sq);
+                        sq[..i]
+                            .iter()
+                            .chain(&sq[i + 1..])
+                            .copied()
+                            .fold(f32::INFINITY, f32::min)
+                            .sqrt()
+                    })
+                    .collect()
             })
             .collect();
+        Self::from_nn_dists(minima.into_iter().flatten().collect())
+    }
+
+    /// The pairwise loop [`Self::from_embeddings`] replaced, kept as its
+    /// oracle: one `euclidean` call per ordered pair, the minimum over roots.
+    #[cfg(test)]
+    fn from_embeddings_oracle(embeddings: &[&[f32]]) -> Self {
+        Self::from_nn_dists(
+            (0..embeddings.len())
+                .map(|i| {
+                    embeddings
+                        .iter()
+                        .enumerate()
+                        .filter(|(j, _)| *j != i)
+                        .map(|(_, o)| euclidean(embeddings[i], o))
+                        .fold(f32::INFINITY, f32::min)
+                })
+                .collect(),
+        )
+    }
+
+    /// The percentile rank over each row's nearest-neighbor distance.
+    fn from_nn_dists(mut nn_dists: Vec<f32>) -> Self {
         nn_dists.retain(|d| d.is_finite());
         if nn_dists.is_empty() {
             return DriftDetector {
@@ -147,8 +187,38 @@ mod tests {
     use ce_models::ModelKind;
     use ce_testbed::label_datasets;
     use ce_workload::WorkloadSpec;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #[test]
+        fn packed_fit_matches_the_pairwise_oracle(
+            seed in 0u64..1_000_000,
+            n in 0usize..200,
+            dim in 0usize..34,
+            // Coarse grids make duplicate rows and tied minima common.
+            grid in 1usize..50,
+            nan_rows in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rows: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.gen_range(0..grid) as f32 * 0.125 - 1.0).collect())
+                .collect();
+            if n > 0 && dim > 0 {
+                for _ in 0..nan_rows {
+                    rows[rng.gen_range(0..n)][rng.gen_range(0..dim)] = f32::NAN;
+                }
+            }
+            let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            for threads in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let got = pool.install(|| DriftDetector::from_embeddings(&refs).threshold());
+                let want = DriftDetector::from_embeddings_oracle(&refs).threshold();
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} threads", threads);
+            }
+        }
+    }
 
     fn testbed() -> TestbedConfig {
         TestbedConfig {

@@ -29,6 +29,63 @@ mod golden_bits;
 #[path = "../../testbed/tests/golden_label_bits.rs"]
 mod golden_label_bits;
 
+/// The advisor crate's golden-bits test, shared by path: its seeded
+/// embeddings, the benchmark's index shape and the checksums captured
+/// before the lane-per-row distance kernel.
+#[path = "../../autoce/tests/golden_setup_bits.rs"]
+mod golden_setup_bits;
+
+/// The nn crate's golden-bits test, shared by path: the `kmeans` checksum
+/// captured before the same kernel.
+#[path = "../../nn/tests/golden_kmeans_bits.rs"]
+mod golden_kmeans_bits;
+
+/// Entries and dimension of the end-to-end benchmark's `knn-read` RCS.
+const KNN_READ_SHAPE: (usize, usize) = (6000, 32);
+
+fn bench_detector_fit(c: &mut Criterion) {
+    if !criterion::filter_allows("detector_fit") {
+        return;
+    }
+    // Same bits first, then time.
+    assert_eq!(
+        golden_setup_bits::detector_checksum(),
+        golden_setup_bits::DETECTOR_GOLDEN,
+        "DriftDetector::from_embeddings moved a bit; its timing means nothing"
+    );
+    let (n, dim) = KNN_READ_SHAPE;
+    let embeddings = golden_setup_bits::seeded_embeddings(n, dim, 1);
+    c.bench_function("detector_fit", |b| {
+        b.iter(|| black_box(golden_setup_bits::threshold_bits(&embeddings)))
+    });
+}
+
+fn bench_index_build(c: &mut Criterion) {
+    if !criterion::filter_allows("index_build") {
+        return;
+    }
+    // Same bits first, then time.
+    assert_eq!(
+        golden_kmeans_bits::golden_checksum(),
+        golden_kmeans_bits::GOLDEN_CHECKSUM,
+        "kmeans moved a bit; its timing means nothing"
+    );
+    assert_eq!(
+        golden_setup_bits::index_checksum(),
+        golden_setup_bits::INDEX_GOLDEN,
+        "KnnIndex::build moved a bit; its timing means nothing"
+    );
+    // One of the two shards `knn-read` builds an index over.
+    let (n, dim) = KNN_READ_SHAPE;
+    let embeddings = golden_setup_bits::seeded_embeddings(n / 2, dim, 1);
+    let refs: Vec<&[f32]> = embeddings.iter().map(Vec::as_slice).collect();
+    let cfg = golden_setup_bits::bench_index_config();
+    let metrics = autoce::MetricsRegistry::disabled();
+    c.bench_function("index_build", |b| {
+        b.iter(|| black_box(autoce::KnnIndex::build(&refs, &cfg, 0, &metrics)))
+    });
+}
+
 fn bench_feature_extraction(c: &mut Criterion) {
     if !criterion::filter_allows("feature_extraction") {
         return;
@@ -968,6 +1025,8 @@ criterion_group!(
         bench_indexed_knn,
         bench_feature_extraction,
         bench_label_dataset,
+        bench_detector_fit,
+        bench_index_build,
         bench_advisor_paths,
         bench_model_inference,
         bench_optimizer

@@ -13,8 +13,13 @@
 //!   the GIN encoder in `ce-gnn`, autoregressive heads in `ce-models`) can be
 //!   wired together manually;
 //! * [`loss`]: MSE and softmax cross-entropy with gradients;
-//! * [`mod@kmeans`]: plain k-means (the row-clustering step of DeepDB's SPN
-//!   learner);
+//! * [`packed`]: [`PackedRows`](packed::PackedRows), the exact
+//!   many-vs-one distance kernel that vectorises across rows — every
+//!   distance keeps the bits of [`matrix::euclidean`], which stays the
+//!   one-pair primitive and the kernel's oracle;
+//! * [`mod@kmeans`]: k-means (the row-clustering step of DeepDB's SPN
+//!   learner and the partitioner of the KNN index), its scans on
+//!   [`packed`];
 //! * [`index`]: f16/i8 quantization and SIMD coarse-distance kernels for
 //!   the two-stage KNN index in `autoce::index` (coarse stage only — the
 //!   exact re-rank never touches quantized values).
@@ -27,6 +32,7 @@ pub mod layers;
 pub mod loss;
 pub mod matrix;
 pub mod mlp;
+pub mod packed;
 
 pub use kmeans::kmeans;
 pub use layers::{Activation, Dense, DenseGrad};

@@ -74,6 +74,27 @@ macro_rules! simd_kernel {
                 }
                 scalar($($arg),*)
             }
+
+            /// Runs one named arm (0 = scalar, 1 = AVX2, 2 = AVX-512F) for
+            /// the differential tests; `false` when the host lacks it.
+            #[cfg(test)]
+            #[allow(dead_code, clippy::too_many_arguments)]
+            pub(super) fn run_arm(level: u8, $($arg: $ty),*) -> bool {
+                match level {
+                    0 => scalar($($arg),*),
+                    // SAFETY: the matching feature was detected just now.
+                    #[cfg(target_arch = "x86_64")]
+                    1 if std::arch::is_x86_feature_detected!("avx2") => unsafe {
+                        avx2($($arg),*)
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    2 if std::arch::is_x86_feature_detected!("avx512f") => unsafe {
+                        avx512($($arg),*)
+                    },
+                    _ => return false,
+                }
+                true
+            }
         }
     };
 }

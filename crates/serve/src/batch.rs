@@ -84,9 +84,9 @@ use std::time::{Duration, Instant};
 /// Prefer [`ServeConfig::builder`], which validates at build time (a zero
 /// `max_batch` or `queue_capacity` would hang clients; see the field
 /// docs). Struct-literal construction still works for this release —
-/// validation then happens at [`AdvisorService::start`] as before — but
-/// is **deprecated in favor of the builder** and will stop being the
-/// documented path once downstream call sites migrate.
+/// validation then happens at [`AdvisorService::try_start`], as the same
+/// typed error — but is **deprecated in favor of the builder** and will
+/// stop being the documented path once downstream call sites migrate.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Maximum requests embedded in one stacked forward.
@@ -125,7 +125,7 @@ pub struct ServeConfig {
     pub admit_on_second_touch: bool,
     /// Reservoir sample size bounding each online adaptation. Must be at
     /// least 1 (validated at [`ServeConfigBuilder::build`] or, for
-    /// struct-literal construction, at [`AdvisorService::start`]); unlike
+    /// struct-literal construction, at [`AdvisorService::try_start`]); unlike
     /// `cache_capacity` there is no "disabled" mode — adaptation always
     /// trains on at least the newcomer plus one sampled entry.
     pub reservoir_capacity: usize,
@@ -138,7 +138,7 @@ pub struct ServeConfig {
     /// `docs/observability.md`).
     pub metrics: MetricsRegistry,
     /// Two-stage KNN index configuration, installed on the backend at
-    /// [`AdvisorService::start`] (owned backends only — a shared backend
+    /// [`AdvisorService::try_start`] (owned backends only — a shared backend
     /// installs its own index before being wrapped). `None` (the
     /// default) serves every query by flat scan; see `docs/knn-index.md`
     /// for when an index pays off.
@@ -189,6 +189,14 @@ impl ServeConfig {
         ServeConfigBuilder {
             cfg: ServeConfig::default(),
         }
+    }
+
+    /// The zeros that would hang clients, checked by the builder and, for
+    /// struct-literal configs, by [`AdvisorService::try_start_shared`].
+    fn validate_capacities(&self) -> Result<(), AdvisorError> {
+        validate_nonzero("max_batch", self.max_batch)?;
+        validate_nonzero("queue_capacity", self.queue_capacity)?;
+        validate_nonzero("reservoir_capacity", self.reservoir_capacity)
     }
 }
 
@@ -269,9 +277,7 @@ impl ServeConfigBuilder {
     /// admitted) or `reservoir_capacity` (adaptation has nothing to
     /// sample) is rejected here, at build time.
     pub fn build(self) -> Result<ServeConfig, AdvisorError> {
-        validate_nonzero("max_batch", self.cfg.max_batch)?;
-        validate_nonzero("queue_capacity", self.cfg.queue_capacity)?;
-        validate_nonzero("reservoir_capacity", self.cfg.reservoir_capacity)?;
+        self.cfg.validate_capacities()?;
         if let Some(index) = &self.cfg.index {
             index.validate()?;
         }
@@ -434,6 +440,9 @@ struct ObsHandles {
     /// `ce_serve_adapt_label_ns`: `label_dataset` on the adapting thread,
     /// per adaptation that passed the drift test.
     adapt_label_ns: Histogram,
+    /// `ce_serve_detector_fit_ns`: the drift-detector fit, once at start
+    /// and once per adaptation, on the thread that builds the snapshot.
+    detector_fit_ns: Histogram,
     /// `ce_serve_queue_wait_ns`: enqueue → worker-drain wait per queued
     /// request.
     queue_wait_ns: Histogram,
@@ -462,6 +471,7 @@ impl ObsHandles {
             registry: r.clone(),
             feature_extract_ns: r.histogram("ce_serve_feature_extract_ns", &[], LATENCY_NS_BUCKETS),
             adapt_label_ns: r.histogram("ce_serve_adapt_label_ns", &[], LATENCY_NS_BUCKETS),
+            detector_fit_ns: r.histogram("ce_serve_detector_fit_ns", &[], LATENCY_NS_BUCKETS),
             queue_wait_ns: r.histogram("ce_serve_queue_wait_ns", &[], LATENCY_NS_BUCKETS),
             encode_ns_worker: r.histogram(
                 "ce_serve_encode_ns",
@@ -972,45 +982,66 @@ pub struct AdvisorService<B: AdvisorBackend + 'static = ShardedAdvisor> {
 }
 
 impl<B: AdvisorBackend + 'static> AdvisorService<B> {
-    /// Starts the service over a backend it owns. The drift detector is
-    /// fitted from the backend's RCS and the reservoir is seeded with the
-    /// current membership. When [`ServeConfig::index`] is set, the
-    /// two-stage KNN index is installed on the backend here — the one
-    /// moment the service holds it exclusively. Panics if the backend
-    /// rejects the config (e.g. cutover below its `k`); build configs
-    /// through [`ServeConfig::builder`] and [`IndexConfig::builder`] to
-    /// catch the structural errors earlier, as `Err` values.
-    pub fn start(mut advisor: B, cfg: ServeConfig) -> Self {
+    /// Starts the service over a backend it owns: the way in. The drift
+    /// detector is fitted from the backend's RCS and the reservoir is
+    /// seeded with the current membership. When [`ServeConfig::index`] is
+    /// set, the two-stage KNN index is installed on the backend here — the
+    /// one moment the service holds it exclusively.
+    ///
+    /// Returns [`AdvisorError::InvalidConfig`] — before any thread is
+    /// spawned — for a zero `max_batch`, `queue_capacity` or
+    /// `reservoir_capacity`, and for an index the backend rejects (e.g. a
+    /// cutover below its `k`). [`ServeConfig::builder`] and
+    /// [`IndexConfig::builder`] catch the structural errors earlier still.
+    pub fn try_start(mut advisor: B, cfg: ServeConfig) -> Result<Self, AdvisorError> {
         if let Some(index) = &cfg.index {
-            advisor
-                .install_index(index, &cfg.metrics)
-                .expect("backend rejected ServeConfig::index");
+            advisor.install_index(index, &cfg.metrics)?;
         }
-        Self::start_shared(Arc::new(advisor), cfg)
+        Self::try_start_shared(Arc::new(advisor), cfg)
+    }
+
+    /// [`Self::try_start`] for configs known to be valid; panics where it
+    /// returns `Err`.
+    pub fn start(advisor: B, cfg: ServeConfig) -> Self {
+        Self::try_start(advisor, cfg).expect("invalid ServeConfig")
     }
 
     /// Starts the service over a backend the caller keeps a handle to
     /// (e.g. a cluster coordinator whose admin surface — heartbeats,
     /// traces, snapshot pushes — stays with the caller while queries ride
     /// the service). The `Arc` becomes the initial serving snapshot.
+    /// [`ServeConfig::index`] is not installed here: a shared backend
+    /// installs its own index before being wrapped.
+    ///
+    /// Returns [`AdvisorError::InvalidConfig`] for the zeros that would
+    /// hang clients: a 0-batch worker spins popping nothing, a 0-capacity
+    /// queue never admits a request, and a 0-capacity reservoir leaves
+    /// adaptation nothing to sample (`cache_capacity: 0` legitimately
+    /// disables caching). The builder rejects them earlier; struct-literal
+    /// configs are checked here.
+    pub fn try_start_shared(advisor: Arc<B>, cfg: ServeConfig) -> Result<Self, AdvisorError> {
+        cfg.validate_capacities()?;
+        Ok(Self::spawn(advisor, cfg))
+    }
+
+    /// [`Self::try_start_shared`] for configs known to be valid; panics
+    /// where it returns `Err`.
     pub fn start_shared(advisor: Arc<B>, cfg: ServeConfig) -> Self {
-        // `cache_capacity: 0` legitimately disables caching, but these two
-        // zeros would hang clients: a 0-batch worker spins popping
-        // nothing, and a 0-capacity queue never admits a request. The
-        // builder rejects them earlier; struct-literal configs are
-        // checked here, at first use.
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        assert!(cfg.queue_capacity >= 1, "queue_capacity must be at least 1");
-        assert!(
-            cfg.reservoir_capacity >= 1,
-            "reservoir_capacity must be at least 1"
-        );
-        let detector = advisor.drift_detector();
-        let reservoir =
-            Reservoir::over_initial(advisor.rcs_len(), cfg.reservoir_capacity, cfg.seed);
+        Self::try_start_shared(advisor, cfg).expect("invalid ServeConfig")
+    }
+
+    /// Fits the detector, seeds the reservoir and spawns the batcher over
+    /// a validated config.
+    fn spawn(advisor: Arc<B>, cfg: ServeConfig) -> Self {
         // Register every handle up front (the registry's own mutex, cold
         // path): nothing on the serving path ever registers.
         let obs = ObsHandles::new(&cfg.metrics);
+        let detector = {
+            let _fit = obs.detector_fit_ns.start_span();
+            advisor.drift_detector()
+        };
+        let reservoir =
+            Reservoir::over_initial(advisor.rcs_len(), cfg.reservoir_capacity, cfg.seed);
         let shared = Arc::new(Shared {
             cache: Mutex::new(
                 EmbeddingCache::new(cfg.cache_capacity, advisor.generation())
@@ -1129,7 +1160,10 @@ impl AdvisorService<ShardedAdvisor> {
         // timings join the serving metrics in one snapshot.
         next.set_metrics(self.shared.obs.registry.clone());
         next.adapt_with_reservoir(graph, &label, &mut admin.reservoir, seed);
-        admin.detector = next.drift_detector();
+        admin.detector = {
+            let _fit = self.shared.obs.detector_fit_ns.start_span();
+            next.drift_detector()
+        };
         let generation = next.generation();
         {
             // Swap and invalidate atomically with respect to readers: the

@@ -29,8 +29,9 @@
 //! use ce_serve::{AdvisorService, ServeConfig, ShardedAdvisor};
 //! # fn advisor() -> AutoCe { unimplemented!() }
 //! let sharded = ShardedAdvisor::from_advisor(&advisor(), 4);
-//! let service = AdvisorService::start(sharded, ServeConfig::default());
+//! let service = AdvisorService::try_start(sharded, ServeConfig::default())?;
 //! let handle = service.handle(); // Clone one per client thread.
+//! # Ok::<(), autoce::AdvisorError>(())
 //! ```
 
 pub mod batch;

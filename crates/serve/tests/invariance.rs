@@ -122,7 +122,10 @@ fn sharded_drift_threshold_matches_flat() {
     let flat_threshold = autoce::online::DriftDetector::fit(&flat).threshold();
     for shards in 1..=4 {
         let sharded = ShardedAdvisor::from_advisor(&flat, shards);
-        assert_eq!(sharded.drift_detector().threshold(), flat_threshold);
+        assert_eq!(
+            sharded.drift_detector().threshold().to_bits(),
+            flat_threshold.to_bits()
+        );
     }
 }
 

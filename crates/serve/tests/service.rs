@@ -448,6 +448,8 @@ fn metrics_snapshot_reports_instrumented_serving() {
     let snap = service.metrics_snapshot();
     let (_, labels) = snap.histogram_totals("ce_serve_adapt_label_ns", &[]);
     assert_eq!(labels, 0, "in-distribution datasets are never labelled");
+    let (_, fits) = snap.histogram_totals("ce_serve_detector_fit_ns", &[]);
+    assert_eq!(fits, 1, "the detector is fitted once at start");
     let (_, extracts) = snap.histogram_totals("ce_serve_feature_extract_ns", &[]);
     assert_eq!(extracts, 3, "adapt extracts under the same span");
     assert!(service.adapt(&five_table_dataset(), &testbed, 7));
@@ -456,5 +458,82 @@ fn metrics_snapshot_reports_instrumented_serving() {
         .histogram_totals("ce_serve_adapt_label_ns", &[]);
     assert_eq!(labels, 1, "one labelling per adaptation");
     assert!(label_sum > 0);
+    let (fit_sum, fits) = service
+        .metrics_snapshot()
+        .histogram_totals("ce_serve_detector_fit_ns", &[]);
+    assert_eq!(fits, 2, "and one refit per adaptation");
+    assert!(fit_sum > 0);
     drop(service);
+}
+
+#[test]
+fn try_start_rejects_invalid_configs_with_typed_errors() {
+    let (_, flat) = common::trained_advisor(6, 0x7a57);
+    let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+    let rejected = |cfg: ServeConfig, needle: &str| {
+        for result in [
+            AdvisorService::try_start(sharded.clone(), cfg.clone()).map(drop),
+            AdvisorService::try_start_shared(std::sync::Arc::new(sharded.clone()), cfg.clone())
+                .map(drop),
+        ] {
+            match result {
+                Err(AdvisorError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(needle), "{needle}: {msg}")
+                }
+                other => panic!("{needle}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    };
+    rejected(
+        ServeConfig {
+            max_batch: 0,
+            ..serve_config()
+        },
+        "max_batch",
+    );
+    rejected(
+        ServeConfig {
+            queue_capacity: 0,
+            ..serve_config()
+        },
+        "queue_capacity",
+    );
+    rejected(
+        ServeConfig {
+            reservoir_capacity: 0,
+            ..serve_config()
+        },
+        "reservoir_capacity",
+    );
+
+    // An index whose cutover sits below the advisor's k (2 here) is the
+    // backend's to reject; only `try_start` installs one.
+    let below_k = ServeConfig {
+        index: Some(autoce::IndexConfig {
+            min_rcs_for_index: 1,
+            ..autoce::IndexConfig::default()
+        }),
+        ..serve_config()
+    };
+    match AdvisorService::try_start(sharded.clone(), below_k).map(drop) {
+        Err(AdvisorError::InvalidConfig(msg)) => {
+            assert!(msg.contains("min_rcs_for_index"), "{msg}")
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+
+    // A valid config starts, and serves.
+    let service = AdvisorService::try_start(sharded, serve_config()).expect("valid config");
+    assert_eq!(service.stats().requests, 0);
+}
+
+#[test]
+#[should_panic(expected = "invalid ServeConfig")]
+fn start_panics_where_try_start_returns_err() {
+    let (_, flat) = common::trained_advisor(6, 0x7a58);
+    let cfg = ServeConfig {
+        queue_capacity: 0,
+        ..serve_config()
+    };
+    AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
 }
