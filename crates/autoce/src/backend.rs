@@ -62,6 +62,9 @@ pub enum AdvisorError {
     WorkerFailed,
     /// A configuration was rejected at build time (builder validation).
     InvalidConfig(String),
+    /// The RCS holds no entry the query may select (it is empty, or its
+    /// only entry is the excluded one); nothing was computed or sent.
+    EmptyRcs,
 }
 
 impl std::fmt::Display for AdvisorError {
@@ -76,6 +79,9 @@ impl std::fmt::Display for AdvisorError {
                 f.write_str("advisor service worker failed; service is stopped")
             }
             AdvisorError::InvalidConfig(d) => write!(f, "invalid configuration: {d}"),
+            AdvisorError::EmptyRcs => {
+                f.write_str("no selectable RCS entry (empty or all excluded)")
+            }
         }
     }
 }
@@ -419,6 +425,10 @@ mod tests {
         assert_eq!(
             AdvisorError::RangeUnavailable { range: 3 }.to_string(),
             "no live replica for shard range 3"
+        );
+        assert_eq!(
+            AdvisorError::EmptyRcs.to_string(),
+            "no selectable RCS entry (empty or all excluded)"
         );
         assert!(validate_nonzero("max_batch", 0).is_err());
         assert!(validate_nonzero("max_batch", 1).is_ok());

@@ -11,10 +11,10 @@
 //!   fan-out overlaps the per-range round trips, but on this box the
 //!   loopback RTT floor (~4.7µs × 2 ranges) dwarfs the ~1.5µs in-process
 //!   KNN, bounding this *per-query* ratio well under 0.45 regardless of
-//!   coordinator cleverness. The wire-batched query step (protocol v2,
-//!   one `QueryBatch` frame per range per *batch*) is that RTT floor's
-//!   fix, and is measured by the service-fronted ratio below — this
-//!   per-query number stays as the honest unbatched baseline;
+//!   coordinator cleverness. Deep wire batches (one `QueryBatch` frame
+//!   per range per *batch*) are that RTT floor's fix, and are measured by
+//!   the service-fronted ratio below — this batch-of-one number stays as
+//!   the honest unbatched baseline;
 //! * `failover_vs_healthy` — healthy cluster ns / degraded cluster ns:
 //!   what steady-state degraded mode costs relative to a healthy cluster.
 //!   With replica demotion the dead primary stops being dialed after its
@@ -25,13 +25,13 @@
 //!   request on the *graph* path (encode + KNN): concurrent clients
 //!   submit 16-graph bursts (`recommend_graphs`) over the cluster
 //!   backend, so each burst runs one stacked encoder forward and one
-//!   wire-batched KNN fan-out (`predict_batch`, protocol v2: one
+//!   wire-batched KNN fan-out (`predict_batch`: one
 //!   `QueryBatch` frame per range per burst — a 16-deep batch pays 2
 //!   RTTs instead of 32). The embedding cache is disabled for the
 //!   measurement; the ratio isolates batching, not caching. Two
 //!   attribution numbers ride along in the record: `wire_batch_amortization`
-//!   (serial wire votes / batched wire votes, no encode in the loop —
-//!   the pure RTT win of protocol v2) and `cluster_queued_vs_inproc`
+//!   (batch-of-one wire votes / 16-deep wire votes, no encode in the
+//!   loop — the pure RTT win of batching) and `cluster_queued_vs_inproc`
 //!   (the same workload submitted one request at a time through the
 //!   micro-batch queue; on this 1-CPU runner its gap to the burst path
 //!   is per-request queue handoff and thread scheduling, not the wire).
@@ -179,9 +179,9 @@ fn main() {
     let snapshot_rtt_ns = (rtt_total(&coord.metrics()) - rtt_before) as f64 / requests;
 
     // Pure wire-vote amortization (no encode anywhere in the loop): the
-    // same embeddings voted serially (one `Query` frame per range per
-    // query) against voted in 16-deep wire batches (one `QueryBatch`
-    // frame per range per chunk). This is protocol v2's RTT win in
+    // same embeddings voted one at a time (a batch-of-one `QueryBatch`
+    // frame per range per query) against voted in 16-deep wire batches
+    // (one frame per range per chunk). This is batching's RTT win in
     // isolation.
     let wire_vote_serial_ns = time_ns(&mut || {
         for x in &xs {
@@ -262,9 +262,8 @@ fn main() {
     }
     let batched_requests = (CLIENTS * GRAPH_REPS * QUERIES) as f64;
     // Attribution: the same workload submitted one request at a time
-    // through the micro-batch queue (the pre-v2 measurement shape). Its
-    // batches are as deep as scheduling happens to make them, and each
-    // request pays a queue handoff.
+    // through the micro-batch queue. Its batches are as deep as scheduling
+    // happens to make them, and each request pays a queue handoff.
     let queued_ns = {
         let t = Instant::now();
         std::thread::scope(|scope| {
@@ -295,7 +294,7 @@ fn main() {
     );
     // Headline: clients submit 16-graph bursts — the micro-batcher's
     // design depth. Each burst is one stacked encoder forward plus one
-    // `QueryBatch` frame per range (protocol v2); no queue handoff.
+    // `QueryBatch` frame per range; no queue handoff.
     let batched_ns = {
         let t = Instant::now();
         std::thread::scope(|scope| {
@@ -354,7 +353,7 @@ fn main() {
         range0("ce_cluster_demotes_total"),
         range0("ce_cluster_retries_total"),
     );
-    // Cluster-wide aggregation over the wire (protocol v2 metrics step):
+    // Cluster-wide aggregation over the wire (the metrics step):
     // surviving shards report how many queries they actually served.
     let cluster_snap = coord.cluster_metrics();
     let shard_queries: u64 = (0..RANGES)
@@ -363,7 +362,7 @@ fn main() {
             cluster_snap.counter(
                 "ce_shard_requests_total",
                 &[
-                    ("step", "coord_send_query"),
+                    ("step", "coord_send_query_batch"),
                     ("range", &r.to_string()),
                     ("replica", &p.to_string()),
                 ],
@@ -371,7 +370,7 @@ fn main() {
         })
         .sum();
     assert!(shard_queries > 0, "aggregated shard metrics must be live");
-    println!("shard-reported serial queries (cluster_metrics): {shard_queries}");
+    println!("shard-reported query frames (cluster_metrics): {shard_queries}");
     // Service phase attribution for the graph path, from the same spans
     // production serving records (worker = micro-batch queue path,
     // inline = burst path).

@@ -13,15 +13,16 @@
 //!
 //! # Pipelined range fan-out
 //!
-//! A prediction needs one partial top-k answer per shard range. Paying
-//! the round trips serially sums them; the coordinator instead issues the
-//! query to every range's first candidate replica (all sends, fixed range
-//! order), then collects the answers in the same fixed order (all recvs),
-//! so the per-range round trips overlap on the wire. Any optimistic
-//! failure — transport error or NACK — is handled exactly as the serial
-//! path would handle it, and that range falls back to the full bounded
-//! retry/failover loop; *which* path produced the answer cannot change a
-//! bit of it.
+//! A prediction needs one partial top-k answer per shard range, and there
+//! is one routine that gets them: a batch of queries (a single query is a
+//! batch of one) rides one `QueryBatch` frame per range. Paying the round
+//! trips serially sums them; the coordinator instead issues the frame to
+//! every range's first candidate replica (all sends, fixed range order),
+//! then collects the answers in the same fixed order (all recvs), so the
+//! per-range round trips overlap on the wire. Any optimistic failure —
+//! transport error or NACK — is traced and repaired, and that range falls
+//! back to the full bounded retry/failover loop; *which* attempt produced
+//! the answer cannot change a bit of it.
 //!
 //! # Replica demotion
 //!
@@ -70,10 +71,11 @@
 //! threads into few coordinator calls) lives a layer up.
 
 use crate::health::{ClusterHealth, ReplicaHealth};
+use crate::per_step_counters;
 use crate::protocol::{
     BatchQuery, EpochAck, EpochTable, Frame, Load, LoadAck, Message, MetricsReply, MetricsRequest,
-    Nack, NackCode, Ping, Pong, Push, PushAck, Query, QueryBatch, SnapshotEpoch, Step, TopK,
-    TopKBatch, HEADER_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    Nack, NackCode, Ping, Pong, Push, PushAck, QueryBatch, SnapshotEpoch, Step, TopKBatch,
+    HEADER_LEN,
 };
 use crate::transport::{Conn, Connector, WireError};
 use autoce::{
@@ -109,12 +111,6 @@ pub struct ClusterConfig {
     /// Seed for backoff jitter (jitter is deterministic given the seed
     /// and the failure sequence — it never appears in the event trace).
     pub seed: u64,
-    /// Highest protocol version the coordinator emits. Defaults to
-    /// [`PROTOCOL_VERSION`]; pinning it to 1 (the mixed-version rolling
-    /// upgrade, coordinator side) makes [`ClusterCoordinator::predict_batch`]
-    /// serve every batch through the serial per-query path — never a
-    /// batch frame, so never a skew NACK.
-    pub wire_version: u16,
     /// Metrics registry the coordinator records into (default: disabled —
     /// every handle is a no-op). Recording is a strictly read-only side
     /// channel: it never takes a lock beyond the coordinator mutex the
@@ -142,7 +138,6 @@ impl Default for ClusterConfig {
             backoff_max: Duration::from_millis(100),
             demote_after: 3,
             seed: 0xc105,
-            wire_version: PROTOCOL_VERSION,
             metrics: MetricsRegistry::disabled(),
             index: None,
         }
@@ -212,13 +207,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Pins the highest protocol version the coordinator emits (rolling
-    /// upgrades: a v1 pin suppresses batch frames entirely).
-    pub fn wire_version(mut self, v: u16) -> Self {
-        self.cfg.wire_version = v;
-        self
-    }
-
     /// Sets the metrics registry (see [`ClusterConfig::metrics`]).
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.cfg.metrics = registry;
@@ -255,12 +243,6 @@ impl ClusterConfigBuilder {
                     .into(),
             ));
         }
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&self.cfg.wire_version) {
-            return Err(AdvisorError::InvalidConfig(format!(
-                "wire_version {} is outside the supported range {}..={}",
-                self.cfg.wire_version, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION
-            )));
-        }
         if let Some(index) = &self.cfg.index {
             index.validate()?;
         }
@@ -279,6 +261,9 @@ pub enum ClusterError {
     /// A peer answered something protocol-violating that retries cannot
     /// fix.
     Protocol(String),
+    /// The authority holds no RCS entry a query may select (empty, or its
+    /// only entry excluded); nothing was sent.
+    EmptyRcs,
 }
 
 impl std::fmt::Display for ClusterError {
@@ -288,6 +273,9 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "no live replica for shard range {range}")
             }
             ClusterError::Protocol(d) => write!(f, "protocol violation: {d}"),
+            ClusterError::EmptyRcs => {
+                f.write_str("no selectable RCS entry (empty or all excluded)")
+            }
         }
     }
 }
@@ -299,6 +287,7 @@ impl From<ClusterError> for AdvisorError {
         match e {
             ClusterError::RangeUnavailable { range } => AdvisorError::RangeUnavailable { range },
             ClusterError::Protocol(d) => AdvisorError::Protocol(d),
+            ClusterError::EmptyRcs => AdvisorError::EmptyRcs,
         }
     }
 }
@@ -315,7 +304,7 @@ struct Replica {
 /// never a transport call, never a trace line.
 struct LaneObs {
     /// `ce_cluster_rtt_ns{range}`: completed round-trip attempts (success
-    /// or wire failure), serial and pipelined paths alike.
+    /// or wire failure), optimistic and retried alike.
     rtt_ns: Histogram,
     /// `ce_cluster_retries_total{range}`: second-and-later attempts on the
     /// same replica.
@@ -331,8 +320,6 @@ struct LaneObs {
     /// `ce_cluster_demotes_total{range}` / `ce_cluster_repromotes_total{range}`.
     demotes: Counter,
     repromotes: Counter,
-    /// `ce_cluster_batch_downgrades_total{range}`.
-    batch_downgrades: Counter,
     /// `ce_cluster_replica_failures_total{range}`: every failed
     /// dial/send/recv, pre-demotion.
     replica_failures: Counter,
@@ -352,11 +339,6 @@ impl LaneObs {
         let c = |name: &str| reg.counter(name, &labels);
         let nack =
             |code: &str| reg.counter("ce_cluster_nacks_total", &[("range", &rs), ("code", code)]);
-        let per_step = |name: &str| -> Vec<Counter> {
-            Step::all()
-                .map(|s| reg.counter(name, &[("step", s.name())]))
-                .collect()
-        };
         LaneObs {
             rtt_ns: reg.histogram("ce_cluster_rtt_ns", &labels, LATENCY_NS_BUCKETS),
             retries: c("ce_cluster_retries_total"),
@@ -365,7 +347,6 @@ impl LaneObs {
             reloads: c("ce_cluster_reloads_total"),
             demotes: c("ce_cluster_demotes_total"),
             repromotes: c("ce_cluster_repromotes_total"),
-            batch_downgrades: c("ce_cluster_batch_downgrades_total"),
             replica_failures: c("ce_cluster_replica_failures_total"),
             nacks: [
                 nack("stale_table"),
@@ -373,8 +354,8 @@ impl LaneObs {
                 nack("no_table"),
                 nack("version_skew"),
             ],
-            bytes_out: per_step("ce_cluster_wire_bytes_out_total"),
-            bytes_in: per_step("ce_cluster_wire_bytes_in_total"),
+            bytes_out: per_step_counters(reg, "ce_cluster_wire_bytes_out_total"),
+            bytes_in: per_step_counters(reg, "ce_cluster_wire_bytes_in_total"),
         }
     }
 
@@ -400,25 +381,12 @@ struct RangeLane {
     /// The key is self-validating: any authority mutation changes the
     /// version (push) or the epoch (snapshot).
     load_frame: Option<(u64, u64, Frame)>,
-    /// Sticky mixed-version downgrade: set when a replica of this range
-    /// answered a batch frame with a `VersionSkew` NACK. A downgraded
-    /// lane serves batches through the per-query v1 path (bit-identical
-    /// by construction) instead of re-discovering the pin every batch.
-    batch_downgraded: bool,
     /// Metrics handles (no-ops when the registry is disabled).
     obs: LaneObs,
     /// RTT span of the in-flight request, opened by [`Self::raw_send`]
     /// and closed (recorded) by [`Self::raw_recv`]. At most one request
     /// is ever in flight per lane.
     rtt_span: Option<Span>,
-}
-
-/// Outcome of a batched range call: a non-NACK reply frame, or an
-/// instruction to downgrade this lane to the per-query path because a
-/// version-pinned replica refused the batch step.
-enum BatchOutcome {
-    Reply(Frame),
-    Downgrade,
 }
 
 impl RangeLane {
@@ -520,7 +488,7 @@ impl RangeLane {
         }
     }
 
-    /// One full round trip to replica `r` (serial paths).
+    /// One full round trip to replica `r`.
     fn raw_call(
         &mut self,
         range: usize,
@@ -591,8 +559,15 @@ impl RangeLane {
 
     /// Reacts to a NACK answer from replica `r`: trace it, then apply the
     /// one repair action its code calls for (reload for table mismatches,
-    /// re-dial for a damaged request).
-    fn on_nack(&mut self, range: usize, cfg: &ClusterConfig, r: usize, reply: &Frame) {
+    /// re-dial for a damaged request). A `VersionSkew` NACK has no repair
+    /// and is the caller's terminal error.
+    fn on_nack(
+        &mut self,
+        range: usize,
+        cfg: &ClusterConfig,
+        r: usize,
+        reply: &Frame,
+    ) -> Result<(), ClusterError> {
         match Nack::from_frame(reply) {
             Ok(nack) => {
                 self.obs.nack(nack.code);
@@ -610,10 +585,14 @@ impl RangeLane {
                         self.replicas[r].conn = None;
                     }
                     NackCode::VersionSkew => {
-                        // Version-gated refusal: no repair applies, and a
-                        // retry of the same frame would skew again. The
-                        // batched path intercepts this code *before*
-                        // `on_nack` and downgrades the lane instead.
+                        // The peer speaks another protocol version: no
+                        // repair applies and a retry would skew again.
+                        // Fail typed, at once — retrying to range-dark
+                        // would turn an operator's pin into an outage.
+                        return Err(ClusterError::Protocol(format!(
+                            "range {range} replica {r} refused the wire version: {}",
+                            nack.detail
+                        )));
                     }
                 }
             }
@@ -622,10 +601,11 @@ impl RangeLane {
                 self.replicas[r].conn = None;
             }
         }
+        Ok(())
     }
 
-    /// Serial fan-out to this lane: bounded retries with backoff per
-    /// candidate replica (demotion-aware), NACK-triggered repair, then
+    /// The retry/failover loop of this lane: bounded retries with backoff
+    /// per candidate replica (demotion-aware), NACK-triggered repair, then
     /// failover to the next candidate. Returns the first non-NACK answer.
     fn call_range(
         &mut self,
@@ -653,70 +633,12 @@ impl RangeLane {
                 if reply.step != Step::ShardSendNack {
                     return Ok(reply);
                 }
-                self.on_nack(range, cfg, r, &reply);
+                self.on_nack(range, cfg, r, &reply)?;
                 self.backoff(cfg, attempt);
             }
         }
         self.sub.push(format!("range-dark range={range}"));
         Err(ClusterError::RangeUnavailable { range })
-    }
-
-    /// [`Self::call_range`] for a batch frame: the identical bounded
-    /// retry/failover discipline, except a `VersionSkew` NACK returns
-    /// [`BatchOutcome::Downgrade`] immediately — a version-pinned peer
-    /// refuses every retry of the same step, so retrying to range-dark
-    /// would turn an operator's pin into an outage.
-    fn call_range_batch(
-        &mut self,
-        range: usize,
-        cfg: &ClusterConfig,
-        frame: &Frame,
-    ) -> Result<BatchOutcome, ClusterError> {
-        for (i, r) in self.candidates().into_iter().enumerate() {
-            if i > 0 {
-                self.obs.failovers.inc();
-                self.sub.push(format!("failover range={range} to r={r}"));
-            }
-            for attempt in 0..cfg.max_attempts_per_replica {
-                if attempt > 0 {
-                    self.obs.retries.inc();
-                }
-                let reply = match self.raw_call(range, cfg, r, frame) {
-                    Ok(reply) => reply,
-                    Err(_) => {
-                        // raw_call already traced and recorded the failure.
-                        self.backoff(cfg, attempt);
-                        continue;
-                    }
-                };
-                if reply.step != Step::ShardSendNack {
-                    return Ok(BatchOutcome::Reply(reply));
-                }
-                if self.nack_is_version_skew(range, r, &reply) {
-                    return Ok(BatchOutcome::Downgrade);
-                }
-                self.on_nack(range, cfg, r, &reply);
-                self.backoff(cfg, attempt);
-            }
-        }
-        self.sub.push(format!("range-dark range={range}"));
-        Err(ClusterError::RangeUnavailable { range })
-    }
-
-    /// Checks a NACK reply for the version-skew code, tracing it when it
-    /// matches (the caller then downgrades the lane instead of repairing).
-    fn nack_is_version_skew(&mut self, range: usize, r: usize, reply: &Frame) -> bool {
-        match Nack::from_frame(reply) {
-            Ok(nack) if nack.code == NackCode::VersionSkew => {
-                self.obs.nack(nack.code);
-                self.sub.push(format!(
-                    "nack range={range} r={r} {:?}: {}",
-                    nack.code, nack.detail
-                ));
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Best-effort metrics fetch from replica `r` over
@@ -724,8 +646,7 @@ impl RangeLane {
     /// discipline: no retries, no health transitions, no trace lines and
     /// no wire-byte accounting — observing the cluster must not change
     /// how the cluster is observed to behave. Any failure (down replica,
-    /// version-skew NACK from a v1-pinned shard, corrupt snapshot) just
-    /// yields `None`.
+    /// NACK, corrupt snapshot) just yields `None`.
     fn fetch_metrics(&mut self, cfg: &ClusterConfig, r: usize) -> Option<MetricsSnapshot> {
         if self.replicas[r].conn.is_none() {
             self.replicas[r].conn = self.replicas[r].connector.connect().ok();
@@ -827,39 +748,57 @@ impl CoordInner {
         Ok(())
     }
 
-    fn predict_excluding(
+    /// The wire fan-out — the coordinator's one query routine. One
+    /// [`QueryBatch`] frame per non-empty range carries the whole batch (a
+    /// single query is a batch of one), so a B-deep batch over R ranges
+    /// pays R round trips instead of B×R. The per-query clamp, merge
+    /// ([`knn_order`] sort + truncate) and [`knn_vote`] are the exact
+    /// arithmetic of [`ShardedAdvisor::predict_excluding`]. Full answers
+    /// or a typed error, never a partial merge.
+    fn predict_batch(
         &mut self,
-        embedding: &[f32],
-        w: MetricWeights,
-        exclude: usize,
-    ) -> Result<(ModelKind, Vec<f64>), ClusterError> {
-        assert!(!self.authority.is_empty(), "empty RCS");
+        queries: &[BatchPredictRequest<'_>],
+    ) -> Result<Vec<(ModelKind, Vec<f64>)>, ClusterError> {
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
         let len = self.authority.len();
-        let selectable = len - usize::from(exclude < len);
-        assert!(
-            selectable > 0,
-            "KNN needs at least one non-excluded RCS entry"
-        );
-        let k = self.authority.config().k.clamp(1, selectable);
-        let wire_exclude = if exclude < len {
-            exclude as u64
-        } else {
-            u64::MAX
-        };
+        let k = self.authority.config().k;
+        // Per-query clamp and wire exclusion (k depends on each query's
+        // exclusion). A query with nothing to select fails the whole
+        // batch here, before any frame is built.
+        let per_query: Vec<(usize, u64)> = queries
+            .iter()
+            .map(|q| {
+                let excluded = q.exclude < len;
+                let selectable = len - usize::from(excluded);
+                if selectable == 0 {
+                    return Err(ClusterError::EmptyRcs);
+                }
+                let wire_exclude = if excluded { q.exclude as u64 } else { u64::MAX };
+                Ok((k.clamp(1, selectable), wire_exclude))
+            })
+            .collect::<Result<_, _>>()?;
         let ranges = self.lanes.len();
 
-        // Per-range query frames. An empty shard's partial top-k is
+        // Per-range batch frames. An empty shard's partial top-k is
         // empty; skip the trip entirely.
         let mut frames: Vec<Option<Frame>> = Vec::with_capacity(ranges);
         for range in 0..ranges {
             let shard_len = self.authority.shards()[range].len() as u64;
             frames.push((shard_len > 0).then(|| {
-                Query {
+                QueryBatch {
                     epoch: self.epoch,
                     version: shard_len,
-                    embedding: embedding.to_vec(),
-                    k: k as u64,
-                    exclude: wire_exclude,
+                    queries: queries
+                        .iter()
+                        .zip(&per_query)
+                        .map(|(q, &(k, exclude))| BatchQuery {
+                            embedding: q.embedding.to_vec(),
+                            k: k as u64,
+                            exclude,
+                        })
+                        .collect(),
                 }
                 .into_frame()
             }));
@@ -867,7 +806,7 @@ impl CoordInner {
             self.prime_load_frame(range);
         }
 
-        // Issue phase: optimistically send each range's query to its
+        // Issue phase: optimistically send each range's frame to its
         // first candidate replica, in fixed range order, so the round
         // trips overlap instead of summing.
         let mut issued: Vec<Option<usize>> = vec![None; ranges];
@@ -882,10 +821,11 @@ impl CoordInner {
             }
         }
 
-        // Collect phase, fixed range order. Any optimistic failure is
-        // handled (health, trace, repair) and the range falls back to the
-        // full serial retry/failover loop.
-        let mut merged: Vec<(usize, f32)> = Vec::with_capacity(k * ranges);
+        // Collect phase, fixed range order; one partial list per query
+        // accumulates across ranges. Any optimistic failure is handled
+        // (health, trace, repair) and the range falls back to the full
+        // retry/failover loop.
+        let mut merged: Vec<Vec<(usize, f32)>> = vec![Vec::new(); queries.len()];
         for range in 0..ranges {
             let Some(frame) = frames[range].as_ref() else {
                 continue;
@@ -895,7 +835,7 @@ impl CoordInner {
             if let Some(r) = issued[range] {
                 match lane.raw_recv(range, &self.cfg, r) {
                     Ok(f) if f.step != Step::ShardSendNack => fast = Some(f),
-                    Ok(f) => lane.on_nack(range, &self.cfg, r, &f),
+                    Ok(f) => lane.on_nack(range, &self.cfg, r, &f)?,
                     Err(_) => {}
                 }
             }
@@ -903,187 +843,22 @@ impl CoordInner {
                 Some(f) => f,
                 None => lane.call_range(range, &self.cfg, frame)?,
             };
-            let topk =
-                TopK::from_frame(&reply).map_err(|e| ClusterError::Protocol(e.to_string()))?;
-            merged.extend(topk.entries.iter().map(|&(id, d)| (id as usize, d)));
-        }
-        merged.sort_unstable_by(knn_order);
-        merged.truncate(k);
-        Ok(knn_vote(
-            merged.iter().map(|&(id, _)| self.authority.entry(id)),
-            k,
-            w,
-        ))
-    }
-
-    /// The wire-batched fan-out: one [`QueryBatch`] frame per non-empty
-    /// range carries the whole micro-batch, so a B-deep batch over R
-    /// ranges pays R round trips instead of B×R. The per-query clamp,
-    /// merge ([`knn_order`] sort + truncate) and [`knn_vote`] are the
-    /// exact arithmetic of [`Self::predict_excluding`], so the batched
-    /// path cannot move a bit. Mixed-version gates: a coordinator pinned
-    /// below v2 serves the batch serially per query, and a lane whose
-    /// replica NACKs `VersionSkew` is downgraded (sticky) to the same
-    /// serial per-query service — either way, full answers or a typed
-    /// error, never a partial merge.
-    fn predict_batch(
-        &mut self,
-        queries: &[BatchPredictRequest<'_>],
-    ) -> Result<Vec<(ModelKind, Vec<f64>)>, ClusterError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.cfg.wire_version < Step::CoordSendQueryBatch.min_version() {
-            // Coordinator-side version pin: never emit a batch frame.
-            return queries
-                .iter()
-                .map(|q| self.predict_excluding(q.embedding, q.w, q.exclude))
-                .collect();
-        }
-        assert!(!self.authority.is_empty(), "empty RCS");
-        let len = self.authority.len();
-        // Per-query clamp and wire exclusion — identical arithmetic to
-        // predict_excluding (k depends on each query's exclusion).
-        let per_query: Vec<(usize, u64)> = queries
-            .iter()
-            .map(|q| {
-                let selectable = len - usize::from(q.exclude < len);
-                assert!(
-                    selectable > 0,
-                    "KNN needs at least one non-excluded RCS entry"
-                );
-                let k = self.authority.config().k.clamp(1, selectable);
-                let wire_exclude = if q.exclude < len {
-                    q.exclude as u64
-                } else {
-                    u64::MAX
-                };
-                (k, wire_exclude)
-            })
-            .collect();
-        let ranges = self.lanes.len();
-
-        // Per-range batch frames: empty shards contribute nothing and
-        // skip the trip; downgraded lanes serve per-query below.
-        let mut frames: Vec<Option<Frame>> = Vec::with_capacity(ranges);
-        for range in 0..ranges {
-            let shard_len = self.authority.shards()[range].len() as u64;
-            frames.push(
-                (shard_len > 0 && !self.lanes[range].batch_downgraded).then(|| {
-                    QueryBatch {
-                        epoch: self.epoch,
-                        version: shard_len,
-                        queries: queries
-                            .iter()
-                            .zip(&per_query)
-                            .map(|(q, &(k, wire_exclude))| BatchQuery {
-                                embedding: q.embedding.to_vec(),
-                                k: k as u64,
-                                exclude: wire_exclude,
-                            })
-                            .collect(),
-                    }
-                    .into_frame()
-                }),
-            );
-            self.prime_load_frame(range);
-        }
-
-        // Issue phase: the batch frame rides the same pipelined
-        // first-candidate optimism as the per-query fan-out.
-        let mut issued: Vec<Option<usize>> = vec![None; ranges];
-        for range in 0..ranges {
-            let Some(frame) = frames[range].as_ref() else {
-                continue;
-            };
-            let lane = &mut self.lanes[range];
-            let r = lane.candidates()[0];
-            if lane.raw_send(range, &self.cfg, r, frame).is_ok() {
-                issued[range] = Some(r);
+            let tb =
+                TopKBatch::from_frame(&reply).map_err(|e| ClusterError::Protocol(e.to_string()))?;
+            if tb.lists.len() != queries.len() {
+                // Never a partial merge: a count mismatch is a protocol
+                // violation, not a short answer.
+                return Err(ClusterError::Protocol(format!(
+                    "batched reply carries {} lists for {} queries",
+                    tb.lists.len(),
+                    queries.len()
+                )));
+            }
+            for (m, list) in merged.iter_mut().zip(&tb.lists) {
+                m.extend(list.iter().map(|&(id, d)| (id as usize, d)));
             }
         }
 
-        // Collect phase, fixed range order; one partial list per query
-        // accumulates across ranges.
-        let mut merged: Vec<Vec<(usize, f32)>> = queries.iter().map(|_| Vec::new()).collect();
-        for range in 0..ranges {
-            let shard_len = self.authority.shards()[range].len() as u64;
-            if shard_len == 0 {
-                continue;
-            }
-            let mut serve_serially = self.lanes[range].batch_downgraded;
-            if let Some(frame) = frames[range].as_ref() {
-                let lane = &mut self.lanes[range];
-                let mut fast = None;
-                if let Some(r) = issued[range] {
-                    match lane.raw_recv(range, &self.cfg, r) {
-                        Ok(f) if f.step != Step::ShardSendNack => {
-                            fast = Some(BatchOutcome::Reply(f))
-                        }
-                        Ok(f) => {
-                            if lane.nack_is_version_skew(range, r, &f) {
-                                fast = Some(BatchOutcome::Downgrade);
-                            } else {
-                                lane.on_nack(range, &self.cfg, r, &f);
-                            }
-                        }
-                        Err(_) => {}
-                    }
-                }
-                let outcome = match fast {
-                    Some(o) => o,
-                    None => lane.call_range_batch(range, &self.cfg, frame)?,
-                };
-                match outcome {
-                    BatchOutcome::Reply(reply) => {
-                        let tb = TopKBatch::from_frame(&reply)
-                            .map_err(|e| ClusterError::Protocol(e.to_string()))?;
-                        if tb.lists.len() != queries.len() {
-                            // Never a partial merge: a count mismatch is a
-                            // protocol violation, not a short answer.
-                            return Err(ClusterError::Protocol(format!(
-                                "batched reply carries {} lists for {} queries",
-                                tb.lists.len(),
-                                queries.len()
-                            )));
-                        }
-                        for (m, list) in merged.iter_mut().zip(&tb.lists) {
-                            m.extend(list.iter().map(|&(id, d)| (id as usize, d)));
-                        }
-                    }
-                    BatchOutcome::Downgrade => {
-                        let lane = &mut self.lanes[range];
-                        lane.batch_downgraded = true;
-                        lane.obs.batch_downgrades.inc();
-                        lane.sub.push(format!("batch-downgrade range={range}"));
-                        serve_serially = true;
-                    }
-                }
-            }
-            if serve_serially {
-                // Per-query v1 frames through the serial retry/failover
-                // loop — the exact frames predict_excluding would send,
-                // so the downgraded lane's answers are bit-identical.
-                for (qi, (q, &(k, wire_exclude))) in queries.iter().zip(&per_query).enumerate() {
-                    let frame = Query {
-                        epoch: self.epoch,
-                        version: shard_len,
-                        embedding: q.embedding.to_vec(),
-                        k: k as u64,
-                        exclude: wire_exclude,
-                    }
-                    .into_frame();
-                    let lane = &mut self.lanes[range];
-                    let reply = lane.call_range(range, &self.cfg, &frame)?;
-                    let topk = TopK::from_frame(&reply)
-                        .map_err(|e| ClusterError::Protocol(e.to_string()))?;
-                    merged[qi].extend(topk.entries.iter().map(|&(id, d)| (id as usize, d)));
-                }
-            }
-        }
-
-        // Per-query merge: the same sort/truncate/vote as the per-query
-        // path, over the same per-range partial lists.
         Ok(queries
             .iter()
             .zip(per_query)
@@ -1291,7 +1066,6 @@ impl ClusterCoordinator {
                 ),
                 sub: Vec::new(),
                 load_frame: None,
-                batch_downgraded: false,
                 obs: LaneObs::new(&cfg.metrics, range),
                 rtt_span: None,
             })
@@ -1393,8 +1167,8 @@ impl ClusterCoordinator {
         out
     }
 
-    /// KNN prediction excluding one global RCS index, answered from the
-    /// wire via the pipelined range fan-out. Bit-identical to
+    /// KNN prediction excluding one global RCS index: [`Self::predict_batch`]
+    /// with a batch of one. Bit-identical to
     /// [`ShardedAdvisor::predict_excluding`] on the authority (see the
     /// module docs).
     pub fn predict_excluding(
@@ -1403,10 +1177,13 @@ impl ClusterCoordinator {
         w: MetricWeights,
         exclude: usize,
     ) -> Result<(ModelKind, Vec<f64>), ClusterError> {
-        let mut inner = self.lock();
-        let out = inner.predict_excluding(embedding, w, exclude);
-        inner.merge_trace();
-        out
+        let query = BatchPredictRequest {
+            embedding,
+            w,
+            exclude,
+        };
+        let mut answers = self.predict_batch(&[query])?;
+        Ok(answers.pop().expect("one answer per query"))
     }
 
     /// KNN prediction from an embedding (no exclusion).
@@ -1418,13 +1195,15 @@ impl ClusterCoordinator {
         self.predict_excluding(embedding, w, usize::MAX)
     }
 
-    /// Batched KNN prediction over the wire: one `QueryBatch` frame per
-    /// shard range carries the whole micro-batch (protocol v2), so the
+    /// KNN prediction over the wire via the pipelined range fan-out: one
+    /// `QueryBatch` frame per shard range carries the whole batch, so the
     /// per-range round trip is paid once per *batch* instead of once per
-    /// query. Answers are bit-identical to per-query
-    /// [`Self::predict_excluding`] — same clamp, same merge, same vote —
-    /// and mixed-version peers degrade to exactly that per-query path
-    /// (see the `batch-downgrade` trace line), never to a partial merge.
+    /// query. Each answer is bit-identical to
+    /// [`ShardedAdvisor::predict_excluding`] on the authority for that
+    /// query alone. An RCS with nothing a query may select is
+    /// [`ClusterError::EmptyRcs`] for the whole batch, with nothing sent;
+    /// a peer on another protocol version is [`ClusterError::Protocol`] at
+    /// once — no retry, no failover.
     pub fn predict_batch(
         &self,
         queries: &[BatchPredictRequest<'_>],
@@ -1442,11 +1221,8 @@ impl ClusterCoordinator {
         g: &FeatureGraph,
         w: MetricWeights,
     ) -> Result<ModelKind, ClusterError> {
-        let mut inner = self.lock();
-        let x = inner.authority.embed_graph(g);
-        let out = inner.predict_excluding(&x, w, usize::MAX).map(|(m, _)| m);
-        inner.merge_trace();
-        out
+        let x = self.embed_graph(g);
+        self.predict_from_embedding(&x, w).map(|(m, _)| m)
     }
 
     /// Adds a freshly labeled dataset: authority first, then a
@@ -1509,8 +1285,8 @@ impl ClusterCoordinator {
     /// Cluster-wide aggregation: the local snapshot merged with every
     /// replica's shard snapshot, fetched over [`Step::CoordSendMetrics`]
     /// and tagged with `range`/`replica` labels before merging. Replicas
-    /// that are down, v1-pinned (they NACK the v2 step) or answer a
-    /// corrupt snapshot are skipped, never an error. Unlike
+    /// that are down or answer a NACK or a corrupt snapshot are skipped,
+    /// never an error. Unlike
     /// [`Self::metrics`] this serializes behind the coordinator mutex and
     /// does cross the wire — under `SimNet` the fetches advance the
     /// simulated step counter like any other frames, so call it after a
@@ -1518,18 +1294,16 @@ impl ClusterCoordinator {
     pub fn cluster_metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         let mut inner = self.lock();
-        if inner.cfg.wire_version >= Step::CoordSendMetrics.min_version() {
-            let cfg = inner.cfg.clone();
-            for range in 0..inner.lanes.len() {
-                let lane = &mut inner.lanes[range];
-                for r in 0..lane.replicas.len() {
-                    if let Some(shard) = lane.fetch_metrics(&cfg, r) {
-                        snap.merge(
-                            &shard
-                                .with_label("range", &range.to_string())
-                                .with_label("replica", &r.to_string()),
-                        );
-                    }
+        let cfg = inner.cfg.clone();
+        for range in 0..inner.lanes.len() {
+            let lane = &mut inner.lanes[range];
+            for r in 0..lane.replicas.len() {
+                if let Some(shard) = lane.fetch_metrics(&cfg, r) {
+                    snap.merge(
+                        &shard
+                            .with_label("range", &range.to_string())
+                            .with_label("replica", &r.to_string()),
+                    );
                 }
             }
         }
@@ -1571,9 +1345,9 @@ impl AdvisorBackend for ClusterCoordinator {
             .map_err(AdvisorError::from)
     }
 
-    /// Overrides the per-query default with the wire-batched fan-out:
-    /// this is where `ce-serve`'s micro-batcher stops paying one round
-    /// trip per request.
+    /// Overrides the per-query default with the wire fan-out itself: this
+    /// is where `ce-serve`'s micro-batcher stops paying one round trip
+    /// per request.
     fn predict_batch(
         &self,
         queries: &[BatchPredictRequest<'_>],
@@ -1928,13 +1702,13 @@ mod tests {
         assert!(
             local.counter(
                 "ce_cluster_wire_bytes_out_total",
-                &[("step", "coord_send_query")]
+                &[("step", "coord_send_query_batch")]
             ) > 0
         );
         assert!(
             local.counter(
                 "ce_cluster_wire_bytes_in_total",
-                &[("step", "shard_send_topk")]
+                &[("step", "shard_send_topk_batch")]
             ) > 0
         );
 
@@ -1945,7 +1719,7 @@ mod tests {
             cluster.counter(
                 "ce_shard_requests_total",
                 &[
-                    ("step", "coord_send_query"),
+                    ("step", "coord_send_query_batch"),
                     ("range", "1"),
                     ("replica", "0")
                 ],
@@ -1955,27 +1729,6 @@ mod tests {
         );
         // Aggregation is itself side-effect free on the trace.
         assert_eq!(instrumented.trace(), bare.trace());
-
-        // A v1-pinned coordinator never emits the v2 metrics step: the
-        // aggregate degrades to the local snapshot.
-        let sharded = ShardedAdvisor::from_advisor(&flat, 2);
-        let net = SimNet::new(4, FaultPlan::none());
-        let cfg = ClusterConfig::builder()
-            .no_sleep()
-            .wire_version(1)
-            .metrics(MetricsRegistry::new_logical())
-            .build()
-            .expect("valid config");
-        let pinned = ClusterCoordinator::over_sim(sharded, &net, 2, cfg);
-        pinned.bootstrap().expect("bootstrap");
-        let steps_before = net.step();
-        let agg = pinned.cluster_metrics();
-        assert_eq!(
-            net.step(),
-            steps_before,
-            "v1 pin keeps metrics off the wire"
-        );
-        assert_eq!(agg, pinned.metrics());
     }
 
     #[test]
@@ -1997,5 +1750,121 @@ mod tests {
                 "trait path must be the same wire path"
             );
         }
+    }
+
+    /// A replica that answers every frame with one fixed NACK, counting
+    /// the frames it was sent.
+    struct NackingConnector {
+        code: NackCode,
+        sent: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Connector for NackingConnector {
+        fn connect(&mut self) -> Result<Box<dyn Conn>, WireError> {
+            Ok(Box::new(NackingConnector {
+                code: self.code,
+                sent: self.sent.clone(),
+            }))
+        }
+
+        fn label(&self) -> String {
+            "nacking".into()
+        }
+    }
+
+    impl Conn for NackingConnector {
+        fn send(&mut self, _frame: &Frame, _deadline: Duration) -> Result<(), WireError> {
+            self.sent.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
+        }
+
+        fn recv(&mut self, _deadline: Duration) -> Result<Frame, WireError> {
+            Ok(Nack {
+                code: self.code,
+                detail: "unsupported protocol version 7".into(),
+            }
+            .into_frame())
+        }
+    }
+
+    #[test]
+    fn version_skew_nack_is_a_typed_error_after_one_attempt() {
+        let flat = synthetic_flat(5, 2);
+        let sharded = ShardedAdvisor::from_advisor(&flat, 1);
+        let sent = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        // Two replicas, both skewed: a failover would show as a second
+        // frame.
+        let connectors: Vec<Vec<Box<dyn Connector>>> = vec![(0..2)
+            .map(|_| {
+                Box::new(NackingConnector {
+                    code: NackCode::VersionSkew,
+                    sent: sent.clone(),
+                }) as Box<dyn Connector>
+            })
+            .collect()];
+        let coord = ClusterCoordinator::new(sharded, connectors, ClusterConfig::no_sleep());
+        let got = coord.predict_from_embedding(&[0.0, 0.0, 0.0], MetricWeights::new(0.5));
+        assert!(
+            matches!(got, Err(ClusterError::Protocol(_))),
+            "a version pin is policy, not an outage: {got:?}"
+        );
+        assert_eq!(
+            sent.load(std::sync::atomic::Ordering::Relaxed),
+            1,
+            "exactly one attempt: no retry, no failover, no repair"
+        );
+        let trace = coord.trace();
+        assert!(
+            trace
+                .iter()
+                .any(|l| l.starts_with("nack range=0 r=0 VersionSkew")),
+            "the skew NACK must be traced: {trace:?}"
+        );
+        assert!(
+            !trace.iter().any(|l| l.starts_with("failover")
+                || l.starts_with("reload")
+                || l.starts_with("range-dark")),
+            "skew earns no repair line: {trace:?}"
+        );
+    }
+
+    #[test]
+    fn nothing_selectable_fails_the_whole_batch_before_any_frame() {
+        let w = MetricWeights::new(0.5);
+        let x = [0.0f32, 0.0, 0.0];
+        let only = BatchPredictRequest {
+            embedding: &x,
+            w,
+            exclude: usize::MAX,
+        };
+        // One entry: excluding it leaves nothing, and one such query
+        // fails its whole batch.
+        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(1, 2), 1);
+        let net = SimNet::new(1, FaultPlan::none());
+        let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
+        coord.bootstrap().expect("bootstrap");
+        let steps = net.step();
+        let excluded = BatchPredictRequest { exclude: 0, ..only };
+        assert_eq!(
+            coord.predict_batch(&[only, excluded]),
+            Err(ClusterError::EmptyRcs)
+        );
+        assert_eq!(
+            coord.predict_excluding(&x, w, 0),
+            Err(ClusterError::EmptyRcs)
+        );
+        assert_eq!(net.step(), steps, "nothing may reach the wire");
+        assert!(coord.predict_batch(&[only]).is_ok());
+        let backend: &dyn AdvisorBackend = &coord;
+        assert_eq!(
+            backend.predict_excluding(&x, w, 0),
+            Err(AdvisorError::EmptyRcs)
+        );
+        // No entry at all.
+        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(0, 2), 1);
+        let net = SimNet::new(1, FaultPlan::none());
+        let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
+        coord.bootstrap().expect("bootstrap");
+        assert_eq!(coord.predict_batch(&[only]), Err(ClusterError::EmptyRcs));
     }
 }

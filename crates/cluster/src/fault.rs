@@ -48,9 +48,9 @@ pub struct FaultEvent {
     /// Global step (coordinator call count) at which the fault arms.
     /// Lifecycle faults apply as soon as the counter reaches this step;
     /// wire faults hit the first call to `replica` at or after it. A
-    /// batched query frame (protocol v2) counts as **one** call like any
-    /// other: a wire fault landing on it drops, delays, truncates, or
-    /// garbles the whole batch — never a subset of the queries inside it.
+    /// batched query frame counts as **one** call like any other: a wire
+    /// fault landing on it drops, delays, truncates, or garbles the whole
+    /// batch — never a subset of the queries inside it.
     pub step: u64,
     /// Target replica index (coordinator's flat replica numbering).
     pub replica: usize,

@@ -38,7 +38,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use health::{ClusterHealth, ReplicaHealth, ReplicaStatus};
 pub use protocol::{
     BatchQuery, EpochTable, Frame, Message, MetricsReply, MetricsRequest, NackCode, QueryBatch,
-    Step, TopKBatch, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, PTO_ID, PTO_NAME,
+    Step, TopKBatch, PROTOCOL_VERSION, PTO_ID, PTO_NAME,
 };
 // Observability surface: the registry/snapshot types cluster callers need
 // to configure `ClusterConfig::metrics` and read aggregations.
@@ -53,3 +53,14 @@ pub use transport::{Conn, Connector, TcpConnector, WireError};
 // Re-exported so cluster users need not depend on ce-serve directly for
 // the common path.
 pub use ce_serve::ShardedAdvisor;
+
+/// One `name{step=…}` counter per defined step, indexed by wire number
+/// (a retired number holds an unregistered no-op handle).
+pub(crate) fn per_step_counters(registry: &MetricsRegistry, name: &str) -> Vec<ce_obs::Counter> {
+    let mut out = Vec::new();
+    for step in Step::all() {
+        out.resize(step as usize + 1, ce_obs::Counter::default());
+        out[step as usize] = registry.counter(name, &[("step", step.name())]);
+    }
+    out
+}

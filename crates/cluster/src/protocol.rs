@@ -35,18 +35,10 @@ pub const PTO_NAME: &str = "CE23_CLUSTER_ADVISOR";
 /// Wire magic prefixing every frame.
 pub const MAGIC: u32 = 0xCEC7_0301;
 
-/// Version byte pair; bumped on any incompatible layout change. Version 2
-/// adds the batched query steps ([`Step::CoordSendQueryBatch`],
-/// [`Step::ShardSendTopkBatch`]) and the metrics side channel
-/// ([`Step::CoordSendMetrics`], [`Step::ShardSendMetrics`]); every
-/// version-1 frame is still legal version-2 traffic, so a frame carries
-/// the *minimum* version its step requires and peers accept any version
-/// in [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`].
+/// Version byte pair; bumped on any incompatible layout change. There is
+/// one wire version: every frame is encoded at it, and a header carrying
+/// any other is [`FrameError::BadVersion`] before the payload is touched.
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest protocol version this build still speaks. Frames below this (or
-/// above [`PROTOCOL_VERSION`]) are rejected before the payload is touched.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Hard cap on payload size (64 MiB): a corrupt length field must not
 /// drive allocation.
@@ -55,128 +47,91 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 12;
 
-/// The numbered protocol steps. Explicit discriminants are part of the
-/// wire contract — reordering the enum must not renumber the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u16)]
-pub enum Step {
+/// Declares the protocol's step table once: the [`Step`] enum, its wire
+/// numbers ([`Step::from_u16`], [`Step::all`]) and its metric label
+/// strings ([`Step::name`]) all derive from the single list below.
+macro_rules! step_table {
+    ($($(#[$doc:meta])* $variant:ident = $number:literal, $name:literal;)*) => {
+        /// The numbered protocol steps. The explicit numbers are part of
+        /// the wire contract — reordering the table must not renumber the
+        /// protocol. Numbers 2 and 3 (the retired per-query `Query`/`TopK`
+        /// pair) are never reused and decode as [`FrameError::BadStep`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u16)]
+        pub enum Step {
+            $($(#[$doc])* $variant = $number,)*
+        }
+
+        impl Step {
+            /// Parses a wire step number.
+            pub fn from_u16(v: u16) -> Option<Step> {
+                match v {
+                    $($number => Some(Step::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// Every defined step, in wire-number order.
+            pub fn all() -> impl Iterator<Item = Step> {
+                [$(Step::$variant),*].into_iter()
+            }
+
+            /// Stable snake_case step name — the `step` label value on
+            /// per-step wire metrics (part of the metric-name API; see
+            /// `docs/observability.md`).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Step::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+step_table! {
     /// Coordinator → shard: full epoch table (bootstrap or post-failover
     /// reload).
-    CoordSendLoad = 0,
+    CoordSendLoad = 0, "coord_send_load";
     /// Shard → coordinator: table installed.
-    ShardAckLoad = 1,
-    /// Coordinator → shard: partial top-k query against a pinned
-    /// (epoch, version).
-    CoordSendQuery = 2,
-    /// Shard → coordinator: the partial top-k list.
-    ShardSendTopk = 3,
+    ShardAckLoad = 1, "shard_ack_load";
     /// Coordinator → shard: staged replacement table for a new epoch
     /// (online adaptation's generation tag extended across the wire).
-    CoordSendSnapshotEpoch = 4,
+    CoordSendSnapshotEpoch = 4, "coord_send_snapshot_epoch";
     /// Shard → coordinator: new epoch staged and serving.
-    ShardAckEpoch = 5,
+    ShardAckEpoch = 5, "shard_ack_epoch";
     /// Coordinator → shard: append one entry to the current epoch table
     /// (online push; bumps the table version, not the epoch).
-    CoordSendPush = 6,
+    CoordSendPush = 6, "coord_send_push";
     /// Shard → coordinator: push applied.
-    ShardAckPush = 7,
+    ShardAckPush = 7, "shard_ack_push";
     /// Coordinator → shard: liveness probe.
-    CoordSendPing = 8,
+    CoordSendPing = 8, "coord_send_ping";
     /// Shard → coordinator: liveness answer with current table state.
-    ShardSendPong = 9,
+    ShardSendPong = 9, "shard_send_pong";
     /// Shard → coordinator: the request could not be served (epoch or
     /// version mismatch, malformed payload). The coordinator reacts by
     /// reloading or reconnecting — a NACK is a recovery signal, not a
     /// crash.
-    ShardSendNack = 10,
+    ShardSendNack = 10, "shard_send_nack";
     /// Coordinator → shard: clean process shutdown.
-    CoordSendShutdown = 11,
+    CoordSendShutdown = 11, "coord_send_shutdown";
     /// Shard → coordinator: acknowledged, terminating.
-    ShardAckShutdown = 12,
-    /// Coordinator → shard (v2): a whole micro-batch of partial top-k
-    /// queries pinned to one (epoch, version) — one frame per range per
-    /// batch instead of one per query.
-    CoordSendQueryBatch = 13,
-    /// Shard → coordinator (v2): the partial top-k list of every query in
-    /// the batch, in submission order.
-    ShardSendTopkBatch = 14,
-    /// Coordinator → shard (v2): request the shard's metrics snapshot.
-    /// A pure read-only side channel — it never touches serving tables
-    /// and a NACK here never triggers repair.
-    CoordSendMetrics = 15,
-    /// Shard → coordinator (v2): the shard's metrics snapshot, carried as
+    ShardAckShutdown = 12, "shard_ack_shutdown";
+    /// Coordinator → shard: a batch of partial top-k queries (a single
+    /// query is a batch of one) pinned to one (epoch, version) — one
+    /// frame per range per batch.
+    CoordSendQueryBatch = 13, "coord_send_query_batch";
+    /// Shard → coordinator: the partial top-k list of every query in the
+    /// batch, in submission order.
+    ShardSendTopkBatch = 14, "shard_send_topk_batch";
+    /// Coordinator → shard: request the shard's metrics snapshot. A pure
+    /// read-only side channel — it never touches serving tables and a
+    /// NACK here never triggers repair.
+    CoordSendMetrics = 15, "coord_send_metrics";
+    /// Shard → coordinator: the shard's metrics snapshot, carried as
     /// opaque `ce-obs` snapshot bytes so the wire codec stays independent
     /// of the metrics schema.
-    ShardSendMetrics = 16,
-}
-
-impl Step {
-    /// Parses a wire step number.
-    pub fn from_u16(v: u16) -> Option<Step> {
-        Some(match v {
-            0 => Step::CoordSendLoad,
-            1 => Step::ShardAckLoad,
-            2 => Step::CoordSendQuery,
-            3 => Step::ShardSendTopk,
-            4 => Step::CoordSendSnapshotEpoch,
-            5 => Step::ShardAckEpoch,
-            6 => Step::CoordSendPush,
-            7 => Step::ShardAckPush,
-            8 => Step::CoordSendPing,
-            9 => Step::ShardSendPong,
-            10 => Step::ShardSendNack,
-            11 => Step::CoordSendShutdown,
-            12 => Step::ShardAckShutdown,
-            13 => Step::CoordSendQueryBatch,
-            14 => Step::ShardSendTopkBatch,
-            15 => Step::CoordSendMetrics,
-            16 => Step::ShardSendMetrics,
-            _ => return None,
-        })
-    }
-
-    /// Every defined step, in wire-number order.
-    pub fn all() -> impl Iterator<Item = Step> {
-        (0..).map_while(Step::from_u16)
-    }
-
-    /// Stable snake_case step name — the `step` label value on per-step
-    /// wire metrics (part of the metric-name API; see
-    /// `docs/observability.md`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Step::CoordSendLoad => "coord_send_load",
-            Step::ShardAckLoad => "shard_ack_load",
-            Step::CoordSendQuery => "coord_send_query",
-            Step::ShardSendTopk => "shard_send_topk",
-            Step::CoordSendSnapshotEpoch => "coord_send_snapshot_epoch",
-            Step::ShardAckEpoch => "shard_ack_epoch",
-            Step::CoordSendPush => "coord_send_push",
-            Step::ShardAckPush => "shard_ack_push",
-            Step::CoordSendPing => "coord_send_ping",
-            Step::ShardSendPong => "shard_send_pong",
-            Step::ShardSendNack => "shard_send_nack",
-            Step::CoordSendShutdown => "coord_send_shutdown",
-            Step::ShardAckShutdown => "shard_ack_shutdown",
-            Step::CoordSendQueryBatch => "coord_send_query_batch",
-            Step::ShardSendTopkBatch => "shard_send_topk_batch",
-            Step::CoordSendMetrics => "coord_send_metrics",
-            Step::ShardSendMetrics => "shard_send_metrics",
-        }
-    }
-
-    /// The minimum protocol version that defines this step. Frames carry
-    /// exactly this version, so legacy steps stay byte-identical to their
-    /// version-1 encoding and version-pinned peers keep serving them.
-    pub fn min_version(self) -> u16 {
-        match self {
-            Step::CoordSendQueryBatch
-            | Step::ShardSendTopkBatch
-            | Step::CoordSendMetrics
-            | Step::ShardSendMetrics => 2,
-            _ => 1,
-        }
-    }
+    ShardSendMetrics = 16, "shard_send_metrics";
 }
 
 /// Why a frame could not be produced or understood.
@@ -184,16 +139,9 @@ impl Step {
 pub enum FrameError {
     /// Wrong magic: not this protocol's traffic.
     BadMagic(u32),
-    /// Version mismatch between peers.
+    /// Version mismatch between peers: the header carries anything but
+    /// [`PROTOCOL_VERSION`].
     BadVersion(u16),
-    /// The frame's step is newer than the version the frame claims — a
-    /// peer emitted a v2-only step inside a v1 frame.
-    VersionSkew {
-        /// Version the frame header claimed.
-        version: u16,
-        /// Step the frame carried.
-        step: Step,
-    },
     /// Unknown step number.
     BadStep(u16),
     /// Payload length over [`MAX_PAYLOAD`].
@@ -214,9 +162,6 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::BadMagic(m) => write!(f, "bad magic 0x{m:08x}"),
             FrameError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
-            FrameError::VersionSkew { version, step } => {
-                write!(f, "step {step:?} requires protocol version > {version}")
-            }
             FrameError::BadStep(s) => write!(f, "unknown protocol step {s}"),
             FrameError::Oversize(n) => write!(f, "payload length {n} exceeds cap"),
             FrameError::Payload(e) => write!(f, "payload decode: {e}"),
@@ -229,13 +174,10 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// One wire frame: a protocol version, a step number, and the encoded
-/// payload. The version is the step's [`Step::min_version`] on the encode
-/// side, so version-1 traffic stays byte-identical across the bump.
+/// One wire frame: a step number and the encoded payload, travelling
+/// under [`PROTOCOL_VERSION`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
-    /// Protocol version the frame travels under.
-    pub version: u16,
     /// Protocol step this frame performs.
     pub step: Step,
     /// Binary payload (message-specific).
@@ -247,37 +189,32 @@ impl Frame {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
         MAGIC.encode(&mut out);
-        self.version.encode(&mut out);
+        PROTOCOL_VERSION.encode(&mut out);
         (self.step as u16).encode(&mut out);
         (self.payload.len() as u32).encode(&mut out);
         out.extend_from_slice(&self.payload);
         out
     }
 
-    /// Parses and validates a frame header, returning the version, the
-    /// step, and the payload length still to be read. Accepts any version
-    /// in [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`]; a step newer
-    /// than the claimed version is [`FrameError::VersionSkew`].
-    pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u16, Step, usize), FrameError> {
+    /// Parses and validates a frame header, returning the step and the
+    /// payload length still to be read.
+    pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(Step, usize), FrameError> {
         let mut r = Reader::new(header);
         let magic = u32::decode(&mut r).expect("fixed-size header");
         if magic != MAGIC {
             return Err(FrameError::BadMagic(magic));
         }
         let version = u16::decode(&mut r).expect("fixed-size header");
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(FrameError::BadVersion(version));
         }
         let step_raw = u16::decode(&mut r).expect("fixed-size header");
         let step = Step::from_u16(step_raw).ok_or(FrameError::BadStep(step_raw))?;
-        if step.min_version() > version {
-            return Err(FrameError::VersionSkew { version, step });
-        }
         let len = u32::decode(&mut r).expect("fixed-size header");
         if len > MAX_PAYLOAD {
             return Err(FrameError::Oversize(len));
         }
-        Ok((version, step, len as usize))
+        Ok((step, len as usize))
     }
 
     /// Decodes a full frame from one buffer (header + payload).
@@ -291,7 +228,7 @@ impl Frame {
         }
         let mut header = [0u8; HEADER_LEN];
         header.copy_from_slice(&buf[..HEADER_LEN]);
-        let (version, step, len) = Frame::parse_header(&header)?;
+        let (step, len) = Frame::parse_header(&header)?;
         let body = &buf[HEADER_LEN..];
         if body.len() != len {
             return Err(FrameError::Payload(serde::bin::Error::Truncated {
@@ -301,7 +238,6 @@ impl Frame {
             }));
         }
         Ok(Frame {
-            version,
             step,
             payload: body.to_vec(),
         })
@@ -319,12 +255,11 @@ pub trait Message: Sized {
     /// Decodes the payload.
     fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self>;
 
-    /// Wraps the message into a frame at the step's minimum version.
+    /// Wraps the message into a frame.
     fn into_frame(self) -> Frame {
         let mut payload = Vec::new();
         self.encode_payload(&mut payload);
         Frame {
-            version: Self::STEP.min_version(),
             step: Self::STEP,
             payload,
         }
@@ -466,72 +401,6 @@ ack_message!(
     Step::ShardAckPush
 );
 
-/// `COORD_SEND_QUERY`: a partial top-k request pinned to an exact table
-/// state. A shard whose table does not match answers
-/// [`Nack`] instead of silently serving stale embeddings — staleness is a
-/// correctness error here, not a performance detail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Query {
-    /// Expected serving epoch.
-    pub epoch: u64,
-    /// Expected table version (entry count).
-    pub version: u64,
-    /// Query embedding bits.
-    pub embedding: Vec<f32>,
-    /// Neighbors requested.
-    pub k: u64,
-    /// Global RCS index to exclude (`u64::MAX` = none).
-    pub exclude: u64,
-}
-
-impl Message for Query {
-    const STEP: Step = Step::CoordSendQuery;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.epoch.encode(out);
-        self.version.encode(out);
-        self.embedding.encode(out);
-        self.k.encode(out);
-        self.exclude.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(Query {
-            epoch: u64::decode(r)?,
-            version: u64::decode(r)?,
-            embedding: Vec::<f32>::decode(r)?,
-            k: u64::decode(r)?,
-            exclude: u64::decode(r)?,
-        })
-    }
-}
-
-/// `SHARD_SEND_TOPK`: the shard's partial top-k as `(global id, distance)`
-/// pairs sorted by `autoce::knn_order`, distances bit-exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopK {
-    /// Epoch the answer was computed under.
-    pub epoch: u64,
-    /// `(global RCS id, distance)` pairs in `knn_order`.
-    pub entries: Vec<(u64, f32)>,
-}
-
-impl Message for TopK {
-    const STEP: Step = Step::ShardSendTopk;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.epoch.encode(out);
-        self.entries.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(TopK {
-            epoch: u64::decode(r)?,
-            entries: Vec::<(u64, f32)>::decode(r)?,
-        })
-    }
-}
-
 /// One query inside a [`QueryBatch`]: embedding bits plus the per-query
 /// `k` and exclusion (the coordinator clamps `k` to each query's
 /// selectable count, so it varies within a batch).
@@ -561,11 +430,13 @@ impl BatchQuery {
     }
 }
 
-/// `COORD_SEND_QUERY_BATCH` (v2): a whole micro-batch of partial top-k
-/// requests pinned to one (epoch, version). One frame per range per batch
-/// amortizes the round trip the per-query path pays per request. The same
-/// NACK discipline applies: a shard whose table does not match the pin
-/// refuses the *entire* batch — there is no per-query partial answer.
+/// `COORD_SEND_QUERY_BATCH`: a batch of partial top-k requests — a single
+/// query is a batch of one — pinned to one exact table state
+/// (epoch, version); one frame per range per batch pays the round trip
+/// once. A shard whose table does not match the pin answers [`Nack`] for
+/// the *entire* batch instead of silently serving stale embeddings —
+/// staleness is a correctness error here, not a performance detail, and
+/// there is no per-query partial answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBatch {
     /// Expected serving epoch.
@@ -609,10 +480,9 @@ impl Message for QueryBatch {
     }
 }
 
-/// `SHARD_SEND_TOPK_BATCH` (v2): one partial top-k list per batched query,
-/// in submission order, each sorted by `autoce::knn_order` with distances
-/// bit-exact — the batched reply is the concatenation of what the
-/// per-query path would have answered.
+/// `SHARD_SEND_TOPK_BATCH`: one partial top-k list per batched query, in
+/// submission order, each `(global id, distance)` list sorted by
+/// `autoce::knn_order` with distances bit-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopKBatch {
     /// Epoch the answers were computed under.
@@ -734,9 +604,10 @@ pub enum NackCode {
     Malformed = 2,
     /// The request referenced a table the shard never had.
     NoTable = 3,
-    /// The request's step is newer than the wire version this shard is
-    /// pinned to (rolling-upgrade gate): the coordinator must fall back to
-    /// the per-query path for this range, never merge a partial batch.
+    /// The request's header carries a protocol version other than the
+    /// shard's [`PROTOCOL_VERSION`]. No repair applies and a retry would
+    /// skew again: the coordinator fails the call with a typed protocol
+    /// error (a version pin is policy, not an outage).
     VersionSkew = 4,
 }
 
@@ -808,12 +679,12 @@ empty_message!(
     Step::ShardAckShutdown
 );
 empty_message!(
-    /// `COORD_SEND_METRICS` (v2): ask the shard for its metrics snapshot.
+    /// `COORD_SEND_METRICS`: ask the shard for its metrics snapshot.
     MetricsRequest,
     Step::CoordSendMetrics
 );
 
-/// `SHARD_SEND_METRICS` (v2): the shard's metrics snapshot as opaque
+/// `SHARD_SEND_METRICS`: the shard's metrics snapshot as opaque
 /// `ce_obs::MetricsSnapshot::to_bytes` bytes. Carrying the snapshot
 /// pre-encoded keeps this protocol's codec independent of the metrics
 /// schema — the coordinator decodes (and version-checks) the inner bytes
@@ -845,13 +716,36 @@ mod tests {
 
     #[test]
     fn steps_roundtrip_their_numbers() {
-        for n in 0..=16u16 {
+        // The whole table, literally: wire numbers and metric label
+        // strings are both API, so neither may move when the table does.
+        let table: [(u16, &str); 15] = [
+            (0, "coord_send_load"),
+            (1, "shard_ack_load"),
+            (4, "coord_send_snapshot_epoch"),
+            (5, "shard_ack_epoch"),
+            (6, "coord_send_push"),
+            (7, "shard_ack_push"),
+            (8, "coord_send_ping"),
+            (9, "shard_send_pong"),
+            (10, "shard_send_nack"),
+            (11, "coord_send_shutdown"),
+            (12, "shard_ack_shutdown"),
+            (13, "coord_send_query_batch"),
+            (14, "shard_send_topk_batch"),
+            (15, "coord_send_metrics"),
+            (16, "shard_send_metrics"),
+        ];
+        let all: Vec<(u16, &str)> = Step::all().map(|s| (s as u16, s.name())).collect();
+        assert_eq!(all, table);
+        for (n, name) in table {
             let step = Step::from_u16(n).expect("valid step");
-            assert_eq!(step as u16, n);
+            assert_eq!((step as u16, step.name()), (n, name));
         }
+        // The retired per-query pair is never reused.
+        assert!(Step::from_u16(2).is_none());
+        assert!(Step::from_u16(3).is_none());
         assert!(Step::from_u16(17).is_none());
         assert!(Step::from_u16(u16::MAX).is_none());
-        assert_eq!(Step::all().count(), 17);
     }
 
     #[test]
@@ -860,56 +754,10 @@ mod tests {
             snapshot: vec![0xCE, 0x0B, 0x00, 0x01, 0xff],
         };
         let frame = m.clone().into_frame();
-        assert_eq!(frame.version, 2, "metrics steps are v2-gated");
         let back = Frame::from_bytes(&frame.to_bytes()).expect("parses");
         assert_eq!(MetricsReply::from_frame(&back).expect("decodes"), m);
         let req = MetricsRequest.into_frame();
-        assert_eq!(req.version, 2);
         assert!(req.payload.is_empty());
-    }
-
-    #[test]
-    fn frames_carry_their_steps_minimum_version() {
-        // Legacy steps still encode version-1 frames: the v2 bump must not
-        // move a byte of existing traffic.
-        let legacy = Ping { nonce: 1 }.into_frame();
-        assert_eq!(legacy.version, 1);
-        assert_eq!(legacy.to_bytes()[4..6], 1u16.to_le_bytes());
-        // Batch steps encode version-2 frames.
-        let batched = QueryBatch {
-            epoch: 0,
-            version: 0,
-            queries: vec![],
-        }
-        .into_frame();
-        assert_eq!(batched.version, 2);
-        assert_eq!(batched.to_bytes()[4..6], 2u16.to_le_bytes());
-    }
-
-    #[test]
-    fn v1_framed_batch_step_is_version_skew() {
-        // A batch step squeezed into a version-1 frame is typed skew, not
-        // a generic bad step: the peer can answer a precise NACK.
-        let mut wire = QueryBatch {
-            epoch: 3,
-            version: 5,
-            queries: vec![BatchQuery {
-                embedding: vec![1.0],
-                k: 1,
-                exclude: u64::MAX,
-            }],
-        }
-        .into_frame()
-        .to_bytes();
-        wire[4] = 1;
-        wire[5] = 0;
-        assert!(matches!(
-            Frame::from_bytes(&wire),
-            Err(FrameError::VersionSkew {
-                version: 1,
-                step: Step::CoordSendQueryBatch
-            })
-        ));
     }
 
     #[test]
@@ -952,18 +800,21 @@ mod tests {
 
     #[test]
     fn frame_roundtrips() {
-        let q = Query {
+        let q = QueryBatch {
             epoch: 3,
             version: 17,
-            embedding: vec![1.5, -0.0, f32::MIN_POSITIVE],
-            k: 2,
-            exclude: u64::MAX,
+            queries: vec![BatchQuery {
+                embedding: vec![1.5, -0.0, f32::MIN_POSITIVE],
+                k: 2,
+                exclude: u64::MAX,
+            }],
         };
         let frame = q.clone().into_frame();
         let bytes = frame.to_bytes();
+        assert_eq!(bytes[4..6], PROTOCOL_VERSION.to_le_bytes());
         let back = Frame::from_bytes(&bytes).expect("frame decodes");
         assert_eq!(back, frame);
-        assert_eq!(Query::from_frame(&back).expect("payload decodes"), q);
+        assert_eq!(QueryBatch::from_frame(&back).expect("payload decodes"), q);
     }
 
     #[test]
@@ -977,13 +828,18 @@ mod tests {
             Frame::from_bytes(&bad),
             Err(FrameError::BadMagic(_))
         ));
-        // Wrong version.
-        let mut bad = good.clone();
-        bad[4] = 0xfe;
-        assert!(matches!(
-            Frame::from_bytes(&bad),
-            Err(FrameError::BadVersion(_))
-        ));
+        // Wrong version — newer, or the retired version 1 — is a typed
+        // error before the step or the payload is looked at.
+        for version in [0xfeu16, 1] {
+            let mut bad = good.clone();
+            bad[4..6].copy_from_slice(&version.to_le_bytes());
+            bad[6] = 0x77;
+            bad.truncate(HEADER_LEN + 1);
+            assert_eq!(
+                Frame::from_bytes(&bad),
+                Err(FrameError::BadVersion(version))
+            );
+        }
         // Unknown step.
         let mut bad = good.clone();
         bad[6] = 0x77;
@@ -1010,7 +866,6 @@ mod tests {
         vec![1u64, 2].encode(&mut payload); // two ids
         vec![vec![1.0f32]].encode(&mut payload); // one embedding
         let frame = Frame {
-            version: Step::CoordSendLoad.min_version(),
             step: Step::CoordSendLoad,
             payload,
         };

@@ -12,10 +12,10 @@
 //! missed a push or a snapshot NACKs instead of silently serving stale
 //! bits.
 
+use crate::per_step_counters;
 use crate::protocol::{
-    EpochAck, EpochTable, Frame, Load, LoadAck, Message, MetricsReply, Nack, NackCode, Ping, Pong,
-    Push, PushAck, Query, QueryBatch, ShutdownAck, Step, TopK, TopKBatch, HEADER_LEN,
-    PROTOCOL_VERSION,
+    EpochAck, EpochTable, Frame, FrameError, Load, LoadAck, Message, MetricsReply, Nack, NackCode,
+    Ping, Pong, Push, PushAck, QueryBatch, ShutdownAck, Step, TopKBatch, HEADER_LEN,
 };
 use autoce::index::{IndexConfig, KnnIndex};
 use autoce::knn_order;
@@ -25,7 +25,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// How many epochs a shard keeps live at once: the current one plus the
@@ -53,15 +53,10 @@ struct ShardObs {
 
 impl ShardObs {
     fn new(registry: MetricsRegistry) -> Self {
-        let per_step = |name: &str| -> Vec<Counter> {
-            Step::all()
-                .map(|s| registry.counter(name, &[("step", s.name())]))
-                .collect()
-        };
         ShardObs {
-            requests: per_step("ce_shard_requests_total"),
-            bytes_in: per_step("ce_shard_wire_bytes_in_total"),
-            bytes_out: per_step("ce_shard_wire_bytes_out_total"),
+            requests: per_step_counters(&registry, "ce_shard_requests_total"),
+            bytes_in: per_step_counters(&registry, "ce_shard_wire_bytes_in_total"),
+            bytes_out: per_step_counters(&registry, "ce_shard_wire_bytes_out_total"),
             registry,
         }
     }
@@ -78,11 +73,6 @@ impl ShardObs {
 pub struct ShardState {
     /// Live tables, oldest first (at most [`LIVE_EPOCHS`]).
     tables: Vec<EpochTable>,
-    /// Highest frame version this shard answers. Defaults to
-    /// [`PROTOCOL_VERSION`]; an operator mid-rolling-upgrade can pin a
-    /// replica to an older version, in which case newer-versioned frames
-    /// answer [`NackCode::VersionSkew`] instead of being served.
-    wire_version: u16,
     /// Per-step request/byte accounting, served back over
     /// [`Step::CoordSendMetrics`]. Counters only: enabling them cannot
     /// perturb replies or make two identically-driven shards diverge.
@@ -104,7 +94,6 @@ impl Default for ShardState {
     fn default() -> Self {
         ShardState {
             tables: Vec::new(),
-            wire_version: PROTOCOL_VERSION,
             obs: ShardObs::new(MetricsRegistry::new()),
             index_cfg: Some(IndexConfig::default()),
             index_slot: None,
@@ -117,15 +106,6 @@ impl ShardState {
     /// must load a table before queries succeed).
     pub fn new() -> Self {
         ShardState::default()
-    }
-
-    /// Empty state pinned to an older wire version (rolling-upgrade
-    /// simulation: the binary speaks v2 but the operator holds it at v1).
-    pub fn with_wire_version(wire_version: u16) -> Self {
-        ShardState {
-            wire_version,
-            ..ShardState::default()
-        }
     }
 
     /// Replaces the operator-side index knob (`None` forces flat
@@ -248,8 +228,7 @@ impl ShardState {
 
     /// Handles one request frame, producing the answer frame. Never
     /// panics on malformed input: undecodable payloads answer
-    /// [`NackCode::Malformed`]; frames above the pinned wire version
-    /// answer [`NackCode::VersionSkew`] before the payload is touched.
+    /// [`NackCode::Malformed`].
     pub fn handle(&mut self, frame: &Frame) -> Frame {
         let reply = self.handle_inner(frame);
         // Recorded after the reply is built, so a metrics reply reports
@@ -260,15 +239,6 @@ impl ShardState {
     }
 
     fn handle_inner(&mut self, frame: &Frame) -> Frame {
-        if frame.version > self.wire_version {
-            return nack(
-                NackCode::VersionSkew,
-                format!(
-                    "frame version {} exceeds pinned wire version {}",
-                    frame.version, self.wire_version
-                ),
-            );
-        }
         match frame.step {
             Step::CoordSendLoad => match Load::from_frame(frame) {
                 Ok(Load(table)) => {
@@ -316,41 +286,6 @@ impl ShardState {
                     None => nack(
                         NackCode::NoTable,
                         format!("push for unknown epoch {}", push.epoch),
-                    ),
-                },
-                Err(e) => malformed(e),
-            },
-            Step::CoordSendQuery => match Query::from_frame(frame) {
-                Ok(q) => match self.tables.iter().position(|t| t.epoch == q.epoch) {
-                    Some(ti) if self.tables[ti].version() == q.version => {
-                        Self::ensure_index(
-                            &mut self.index_slot,
-                            self.index_cfg.as_ref(),
-                            &self.tables[ti],
-                            &self.obs.registry,
-                        );
-                        let t = &self.tables[ti];
-                        let index = Self::index_for(&self.index_slot, t);
-                        let entries =
-                            Self::partial_topk(t, index, &q.embedding, q.k as usize, q.exclude);
-                        TopK {
-                            epoch: q.epoch,
-                            entries,
-                        }
-                        .into_frame()
-                    }
-                    Some(ti) => nack(
-                        NackCode::StaleTable,
-                        format!(
-                            "query pins (epoch {}, version {}), have version {}",
-                            q.epoch,
-                            q.version,
-                            self.tables[ti].version()
-                        ),
-                    ),
-                    None => nack(
-                        NackCode::NoTable,
-                        format!("query pins unloaded epoch {}", q.epoch),
                     ),
                 },
                 Err(e) => malformed(e),
@@ -432,8 +367,35 @@ fn nack(code: NackCode, detail: String) -> Frame {
     Nack { code, detail }.into_frame()
 }
 
-fn malformed(e: crate::protocol::FrameError) -> Frame {
+fn malformed(e: FrameError) -> Frame {
     nack(NackCode::Malformed, e.to_string())
+}
+
+/// The one answer an unreadable header earns before the connection is
+/// dropped: a peer on another protocol version gets the typed
+/// [`NackCode::VersionSkew`], anything else is foreign or garbled.
+fn refuse_header(e: FrameError) -> Frame {
+    match e {
+        FrameError::BadVersion(_) => nack(NackCode::VersionSkew, e.to_string()),
+        e => malformed(e),
+    }
+}
+
+/// Takes the shard lock. A handler that panicked on another connection
+/// poisons the mutex and may have left a table half-updated, so a
+/// poisoned lock is cleared and the tables dropped (index knob and
+/// metrics registry kept): the next pinned query answers
+/// [`NackCode::NoTable`] and the coordinator's reload repairs the replica
+/// like any other restart — one bad request must not take every later
+/// connection of the process down with it.
+fn lock_state(state: &Mutex<ShardState>) -> MutexGuard<'_, ShardState> {
+    state.lock().unwrap_or_else(|poisoned| {
+        state.clear_poison();
+        let mut guard = poisoned.into_inner();
+        guard.tables.clear();
+        guard.index_slot = None;
+        guard
+    })
 }
 
 /// Serves one accepted connection until the peer disconnects or a
@@ -468,7 +430,7 @@ fn serve_connection(
                     .try_into()
                     .expect("exact header slice");
                 match Frame::parse_header(header) {
-                    Ok((version, step, len)) => {
+                    Ok((step, len)) => {
                         if avail >= HEADER_LEN + len {
                             let at = start + HEADER_LEN;
                             let payload = buf[at..at + len].to_vec();
@@ -477,18 +439,14 @@ fn serve_connection(
                                 buf.clear();
                                 start = 0;
                             }
-                            break Frame {
-                                version,
-                                step,
-                                payload,
-                            };
+                            break Frame { step, payload };
                         }
                     }
                     Err(e) => {
                         // Foreign/garbled traffic: answer one NACK, then
                         // drop the connection (the byte stream can no
                         // longer be trusted).
-                        let _ = stream.write_all(&malformed(e).to_bytes());
+                        let _ = stream.write_all(&refuse_header(e).to_bytes());
                         return false;
                     }
                 }
@@ -504,7 +462,7 @@ fn serve_connection(
                 ReadOutcome::Stopped | ReadOutcome::Gone => return false,
             }
         };
-        let reply = state.lock().expect("shard state lock").handle(&frame);
+        let reply = lock_state(state).handle(&frame);
         if stream.write_all(&reply.to_bytes()).is_err() {
             return false;
         }
@@ -644,12 +602,42 @@ pub fn maybe_run_shard_server_from_args() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::BatchQuery;
 
     fn table(epoch: u64, n: usize) -> EpochTable {
         EpochTable {
             epoch,
             ids: (0..n as u64).collect(),
             embeddings: (0..n).map(|i| vec![i as f32, 1.0 - i as f32]).collect(),
+        }
+    }
+
+    /// A single query on the wire: a batch of one.
+    fn query(epoch: u64, version: u64, embedding: &[f32], k: u64, exclude: u64) -> Frame {
+        QueryBatch {
+            epoch,
+            version,
+            queries: vec![BatchQuery {
+                embedding: embedding.to_vec(),
+                k,
+                exclude,
+            }],
+        }
+        .into_frame()
+    }
+
+    /// The one list of a batch-of-one reply.
+    fn topk(reply: &Frame) -> Result<Vec<(u64, f32)>, FrameError> {
+        let mut tb = TopKBatch::from_frame(reply)?;
+        assert_eq!(tb.lists.len(), 1, "one list per query");
+        Ok(tb.lists.remove(0))
+    }
+
+    fn assert_same_bits(a: &[(u64, f32)], b: &[(u64, f32)]) {
+        assert_eq!(a.len(), b.len());
+        for ((ia, da), (ib, db)) in a.iter().zip(b) {
+            assert_eq!(ia, ib, "id order must match");
+            assert_eq!(da.to_bits(), db.to_bits(), "distance bits must match");
         }
     }
 
@@ -664,16 +652,10 @@ mod tests {
                 version: 3
             }
         );
-        let q = Query {
-            epoch: 0,
-            version: 3,
-            embedding: vec![0.1, 0.9],
-            k: 2,
-            exclude: u64::MAX,
-        };
-        let topk = TopK::from_frame(&s.handle(&q.clone().into_frame())).expect("topk");
-        assert_eq!(topk.entries.len(), 2);
-        assert_eq!(topk.entries[0].0, 0, "id 0 is nearest to (0.1, 0.9)");
+        let q = query(0, 3, &[0.1, 0.9], 2, u64::MAX);
+        let entries = topk(&s.handle(&q)).expect("topk");
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].0, 0, "id 0 is nearest to (0.1, 0.9)");
         // A push bumps the version; the old pinned query now NACKs.
         let push = Push {
             epoch: 0,
@@ -683,21 +665,12 @@ mod tests {
         };
         let ack = PushAck::from_frame(&s.handle(&push.into_frame())).expect("push ack");
         assert_eq!(ack.version, 4);
-        let nack = Nack::from_frame(&s.handle(&q.into_frame())).expect("stale nack");
+        let nack = Nack::from_frame(&s.handle(&q)).expect("stale nack");
         assert_eq!(nack.code, NackCode::StaleTable);
         // Re-pinned to version 4, the pushed entry (distance 0) wins.
-        let q4 = Query {
-            epoch: 0,
-            version: 4,
-            embedding: vec![0.1, 0.9],
-            k: 2,
-            exclude: u64::MAX,
-        };
-        let topk = TopK::from_frame(&s.handle(&q4.into_frame())).expect("topk");
-        assert_eq!(
-            topk.entries.iter().map(|e| e.0).collect::<Vec<_>>(),
-            vec![3, 0]
-        );
+        let q4 = query(0, 4, &[0.1, 0.9], 2, u64::MAX);
+        let entries = topk(&s.handle(&q4)).expect("topk");
+        assert_eq!(entries.iter().map(|e| e.0).collect::<Vec<_>>(), vec![3, 0]);
     }
 
     #[test]
@@ -706,47 +679,28 @@ mod tests {
         s.handle(&Load(table(0, 2)).into_frame());
         s.handle(&crate::protocol::SnapshotEpoch(table(1, 2)).into_frame());
         for epoch in [0u64, 1] {
-            let q = Query {
-                epoch,
-                version: 2,
-                embedding: vec![0.0, 0.0],
-                k: 1,
-                exclude: u64::MAX,
-            };
+            let q = query(epoch, 2, &[0.0, 0.0], 1, u64::MAX);
             assert!(
-                TopK::from_frame(&s.handle(&q.into_frame())).is_ok(),
+                topk(&s.handle(&q)).is_ok(),
                 "epoch {epoch} must stay queryable"
             );
         }
         // A third epoch evicts the oldest.
         s.handle(&crate::protocol::SnapshotEpoch(table(2, 2)).into_frame());
-        let q = Query {
-            epoch: 0,
-            version: 2,
-            embedding: vec![0.0, 0.0],
-            k: 1,
-            exclude: u64::MAX,
-        };
-        let nack = Nack::from_frame(&s.handle(&q.into_frame())).expect("nack");
+        let q = query(0, 2, &[0.0, 0.0], 1, u64::MAX);
+        let nack = Nack::from_frame(&s.handle(&q)).expect("nack");
         assert_eq!(nack.code, NackCode::NoTable);
     }
 
     #[test]
     fn unloaded_and_malformed_requests_nack() {
         let mut s = ShardState::new();
-        let q = Query {
-            epoch: 9,
-            version: 0,
-            embedding: vec![],
-            k: 1,
-            exclude: u64::MAX,
-        };
-        let nack = Nack::from_frame(&s.handle(&q.into_frame())).expect("nack");
+        let q = query(9, 0, &[], 1, u64::MAX);
+        let nack = Nack::from_frame(&s.handle(&q)).expect("nack");
         assert_eq!(nack.code, NackCode::NoTable);
         // Garbage payload under a valid step.
         let garbage = Frame {
-            version: Step::CoordSendQuery.min_version(),
-            step: Step::CoordSendQuery,
+            step: Step::CoordSendQueryBatch,
             payload: vec![0xff; 3],
         };
         let nack = Nack::from_frame(&s.handle(&garbage)).expect("nack");
@@ -758,7 +712,6 @@ mod tests {
 
     #[test]
     fn batched_query_answers_per_query_bits() {
-        use crate::protocol::{BatchQuery, QueryBatch, TopKBatch};
         let mut s = ShardState::new();
         s.handle(&Load(table(0, 4)).into_frame());
         let queries = vec![
@@ -787,23 +740,9 @@ mod tests {
         assert_eq!(reply.epoch, 0);
         assert_eq!(reply.lists.len(), queries.len());
         for (list, q) in reply.lists.iter().zip(&queries) {
-            let single = Query {
-                epoch: 0,
-                version: 4,
-                embedding: q.embedding.clone(),
-                k: q.k,
-                exclude: q.exclude,
-            };
-            let want = TopK::from_frame(&s.handle(&single.into_frame())).expect("topk");
-            assert_eq!(list.len(), want.entries.len());
-            for ((ia, da), (ib, db)) in list.iter().zip(&want.entries) {
-                assert_eq!(ia, ib);
-                assert_eq!(
-                    da.to_bits(),
-                    db.to_bits(),
-                    "distances must match bit-exactly"
-                );
-            }
+            let single = query(0, 4, &q.embedding, q.k, q.exclude);
+            let want = topk(&s.handle(&single)).expect("topk");
+            assert_same_bits(list, &want);
         }
         // A stale pin refuses the whole batch — never a partial answer.
         let stale = QueryBatch {
@@ -819,31 +758,25 @@ mod tests {
     fn metrics_step_reports_per_step_traffic() {
         let mut s = ShardState::new();
         s.handle(&Load(table(0, 3)).into_frame());
-        let q = Query {
-            epoch: 0,
-            version: 3,
-            embedding: vec![0.1, 0.9],
-            k: 2,
-            exclude: u64::MAX,
-        };
-        s.handle(&q.clone().into_frame());
-        s.handle(&q.into_frame());
+        let q = query(0, 3, &[0.1, 0.9], 2, u64::MAX);
+        s.handle(&q);
+        s.handle(&q);
         let reply = s.handle(&crate::protocol::MetricsRequest.into_frame());
         let m = MetricsReply::from_frame(&reply).expect("metrics reply");
         let snap = MetricsSnapshot::from_bytes(&m.snapshot).expect("snapshot decodes");
         let req = |step: &str| snap.counter("ce_shard_requests_total", &[("step", step)]);
         assert_eq!(req("coord_send_load"), 1);
-        assert_eq!(req("coord_send_query"), 2);
+        assert_eq!(req("coord_send_query_batch"), 2);
         assert!(
             snap.counter(
                 "ce_shard_wire_bytes_in_total",
-                &[("step", "coord_send_query")]
+                &[("step", "coord_send_query_batch")]
             ) > 0
         );
         assert!(
             snap.counter(
                 "ce_shard_wire_bytes_out_total",
-                &[("step", "shard_send_topk")]
+                &[("step", "shard_send_topk_batch")]
             ) > 0
         );
         // The wire snapshot was taken before its own request was counted;
@@ -854,18 +787,10 @@ mod tests {
                 .counter("ce_shard_requests_total", &[("step", "coord_send_metrics")]),
             1
         );
-        // A v1-pinned shard refuses the v2 metrics step with a typed skew
-        // NACK, so mixed-version aggregation degrades to "skip", never to
-        // an error.
-        let mut pinned = ShardState::with_wire_version(1);
-        let nack = Nack::from_frame(&pinned.handle(&crate::protocol::MetricsRequest.into_frame()))
-            .expect("nack");
-        assert_eq!(nack.code, NackCode::VersionSkew);
     }
 
     #[test]
     fn indexed_shard_answers_flat_bits_across_versions() {
-        use crate::protocol::{BatchQuery, QueryBatch, TopKBatch};
         // Two states over identical tables: one probing through a KNN
         // index (cutover 1 so it engages on this small table), one
         // pinned to flat scans. Every reply must be bit-identical —
@@ -883,26 +808,22 @@ mod tests {
         for s in [&mut indexed, &mut flat] {
             s.handle(&Load(table(0, 40)).into_frame());
         }
-        let queries: Vec<Query> = (0..12)
-            .map(|i| Query {
-                epoch: 0,
-                version: 40,
+        let queries: Vec<BatchQuery> = (0..12)
+            .map(|i| BatchQuery {
                 embedding: vec![i as f32 * 0.5, 1.0 - i as f32 * 0.25],
                 k: 5,
                 exclude: if i % 3 == 0 { i as u64 } else { u64::MAX },
             })
             .collect();
-        let compare = |indexed: &mut ShardState, flat: &mut ShardState, q: &Query| {
-            let a = TopK::from_frame(&indexed.handle(&q.clone().into_frame())).expect("topk");
-            let b = TopK::from_frame(&flat.handle(&q.clone().into_frame())).expect("topk");
-            assert_eq!(a.entries.len(), b.entries.len());
-            for ((ia, da), (ib, db)) in a.entries.iter().zip(&b.entries) {
-                assert_eq!(ia, ib, "id order must match the flat scan");
-                assert_eq!(da.to_bits(), db.to_bits(), "distance bits must match");
-            }
-        };
+        let compare =
+            |indexed: &mut ShardState, flat: &mut ShardState, version: u64, q: &BatchQuery| {
+                let frame = query(0, version, &q.embedding, q.k, q.exclude);
+                let a = topk(&indexed.handle(&frame)).expect("topk");
+                let b = topk(&flat.handle(&frame)).expect("topk");
+                assert_same_bits(&a, &b);
+            };
         for q in &queries {
-            compare(&mut indexed, &mut flat, q);
+            compare(&mut indexed, &mut flat, 40, q);
         }
         // A push bumps the version: the slot must rebuild (not serve the
         // stale build) and stay bit-identical.
@@ -919,62 +840,93 @@ mod tests {
             assert_eq!(PushAck::from_frame(&ack).expect("ack").version, 41);
         }
         for q in &queries {
-            let q = Query {
-                version: 41,
-                ..q.clone()
-            };
-            compare(&mut indexed, &mut flat, &q);
+            compare(&mut indexed, &mut flat, 41, q);
         }
-        // The batch path rides the same slot.
+        // A deep batch rides the same slot.
         let batch = QueryBatch {
             epoch: 0,
             version: 41,
-            queries: queries
-                .iter()
-                .map(|q| BatchQuery {
-                    embedding: q.embedding.clone(),
-                    k: q.k,
-                    exclude: q.exclude,
-                })
-                .collect(),
+            queries,
         };
         let a = TopKBatch::from_frame(&indexed.handle(&batch.clone().into_frame())).expect("batch");
         let b = TopKBatch::from_frame(&flat.handle(&batch.into_frame())).expect("batch");
+        assert_eq!(a.lists.len(), b.lists.len());
         for (la, lb) in a.lists.iter().zip(&b.lists) {
-            assert_eq!(la.len(), lb.len());
-            for ((ia, da), (ib, db)) in la.iter().zip(lb) {
-                assert_eq!(ia, ib);
-                assert_eq!(da.to_bits(), db.to_bits());
-            }
+            assert_same_bits(la, lb);
         }
+    }
+
+    /// Writes raw bytes to a fresh shard over a real socket and returns
+    /// the one frame it answers before dropping the connection.
+    fn answer_then_drop(wire: &[u8]) -> Frame {
+        let state = Arc::new(Mutex::new(ShardState::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (stream, _) = listener.accept().expect("accept");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut reply = Vec::new();
+        let read = std::thread::scope(|scope| {
+            scope.spawn(|| serve_connection(stream, &state, &stop));
+            client.write_all(wire).expect("send");
+            let read = client.read_to_end(&mut reply);
+            // Ends the server thread even if it wrongly kept the
+            // connection open.
+            stop.store(true, Ordering::Release);
+            read
+        });
+        read.expect("the shard answers, then closes");
+        Frame::from_bytes(&reply).expect("exactly one frame")
     }
 
     #[test]
     fn version_pinned_shard_nacks_batch_frames() {
-        use crate::protocol::{BatchQuery, QueryBatch};
-        let mut s = ShardState::with_wire_version(1);
-        s.handle(&Load(table(0, 2)).into_frame());
-        // v1 traffic still serves.
-        let q = Query {
-            epoch: 0,
-            version: 2,
-            embedding: vec![0.0, 0.0],
-            k: 1,
-            exclude: u64::MAX,
-        };
-        assert!(TopK::from_frame(&s.handle(&q.into_frame())).is_ok());
-        // A v2 batch frame is refused with a typed skew NACK before the
-        // payload is decoded.
-        let batch = QueryBatch {
-            epoch: 0,
-            version: 2,
-            queries: vec![BatchQuery {
-                embedding: vec![0.0, 0.0],
-                k: 1,
-                exclude: u64::MAX,
-            }],
-        };
-        let nack = Nack::from_frame(&s.handle(&batch.into_frame())).expect("nack");
+        // Every shard is pinned to the one protocol version: a frame
+        // under any other — here the retired version 1 — earns the typed
+        // skew NACK before its step or payload is looked at, and the
+        // connection is dropped.
+        let mut wire = query(0, 2, &[0.0, 0.0], 1, u64::MAX).to_bytes();
+        wire[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let nack = Nack::from_frame(&answer_then_drop(&wire)).expect("nack");
         assert_eq!(nack.code, NackCode::VersionSkew);
+        // Garbled traffic stays `Malformed`.
+        wire[0] ^= 0x5a;
+        let nack = Nack::from_frame(&answer_then_drop(&wire)).expect("nack");
+        assert_eq!(nack.code, NackCode::Malformed);
+    }
+
+    #[test]
+    fn poisoned_shard_lock_drops_tables_and_keeps_serving() {
+        let state = Arc::new(Mutex::new(ShardState::new()));
+        lock_state(&state).handle(&Load(table(0, 3)).into_frame());
+        let poisoner = state.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock().expect("first holder");
+            panic!("handler panic while holding the shard lock");
+        })
+        .join();
+        assert!(state.is_poisoned());
+        // The half-trusted tables are gone: the pinned query asks for a
+        // reload instead of aborting the connection.
+        let q = query(0, 3, &[0.1, 0.9], 2, u64::MAX);
+        let nack = Nack::from_frame(&lock_state(&state).handle(&q)).expect("nack");
+        assert_eq!(nack.code, NackCode::NoTable);
+        assert!(!state.is_poisoned(), "the poison is cleared, not re-hit");
+        // Reload is the single repair: Load, then the query answers.
+        let ack = lock_state(&state).handle(&Load(table(0, 3)).into_frame());
+        assert_eq!(LoadAck::from_frame(&ack).expect("ack").version, 3);
+        let entries = topk(&lock_state(&state).handle(&q)).expect("topk");
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].0, 0);
+        // The registry survived the recovery: it still counts the load
+        // from before the panic.
+        assert_eq!(
+            lock_state(&state)
+                .metrics()
+                .counter("ce_shard_requests_total", &[("step", "coord_send_load")]),
+            2
+        );
     }
 }

@@ -36,10 +36,6 @@ use std::time::Duration;
 struct SimShard {
     alive: bool,
     state: ShardState,
-    /// Wire version the shard re-pins itself to across kill/restart — a
-    /// version pin is operator configuration, not in-memory state, so
-    /// process death must not silently un-pin a replica.
-    wire_version: u16,
 }
 
 struct SimState {
@@ -69,7 +65,6 @@ impl SimNet {
             .map(|_| SimShard {
                 alive: true,
                 state: ShardState::new(),
-                wire_version: crate::protocol::PROTOCOL_VERSION,
             })
             .collect();
         SimNet {
@@ -94,24 +89,12 @@ impl SimNet {
 
     /// Current global step (number of calls made so far). A batched query
     /// frame is **one** call and therefore one step — batching shrinks the
-    /// step count of a workload, which is exactly the RTT amortization the
-    /// v2 steps exist to buy — so fault plans scripted against batched
+    /// step count of a workload, which is exactly the RTT amortization
+    /// batching exists to buy — so fault plans scripted against batched
     /// traffic land on whole batches, never on individual queries inside
     /// one.
     pub fn step(&self) -> u64 {
         self.inner.state.lock().expect("sim state").step
-    }
-
-    /// Pins replica `replica` to an older wire version, as an operator
-    /// would mid-rolling-upgrade: frames above the pin answer a typed
-    /// `VersionSkew` NACK. The pin survives kill/restart (it models
-    /// configuration, not process memory) and resets the shard's tables,
-    /// so pin before bootstrap — a re-pin mid-run looks like a restart.
-    pub fn pin_wire_version(&self, replica: usize, wire_version: u16) {
-        let mut st = self.inner.state.lock().expect("sim state");
-        let shard = &mut st.shards[replica];
-        shard.wire_version = wire_version;
-        shard.state = ShardState::with_wire_version(wire_version);
     }
 
     /// Whether replica `replica` is currently alive (after applying all
@@ -133,12 +116,12 @@ impl SimNet {
             match e.kind {
                 FaultKind::KillShard => {
                     shard.alive = false;
-                    // Process death loses the table, not the version pin.
-                    shard.state = ShardState::with_wire_version(shard.wire_version);
+                    // Process death loses the table.
+                    shard.state = ShardState::new();
                 }
                 FaultKind::RestartShard => {
                     shard.alive = true;
-                    shard.state = ShardState::with_wire_version(shard.wire_version);
+                    shard.state = ShardState::new();
                 }
                 _ => unreachable!("lifecycle filter"),
             }

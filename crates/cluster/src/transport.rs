@@ -199,18 +199,14 @@ impl Conn for TcpConn {
         let header: &[u8; HEADER_LEN] = self.buf[self.start..self.start + HEADER_LEN]
             .try_into()
             .expect("exact header slice");
-        let (version, step, len) = Frame::parse_header(header)?;
+        let (step, len) = Frame::parse_header(header)?;
         while self.available() < HEADER_LEN + len {
             self.fill(end, deadline)?;
         }
         let at = self.start + HEADER_LEN;
         let payload = self.buf[at..at + len].to_vec();
         self.start = at + len;
-        Ok(Frame {
-            version,
-            step,
-            payload,
-        })
+        Ok(Frame { step, payload })
     }
 }
 

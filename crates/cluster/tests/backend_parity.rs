@@ -138,7 +138,7 @@ fn service_answers_identically_over_flat_sharded_and_cluster_backends() {
 
 /// Burst submissions ([`ce_serve::ServeHandle::recommend_graphs`]) over
 /// the cluster backend ride the wire-batched path — one `QueryBatch`
-/// frame per shard range per burst (protocol v2) — and must answer with
+/// frame per shard range per burst — and must answer with
 /// exactly the flat advisor's bits at every client-thread count, cold and
 /// from the warm cache alike.
 #[test]
@@ -473,4 +473,39 @@ fn service_fronted_cluster_tracks_push_and_snapshot_bit_identically() {
     }
     assert!(!coord.heartbeat().degraded());
     service.shutdown();
+}
+
+proptest::proptest! {
+    /// A single query is a batch of one: `predict_excluding`, a
+    /// one-element `predict_batch` and the in-process sharded advisor
+    /// agree bit for bit, with and without an in-range exclusion. Query
+    /// coordinates sit on the quarter lattice the fixture's embeddings
+    /// use, so distance ties (broken by global id) are the common case.
+    #[test]
+    fn single_query_is_a_batch_of_one(
+        quarters in proptest::collection::vec(-4i64..=12, 3),
+        alpha in 0.0f64..=1.0,
+        excluded in 0usize..11,
+        exclude_nothing in 0usize..2,
+    ) {
+        let sharded = ShardedAdvisor::from_advisor(&common::synthetic_flat(11, 3), RANGES);
+        let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
+        let coord = ClusterCoordinator::over_sim(
+            sharded.clone(),
+            &net,
+            REPLICAS_PER_RANGE,
+            ClusterConfig::no_sleep(),
+        );
+        coord.bootstrap().expect("bootstrap");
+        let x: Vec<f32> = quarters.iter().map(|&q| q as f32 * 0.25).collect();
+        let w = MetricWeights::new(alpha);
+        let exclude = if exclude_nothing == 1 { usize::MAX } else { excluded };
+        let want = sharded.predict_excluding(&x, w, exclude);
+        let single = coord.predict_excluding(&x, w, exclude).expect("single");
+        let batch = coord
+            .predict_batch(&[BatchPredictRequest { embedding: &x, w, exclude }])
+            .expect("batch of one");
+        proptest::prop_assert_eq!(&single, &want);
+        proptest::prop_assert_eq!(batch, vec![want]);
+    }
 }

@@ -5,10 +5,10 @@
 //! panic the decoder — malformed input is an `Err`, full stop.
 
 use ce_cluster::protocol::{
-    BatchQuery, EpochTable, Frame, Load, Message, Push, Query, QueryBatch, TopK, TopKBatch,
+    BatchQuery, EpochTable, Frame, FrameError, Load, Message, Push, QueryBatch, TopKBatch,
     HEADER_LEN,
 };
-use ce_cluster::Step;
+use ce_cluster::{Step, PROTOCOL_VERSION};
 use proptest::prelude::*;
 
 /// Bit-exact float comparison (NaN-safe, sign-of-zero-exact).
@@ -38,8 +38,9 @@ fn embedding_from(raw: &[u32]) -> Vec<f32> {
 }
 
 proptest! {
-    /// Query frames survive encode → bytes → decode with every field —
-    /// including arbitrary-bit-pattern floats — intact.
+    /// A single query — a batch of one — survives encode → bytes →
+    /// decode with every field, including arbitrary-bit-pattern floats,
+    /// intact.
     #[test]
     fn query_roundtrips_bit_identically(
         epoch in 0u64..=u64::MAX,
@@ -48,21 +49,24 @@ proptest! {
         k in 0u64..1000,
         exclude in 0u64..=u64::MAX,
     ) {
-        let q = Query {
+        let q = QueryBatch {
             epoch,
             version,
-            embedding: embedding_from(&raw),
-            k,
-            exclude,
+            queries: vec![BatchQuery {
+                embedding: embedding_from(&raw),
+                k,
+                exclude,
+            }],
         };
         let wire = q.clone().into_frame().to_bytes();
         let frame = Frame::from_bytes(&wire).expect("self-encoded frame parses");
-        let back = Query::from_frame(&frame).expect("self-encoded payload decodes");
+        let back = QueryBatch::from_frame(&frame).expect("self-encoded payload decodes");
         prop_assert_eq!(back.epoch, q.epoch);
         prop_assert_eq!(back.version, q.version);
-        prop_assert_eq!(back.k, q.k);
-        prop_assert_eq!(back.exclude, q.exclude);
-        prop_assert_eq!(bits(&back.embedding), bits(&q.embedding));
+        prop_assert_eq!(back.queries.len(), 1);
+        prop_assert_eq!(back.queries[0].k, q.queries[0].k);
+        prop_assert_eq!(back.queries[0].exclude, q.queries[0].exclude);
+        prop_assert_eq!(bits(&back.queries[0].embedding), bits(&q.queries[0].embedding));
     }
 
     /// Epoch tables — including the empty table and single-entry shards —
@@ -103,12 +107,13 @@ proptest! {
             .enumerate()
             .map(|(i, &id)| (id, dq[i] as f32 / 2.0))
             .collect();
-        let t = TopK { epoch, entries };
+        let t = TopKBatch { epoch, lists: vec![entries] };
         let frame = Frame::from_bytes(&t.clone().into_frame().to_bytes()).expect("parses");
-        let back = TopK::from_frame(&frame).expect("decodes");
+        let back = TopKBatch::from_frame(&frame).expect("decodes");
         prop_assert_eq!(back.epoch, t.epoch);
-        prop_assert_eq!(back.entries.len(), t.entries.len());
-        for ((ia, da), (ib, db)) in back.entries.iter().zip(&t.entries) {
+        prop_assert_eq!(back.lists.len(), 1);
+        prop_assert_eq!(back.lists[0].len(), t.lists[0].len());
+        for ((ia, da), (ib, db)) in back.lists[0].iter().zip(&t.lists[0]) {
             prop_assert_eq!(ia, ib);
             prop_assert_eq!(da.to_bits(), db.to_bits());
         }
@@ -138,7 +143,6 @@ proptest! {
         // the message decode (the codec demands exact consumption).
         if cut > HEADER_LEN {
             let frame = Frame {
-                version: Step::CoordSendPush.min_version(),
                 step: Step::CoordSendPush,
                 payload: wire[HEADER_LEN..cut].to_vec(),
             };
@@ -146,7 +150,7 @@ proptest! {
         }
     }
 
-    /// Batched queries (protocol v2) round-trip bit-identically: every
+    /// Batched queries round-trip bit-identically: every
     /// per-query embedding keeps its exact bit pattern (NaNs, signed
     /// zeros, subnormals, infinities), and per-query `k`/`exclude` ride
     /// along untouched. Batch depths 0 (empty) and 1 are generated as
@@ -174,11 +178,8 @@ proptest! {
                 .collect(),
         };
         let wire = qb.clone().into_frame().to_bytes();
-        // Batch frames declare protocol version 2 in the header.
-        prop_assert_eq!(
-            u16::from_le_bytes([wire[4], wire[5]]),
-            Step::CoordSendQueryBatch.min_version()
-        );
+        // Every frame declares the one protocol version in the header.
+        prop_assert_eq!(u16::from_le_bytes([wire[4], wire[5]]), PROTOCOL_VERSION);
         let frame = Frame::from_bytes(&wire).expect("self-encoded frame parses");
         let back = QueryBatch::from_frame(&frame).expect("self-encoded payload decodes");
         prop_assert_eq!(back.epoch, qb.epoch);
@@ -257,7 +258,6 @@ proptest! {
         );
         if cut > HEADER_LEN {
             let frame = Frame {
-                version: Step::CoordSendQueryBatch.min_version(),
                 step: Step::CoordSendQueryBatch,
                 payload: wire[HEADER_LEN..cut].to_vec(),
             };
@@ -272,31 +272,39 @@ proptest! {
         prop_assert!(QueryBatch::from_frame(&frame).is_err());
     }
 
-    /// Single-byte corruption of a batch frame never panics — including
-    /// flips in the header's version bytes (which may legally downgrade
-    /// the declared version and must then be caught as `VersionSkew`, not
-    /// decoded).
+    /// Single-byte corruption of a deep batch frame never panics —
+    /// including flips in the header's version bytes, which leave no
+    /// legal version and must be caught as `BadVersion`, not decoded.
     #[test]
     fn flipped_byte_in_batch_frame_never_panics(
         raw in prop::collection::vec(0u32..=u32::MAX, 0..3),
+        depth in 2usize..5,
         idx_sel in 0usize..=10_000,
         mask in 1u8..=255,
     ) {
         let qb = QueryBatch {
             epoch: 1,
             version: 2,
-            queries: vec![BatchQuery {
-                embedding: embedding_from(&raw),
-                k: 3,
-                exclude: u64::MAX,
-            }],
+            queries: (0..depth)
+                .map(|i| BatchQuery {
+                    embedding: embedding_from(&raw),
+                    k: i as u64 + 1,
+                    exclude: u64::MAX,
+                })
+                .collect(),
         };
         let mut wire = qb.into_frame().to_bytes();
         let idx = idx_sel % wire.len();
         wire[idx] ^= mask;
         match Frame::from_bytes(&wire) {
-            Err(_) => {}
+            Err(e) => {
+                if (4..6).contains(&idx) {
+                    let flipped = u16::from_le_bytes([wire[4], wire[5]]);
+                    prop_assert_eq!(e, FrameError::BadVersion(flipped));
+                }
+            }
             Ok(frame) => {
+                prop_assert!(!(4..6).contains(&idx), "a flipped version byte parsed");
                 prop_assert_eq!(frame.to_bytes(), wire);
                 if let Ok(back) = QueryBatch::from_frame(&frame) {
                     prop_assert_eq!(back.into_frame().to_bytes(), wire);
@@ -317,21 +325,23 @@ proptest! {
         }
     }
 
-    /// Single-byte corruption of a valid frame never panics: the result
-    /// is an `Err`, or a frame that still re-encodes canonically (e.g. a
-    /// flipped bit inside a float payload).
+    /// Single-byte corruption of a single-query frame never panics: the
+    /// result is an `Err`, or a frame that still re-encodes canonically
+    /// (e.g. a flipped bit inside a float payload).
     #[test]
     fn flipped_byte_never_panics(
         raw in prop::collection::vec(0u32..=u32::MAX, 0..4),
         idx_sel in 0usize..=10_000,
         mask in 1u8..=255,
     ) {
-        let q = Query {
+        let q = QueryBatch {
             epoch: 1,
             version: 2,
-            embedding: embedding_from(&raw),
-            k: 3,
-            exclude: u64::MAX,
+            queries: vec![BatchQuery {
+                embedding: embedding_from(&raw),
+                k: 3,
+                exclude: u64::MAX,
+            }],
         };
         let mut wire = q.into_frame().to_bytes();
         let idx = idx_sel % wire.len();
@@ -341,9 +351,9 @@ proptest! {
             Ok(frame) => {
                 prop_assert_eq!(frame.to_bytes(), wire);
                 // A structurally valid frame with a corrupted payload must
-                // decode to an Err or to a Query that re-encodes to the
+                // decode to an Err or to a query that re-encodes to the
                 // same bytes — never panic, never lose sync silently.
-                if let Ok(back) = Query::from_frame(&frame) {
+                if let Ok(back) = QueryBatch::from_frame(&frame) {
                     prop_assert_eq!(back.into_frame().to_bytes(), wire);
                 }
             }

@@ -100,7 +100,7 @@ fn loopback_cluster_survives_a_hard_shard_kill() {
 
 /// The metrics-smoke leg: a real multiprocess cluster under a live
 /// registry, scraped through the full exposition pipeline — cluster-wide
-/// aggregation over the v2 metrics step, Prometheus text rendering, and
+/// aggregation over the metrics step, Prometheus text rendering, and
 /// a parse back — asserting every layer's metric families are present
 /// and non-zero, not just that nothing crashed.
 #[test]
@@ -165,7 +165,7 @@ fn metrics_smoke_scrapes_every_family_over_real_processes() {
     assert!(
         agg.counter(
             "ce_cluster_wire_bytes_out_total",
-            &[("step", "coord_send_query")],
+            &[("step", "coord_send_query_batch")],
         ) > 0,
         "wire-byte accounting must be live"
     );
@@ -175,7 +175,7 @@ fn metrics_smoke_scrapes_every_family_over_real_processes() {
             &[
                 ("range", "0"),
                 ("replica", "0"),
-                ("step", "shard_send_topk")
+                ("step", "shard_send_topk_batch")
             ],
         ) > 0,
         "shard-side reply bytes must be counted"

@@ -27,7 +27,19 @@ pub fn trained_advisor(n: usize, seed: u64) -> (Vec<Dataset>, AutoCe) {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = DatasetSpec::small().single_table();
     let datasets = generate_batch("sv", n, &spec, &mut rng);
-    let labels = label_datasets(&datasets, &testbed(), 3, 0);
+    let mut labels = label_datasets(&datasets, &testbed(), 3, 0);
+    // `label_datasets` times inference with `Instant`, and the embedding
+    // space and the drift threshold inherit the number: pin the two
+    // wall-clock fields (as `benchmarks/e2e` does) so the fixture is a
+    // function of the seed. Stopgap until the testbed takes an injected
+    // latency source (ROADMAP open item 1).
+    for label in &mut labels {
+        let models = label.performances.len();
+        for (m, p) in label.performances.iter_mut().enumerate() {
+            p.latency_mean_us = 100.0 * (models - m) as f64;
+            p.train_time_ms = 0.0;
+        }
+    }
     let config = AutoCeConfig {
         dml: DmlConfig {
             epochs: 6,

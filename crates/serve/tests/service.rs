@@ -85,7 +85,11 @@ fn concurrent_clients_get_flat_identical_answers() {
     service.shutdown();
 }
 
-/// Five tables against the fixtures' single-table corpus: always drifts.
+/// Five tables against the fixtures' single-table corpus. Whether it
+/// drifts depends on the fixture's detector threshold, which is fitted to
+/// the nearest-neighbour distances of the trained RCS: with the fixtures'
+/// wall-clock label fields pinned it drifts against the 16-dataset
+/// fixtures used here and does not against an 8-dataset one.
 fn five_table_dataset() -> Dataset {
     let mut rng = StdRng::seed_from_u64(3);
     let mut spec = DatasetSpec::small().multi_table();
@@ -135,7 +139,7 @@ fn adaptation_is_reservoir_bounded_and_swaps_snapshots() {
 /// lock of the service does.
 #[test]
 fn adapt_survives_a_poisoned_admin_lock() {
-    let (_, flat) = common::trained_advisor(8, 0xada3);
+    let (_, flat) = common::trained_advisor(16, 0xada3);
     let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
     let testbed = common::testbed();
     let odd = five_table_dataset();

@@ -108,7 +108,7 @@ fn main() {
 
     // The coordinator's own counters saw the failover; the cluster-wide
     // aggregation additionally pulls each live shard's counters over the
-    // v2 metrics step, tagged range/replica (the dead replica is
+    // metrics step, tagged range/replica (the dead replica is
     // silently skipped — observing never changes behavior).
     let local = coord.metrics();
     println!(
