@@ -11,21 +11,19 @@
 //! one dispatch per graph per layer. The stacked path is bit-identical to
 //! per-graph encoding, so switching it in changes no recommendation.
 
-use crate::backend::AdvisorError;
+use crate::backend::{AdvisorBackend, AdvisorError};
 use crate::incremental::{run_incremental_learning, IncrementalConfig};
-use crate::index::{IndexConfig, IndexState};
+use crate::index::{IndexConfig, KnnIndex};
+use crate::knn::{self, Partition};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::{train_encoder, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::ModelKind;
-use ce_nn::matrix::euclidean;
 use ce_nn::Matrix;
 use ce_obs::MetricsRegistry;
 use ce_storage::Dataset;
-use ce_testbed::score::best_index;
 use ce_testbed::{DatasetLabel, MetricWeights};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
 /// Advisor configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,66 +101,175 @@ impl RcsEntry {
     }
 }
 
-/// The total order every KNN path ranks `(RCS index, distance)` candidates
-/// by: ascending distance, with **ties broken by ascending RCS index**.
-///
-/// This is a strict total order (indices are unique), so the k nearest
-/// neighbors of a query are a uniquely determined *set* and a uniquely
-/// determined *sequence* — which is what lets a sharded advisor merge
-/// per-shard partial top-k lists and reproduce the flat scan bit for bit
-/// at any shard count.
-pub fn knn_order(a: &(usize, f32), b: &(usize, f32)) -> Ordering {
-    a.1.partial_cmp(&b.1)
-        .expect("finite distances")
-        .then(a.0.cmp(&b.0))
+/// One partition of the RCS — all of it for the flat [`AutoCe`], one shard
+/// of it in `ce-serve`'s `ShardedAdvisor`: entries tagged with their global
+/// indices, the stacked serving chunks over their graphs, the partition's
+/// KNN index slot, and the refresh steps every owner shares (pack → encode
+/// → write back → rebuild the index). Queries go through
+/// [`Self::partial_topk`], i.e. [`knn::partial_topk`].
+#[derive(Clone)]
+pub struct AdvisorShard {
+    /// Global RCS index of each entry, ascending, aligned with `entries`.
+    ids: Vec<usize>,
+    entries: Vec<RcsEntry>,
+    /// Stacked chunks over `entries`' graphs, packed lazily. Graphs are
+    /// immutable once in the RCS, so the packing survives every encoder
+    /// update; only a membership change drops it.
+    chunks: Option<Vec<StackedCtx>>,
+    /// The index slot: a build over this partition's embeddings stamped
+    /// `(generation, len)`. Rebuilt with every write-back, dropped by a
+    /// push, and consulted only while its stamp matches the live
+    /// partition (checked in [`knn::partial_topk`]) — so answers never
+    /// depend on index freshness.
+    index: Option<KnnIndex>,
 }
 
-/// The KNN vote of Eq. 13 over an ordered neighbor sequence: score vectors
-/// are averaged **in the given order** (each contribution divided by `k`
-/// before accumulation, matching the flat path's float evaluation order)
-/// and the best model is chosen by [`best_index`] — on equal averaged
-/// scores, the **lowest model index wins**. Both rules are load-bearing:
-/// the sharded serving layer relies on them to match the flat advisor
-/// bitwise, so they are part of the public contract (and unit-tested), not
-/// an accident of `max_by`.
-pub fn knn_vote<'a, I>(neighbors: I, k: usize, w: MetricWeights) -> (ModelKind, Vec<f64>)
-where
-    I: IntoIterator<Item = &'a RcsEntry>,
-{
-    let mut iter = neighbors.into_iter();
-    let first = iter.next().expect("at least one neighbor");
-    let mut avg = vec![0.0f64; first.kinds.len()];
-    for e in std::iter::once(first).chain(iter) {
-        for (s, v) in avg.iter_mut().zip(e.scores(w)) {
-            *s += v / k as f64;
+impl AdvisorShard {
+    /// A partition over `entries` with global indices `ids` (ascending).
+    pub fn new(ids: Vec<usize>, entries: Vec<RcsEntry>) -> Self {
+        assert_eq!(ids.len(), entries.len(), "one global index per entry");
+        AdvisorShard {
+            ids,
+            entries,
+            chunks: None,
+            index: None,
         }
     }
-    let best = best_index(&avg);
-    (first.kinds[best], avg)
-}
 
-/// The flat advisor's serving generation: it has no snapshot-swap
-/// discipline of its own, so the generation never advances and index
-/// staleness is carried entirely by the RCS-length half of the tag
-/// (membership pushes) plus eager rebuild-on-refresh (embedding changes).
-pub(crate) const FLAT_GENERATION: u64 = 0;
+    /// Number of entries this partition owns.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the partition owns no entries (possible when there are
+    /// more shards than RCS entries).
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Global indices of the entries this partition owns.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// The entries this partition owns, slot-aligned with [`Self::ids`].
+    /// Read-only: consumers (the cluster layer projects `(ids,
+    /// embeddings)` tables onto shard servers) must not be able to bypass
+    /// the chunk and index bookkeeping.
+    pub fn entries(&self) -> &[RcsEntry] {
+        &self.entries
+    }
+
+    /// The partial top-k of this partition ([`knn::partial_topk`]);
+    /// `generation` is the owner's live generation.
+    pub fn partial_topk(
+        &self,
+        x: &[f32],
+        k: usize,
+        exclude: usize,
+        generation: u64,
+    ) -> Vec<(usize, f32)> {
+        let view = Partition {
+            ids: &self.ids,
+            embedding: |m: usize| self.entries[m].embedding.as_slice(),
+            index: self.index.as_ref(),
+            generation,
+        };
+        knn::partial_topk(&view, x, k, exclude)
+    }
+
+    /// Appends an entry under global index `id`. Membership changed: the
+    /// packed chunks are stale, and the index is dropped at once (its
+    /// length stamp would bypass it anyway).
+    pub fn push(&mut self, id: usize, entry: RcsEntry) {
+        self.ids.push(id);
+        self.entries.push(entry);
+        self.chunks = None;
+        self.index = None;
+    }
+
+    /// Packs the stacked serving chunks if membership changed since the
+    /// last packing, and returns them. Pure data movement.
+    pub fn pack(&mut self) -> &[StackedCtx] {
+        let entries = &self.entries;
+        self.chunks.get_or_insert_with(|| {
+            let graphs: Vec<&FeatureGraph> = entries.iter().map(|e| &e.graph).collect();
+            StackedCtx::pack_graphs(&graphs)
+        })
+    }
+
+    /// The chunks [`Self::pack`] left (owners that fan a refresh out over
+    /// partitions pack first, then encode under a shared borrow).
+    pub fn chunks(&self) -> &[StackedCtx] {
+        self.chunks.as_deref().expect("packed before encoding")
+    }
+
+    /// One stacked forward over one packed chunk: a row per graph.
+    pub fn encode_chunk(encoder: &GinEncoder, chunk: &StackedCtx) -> Matrix {
+        let mut m = Matrix::zeros(0, 0);
+        encoder.encode_stacked_into(chunk, &mut m);
+        m
+    }
+
+    /// Writes refreshed embeddings back — `pooled` holds one row per entry,
+    /// chunk by chunk — and rebuilds the index over them in the same
+    /// mutation, so nobody can pair refreshed embeddings with a pre-refresh
+    /// build or the reverse.
+    pub fn write_back(
+        &mut self,
+        pooled: &[Matrix],
+        index: Option<&IndexConfig>,
+        metrics: &MetricsRegistry,
+        generation: u64,
+    ) {
+        let mut rows = pooled
+            .iter()
+            .flat_map(|m| (0..m.rows).map(move |r| m.row(r)));
+        for e in &mut self.entries {
+            let row = rows.next().expect("one pooled row per entry");
+            e.embedding.clear();
+            e.embedding.extend_from_slice(row);
+        }
+        assert!(rows.next().is_none(), "pooled rows must match the entries");
+        self.rebuild_index(index, metrics, generation);
+    }
+
+    /// Rebuilds the index over the live embeddings, stamped
+    /// `(generation, len)`. No configuration, or a partition below the
+    /// cutover, empties the slot — the flat scan serves.
+    pub fn rebuild_index(
+        &mut self,
+        index: Option<&IndexConfig>,
+        metrics: &MetricsRegistry,
+        generation: u64,
+    ) {
+        debug_assert!(
+            self.ids.windows(2).all(|w| w[0] < w[1]),
+            "ids must ascend for position/id tie-break equivalence"
+        );
+        self.index = index.and_then(|cfg| {
+            let embeddings: Vec<&[f32]> = self
+                .entries
+                .iter()
+                .map(|e| e.embedding.as_slice())
+                .collect();
+            KnnIndex::build(&embeddings, cfg, generation, metrics)
+        });
+    }
+}
 
 /// The trained advisor.
 pub struct AutoCe {
     /// Configuration it was trained with.
     pub config: AutoCeConfig,
     encoder: GinEncoder,
-    rcs: Vec<RcsEntry>,
-    /// Cached stacked serving chunks over the RCS graphs. Graphs are
-    /// immutable once in the RCS, so the stacking (vertex matrix +
-    /// block-diagonal CSR + offsets) survives every encoder update; only
-    /// RCS membership changes invalidate it.
-    serving: Option<Vec<StackedCtx>>,
-    /// Optional two-stage KNN index ([`crate::index`]): built on
-    /// [`Self::refresh_embeddings`], invalidated by RCS pushes, and
-    /// bypassed (via its generation tag) whenever it is stale — so the
-    /// flat advisor's answers never depend on index freshness.
-    index: Option<IndexState>,
+    /// The whole RCS as one partition (global indices `0..n`).
+    rcs: AdvisorShard,
+    /// Two-stage KNN index configuration ([`crate::index`]); `None` serves
+    /// every query by flat scan. The build itself lives in `rcs`.
+    index_cfg: Option<IndexConfig>,
+    /// Where index builds and queries count.
+    metrics: MetricsRegistry,
 }
 
 impl AutoCe {
@@ -192,17 +299,7 @@ impl AutoCe {
         let mut entries: Vec<RcsEntry> = graphs
             .into_iter()
             .zip(labels)
-            .map(|(graph, label)| {
-                let (sa, se) = label.normalized_components();
-                RcsEntry {
-                    name: label.dataset.clone(),
-                    graph,
-                    embedding: Vec::new(),
-                    kinds: label.performances.iter().map(|p| p.kind).collect(),
-                    sa,
-                    se,
-                }
-            })
+            .map(|(graph, label)| RcsEntry::from_label(graph, label, Vec::new()))
             .collect();
 
         // Stage 2: deep metric learning. Graphs are borrowed into the
@@ -222,17 +319,16 @@ impl AutoCe {
         for (e, embedding) in entries.iter_mut().zip(embeddings) {
             e.embedding = embedding;
         }
-        AutoCe {
-            config,
-            encoder,
-            rcs: entries,
-            serving: None,
-            index: None,
-        }
+        AutoCe::from_parts(config, encoder, entries)
     }
 
     /// The recommendation candidate set.
     pub fn rcs(&self) -> &[RcsEntry] {
+        self.rcs.entries()
+    }
+
+    /// The RCS as the one partition the KNN predictor scans.
+    pub(crate) fn partition(&self) -> &AdvisorShard {
         &self.rcs
     }
 
@@ -269,65 +365,22 @@ impl AutoCe {
     }
 
     /// KNN prediction that can exclude one RCS index — used by the
-    /// leave-one-out cross-validation of Algorithm 2.
-    ///
-    /// Neighbor selection ranks candidates by [`knn_order`] (distance, then
-    /// RCS index) and the vote resolves score ties by the lowest model
-    /// index ([`knn_vote`]) — both rules are explicit so the sharded
-    /// serving layer can merge per-shard partial top-k lists and land on
-    /// the same bits.
+    /// leave-one-out cross-validation of Algorithm 2. A convenience over
+    /// [`AdvisorBackend::predict_excluding`] (the [`knn`] steps, typed
+    /// errors) that **panics** when the RCS holds nothing to select.
     pub fn predict_excluding(
         &self,
         embedding: &[f32],
         w: MetricWeights,
         exclude: usize,
     ) -> (ModelKind, Vec<f64>) {
-        assert!(!self.rcs.is_empty(), "empty RCS");
-        let selectable = self.rcs.len() - usize::from(exclude < self.rcs.len());
-        assert!(
-            selectable > 0,
-            "KNN needs at least one non-excluded RCS entry"
-        );
-        let k = self.config.k.clamp(1, selectable);
-        // Two-stage index first: when it answers, the candidate list is
-        // provably the flat scan's top k (same exact distances, same
-        // [`knn_order`] ranking), so the vote below sees identical input
-        // either way. A stale or inadmissible index yields `None` and the
-        // flat scan serves the query.
-        if let Some(topk) = self.indexed_topk(embedding, k, exclude) {
-            return knn_vote(topk.iter().map(|&(i, _)| &self.rcs[i]), k, w);
-        }
-        let mut dists: Vec<(usize, f32)> = self
-            .rcs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != exclude)
-            .map(|(i, e)| (i, euclidean(embedding, &e.embedding)))
-            .collect();
-        // Partial selection: only the k nearest need ordering; sorting the
-        // whole RCS per query is wasted work on the serving path. The
-        // comparator is a strict total order, so the selected prefix is
-        // uniquely determined regardless of input order.
-        if k < dists.len() {
-            dists.select_nth_unstable_by(k - 1, knn_order);
-        }
-        dists[..k].sort_unstable_by(knn_order);
-        knn_vote(dists[..k].iter().map(|&(i, _)| &self.rcs[i]), k, w)
+        AdvisorBackend::predict_excluding(self, embedding, w, exclude)
+            .expect("the RCS holds a selectable entry")
     }
 
-    /// The indexed top-k, if an index is installed, fresh (tag check) and
-    /// admissible for this query.
-    fn indexed_topk(
-        &self,
-        embedding: &[f32],
-        k: usize,
-        exclude: usize,
-    ) -> Option<Vec<(usize, f32)>> {
-        let idx = self
-            .index
-            .as_ref()?
-            .current(FLAT_GENERATION, self.rcs.len())?;
-        idx.query_topk(embedding, k, exclude, |i| self.rcs[i].embedding.as_slice())
+    /// Distance from an embedding to the nearest RCS entry (drift check).
+    pub fn distance_to_embedding(&self, x: &[f32]) -> f32 {
+        knn::min_distance(x, self.rcs().iter().map(|e| e.embedding.as_slice()))
     }
 
     /// Full Stage-4 recommendation for a dataset.
@@ -349,15 +402,9 @@ impl AutoCe {
 
     /// Adds a freshly labeled dataset to the RCS (online adapting, §V-E).
     pub fn push_rcs_entry(&mut self, graph: FeatureGraph, label: &DatasetLabel) {
-        // RCS membership changed; the stacked serving chunks are stale,
-        // and so is any KNN index (its length tag would bypass it — the
-        // invalidation just frees the memory immediately).
-        self.serving = None;
-        if let Some(state) = &mut self.index {
-            state.invalidate();
-        }
         let embedding = self.encoder.encode(&graph);
-        self.rcs.push(RcsEntry::from_label(graph, label, embedding));
+        let entry = RcsEntry::from_label(graph, label, embedding);
+        self.rcs.push(self.rcs.len(), entry);
     }
 
     /// Installs (or replaces) a two-stage KNN index configuration and
@@ -373,23 +420,17 @@ impl AutoCe {
         metrics: MetricsRegistry,
     ) -> Result<(), AdvisorError> {
         cfg.validate_for_k(self.config.k)?;
-        self.index = Some(IndexState::new(cfg, metrics));
-        self.rebuild_index();
+        self.index_cfg = Some(cfg);
+        self.metrics = metrics;
+        let generation = AdvisorBackend::generation(self);
+        self.rcs
+            .rebuild_index(self.index_cfg.as_ref(), &self.metrics, generation);
         Ok(())
     }
 
     /// The installed index configuration, if any.
     pub fn index_config(&self) -> Option<&IndexConfig> {
-        self.index.as_ref().map(IndexState::config)
-    }
-
-    /// Rebuilds the KNN index over the live embeddings (no-op without an
-    /// installed configuration, empty below the cutover).
-    fn rebuild_index(&mut self) {
-        if let Some(state) = &mut self.index {
-            let embeddings: Vec<&[f32]> = self.rcs.iter().map(|e| e.embedding.as_slice()).collect();
-            state.rebuild(&embeddings, FLAT_GENERATION);
-        }
+        self.index_cfg.as_ref()
     }
 
     /// Reassembles an advisor from its parts — the inverse of
@@ -401,22 +442,22 @@ impl AutoCe {
         AutoCe {
             config,
             encoder,
-            rcs,
-            serving: None,
-            index: None,
+            rcs: AdvisorShard::new((0..rcs.len()).collect(), rcs),
+            index_cfg: None,
+            metrics: MetricsRegistry::disabled(),
         }
     }
 
     /// Decomposes the advisor into configuration, encoder and RCS entries
     /// (the sharded serving layer redistributes the entries across shards).
     pub fn into_parts(self) -> (AutoCeConfig, GinEncoder, Vec<RcsEntry>) {
-        (self.config, self.encoder, self.rcs)
+        (self.config, self.encoder, self.rcs.entries)
     }
 
     /// Splits a mutable encoder borrow from a shared RCS borrow (online
     /// adapting retrains the encoder on borrowed RCS graphs).
     pub(crate) fn encoder_and_rcs(&mut self) -> (&mut GinEncoder, &[RcsEntry]) {
-        (&mut self.encoder, &self.rcs)
+        (&mut self.encoder, self.rcs.entries())
     }
 
     /// Recomputes all RCS embeddings (after incremental encoder updates)
@@ -429,33 +470,13 @@ impl AutoCe {
     /// per-chunk workspace matrices allocated per call). Bit-identical to
     /// encoding each graph separately.
     pub fn refresh_embeddings(&mut self) {
-        if self.serving.is_none() {
-            let graphs: Vec<&FeatureGraph> = self.rcs.iter().map(|e| &e.graph).collect();
-            self.serving = Some(StackedCtx::pack_graphs(&graphs));
-        }
-        let chunks = self.serving.as_deref().expect("just built");
         let encoder = &self.encoder;
-        let pooled: Vec<Matrix> = chunks
-            .par_iter()
-            .map(|s| {
-                let mut m = Matrix::zeros(0, 0);
-                encoder.encode_stacked_into(s, &mut m);
-                m
-            })
+        let pooled: Vec<Matrix> = (self.rcs.pack().par_iter())
+            .map(|chunk| AdvisorShard::encode_chunk(encoder, chunk))
             .collect();
-        let mut rows = pooled
-            .iter()
-            .flat_map(|m| (0..m.rows).map(move |r| m.row(r)));
-        for e in &mut self.rcs {
-            let row = rows.next().expect("one pooled row per RCS entry");
-            e.embedding.clear();
-            e.embedding.extend_from_slice(row);
-        }
-        assert!(rows.next().is_none(), "pooled rows must match RCS size");
-        // Embeddings moved; rebuild the index over them in the same
-        // mutation scope, so a caller holding `&self` can never observe a
-        // refreshed RCS under a pre-refresh index or vice versa.
-        self.rebuild_index();
+        let generation = AdvisorBackend::generation(self);
+        self.rcs
+            .write_back(&pooled, self.index_cfg.as_ref(), &self.metrics, generation);
     }
 
     /// Embeds many datasets at once: features are extracted in parallel and

@@ -32,10 +32,10 @@
 //! snapshot/epoch rules distributed implementations follow.
 
 use crate::advisor::AutoCe;
+use crate::knn;
 use crate::online::DriftDetector;
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
-use ce_nn::matrix::euclidean;
 use ce_obs::MetricsSnapshot;
 use ce_testbed::{DatasetLabel, MetricWeights};
 
@@ -119,7 +119,8 @@ pub trait AdvisorBackend: Send + Sync {
     /// Number of RCS entries backing recommendations.
     fn rcs_len(&self) -> usize;
 
-    /// True when the backend has no RCS entries (queries would panic).
+    /// True when the backend has no RCS entries: every query answers
+    /// [`AdvisorError::EmptyRcs`].
     fn rcs_is_empty(&self) -> bool {
         self.rcs_len() == 0
     }
@@ -142,8 +143,10 @@ pub trait AdvisorBackend: Send + Sync {
     fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>>;
 
     /// KNN prediction from an embedding, excluding one global RCS index
-    /// (`usize::MAX` excludes nothing). The bit-determinism contract
-    /// lives here; see the module docs.
+    /// (`usize::MAX` excludes nothing): the steps of [`crate::knn`]. The
+    /// bit-determinism contract lives here; see the module docs. An RCS
+    /// with nothing the query may select is [`AdvisorError::EmptyRcs`],
+    /// never a panic.
     fn predict_excluding(
         &self,
         embedding: &[f32],
@@ -252,6 +255,8 @@ impl AdvisorBackend for AutoCe {
     /// (`adapt_online`), which rebuilds the value wholesale in every
     /// serving context — so a constant generation is correct: any cached
     /// embedding outlives exactly the advisor value it was computed by.
+    /// Its index is stamped with the same constant; a push is caught by
+    /// the length half of the stamp, a refresh rebuilds in place.
     fn generation(&self) -> u64 {
         0
     }
@@ -274,14 +279,14 @@ impl AdvisorBackend for AutoCe {
         w: MetricWeights,
         exclude: usize,
     ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
-        Ok(AutoCe::predict_excluding(self, embedding, w, exclude))
+        let rcs = self.partition();
+        let k = knn::select_k(self.config.k, rcs.len(), exclude)?;
+        let topk = rcs.partial_topk(embedding, k, exclude, self.generation());
+        Ok(knn::merge_vote(topk, k, w, |i| &rcs.entries()[i]))
     }
 
     fn distance_to_nearest(&self, x: &[f32]) -> f32 {
-        self.rcs()
-            .iter()
-            .map(|e| euclidean(x, &e.embedding))
-            .fold(f32::INFINITY, f32::min)
+        self.distance_to_embedding(x)
     }
 
     fn drift_detector(&self) -> DriftDetector {

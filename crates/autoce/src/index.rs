@@ -38,16 +38,19 @@
 //!
 //! # Staleness
 //!
-//! An index is stamped with a `(generation, len)` tag at build. Backends
-//! check the tag against their live state on every query and bypass to
-//! the flat scan on mismatch, so an index can never serve over an RCS it
-//! was not built from — the swap-race fix rides the same `Arc`
-//! snapshot-swap discipline as `refresh_and_snapshot()`: the index lives
-//! *inside* the swapped snapshot value, and the tag catches any mutation
-//! that did not rebuild it.
+//! An index is stamped with a `(generation, len)` tag at build, and that
+//! tag is the only freshness check: [`crate::knn::partial_topk`] compares
+//! it with the live partition on every query and bypasses to the flat scan
+//! on mismatch, so an index can never serve over an RCS it was not built
+//! from. Owners keep the build next to the state it indexes (an
+//! [`AdvisorShard`](crate::AdvisorShard)'s slot, a shard server's live
+//! table), so a snapshot swap replaces both at once and the tag catches
+//! any mutation that did not rebuild it.
+//!
+//! [`knn_order`]: crate::knn_order
 
-use crate::advisor::knn_order;
 use crate::backend::{validate_nonzero, AdvisorError};
+use crate::knn::top_k;
 use ce_nn::index::{i8_scale, quantize_f16, quantize_i8, sq_dist_f16, sq_dist_i8};
 use ce_nn::kmeans::kmeans;
 use ce_nn::matrix::euclidean;
@@ -422,7 +425,7 @@ impl KnnIndex {
     }
 
     /// Two-stage query: probes the closest partitions, exactly re-ranks
-    /// their members under [`knn_order`], and returns the top `k`
+    /// their members under [`knn_order`](crate::knn_order), and returns the top `k`
     /// `(position, exact distance)` ascending — **only** when the
     /// admissibility bound proves the result equals the flat scan's.
     /// `None` means fall back to the flat scan. `exclude` (position;
@@ -462,11 +465,7 @@ impl KnnIndex {
             return None;
         }
         let scanned = cands.len();
-        if cands.len() > k {
-            cands.select_nth_unstable_by(k - 1, knn_order);
-            cands.truncate(k);
-        }
-        cands.sort_unstable_by(knn_order);
+        let cands = top_k(cands, k);
         let d_k = cands[k - 1].1;
 
         // Admissibility: every unprobed, non-empty partition must be
@@ -531,59 +530,5 @@ impl std::fmt::Debug for KnnIndex {
                 &format_args!("{:#018x}", self.structure_checksum()),
             )
             .finish()
-    }
-}
-
-/// Per-backend index slot: configuration plus the current build, if any.
-/// Backends embed one of these next to the state it indexes so a
-/// snapshot swap replaces both atomically.
-#[derive(Debug, Clone)]
-pub struct IndexState {
-    cfg: IndexConfig,
-    metrics: MetricsRegistry,
-    index: Option<KnnIndex>,
-}
-
-impl IndexState {
-    /// An empty slot with `cfg`; no index until [`Self::rebuild`].
-    pub fn new(cfg: IndexConfig, metrics: MetricsRegistry) -> Self {
-        IndexState {
-            cfg,
-            metrics,
-            index: None,
-        }
-    }
-
-    /// The configured parameters.
-    pub fn config(&self) -> &IndexConfig {
-        &self.cfg
-    }
-
-    /// Replaces the metric sink for subsequent rebuilds.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
-    }
-
-    /// Rebuilds over the live embeddings, stamping `(generation, len)`.
-    /// Below the cutover the slot empties (flat scan).
-    pub fn rebuild(&mut self, embeddings: &[&[f32]], generation: u64) {
-        self.index = KnnIndex::build(embeddings, &self.cfg, generation, &self.metrics);
-    }
-
-    /// Drops the current build (RCS membership changed without a refresh;
-    /// the tag check would bypass it anyway, this just frees the memory).
-    pub fn invalidate(&mut self) {
-        self.index = None;
-    }
-
-    /// The current build, **only** if stamped with the caller's live tag.
-    /// A stale build counts a `bypass` and yields `None`.
-    pub fn current(&self, generation: u64, len: usize) -> Option<&KnnIndex> {
-        let idx = self.index.as_ref()?;
-        if !idx.tag_matches(generation, len) {
-            idx.note_bypass();
-            return None;
-        }
-        Some(idx)
     }
 }

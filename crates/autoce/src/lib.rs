@@ -4,8 +4,10 @@
 //! dataset and metric weighting, without training any CE model online:
 //!
 //! * [`advisor`]: the four-stage pipeline — feature graphs, DML-trained GIN
-//!   encoder, the recommendation candidate set (RCS), and the KNN predictor
-//!   of Eq. 13;
+//!   encoder and the recommendation candidate set (RCS), held as
+//!   [`AdvisorShard`] partitions;
+//! * [`knn`]: the KNN predictor of Eq. 13 — the one clamp → partial top-k →
+//!   merge → vote every serving tier calls;
 //! * [`incremental`]: Algorithm 2 — cross-validated feedback collection and
 //!   Mixup-based data augmentation, then incremental encoder training;
 //! * [`online`]: the online adaptive method of §V-E — drift detection by
@@ -26,13 +28,17 @@ pub mod advisor;
 pub mod backend;
 pub mod baselines;
 pub mod beta;
+#[doc(hidden)]
+pub mod fixtures;
 pub mod incremental;
 pub mod index;
+pub mod knn;
 pub mod online;
 
-pub use advisor::{knn_order, knn_vote, AutoCe, AutoCeConfig, RcsEntry};
+pub use advisor::{AdvisorShard, AutoCe, AutoCeConfig, RcsEntry};
 pub use backend::{validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
-pub use index::{IndexConfig, IndexConfigBuilder, IndexState, KnnIndex, QuantMode};
+pub use index::{IndexConfig, IndexConfigBuilder, KnnIndex, QuantMode};
+pub use knn::{knn_order, knn_vote};
 // Observability types surface through the backend trait; re-export them so
 // backend consumers need not name `ce-obs` directly.
 pub use baselines::{

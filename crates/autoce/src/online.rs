@@ -11,7 +11,6 @@ use crate::advisor::AutoCe;
 use ce_features::extract_features;
 use ce_gnn::train::train_encoder_incremental;
 use ce_gnn::DmlConfig;
-use ce_nn::matrix::euclidean;
 use ce_nn::packed::PackedRows;
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, TestbedConfig};
@@ -90,7 +89,7 @@ impl DriftDetector {
                         .iter()
                         .enumerate()
                         .filter(|(j, _)| *j != i)
-                        .map(|(_, o)| euclidean(embeddings[i], o))
+                        .map(|(_, o)| ce_nn::matrix::euclidean(embeddings[i], o))
                         .fold(f32::INFINITY, f32::min)
                 })
                 .collect(),
@@ -119,12 +118,7 @@ impl DriftDetector {
 
     /// Distance from a dataset to the RCS (closest embedding).
     pub fn distance_to_rcs(&self, advisor: &AutoCe, ds: &Dataset) -> f32 {
-        let x = advisor.embed(ds);
-        advisor
-            .rcs()
-            .iter()
-            .map(|e| euclidean(&x, &e.embedding))
-            .fold(f32::INFINITY, f32::min)
+        advisor.distance_to_embedding(&advisor.embed(ds))
     }
 
     /// True if the dataset's distribution is unexpected.

@@ -49,15 +49,15 @@
 //! # Bit-identity under failure
 //!
 //! Partial top-k answers come off the wire, but every float they carry
-//! was computed by the same `euclidean` over embedding bits that traveled
-//! bit-exactly, in the same slot order, under the same
-//! [`knn_order`]-based select/truncate/sort as the in-process
-//! [`ShardedAdvisor`]. The merge and [`knn_vote`] run coordinator-side on
-//! authority metadata. Replicas of a range hold identical tables (they
-//! NACK rather than serve stale ones), so *which* replica answers — first
-//! choice, retry, failover, or a freshly re-promoted one — cannot change
-//! a single bit of the recommendation. Only when every replica of some
-//! range is unreachable does the coordinator fail, explicitly, with
+//! was computed by the same [`knn::partial_topk`] the in-process
+//! [`ShardedAdvisor`] calls, over embedding bits that traveled
+//! bit-exactly, in the same slot order. The merge and vote
+//! ([`knn::merge_vote`]) run coordinator-side on authority metadata.
+//! Replicas of a range hold identical tables (they NACK rather than serve
+//! stale ones), so *which* replica answers — first choice, retry,
+//! failover, or a freshly re-promoted one — cannot change a single bit of
+//! the recommendation. Only when every replica of some range is
+//! unreachable does the coordinator fail, explicitly, with
 //! [`ClusterError::RangeUnavailable`].
 //!
 //! # Concurrency
@@ -73,14 +73,11 @@
 use crate::health::{ClusterHealth, ReplicaHealth};
 use crate::per_step_counters;
 use crate::protocol::{
-    BatchQuery, EpochAck, EpochTable, Frame, Load, LoadAck, Message, MetricsReply, MetricsRequest,
-    Nack, NackCode, Ping, Pong, Push, PushAck, QueryBatch, SnapshotEpoch, Step, TopKBatch,
-    HEADER_LEN,
+    EpochAck, EpochTable, Frame, Load, LoadAck, Message, MetricsReply, MetricsRequest, Nack,
+    NackCode, Ping, Pong, Push, PushAck, QueryBatch, SnapshotEpoch, Step, TopKBatch, HEADER_LEN,
 };
 use crate::transport::{Conn, Connector, WireError};
-use autoce::{
-    knn_order, knn_vote, validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest,
-};
+use autoce::{knn, validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span, LATENCY_NS_BUCKETS};
@@ -751,10 +748,11 @@ impl CoordInner {
     /// The wire fan-out — the coordinator's one query routine. One
     /// [`QueryBatch`] frame per non-empty range carries the whole batch (a
     /// single query is a batch of one), so a B-deep batch over R ranges
-    /// pays R round trips instead of B×R. The per-query clamp, merge
-    /// ([`knn_order`] sort + truncate) and [`knn_vote`] are the exact
-    /// arithmetic of [`ShardedAdvisor::predict_excluding`]. Full answers
-    /// or a typed error, never a partial merge.
+    /// pays R round trips instead of B×R. The per-query clamp
+    /// ([`knn::select_k`]) and the merge and vote ([`knn::merge_vote`])
+    /// are the calls [`ShardedAdvisor::predict_excluding`] makes around
+    /// its in-process scans. Full answers or a typed error, never a
+    /// partial merge.
     fn predict_batch(
         &mut self,
         queries: &[BatchPredictRequest<'_>],
@@ -764,44 +762,36 @@ impl CoordInner {
         }
         let len = self.authority.len();
         let k = self.authority.config().k;
-        // Per-query clamp and wire exclusion (k depends on each query's
-        // exclusion). A query with nothing to select fails the whole
-        // batch here, before any frame is built.
-        let per_query: Vec<(usize, u64)> = queries
-            .iter()
-            .map(|q| {
-                let excluded = q.exclude < len;
-                let selectable = len - usize::from(excluded);
-                if selectable == 0 {
-                    return Err(ClusterError::EmptyRcs);
-                }
-                let wire_exclude = if excluded { q.exclude as u64 } else { u64::MAX };
-                Ok((k.clamp(1, selectable), wire_exclude))
-            })
+        // Per-query clamp (k depends on each query's exclusion). A query
+        // with nothing to select fails the whole batch here, before any
+        // frame is built.
+        let ks: Vec<usize> = (queries.iter())
+            .map(|q| knn::select_k(k, len, q.exclude).map_err(|_| ClusterError::EmptyRcs))
             .collect::<Result<_, _>>()?;
         let ranges = self.lanes.len();
 
-        // Per-range batch frames. An empty shard's partial top-k is
-        // empty; skip the trip entirely.
+        // The ranges' frames differ only in their pin: the query section
+        // is encoded once, from the borrowed embeddings. An exclusion
+        // outside the RCS travels as "none".
+        let mut tail = Vec::new();
+        QueryBatch::encode_queries(
+            queries.iter().zip(&ks).map(|(q, &k)| {
+                let exclude = if q.exclude < len {
+                    q.exclude as u64
+                } else {
+                    u64::MAX
+                };
+                (q.embedding, k as u64, exclude)
+            }),
+            &mut tail,
+        );
+        // An empty shard's partial top-k is empty; skip the trip entirely.
         let mut frames: Vec<Option<Frame>> = Vec::with_capacity(ranges);
         for range in 0..ranges {
             let shard_len = self.authority.shards()[range].len() as u64;
-            frames.push((shard_len > 0).then(|| {
-                QueryBatch {
-                    epoch: self.epoch,
-                    version: shard_len,
-                    queries: queries
-                        .iter()
-                        .zip(&per_query)
-                        .map(|(q, &(k, exclude))| BatchQuery {
-                            embedding: q.embedding.to_vec(),
-                            k: k as u64,
-                            exclude,
-                        })
-                        .collect(),
-                }
-                .into_frame()
-            }));
+            frames.push(
+                (shard_len > 0).then(|| QueryBatch::frame_with_tail(self.epoch, shard_len, &tail)),
+            );
             // A NACK in the collect phase may need the repair frame.
             self.prime_load_frame(range);
         }
@@ -859,15 +849,8 @@ impl CoordInner {
             }
         }
 
-        Ok(queries
-            .iter()
-            .zip(per_query)
-            .zip(merged)
-            .map(|((q, (k, _)), mut m)| {
-                m.sort_unstable_by(knn_order);
-                m.truncate(k);
-                knn_vote(m.iter().map(|&(id, _)| self.authority.entry(id)), k, q.w)
-            })
+        Ok((queries.iter().zip(ks).zip(merged))
+            .map(|((q, k), m)| knn::merge_vote(m, k, q.w, |id| self.authority.entry(id)))
             .collect())
     }
 
@@ -1392,38 +1375,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::sim::SimNet;
-    use autoce::{AutoCe, AutoCeConfig, RcsEntry};
-    use ce_gnn::{DmlConfig, GinEncoder};
-
-    fn synthetic_flat(n: usize, k: usize) -> AutoCe {
-        let entries: Vec<RcsEntry> = (0..n)
-            .map(|i| {
-                let v = i as f32 * 0.25;
-                RcsEntry {
-                    name: format!("e{i}"),
-                    graph: FeatureGraph {
-                        vertices: vec![vec![v, 1.0 - v, 0.5, 0.25]],
-                        edges: vec![vec![0.0]],
-                    },
-                    embedding: vec![v, v * v, 1.0 - v],
-                    kinds: vec![ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn],
-                    sa: vec![(i % 3) as f64 / 2.0, ((i + 1) % 3) as f64 / 2.0, 0.5],
-                    se: vec![0.5, (i % 2) as f64, 1.0 - (i % 2) as f64],
-                }
-            })
-            .collect();
-        let config = AutoCeConfig {
-            k,
-            incremental: None,
-            dml: DmlConfig {
-                hidden: vec![8],
-                embed_dim: 3,
-                ..DmlConfig::default()
-            },
-            ..AutoCeConfig::default()
-        };
-        AutoCe::from_parts(config, GinEncoder::new(4, &[8], 3, 7), entries)
-    }
+    use autoce::fixtures::synthetic_flat;
 
     fn queries() -> Vec<Vec<f32>> {
         vec![

@@ -282,8 +282,9 @@ pub trait Message: Sized {
 }
 
 /// One shard range's serving table at a given epoch: global RCS ids and
-/// their embeddings, in shard slot order (the same order the in-process
-/// [`ce_serve::AdvisorShard`] scans).
+/// their embeddings, in shard slot order — the `(ids, embeddings)`
+/// projection of one authority [`ce_serve::AdvisorShard`], scanned by the
+/// same `autoce::knn::partial_topk`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTable {
     /// Snapshot epoch (the coordinator-side generation tag).
@@ -415,12 +416,6 @@ pub struct BatchQuery {
 }
 
 impl BatchQuery {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.embedding.encode(out);
-        self.k.encode(out);
-        self.exclude.encode(out);
-    }
-
     fn decode_from(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
         Ok(BatchQuery {
             embedding: Vec::<f32>::decode(r)?,
@@ -447,16 +442,50 @@ pub struct QueryBatch {
     pub queries: Vec<BatchQuery>,
 }
 
+impl QueryBatch {
+    /// Appends the payload's query section, `count ‖ queries`, to `out`
+    /// from borrowed `(embedding, k, exclude)` triples. The ranges of one
+    /// fan-out differ only in their `(epoch, version)` pin, so the
+    /// coordinator encodes this section once per batch and
+    /// [`Self::frame_with_tail`] puts each range's pin in front of it.
+    pub fn encode_queries<'a>(
+        queries: impl ExactSizeIterator<Item = (&'a [f32], u64, u64)>,
+        out: &mut Vec<u8>,
+    ) {
+        (queries.len() as u64).encode(out);
+        for (embedding, k, exclude) in queries {
+            embedding.encode(out);
+            k.encode(out);
+            exclude.encode(out);
+        }
+    }
+
+    /// The frame of a batch pinned to `(epoch, version)` whose query
+    /// section `tail` came from [`Self::encode_queries`] — byte for byte
+    /// the frame [`Message::into_frame`] builds from the owned message.
+    pub fn frame_with_tail(epoch: u64, version: u64, tail: &[u8]) -> Frame {
+        let mut payload = Vec::with_capacity(16 + tail.len());
+        epoch.encode(&mut payload);
+        version.encode(&mut payload);
+        payload.extend_from_slice(tail);
+        Frame {
+            step: Self::STEP,
+            payload,
+        }
+    }
+}
+
 impl Message for QueryBatch {
     const STEP: Step = Step::CoordSendQueryBatch;
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
         self.epoch.encode(out);
         self.version.encode(out);
-        (self.queries.len() as u64).encode(out);
-        for q in &self.queries {
-            q.encode_into(out);
-        }
+        let queries = self.queries.iter();
+        Self::encode_queries(
+            queries.map(|q| (q.embedding.as_slice(), q.k, q.exclude)),
+            out,
+        );
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {

@@ -1,16 +1,14 @@
 //! The shard server: owns epoch-tagged embedding tables for one RCS range
 //! and answers partial top-k queries.
 //!
-//! The numeric core replicates `ce_serve::AdvisorShard::partial_topk`
-//! exactly — the same `euclidean` call on the same embedding bits, the
-//! same `select_nth_unstable_by` + truncate + sort under
-//! [`autoce::knn_order`] — so a remote answer is bit-identical to the
-//! in-process shard's. Everything else is state machinery: a shard holds
-//! up to two [`EpochTable`]s (current and previous), so a cluster-wide
-//! epoch swap never makes in-flight old-epoch queries fail, and every
-//! request pins the exact `(epoch, version)` it expects — a replica that
-//! missed a push or a snapshot NACKs instead of silently serving stale
-//! bits.
+//! The numeric core is [`autoce::knn::partial_topk`] over a borrowed view
+//! of the wire table — the function the in-process shards call, with `u64`
+//! ids — so a remote answer is bit-identical to the in-process shard's.
+//! Everything else is state machinery: a shard holds up to two live tables
+//! (current and previous epoch), so a cluster-wide epoch swap never makes
+//! in-flight old-epoch queries fail, and every request pins the exact
+//! `(epoch, version)` it expects — a replica that missed a push or a
+//! snapshot NACKs instead of silently serving stale bits.
 
 use crate::per_step_counters;
 use crate::protocol::{
@@ -18,8 +16,7 @@ use crate::protocol::{
     Ping, Pong, Push, PushAck, QueryBatch, ShutdownAck, Step, TopKBatch, HEADER_LEN,
 };
 use autoce::index::{IndexConfig, KnnIndex};
-use autoce::knn_order;
-use ce_nn::matrix::euclidean;
+use autoce::knn::{self, Partition};
 use ce_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -69,10 +66,29 @@ impl ShardObs {
     }
 }
 
+/// One live table and its index slot. The slot lives and dies with the
+/// table state it was built over: installing a table starts it empty, a
+/// push empties it again.
+struct LiveTable {
+    table: EpochTable,
+    /// `None`: no build attempted for this table state yet (the first
+    /// query batch attempts one). `Some(None)`: the build was declined —
+    /// no knob, below the cutover, ids out of order — and is not retried
+    /// per query. `Some(Some(_))`: a build stamped `(epoch, len)`, which
+    /// [`knn::partial_topk`] checks against the table on every query.
+    index: Option<Option<KnnIndex>>,
+}
+
+impl From<EpochTable> for LiveTable {
+    fn from(table: EpochTable) -> Self {
+        LiveTable { table, index: None }
+    }
+}
+
 /// In-memory state of one shard server.
 pub struct ShardState {
     /// Live tables, oldest first (at most [`LIVE_EPOCHS`]).
-    tables: Vec<EpochTable>,
+    tables: Vec<LiveTable>,
     /// Per-step request/byte accounting, served back over
     /// [`Step::CoordSendMetrics`]. Counters only: enabling them cannot
     /// perturb replies or make two identically-driven shards diverge.
@@ -83,11 +99,6 @@ pub struct ShardState {
     /// field** — answers are bit-identical either way, so a fleet may
     /// mix indexed and flat replicas freely.
     index_cfg: Option<IndexConfig>,
-    /// Single-slot lazy index cache: `(epoch, version, build result)`.
-    /// Any mismatch with the queried table drops and rebuilds; a
-    /// declined build (`None`, e.g. below the cutover) is cached too so
-    /// small tables pay the decision once per version, not per query.
-    index_slot: Option<(u64, u64, Option<KnnIndex>)>,
 }
 
 impl Default for ShardState {
@@ -96,7 +107,6 @@ impl Default for ShardState {
             tables: Vec::new(),
             obs: ShardObs::new(MetricsRegistry::new()),
             index_cfg: Some(IndexConfig::default()),
-            index_slot: None,
         }
     }
 }
@@ -109,12 +119,14 @@ impl ShardState {
     }
 
     /// Replaces the operator-side index knob (`None` forces flat
-    /// scans) and drops any cached build. Safe to flip at any time:
+    /// scans) and drops every cached build. Safe to flip at any time:
     /// the indexed and flat paths answer bit-identically, so this
     /// changes shard-local work, never wire bits.
     pub fn set_index_config(&mut self, cfg: Option<IndexConfig>) {
         self.index_cfg = cfg;
-        self.index_slot = None;
+        for live in &mut self.tables {
+            live.index = None;
+        }
     }
 
     /// This shard's metrics snapshot — the same data
@@ -125,105 +137,22 @@ impl ShardState {
 
     /// The most recently installed table, if any.
     pub fn current(&self) -> Option<&EpochTable> {
-        self.tables.last()
+        self.tables.last().map(|live| &live.table)
     }
 
-    fn table(&mut self, epoch: u64) -> Option<&mut EpochTable> {
-        self.tables.iter_mut().find(|t| t.epoch == epoch)
-    }
-
-    /// Refreshes the single-slot index cache against `table`: a hit on
-    /// `(epoch, version)` is free, anything else rebuilds (or caches the
-    /// decline). Builds are refused for tables whose ids are not
-    /// strictly ascending — the index breaks distance ties by member
-    /// *position* and the flat scan by global *id*, so bit-identity
-    /// needs position order ≡ id order (always true for
-    /// coordinator-built tables; hand-built ones fall back to flat).
-    fn ensure_index(
-        slot: &mut Option<(u64, u64, Option<KnnIndex>)>,
+    /// Builds the index for one table state, or declines. Tables whose ids
+    /// are not strictly ascending are refused: the index breaks distance
+    /// ties by member *position* and the flat scan by global *id*, so
+    /// bit-identity needs position order ≡ id order (always true for
+    /// coordinator-built tables; hand-built ones stay on the flat scan).
+    fn build_index(
         cfg: Option<&IndexConfig>,
         table: &EpochTable,
         registry: &MetricsRegistry,
-    ) {
-        let Some(cfg) = cfg else {
-            *slot = None;
-            return;
-        };
-        let (epoch, version) = (table.epoch, table.version());
-        if matches!(slot, Some((e, v, _)) if *e == epoch && *v == version) {
-            return;
-        }
-        let built = if table.ids.windows(2).all(|w| w[0] < w[1]) {
-            let embeddings: Vec<&[f32]> = table.embeddings.iter().map(Vec::as_slice).collect();
-            KnnIndex::build(&embeddings, cfg, version, registry)
-        } else {
-            None
-        };
-        *slot = Some((epoch, version, built));
-    }
-
-    /// The cached index for `table`, when its slot key matches.
-    fn index_for<'s>(
-        slot: &'s Option<(u64, u64, Option<KnnIndex>)>,
-        table: &EpochTable,
-    ) -> Option<&'s KnnIndex> {
-        slot.as_ref().and_then(|(e, v, ix)| {
-            (*e == table.epoch && *v == table.version())
-                .then_some(ix.as_ref())
-                .flatten()
-        })
-    }
-
-    /// The shard's partial top-k: up to `k` nearest non-excluded entries
-    /// as `(global id, distance)`, sorted by [`knn_order`]. Mirrors
-    /// `AdvisorShard::partial_topk` operation for operation — including
-    /// the indexed fast path, which answers from the coarse probe only
-    /// when admissible and is bit-identical to the flat scan below.
-    fn partial_topk(
-        table: &EpochTable,
-        index: Option<&KnnIndex>,
-        x: &[f32],
-        k: usize,
-        exclude: u64,
-    ) -> Vec<(u64, f32)> {
-        if let Some(ix) = index {
-            if ix.tag_matches(table.version(), table.ids.len()) {
-                let local_exclude = table
-                    .ids
-                    .iter()
-                    .position(|&id| id == exclude)
-                    .unwrap_or(usize::MAX);
-                let selectable = table.ids.len() - usize::from(local_exclude != usize::MAX);
-                let k_eff = k.min(selectable);
-                if k_eff == 0 {
-                    return Vec::new();
-                }
-                if let Some(hits) =
-                    ix.query_topk(x, k_eff, local_exclude, |i| table.embeddings[i].as_slice())
-                {
-                    return hits.into_iter().map(|(m, d)| (table.ids[m], d)).collect();
-                }
-            } else {
-                ix.note_bypass();
-            }
-        }
-        let mut dists: Vec<(usize, f32)> = table
-            .ids
-            .iter()
-            .zip(&table.embeddings)
-            .filter(|(&id, _)| id != exclude)
-            .map(|(&id, e)| (id as usize, euclidean(x, e)))
-            .collect();
-        let k = k.min(dists.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        if k < dists.len() {
-            dists.select_nth_unstable_by(k - 1, knn_order);
-        }
-        dists.truncate(k);
-        dists.sort_unstable_by(knn_order);
-        dists.into_iter().map(|(id, d)| (id as u64, d)).collect()
+    ) -> Option<KnnIndex> {
+        let cfg = cfg.filter(|_| table.ids.windows(2).all(|w| w[0] < w[1]))?;
+        let embeddings: Vec<&[f32]> = table.embeddings.iter().map(Vec::as_slice).collect();
+        KnnIndex::build(&embeddings, cfg, table.epoch, registry)
     }
 
     /// Handles one request frame, producing the answer frame. Never
@@ -246,7 +175,7 @@ impl ShardState {
                     // A load replaces everything: it re-bases a restarted
                     // or diverged replica onto the coordinator's truth.
                     self.tables.clear();
-                    self.tables.push(table);
+                    self.tables.push(table.into());
                     LoadAck { epoch, version }.into_frame()
                 }
                 Err(e) => malformed(e),
@@ -255,8 +184,8 @@ impl ShardState {
             {
                 Ok(crate::protocol::SnapshotEpoch(table)) => {
                     let (epoch, version) = (table.epoch, table.version());
-                    self.tables.retain(|t| t.epoch != epoch);
-                    self.tables.push(table);
+                    self.tables.retain(|t| t.table.epoch != epoch);
+                    self.tables.push(table.into());
                     // Keep only the newest LIVE_EPOCHS tables.
                     while self.tables.len() > LIVE_EPOCHS {
                         self.tables.remove(0);
@@ -266,23 +195,25 @@ impl ShardState {
                 Err(e) => malformed(e),
             },
             Step::CoordSendPush => match Push::from_frame(frame) {
-                Ok(push) => match self.table(push.epoch) {
-                    Some(t) if t.version() == push.version => {
-                        t.ids.push(push.id);
-                        t.embeddings.push(push.embedding);
+                Ok(push) => match (self.tables.iter_mut()).find(|t| t.table.epoch == push.epoch) {
+                    Some(live) if live.table.version() == push.version => {
+                        live.table.ids.push(push.id);
+                        live.table.embeddings.push(push.embedding);
+                        live.index = None;
                         PushAck {
                             epoch: push.epoch,
-                            version: t.version(),
+                            version: live.table.version(),
                         }
                         .into_frame()
                     }
-                    Some(t) => {
-                        let have = t.version();
-                        nack(
-                            NackCode::StaleTable,
-                            format!("push expects version {}, have {have}", push.version),
-                        )
-                    }
+                    Some(live) => nack(
+                        NackCode::StaleTable,
+                        format!(
+                            "push expects version {}, have {}",
+                            push.version,
+                            live.table.version()
+                        ),
+                    ),
                     None => nack(
                         NackCode::NoTable,
                         format!("push for unknown epoch {}", push.epoch),
@@ -291,24 +222,24 @@ impl ShardState {
                 Err(e) => malformed(e),
             },
             Step::CoordSendQueryBatch => match QueryBatch::from_frame(frame) {
-                Ok(b) => match self.tables.iter().position(|t| t.epoch == b.epoch) {
-                    Some(ti) if self.tables[ti].version() == b.version => {
+                Ok(b) => match (self.tables.iter_mut()).find(|t| t.table.epoch == b.epoch) {
+                    Some(live) if live.table.version() == b.version => {
                         // One (epoch, version) pin covers the whole batch:
                         // either every query answers under it, or none do —
-                        // and one index-slot refresh covers it too.
-                        Self::ensure_index(
-                            &mut self.index_slot,
-                            self.index_cfg.as_ref(),
-                            &self.tables[ti],
-                            &self.obs.registry,
-                        );
-                        let t = &self.tables[ti];
-                        let index = Self::index_for(&self.index_slot, t);
-                        let lists = b
-                            .queries
-                            .iter()
+                        // and one index build (or decline) covers it too.
+                        let table = &live.table;
+                        let index = live.index.get_or_insert_with(|| {
+                            Self::build_index(self.index_cfg.as_ref(), table, &self.obs.registry)
+                        });
+                        let view = Partition {
+                            ids: &table.ids,
+                            embedding: |m: usize| table.embeddings[m].as_slice(),
+                            index: index.as_ref(),
+                            generation: table.epoch,
+                        };
+                        let lists = (b.queries.iter())
                             .map(|q| {
-                                Self::partial_topk(t, index, &q.embedding, q.k as usize, q.exclude)
+                                knn::partial_topk(&view, &q.embedding, q.k as usize, q.exclude)
                             })
                             .collect();
                         TopKBatch {
@@ -317,13 +248,13 @@ impl ShardState {
                         }
                         .into_frame()
                     }
-                    Some(ti) => nack(
+                    Some(live) => nack(
                         NackCode::StaleTable,
                         format!(
                             "batch pins (epoch {}, version {}), have version {}",
                             b.epoch,
                             b.version,
-                            self.tables[ti].version()
+                            live.table.version()
                         ),
                     ),
                     None => nack(
@@ -393,7 +324,6 @@ fn lock_state(state: &Mutex<ShardState>) -> MutexGuard<'_, ShardState> {
         state.clear_poison();
         let mut guard = poisoned.into_inner();
         guard.tables.clear();
-        guard.index_slot = None;
         guard
     })
 }

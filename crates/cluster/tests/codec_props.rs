@@ -190,6 +190,24 @@ proptest! {
             prop_assert_eq!(a.exclude, b.exclude);
             prop_assert_eq!(bits(&a.embedding), bits(&b.embedding));
         }
+        // The coordinator's form — the query section encoded once from
+        // borrowed embeddings, each range's pin put in front — is the same
+        // bytes, whatever the pin.
+        let mut tail = Vec::new();
+        let borrowed = qb.queries.iter().map(|q| (q.embedding.as_slice(), q.k, q.exclude));
+        QueryBatch::encode_queries(borrowed, &mut tail);
+        for (epoch, version) in [(epoch, version), (version, epoch)] {
+            let shared = QueryBatch::frame_with_tail(epoch, version, &tail);
+            let owned = QueryBatch { epoch, version, queries: qb.queries.clone() };
+            prop_assert_eq!(shared.to_bytes(), owned.into_frame().to_bytes());
+            let back = QueryBatch::from_frame(&shared).expect("shared-tail payload decodes");
+            prop_assert_eq!((back.epoch, back.version), (epoch, version));
+            prop_assert_eq!(back.queries.len(), qb.queries.len());
+            for (a, b) in back.queries.iter().zip(&qb.queries) {
+                prop_assert_eq!((a.k, a.exclude), (b.k, b.exclude));
+                prop_assert_eq!(bits(&a.embedding), bits(&b.embedding));
+            }
+        }
     }
 
     /// Batched top-k replies keep every list's slot order and every

@@ -1,45 +1,9 @@
-//! Shared synthetic fixtures for the cluster integration tests.
-//!
-//! The advisor is built from explicit parts (no training) so every test
-//! binary constructs bit-identical state from scratch: embeddings are
-//! simple polynomials of the entry index, score vectors cycle a small
-//! quantized set so KNN votes hit ties, and the encoder seed is fixed.
+//! Shared synthetic fixtures for the cluster integration tests: the
+//! workspace-wide ones from `autoce::fixtures` plus the query set.
 
-use autoce::{AutoCe, AutoCeConfig, RcsEntry};
-use ce_features::FeatureGraph;
-use ce_gnn::{DmlConfig, GinEncoder};
-use ce_models::ModelKind;
-
-/// A flat advisor with `n` synthetic RCS entries and KNN parameter `k`.
-pub fn synthetic_flat(n: usize, k: usize) -> AutoCe {
-    let entries: Vec<RcsEntry> = (0..n)
-        .map(|i| {
-            let v = i as f32 * 0.25;
-            RcsEntry {
-                name: format!("e{i}"),
-                graph: FeatureGraph {
-                    vertices: vec![vec![v, 1.0 - v, 0.5, 0.25]],
-                    edges: vec![vec![0.0]],
-                },
-                embedding: vec![v, v * v, 1.0 - v],
-                kinds: vec![ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn],
-                sa: vec![(i % 3) as f64 / 2.0, ((i + 1) % 3) as f64 / 2.0, 0.5],
-                se: vec![0.5, (i % 2) as f64, 1.0 - (i % 2) as f64],
-            }
-        })
-        .collect();
-    let config = AutoCeConfig {
-        k,
-        incremental: None,
-        dml: DmlConfig {
-            hidden: vec![8],
-            embed_dim: 3,
-            ..DmlConfig::default()
-        },
-        ..AutoCeConfig::default()
-    };
-    AutoCe::from_parts(config, GinEncoder::new(4, &[8], 3, 7), entries)
-}
+pub use autoce::fixtures::synthetic_flat;
+#[allow(unused_imports)]
+pub use autoce::fixtures::synthetic_label;
 
 /// Query embeddings covering an interior point, an off-manifold point and
 /// a far outlier. (Not every test binary uses every fixture.)
@@ -50,26 +14,4 @@ pub fn queries() -> Vec<Vec<f32>> {
         vec![1.3, 0.4, -0.2],
         vec![2.5, 6.25, -1.5],
     ]
-}
-
-/// A deterministic label over `kinds` for push-path tests (quantized
-/// performance numbers so score vectors stay bit-stable).
-#[allow(dead_code)]
-pub fn synthetic_label(kinds: &[ModelKind]) -> ce_testbed::DatasetLabel {
-    ce_testbed::DatasetLabel {
-        dataset: "new".into(),
-        performances: kinds
-            .iter()
-            .enumerate()
-            .map(|(i, &kind)| ce_testbed::ModelPerformance {
-                kind,
-                qerror_mean: 1.0 + i as f64,
-                qerror_p50: 1.0,
-                qerror_p95: 1.0,
-                qerror_p99: 1.0,
-                latency_mean_us: 10.0 * (i + 1) as f64,
-                train_time_ms: 1.0,
-            })
-            .collect(),
-    }
 }

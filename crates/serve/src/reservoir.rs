@@ -120,7 +120,7 @@ impl ShardedAdvisor {
                 .iter()
                 .map(|&i| {
                     let (s, t) = directory[i];
-                    &shards[s].entries[t].graph
+                    &shards[s].entries()[t].graph
                 })
                 .collect();
             // The observed trainer lands refresh/train phase timings

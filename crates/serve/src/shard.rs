@@ -1,186 +1,31 @@
 //! The sharded RCS: entries distributed across [`AdvisorShard`]s, each
-//! owning its packed serving chunks and answering partial-KNN top-k
-//! queries; a fixed-order merge reproduces the flat scan bit for bit.
+//! owning its packed serving chunks and its KNN index slot.
 //!
 //! # Flat equivalence
 //!
 //! [`ShardedAdvisor::predict_excluding`] is **bit-identical** to
-//! [`AutoCe::predict_excluding`] for every shard count, because each step
-//! is either shard-local with unchanged float evaluation or resolved by a
-//! strict total order:
-//!
-//! * distances are computed by the same [`euclidean`] call on the same
-//!   embedding bits — shard membership never changes a distance;
-//! * candidates are ranked by [`autoce::knn_order`] (ascending distance,
-//!   ties by ascending **global** RCS index), a strict total order, so the
-//!   k nearest form a uniquely determined sequence. Each shard returns its
-//!   own top-`min(k, |shard|)` under that order; every global top-k
-//!   neighbor is necessarily inside its shard's partial list, so sorting
-//!   the merged candidates and truncating to `k` yields exactly the flat
-//!   sequence;
-//! * the vote ([`autoce::knn_vote`]) accumulates neighbor scores in that
-//!   sequence order with the same `/ k` evaluation, and breaks score ties
-//!   by the lowest model index.
-//!
-//! Thread counts cannot change any of this: per-shard top-k lists are
-//! merged under a strict total order, so any collection order (the serial
-//! per-request scan here, or a parallel fan-out) yields the same bits.
+//! [`AutoCe::predict_excluding`] for every shard count because both are
+//! the same calls into [`autoce::knn`] — `select_k`, `partial_topk` per
+//! partition, `merge_vote` — the flat advisor over one partition, this one
+//! over N. Shard membership never changes a distance;
+//! [`autoce::knn_order`] is a strict total order, so every global top-k
+//! neighbor is inside its shard's partial list and the sorted, truncated
+//! merge is exactly the flat sequence; [`autoce::knn_vote`] accumulates
+//! scores in that order. Thread counts and collection order cannot change
+//! any of it.
 
-use autoce::index::{IndexConfig, KnnIndex};
-use autoce::{knn_order, knn_vote, AdvisorBackend, AdvisorError, AutoCe, AutoCeConfig, RcsEntry};
+use autoce::index::IndexConfig;
+use autoce::{knn, AdvisorBackend, AdvisorError, AutoCe, AutoCeConfig, RcsEntry};
 use ce_features::{extract_features, FeatureGraph};
-use ce_gnn::{GinEncoder, StackedCtx};
+use ce_gnn::GinEncoder;
 use ce_models::ModelKind;
-use ce_nn::matrix::euclidean;
 use ce_nn::Matrix;
 use ce_obs::{MetricsRegistry, LATENCY_NS_BUCKETS};
 use ce_storage::Dataset;
 use ce_testbed::{DatasetLabel, MetricWeights};
 use rayon::prelude::*;
 
-/// One shard of the RCS: a subset of entries (tagged with their global
-/// indices), the packed stacked-serving chunks over the subset's graphs,
-/// and the partial-KNN scan over them.
-#[derive(Clone)]
-pub struct AdvisorShard {
-    /// Global RCS index of each entry, aligned with `entries`.
-    ids: Vec<usize>,
-    pub(crate) entries: Vec<RcsEntry>,
-    /// Cached stacked chunks over `entries`' graphs (rebuilt lazily when
-    /// membership changes; encoder updates never invalidate them).
-    chunks: Vec<StackedCtx>,
-    dirty: bool,
-    /// Per-shard two-stage KNN index over this shard's embeddings,
-    /// rebuilt alongside the packed chunks on refresh and dropped on
-    /// membership changes. Stamped `(generation, shard len)`; a stale
-    /// stamp bypasses to the flat partial scan, so the merge upstream
-    /// never sees index-dependent bits.
-    index: Option<KnnIndex>,
-}
-
-impl AdvisorShard {
-    fn new(ids: Vec<usize>, entries: Vec<RcsEntry>) -> Self {
-        AdvisorShard {
-            ids,
-            entries,
-            chunks: Vec::new(),
-            dirty: true,
-            index: None,
-        }
-    }
-
-    /// Number of entries this shard owns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the shard owns no entries (possible when there are more
-    /// shards than RCS entries).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Global indices of the entries this shard owns.
-    pub fn ids(&self) -> &[usize] {
-        &self.ids
-    }
-
-    /// The entries this shard owns, slot-aligned with [`Self::ids`].
-    /// Read-only: external consumers (the cluster layer projects
-    /// `(ids, embeddings)` tables onto shard servers) must not be able to
-    /// bypass the dirty-chunk bookkeeping.
-    pub fn entries(&self) -> &[RcsEntry] {
-        &self.entries
-    }
-
-    /// The shard's partial top-k: up to `k` nearest non-excluded entries as
-    /// `(global index, distance)`, sorted by [`knn_order`]. Served from
-    /// the shard's two-stage index when one is installed, fresh
-    /// (`generation` + length tag) and admissible for this query; any
-    /// other condition takes the flat partial scan — the two produce the
-    /// same bits, so the merge upstream cannot tell them apart.
-    fn partial_topk(
-        &self,
-        x: &[f32],
-        k: usize,
-        exclude: usize,
-        generation: u64,
-    ) -> Vec<(usize, f32)> {
-        // Local position of the excluded global id (ids are strictly
-        // increasing within a shard), `usize::MAX` when absent.
-        let local_exclude = self.ids.binary_search(&exclude).unwrap_or(usize::MAX);
-        let selectable = self.entries.len() - usize::from(local_exclude != usize::MAX);
-        let k = k.min(selectable);
-        if k == 0 {
-            return Vec::new();
-        }
-        if let Some(idx) = &self.index {
-            if idx.tag_matches(generation, self.entries.len()) {
-                if let Some(topk) = idx.query_topk(x, k, local_exclude, |m| {
-                    self.entries[m].embedding.as_slice()
-                }) {
-                    // Positions ascend with global ids, so the position-
-                    // ranked list maps 1:1 onto the id-ranked list.
-                    return topk.into_iter().map(|(m, d)| (self.ids[m], d)).collect();
-                }
-            } else {
-                idx.note_bypass();
-            }
-        }
-        let mut dists: Vec<(usize, f32)> = self
-            .ids
-            .iter()
-            .zip(&self.entries)
-            .filter(|(&id, _)| id != exclude)
-            .map(|(&id, e)| (id, euclidean(x, &e.embedding)))
-            .collect();
-        if k < dists.len() {
-            dists.select_nth_unstable_by(k - 1, knn_order);
-        }
-        dists.truncate(k);
-        dists.sort_unstable_by(knn_order);
-        dists
-    }
-
-    /// Distance from `x` to the nearest entry of this shard.
-    fn min_distance(&self, x: &[f32]) -> f32 {
-        self.entries
-            .iter()
-            .map(|e| euclidean(x, &e.embedding))
-            .fold(f32::INFINITY, f32::min)
-    }
-
-    fn rebuild_chunks(&mut self) {
-        if self.dirty {
-            let graphs: Vec<&FeatureGraph> = self.entries.iter().map(|e| &e.graph).collect();
-            self.chunks = StackedCtx::pack_graphs(&graphs);
-            self.dirty = false;
-        }
-    }
-
-    /// Rebuilds the shard's KNN index over its live embeddings, stamped
-    /// `(generation, len)`. `None` config (or a shard below the cutover)
-    /// clears the slot — the flat partial scan serves.
-    fn rebuild_index(
-        &mut self,
-        cfg: Option<&IndexConfig>,
-        metrics: &MetricsRegistry,
-        generation: u64,
-    ) {
-        debug_assert!(
-            self.ids.windows(2).all(|w| w[0] < w[1]),
-            "shard ids must ascend for position/id tie-break equivalence"
-        );
-        self.index = cfg.and_then(|c| {
-            let embeddings: Vec<&[f32]> = self
-                .entries
-                .iter()
-                .map(|e| e.embedding.as_slice())
-                .collect();
-            KnnIndex::build(&embeddings, c, generation, metrics)
-        });
-    }
-}
+pub use autoce::AdvisorShard;
 
 /// The sharded advisor: the Stage-4 serving path of [`AutoCe`] with the
 /// RCS distributed across [`AdvisorShard`]s.
@@ -257,7 +102,7 @@ impl ShardedAdvisor {
     /// the last packing are rebuilt, clean shards are untouched.
     pub fn prewarm_chunks(&mut self) {
         for shard in &mut self.shards {
-            shard.rebuild_chunks();
+            shard.pack();
         }
     }
 
@@ -313,7 +158,7 @@ impl ShardedAdvisor {
     /// The RCS entry at a global index.
     pub fn entry(&self, global: usize) -> &RcsEntry {
         let (s, slot) = self.directory[global];
-        &self.shards[s].entries[slot]
+        &self.shards[s].entries()[slot]
     }
 
     /// Encodes a dataset into its embedding (identical to
@@ -343,39 +188,18 @@ impl ShardedAdvisor {
         self.predict_excluding(embedding, w, usize::MAX)
     }
 
-    /// KNN prediction excluding one global RCS index: per-shard partial
-    /// top-k, then a fixed-order merge (see the module docs for why this
-    /// matches the flat scan bitwise).
-    ///
-    /// Shards are scanned **serially**: this is the per-request hot path,
-    /// a shard's scan is microseconds of work, and the rayon shim backs
-    /// `par_iter` with scoped OS threads (no persistent pool) — per-call
-    /// thread spawns would dwarf the scan on multi-core hosts. The big
-    /// jobs ([`Self::refresh_embeddings`], detector fitting) keep the
-    /// parallel fan-out. Results are order-merged either way, so this is
-    /// purely a latency choice.
+    /// KNN prediction excluding one global RCS index (see the module docs
+    /// for why this matches the flat scan bitwise). A convenience over
+    /// [`AdvisorBackend::predict_excluding`] (the [`knn`] steps, typed
+    /// errors) that **panics** when the RCS holds nothing to select.
     pub fn predict_excluding(
         &self,
         embedding: &[f32],
         w: MetricWeights,
         exclude: usize,
     ) -> (ModelKind, Vec<f64>) {
-        assert!(!self.is_empty(), "empty RCS");
-        let candidates = self.len() - usize::from(exclude < self.len());
-        assert!(
-            candidates > 0,
-            "KNN needs at least one non-excluded RCS entry"
-        );
-        let k = self.config.k.clamp(1, candidates);
-        let mut merged: Vec<(usize, f32)> = Vec::with_capacity(k * self.shards.len());
-        for s in &self.shards {
-            merged.extend(s.partial_topk(embedding, k, exclude, self.generation));
-        }
-        // `knn_order` is a strict total order, so the sorted prefix is the
-        // unique global top-k regardless of shard count or merge order.
-        merged.sort_unstable_by(knn_order);
-        merged.truncate(k);
-        knn_vote(merged.iter().map(|&(id, _)| self.entry(id)), k, w)
+        AdvisorBackend::predict_excluding(self, embedding, w, exclude)
+            .expect("the RCS holds a selectable entry")
     }
 
     /// Full Stage-4 recommendation, bit-identical to [`AutoCe::recommend`].
@@ -392,11 +216,8 @@ impl ShardedAdvisor {
 
     /// Distance from an embedding to the nearest RCS entry (drift check).
     pub fn distance_to_embedding(&self, x: &[f32]) -> f32 {
-        // Serial over shards for the same reason as `predict_excluding`.
-        self.shards
-            .iter()
-            .map(|s| s.min_distance(x))
-            .fold(f32::INFINITY, f32::min)
+        let entries = self.shards.iter().flat_map(AdvisorShard::entries);
+        knn::min_distance(x, entries.map(|e| e.embedding.as_slice()))
     }
 
     /// Fits a drift detector over all entries in global-index order —
@@ -420,15 +241,8 @@ impl ShardedAdvisor {
             .min_by_key(|&s| (self.shards[s].len(), s))
             .expect("at least one shard");
         let shard = &mut self.shards[target];
-        shard.ids.push(global);
-        shard
-            .entries
-            .push(RcsEntry::from_label(graph, label, embedding));
-        shard.dirty = true;
-        // Membership changed: the shard's index tag would bypass anyway;
-        // drop the build eagerly.
-        shard.index = None;
-        self.directory.push((target, shard.entries.len() - 1));
+        shard.push(global, RcsEntry::from_label(graph, label, embedding));
+        self.directory.push((target, shard.len() - 1));
         global
     }
 
@@ -445,37 +259,22 @@ impl ShardedAdvisor {
             .histogram("ce_serve_refresh_ns", &[], LATENCY_NS_BUCKETS)
             .start_span();
         for shard in &mut self.shards {
-            shard.rebuild_chunks();
+            shard.pack();
         }
         let encoder = &self.encoder;
-        let pooled: Vec<Vec<Matrix>> = self
-            .shards
-            .par_iter()
+        let pooled: Vec<Vec<Matrix>> = (self.shards.par_iter())
             .map(|s| {
-                s.chunks
-                    .iter()
-                    .map(|c| {
-                        let mut m = Matrix::zeros(0, 0);
-                        encoder.encode_stacked_into(c, &mut m);
-                        m
-                    })
-                    .collect()
+                let encode = |c| AdvisorShard::encode_chunk(encoder, c);
+                s.chunks().iter().map(encode).collect()
             })
             .collect();
+        // Write-back rebuilds each shard's index inside the same advisor
+        // value a snapshot swap publishes, so no query can pair entries
+        // with another generation's index (docs/knn-index.md).
+        let (index, metrics) = (self.index_cfg.as_ref(), &self.metrics);
         for (shard, mats) in self.shards.iter_mut().zip(pooled) {
-            let mut rows = mats.iter().flat_map(|m| (0..m.rows).map(move |r| m.row(r)));
-            for e in &mut shard.entries {
-                let row = rows.next().expect("one pooled row per shard entry");
-                e.embedding.clear();
-                e.embedding.extend_from_slice(row);
-            }
-            assert!(rows.next().is_none(), "pooled rows must match shard size");
+            shard.write_back(&mats, index, metrics, self.generation);
         }
-        // Rebuild per-shard indexes over the refreshed embeddings, inside
-        // the same advisor value: a snapshot swap publishes entries and
-        // indexes together, so no query can pair one with the other's
-        // generation (the swap-race rule — see docs/knn-index.md).
-        self.rebuild_indexes();
     }
 
     /// Installs (or replaces) the two-stage KNN index configuration and
@@ -484,21 +283,15 @@ impl ShardedAdvisor {
     pub fn set_index_config(&mut self, cfg: IndexConfig) -> Result<(), AdvisorError> {
         cfg.validate_for_k(self.config.k)?;
         self.index_cfg = Some(cfg);
-        self.rebuild_indexes();
+        for shard in &mut self.shards {
+            shard.rebuild_index(self.index_cfg.as_ref(), &self.metrics, self.generation);
+        }
         Ok(())
     }
 
     /// The installed index configuration, if any.
     pub fn index_config(&self) -> Option<&IndexConfig> {
         self.index_cfg.as_ref()
-    }
-
-    fn rebuild_indexes(&mut self) {
-        let cfg = self.index_cfg.clone();
-        let generation = self.generation;
-        for shard in &mut self.shards {
-            shard.rebuild_index(cfg.as_ref(), &self.metrics, generation);
-        }
     }
 
     /// Validated construction: like [`Self::from_advisor`] but rejects a
@@ -554,9 +347,16 @@ impl AdvisorBackend for ShardedAdvisor {
         w: MetricWeights,
         exclude: usize,
     ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
-        Ok(ShardedAdvisor::predict_excluding(
-            self, embedding, w, exclude,
-        ))
+        let k = knn::select_k(self.config.k, self.len(), exclude)?;
+        // Shards are scanned **serially**: this is the per-request hot
+        // path, a shard's scan is microseconds of work, and the rayon shim
+        // backs `par_iter` with scoped OS threads (no persistent pool) —
+        // per-call thread spawns would dwarf the scan on multi-core hosts.
+        let mut partials = Vec::with_capacity(k * self.shards.len());
+        for s in &self.shards {
+            partials.extend(s.partial_topk(embedding, k, exclude, self.generation));
+        }
+        Ok(knn::merge_vote(partials, k, w, |id| self.entry(id)))
     }
 
     fn distance_to_nearest(&self, x: &[f32]) -> f32 {
@@ -593,37 +393,7 @@ impl AdvisorBackend for ShardedAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ce_gnn::DmlConfig;
-
-    fn synthetic_flat(n: usize, k: usize) -> AutoCe {
-        let entries: Vec<RcsEntry> = (0..n)
-            .map(|i| {
-                let v = i as f32 * 0.25;
-                RcsEntry {
-                    name: format!("e{i}"),
-                    graph: FeatureGraph {
-                        vertices: vec![vec![v, 1.0 - v, 0.5, 0.25]],
-                        edges: vec![vec![0.0]],
-                    },
-                    embedding: vec![v, v * v, 1.0 - v],
-                    kinds: vec![ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn],
-                    sa: vec![(i % 3) as f64 / 2.0, ((i + 1) % 3) as f64 / 2.0, 0.5],
-                    se: vec![0.5, (i % 2) as f64, 1.0 - (i % 2) as f64],
-                }
-            })
-            .collect();
-        let config = AutoCeConfig {
-            k,
-            incremental: None,
-            dml: DmlConfig {
-                hidden: vec![8],
-                embed_dim: 3,
-                ..DmlConfig::default()
-            },
-            ..AutoCeConfig::default()
-        };
-        AutoCe::from_parts(config, GinEncoder::new(4, &[8], 3, 7), entries)
-    }
+    use autoce::fixtures::{synthetic_flat, synthetic_label};
 
     #[test]
     fn sharded_predictions_match_flat_for_every_shard_count() {
@@ -668,23 +438,7 @@ mod tests {
         let mut sharded = ShardedAdvisor::from_advisor(&flat, 2);
         // 5 entries over 2 shards: sizes [3, 2] — the push must land on
         // shard 1.
-        let label = DatasetLabel {
-            dataset: "new".into(),
-            performances: flat.rcs()[0]
-                .kinds
-                .iter()
-                .enumerate()
-                .map(|(i, &kind)| ce_testbed::ModelPerformance {
-                    kind,
-                    qerror_mean: 1.0 + i as f64,
-                    qerror_p50: 1.0,
-                    qerror_p95: 1.0,
-                    qerror_p99: 1.0,
-                    latency_mean_us: 10.0 * (i + 1) as f64,
-                    train_time_ms: 1.0,
-                })
-                .collect(),
-        };
+        let label = synthetic_label(&flat.rcs()[0].kinds);
         let graph = FeatureGraph {
             vertices: vec![vec![0.3, 0.3, 0.3, 0.3]],
             edges: vec![vec![0.0]],

@@ -5,84 +5,17 @@
 //! adaptation stamps the rebuilt indexes with the **post-bump**
 //! generation (the swap-race regression).
 
-use autoce::{AutoCe, AutoCeConfig, RcsEntry};
+use autoce::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
 use ce_features::FeatureGraph;
-use ce_gnn::{DmlConfig, GinEncoder};
-use ce_models::ModelKind;
 use ce_serve::{IndexConfig, MetricsRegistry, Reservoir, ShardedAdvisor};
-use ce_testbed::{DatasetLabel, MetricWeights, ModelPerformance};
-
-/// Quantized-grid flat advisor (0.5-step embeddings: distance ties are
-/// common, so the position↔id tie-break contract is exercised, not
-/// dodged).
-fn synthetic_flat(n: usize, k: usize) -> AutoCe {
-    let kinds = vec![ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
-    let entries: Vec<RcsEntry> = (0..n)
-        .map(|i| RcsEntry {
-            name: format!("s{i}"),
-            graph: FeatureGraph {
-                vertices: vec![vec![i as f32, 0.5, -0.5, 1.0]],
-                edges: vec![vec![0.0]],
-            },
-            embedding: vec![
-                ((i * 3) % 7) as f32 / 2.0,
-                ((i * 5) % 9) as f32 / 2.0 - 2.0,
-                (i % 4) as f32 / 2.0,
-            ],
-            kinds: kinds.clone(),
-            sa: vec![(i % 3) as f64 / 2.0, 0.5, 1.0],
-            se: vec![1.0, (i % 2) as f64, 0.5],
-        })
-        .collect();
-    let config = AutoCeConfig {
-        k,
-        incremental: None,
-        dml: DmlConfig {
-            hidden: vec![8],
-            embed_dim: 3,
-            ..DmlConfig::default()
-        },
-        ..AutoCeConfig::default()
-    };
-    AutoCe::from_parts(config, GinEncoder::new(4, &[8], 3, 11), entries)
-}
-
-fn tie_heavy_queries() -> Vec<Vec<f32>> {
-    let mut qs = Vec::new();
-    for a in -2i64..=2 {
-        for b in -2i64..=2 {
-            qs.push(vec![a as f32 / 2.0, b as f32 / 2.0, 0.5]);
-        }
-    }
-    qs
-}
-
-fn synthetic_label(template: &RcsEntry) -> DatasetLabel {
-    DatasetLabel {
-        dataset: "new".into(),
-        performances: template
-            .kinds
-            .iter()
-            .enumerate()
-            .map(|(i, &kind)| ModelPerformance {
-                kind,
-                qerror_mean: 1.0 + i as f64,
-                qerror_p50: 1.0,
-                qerror_p95: 1.0,
-                qerror_p99: 1.0,
-                latency_mean_us: 10.0 * (i + 1) as f64,
-                train_time_ms: 1.0,
-            })
-            .collect(),
-    }
-}
+use ce_testbed::MetricWeights;
 
 /// Indexed sharded advisors (1–4 shards, admissibility-guaranteed and
 /// fallback-heavy probe widths alike) reproduce the flat advisor bit for
 /// bit, and the guaranteed configuration really answers from the index.
 #[test]
 fn indexed_sharded_parity_one_to_four_shards() {
-    let flat = synthetic_flat(24, 2);
+    let flat = synthetic_grid(24, 2);
     let queries = tie_heavy_queries();
     let w = MetricWeights::new(0.6);
     // (partitions, probe): probing everything is always admissible;
@@ -129,7 +62,7 @@ fn indexed_sharded_parity_one_to_four_shards() {
 /// it under the same generation (parity intact, index serving again).
 #[test]
 fn push_bypasses_index_until_refresh_rebuilds() {
-    let flat = synthetic_flat(20, 2);
+    let flat = synthetic_grid(20, 2);
     let metrics = MetricsRegistry::new();
     let mut sharded = ShardedAdvisor::from_advisor(&flat, 2);
     sharded.set_metrics(metrics.clone());
@@ -156,14 +89,14 @@ fn push_bypasses_index_until_refresh_rebuilds() {
     // Push: one shard's membership changes; that shard must not serve
     // its stale index, and answers must equal an identically-pushed
     // flat advisor's.
-    let label = synthetic_label(&flat.rcs()[0]);
+    let label = synthetic_label(&flat.rcs()[0].kinds);
     let graph = FeatureGraph {
         vertices: vec![vec![0.3, 0.3, 0.3, 0.3]],
         edges: vec![vec![0.0]],
     };
     // A second, identically-built flat advisor (construction is
     // deterministic) to receive the same push.
-    let mut flat_pushed = synthetic_flat(20, 2);
+    let mut flat_pushed = synthetic_grid(20, 2);
     flat_pushed.push_rcs_entry(graph.clone(), &label);
     sharded.push_entry(graph, &label);
     assert_eq!(
@@ -195,7 +128,7 @@ fn push_bypasses_index_until_refresh_rebuilds() {
 /// forever.)
 #[test]
 fn adaptation_rebuilds_index_under_new_generation() {
-    let flat = synthetic_flat(20, 2);
+    let flat = synthetic_grid(20, 2);
     let metrics = MetricsRegistry::new();
     let mut sharded = ShardedAdvisor::from_advisor(&flat, 2);
     sharded.set_metrics(metrics.clone());
@@ -221,7 +154,7 @@ fn adaptation_rebuilds_index_under_new_generation() {
 
     let gen_before = sharded.generation();
     let mut reservoir = Reservoir::over_initial(sharded.len(), 8, 0xfeed);
-    let label = synthetic_label(&flat.rcs()[0]);
+    let label = synthetic_label(&flat.rcs()[0].kinds);
     let graph = FeatureGraph {
         vertices: vec![vec![0.7, -0.1, 0.2, 0.4]],
         edges: vec![vec![0.0]],

@@ -324,6 +324,52 @@ fn worker_panic_fails_submitters_instead_of_hanging() {
     drop(service);
 }
 
+/// An RCS with nothing to select fails the request, not the service: the
+/// vote answers `EmptyRcs` on the worker path and on the inline-burst path
+/// alike, and the worker is still there for the next caller. (The tuple
+/// forms used to `assert!` inside the batcher: one miss and the service was
+/// `WorkerFailed` for good.)
+#[test]
+fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
+    fn check<B: autoce::AdvisorBackend + 'static>(empty: B, inline_burst_misses: usize) {
+        let graph = || ce_features::FeatureGraph {
+            vertices: vec![vec![0.3, 0.3, 0.3, 0.3]],
+            edges: vec![vec![0.0]],
+        };
+        let w = MetricWeights::new(0.5);
+        let cfg = ServeConfig {
+            inline_burst_misses,
+            ..serve_config()
+        };
+        let service = AdvisorService::start(empty, cfg);
+        let handle = service.handle();
+        assert_eq!(
+            handle.recommend_graph(graph(), w),
+            Err(AdvisorError::EmptyRcs)
+        );
+        assert_eq!(
+            handle.recommend_graphs(vec![graph(); 4], w),
+            Err(AdvisorError::EmptyRcs)
+        );
+        assert!(service.stats().requests >= 1, "the ledger still answers");
+        assert_eq!(
+            service.handle().recommend_graph(graph(), w),
+            Err(AdvisorError::EmptyRcs),
+            "a later caller gets the request's error, not WorkerFailed"
+        );
+        service.shutdown();
+    }
+    // Queue/worker path first, then bursts encoded on the calling thread.
+    for inline_burst_misses in [usize::MAX, 2] {
+        let flat = || autoce::fixtures::synthetic_flat(0, 2);
+        check(
+            ShardedAdvisor::from_advisor(&flat(), 2),
+            inline_burst_misses,
+        );
+        check(flat(), inline_burst_misses);
+    }
+}
+
 /// Second-touch admission: the first encoding of a graph only records its
 /// fingerprint; the second encodes again and admits; the third hits.
 /// Recommendations are identical throughout — the policy only moves the
