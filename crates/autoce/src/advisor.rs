@@ -18,6 +18,7 @@ use crate::knn::{self, Partition};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::{train_encoder, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::ModelKind;
+use ce_nn::packed::PackedRows;
 use ce_nn::Matrix;
 use ce_obs::MetricsRegistry;
 use ce_storage::Dataset;
@@ -103,15 +104,21 @@ impl RcsEntry {
 
 /// One partition of the RCS — all of it for the flat [`AutoCe`], one shard
 /// of it in `ce-serve`'s `ShardedAdvisor`: entries tagged with their global
-/// indices, the stacked serving chunks over their graphs, the partition's
-/// KNN index slot, and the refresh steps every owner shares (pack → encode
-/// → write back → rebuild the index). Queries go through
-/// [`Self::partial_topk`], i.e. [`knn::partial_topk`].
+/// indices, the packed mirror of their embeddings the flat scan reads, the
+/// stacked serving chunks over their graphs, the partition's KNN index
+/// slot, and the refresh steps every owner shares (pack → encode → write
+/// back → rebuild the index). Queries go through [`Self::partial_topk`],
+/// i.e. [`knn::partial_topk`].
 #[derive(Clone)]
 pub struct AdvisorShard {
     /// Global RCS index of each entry, ascending, aligned with `entries`.
     ids: Vec<usize>,
     entries: Vec<RcsEntry>,
+    /// `entries[m].embedding` as row `m`, lane-per-row. Written by the three
+    /// mutations that write an embedding — [`Self::new`], [`Self::push`],
+    /// [`Self::write_back`] — and by nothing else (`entries` is lent out
+    /// read-only), so it needs no freshness tag. `len · dim · 4` bytes.
+    packed: PackedRows,
     /// Stacked chunks over `entries`' graphs, packed lazily. Graphs are
     /// immutable once in the RCS, so the packing survives every encoder
     /// update; only a membership change drops it.
@@ -126,10 +133,13 @@ pub struct AdvisorShard {
 
 impl AdvisorShard {
     /// A partition over `entries` with global indices `ids` (ascending).
+    /// The entries' embeddings must share one dimension (`"dimension
+    /// mismatch"` otherwise — what the first query used to panic with).
     pub fn new(ids: Vec<usize>, entries: Vec<RcsEntry>) -> Self {
         assert_eq!(ids.len(), entries.len(), "one global index per entry");
         AdvisorShard {
             ids,
+            packed: PackedRows::from_rows(&embeddings(&entries)),
             entries,
             chunks: None,
             index: None,
@@ -161,27 +171,32 @@ impl AdvisorShard {
     }
 
     /// The partial top-k of this partition ([`knn::partial_topk`]);
-    /// `generation` is the owner's live generation.
+    /// `generation` is the owner's live generation, `dists` the scan's
+    /// reusable scratch.
     pub fn partial_topk(
         &self,
         x: &[f32],
         k: usize,
         exclude: usize,
         generation: u64,
+        dists: &mut Vec<f32>,
     ) -> Vec<(usize, f32)> {
         let view = Partition {
             ids: &self.ids,
             embedding: |m: usize| self.entries[m].embedding.as_slice(),
+            packed: &self.packed,
             index: self.index.as_ref(),
             generation,
         };
-        knn::partial_topk(&view, x, k, exclude)
+        knn::partial_topk(&view, x, k, exclude, dists)
     }
 
     /// Appends an entry under global index `id`. Membership changed: the
     /// packed chunks are stale, and the index is dropped at once (its
-    /// length stamp would bypass it anyway).
+    /// length stamp would bypass it anyway). The embedding mirror takes the
+    /// new row in place.
     pub fn push(&mut self, id: usize, entry: RcsEntry) {
+        self.packed.push(&entry.embedding);
         self.ids.push(id);
         self.entries.push(entry);
         self.chunks = None;
@@ -212,9 +227,10 @@ impl AdvisorShard {
     }
 
     /// Writes refreshed embeddings back — `pooled` holds one row per entry,
-    /// chunk by chunk — and rebuilds the index over them in the same
-    /// mutation, so nobody can pair refreshed embeddings with a pre-refresh
-    /// build or the reverse.
+    /// chunk by chunk — into the entries and their packed mirror, and
+    /// rebuilds the index over them in the same mutation, so nobody can
+    /// pair refreshed embeddings with a pre-refresh mirror or build, or the
+    /// reverse.
     pub fn write_back(
         &mut self,
         pooled: &[Matrix],
@@ -222,15 +238,24 @@ impl AdvisorShard {
         metrics: &MetricsRegistry,
         generation: u64,
     ) {
+        // Entries handed over ahead of their first encode change dimension
+        // here; only then is the mirror packed anew.
+        let in_place = pooled.first().map(|m| m.cols) == self.packed.dim();
         let mut rows = pooled
             .iter()
             .flat_map(|m| (0..m.rows).map(move |r| m.row(r)));
-        for e in &mut self.entries {
+        for (m, e) in self.entries.iter_mut().enumerate() {
             let row = rows.next().expect("one pooled row per entry");
             e.embedding.clear();
             e.embedding.extend_from_slice(row);
+            if in_place {
+                self.packed.set_row(m, row);
+            }
         }
         assert!(rows.next().is_none(), "pooled rows must match the entries");
+        if !in_place {
+            self.packed = PackedRows::from_rows(&embeddings(&self.entries));
+        }
         self.rebuild_index(index, metrics, generation);
     }
 
@@ -247,15 +272,14 @@ impl AdvisorShard {
             self.ids.windows(2).all(|w| w[0] < w[1]),
             "ids must ascend for position/id tie-break equivalence"
         );
-        self.index = index.and_then(|cfg| {
-            let embeddings: Vec<&[f32]> = self
-                .entries
-                .iter()
-                .map(|e| e.embedding.as_slice())
-                .collect();
-            KnnIndex::build(&embeddings, cfg, generation, metrics)
-        });
+        self.index = index
+            .and_then(|cfg| KnnIndex::build(&embeddings(&self.entries), cfg, generation, metrics));
     }
+}
+
+/// Every entry's embedding, by position.
+fn embeddings(entries: &[RcsEntry]) -> Vec<&[f32]> {
+    entries.iter().map(|e| e.embedding.as_slice()).collect()
 }
 
 /// The trained advisor.
@@ -634,6 +658,65 @@ mod tests {
         assert_eq!(avg, vec![0.5, 0.5, 0.0]);
         // Models 0 and 1 tie at 0.5; the lower model index (Postgres) wins.
         assert_eq!(model, ModelKind::Postgres);
+    }
+
+    /// The packed mirror is written wherever an embedding is: after each of
+    /// the three mutations, every query equals per-row `euclidean` and a
+    /// full sort over the live `entries()`.
+    #[test]
+    fn the_packed_mirror_is_never_stale() {
+        use crate::fixtures::{synthetic_grid, tie_heavy_queries};
+        use ce_nn::matrix::euclidean;
+
+        fn check(shard: &AdvisorShard, what: &str) {
+            let mut dists = Vec::new();
+            for x in tie_heavy_queries() {
+                let mut all: Vec<(usize, f32)> = (shard.ids().iter().zip(shard.entries()))
+                    .map(|(&id, e)| (id, euclidean(&x, &e.embedding)))
+                    .collect();
+                all.sort_by(knn::knn_order);
+                // Every member with its distance, so one stale row shows.
+                for (k, exclude) in [(1, usize::MAX), (2, 104), (shard.len() + 3, usize::MAX)] {
+                    let bits = |l: &[(usize, f32)]| -> Vec<(usize, u32)> {
+                        l.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+                    };
+                    let mut want = all.clone();
+                    want.retain(|&(id, _)| id != exclude);
+                    want.truncate(k);
+                    let got = shard.partial_topk(&x, k, exclude, 0, &mut dists);
+                    assert_eq!(bits(&got), bits(&want), "{what}: k={k} exclude={exclude}");
+                }
+            }
+        }
+
+        let (_, _, mut entries) = synthetic_grid(18, 2).into_parts();
+        let pushed = entries.split_off(16);
+        let mut shard = AdvisorShard::new((0..16).map(|i| 100 + 2 * i).collect(), entries);
+        check(&shard, "new");
+        // Row 16 opens a second lane block; row 17 joins it.
+        for (i, mut entry) in pushed.into_iter().enumerate() {
+            entry.embedding = vec![0.5 - i as f32, 0.0, 0.5];
+            shard.push(200 + i, entry);
+            check(&shard, "push");
+        }
+        // A refresh moves every row, handed back in two chunks.
+        let moved: Vec<Vec<f32>> = (shard.entries().iter().rev())
+            .map(|e| e.embedding.iter().map(|v| v + 0.5).collect())
+            .collect();
+        let pooled = [
+            Matrix::from_row_slices(&moved[..7]),
+            Matrix::from_row_slices(&moved[7..]),
+        ];
+        shard.write_back(&pooled, None, &MetricsRegistry::disabled(), 0);
+        assert_eq!(shard.entries()[0].embedding, moved[0]);
+        check(&shard, "write_back");
+        // Entries handed over ahead of their first encode: the refresh
+        // brings the dimension with it.
+        let mut blank = shard.entries().to_vec();
+        blank.iter_mut().for_each(|e| e.embedding.clear());
+        let mut shard = AdvisorShard::new(shard.ids().to_vec(), blank);
+        shard.write_back(&pooled, None, &MetricsRegistry::disabled(), 0);
+        check(&shard, "first write_back");
     }
 
     #[test]

@@ -281,7 +281,7 @@ impl AdvisorBackend for AutoCe {
     ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
         let rcs = self.partition();
         let k = knn::select_k(self.config.k, rcs.len(), exclude)?;
-        let topk = rcs.partial_topk(embedding, k, exclude, self.generation());
+        let topk = rcs.partial_topk(embedding, k, exclude, self.generation(), &mut Vec::new());
         Ok(knn::merge_vote(topk, k, w, |i| &rcs.entries()[i]))
     }
 

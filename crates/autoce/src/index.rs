@@ -450,22 +450,17 @@ impl KnnIndex {
         let p = order.len();
         let probe_n = self.cfg.probe.min(p);
 
-        let mut cands: Vec<(usize, f32)> = Vec::new();
-        for &c in &order[..probe_n] {
-            for &m in &self.members[c as usize] {
-                let m = m as usize;
-                if m == exclude {
-                    continue;
-                }
-                cands.push((m, euclidean(query, emb_of(m))));
-            }
-        }
+        let mut scanned = 0usize;
+        let members = (order[..probe_n].iter())
+            .flat_map(|&c| &self.members[c as usize])
+            .map(|&m| m as usize)
+            .filter(|&m| m != exclude)
+            .inspect(|_| scanned += 1);
+        let cands = top_k(members.map(|m| (m, euclidean(query, emb_of(m)))), k);
         if cands.len() < k {
             self.obs.fallback.inc();
             return None;
         }
-        let scanned = cands.len();
-        let cands = top_k(cands, k);
         let d_k = cands[k - 1].1;
 
         // Admissibility: every unprobed, non-empty partition must be

@@ -9,8 +9,11 @@
 //! 2. [`partial_topk`] — per RCS partition, the `k` nearest non-excluded
 //!    members under [`knn_order`]: from the partition's [`KnnIndex`] when
 //!    its `(generation, len)` tag matches the live partition and the
-//!    admissibility bound proves the answer, otherwise by the flat
-//!    [`euclidean`] scan. Both end in one selection tail (`top_k`).
+//!    admissibility bound proves the answer, otherwise by the flat scan —
+//!    one lane-per-row kernel pass over the partition's [`PackedRows`]
+//!    mirror, every distance the bits of [`euclidean`] (which stays the
+//!    one-pair primitive and the tests' oracle). Both end in one selection
+//!    tail (`top_k`), fed straight off the `(id, distance)` stream.
 //! 3. [`merge_vote`] — sort the concatenated partial lists, keep `k`,
 //!    [`knn_vote`]. One partition is not a special case: merging one
 //!    sorted list is a no-op sort.
@@ -54,6 +57,7 @@ use crate::backend::AdvisorError;
 use crate::index::KnnIndex;
 use ce_models::ModelKind;
 use ce_nn::matrix::euclidean;
+use ce_nn::packed::PackedRows;
 use ce_testbed::score::best_index;
 use ce_testbed::MetricWeights;
 use std::cmp::Ordering;
@@ -88,8 +92,9 @@ where
     let first = iter.next().expect("at least one neighbor");
     let mut avg = vec![0.0f64; first.kinds.len()];
     for e in std::iter::once(first).chain(iter) {
-        for (s, v) in avg.iter_mut().zip(e.scores(w)) {
-            *s += v / k as f64;
+        // `RcsEntry::scores`, term by term, without the vector per neighbour.
+        for ((s, &a), &e) in avg.iter_mut().zip(&e.sa).zip(&e.se) {
+            *s += (w.accuracy * a + w.efficiency() * e) / k as f64;
         }
     }
     let best = best_index(&avg);
@@ -113,8 +118,11 @@ pub fn select_k(k: usize, len: usize, exclude: usize) -> Result<usize, AdvisorEr
 pub struct Partition<'a, I, F> {
     /// Global RCS id of each member, by position.
     pub ids: &'a [I],
-    /// Position → embedding.
+    /// Position → embedding (the index re-ranks through it).
     pub embedding: F,
+    /// The same embeddings, by position, packed for the flat scan. Owners
+    /// write it wherever they write an embedding, so it is never stale.
+    pub packed: &'a PackedRows,
     /// The partition's index slot. Its `(generation, len)` tag is the
     /// only freshness check there is: a build over any other state of the
     /// partition is bypassed, never consulted.
@@ -127,12 +135,15 @@ pub struct Partition<'a, I, F> {
 /// `exclude`, as `(global id, distance)` sorted by [`knn_order`]. The
 /// index and the flat scan produce the same bits, so whoever merges the
 /// list cannot tell which served it. See the module docs for the clamp,
-/// the exclusion and the counters.
+/// the exclusion and the counters. `dists` is the flat scan's scratch — one
+/// distance per member — for the caller to reuse from partition to
+/// partition and query to query.
 pub fn partial_topk<'a, I, F>(
     p: &Partition<'a, I, F>,
     x: &[f32],
     k: usize,
     exclude: I,
+    dists: &mut Vec<f32>,
 ) -> Vec<(I, f32)>
 where
     I: Copy + Ord,
@@ -154,23 +165,41 @@ where
             return topk.into_iter().map(|(m, d)| (p.ids[m], d)).collect();
         }
     }
-    let scan = (p.ids.iter().enumerate())
-        .filter(|(_, &id)| id != exclude)
-        .map(|(m, &id)| (id, euclidean(x, (p.embedding)(m))))
-        .collect();
-    top_k(scan, k)
+    assert_eq!(p.packed.len(), p.ids.len(), "one packed row per member");
+    p.packed.dists_into(x, dists);
+    let scan = (p.ids.iter().zip(dists.iter())).map(|(&id, &d)| (id, d));
+    top_k(scan.filter(|&(id, _)| id != exclude), k)
 }
 
-/// The one selection tail: the `k ≥ 1` least candidates under
-/// [`knn_order`], sorted. Only the k nearest need ordering, and the order
-/// is strict and total, so the result does not depend on the input order.
-pub(crate) fn top_k<I: Ord>(mut candidates: Vec<(I, f32)>, k: usize) -> Vec<(I, f32)> {
-    if k < candidates.len() {
-        candidates.select_nth_unstable_by(k - 1, knn_order);
-        candidates.truncate(k);
+/// The one selection tail: the `k ≥ 1` least of `candidates` under
+/// [`knn_order`], sorted. The order is strict and total, so the result does
+/// not depend on the input order. At most `2k` candidates are held: when
+/// that many have gathered, a selection keeps the `k` least and the k-th
+/// becomes the bar every later candidate must beat — linear in the stream
+/// whatever its order, and a k-sized buffer however long it is.
+pub(crate) fn top_k<I: Copy + Ord>(
+    candidates: impl Iterator<Item = (I, f32)>,
+    k: usize,
+) -> Vec<(I, f32)> {
+    let mut kept = Vec::with_capacity(2 * k);
+    let mut bar = None;
+    for c in candidates {
+        if bar.is_some_and(|bar| knn_order(&c, &bar) != Ordering::Less) {
+            continue;
+        }
+        kept.push(c);
+        if kept.len() == 2 * k {
+            kept.select_nth_unstable_by(k - 1, knn_order);
+            kept.truncate(k);
+            bar = Some(kept[k - 1]);
+        }
     }
-    candidates.sort_unstable_by(knn_order);
-    candidates
+    if k < kept.len() {
+        kept.select_nth_unstable_by(k - 1, knn_order);
+        kept.truncate(k);
+    }
+    kept.sort_unstable_by(knn_order);
+    kept
 }
 
 /// Merges partial top-k lists — concatenated in any order — into the
@@ -248,76 +277,170 @@ mod tests {
 
     const GENERATION: u64 = 5;
 
+    /// `partial_topk` ≡ the brute-force prefix — whatever serves it — and
+    /// the index counts one outcome per query that met a build.
+    fn check_partition(
+        seed: u64,
+        n: usize,
+        dim: usize,
+        grid: usize,
+        ascending: bool,
+        probe: usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let embs = grid_points(&mut rng, n, dim, grid);
+        // Ascending with gaps (so "absent" can fall between members), or
+        // shuffled — a hand-built table, which never has an index.
+        let mut ids: Vec<usize> = (0..n).map(|i| 10 + 3 * i).collect();
+        if !ascending {
+            ids.shuffle(&mut rng);
+        }
+        let x = grid_points(&mut rng, 1, dim, grid + 1).remove(0);
+        let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+        let packed = PackedRows::from_rows(&refs);
+        let cfg = IndexConfig::builder()
+            .partitions(3)
+            .probe(probe)
+            .min_rcs_for_index(1)
+            .build()
+            .expect("valid index config");
+        let registry = MetricsRegistry::new();
+        let build = |rows: &[&[f32]]| KnnIndex::build(rows, &cfg, GENERATION, &registry);
+        // Fresh; built one generation ago; built one member ago; built over
+        // same-sized rows of another dimension.
+        let fresh = build(&refs);
+        let short = build(&refs[..n.saturating_sub(1)]);
+        let longer_rows: Vec<Vec<f32>> = embs
+            .iter()
+            .map(|e| [e.as_slice(), &[0.0]].concat())
+            .collect();
+        let other_dim = build(&longer_rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let slots = [
+            (None, GENERATION, "absent"),
+            (fresh.as_ref(), GENERATION, "fresh"),
+            (fresh.as_ref(), GENERATION + 1, "stale generation"),
+            (short.as_ref(), GENERATION, "stale length"),
+            (other_dim.as_ref(), GENERATION, "wrong dimension"),
+        ];
+        let mut excludes = vec![usize::MAX, 11];
+        excludes.extend(ids.choose(&mut rng));
+        let mut dists = Vec::new();
+        for (index, generation, slot) in slots {
+            // Only ascending ids may carry an index.
+            let index = index.filter(|_| ascending);
+            for &exclude in &excludes {
+                for k in [0, 1, 2, n / 2, n, n + 3] {
+                    let view = Partition {
+                        ids: &ids,
+                        embedding: |m: usize| embs[m].as_slice(),
+                        packed: &packed,
+                        index,
+                        generation,
+                    };
+                    let before = outcomes(&registry);
+                    let got = partial_topk(&view, &x, k, exclude, &mut dists);
+                    let want = brute_force(&ids, &embs, &x, k, exclude);
+                    let case = format!("{n} × {dim}, {slot}, k={k}, exclude={exclude}");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    let after = outcomes(&registry);
+                    let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+                    let met_a_build = index.is_some() && !want.is_empty();
+                    assert_eq!(moved.iter().sum::<u64>(), u64::from(met_a_build), "{case}");
+                    if met_a_build && slot != "fresh" {
+                        assert_eq!(moved[2], 1, "{case}: a bypass");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The packed scan's shapes: no dimension, one, a whole number of
+    /// vector widths and one past it, at member counts on both sides of
+    /// every lane-block boundary the kernel treats differently.
+    #[test]
+    fn partial_topk_is_the_full_sort_prefix_across_lane_boundaries() {
+        let mut seed = 0x1a4e;
+        for dim in [0, 1, 32, 33] {
+            for n in [0, 1, 15, 16, 17, 63, 64, 65] {
+                for ascending in [true, false] {
+                    seed += 1;
+                    check_partition(seed, n, dim, 1 + n % 3, ascending, 2);
+                }
+            }
+        }
+    }
+
+    /// The selection tail against `sort → take(k)` where it has least to go
+    /// on: distances that all tie, so the ids decide every comparison, fed
+    /// in descending order — each candidate beats everything kept so far.
+    /// The ids count the comparisons they decide, so the tail's cost at
+    /// `k = n` is read off, not assumed: linear in the stream plus one sort
+    /// of what is kept.
+    #[test]
+    fn selection_tail_is_sort_then_take_k_at_a_linear_cost() {
+        use std::cell::Cell;
+        thread_local!(static COMPARISONS: Cell<u64> = const { Cell::new(0) });
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        struct Counted(usize);
+        impl Ord for Counted {
+            fn cmp(&self, other: &Self) -> Ordering {
+                COMPARISONS.set(COMPARISONS.get() + 1);
+                self.0.cmp(&other.0)
+            }
+        }
+        impl PartialOrd for Counted {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        let n = 20_000usize;
+        let log_n = f64::from(n.ilog2() + 1);
+        for (input, what) in [
+            (
+                (0..n)
+                    .rev()
+                    .map(|i| (Counted(i), 0.5f32))
+                    .collect::<Vec<_>>(),
+                "all tied, descending",
+            ),
+            (
+                (0..n).map(|i| (Counted(i), 0.5)).collect(),
+                "all tied, ascending",
+            ),
+            (
+                (0..n)
+                    .map(|i| (Counted(i * 7919 % n), (i % 3) as f32))
+                    .collect(),
+                "three distances, scattered",
+            ),
+        ] {
+            let mut sorted = input.clone();
+            sorted.sort_by(knn_order);
+            for k in [1, 2, n / 2, n] {
+                COMPARISONS.set(0);
+                let got = top_k(input.iter().copied(), k);
+                let cost = COMPARISONS.get() as f64;
+                assert_eq!(got, sorted[..k], "{what}, k={k}");
+                let (n, k) = (n as f64, k as f64);
+                println!("top_k {what}: n={n} k={k}: {cost} id comparisons");
+                assert!(cost <= 12.0 * n + 3.0 * k * log_n, "{what}, k={k}: {cost}");
+            }
+        }
+        assert_eq!(top_k(std::iter::empty::<(usize, f32)>(), 3), []);
+    }
+
     proptest! {
-        /// `partial_topk` ≡ the brute-force prefix — whatever serves it —
-        /// and the index counts one outcome per query that met a build.
+        /// [`check_partition`] at random shapes.
         #[test]
         fn partial_topk_is_the_full_sort_prefix(
             seed in 0u64..1_000_000,
             n in 0usize..40,
+            dim in 0usize..5,
             grid in 1usize..5,
             shuffled in 0usize..2,
             probe in 1usize..4,
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let embs = grid_points(&mut rng, n, 3, grid);
-            // Ascending with gaps (so "absent" can fall between members),
-            // or shuffled — a hand-built table, which never has an index.
-            let mut ids: Vec<usize> = (0..n).map(|i| 10 + 3 * i).collect();
-            let ascending = shuffled == 0;
-            if !ascending {
-                ids.shuffle(&mut rng);
-            }
-            let x = grid_points(&mut rng, 1, 3, grid + 1).remove(0);
-            let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
-            let cfg = IndexConfig::builder()
-                .partitions(3)
-                .probe(probe)
-                .min_rcs_for_index(1)
-                .build()
-                .expect("valid index config");
-            let registry = MetricsRegistry::new();
-            let build = |rows: &[&[f32]]| KnnIndex::build(rows, &cfg, GENERATION, &registry);
-            // Fresh; built one generation ago; built one member ago; built
-            // over same-sized rows of another dimension.
-            let fresh = build(&refs);
-            let short = build(&refs[..n.saturating_sub(1)]);
-            let flat_rows: Vec<Vec<f32>> = embs.iter().map(|e| e[..2].to_vec()).collect();
-            let other_dim = build(&flat_rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            let slots = [
-                (None, GENERATION, "absent"),
-                (fresh.as_ref(), GENERATION, "fresh"),
-                (fresh.as_ref(), GENERATION + 1, "stale generation"),
-                (short.as_ref(), GENERATION, "stale length"),
-                (other_dim.as_ref(), GENERATION, "wrong dimension"),
-            ];
-            let mut excludes = vec![usize::MAX, 11];
-            excludes.extend(ids.choose(&mut rng));
-            for (index, generation, slot) in slots {
-                // Only ascending ids may carry an index.
-                let index = index.filter(|_| ascending);
-                for &exclude in &excludes {
-                    for k in [0, 1, 2, n / 2, n, n + 3] {
-                        let view = Partition {
-                            ids: &ids,
-                            embedding: |m: usize| embs[m].as_slice(),
-                            index,
-                            generation,
-                        };
-                        let before = outcomes(&registry);
-                        let got = partial_topk(&view, &x, k, exclude);
-                        let want = brute_force(&ids, &embs, &x, k, exclude);
-                        prop_assert_eq!(bits(&got), bits(&want), "{} k={} exclude={}", slot, k, exclude);
-                        let after = outcomes(&registry);
-                        let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-                        let met_a_build = index.is_some() && !want.is_empty();
-                        prop_assert_eq!(moved.iter().sum::<u64>(), u64::from(met_a_build), "{}", slot);
-                        if met_a_build && slot != "fresh" {
-                            prop_assert_eq!(moved[2], 1, "{} is a bypass", slot);
-                        }
-                    }
-                }
-            }
+            check_partition(seed, n, [0, 1, 3, 32, 33][dim], grid, shuffled == 0, probe);
         }
 
         /// Any split of the RCS into 1–6 partitions, merged, votes like
@@ -346,14 +469,17 @@ mod tests {
             }
             split.shuffle(&mut rng);
             let mut partials = Vec::new();
+            let mut dists = Vec::new();
             for ids in &split {
+                let rows: Vec<&[f32]> = ids.iter().map(|&id| embs[id].as_slice()).collect();
                 let view = Partition {
                     ids,
-                    embedding: |m: usize| embs[ids[m]].as_slice(),
+                    embedding: |m: usize| rows[m],
+                    packed: &PackedRows::from_rows(&rows),
                     index: None,
                     generation: 0,
                 };
-                partials.extend(partial_topk(&view, &x, k, exclude));
+                partials.extend(partial_topk(&view, &x, k, exclude, &mut dists));
             }
             let got = merge_vote(partials, k, w, |id| &entries[id]);
             let one = brute_force(&all, &embs, &x, k, exclude);

@@ -3,7 +3,7 @@
 //! These back the §VII-A timing claims (training 107 s offline, 0.79 s
 //! inference per dataset at paper scale; proportionally smaller here).
 
-use ce_bench::harness::{build_corpus, train_default_advisor, Scale};
+use ce_bench::harness::{blob_rcs, build_corpus, train_default_advisor, Scale};
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::reference::{train_encoder_reference, ReferenceEncoder};
@@ -828,6 +828,76 @@ fn bench_advisor_service(c: &mut Criterion) {
     );
 }
 
+/// The flat scan at the paper's RCS size — the whole request on
+/// `graph-hot` — through the one-partition advisor and through four shards,
+/// every answer first checked against per-row `euclidean` + a full
+/// `sort_by(knn_order)` + `knn_vote`. Records absolute ns per query in
+/// `BENCH_serve.json` (`flat96_ns_per_query`, `sharded96_ns_per_query`).
+fn bench_flat_scan_96(c: &mut Criterion) {
+    let names = ["knn_flat_scan_96", "knn_flat_scan_96_sharded4"];
+    if !names.iter().any(|n| criterion::filter_allows(n)) {
+        return;
+    }
+    use autoce::{knn_order, knn_vote, AutoCe, AutoCeConfig};
+    use ce_nn::matrix::euclidean;
+    use ce_serve::ShardedAdvisor;
+
+    const DIM: usize = 32;
+    let mut rng = StdRng::seed_from_u64(0xf1a7);
+    let (entries, queries) = blob_rcs(96, 8, DIM, 64, &mut rng);
+    let cfg = AutoCeConfig {
+        k: 2,
+        incremental: None,
+        dml: DmlConfig {
+            hidden: vec![8],
+            embed_dim: DIM,
+            ..DmlConfig::default()
+        },
+        ..AutoCeConfig::default()
+    };
+    let flat = AutoCe::from_parts(cfg, GinEncoder::new(4, &[8], DIM, 17), entries);
+    let sharded = ShardedAdvisor::from_advisor(&flat, 4);
+    let w = MetricWeights::new(0.7);
+    for x in &queries {
+        let mut all: Vec<(usize, f32)> = (flat.rcs().iter().enumerate())
+            .map(|(i, e)| (i, euclidean(x, &e.embedding)))
+            .collect();
+        all.sort_by(knn_order);
+        let want = knn_vote(all[..2].iter().map(|&(i, _)| &flat.rcs()[i]), 2, w);
+        assert_eq!(flat.predict_from_embedding(x, w), want, "flat ≠ oracle");
+        assert_eq!(
+            sharded.predict_from_embedding(x, w),
+            want,
+            "sharded ≠ oracle"
+        );
+    }
+    c.bench_function(names[0], |b| {
+        b.iter(|| {
+            for x in &queries {
+                black_box(flat.predict_from_embedding(x, w));
+            }
+        })
+    });
+    let flat_ns = c.last_median_ns() / queries.len() as f64;
+    c.bench_function(names[1], |b| {
+        b.iter(|| {
+            for x in &queries {
+                black_box(sharded.predict_from_embedding(x, w));
+            }
+        })
+    });
+    let sharded_ns = c.last_median_ns() / queries.len() as f64;
+    println!("flat scan at 96: flat {flat_ns:.0} ns/query, sharded ×4 {sharded_ns:.0} ns/query");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    write_bench_json_merged(
+        path,
+        serde_json::json!({
+            "flat96_ns_per_query": flat_ns,
+            "sharded96_ns_per_query": sharded_ns,
+        }),
+    );
+}
+
 /// The perf gate of the two-stage KNN index (`autoce::index`): indexed
 /// `predict_from_embedding` vs the flat scan at RCS sizes 10³/10⁴/10⁵.
 /// Embeddings are clustered Gaussian blobs (the regime IVF indexes are
@@ -837,20 +907,19 @@ fn bench_advisor_service(c: &mut Criterion) {
 /// every answer is asserted bit-identical to the flat scan *before*
 /// anything is timed, with the i8-quantized coarse stage engaged. Merges
 /// per-scale numbers and the gated `indexed_knn_speedup` (the 10⁵ point)
-/// into `BENCH_serve.json`; the flat scan stays recorded as the baseline.
+/// into `BENCH_serve.json`; the flat scan — the packed lane-per-row scan of
+/// `knn::partial_topk` — stays recorded as the baseline.
 fn bench_indexed_knn(c: &mut Criterion) {
     let names = ["knn_indexed", "knn_flat_scan"];
     if !names.iter().any(|n| criterion::filter_allows(n)) {
         return;
     }
-    use autoce::{AutoCe, AutoCeConfig, IndexConfig, QuantMode, RcsEntry};
+    use autoce::{AutoCe, AutoCeConfig, IndexConfig, QuantMode};
     use ce_serve::MetricsRegistry;
-    use rand::Rng;
 
     const DIM: usize = 32;
     const QUERIES: usize = 64;
     const K: usize = 8;
-    let kinds = [ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
     let w = MetricWeights::new(0.7);
     // (entries, partitions, probe): partitions ≈ √n, probe widened with
     // scale so the candidate pool keeps ≥ k entries with slack.
@@ -859,33 +928,7 @@ fn bench_indexed_knn(c: &mut Criterion) {
     let mut gated_speedup = f64::NAN;
     for (n, partitions, probe) in scales {
         let mut rng = StdRng::seed_from_u64(0x1d7 + n as u64);
-        let blob_centers: Vec<Vec<f32>> = (0..partitions)
-            .map(|_| (0..DIM).map(|_| rng.gen_range(-10.0f32..10.0)).collect())
-            .collect();
-        let entries: Vec<RcsEntry> = (0..n)
-            .map(|i| RcsEntry {
-                name: format!("b{i}"),
-                graph: FeatureGraph {
-                    vertices: vec![vec![i as f32, 0.0, 0.0, 1.0]],
-                    edges: vec![vec![0.0]],
-                },
-                embedding: blob_centers[i % partitions]
-                    .iter()
-                    .map(|&v| v + rng.gen_range(-0.3f32..0.3))
-                    .collect(),
-                kinds: kinds.to_vec(),
-                sa: (0..3).map(|m| ((i + m) % 4) as f64 / 3.0).collect(),
-                se: (0..3).map(|m| ((i + 2 * m) % 3) as f64 / 2.0).collect(),
-            })
-            .collect();
-        let queries: Vec<Vec<f32>> = (0..QUERIES)
-            .map(|i| {
-                blob_centers[(i * 7) % partitions]
-                    .iter()
-                    .map(|&v| v + rng.gen_range(-0.3f32..0.3))
-                    .collect()
-            })
-            .collect();
+        let (entries, queries) = blob_rcs(n, partitions, DIM, QUERIES, &mut rng);
         let cfg = AutoCeConfig {
             k: K,
             incremental: None,
@@ -1010,9 +1053,15 @@ fn bench_indexed_knn(c: &mut Criterion) {
             "indexed_knn": per_scale,
         }),
     );
+    // The gate was 5x (8.9x measured) while the flat scan paid one
+    // dependent-add chain per row. The packed scan made this ratio's
+    // denominator about 4.5x faster and left the index's own per-row
+    // re-rank as it was, so the index now wins by 1.7-2.1x at 10^5 and
+    // loses below about 10^4 (docs/knn-index.md, "Crossover"). What must
+    // stay true is that it wins here at all.
     assert!(
-        gated_speedup >= 5.0,
-        "indexed KNN speedup gate: {gated_speedup:.2}x < 5x at 10^5 RCS entries"
+        gated_speedup >= 1.2,
+        "indexed KNN speedup gate: {gated_speedup:.2}x < 1.2x at 10^5 RCS entries"
     );
 }
 
@@ -1023,6 +1072,7 @@ criterion_group!(
         bench_embedding_service,
         bench_advisor_service,
         bench_indexed_knn,
+        bench_flat_scan_96,
         bench_feature_extraction,
         bench_label_dataset,
         bench_detector_fit,

@@ -2,8 +2,9 @@
 //! and answers partial top-k queries.
 //!
 //! The numeric core is [`autoce::knn::partial_topk`] over a borrowed view
-//! of the wire table — the function the in-process shards call, with `u64`
-//! ids — so a remote answer is bit-identical to the in-process shard's.
+//! of the wire table and the packed mirror kept beside it — the function
+//! the in-process shards call, with `u64` ids — so a remote answer is
+//! bit-identical to the in-process shard's.
 //! Everything else is state machinery: a shard holds up to two live tables
 //! (current and previous epoch), so a cluster-wide epoch swap never makes
 //! in-flight old-epoch queries fail, and every request pins the exact
@@ -13,10 +14,11 @@
 use crate::per_step_counters;
 use crate::protocol::{
     EpochAck, EpochTable, Frame, FrameError, Load, LoadAck, Message, MetricsReply, Nack, NackCode,
-    Ping, Pong, Push, PushAck, QueryBatch, ShutdownAck, Step, TopKBatch, HEADER_LEN,
+    Ping, Pong, Push, PushAck, QueryBatch, ShutdownAck, SnapshotEpoch, Step, TopKBatch, HEADER_LEN,
 };
 use autoce::index::{IndexConfig, KnnIndex};
 use autoce::knn::{self, Partition};
+use ce_nn::packed::PackedRows;
 use ce_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,11 +68,15 @@ impl ShardObs {
     }
 }
 
-/// One live table and its index slot. The slot lives and dies with the
-/// table state it was built over: installing a table starts it empty, a
-/// push empties it again.
+/// One live table, the packed mirror of its rows and its index slot. Both
+/// live and die with the table state they were derived from: installing a
+/// table packs it and starts the slot empty, a push appends to the mirror
+/// and empties the slot again.
 struct LiveTable {
     table: EpochTable,
+    /// `table.embeddings`, lane-per-row: what the flat scan reads, and what
+    /// knows the table's dimension.
+    packed: PackedRows,
     /// `None`: no build attempted for this table state yet (the first
     /// query batch attempts one). `Some(None)`: the build was declined —
     /// no knob, below the cutover, ids out of order — and is not retried
@@ -79,9 +85,28 @@ struct LiveTable {
     index: Option<Option<KnnIndex>>,
 }
 
-impl From<EpochTable> for LiveTable {
-    fn from(table: EpochTable) -> Self {
-        LiveTable { table, index: None }
+impl LiveTable {
+    /// Packs a decoded table; rows of unequal dimension are the refusal a
+    /// scan could only panic with.
+    fn install(table: EpochTable) -> Result<Self, Frame> {
+        let dim = table.embeddings.first().map_or(0, Vec::len);
+        if table.embeddings.iter().any(|e| e.len() != dim) {
+            return Err(nack(
+                NackCode::Malformed,
+                format!("table rows are not all of dimension {dim}"),
+            ));
+        }
+        Ok(LiveTable {
+            packed: PackedRows::from_rows(&table.embeddings),
+            table,
+            index: None,
+        })
+    }
+
+    /// Whether `embedding` can join, or be measured against, the table's
+    /// rows (an empty table has no dimension yet and takes any).
+    fn admits(&self, embedding: &[f32]) -> bool {
+        self.packed.dim().is_none_or(|dim| dim == embedding.len())
     }
 }
 
@@ -157,7 +182,8 @@ impl ShardState {
 
     /// Handles one request frame, producing the answer frame. Never
     /// panics on malformed input: undecodable payloads answer
-    /// [`NackCode::Malformed`].
+    /// [`NackCode::Malformed`], and so do embeddings that do not fit the
+    /// dimension of the table they are pinned to.
     pub fn handle(&mut self, frame: &Frame) -> Frame {
         let reply = self.handle_inner(frame);
         // Recorded after the reply is built, so a metrics reply reports
@@ -169,34 +195,49 @@ impl ShardState {
 
     fn handle_inner(&mut self, frame: &Frame) -> Frame {
         match frame.step {
-            Step::CoordSendLoad => match Load::from_frame(frame) {
-                Ok(Load(table)) => {
-                    let (epoch, version) = (table.epoch, table.version());
-                    // A load replaces everything: it re-bases a restarted
-                    // or diverged replica onto the coordinator's truth.
-                    self.tables.clear();
-                    self.tables.push(table.into());
-                    LoadAck { epoch, version }.into_frame()
-                }
-                Err(e) => malformed(e),
-            },
-            Step::CoordSendSnapshotEpoch => match crate::protocol::SnapshotEpoch::from_frame(frame)
-            {
-                Ok(crate::protocol::SnapshotEpoch(table)) => {
-                    let (epoch, version) = (table.epoch, table.version());
-                    self.tables.retain(|t| t.table.epoch != epoch);
-                    self.tables.push(table.into());
-                    // Keep only the newest LIVE_EPOCHS tables.
-                    while self.tables.len() > LIVE_EPOCHS {
-                        self.tables.remove(0);
+            Step::CoordSendLoad => {
+                let table = Load::from_frame(frame).map_err(malformed);
+                match table.and_then(|Load(table)| LiveTable::install(table)) {
+                    Ok(live) => {
+                        let (epoch, version) = (live.table.epoch, live.table.version());
+                        // A load replaces everything: it re-bases a restarted
+                        // or diverged replica onto the coordinator's truth.
+                        self.tables.clear();
+                        self.tables.push(live);
+                        LoadAck { epoch, version }.into_frame()
                     }
-                    EpochAck { epoch, version }.into_frame()
+                    Err(refusal) => refusal,
                 }
-                Err(e) => malformed(e),
-            },
+            }
+            Step::CoordSendSnapshotEpoch => {
+                let table = SnapshotEpoch::from_frame(frame).map_err(malformed);
+                match table.and_then(|SnapshotEpoch(table)| LiveTable::install(table)) {
+                    Ok(live) => {
+                        let (epoch, version) = (live.table.epoch, live.table.version());
+                        self.tables.retain(|t| t.table.epoch != epoch);
+                        self.tables.push(live);
+                        // Keep only the newest LIVE_EPOCHS tables.
+                        while self.tables.len() > LIVE_EPOCHS {
+                            self.tables.remove(0);
+                        }
+                        EpochAck { epoch, version }.into_frame()
+                    }
+                    Err(refusal) => refusal,
+                }
+            }
             Step::CoordSendPush => match Push::from_frame(frame) {
                 Ok(push) => match (self.tables.iter_mut()).find(|t| t.table.epoch == push.epoch) {
                     Some(live) if live.table.version() == push.version => {
+                        if !live.admits(&push.embedding) {
+                            return nack(
+                                NackCode::Malformed,
+                                format!(
+                                    "push of dimension {} into a table of another",
+                                    push.embedding.len()
+                                ),
+                            );
+                        }
+                        live.packed.push(&push.embedding);
                         live.table.ids.push(push.id);
                         live.table.embeddings.push(push.embedding);
                         live.index = None;
@@ -227,6 +268,15 @@ impl ShardState {
                         // One (epoch, version) pin covers the whole batch:
                         // either every query answers under it, or none do —
                         // and one index build (or decline) covers it too.
+                        if let Some(q) = b.queries.iter().find(|q| !live.admits(&q.embedding)) {
+                            return nack(
+                                NackCode::Malformed,
+                                format!(
+                                    "query of dimension {} against a table of another",
+                                    q.embedding.len()
+                                ),
+                            );
+                        }
                         let table = &live.table;
                         let index = live.index.get_or_insert_with(|| {
                             Self::build_index(self.index_cfg.as_ref(), table, &self.obs.registry)
@@ -234,12 +284,15 @@ impl ShardState {
                         let view = Partition {
                             ids: &table.ids,
                             embedding: |m: usize| table.embeddings[m].as_slice(),
+                            packed: &live.packed,
                             index: index.as_ref(),
                             generation: table.epoch,
                         };
+                        let mut dists = Vec::new();
                         let lists = (b.queries.iter())
                             .map(|q| {
-                                knn::partial_topk(&view, &q.embedding, q.k as usize, q.exclude)
+                                let k = q.k as usize;
+                                knn::partial_topk(&view, &q.embedding, k, q.exclude, &mut dists)
                             })
                             .collect();
                         TopKBatch {
@@ -682,6 +735,112 @@ mod tests {
         };
         let nack = Nack::from_frame(&s.handle(&stale.into_frame())).expect("nack");
         assert_eq!(nack.code, NackCode::StaleTable);
+    }
+
+    /// The packed mirror follows the table through every step that writes
+    /// a row: each answer equals per-row `euclidean` and a full sort over
+    /// the live table's rows.
+    #[test]
+    fn the_packed_mirror_follows_load_push_and_snapshot() {
+        use autoce::knn_order;
+        use ce_nn::matrix::euclidean;
+
+        fn check(s: &mut ShardState, epoch: u64, what: &str) {
+            let table = (s.tables.iter().map(|t| &t.table))
+                .find(|t| t.epoch == epoch)
+                .expect("live epoch")
+                .clone();
+            // Every row with its distance, so one stale row shows.
+            let k = table.version() + 3;
+            for x in [[0.1f32, 0.9], [7.5, -6.5], [16.0, -15.0]] {
+                for exclude in [u64::MAX, 1] {
+                    let mut want: Vec<(u64, f32)> = (table.ids.iter().zip(&table.embeddings))
+                        .filter(|(&id, _)| id != exclude)
+                        .map(|(&id, e)| (id, euclidean(&x, e)))
+                        .collect();
+                    want.sort_by(knn_order);
+                    let q = query(epoch, table.version(), &x, k, exclude);
+                    let got = topk(&s.handle(&q)).expect("topk");
+                    assert_eq!(got.len(), want.len(), "{what}");
+                    assert_same_bits(&got, &want);
+                }
+            }
+        }
+
+        let mut s = ShardState::new();
+        // 16 rows fill one lane block; the push opens the next.
+        s.handle(&Load(table(0, 16)).into_frame());
+        check(&mut s, 0, "load");
+        let push = Push {
+            epoch: 0,
+            version: 16,
+            id: 16,
+            embedding: vec![7.5, -6.5],
+        };
+        PushAck::from_frame(&s.handle(&push.into_frame())).expect("push ack");
+        check(&mut s, 0, "push");
+        let mut next = table(1, 17);
+        next.embeddings.reverse();
+        s.handle(&crate::protocol::SnapshotEpoch(next).into_frame());
+        check(&mut s, 1, "snapshot");
+        check(&mut s, 0, "previous epoch beside the snapshot");
+    }
+
+    /// What a scan could only panic on is refused where it enters: the
+    /// handler survives, the tables stay, the next good request answers.
+    #[test]
+    fn dimension_mismatches_are_malformed_not_a_panic() {
+        let mut s = ShardState::new();
+        s.handle(&Load(table(0, 3)).into_frame());
+        let refused = |s: &mut ShardState, frame: Frame| {
+            let nack = Nack::from_frame(&s.handle(&frame)).expect("nack");
+            assert_eq!(nack.code, NackCode::Malformed, "{}", nack.detail);
+        };
+        // One bad embedding refuses its whole batch.
+        let mut batch = QueryBatch {
+            epoch: 0,
+            version: 3,
+            queries: [vec![0.1, 0.9], vec![0.1, 0.9, 0.0], vec![]]
+                .map(|embedding| BatchQuery {
+                    embedding,
+                    k: 2,
+                    exclude: u64::MAX,
+                })
+                .to_vec(),
+        };
+        refused(&mut s, batch.clone().into_frame());
+        let push = |embedding: Vec<f32>| Push {
+            epoch: 0,
+            version: 3,
+            id: 3,
+            embedding,
+        };
+        refused(&mut s, push(vec![1.0]).into_frame());
+        let mut ragged = table(1, 3);
+        ragged.embeddings[2].push(0.0);
+        refused(&mut s, Load(ragged.clone()).into_frame());
+        refused(&mut s, crate::protocol::SnapshotEpoch(ragged).into_frame());
+        // Nothing moved: the same pin still answers, a fitting push lands.
+        batch.queries.truncate(1);
+        let reply = TopKBatch::from_frame(&s.handle(&batch.into_frame())).expect("topk");
+        assert_eq!(reply.lists[0].len(), 2);
+        let ack = PushAck::from_frame(&s.handle(&push(vec![1.0, 0.0]).into_frame()));
+        assert_eq!(ack.expect("push ack").version, 4);
+        // An empty table has no dimension yet: it answers any query with
+        // nothing and takes its dimension from the first push.
+        s.handle(&Load(table(2, 0)).into_frame());
+        let q = query(2, 0, &[1.0, 2.0, 3.0], 2, u64::MAX);
+        assert_eq!(topk(&s.handle(&q)).expect("topk"), []);
+        let first = Push {
+            epoch: 2,
+            version: 0,
+            id: 0,
+            embedding: vec![1.0, 2.0, 3.0],
+        };
+        PushAck::from_frame(&s.handle(&first.into_frame())).expect("push ack");
+        refused(&mut s, query(2, 1, &[1.0, 2.0], 1, u64::MAX));
+        let q = query(2, 1, &[1.0, 2.0, 3.0], 1, u64::MAX);
+        assert_eq!(topk(&s.handle(&q)).expect("topk"), [(0, 0.0)]);
     }
 
     #[test]

@@ -21,8 +21,14 @@
 //! # Layout
 //!
 //! Rows are grouped in blocks of [`LANES`]; inside a block the data is
-//! dimension-major: `data[(block · dim + d) · LANES + lane]`. The lanes
-//! past the last row of the final block hold zeros and are never read back.
+//! dimension-major: `data[block · dim + d].0[lane]`, one 64-byte-aligned
+//! `Lane` per dimension, so a lane load never splits a cache line wherever
+//! the allocator put the block. The lanes past the last row of the final
+//! block hold zeros and are never read back.
+//!
+//! A pack can also be kept beside rows that change: [`PackedRows::push`]
+//! appends and [`PackedRows::set_row`] overwrites in O(dim), leaving the
+//! bits [`PackedRows::from_rows`] would over the same final rows.
 
 use crate::matrix::simd_kernel;
 #[cfg(target_arch = "x86_64")]
@@ -35,12 +41,18 @@ pub const LANES: usize = 16;
 /// vector adds; four independent chains keep the adder busy.
 const BLOCKS: usize = 4;
 
+/// One dimension of one block: the same coordinate of [`LANES`] rows, on a
+/// cache line of its own.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Lane([f32; LANES]);
+
 /// Rows repacked for many-vs-one distance scans; see the module docs.
 #[derive(Debug, Clone)]
 pub struct PackedRows {
     rows: usize,
     dim: usize,
-    data: Vec<f32>,
+    data: Vec<Lane>,
 }
 
 impl PackedRows {
@@ -48,20 +60,15 @@ impl PackedRows {
     /// `"dimension mismatch"` otherwise).
     pub fn from_rows<R: AsRef<[f32]>>(rows: &[R]) -> Self {
         let dim = rows.first().map_or(0, |r| r.as_ref().len());
-        let mut data = vec![0f32; rows.len().div_ceil(LANES) * dim * LANES];
-        for (i, row) in rows.iter().enumerate() {
-            let row = row.as_ref();
-            assert_eq!(row.len(), dim, "dimension mismatch");
-            let base = (i / LANES) * dim * LANES + i % LANES;
-            for (d, &v) in row.iter().enumerate() {
-                data[base + d * LANES] = v;
-            }
-        }
-        PackedRows {
+        let mut packed = PackedRows {
             rows: rows.len(),
             dim,
-            data,
+            data: vec![Lane([0.0; LANES]); rows.len().div_ceil(LANES) * dim],
+        };
+        for (i, row) in rows.iter().enumerate() {
+            packed.set_row(i, row.as_ref());
         }
+        packed
     }
 
     /// Number of rows.
@@ -72,6 +79,35 @@ impl PackedRows {
     /// True when no row was packed.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
+    }
+
+    /// The rows' dimension; `None` while there is no row to fix it.
+    pub fn dim(&self) -> Option<usize> {
+        (self.rows > 0).then_some(self.dim)
+    }
+
+    /// Appends one row in O(dim). The first row fixes the dimension; a
+    /// later row of another one panics with `"dimension mismatch"`.
+    pub fn push(&mut self, row: &[f32]) {
+        let dim = self.dim().unwrap_or(row.len());
+        assert_eq!(row.len(), dim, "dimension mismatch");
+        self.dim = dim;
+        if self.rows.is_multiple_of(LANES) {
+            let blocks = self.rows / LANES + 1;
+            self.data.resize(blocks * dim, Lane([0.0; LANES]));
+        }
+        self.rows += 1;
+        self.set_row(self.rows - 1, row);
+    }
+
+    /// Overwrites row `i` in O(dim).
+    pub fn set_row(&mut self, i: usize, row: &[f32]) {
+        assert!(i < self.rows, "row {i} of {}", self.rows);
+        assert_eq!(row.len(), self.dim, "dimension mismatch");
+        let block = &mut self.data[i / LANES * self.dim..][..self.dim];
+        for (lane, &v) in block.iter_mut().zip(row) {
+            lane.0[i % LANES] = v;
+        }
     }
 
     /// `out[i] = Σ_d (q[d] − row_i[d])²`, summed in ascending `d` — the
@@ -91,7 +127,7 @@ impl PackedRows {
 
     fn sq_dists_with(
         &self,
-        kernel: impl Fn(&[f32], &[f32], f32, &mut [f32]),
+        kernel: impl Fn(&[Lane], &[f32], f32, &mut [f32]),
         q: &[f32],
         out: &mut Vec<f32>,
     ) {
@@ -113,19 +149,18 @@ impl PackedRows {
 
 /// `acc[lane] += (q − x[lane])²` over one dimension of one block.
 #[inline(always)]
-fn accumulate(acc: &mut [f32; LANES], x: &[f32], q: f32) {
-    for (a, &x) in acc.iter_mut().zip(x) {
+fn accumulate(acc: &mut [f32; LANES], x: &Lane, q: f32) {
+    for (a, &x) in acc.iter_mut().zip(&x.0) {
         let t = q - x;
         *a += t * t;
     }
 }
 
-simd_kernel!(sq_dists_kernel, (data: &[f32], q: &[f32], empty_sum: f32, out: &mut [f32]), {
-    // `data` holds whole blocks of `q.len() · LANES` floats (`q` is not
-    // empty), `out` one lane per packed slot. Four separately named
-    // accumulators, not an array of four: the array form compiled to
-    // scalar code.
-    let stride = q.len() * LANES;
+simd_kernel!(sq_dists_kernel, (data: &[Lane], q: &[f32], empty_sum: f32, out: &mut [f32]), {
+    // `data` holds whole blocks of `q.len()` lanes (`q` is not empty),
+    // `out` one float per packed slot. Four separately named accumulators,
+    // not an array of four: the array form compiled to scalar code.
+    let stride = q.len();
     let mut groups = data.chunks_exact(BLOCKS * stride);
     let mut outs = out.chunks_exact_mut(BLOCKS * LANES);
     for (group, o) in (&mut groups).zip(&mut outs) {
@@ -136,11 +171,7 @@ simd_kernel!(sq_dists_kernel, (data: &[f32], q: &[f32], empty_sum: f32, out: &mu
         let mut a1 = [empty_sum; LANES];
         let mut a2 = [empty_sum; LANES];
         let mut a3 = [empty_sum; LANES];
-        let lanes = b0
-            .chunks_exact(LANES)
-            .zip(b1.chunks_exact(LANES))
-            .zip(b2.chunks_exact(LANES))
-            .zip(b3.chunks_exact(LANES));
+        let lanes = b0.iter().zip(b1).zip(b2).zip(b3);
         for ((((x0, x1), x2), x3), &qd) in lanes.zip(q) {
             accumulate(&mut a0, x0, qd);
             accumulate(&mut a1, x1, qd);
@@ -155,7 +186,7 @@ simd_kernel!(sq_dists_kernel, (data: &[f32], q: &[f32], empty_sum: f32, out: &mu
     let tail = groups.remainder().chunks_exact(stride);
     for (block, o) in tail.zip(outs.into_remainder().chunks_exact_mut(LANES)) {
         let mut acc = [empty_sum; LANES];
-        for (x, &qd) in block.chunks_exact(LANES).zip(q) {
+        for (x, &qd) in block.iter().zip(q) {
             accumulate(&mut acc, x, qd);
         }
         o.copy_from_slice(&acc);
@@ -262,6 +293,39 @@ mod tests {
     }
 
     #[test]
+    fn every_block_starts_on_a_cache_line() {
+        // Sizes on both sides of the allocator's mmap threshold, built both
+        // ways; a grown pack must stay aligned through its reallocations.
+        for (n, dim) in [(1, 1), (17, 3), (96, 32), (6000, 32)] {
+            let rows = vec![vec![1.0f32; dim]; n];
+            let mut grown = PackedRows::from_rows(&rows[..0]);
+            rows.iter().for_each(|r| grown.push(r));
+            for packed in [PackedRows::from_rows(&rows), grown] {
+                assert_eq!(packed.data.as_ptr() as usize % 64, 0, "{n} × {dim}");
+                assert_eq!(packed.data.len(), n.div_ceil(LANES) * dim);
+            }
+        }
+        assert_eq!(std::mem::size_of::<Lane>(), LANES * 4, "no padding");
+    }
+
+    #[test]
+    fn the_first_row_fixes_the_dimension() {
+        let mut packed = PackedRows::from_rows(&[] as &[Vec<f32>]);
+        assert_eq!(packed.dim(), None);
+        packed.push(&[1.0, 2.0, 3.0]);
+        assert_eq!((packed.len(), packed.dim()), (1, Some(3)));
+        let mut out = Vec::new();
+        packed.dists_into(&[1.0, 2.0, 5.0], &mut out);
+        assert_eq!(out, [2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn a_pushed_row_of_another_dimension_is_rejected() {
+        PackedRows::from_rows(&[vec![1.0, 2.0]]).push(&[1.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn ragged_rows_are_rejected() {
         PackedRows::from_rows(&[vec![1.0, 2.0], vec![1.0]]);
@@ -286,6 +350,42 @@ mod tests {
             let rows = rows_of(blocks * LANES + extra, dim, &mut rng);
             let q: Vec<f32> = (0..dim).map(|_| awkward(&mut rng)).collect();
             check_all_arms(&rows, &q);
+        }
+
+        /// Any interleaving of `push` and `set_row` leaves the bits — data
+        /// and padding lanes — `from_rows` leaves over the final rows.
+        #[test]
+        fn in_place_updates_match_a_fresh_pack(
+            seed in 0u64..1_000_000,
+            dim in 0usize..4,
+            start in 0usize..5,
+            pushes in 0usize..5,
+            overwrites in 0usize..4,
+        ) {
+            // Row counts cross 15/16/17 and 63/64/65.
+            let dim = [0, 1, 32, 33][dim];
+            let start = [0, 1, 15, 16, 62][start];
+            let pushes = [0, 1, 2, 3, 50][pushes];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rows = rows_of(start, dim, &mut rng);
+            let mut packed = PackedRows::from_rows(&rows);
+            for round in 0..=pushes {
+                if round > 0 {
+                    rows.push((0..dim).map(|_| awkward(&mut rng)).collect());
+                    packed.push(rows.last().expect("just pushed"));
+                }
+                for _ in 0..overwrites.min(rows.len()) {
+                    let i = rng.gen_range(0..rows.len());
+                    rows[i] = (0..dim).map(|_| awkward(&mut rng)).collect();
+                    packed.set_row(i, &rows[i]);
+                }
+                let fresh = PackedRows::from_rows(&rows);
+                prop_assert_eq!((packed.rows, packed.dim), (fresh.rows, fresh.dim));
+                let lanes = |p: &PackedRows| -> Vec<u32> {
+                    p.data.iter().flat_map(|l| l.0.map(f32::to_bits)).collect()
+                };
+                prop_assert_eq!(lanes(&packed), lanes(&fresh), "after {} rows", rows.len());
+            }
         }
     }
 }

@@ -353,8 +353,9 @@ impl AdvisorBackend for ShardedAdvisor {
         // backs `par_iter` with scoped OS threads (no persistent pool) —
         // per-call thread spawns would dwarf the scan on multi-core hosts.
         let mut partials = Vec::with_capacity(k * self.shards.len());
+        let mut dists = Vec::new();
         for s in &self.shards {
-            partials.extend(s.partial_topk(embedding, k, exclude, self.generation));
+            partials.extend(s.partial_topk(embedding, k, exclude, self.generation, &mut dists));
         }
         Ok(knn::merge_vote(partials, k, w, |id| self.entry(id)))
     }
