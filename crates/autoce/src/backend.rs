@@ -65,6 +65,10 @@ pub enum AdvisorError {
     /// The RCS holds no entry the query may select (it is empty, or its
     /// only entry is the excluded one); nothing was computed or sent.
     EmptyRcs,
+    /// A request's dataset is malformed — columns of unequal length in one
+    /// table, or a join edge naming a table or column that does not exist
+    /// (`Dataset::validate_shape`); nothing was extracted or sent.
+    InvalidDataset(String),
 }
 
 impl std::fmt::Display for AdvisorError {
@@ -82,6 +86,7 @@ impl std::fmt::Display for AdvisorError {
             AdvisorError::EmptyRcs => {
                 f.write_str("no selectable RCS entry (empty or all excluded)")
             }
+            AdvisorError::InvalidDataset(d) => write!(f, "invalid dataset: {d}"),
         }
     }
 }

@@ -10,6 +10,8 @@ use ce_gnn::reference::{train_encoder_reference, ReferenceEncoder};
 use ce_gnn::{train_encoder, train_encoder_per_graph, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::{build_model, ModelKind, TrainContext};
 use ce_optsim::{optimize_query, DatasetIndexes, TrueCardEstimator};
+use ce_storage::stats::{ColumnStats, StatsScratch};
+use ce_storage::Column;
 use ce_testbed::{label_dataset, MetricWeights};
 use ce_workload::{generate_workload, label_workload, WorkloadSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -87,7 +89,10 @@ fn bench_index_build(c: &mut Criterion) {
 }
 
 fn bench_feature_extraction(c: &mut Criterion) {
-    if !criterion::filter_allows("feature_extraction") {
+    if !["feature_extraction", "column_moments"]
+        .iter()
+        .any(|name| criterion::filter_allows(name))
+    {
         return;
     }
     // Same bits first, then time.
@@ -96,11 +101,45 @@ fn bench_feature_extraction(c: &mut Criterion) {
         golden_bits::GOLDEN_CHECKSUM,
         "extract_features moved a bit; its timing means nothing"
     );
+    assert_eq!(
+        golden_bits::golden_stats_checksum(),
+        golden_bits::GOLDEN_STATS_CHECKSUM,
+        "a statistic under extract_features moved a bit; its timing means nothing"
+    );
     let mut rng = StdRng::seed_from_u64(1);
     let ds = generate_dataset("bench", &DatasetSpec::small().multi_table(), &mut rng);
     let cfg = FeatureConfig::default();
     c.bench_function("feature_extraction", |b| {
         b.iter(|| black_box(extract_features(&ds, &cfg)))
+    });
+
+    // The moment kernels alone, on one table of the shape `extract_features`
+    // meets most (six used columns): a column at a time — the scalar second
+    // pass — against the table at a time (one lane per column where the
+    // host has AVX-512F + DQ).
+    let spec = DatasetSpec {
+        columns: SpecRange { lo: 6, hi: 6 },
+        rows: SpecRange {
+            lo: 1_300,
+            hi: 1_300,
+        },
+        ..DatasetSpec::small().single_table()
+    };
+    let table = generate_dataset("moments", &spec, &mut rng)
+        .tables
+        .remove(0);
+    let cols: Vec<&Column> = table.columns.iter().filter(|c| !c.is_key()).collect();
+    assert_eq!((cols.len(), table.num_rows()), (6, 1_300));
+    let mut scratch = StatsScratch::default();
+    c.bench_function("column_moments/per_column", |b| {
+        b.iter(|| {
+            for col in &cols {
+                black_box(ColumnStats::compute_with(col, &mut scratch));
+            }
+        })
+    });
+    c.bench_function("column_moments/table", |b| {
+        b.iter(|| black_box(ColumnStats::compute_table_with(&cols, &mut scratch)))
     });
 }
 

@@ -21,8 +21,6 @@
 //! into an FMA), so both are bit-stable across the dispatch tiers.
 
 use crate::matrix::simd_kernel;
-#[cfg(target_arch = "x86_64")]
-pub(crate) use crate::matrix::simd_level;
 
 // ---- f16 (IEEE binary16) conversion ---------------------------------------
 
@@ -161,6 +159,21 @@ pub fn sq_dist_f16(q: &[f32], h: &[u16]) -> f32 {
     let mut out = [0f32];
     sq_dist_f16_kernel::dispatch(q, h, &mut out);
     out[0]
+}
+
+/// One named arm of each coarse kernel (`None` when the host lacks it),
+/// for the differential tests in `matrix::arm_tests`: a kernel's module is
+/// private to the file that declares it.
+#[cfg(test)]
+pub(crate) fn sq_dist_i8_arm(level: u8, a: &[i8], b: &[i8]) -> Option<i32> {
+    let mut out = [0i32];
+    sq_dist_i8_kernel::run_arm(level, a, b, &mut out).then_some(out[0])
+}
+
+#[cfg(test)]
+pub(crate) fn sq_dist_f16_arm(level: u8, q: &[f32], h: &[u16]) -> Option<f32> {
+    let mut out = [0f32];
+    sq_dist_f16_kernel::run_arm(level, q, h, &mut out).then_some(out[0])
 }
 
 #[cfg(test)]

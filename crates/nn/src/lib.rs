@@ -33,6 +33,8 @@ pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod packed;
+#[cfg(test)]
+pub(crate) mod test_values;
 
 pub use kmeans::kmeans;
 pub use layers::{Activation, Dense, DenseGrad};

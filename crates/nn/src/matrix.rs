@@ -40,9 +40,16 @@ const KERNEL_BLOCK: usize = 64;
 /// Generates scalar + AVX2 + AVX-512F instantiations of one kernel body
 /// (same code, wider autovectorization) plus a caller dispatching on cached
 /// runtime CPU features. Non-x86-64 targets always take the scalar body.
+///
+/// Exported for the workspace's other kernel crate (`ce-storage::stats`),
+/// so there is one copy of the macro and of the feature probe; not a
+/// public API.
+#[doc(hidden)]
+#[macro_export]
 macro_rules! simd_kernel {
     ($name:ident, ($($arg:ident: $ty:ty),* $(,)?), $body:block) => {
         mod $name {
+            #[allow(unused_imports)]
             use super::*;
 
             #[inline(always)]
@@ -66,7 +73,7 @@ macro_rules! simd_kernel {
 
             pub(super) fn dispatch($($arg: $ty),*) {
                 #[cfg(target_arch = "x86_64")]
-                match simd_level() {
+                match $crate::matrix::simd_level() {
                     // SAFETY: the matching feature was detected at runtime.
                     2 => return unsafe { avx512($($arg),*) },
                     1 => return unsafe { avx2($($arg),*) },
@@ -101,8 +108,9 @@ macro_rules! simd_kernel {
 pub(crate) use simd_kernel;
 
 /// Cached SIMD capability: 0 = baseline, 1 = AVX2, 2 = AVX-512F.
+#[doc(hidden)]
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn simd_level() -> u8 {
+pub fn simd_level() -> u8 {
     use std::sync::OnceLock;
     static LEVEL: OnceLock<u8> = OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -763,6 +771,9 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
         dot / (na * nb)
     }
 }
+
+#[cfg(test)]
+mod arm_tests;
 
 #[cfg(test)]
 mod tests {

@@ -31,8 +31,6 @@
 //! bits [`PackedRows::from_rows`] would over the same final rows.
 
 use crate::matrix::simd_kernel;
-#[cfg(target_arch = "x86_64")]
-use crate::matrix::simd_level;
 
 /// Rows per block: one accumulator lane each.
 pub const LANES: usize = 16;
@@ -197,40 +195,10 @@ simd_kernel!(sq_dists_kernel, (data: &[Lane], q: &[f32], empty_sum: f32, out: &m
 mod tests {
     use super::*;
     use crate::matrix::euclidean;
+    use crate::test_values::{awkward, bits, ARMS};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    const ARMS: [&str; 3] = ["scalar", "avx2", "avx512f"];
-
-    /// Mostly ordinary magnitudes; one value in eight stresses the bit
-    /// contract: both zeros, both infinities, NaN, a subnormal, a huge one.
-    fn awkward(rng: &mut StdRng) -> f32 {
-        match rng.gen_range(0..56usize) {
-            0 => f32::NAN,
-            1 => f32::INFINITY,
-            2 => f32::NEG_INFINITY,
-            3 => -0.0,
-            4 => 0.0,
-            5 => 1e-41,
-            6 => -3.0e38,
-            _ => rng.gen::<f32>() * 4.0 - 2.0,
-        }
-    }
-
-    /// `to_bits()`, with every NaN folded to one pattern. Which NaN an
-    /// operation returns (x86's default NaN of `∞ − ∞` is negative; with two
-    /// NaN operands the first one's payload wins, and LLVM may commute) is
-    /// not specified by Rust, not even for `euclidean` itself, and no caller
-    /// can tell: `f32::min` skips NaN, `is_finite` drops it, `partial_cmp`
-    /// panics on it.
-    fn bits(d: f32) -> u32 {
-        if d.is_nan() {
-            f32::NAN.to_bits()
-        } else {
-            d.to_bits()
-        }
-    }
 
     fn rows_of(n: usize, dim: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
         (0..n)

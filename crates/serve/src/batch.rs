@@ -611,17 +611,28 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
     /// Extraction is the dominant cost of this call, not a cheap prelude.
     /// On the `e2e` benchmark's `dataset-cold` workload (4–10 small
     /// tables, every request a cache miss) it was 1228 µs of a 1285 µs
-    /// call (0.96–0.99 of it) under hash-set statistics; with the dense
-    /// kernels of `ce_storage::stats` it is ≈0.2 ms of a ≈0.25 ms call
-    /// (0.75–0.97 across traced runs) — still an order of magnitude above
-    /// encode + queue + vote. Callers that re-ask about one dataset
-    /// should extract once and use [`Self::recommend_graph`].
+    /// call (0.96–0.99 of it) under hash-set statistics, ≈0.21 ms of a
+    /// ≈0.23 ms call (0.94) under the dense kernels of
+    /// `ce_storage::stats`, and is ≈0.12–0.14 ms of a ≈0.17 ms call
+    /// (≈0.8 of it across traced runs) since those summarise a table at
+    /// a time — still an order of magnitude above encode + queue + vote.
+    /// Callers that re-ask about one dataset should extract once and use
+    /// [`Self::recommend_graph`].
     /// `ce_serve_feature_extract_ns` times it.
+    ///
+    /// A dataset is all `pub` fields, so one that never met
+    /// `Dataset::new` can arrive here. Its shape is checked first
+    /// (`Dataset::validate_shape`: equal column lengths per table, join
+    /// edges naming tables and columns that exist — no row is read), and
+    /// a malformed one is [`AdvisorError::InvalidDataset`]: nothing is
+    /// extracted or queued, and the service keeps answering.
     pub fn recommend(
         &self,
         ds: &Dataset,
         w: MetricWeights,
     ) -> Result<Recommendation, AdvisorError> {
+        ds.validate_shape()
+            .map_err(|e| AdvisorError::InvalidDataset(e.to_string()))?;
         let feature = self.shared.current().feature_config();
         let graph = self.shared.extract(ds, &feature);
         self.recommend_graph(graph, w)

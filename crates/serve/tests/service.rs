@@ -159,6 +159,59 @@ fn adapt_survives_a_poisoned_admin_lock() {
     service.shutdown();
 }
 
+/// A `Dataset` is all `pub` fields, so one that never met `Dataset::new`
+/// can reach `recommend`: a join edge naming a table or column that does
+/// not exist used to panic the calling thread inside the statistics, and
+/// ragged columns were silently truncated. Both are refused with a typed
+/// error before anything is extracted, and the service keeps answering.
+#[test]
+fn a_malformed_dataset_is_refused_not_panicked_on() {
+    let (datasets, flat) = common::trained_advisor(10, 0xbad5);
+    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
+    let handle = service.handle();
+    let w = MetricWeights::new(0.5);
+    let good = five_table_dataset();
+    let expected = handle.recommend(&good, w).expect("well-formed");
+
+    let breaks: [fn(&mut Dataset); 4] = [
+        |ds| ds.joins[0].pk_col = usize::MAX,
+        |ds| ds.joins[0].fk_table = 99,
+        |ds| ds.tables[1].columns[0].data.truncate(3),
+        |ds| {
+            ds.tables[0]
+                .columns
+                .last_mut()
+                .expect("columns")
+                .data
+                .push(1)
+        },
+    ];
+    for (i, break_it) in breaks.iter().enumerate() {
+        let mut broken = good.clone();
+        break_it(&mut broken);
+        match handle.recommend(&broken, w) {
+            Err(AdvisorError::InvalidDataset(why)) => {
+                assert!(
+                    why.contains("out of range") || why.contains("length mismatch"),
+                    "{why}"
+                );
+            }
+            other => panic!("malformed dataset {i} must be refused, got {other:?}"),
+        }
+    }
+
+    // Nothing of the refused requests reached the batcher, and it lives.
+    assert_eq!(service.stats().requests, 1);
+    let again = handle.recommend(&good, w).expect("still serving");
+    assert_eq!(
+        (again.model, again.scores),
+        (expected.model, expected.scores)
+    );
+    let other = handle.recommend(&datasets[0], w).expect("still serving");
+    assert_eq!(other.generation, 0);
+    service.shutdown();
+}
+
 #[test]
 fn adapt_with_reservoir_trains_on_bounded_subset() {
     let (_, flat) = common::trained_advisor(16, 0xb0b);

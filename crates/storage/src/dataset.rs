@@ -88,17 +88,29 @@ impl Dataset {
             .collect()
     }
 
+    /// The half of [`Self::validate`] that reads no row: equal column
+    /// lengths per table and every join edge naming a table and a column
+    /// that exist — O(tables · columns + joins). It is what the statistics
+    /// and the feature extractor index by, so a request path checks it
+    /// before extracting (`tables` and `joins` are `pub`; a dataset built
+    /// field by field never met [`Self::new`]).
+    pub fn validate_shape(&self) -> Result<(), StorageError> {
+        for t in &self.tables {
+            t.validate_shape()?;
+        }
+        for j in &self.joins {
+            self.table(j.fk_table)?.column(j.fk_col)?;
+            self.table(j.pk_table)?.column(j.pk_col)?;
+        }
+        Ok(())
+    }
+
     /// Validates tables, join-edge indices, and acyclicity of the undirected
     /// join graph.
     pub fn validate(&self) -> Result<(), StorageError> {
+        self.validate_shape()?;
         for t in &self.tables {
             t.validate()?;
-        }
-        for j in &self.joins {
-            let fk_t = self.table(j.fk_table)?;
-            let pk_t = self.table(j.pk_table)?;
-            fk_t.column(j.fk_col)?;
-            pk_t.column(j.pk_col)?;
         }
         // Union-find cycle check on the undirected join graph.
         let mut parent: Vec<usize> = (0..self.tables.len()).collect();
@@ -196,5 +208,42 @@ mod tests {
             ds.validate(),
             Err(StorageError::IndexOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn shape_check_reads_no_row() {
+        let good = two_table_dataset();
+        assert!(good.validate_shape().is_ok());
+        // Edge indices: table and column, on either side.
+        let breaks: [fn(&mut JoinEdge); 4] = [
+            |e| e.fk_table = 9,
+            |e| e.pk_table = 9,
+            |e| e.fk_col = usize::MAX,
+            |e| e.pk_col = usize::MAX,
+        ];
+        for (i, break_edge) in breaks.iter().enumerate() {
+            let mut ds = good.clone();
+            break_edge(&mut ds.joins[0]);
+            assert!(
+                matches!(
+                    ds.validate_shape(),
+                    Err(StorageError::IndexOutOfRange { .. })
+                ),
+                "edge broken in way {i}"
+            );
+        }
+        // A column shorter than its table.
+        let mut ragged = good.clone();
+        ragged.tables[1].columns[1].data.pop();
+        assert!(matches!(
+            ragged.validate_shape(),
+            Err(StorageError::ColumnLengthMismatch { .. })
+        ));
+        // Row contents are not its business: a repeated primary key passes
+        // here and fails the full check.
+        let mut repeated = good.clone();
+        repeated.tables[0].columns[0].data[1] = 1;
+        assert!(repeated.validate_shape().is_ok());
+        assert!(repeated.validate().is_err());
     }
 }

@@ -68,13 +68,14 @@ pub fn sample_join<R: Rng>(
             }
         }
     }
-    let children: HashMap<usize, Vec<usize>> = {
-        let mut m: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (&c, &p) in &parent {
-            m.entry(p).or_default().push(c);
+    // Children in visit order, not in `parent`'s hash order: the draws
+    // below follow this order, and a sample is a function of its seed.
+    let mut children: HashMap<usize, Vec<usize>> = HashMap::new();
+    for &c in &order {
+        if let Some(&p) = parent.get(&c) {
+            children.entry(p).or_default().push(c);
         }
-        m
-    };
+    }
 
     // Bottom-up subtree weights.
     let mut weights: HashMap<usize, Vec<u128>> = stripped
@@ -252,6 +253,53 @@ mod tests {
         assert!((frac - 0.75).abs() < 0.05, "frac = {frac}");
         // main id = 3 never appears in the inner join.
         assert!(s.rows.iter().all(|r| r[id_col] != 3));
+    }
+
+    #[test]
+    fn a_sample_is_a_function_of_its_seed() {
+        // A root with four children: the sampler draws one row per child,
+        // in an order that used to follow a `HashMap` walk.
+        let root = Table::with_columns(
+            "root",
+            vec![
+                Column::primary_key("id", (1..=6).collect()),
+                Column::data("x", (10..16).collect()),
+            ],
+        )
+        .unwrap();
+        let mut tables = vec![root];
+        let mut joins = Vec::new();
+        for c in 1..=4 {
+            let fk: Vec<Value> = (0..30).map(|r| 1 + (r * c) % 6).collect();
+            let y: Vec<Value> = (0..30).map(|r| 100 * c + r).collect();
+            let child = Table::with_columns(
+                format!("child{c}"),
+                vec![Column::foreign_key("root_id", fk), Column::data("y", y)],
+            )
+            .unwrap();
+            tables.push(child);
+            joins.push(JoinEdge {
+                fk_table: c as usize,
+                fk_col: 0,
+                pk_table: 0,
+                pk_col: 0,
+            });
+        }
+        let ds = Dataset::new("star", tables, joins).unwrap();
+        let q = Query {
+            tables: vec![0, 1, 2, 3, 4],
+            joins: vec![(1, 0), (2, 0), (3, 0), (4, 0)],
+            predicates: vec![],
+        };
+        let draw = || {
+            let mut rng = StdRng::seed_from_u64(11);
+            sample_join(&ds, &q, 200, &mut rng).unwrap().rows
+        };
+        let first = draw();
+        assert_eq!(first.len(), 200);
+        for _ in 0..4 {
+            assert_eq!(draw(), first);
+        }
     }
 
     #[test]

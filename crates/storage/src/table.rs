@@ -95,9 +95,10 @@ impl Table {
         self.columns.iter().map(|c| c.data[idx]).collect()
     }
 
-    /// Validates internal consistency: equal column lengths and primary-key
-    /// uniqueness.
-    pub fn validate(&self) -> Result<(), StorageError> {
+    /// The half of [`Self::validate`] that reads no row: every column as
+    /// long as the first (`columns` is `pub`, so a table built field by
+    /// field may be ragged).
+    pub(crate) fn validate_shape(&self) -> Result<(), StorageError> {
         let n = self.num_rows();
         for c in &self.columns {
             if c.len() != n {
@@ -108,6 +109,13 @@ impl Table {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Validates internal consistency: equal column lengths and primary-key
+    /// uniqueness.
+    pub fn validate(&self) -> Result<(), StorageError> {
+        self.validate_shape()?;
         if let Some(pk) = self.primary_key_index() {
             if let Some(v) = first_duplicate(&self.columns[pk].data) {
                 return Err(StorageError::NonTreeJoin(format!(
