@@ -39,11 +39,11 @@ use ce_models::ModelKind;
 use ce_obs::MetricsSnapshot;
 use ce_testbed::{DatasetLabel, MetricWeights};
 
-/// The unified advisor error taxonomy. Backend- and service-specific
-/// errors (`ce-serve`'s `ServeError`, `ce-cluster`'s `ClusterError`)
-/// convert into this via `From` impls in their own crates, so code
-/// generic over [`AdvisorBackend`] handles one type — with failure modes
-/// as typed variants, never panics or stringly-typed catch-alls.
+/// The unified advisor error taxonomy. `ce-serve` returns it directly and
+/// backend-specific errors (`ce-cluster`'s `ClusterError`) convert into
+/// it via `From` impls in their own crates, so code generic over
+/// [`AdvisorBackend`] handles one type — with failure modes as typed
+/// variants, never panics or stringly-typed catch-alls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdvisorError {
     /// A distributed backend found every replica of `range` unreachable

@@ -584,7 +584,7 @@ fn bench_advisor_service(c: &mut Criterion) {
         return;
     }
     use autoce::{AutoCe, AutoCeConfig, RcsEntry};
-    use ce_serve::{AdvisorService, MetricsRegistry, ServeConfig, ShardedAdvisor};
+    use ce_serve::{AdvisorService, MetricsRegistry, Query, ServeConfig, ShardedAdvisor};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -695,7 +695,7 @@ fn bench_advisor_service(c: &mut Criterion) {
                                 .collect();
                             black_box(
                                 handle
-                                    .recommend_graph_refs(&group, w)
+                                    .query(Query::graph_refs(&group, w))
                                     .expect("service is running"),
                             );
                         }

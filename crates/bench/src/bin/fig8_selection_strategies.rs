@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig8 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig8 (see `ce_bench::experiments::fig8`).
 fn main() {
     let scale = ce_bench::Scale::from_env();
     eprintln!(

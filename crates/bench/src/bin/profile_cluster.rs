@@ -23,7 +23,7 @@
 //!   measured the cost of paying refused dials on every request;
 //! * `cluster_batched_vs_inproc` — in-process ns / service-fronted ns per
 //!   request on the *graph* path (encode + KNN): concurrent clients
-//!   submit 16-graph bursts (`recommend_graphs`) over the cluster
+//!   submit 16-graph bursts (`query(Query::graphs(..))`) over the cluster
 //!   backend, so each burst runs one stacked encoder forward and one
 //!   wire-batched KNN fan-out (`predict_batch`: one
 //!   `QueryBatch` frame per range per burst — a 16-deep batch pays 2
@@ -48,7 +48,7 @@ use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::{DmlConfig, GinEncoder};
 use ce_models::ModelKind;
-use ce_serve::{AdvisorService, ServeConfig};
+use ce_serve::{AdvisorService, Query, ServeConfig};
 use ce_testbed::MetricWeights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -249,7 +249,7 @@ fn main() {
     }
     for (rec, x) in service
         .handle()
-        .recommend_graphs(pool.clone(), w)
+        .query(Query::graphs(pool.clone(), w))
         .expect("service burst")
         .into_iter()
         .zip(&xs)
@@ -308,7 +308,11 @@ fn main() {
                             // distinct graphs.
                             let mut burst: Vec<FeatureGraph> = chunk.to_vec();
                             burst.rotate_left((c * 3 + rep + b) % chunk.len());
-                            black_box(handle.recommend_graphs(burst, w).expect("service burst"));
+                            black_box(
+                                handle
+                                    .query(Query::graphs(burst, w))
+                                    .expect("service burst"),
+                            );
                         }
                     }
                 });

@@ -13,7 +13,7 @@ use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::{DmlConfig, GinEncoder};
 use ce_models::ModelKind;
-use ce_serve::{AdvisorService, MetricsRegistry, ServeConfig, ShardedAdvisor};
+use ce_serve::{AdvisorService, MetricsRegistry, Query, ServeConfig, ShardedAdvisor};
 use ce_testbed::MetricWeights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,7 +97,7 @@ fn main() {
         let t = Instant::now();
         for c in pool.chunks(GROUP) {
             let refs: Vec<&FeatureGraph> = c.iter().collect();
-            black_box(handle.recommend_graph_refs(&refs, w).expect("running"));
+            black_box(handle.query(Query::graph_refs(&refs, w)).expect("running"));
         }
         drive += t.elapsed().as_secs_f64();
         service.shutdown();

@@ -2,8 +2,7 @@
 //!
 //! One experiment module (and one binary) per table and figure of the
 //! paper's evaluation (§VII). Every experiment prints the same rows/series
-//! the paper reports and writes a JSON record under `results/` so
-//! `EXPERIMENTS.md` is regenerable.
+//! the paper reports and writes a JSON record under `results/`.
 //!
 //! Scale is controlled by the `AUTOCE_SCALE` environment variable
 //! (default 1.0 — a laptop-sized run preserving the paper's comparisons;

@@ -8,7 +8,8 @@
 //! training workload. To avoid doubling the cost of every testbed labeling
 //! run, the ensemble trains the non-autoregressive members (MSCN, LW-NN,
 //! LW-XGB, DeepDB, BayesCard, Postgres); the AR pair's contribution is the
-//! dominant training cost and its omission is noted in DESIGN.md.
+//! dominant training cost and its omission is this module's deviation from
+//! the paper.
 
 use crate::traits::{build_model, CardEstimator, ModelKind, TrainContext};
 use ce_storage::Query;

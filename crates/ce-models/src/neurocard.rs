@@ -7,7 +7,7 @@
 //! answered as `P(predicates) × |full join of the query's subtree|`, with
 //! `P` estimated by progressive sampling.
 //!
-//! Deviation noted in DESIGN.md: `P` is measured in the full-join
+//! Deviation from the original: `P` is measured in the full-join
 //! distribution rather than re-weighted per query subtree by fanout columns;
 //! this keeps the model faithful on single tables and full joins, and is an
 //! approximation for partial-join queries — an error profile of the same

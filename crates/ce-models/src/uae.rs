@@ -3,9 +3,8 @@
 //!
 //! The original makes the autoregressive sampler differentiable
 //! (Gumbel-Softmax) so query supervision flows into the density model. Our
-//! substitution (documented in DESIGN.md) keeps the unified-information
-//! architecture with a simpler mechanism: the NeuroCard-style [`ArModel`](crate::ar::ArModel)
-//! supplies the data-driven estimate, and a query-driven **calibration
+//! substitution keeps the unified-information architecture with a simpler
+//! mechanism: the NeuroCard-style [`ArModel`](crate::ar::ArModel) supplies the data-driven estimate, and a query-driven **calibration
 //! network** trained on the labeled workload corrects it multiplicatively in
 //! log space. Both information sources are consulted on every estimate, and
 //! inference keeps the high-latency progressive-sampling profile the paper

@@ -25,7 +25,6 @@ fn serve_config() -> ServeConfig {
         .batch_deadline(Duration::from_millis(2))
         .queue_capacity(64)
         .cache_capacity(128)
-        .inline_burst_misses(2)
         .seed(99)
         .build()
         .expect("valid serve config")
@@ -136,9 +135,10 @@ fn service_answers_identically_over_flat_sharded_and_cluster_backends() {
     }
 }
 
-/// Burst submissions ([`ce_serve::ServeHandle::recommend_graphs`]) over
-/// the cluster backend ride the wire-batched path — one `QueryBatch`
-/// frame per shard range per burst — and must answer with
+/// Burst submissions ([`Query::graphs`] through
+/// [`ce_serve::ServeHandle::query`]) over the cluster backend ride the
+/// wire-batched path — one `QueryBatch` frame per shard range per burst —
+/// and must answer with
 /// exactly the flat advisor's bits at every client-thread count, cold and
 /// from the warm cache alike.
 #[test]
@@ -169,7 +169,7 @@ fn burst_submissions_ride_the_batched_wire_path_bit_identically() {
                     let mut burst: Vec<FeatureGraph> = gs.to_vec();
                     let rot = t % burst.len();
                     burst.rotate_left(rot);
-                    let recs = handle.recommend_graphs(burst, w).expect("burst");
+                    let recs = handle.query(Query::graphs(burst, w)).expect("burst");
                     for (i, rec) in recs.into_iter().enumerate() {
                         let j = (i + t) % want.len();
                         assert_eq!(
@@ -185,7 +185,7 @@ fn burst_submissions_ride_the_batched_wire_path_bit_identically() {
         // its votes over the wire with identical bits.
         let recs = service
             .handle()
-            .recommend_graphs(gs.clone(), w)
+            .query(Query::graphs(gs.clone(), w))
             .expect("warm burst");
         for (rec, want) in recs.into_iter().zip(&want) {
             assert!(rec.cache_hit, "warm burst must hit the cache");
@@ -199,8 +199,8 @@ fn burst_submissions_ride_the_batched_wire_path_bit_identically() {
     }
 }
 
-/// The unified [`Query`] entrypoint — the single core path every
-/// `recommend*` wrapper lowers into — over every backend shape **with a
+/// The unified [`Query`] entrypoint — the single core path `recommend`
+/// and `recommend_graph` lower into — over every backend shape **with a
 /// two-stage KNN index installed** (via `ServeConfig::index` for the
 /// owned backends, `ClusterConfig::index` for the cluster authority):
 /// 1/2/4/8 client threads, owned and borrowed query forms, all
@@ -224,15 +224,14 @@ fn unified_query_entrypoint_is_bit_identical_over_all_backends() {
             .max_batch(8)
             .queue_capacity(64)
             .cache_capacity(128)
-            .inline_burst_misses(2)
             .seed(99)
             .index(index_cfg())
             .build()
             .expect("valid serve config")
     };
 
-    // One helper drives a service through `query` in both forms; the
-    // wrappers are covered by the other parity tests in this file.
+    // One helper drives a service through `query` in both forms;
+    // `recommend_graph` is covered by the other parity tests in this file.
     fn drive<B: AdvisorBackend + 'static>(
         service: &AdvisorService<B>,
         gs: &[FeatureGraph],
@@ -423,7 +422,7 @@ fn service_fronted_cluster_tracks_push_and_snapshot_bit_identically() {
     }
     // A whole burst against the post-push state: one wire batch per
     // range, every answer tracking the mirror, all from the warm cache.
-    let recs = handle.recommend_graphs(gs.clone(), w).expect("burst");
+    let recs = handle.query(Query::graphs(gs.clone(), w)).expect("burst");
     for (rec, g) in recs.into_iter().zip(&gs) {
         assert!(rec.cache_hit, "post-push burst must stay cache-served");
         let x = mirror.embed_graph(g);

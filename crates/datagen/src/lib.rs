@@ -15,8 +15,8 @@
 //! [`single`] and [`multi`] compose these into single-/multi-table datasets
 //! driven by a [`DatasetSpec`]; [`realworld`] provides the schema-faithful
 //! IMDB-like / STATS-like / Power-like simulators and the "-20" split
-//! sampler that substitute for the paper's real datasets (see DESIGN.md —
-//! Substitutions).
+//! sampler that substitute for the paper's real datasets (the substitution
+//! is described in [`realworld`]).
 
 pub mod correlate;
 pub mod multi;

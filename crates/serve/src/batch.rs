@@ -34,14 +34,16 @@
 //!   request and never wakes the worker. Hits skip the encoder entirely;
 //!   every other step is identical, so caching never changes a
 //!   recommendation.
-//! * **Inline burst serving** — a submission carrying at least
-//!   [`ServeConfig::inline_burst_misses`] cache misses is already its own
-//!   micro-batch, so the calling thread encodes it directly (one stacked
-//!   forward + cache fill + votes, the worker's exact code path) instead
-//!   of paying the enqueue/park/wake round trip. Cold all-distinct
-//!   streams — previously *slower* than the flat advisor because every
-//!   request bought a handoff — now beat it; lockstep single-graph
-//!   clients still share worker batches.
+//! * **Inline burst serving** — a submission carrying two or more cache
+//!   misses is already its own micro-batch, so the calling thread encodes
+//!   it directly instead of paying the enqueue/park/wake round trip. Cold
+//!   all-distinct streams — previously *slower* than the flat advisor
+//!   because every request bought a handoff — now beat it; lockstep
+//!   single-graph clients still share worker batches.
+//! * **One pipeline** — the cache-hit, inline-burst and worker paths run
+//!   the same three steps (`lookup` → `encode_misses` → `vote`); they
+//!   differ only in which thread runs them and in the `path` label their
+//!   metrics carry.
 //!
 //! Responses are bit-identical to calling the backend's
 //! `recommend_graph` directly (and hence to the flat
@@ -51,11 +53,11 @@
 //! # Errors
 //!
 //! The public surface returns the unified [`autoce::AdvisorError`]
-//! regardless of backend: service refusals map from [`ServeError`]
-//! (`ShuttingDown`/`WorkerFailed`), and a distributed backend's typed
-//! failures (`RangeUnavailable`, protocol violations) pass through
-//! untouched — a cache-hit request and a batched request fail with the
-//! same variant the direct call would.
+//! regardless of backend: the service's own refusals are `ShuttingDown`
+//! and `WorkerFailed`, and a distributed backend's typed failures
+//! (`RangeUnavailable`, protocol violations) pass through untouched — a
+//! cache-hit request and a batched request fail with the same variant the
+//! direct call would.
 
 use crate::cache::{graph_fingerprint, CacheStats, EmbeddingCache};
 use crate::reservoir::Reservoir;
@@ -71,11 +73,11 @@ use ce_obs::{
 };
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, MetricWeights, TestbedConfig};
-use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::borrow::{Borrow, Cow};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,16 +106,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Embedding-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Minimum cache-missing graphs in one submission for the **calling
-    /// thread** to encode the burst itself — one stacked forward against
-    /// its snapshot, no queue handoff, no worker wake. Smaller miss sets
-    /// still ride the micro-batch queue so lockstep single-graph clients
-    /// keep sharing forwards. Inline serving uses the same encode, cache
-    /// and vote code as the worker, so it never changes a bit; what it
-    /// removes is the enqueue/park/wake round trip that made cold
-    /// (all-distinct) request streams slower than the flat advisor.
-    /// `usize::MAX` disables inline serving entirely.
-    pub inline_burst_misses: usize,
     /// Admit an embedding into the cache only the **second** time its
     /// graph is encoded: the first encoding records the fingerprint (8
     /// bytes) and drops the embedding. For one-shot-heavy (cold,
@@ -154,7 +146,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("batch_deadline", &self.batch_deadline)
             .field("queue_capacity", &self.queue_capacity)
             .field("cache_capacity", &self.cache_capacity)
-            .field("inline_burst_misses", &self.inline_burst_misses)
             .field("admit_on_second_touch", &self.admit_on_second_touch)
             .field("reservoir_capacity", &self.reservoir_capacity)
             .field("seed", &self.seed)
@@ -171,7 +162,6 @@ impl Default for ServeConfig {
             batch_deadline: Duration::ZERO,
             queue_capacity: 256,
             cache_capacity: 1024,
-            inline_burst_misses: 2,
             admit_on_second_touch: false,
             reservoir_capacity: 64,
             seed: 0xce5e,
@@ -229,12 +219,6 @@ impl ServeConfigBuilder {
     /// Embedding-cache capacity in entries (0 disables caching).
     pub fn cache_capacity(mut self, v: usize) -> Self {
         self.cfg.cache_capacity = v;
-        self
-    }
-
-    /// Minimum misses in one submission for inline burst encoding.
-    pub fn inline_burst_misses(mut self, v: usize) -> Self {
-        self.cfg.inline_burst_misses = v;
         self
     }
 
@@ -362,53 +346,22 @@ pub struct Recommendation {
     pub cache_hit: bool,
 }
 
-/// Why a request could not be served *by the service front* (as opposed
-/// to a backend failure, which surfaces as the corresponding
-/// [`AdvisorError`] variant). Converts into [`AdvisorError`] via `From`,
-/// so the public surface handles one error type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeError {
-    /// The service is shutting down; the request was not processed.
-    ShuttingDown,
-    /// The batcher worker panicked (e.g. a malformed graph blew an
-    /// encoder invariant). The service is permanently failed: queued and
-    /// future requests get this error instead of hanging on a reply that
-    /// will never come.
-    WorkerFailed,
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::ShuttingDown => f.write_str("advisor service is shutting down"),
-            ServeError::WorkerFailed => {
-                f.write_str("advisor service worker failed (panicked); service is stopped")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<ServeError> for AdvisorError {
-    fn from(e: ServeError) -> Self {
-        match e {
-            ServeError::ShuttingDown => AdvisorError::ShuttingDown,
-            ServeError::WorkerFailed => AdvisorError::WorkerFailed,
-        }
-    }
-}
-
 /// Lifetime service counters (monotonic; never reset).
+///
+/// One counting rule covers every serving path, and the
+/// `ce_serve_path_requests_total{path}` counters follow it too: a request
+/// is counted when its KNN vote is asked for, whether or not the backend
+/// then answers. A request refused before that (shutdown, a malformed
+/// dataset) is not counted; one whose vote fails (`EmptyRcs`, a dark
+/// cluster range) is.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests answered.
+    /// Requests whose vote was asked for.
     pub requests: u64,
     /// Micro-batches processed: worker batches plus client-side inline
-    /// bursts (see [`ServeConfig::inline_burst_misses`]). Only cache
-    /// *misses* ride batches (hits are served individually on the calling
-    /// thread), so mean batch occupancy is `cache_misses / batches`, not
-    /// `requests / batches`.
+    /// bursts (a submission with two or more cache misses). Cache hits on
+    /// the calling thread ride no batch, so mean batch occupancy is
+    /// `cache_misses / batches`, not `requests / batches`.
     pub batches: u64,
     /// Embedding-cache hits.
     pub cache_hits: u64,
@@ -446,20 +399,16 @@ struct ObsHandles {
     /// `ce_serve_queue_wait_ns`: enqueue → worker-drain wait per queued
     /// request.
     queue_wait_ns: Histogram,
-    /// `ce_serve_encode_ns{path}`: the stacked-forward phase.
-    encode_ns_worker: Histogram,
-    encode_ns_inline: Histogram,
-    /// `ce_serve_vote_ns{path}`: the batched-KNN-vote phase.
-    vote_ns_worker: Histogram,
-    vote_ns_inline: Histogram,
-    vote_ns_cache_hit: Histogram,
-    /// `ce_serve_batch_depth{path}`: requests per processed micro-batch.
-    batch_depth_worker: Histogram,
-    batch_depth_inline: Histogram,
-    /// `ce_serve_path_requests_total{path}`: which serving path answered.
-    path_cache_hit: Counter,
-    path_inline: Counter,
-    path_worker: Counter,
+    /// `ce_serve_encode_ns{path}`: the stacked-forward phase, indexed by
+    /// the batched [`Path`]s.
+    encode_ns: [Histogram; 2],
+    /// `ce_serve_batch_depth{path}`: requests per micro-batch, indexed by
+    /// the batched [`Path`]s.
+    batch_depth: [Histogram; 2],
+    /// `ce_serve_vote_ns{path}`: the batched-KNN-vote phase, per [`Path`].
+    vote_ns: [Histogram; 3],
+    /// `ce_serve_path_requests_total{path}`: which path ran the request.
+    path_requests: [Counter; 3],
     /// `ce_serve_snapshot_swaps_total`: adaptations applied.
     snapshot_swaps: Counter,
 }
@@ -467,54 +416,55 @@ struct ObsHandles {
 impl ObsHandles {
     fn new(registry: &MetricsRegistry) -> Self {
         let r = registry;
+        let per_path = |name: &str, buckets: &'static [u64], path: Path| {
+            r.histogram(name, &[("path", path.label())], buckets)
+        };
         ObsHandles {
             registry: r.clone(),
             feature_extract_ns: r.histogram("ce_serve_feature_extract_ns", &[], LATENCY_NS_BUCKETS),
             adapt_label_ns: r.histogram("ce_serve_adapt_label_ns", &[], LATENCY_NS_BUCKETS),
             detector_fit_ns: r.histogram("ce_serve_detector_fit_ns", &[], LATENCY_NS_BUCKETS),
             queue_wait_ns: r.histogram("ce_serve_queue_wait_ns", &[], LATENCY_NS_BUCKETS),
-            encode_ns_worker: r.histogram(
-                "ce_serve_encode_ns",
-                &[("path", "worker")],
-                LATENCY_NS_BUCKETS,
-            ),
-            encode_ns_inline: r.histogram(
-                "ce_serve_encode_ns",
-                &[("path", "inline")],
-                LATENCY_NS_BUCKETS,
-            ),
-            vote_ns_worker: r.histogram(
-                "ce_serve_vote_ns",
-                &[("path", "worker")],
-                LATENCY_NS_BUCKETS,
-            ),
-            vote_ns_inline: r.histogram(
-                "ce_serve_vote_ns",
-                &[("path", "inline")],
-                LATENCY_NS_BUCKETS,
-            ),
-            vote_ns_cache_hit: r.histogram(
-                "ce_serve_vote_ns",
-                &[("path", "cache_hit")],
-                LATENCY_NS_BUCKETS,
-            ),
-            batch_depth_worker: r.histogram(
-                "ce_serve_batch_depth",
-                &[("path", "worker")],
-                DEPTH_BUCKETS,
-            ),
-            batch_depth_inline: r.histogram(
-                "ce_serve_batch_depth",
-                &[("path", "inline")],
-                DEPTH_BUCKETS,
-            ),
-            path_cache_hit: r.counter("ce_serve_path_requests_total", &[("path", "cache_hit")]),
-            path_inline: r.counter("ce_serve_path_requests_total", &[("path", "inline")]),
-            path_worker: r.counter("ce_serve_path_requests_total", &[("path", "worker")]),
+            encode_ns: BATCHED.map(|p| per_path("ce_serve_encode_ns", LATENCY_NS_BUCKETS, p)),
+            batch_depth: BATCHED.map(|p| per_path("ce_serve_batch_depth", DEPTH_BUCKETS, p)),
+            vote_ns: PATHS.map(|p| per_path("ce_serve_vote_ns", LATENCY_NS_BUCKETS, p)),
+            path_requests: PATHS
+                .map(|p| r.counter("ce_serve_path_requests_total", &[("path", p.label())])),
             snapshot_swaps: r.counter("ce_serve_snapshot_swaps_total", &[]),
         }
     }
 }
+
+/// Which serving path ran a request through the shared pipeline — the
+/// `path` label of the phase metrics. The two batched paths come first so
+/// they index the encode and depth handles.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// A burst of two or more misses, encoded on the calling thread.
+    Inline,
+    /// A micro-batch drained from the queue by the worker.
+    Worker,
+    /// Cache hits, voted on the calling thread.
+    CacheHit,
+}
+
+const BATCHED: [Path; 2] = [Path::Inline, Path::Worker];
+const PATHS: [Path; 3] = [Path::Inline, Path::Worker, Path::CacheHit];
+
+impl Path {
+    fn label(self) -> &'static str {
+        match self {
+            Path::Inline => "inline",
+            Path::Worker => "worker",
+            Path::CacheHit => "cache_hit",
+        }
+    }
+}
+
+/// Cache misses in one submission at which the calling thread encodes them
+/// itself; a lone miss rides the queue so lockstep single-graph clients
+/// keep sharing worker batches.
+const INLINE_BURST_MISSES: usize = 2;
 
 struct Request {
     graph: FeatureGraph,
@@ -551,7 +501,7 @@ struct Shared<B> {
     /// Mirrors `QueueState::shutdown` for the lock-free fast path.
     shutting_down: AtomicBool,
     /// Set (never cleared) when the worker dies on a panic; distinguishes
-    /// [`ServeError::WorkerFailed`] from an orderly shutdown.
+    /// [`AdvisorError::WorkerFailed`] from an orderly shutdown.
     worker_failed: AtomicBool,
     queue: Mutex<QueueState>,
     /// Signaled when a request is queued (or shutdown begins).
@@ -578,12 +528,195 @@ impl<B> Shared<B> {
     }
 
     /// The error a refused request should carry right now.
-    fn refusal(&self) -> ServeError {
+    fn refusal(&self) -> AdvisorError {
         if self.worker_failed.load(Ordering::Acquire) {
-            ServeError::WorkerFailed
+            AdvisorError::WorkerFailed
         } else {
-            ServeError::ShuttingDown
+            AdvisorError::ShuttingDown
         }
+    }
+
+    /// Moves queued requests into `batch` up to `max_batch`, releases the
+    /// queue lock, and wakes submitters parked on a full queue.
+    fn drain(&self, mut q: MutexGuard<'_, QueueState>, batch: &mut Vec<Request>) {
+        let take = (self.cfg.max_batch - batch.len()).min(q.items.len());
+        batch.extend(q.items.drain(..take));
+        drop(q);
+        self.space.notify_all();
+    }
+}
+
+/// The serving pipeline, written once: every path — cache hits on the
+/// calling thread, inline bursts, worker batches — is `lookup` → (for
+/// misses) `encode_misses` → `vote`.
+impl<B: AdvisorBackend> Shared<B> {
+    /// Each fingerprint's cached embedding, copied out under one brief
+    /// cache-lock hold (the votes run unlocked). Entries are only valid for
+    /// the snapshot they were computed under: after a swap the cache is not
+    /// consulted and every request misses.
+    fn lookup(&self, snap: &B, fps: &[u64]) -> Vec<Option<Vec<f32>>> {
+        let mut slots = vec![None; fps.len()];
+        let mut cache = plock(&self.cache);
+        if cache.generation() == snap.generation() {
+            for (slot, &fp) in slots.iter_mut().zip(fps) {
+                *slot = cache.get(fp).map(<[f32]>::to_vec);
+            }
+        }
+        slots
+    }
+
+    /// Fills every empty slot: one stacked forward over the distinct
+    /// missing fingerprints (N clients asking about one dataset in
+    /// lockstep, or a burst repeating a graph, encode it once), then the
+    /// cache fill. Inserts are generation-tagged, so if a snapshot swap
+    /// raced the forward the cache drops them.
+    fn encode_misses<G: Borrow<FeatureGraph>>(
+        &self,
+        snap: &B,
+        graphs: &[G],
+        fps: &[u64],
+        slots: &mut [Option<Vec<f32>>],
+        path: Path,
+    ) {
+        let mut first: HashMap<u64, usize> = HashMap::new();
+        let mut unique: Vec<usize> = Vec::new();
+        for (i, slot) in slots.iter().enumerate() {
+            if slot.is_none() {
+                first.entry(fps[i]).or_insert_with(|| {
+                    unique.push(i);
+                    i
+                });
+            }
+        }
+        if unique.is_empty() {
+            return;
+        }
+        let batch: Vec<&FeatureGraph> = unique.iter().map(|&i| graphs[i].borrow()).collect();
+        let fresh = {
+            let _encode = self.obs.encode_ns[path as usize].start_span();
+            snap.embed_graph_batch(&batch)
+        };
+        let generation = snap.generation();
+        {
+            let mut cache = plock(&self.cache);
+            for (&i, emb) in unique.iter().zip(&fresh) {
+                cache.insert_ref(generation, fps[i], emb);
+            }
+        }
+        for (&i, emb) in unique.iter().zip(fresh) {
+            slots[i] = Some(emb);
+        }
+        for i in 0..slots.len() {
+            if slots[i].is_none() {
+                slots[i] = slots[first[&fps[i]]].clone();
+            }
+        }
+    }
+
+    /// One [`AdvisorBackend::predict_batch`] over `reqs` — against a
+    /// cluster backend one wire frame per shard range, bit-identical to
+    /// voting per query — handing request `j`'s answer to `put(j, ..)`.
+    /// The requests are counted on `path`'s ledger first: a request is
+    /// counted when its vote is asked for (see [`ServiceStats`]). A backend
+    /// failure fails the whole vote with that typed error, because every
+    /// query fans out to the same ranges — a partial answer would let one
+    /// range's failure silently skew a subset.
+    fn vote(
+        &self,
+        snap: &B,
+        reqs: &[BatchPredictRequest<'_>],
+        hit: impl Fn(usize) -> bool,
+        path: Path,
+        mut put: impl FnMut(usize, Recommendation),
+    ) -> Result<(), AdvisorError> {
+        let n = reqs.len() as u64;
+        let hits = (0..reqs.len()).filter(|&j| hit(j)).count() as u64;
+        let stats = &self.stats;
+        stats.requests.fetch_add(n, Ordering::Relaxed);
+        if hits > 0 {
+            stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if hits < n {
+            stats.cache_misses.fetch_add(n - hits, Ordering::Relaxed);
+        }
+        self.obs.path_requests[path as usize].add(n);
+        if path != Path::CacheHit {
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.obs.batch_depth[path as usize].observe(n);
+        }
+        let answers = {
+            let _vote = self.obs.vote_ns[path as usize].start_span();
+            snap.predict_batch(reqs)?
+        };
+        let generation = snap.generation();
+        for (j, (model, scores)) in answers.into_iter().enumerate() {
+            put(
+                j,
+                Recommendation {
+                    model,
+                    scores,
+                    generation,
+                    cache_hit: hit(j),
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// Hands one cache miss to the worker and parks on its reply.
+    fn enqueue(
+        &self,
+        graph: FeatureGraph,
+        fingerprint: u64,
+        w: MetricWeights,
+    ) -> Result<Recommendation, AdvisorError> {
+        let (reply, rx) = mpsc::channel();
+        {
+            let mut q = plock(&self.queue);
+            loop {
+                if q.shutdown {
+                    return Err(self.refusal());
+                }
+                if q.items.len() < self.cfg.queue_capacity {
+                    break;
+                }
+                // Backpressure: wake the worker *before* parking. Draining
+                // the full queue is what frees our slot, so this submitter
+                // makes sure the worker is awake rather than relying on the
+                // wakes of whoever filled it. The lock is released while
+                // waiting, so the worker drains meanwhile.
+                self.not_empty.notify_one();
+                q = self
+                    .space
+                    .wait(q)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+            q.items.push_back(Request {
+                graph,
+                fingerprint,
+                w,
+                reply,
+                queue_span: self
+                    .obs
+                    .registry
+                    .is_enabled()
+                    .then(|| self.obs.queue_wait_ns.start_span()),
+            });
+        }
+        // Wake after the lock is dropped: notifying while holding the mutex
+        // makes the worker wake straight into a held lock.
+        self.not_empty.notify_one();
+        // The worker only drops a sender after replying or at shutdown.
+        rx.recv().map_err(|_| self.refusal())?
+    }
+}
+
+/// The vote request for slot `i`, which the pipeline has filled.
+fn request(slots: &[Option<Vec<f32>>], i: usize, w: MetricWeights) -> BatchPredictRequest<'_> {
+    BatchPredictRequest {
+        embedding: slots[i].as_deref().expect("every request embedded"),
+        w,
+        exclude: usize::MAX,
     }
 }
 
@@ -651,239 +784,62 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
             .expect("one recommendation per graph"))
     }
 
-    /// Owned-burst wrapper over [`Self::query`] (a tenant asking about
-    /// several datasets, or one dataset across a weighting grid).
-    pub fn recommend_graphs(
-        &self,
-        graphs: Vec<FeatureGraph>,
-        w: MetricWeights,
-    ) -> Result<Vec<Recommendation>, AdvisorError> {
-        self.query(Query::graphs(graphs, w))
-    }
-
-    /// Borrowed-burst wrapper over [`Self::query`]: callers that keep
-    /// their graphs alive pay **zero clones** on cache hits and
-    /// inline-encoded bursts — a graph is copied only if its request
-    /// actually rides the queue to the worker (which must outlive the
-    /// borrow). Answers are identical to the owned form.
-    pub fn recommend_graph_refs(
-        &self,
-        graphs: &[&FeatureGraph],
-        w: MetricWeights,
-    ) -> Result<Vec<Recommendation>, AdvisorError> {
-        self.query(Query::graph_refs(graphs, w))
-    }
-
-    /// **The** serving path — every `recommend*` wrapper lowers into this
-    /// one method, so there is exactly one place where cache lookup,
-    /// inline burst encoding, queue handoff, and the backend's (possibly
-    /// indexed) KNN vote are wired together. Cache hits are served **on
-    /// the calling thread** against the current snapshot (no queue
-    /// handoff at all — the KNN vote is microseconds, so repeat-heavy
-    /// traffic never wakes the worker), bursts with at least
-    /// [`ServeConfig::inline_burst_misses`] misses are encoded inline
-    /// (one stacked forward, no handoff), and remaining misses ride the
-    /// micro-batch queue, enqueued together so they share stacked
-    /// forwards. Responses come back in input order; each is identical
-    /// to a separate single-graph call. A backend failure (e.g. a dark
-    /// cluster range) fails the whole burst with that typed error.
+    /// **The** serving entry point — [`Self::recommend`] and
+    /// [`Self::recommend_graph`] lower into it, and bursts call it with
+    /// [`Query::graphs`] (owned) or [`Query::graph_refs`] (borrowed: a
+    /// graph is cloned only if its request rides the queue to the worker,
+    /// which must outlive the borrow). Every fingerprint is looked up once;
+    /// cache hits are voted **on the calling thread** against the current
+    /// snapshot (no queue handoff — the KNN vote is microseconds, so
+    /// repeat-heavy traffic never wakes the worker); two or more misses are
+    /// encoded and voted inline (one stacked forward, no handoff); a lone
+    /// miss rides the micro-batch queue so concurrent single-graph clients
+    /// share forwards. Responses come back in input order; each is
+    /// identical to a separate single-graph call. A backend failure (e.g. a
+    /// dark cluster range) fails the whole burst with that typed error.
     pub fn query(&self, q: Query<'_>) -> Result<Vec<Recommendation>, AdvisorError> {
-        let Query { graphs, w } = q;
-        let n = graphs.len();
+        let Query { mut graphs, w } = q;
+        let shared = &*self.shared;
         // Uniform shutdown semantics: once the service is stopping, even
         // cache-servable requests are refused (the fast path never touches
         // the queue, so it must check explicitly).
-        if self.shared.shutting_down.load(Ordering::Acquire) {
-            return Err(self.shared.refusal().into());
+        if shared.shutting_down.load(Ordering::Acquire) {
+            return Err(shared.refusal());
         }
-        let snap = self.shared.current();
-        let fingerprints: Vec<u64> = graphs.iter().map(|g| graph_fingerprint(g)).collect();
-        // Fast path: look every fingerprint up under one brief cache lock
-        // (embeddings are copied out; the KNN votes run unlocked). A
-        // generation mismatch means the snapshot swapped around us — then
-        // nothing is trusted and everything goes through the worker.
-        let mut cached: Vec<Option<Vec<f32>>> = vec![None; n];
-        {
-            let mut cache = plock(&self.shared.cache);
-            if cache.generation() == snap.generation() {
-                for (slot, &fp) in cached.iter_mut().zip(&fingerprints) {
-                    *slot = cache.get(fp).map(<[f32]>::to_vec);
-                }
-            }
+        let snap = shared.current();
+        let fps: Vec<u64> = graphs.iter().map(|g| graph_fingerprint(g)).collect();
+        let mut slots = shared.lookup(&snap, &fps);
+        let mut out: Vec<Option<Recommendation>> = (0..graphs.len()).map(|_| None).collect();
+        let (hits, missed): (Vec<usize>, Vec<usize>) =
+            (0..graphs.len()).partition(|&i| slots[i].is_some());
+        if !hits.is_empty() {
+            let reqs: Vec<_> = hits.iter().map(|&i| request(&slots, i, w)).collect();
+            shared.vote(
+                &snap,
+                &reqs,
+                |_| true,
+                Path::CacheHit,
+                |j, rec| out[hits[j]] = Some(rec),
+            )?;
         }
-        let mut out: Vec<Option<Recommendation>> = (0..n).map(|_| None).collect();
-        let mut graphs: Vec<Option<Cow<'_, FeatureGraph>>> = graphs.into_iter().map(Some).collect();
-        let mut hit_idx: Vec<usize> = Vec::new();
-        let mut missed: Vec<usize> = Vec::new();
-        for (i, slot) in cached.iter().enumerate() {
-            match slot {
-                Some(_) => hit_idx.push(i),
-                None => missed.push(i),
-            }
-        }
-        if !hit_idx.is_empty() {
-            // One batched vote over the whole hit set: against a cluster
-            // backend this is one wire frame per shard range instead of
-            // one per query, and it is bit-identical to voting per query.
-            let reqs: Vec<BatchPredictRequest<'_>> = hit_idx
-                .iter()
-                .map(|&i| BatchPredictRequest {
-                    embedding: cached[i].as_deref().expect("hit embedding present"),
-                    w,
-                    exclude: usize::MAX,
-                })
-                .collect();
-            let answers = {
-                let _vote = self.shared.obs.vote_ns_cache_hit.start_span();
-                snap.predict_batch(&reqs)?
-            };
-            for (&i, (model, scores)) in hit_idx.iter().zip(answers) {
-                out[i] = Some(Recommendation {
-                    model,
-                    scores,
-                    generation: snap.generation(),
-                    cache_hit: true,
-                });
-            }
-        }
-        let hits = hit_idx.len() as u64;
-        if hits > 0 {
-            self.shared
-                .stats
-                .requests
-                .fetch_add(hits, Ordering::Relaxed);
-            self.shared
-                .stats
-                .cache_hits
-                .fetch_add(hits, Ordering::Relaxed);
-            self.shared.obs.path_cache_hit.add(hits);
-        }
-        if missed.len() >= self.shared.cfg.inline_burst_misses.max(1) {
-            // Inline burst serving: a burst with enough misses is its own
-            // micro-batch — encode it here with the same stacked forward,
-            // cache fill and votes the worker would run, skipping the
-            // enqueue/park/wake round trip entirely. Duplicates within the
-            // burst are encoded once, exactly as in `process_batch`.
-            let mut unique: Vec<usize> = Vec::with_capacity(missed.len());
-            let mut pos_of: std::collections::HashMap<u64, usize> =
-                std::collections::HashMap::new();
-            for &i in &missed {
-                pos_of.entry(fingerprints[i]).or_insert_with(|| {
-                    unique.push(i);
-                    unique.len() - 1
-                });
-            }
-            let unique_graphs: Vec<&FeatureGraph> = unique
-                .iter()
-                .map(|&i| graphs[i].as_deref().expect("miss graph present"))
-                .collect();
-            let fresh = {
-                let _encode = self.shared.obs.encode_ns_inline.start_span();
-                snap.embed_graph_batch(&unique_graphs)
-            };
-            {
-                // Inserts are generation-tagged: if a snapshot swap raced
-                // this burst, the cache drops them (same rule as worker
-                // batches).
-                let mut cache = plock(&self.shared.cache);
-                for (&i, emb) in unique.iter().zip(&fresh) {
-                    cache.insert_ref(snap.generation(), fingerprints[i], emb);
-                }
-            }
-            let reqs: Vec<BatchPredictRequest<'_>> = missed
-                .iter()
-                .map(|&i| BatchPredictRequest {
-                    embedding: fresh[pos_of[&fingerprints[i]]].as_slice(),
-                    w,
-                    exclude: usize::MAX,
-                })
-                .collect();
-            let answers = {
-                let _vote = self.shared.obs.vote_ns_inline.start_span();
-                snap.predict_batch(&reqs)?
-            };
-            for (&i, (model, scores)) in missed.iter().zip(answers) {
-                out[i] = Some(Recommendation {
-                    model,
-                    scores,
-                    generation: snap.generation(),
-                    cache_hit: false,
-                });
-            }
-            let stats = &self.shared.stats;
-            stats
-                .requests
-                .fetch_add(missed.len() as u64, Ordering::Relaxed);
-            stats
-                .cache_misses
-                .fetch_add(missed.len() as u64, Ordering::Relaxed);
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            self.shared.obs.path_inline.add(missed.len() as u64);
-            self.shared
-                .obs
-                .batch_depth_inline
-                .observe(missed.len() as u64);
-        } else if !missed.is_empty() {
-            let mut rxs = Vec::with_capacity(missed.len());
-            {
-                let mut q = plock(&self.shared.queue);
-                for &i in &missed {
-                    loop {
-                        if q.shutdown {
-                            return Err(self.shared.refusal().into());
-                        }
-                        if q.items.len() < self.shared.cfg.queue_capacity {
-                            break;
-                        }
-                        // Backpressure: wake the worker *before* parking —
-                        // a burst larger than the queue fills it mid-push,
-                        // and without this wake the worker (parked on
-                        // `not_empty`, which is otherwise only signaled
-                        // after the full burst) would sleep forever while
-                        // we wait for space: mutual deadlock. The lock is
-                        // released while waiting, so the worker drains
-                        // meanwhile.
-                        self.shared.not_empty.notify_one();
-                        q = self
-                            .shared
-                            .space
-                            .wait(q)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    q.items.push_back(Request {
-                        // Owned submissions move their graph into the
-                        // request; borrowed ones clone here — the only
-                        // point where the worker must outlive the borrow.
-                        graph: graphs[i]
-                            .take()
-                            .expect("miss graph taken once")
-                            .into_owned(),
-                        fingerprint: fingerprints[i],
-                        w,
-                        reply: {
-                            let (tx, rx) = mpsc::channel();
-                            rxs.push(rx);
-                            tx
-                        },
-                        queue_span: if self.shared.obs.registry.is_enabled() {
-                            Some(self.shared.obs.queue_wait_ns.start_span())
-                        } else {
-                            None
-                        },
-                    });
-                }
-            }
-            // One wake, after the lock is dropped: notifying per push while
-            // holding the mutex makes the worker wake straight into a held
-            // lock (one futile wake/block cycle per request).
-            self.shared.not_empty.notify_one();
-            // The worker only drops a sender after replying or at shutdown.
-            for (&i, rx) in missed.iter().zip(rxs) {
-                let answer = rx
-                    .recv()
-                    .map_err(|_| AdvisorError::from(self.shared.refusal()))?;
-                out[i] = Some(answer?);
-            }
+        if missed.len() >= INLINE_BURST_MISSES {
+            // The burst is its own micro-batch: the worker's steps, run
+            // here, without the enqueue/park/wake round trip.
+            shared.encode_misses(&snap, &graphs, &fps, &mut slots, Path::Inline);
+            let reqs: Vec<_> = missed.iter().map(|&i| request(&slots, i, w)).collect();
+            shared.vote(
+                &snap,
+                &reqs,
+                |_| false,
+                Path::Inline,
+                |j, rec| out[missed[j]] = Some(rec),
+            )?;
+        } else if let [i] = missed[..] {
+            // Owned submissions move their graph into the request; borrowed
+            // ones clone here — the only point where the worker must
+            // outlive the borrow.
+            let graph = graphs.swap_remove(i).into_owned();
+            out[i] = Some(shared.enqueue(graph, fps[i], w)?);
         }
         Ok(out
             .into_iter()
@@ -1202,29 +1158,22 @@ impl<B: AdvisorBackend + 'static> Drop for AdvisorService<B> {
     }
 }
 
-/// The batcher: drain → deadline-wait → one stacked forward → respond.
+/// The batcher: drain → deadline-wait → one pipeline run → respond.
 fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
+    let max_batch = shared.cfg.max_batch;
     loop {
-        let mut batch: Vec<Request> = Vec::with_capacity(shared.cfg.max_batch);
-        {
-            let mut q = plock(&shared.queue);
-            while q.items.is_empty() {
-                if q.shutdown {
-                    return;
-                }
-                q = shared
-                    .not_empty
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
+        let mut q = plock(&shared.queue);
+        while q.items.is_empty() {
+            if q.shutdown {
+                return;
             }
-            while batch.len() < shared.cfg.max_batch {
-                match q.items.pop_front() {
-                    Some(r) => batch.push(r),
-                    None => break,
-                }
-            }
+            q = shared
+                .not_empty
+                .wait(q)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        shared.space.notify_all();
+        shared.drain(q, &mut batch);
         // Straggler pickup, cheapest first: yield once so clients that
         // were about to enqueue (closed-loop callers just woken by the
         // previous batch's responses) get scheduled, then re-drain. Only
@@ -1232,28 +1181,17 @@ fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
         // a zero deadline the worker never sleeps while work exists, which
         // is the right mode for blocking callers (their next request
         // arrives only after this batch answers, so waiting is pure idle).
-        if batch.len() < shared.cfg.max_batch {
+        if batch.len() < max_batch {
             std::thread::yield_now();
-            let mut q = plock(&shared.queue);
-            while batch.len() < shared.cfg.max_batch {
-                match q.items.pop_front() {
-                    Some(r) => batch.push(r),
-                    None => break,
-                }
-            }
-            drop(q);
-            shared.space.notify_all();
+            shared.drain(plock(&shared.queue), &mut batch);
         }
         if !shared.cfg.batch_deadline.is_zero() {
             let deadline = Instant::now() + shared.cfg.batch_deadline;
-            while batch.len() < shared.cfg.max_batch {
+            while batch.len() < max_batch {
                 let mut q = plock(&shared.queue);
                 while q.items.is_empty() {
-                    if q.shutdown {
-                        break;
-                    }
                     let now = Instant::now();
-                    if now >= deadline {
+                    if q.shutdown || now >= deadline {
                         break;
                     }
                     let (guard, _) = shared
@@ -1265,14 +1203,7 @@ fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
                 if q.items.is_empty() {
                     break;
                 }
-                while batch.len() < shared.cfg.max_batch {
-                    match q.items.pop_front() {
-                        Some(r) => batch.push(r),
-                        None => break,
-                    }
-                }
-                drop(q);
-                shared.space.notify_all();
+                shared.drain(q, &mut batch);
             }
         }
         // A panic while serving (a malformed graph blowing an encoder
@@ -1297,7 +1228,7 @@ fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
 /// Transitions the service into its terminal failed state after a worker
 /// panic: refuse new requests, drop every queued request (each drop
 /// releases a reply sender, so its blocked submitter unblocks into
-/// [`ServeError::WorkerFailed`] instead of hanging), and wake everyone.
+/// [`AdvisorError::WorkerFailed`] instead of hanging), and wake everyone.
 fn fail_service<B>(shared: &Shared<B>) {
     shared.worker_failed.store(true, Ordering::Release);
     shared.shutting_down.store(true, Ordering::Release);
@@ -1310,102 +1241,40 @@ fn fail_service<B>(shared: &Shared<B>) {
     shared.space.notify_all();
 }
 
-/// Serves one micro-batch: cache lookups, one stacked forward over the
-/// misses, cache fill, then **one** batched KNN vote
-/// ([`AdvisorBackend::predict_batch`]) for every request — against a
-/// cluster backend that is one wire frame per shard range per batch
-/// instead of one per query. A backend failure (e.g. a cluster range
-/// going dark mid-batch) fails the batch as a whole: every submitter
-/// receives the same typed error, because every query in the batch fans
-/// out to the same ranges — a partial answer would let one range's
-/// failure silently skew a subset of the batch.
+/// Serves one micro-batch through the shared pipeline: lookup, one
+/// stacked forward over the misses, then **one** vote for every request
+/// (each with its own weights; a request that hits the cache here is voted
+/// with the rest). A vote failure reaches every submitter in the batch as
+/// the same typed error.
 fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request]) {
     // The requests just left the queue: close their wait spans first so
     // queue wait never includes encode time.
     for r in batch.iter_mut() {
         drop(r.queue_span.take());
     }
-    shared.obs.batch_depth_worker.observe(batch.len() as u64);
-    shared.obs.path_worker.add(batch.len() as u64);
+    let batch = &*batch;
     let snap = shared.current();
-    let mut embeddings: Vec<Option<Vec<f32>>> = vec![None; batch.len()];
-    {
-        let mut cache = plock(&shared.cache);
-        // Entries are only valid for the snapshot they were computed
-        // under; after a swap the batch recomputes everything.
-        if cache.generation() == snap.generation() {
-            for (slot, r) in embeddings.iter_mut().zip(batch.iter()) {
-                *slot = cache.get(r.fingerprint).map(<[f32]>::to_vec);
-            }
-        }
-    }
-    let was_hit: Vec<bool> = embeddings.iter().map(Option::is_some).collect();
-    let miss_idx: Vec<usize> = (0..batch.len()).filter(|&i| !was_hit[i]).collect();
-    let hits = batch.len() - miss_idx.len();
-    if !miss_idx.is_empty() {
-        // Duplicate graphs within one batch (N clients asking about the
-        // same dataset in lockstep) are encoded once and fanned back out.
-        let mut unique: Vec<usize> = Vec::with_capacity(miss_idx.len());
-        let mut pos_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for &i in &miss_idx {
-            pos_of.entry(batch[i].fingerprint).or_insert_with(|| {
-                unique.push(i);
-                unique.len() - 1
-            });
-        }
-        let graphs: Vec<&FeatureGraph> = unique.iter().map(|&i| &batch[i].graph).collect();
-        let fresh = {
-            let _encode = shared.obs.encode_ns_worker.start_span();
-            snap.embed_graph_batch(&graphs)
-        };
-        {
-            let mut cache = plock(&shared.cache);
-            for (&i, emb) in unique.iter().zip(&fresh) {
-                cache.insert_ref(snap.generation(), batch[i].fingerprint, emb);
-            }
-        }
-        for &i in &miss_idx {
-            embeddings[i] = Some(fresh[pos_of[&batch[i].fingerprint]].clone());
-        }
-    }
-    let stats = &shared.stats;
-    stats
-        .requests
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.cache_hits.fetch_add(hits as u64, Ordering::Relaxed);
-    stats
-        .cache_misses
-        .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
-    let reqs: Vec<BatchPredictRequest<'_>> = batch
-        .iter()
-        .zip(&embeddings)
-        .map(|(r, emb)| BatchPredictRequest {
-            embedding: emb.as_deref().expect("every request embedded"),
-            w: r.w,
-            exclude: usize::MAX,
-        })
+    let fps: Vec<u64> = batch.iter().map(|r| r.fingerprint).collect();
+    let mut slots = shared.lookup(&snap, &fps);
+    let hit: Vec<bool> = slots.iter().map(Option::is_some).collect();
+    let graphs: Vec<&FeatureGraph> = batch.iter().map(|r| &r.graph).collect();
+    shared.encode_misses(&snap, &graphs, &fps, &mut slots, Path::Worker);
+    let reqs: Vec<_> = (batch.iter().enumerate())
+        .map(|(j, r)| request(&slots, j, r.w))
         .collect();
-    let answers = {
-        let _vote = shared.obs.vote_ns_worker.start_span();
-        snap.predict_batch(&reqs)
-    };
-    match answers {
-        Ok(answers) => {
-            for (i, (r, (model, scores))) in batch.iter().zip(answers).enumerate() {
-                // A dropped receiver (client gave up) is not an error.
-                let _ = r.reply.send(Ok(Recommendation {
-                    model,
-                    scores,
-                    generation: snap.generation(),
-                    cache_hit: was_hit[i],
-                }));
-            }
-        }
-        Err(e) => {
-            for r in batch {
-                let _ = r.reply.send(Err(e.clone()));
-            }
+    // A dropped receiver (client gave up) is not an error.
+    let voted = shared.vote(
+        &snap,
+        &reqs,
+        |j| hit[j],
+        Path::Worker,
+        |j, rec| {
+            let _ = batch[j].reply.send(Ok(rec));
+        },
+    );
+    if let Err(e) = voted {
+        for r in batch {
+            let _ = r.reply.send(Err(e.clone()));
         }
     }
 }

@@ -40,8 +40,8 @@ pub mod reservoir;
 pub mod shard;
 
 pub use batch::{
-    AdvisorService, Query, Recommendation, ServeConfig, ServeConfigBuilder, ServeError,
-    ServeHandle, ServiceStats,
+    AdvisorService, Query, Recommendation, ServeConfig, ServeConfigBuilder, ServeHandle,
+    ServiceStats,
 };
 // Index surface: what callers need to configure `ServeConfig::index`.
 pub use autoce::index::{IndexConfig, IndexConfigBuilder, QuantMode};

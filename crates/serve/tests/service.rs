@@ -7,7 +7,7 @@ mod common;
 use autoce::AdvisorError;
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::extract_features;
-use ce_serve::{AdvisorService, Reservoir, ServeConfig, ShardedAdvisor};
+use ce_serve::{AdvisorService, Query, Reservoir, ServeConfig, ShardedAdvisor};
 use ce_storage::Dataset;
 use ce_testbed::MetricWeights;
 use rand::rngs::StdRng;
@@ -20,7 +20,6 @@ fn serve_config() -> ServeConfig {
         batch_deadline: Duration::from_millis(2),
         queue_capacity: 64,
         cache_capacity: 128,
-        inline_burst_misses: 2,
         admit_on_second_touch: false,
         reservoir_capacity: 4,
         seed: 99,
@@ -246,10 +245,11 @@ fn adapt_with_reservoir_trains_on_bounded_subset() {
     }
 }
 
-/// A burst with more cache misses than the queue holds must still
-/// complete: the submitter wakes the worker before parking on the space
-/// condvar (regression test for a mutual deadlock where the worker was
-/// only notified after the full burst was enqueued).
+/// More concurrent misses than the queue holds must all complete: a
+/// submitter facing a full queue wakes the worker before parking on the
+/// space condvar (regression test for a mutual deadlock where the worker
+/// was only notified after a full burst was enqueued). Each submission is
+/// a lone miss, so every request rides the queue.
 #[test]
 fn burst_larger_than_queue_capacity_completes() {
     let (datasets, flat) = common::trained_advisor(8, 0xb157);
@@ -257,28 +257,36 @@ fn burst_larger_than_queue_capacity_completes() {
         queue_capacity: 3,
         cache_capacity: 0, // every request is a miss
         max_batch: 2,
-        // Force the queue path: this test is specifically about the
-        // submitter/worker handoff, which inline burst serving would skip.
-        inline_burst_misses: usize::MAX,
         ..serve_config()
     };
     let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
     let w = MetricWeights::new(0.6);
-    // 16 misses through a 3-slot queue in one burst.
-    let burst: Vec<_> = (0..16)
-        .map(|i| extract_features(&datasets[i % datasets.len()], &flat.config.feature))
+    let graphs: Vec<_> = datasets
+        .iter()
+        .map(|ds| extract_features(ds, &flat.config.feature))
         .collect();
-    let recs = service
-        .handle()
-        .recommend_graphs(burst, w)
-        .expect("burst completes without deadlock");
-    assert_eq!(recs.len(), 16);
-    for (i, rec) in recs.iter().enumerate() {
-        let x = flat.embed(&datasets[i % datasets.len()]);
-        let (model, scores) = flat.predict_from_embedding(&x, w);
-        assert_eq!(rec.model, model);
-        assert_eq!(rec.scores, scores);
-    }
+    let expected: Vec<_> = datasets
+        .iter()
+        .map(|ds| flat.predict_from_embedding(&flat.embed(ds), w))
+        .collect();
+    // 8 client threads × 4 single distinct misses through a 3-slot queue.
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let handle = service.handle();
+            let (graphs, expected) = (&graphs, &expected);
+            scope.spawn(move || {
+                for round in 0..4 {
+                    let j = (t + round) % graphs.len();
+                    let rec = handle
+                        .recommend_graph(graphs[j].clone(), w)
+                        .expect("completes without deadlock");
+                    assert_eq!((rec.model, rec.scores), expected[j].clone(), "thread {t}");
+                }
+            });
+        }
+    });
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.cache_misses), (32, 32));
     service.shutdown();
 }
 
@@ -296,7 +304,7 @@ fn inline_burst_misses_serve_flat_identical_without_worker() {
         .collect();
     let recs = service
         .handle()
-        .recommend_graphs(burst.clone(), w)
+        .query(Query::graphs(burst.clone(), w))
         .expect("service is running");
     assert_eq!(recs.len(), 8);
     for (i, (rec, ds)) in recs.iter().zip(&datasets).enumerate() {
@@ -313,7 +321,7 @@ fn inline_burst_misses_serve_flat_identical_without_worker() {
     // hits served per request, adding no batch.
     let again = service
         .handle()
-        .recommend_graphs(burst, w)
+        .query(Query::graphs(burst, w))
         .expect("service is running");
     assert!(again.iter().all(|r| r.cache_hit));
     assert_eq!(service.stats().batches, 1);
@@ -345,11 +353,10 @@ fn shutdown_rejects_new_requests() {
 #[test]
 fn worker_panic_fails_submitters_instead_of_hanging() {
     let (datasets, flat) = common::trained_advisor(6, 0xdead);
+    // A lone miss rides the queue to the worker (an inline burst would
+    // panic the *caller*, which is not the failure mode under test).
     let cfg = ServeConfig {
         cache_capacity: 0,
-        // Force the queue/worker path: inline serving would panic the
-        // *caller*, which is not the failure mode under test.
-        inline_burst_misses: usize::MAX,
         ..serve_config()
     };
     let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
@@ -378,49 +385,49 @@ fn worker_panic_fails_submitters_instead_of_hanging() {
 }
 
 /// An RCS with nothing to select fails the request, not the service: the
-/// vote answers `EmptyRcs` on the worker path and on the inline-burst path
-/// alike, and the worker is still there for the next caller. (The tuple
-/// forms used to `assert!` inside the batcher: one miss and the service was
-/// `WorkerFailed` for good.)
+/// vote answers `EmptyRcs` on every path — the worker (a lone miss), the
+/// cache-hit path (the 4-burst repeats the graph the first miss cached)
+/// and the inline path (a burst of new graphs) — and the worker is still
+/// there for the next caller. (The tuple forms used to `assert!` inside
+/// the batcher: one miss and the service was `WorkerFailed` for good.)
+/// Failed votes still count: a request is counted when its vote is asked
+/// for.
 #[test]
 fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
-    fn check<B: autoce::AdvisorBackend + 'static>(empty: B, inline_burst_misses: usize) {
-        let graph = || ce_features::FeatureGraph {
-            vertices: vec![vec![0.3, 0.3, 0.3, 0.3]],
+    fn check<B: autoce::AdvisorBackend + 'static>(empty: B) {
+        let graph = |v: f32| ce_features::FeatureGraph {
+            vertices: vec![vec![v, 0.3, 0.3, 0.3]],
             edges: vec![vec![0.0]],
         };
         let w = MetricWeights::new(0.5);
-        let cfg = ServeConfig {
-            inline_burst_misses,
-            ..serve_config()
-        };
-        let service = AdvisorService::start(empty, cfg);
+        let service = AdvisorService::start(empty, serve_config());
         let handle = service.handle();
         assert_eq!(
-            handle.recommend_graph(graph(), w),
+            handle.recommend_graph(graph(0.3), w),
             Err(AdvisorError::EmptyRcs)
         );
         assert_eq!(
-            handle.recommend_graphs(vec![graph(); 4], w),
+            handle.query(Query::graphs(vec![graph(0.3); 4], w)),
             Err(AdvisorError::EmptyRcs)
         );
-        assert!(service.stats().requests >= 1, "the ledger still answers");
         assert_eq!(
-            service.handle().recommend_graph(graph(), w),
+            service.handle().recommend_graph(graph(0.3), w),
             Err(AdvisorError::EmptyRcs),
             "a later caller gets the request's error, not WorkerFailed"
         );
+        let stats =
+            |s: ce_serve::ServiceStats| (s.requests, s.batches, s.cache_hits, s.cache_misses);
+        assert_eq!(stats(service.stats()), (6, 1, 5, 1));
+        assert_eq!(
+            handle.query(Query::graphs(vec![graph(0.1), graph(0.2)], w)),
+            Err(AdvisorError::EmptyRcs)
+        );
+        assert_eq!(stats(service.stats()), (8, 2, 5, 3));
         service.shutdown();
     }
-    // Queue/worker path first, then bursts encoded on the calling thread.
-    for inline_burst_misses in [usize::MAX, 2] {
-        let flat = || autoce::fixtures::synthetic_flat(0, 2);
-        check(
-            ShardedAdvisor::from_advisor(&flat(), 2),
-            inline_burst_misses,
-        );
-        check(flat(), inline_burst_misses);
-    }
+    let flat = || autoce::fixtures::synthetic_flat(0, 2);
+    check(ShardedAdvisor::from_advisor(&flat(), 2));
+    check(flat());
 }
 
 /// Second-touch admission: the first encoding of a graph only records its
@@ -432,7 +439,6 @@ fn second_touch_admission_caches_on_reuse_only() {
     let (datasets, flat) = common::trained_advisor(4, 0x2704);
     let cfg = ServeConfig {
         admit_on_second_touch: true,
-        inline_burst_misses: 1, // encode on the calling thread
         ..serve_config()
     };
     let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
@@ -470,7 +476,6 @@ fn metrics_snapshot_reports_instrumented_serving() {
     let registry = autoce::MetricsRegistry::new();
     let cfg = ServeConfig {
         metrics: registry.clone(),
-        inline_burst_misses: 2,
         ..serve_config()
     };
     let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
@@ -482,7 +487,7 @@ fn metrics_snapshot_reports_instrumented_serving() {
     // A cold burst (inline path), then the same burst again (cache hits).
     for round in 0..2 {
         let recs = handle
-            .recommend_graphs(graphs.clone(), w)
+            .query(Query::graphs(graphs.clone(), w))
             .expect("burst served");
         for (g, r) in graphs.iter().zip(&recs) {
             let x = flat.embed_graph(g);

@@ -1,8 +1,9 @@
 //! # autoce-suite — umbrella crate of the AutoCE reproduction
 //!
 //! Re-exports the public API of every workspace crate so examples and
-//! integration tests have a single import root. See `README.md` for the
-//! architecture overview and `DESIGN.md` for the system inventory.
+//! integration tests have a single import root. Each crate's own docs
+//! describe its layer; `docs/*.md` hold the serving contracts (advisor
+//! API, cluster protocol, KNN index, observability).
 
 pub use autoce;
 pub use ce_cluster as cluster;
