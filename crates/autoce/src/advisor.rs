@@ -170,9 +170,9 @@ impl AdvisorShard {
         &self.entries
     }
 
-    /// The partial top-k of this partition ([`knn::partial_topk`]);
-    /// `generation` is the owner's live generation, `dists` the scan's
-    /// reusable scratch.
+    /// The partial top-k of this partition ([`knn::partial_topk`]),
+    /// appended to `out`; `generation` is the owner's live generation,
+    /// `dists` the scan's reusable scratch.
     pub fn partial_topk(
         &self,
         x: &[f32],
@@ -180,7 +180,8 @@ impl AdvisorShard {
         exclude: usize,
         generation: u64,
         dists: &mut Vec<f32>,
-    ) -> Vec<(usize, f32)> {
+        out: &mut Vec<(usize, f32)>,
+    ) {
         let view = Partition {
             ids: &self.ids,
             embedding: |m: usize| self.entries[m].embedding.as_slice(),
@@ -188,7 +189,7 @@ impl AdvisorShard {
             index: self.index.as_ref(),
             generation,
         };
-        knn::partial_topk(&view, x, k, exclude, dists)
+        knn::partial_topk(&view, x, k, exclude, dists, out);
     }
 
     /// Appends an entry under global index `id`. Membership changed: the
@@ -669,7 +670,7 @@ mod tests {
         use ce_nn::matrix::euclidean;
 
         fn check(shard: &AdvisorShard, what: &str) {
-            let mut dists = Vec::new();
+            let (mut dists, mut got) = (Vec::new(), Vec::new());
             for x in tie_heavy_queries() {
                 let mut all: Vec<(usize, f32)> = (shard.ids().iter().zip(shard.entries()))
                     .map(|(&id, e)| (id, euclidean(&x, &e.embedding)))
@@ -683,7 +684,8 @@ mod tests {
                     let mut want = all.clone();
                     want.retain(|&(id, _)| id != exclude);
                     want.truncate(k);
-                    let got = shard.partial_topk(&x, k, exclude, 0, &mut dists);
+                    got.clear();
+                    shard.partial_topk(&x, k, exclude, 0, &mut dists, &mut got);
                     assert_eq!(bits(&got), bits(&want), "{what}: k={k} exclude={exclude}");
                 }
             }

@@ -12,7 +12,7 @@
 //! # Determinism obligations
 //!
 //! Every implementation must be **bit-deterministic**: for the same RCS
-//! state, `predict_excluding` returns the same `(ModelKind, Vec<f64>)`
+//! state, `predict_batch` returns the same `(ModelKind, Vec<f64>)`
 //! bits regardless of shard count, replica choice, thread count, or
 //! transport. Concretely, implementations must preserve the two
 //! load-bearing contracts:
@@ -67,7 +67,9 @@ pub enum AdvisorError {
     EmptyRcs,
     /// A request's dataset is malformed — columns of unequal length in one
     /// table, or a join edge naming a table or column that does not exist
-    /// (`Dataset::validate_shape`); nothing was extracted or sent.
+    /// (`Dataset::validate_shape`), nothing extracted or sent — or a query
+    /// embedding holds a NaN or ±∞ (a non-finite feature reached the
+    /// encoder; `knn::select_batch`), nothing scanned or sent.
     InvalidDataset(String),
 }
 
@@ -147,36 +149,42 @@ pub trait AdvisorBackend: Send + Sync {
     /// point. Must be bit-identical to per-graph [`Self::embed_graph`].
     fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>>;
 
-    /// KNN prediction from an embedding, excluding one global RCS index
-    /// (`usize::MAX` excludes nothing): the steps of [`crate::knn`]. The
-    /// bit-determinism contract lives here; see the module docs. An RCS
-    /// with nothing the query may select is [`AdvisorError::EmptyRcs`],
-    /// never a panic.
+    /// KNN prediction for a batch of queries, each excluding one global RCS
+    /// index (`usize::MAX` excludes nothing): the steps of [`crate::knn`],
+    /// and the one predict every backend implements — the batcher's entry
+    /// point for the vote half of a request, the way
+    /// [`Self::embed_graph_batch`] is for the encode half. Answers come back
+    /// in submission order, each **bit-identical** to the same query asked
+    /// alone (the determinism contract lives here; see the module docs).
+    /// In-process backends share one scratch across the batch; distributed
+    /// ones send one wire frame per shard range per batch. A batch either
+    /// answers in full or fails as a whole with the first error — partial
+    /// answers would let one range's failure silently skew a subset of the
+    /// batch. Refused before anything is scanned or sent, never a panic: an
+    /// RCS with nothing some query may select is [`AdvisorError::EmptyRcs`],
+    /// a query embedding holding a NaN or ±∞ is
+    /// [`AdvisorError::InvalidDataset`].
+    fn predict_batch(
+        &self,
+        queries: &[BatchPredictRequest<'_>],
+    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError>;
+
+    /// KNN prediction from one embedding: [`Self::predict_batch`] over a
+    /// batch of one.
     fn predict_excluding(
         &self,
         embedding: &[f32],
         w: MetricWeights,
         exclude: usize,
-    ) -> Result<(ModelKind, Vec<f64>), AdvisorError>;
-
-    /// KNN prediction for a whole micro-batch — the batcher's entry point
-    /// for the vote half of a request, the way [`Self::embed_graph_batch`]
-    /// is for the encode half. Answers are returned in submission order
-    /// and must be **bit-identical** to calling
-    /// [`Self::predict_excluding`] per query; the default does exactly
-    /// that. Distributed backends override it to amortize transport costs
-    /// (one wire frame per shard range per batch instead of one per
-    /// query). A batch either answers in full or fails as a whole with
-    /// the first error — partial answers would let one range's failure
-    /// silently skew a subset of the batch.
-    fn predict_batch(
-        &self,
-        queries: &[BatchPredictRequest<'_>],
-    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
-        queries
-            .iter()
-            .map(|q| self.predict_excluding(q.embedding, q.w, q.exclude))
-            .collect()
+    ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
+        let query = BatchPredictRequest {
+            embedding,
+            w,
+            exclude,
+        };
+        self.predict_batch(std::slice::from_ref(&query))?
+            .pop()
+            .ok_or_else(|| AdvisorError::Protocol("a batch of one answered nothing".into()))
     }
 
     /// KNN prediction from an embedding (no exclusion).
@@ -278,16 +286,14 @@ impl AdvisorBackend for AutoCe {
         self.encoder().encode_batch(graphs)
     }
 
-    fn predict_excluding(
+    fn predict_batch(
         &self,
-        embedding: &[f32],
-        w: MetricWeights,
-        exclude: usize,
-    ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
+        queries: &[BatchPredictRequest<'_>],
+    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
         let rcs = self.partition();
-        let k = knn::select_k(self.config.k, rcs.len(), exclude)?;
-        let topk = rcs.partial_topk(embedding, k, exclude, self.generation(), &mut Vec::new());
-        Ok(knn::merge_vote(topk, k, w, |i| &rcs.entries()[i]))
+        let partitions = std::slice::from_ref(rcs);
+        let entry = |i: usize| &rcs.entries()[i];
+        knn::predict_batch(queries, self.config.k, partitions, self.generation(), entry)
     }
 
     fn distance_to_nearest(&self, x: &[f32]) -> f32 {

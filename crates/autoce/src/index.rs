@@ -425,43 +425,52 @@ impl KnnIndex {
     }
 
     /// Two-stage query: probes the closest partitions, exactly re-ranks
-    /// their members under [`knn_order`](crate::knn_order), and returns the top `k`
-    /// `(position, exact distance)` ascending — **only** when the
-    /// admissibility bound proves the result equals the flat scan's.
-    /// `None` means fall back to the flat scan. `exclude` (position;
-    /// `usize::MAX` for none) is skipped during candidate collection.
+    /// their members under [`knn_order`](crate::knn_order), and appends the
+    /// top `k` `(ids[position], exact distance)` ascending to `out` —
+    /// **only** when the admissibility bound proves the result equals the
+    /// flat scan's, which is when it returns `true`. `false` means fall back
+    /// to the flat scan; `out` is then truncated back to where it started.
+    /// `exclude` (position; `usize::MAX` for none) is skipped during
+    /// candidate collection. `ids` names the members by position and must
+    /// ascend (positions then rank like ids, so ties break alike).
     ///
     /// `k` must already be clamped to the number of selectable entries.
-    pub fn query_topk<'e, F>(
+    pub fn query_topk<'e, I, F>(
         &self,
         query: &[f32],
         k: usize,
         exclude: usize,
         emb_of: F,
-    ) -> Option<Vec<(usize, f32)>>
+        ids: &[I],
+        out: &mut Vec<(I, f32)>,
+    ) -> bool
     where
+        I: Copy + Ord,
         F: Fn(usize) -> &'e [f32],
     {
         if k == 0 || query.len() != self.dim {
             self.obs.bypass.inc();
-            return None;
+            return false;
         }
         let order = self.partition_order(query);
         let p = order.len();
         let probe_n = self.cfg.probe.min(p);
 
+        let start = out.len();
         let mut scanned = 0usize;
         let members = (order[..probe_n].iter())
             .flat_map(|&c| &self.members[c as usize])
             .map(|&m| m as usize)
             .filter(|&m| m != exclude)
             .inspect(|_| scanned += 1);
-        let cands = top_k(members.map(|m| (m, euclidean(query, emb_of(m)))), k);
-        if cands.len() < k {
+        let scored = members.map(|m| (ids[m], euclidean(query, emb_of(m))));
+        top_k(scored, k, out);
+        if out.len() - start < k {
             self.obs.fallback.inc();
-            return None;
+            out.truncate(start);
+            return false;
         }
-        let d_k = cands[k - 1].1;
+        let d_k = out[start + k - 1].1;
 
         // Admissibility: every unprobed, non-empty partition must be
         // provably too far to contribute — or even tie — a top-k slot.
@@ -478,12 +487,13 @@ impl KnnIndex {
             let slack = 4.0 * f32::EPSILON * (self.dim as f32 + 8.0) * (d_c + self.radii[c] + d_k);
             if d_c - self.radii[c] <= d_k + self.cfg.margin + slack {
                 self.obs.fallback.inc();
-                return None;
+                out.truncate(start);
+                return false;
             }
         }
         self.obs.indexed.inc();
         self.obs.rerank.observe(scanned as u64);
-        Some(cands)
+        true
     }
 }
 

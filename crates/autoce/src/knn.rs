@@ -5,25 +5,31 @@
 //! order, and every tier calls them here:
 //!
 //! 1. [`select_k`] — clamp the advisor's `k` to what the query may select;
-//!    nothing selectable is [`AdvisorError::EmptyRcs`].
+//!    nothing selectable is [`AdvisorError::EmptyRcs`]. A batch is clamped
+//!    whole by [`select_batch`], which also refuses a non-finite query
+//!    embedding ([`AdvisorError::InvalidDataset`]) before anything is
+//!    scanned or framed.
 //! 2. [`partial_topk`] — per RCS partition, the `k` nearest non-excluded
-//!    members under [`knn_order`]: from the partition's [`KnnIndex`] when
-//!    its `(generation, len)` tag matches the live partition and the
-//!    admissibility bound proves the answer, otherwise by the flat scan —
-//!    one lane-per-row kernel pass over the partition's [`PackedRows`]
-//!    mirror, every distance the bits of [`euclidean`] (which stays the
-//!    one-pair primitive and the tests' oracle). Both end in one selection
-//!    tail (`top_k`), fed straight off the `(id, distance)` stream.
-//! 3. [`merge_vote`] — sort the concatenated partial lists, keep `k`,
-//!    [`knn_vote`]. One partition is not a special case: merging one
+//!    members under [`knn_order`], *appended* to a caller-owned candidate
+//!    buffer: from the partition's [`KnnIndex`] when its `(generation, len)`
+//!    tag matches the live partition and the admissibility bound proves the
+//!    answer, otherwise by the flat scan — one lane-per-row kernel pass over
+//!    the partition's [`PackedRows`] mirror, every distance the bits of
+//!    [`euclidean`] (which stays the one-pair primitive and the tests'
+//!    oracle). Both end in one selection tail (`top_k`), fed straight off
+//!    the `(id, distance)` stream.
+//! 3. [`merge_vote`] — sort the concatenated partial lists in place, keep
+//!    `k`, [`knn_vote`]. One partition is not a special case: merging one
 //!    sorted list is a no-op sort.
 //! 4. [`min_distance`] — the nearest-member fold behind the drift signal.
 //!
-//! The flat [`AutoCe`](crate::AutoCe) owns one
-//! [`AdvisorShard`](crate::AdvisorShard) (ids `0..n`), `ce-serve`'s
-//! `ShardedAdvisor` owns N, `ce-cluster`'s shard server lends its wire
-//! tables as [`Partition`] views and its coordinator takes the clamp and
-//! the merge from here around its own framing.
+//! The flat [`AutoCe`](crate::AutoCe) owns one [`AdvisorShard`] (ids
+//! `0..n`) and `ce-serve`'s `ShardedAdvisor` owns N; both answer through
+//! [`predict_batch`], which runs steps 1–3 with one distance scratch and
+//! one candidate buffer for the whole batch. `ce-cluster`'s shard server
+//! lends its wire tables as [`Partition`] views under the same discipline,
+//! and its coordinator takes the clamp and the merge from here around its
+//! own framing.
 //!
 //! # Five things the former per-tier copies disagreed on, settled
 //!
@@ -46,14 +52,13 @@
 //!   is microseconds; the rayon shim spawns threads per call), and each
 //!   owner keeps the `par_iter` shape of its refresh — the flat advisor
 //!   over chunks, the sharded one over shards. Only the pack, the chunk
-//!   encode and the write-back are shared
-//!   ([`AdvisorShard`](crate::AdvisorShard)).
+//!   encode and the write-back are shared ([`AdvisorShard`]).
 //!
 //! `crates/cluster/tests/golden_knn_bits.rs` pins the answers of every
 //! tier as captured before the copies were merged.
 
-use crate::advisor::RcsEntry;
-use crate::backend::AdvisorError;
+use crate::advisor::{AdvisorShard, RcsEntry};
+use crate::backend::{AdvisorError, BatchPredictRequest};
 use crate::index::KnnIndex;
 use ce_models::ModelKind;
 use ce_nn::matrix::euclidean;
@@ -112,9 +117,65 @@ pub fn select_k(k: usize, len: usize, exclude: usize) -> Result<usize, AdvisorEr
     }
 }
 
+/// The batch clamp: every query's [`select_k`], after checking that its
+/// embedding is finite — a NaN or ±∞ feature that reached the encoder is
+/// [`AdvisorError::InvalidDataset`], where [`knn_order`] could only panic
+/// on the distances it makes. The first refusal fails the whole batch,
+/// before any partition is scanned or any frame is built.
+pub fn select_batch(
+    k: usize,
+    len: usize,
+    queries: &[BatchPredictRequest<'_>],
+) -> Result<Vec<usize>, AdvisorError> {
+    (queries.iter())
+        .map(|q| {
+            if let Some(v) = q.embedding.iter().find(|v| !v.is_finite()) {
+                return Err(AdvisorError::InvalidDataset(format!(
+                    "query embedding holds {v}"
+                )));
+            }
+            select_k(k, len, q.exclude)
+        })
+        .collect()
+}
+
+/// Steps 1–3 for a batch over in-process partitions: [`select_batch`],
+/// then per query every partition's [`partial_topk`] appended to one
+/// candidate buffer and [`merge_vote`] over it. One distance scratch and
+/// one candidate buffer serve the whole batch. `entry` resolves a global
+/// id; `generation` is the owner's live generation.
+pub fn predict_batch<'a>(
+    queries: &[BatchPredictRequest<'_>],
+    k: usize,
+    partitions: &[AdvisorShard],
+    generation: u64,
+    entry: impl Fn(usize) -> &'a RcsEntry,
+) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
+    let len = partitions.iter().map(AdvisorShard::len).sum();
+    let ks = select_batch(k, len, queries)?;
+    let mut dists = Vec::new();
+    let mut cands = Vec::with_capacity(k.min(len) * partitions.len());
+    Ok((queries.iter().zip(ks))
+        .map(|(q, k)| {
+            cands.clear();
+            for p in partitions {
+                p.partial_topk(
+                    q.embedding,
+                    k,
+                    q.exclude,
+                    generation,
+                    &mut dists,
+                    &mut cands,
+                );
+            }
+            merge_vote(&mut cands, k, q.w, &entry)
+        })
+        .collect())
+}
+
 /// One RCS partition as [`partial_topk`] sees it: borrowed, so an
-/// [`AdvisorShard`](crate::AdvisorShard) and a shard server's wire table
-/// are scanned by the same code.
+/// [`AdvisorShard`] and a shard server's wire table are scanned by the
+/// same code.
 pub struct Partition<'a, I, F> {
     /// Global RCS id of each member, by position.
     pub ids: &'a [I],
@@ -132,89 +193,93 @@ pub struct Partition<'a, I, F> {
 }
 
 /// A partition's partial top-k: up to `k` nearest members other than
-/// `exclude`, as `(global id, distance)` sorted by [`knn_order`]. The
-/// index and the flat scan produce the same bits, so whoever merges the
-/// list cannot tell which served it. See the module docs for the clamp,
-/// the exclusion and the counters. `dists` is the flat scan's scratch — one
-/// distance per member — for the caller to reuse from partition to
-/// partition and query to query.
+/// `exclude`, as `(global id, distance)` sorted by [`knn_order`], appended
+/// to `out` (what `out` already held is left as it was). The index and the
+/// flat scan produce the same bits, so whoever merges the list cannot tell
+/// which served it. See the module docs for the clamp, the exclusion and
+/// the counters. `dists` is the flat scan's scratch — one distance per
+/// member — for the caller to reuse from partition to partition and query
+/// to query, like `out`.
 pub fn partial_topk<'a, I, F>(
     p: &Partition<'a, I, F>,
     x: &[f32],
     k: usize,
     exclude: I,
     dists: &mut Vec<f32>,
-) -> Vec<(I, f32)>
-where
+    out: &mut Vec<(I, f32)>,
+) where
     I: Copy + Ord,
     F: Fn(usize) -> &'a [f32],
 {
     let excluded = p.ids.binary_search(&exclude).ok();
     let k = k.min(p.ids.len() - usize::from(excluded.is_some()));
     if k == 0 {
-        return Vec::new();
+        return;
     }
     if let Some(index) = p.index {
+        let position = excluded.unwrap_or(usize::MAX);
         if !index.tag_matches(p.generation, p.ids.len()) {
             index.note_bypass();
-        } else if let Some(topk) =
-            index.query_topk(x, k, excluded.unwrap_or(usize::MAX), &p.embedding)
-        {
-            // Positions ascend with ids, so the position-ranked list maps
-            // 1:1 onto the id-ranked one.
-            return topk.into_iter().map(|(m, d)| (p.ids[m], d)).collect();
+        } else if index.query_topk(x, k, position, &p.embedding, p.ids, out) {
+            return;
         }
     }
     assert_eq!(p.packed.len(), p.ids.len(), "one packed row per member");
     p.packed.dists_into(x, dists);
-    let scan = (p.ids.iter().zip(dists.iter())).map(|(&id, &d)| (id, d));
-    top_k(scan.filter(|&(id, _)| id != exclude), k)
+    let scan = p.ids.iter().copied().zip(dists.iter().copied());
+    top_k(scan.filter(|&(id, _)| id != exclude), k, out);
 }
 
 /// The one selection tail: the `k ≥ 1` least of `candidates` under
-/// [`knn_order`], sorted. The order is strict and total, so the result does
-/// not depend on the input order. At most `2k` candidates are held: when
-/// that many have gathered, a selection keeps the `k` least and the k-th
-/// becomes the bar every later candidate must beat — linear in the stream
-/// whatever its order, and a k-sized buffer however long it is.
+/// [`knn_order`], sorted and appended to `out`. The order is strict and
+/// total, so the result does not depend on the input order. At most `2k`
+/// candidates are held past `out`'s old end: when that many have gathered,
+/// a selection keeps the `k` least and the k-th becomes the bar every later
+/// candidate must beat — linear in the stream whatever its order, and a
+/// k-sized buffer however long it is. A candidate *strictly* farther than
+/// the bar is dropped on its distance alone; a tie (decided by id) or a NaN
+/// still meets [`knn_order`].
 pub(crate) fn top_k<I: Copy + Ord>(
     candidates: impl Iterator<Item = (I, f32)>,
     k: usize,
-) -> Vec<(I, f32)> {
-    let mut kept = Vec::with_capacity(2 * k);
-    let mut bar = None;
+    out: &mut Vec<(I, f32)>,
+) {
+    let start = out.len();
+    let mut bar: Option<(I, f32)> = None;
     for c in candidates {
-        if bar.is_some_and(|bar| knn_order(&c, &bar) != Ordering::Less) {
-            continue;
+        if let Some(bar) = bar {
+            if c.1 > bar.1 || knn_order(&c, &bar) != Ordering::Less {
+                continue;
+            }
         }
-        kept.push(c);
-        if kept.len() == 2 * k {
-            kept.select_nth_unstable_by(k - 1, knn_order);
-            kept.truncate(k);
-            bar = Some(kept[k - 1]);
+        out.push(c);
+        if out.len() - start == 2 * k {
+            out[start..].select_nth_unstable_by(k - 1, knn_order);
+            out.truncate(start + k);
+            bar = Some(out[start + k - 1]);
         }
     }
-    if k < kept.len() {
-        kept.select_nth_unstable_by(k - 1, knn_order);
-        kept.truncate(k);
+    if k < out.len() - start {
+        out[start..].select_nth_unstable_by(k - 1, knn_order);
+        out.truncate(start + k);
     }
-    kept.sort_unstable_by(knn_order);
-    kept
+    out[start..].sort_unstable_by(knn_order);
 }
 
-/// Merges partial top-k lists — concatenated in any order — into the
-/// global top `k` and votes ([`knn_vote`]); `entry` resolves a global id.
-/// Every global top-k neighbour is inside its own partition's list, so the
-/// sorted prefix is exactly the flat scan's sequence.
+/// Merges partial top-k lists — concatenated in any order, sorted here in
+/// place — into the global top `k` and votes ([`knn_vote`]); `entry`
+/// resolves a global id. Every global top-k neighbour is inside its own
+/// partition's list, so the sorted prefix is exactly the flat scan's
+/// sequence.
 pub fn merge_vote<'a>(
-    mut partials: Vec<(usize, f32)>,
+    partials: &mut [(usize, f32)],
     k: usize,
     w: MetricWeights,
     entry: impl Fn(usize) -> &'a RcsEntry,
 ) -> (ModelKind, Vec<f64>) {
     partials.sort_unstable_by(knn_order);
-    partials.truncate(k);
-    knn_vote(partials.iter().map(|&(id, _)| entry(id)), k, w)
+    let nearest = &partials[..k.min(partials.len())];
+    knn_vote(nearest.iter().map(|&(id, _)| entry(id)), k, w)
 }
 
 /// Distance from `x` to the nearest of `embeddings` (`+∞` over none) —
@@ -277,8 +342,10 @@ mod tests {
 
     const GENERATION: u64 = 5;
 
-    /// `partial_topk` ≡ the brute-force prefix — whatever serves it — and
-    /// the index counts one outcome per query that met a build.
+    /// `partial_topk` appends the brute-force prefix — whatever serves it —
+    /// after what its buffer already held, which stays as it was (an index
+    /// that declines included), and the index counts one outcome per query
+    /// that met a build.
     fn check_partition(
         seed: u64,
         n: usize,
@@ -325,6 +392,9 @@ mod tests {
         let mut excludes = vec![usize::MAX, 11];
         excludes.extend(ids.choose(&mut rng));
         let mut dists = Vec::new();
+        // Another partition's list, already in the buffer.
+        let held = [(usize::MAX, -1.0f32), (2, 0.25), (10, f32::NAN)];
+        let mut out = Vec::new();
         for (index, generation, slot) in slots {
             // Only ascending ids may carry an index.
             let index = index.filter(|_| ascending);
@@ -338,10 +408,13 @@ mod tests {
                         generation,
                     };
                     let before = outcomes(&registry);
-                    let got = partial_topk(&view, &x, k, exclude, &mut dists);
+                    out.clear();
+                    out.extend(held);
+                    partial_topk(&view, &x, k, exclude, &mut dists, &mut out);
                     let want = brute_force(&ids, &embs, &x, k, exclude);
                     let case = format!("{n} × {dim}, {slot}, k={k}, exclude={exclude}");
-                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    assert_eq!(bits(&out[..held.len()]), bits(&held), "{case}: held");
+                    assert_eq!(bits(&out[held.len()..]), bits(&want), "{case}");
                     let after = outcomes(&registry);
                     let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
                     let met_a_build = index.is_some() && !want.is_empty();
@@ -417,8 +490,9 @@ mod tests {
             let mut sorted = input.clone();
             sorted.sort_by(knn_order);
             for k in [1, 2, n / 2, n] {
+                let mut got = Vec::new();
                 COMPARISONS.set(0);
-                let got = top_k(input.iter().copied(), k);
+                top_k(input.iter().copied(), k, &mut got);
                 let cost = COMPARISONS.get() as f64;
                 assert_eq!(got, sorted[..k], "{what}, k={k}");
                 let (n, k) = (n as f64, k as f64);
@@ -426,7 +500,9 @@ mod tests {
                 assert!(cost <= 12.0 * n + 3.0 * k * log_n, "{what}, k={k}: {cost}");
             }
         }
-        assert_eq!(top_k(std::iter::empty::<(usize, f32)>(), 3), []);
+        let mut none = vec![(7usize, 0.5f32)];
+        top_k(std::iter::empty(), 3, &mut none);
+        assert_eq!(none, [(7, 0.5)]);
     }
 
     proptest! {
@@ -479,15 +555,147 @@ mod tests {
                     index: None,
                     generation: 0,
                 };
-                partials.extend(partial_topk(&view, &x, k, exclude, &mut dists));
+                partial_topk(&view, &x, k, exclude, &mut dists, &mut partials);
             }
-            let got = merge_vote(partials, k, w, |id| &entries[id]);
+            let got = merge_vote(&mut partials, k, w, |id| &entries[id]);
             let one = brute_force(&all, &embs, &x, k, exclude);
             let want = knn_vote(one.iter().map(|&(id, _)| &entries[id]), k, w);
             prop_assert_eq!(got.0, want.0);
             let score_bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(score_bits(&got.1), score_bits(&want.1));
         }
+
+        /// One scratch per batch changes nothing: [`predict_batch`] over 1–4
+        /// shards answers each query of a batch — mixed weights and
+        /// exclusions, so mixed clamps — as that query asked alone and as
+        /// the brute-force vote; and per-query `k`s appended one after the
+        /// other into one buffer (the shard server's batch) are each the
+        /// list that query gets alone.
+        #[test]
+        fn a_batch_is_its_queries_asked_alone(
+            seed in 0u64..1_000_000,
+            n in 1usize..30,
+            parts in 1usize..5,
+            k in 1usize..9,
+            depth in 1usize..9,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, _, entries) = synthetic_grid(n, k).into_parts();
+            let embs: Vec<Vec<f32>> = entries.iter().map(|e| e.embedding.clone()).collect();
+            let shards = split_shards(&mut rng, &entries, parts);
+            let entry = |id: usize| &entries[id];
+            let xs = grid_points(&mut rng, depth, 3, 6);
+            let batch: Vec<BatchPredictRequest<'_>> = (xs.iter())
+                .map(|x| BatchPredictRequest {
+                    embedding: x,
+                    w: MetricWeights::new(rng.gen_range(0..5) as f64 / 4.0),
+                    exclude: [usize::MAX, rng.gen_range(0..n), n + 1][rng.gen_range(0..3usize)],
+                })
+                .collect();
+            let all: Vec<usize> = (0..n).collect();
+            match predict_batch(&batch, k, &shards, 0, entry) {
+                Ok(answers) => {
+                    prop_assert_eq!(answers.len(), batch.len());
+                    for (q, got) in batch.iter().zip(&answers) {
+                        let alone = predict_batch(std::slice::from_ref(q), k, &shards, 0, entry);
+                        prop_assert_eq!(Ok(vec![got.clone()]), alone);
+                        let k = select_k(k, n, q.exclude).expect("the batch answered");
+                        let one = brute_force(&all, &embs, q.embedding, k, q.exclude);
+                        let want = knn_vote(one.iter().map(|&(id, _)| &entries[id]), k, q.w);
+                        prop_assert_eq!(got, &want);
+                    }
+                }
+                Err(e) => {
+                    prop_assert_eq!(e, AdvisorError::EmptyRcs);
+                    prop_assert!(n == 1 && batch.iter().any(|q| q.exclude == 0));
+                }
+            }
+            let (mut dists, mut out, mut bounds) = (Vec::new(), Vec::new(), vec![0]);
+            let ks: Vec<usize> = batch.iter().map(|_| rng.gen_range(0..n + 2)).collect();
+            for shard in &shards {
+                out.clear();
+                bounds.truncate(1);
+                for (q, &k) in batch.iter().zip(&ks) {
+                    shard.partial_topk(q.embedding, k, q.exclude, 0, &mut dists, &mut out);
+                    bounds.push(out.len());
+                }
+                let rows: Vec<Vec<f32>> =
+                    shard.entries().iter().map(|e| e.embedding.clone()).collect();
+                for ((q, &k), w) in batch.iter().zip(&ks).zip(bounds.windows(2)) {
+                    let want = brute_force(shard.ids(), &rows, q.embedding, k, q.exclude);
+                    prop_assert_eq!(bits(&out[w[0]..w[1]]), bits(&want));
+                }
+            }
+        }
+
+        /// One refused query fails its whole batch, wherever it sits, before
+        /// any partition is scanned (an installed index counts nothing): a
+        /// NaN or ±∞ anywhere in an embedding is `InvalidDataset`, nothing
+        /// selectable `EmptyRcs`.
+        #[test]
+        fn one_refused_query_fails_the_whole_batch(
+            seed in 0u64..1_000_000,
+            n in 1usize..20,
+            depth in 1usize..9,
+            bad in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, _, entries) = synthetic_grid(n, 2).into_parts();
+            let registry = MetricsRegistry::new();
+            let cfg = IndexConfig::builder()
+                .partitions(2)
+                .probe(1)
+                .min_rcs_for_index(1)
+                .build()
+                .expect("valid index config");
+            let mut shards = split_shards(&mut rng, &entries, 2);
+            for shard in &mut shards {
+                shard.rebuild_index(Some(&cfg), &registry, 0);
+            }
+            let clean = grid_points(&mut rng, depth, 3, 6);
+            let at = rng.gen_range(0..depth);
+            let mut poisoned = clean.clone();
+            poisoned[at][rng.gen_range(0..3usize)] =
+                [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][bad];
+            let (poisoned, clean) = (requests(&poisoned, at, usize::MAX), requests(&clean, at, 0));
+            let entry = |id: usize| &entries[id];
+            let before = outcomes(&registry);
+            let got = predict_batch(&poisoned, 2, &shards, 0, entry);
+            prop_assert!(matches!(got, Err(AdvisorError::InvalidDataset(_))), "{:?}", got);
+            prop_assert_eq!(outcomes(&registry), before, "nothing was scanned");
+            prop_assert!(predict_batch(&clean, 2, &shards, 0, entry).is_ok() || n == 1);
+            // Nothing selectable: a one-entry RCS whose entry one query
+            // excludes.
+            let lone = split_shards(&mut rng, &entries[..1], 1);
+            prop_assert_eq!(predict_batch(&clean, 2, &lone, 0, entry), Err(AdvisorError::EmptyRcs));
+        }
+    }
+
+    /// One request per embedding; the one at `at` excludes `exclude`, the
+    /// rest nothing.
+    fn requests(xs: &[Vec<f32>], at: usize, exclude: usize) -> Vec<BatchPredictRequest<'_>> {
+        (xs.iter().enumerate())
+            .map(|(j, x)| BatchPredictRequest {
+                embedding: x,
+                w: MetricWeights::new(0.5),
+                exclude: if j == at { exclude } else { usize::MAX },
+            })
+            .collect()
+    }
+
+    /// `entries` (global ids `0..n`) dealt at random into `parts` shards,
+    /// ids ascending within each.
+    fn split_shards(rng: &mut StdRng, entries: &[RcsEntry], parts: usize) -> Vec<AdvisorShard> {
+        let mut split: Vec<(Vec<usize>, Vec<RcsEntry>)> = vec![(Vec::new(), Vec::new()); parts];
+        for (id, e) in entries.iter().enumerate() {
+            let (ids, members) = &mut split[rng.gen_range(0..parts)];
+            ids.push(id);
+            members.push(e.clone());
+        }
+        split
+            .into_iter()
+            .map(|(ids, members)| AdvisorShard::new(ids, members))
+            .collect()
     }
 
     #[test]

@@ -34,6 +34,22 @@ fn flat_topk(embs: &[Vec<f32>], x: &[f32], k: usize, exclude: usize) -> Vec<(usi
     dists
 }
 
+/// The index's answer over positions `0..n`, in a fresh buffer: `None`
+/// when it declines (the buffer is then left empty, as checked here).
+fn indexed_topk(
+    ix: &KnnIndex,
+    embs: &[Vec<f32>],
+    x: &[f32],
+    k: usize,
+    exclude: usize,
+) -> Option<Vec<(usize, f32)>> {
+    let positions: Vec<usize> = (0..embs.len()).collect();
+    let mut out = Vec::new();
+    let served = ix.query_topk(x, k, exclude, |i| embs[i].as_slice(), &positions, &mut out);
+    assert!(served || out.is_empty(), "a declining index truncates back");
+    served.then_some(out)
+}
+
 /// Flat advisor over quantized synthetic entries (0.5-steps, so exact
 /// distance and score ties are common — the tie-breaking rules are what
 /// the admissibility bound must respect).
@@ -108,10 +124,10 @@ proptest! {
                 continue;
             };
             if k_eff == 0 {
-                prop_assert!(ix.query_topk(&x, k_eff, exclude, |i| embs[i].as_slice()).is_none());
+                prop_assert!(indexed_topk(&ix, &embs, &x, k_eff, exclude).is_none());
                 continue;
             }
-            if let Some(got) = ix.query_topk(&x, k_eff, exclude, |i| embs[i].as_slice()) {
+            if let Some(got) = indexed_topk(&ix, &embs, &x, k_eff, exclude) {
                 prop_assert_eq!(got.len(), expect.len(), "{:?}", quant);
                 for ((gi, gd), (ei, ed)) in got.iter().zip(&expect) {
                     prop_assert_eq!(gi, ei, "position mismatch under {:?}", quant);
@@ -185,8 +201,7 @@ fn forced_inadmissible_falls_back() {
     // Both clusters are non-empty; probing one leaves the other unprobed
     // and the margin makes its bound unprovable.
     assert!(
-        ix.query_topk(&x, 3, usize::MAX, |i| embs[i].as_slice())
-            .is_none(),
+        indexed_topk(&ix, &embs, &x, 3, usize::MAX).is_none(),
         "an unprovable bound must force the flat fallback"
     );
     // Zero margin on the same layout: the far cluster is ~100 away from
@@ -199,8 +214,7 @@ fn forced_inadmissible_falls_back() {
         .build()
         .expect("valid config");
     let ix = KnnIndex::build(&refs, &cfg, 0, &MetricsRegistry::disabled()).expect("index builds");
-    let got = ix
-        .query_topk(&x, 3, usize::MAX, |i| embs[i].as_slice())
+    let got = indexed_topk(&ix, &embs, &x, 3, usize::MAX)
         .expect("well-separated clusters are admissible");
     let expect = flat_topk(&embs, &x, 3, usize::MAX);
     assert_eq!(got.len(), expect.len());

@@ -261,6 +261,9 @@ pub enum ClusterError {
     /// The authority holds no RCS entry a query may select (empty, or its
     /// only entry excluded); nothing was sent.
     EmptyRcs,
+    /// A query embedding holds a NaN or ±∞; nothing was sent. Converts to
+    /// [`AdvisorError::InvalidDataset`].
+    InvalidQuery(String),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -273,6 +276,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::EmptyRcs => {
                 f.write_str("no selectable RCS entry (empty or all excluded)")
             }
+            ClusterError::InvalidQuery(d) => write!(f, "invalid query: {d}"),
         }
     }
 }
@@ -285,6 +289,7 @@ impl From<ClusterError> for AdvisorError {
             ClusterError::RangeUnavailable { range } => AdvisorError::RangeUnavailable { range },
             ClusterError::Protocol(d) => AdvisorError::Protocol(d),
             ClusterError::EmptyRcs => AdvisorError::EmptyRcs,
+            ClusterError::InvalidQuery(d) => AdvisorError::InvalidDataset(d),
         }
     }
 }
@@ -748,11 +753,11 @@ impl CoordInner {
     /// The wire fan-out — the coordinator's one query routine. One
     /// [`QueryBatch`] frame per non-empty range carries the whole batch (a
     /// single query is a batch of one), so a B-deep batch over R ranges
-    /// pays R round trips instead of B×R. The per-query clamp
-    /// ([`knn::select_k`]) and the merge and vote ([`knn::merge_vote`])
-    /// are the calls [`ShardedAdvisor::predict_excluding`] makes around
-    /// its in-process scans. Full answers or a typed error, never a
-    /// partial merge.
+    /// pays R round trips instead of B×R. The batch clamp
+    /// ([`knn::select_batch`]) and the merge and vote ([`knn::merge_vote`])
+    /// are the calls `ShardedAdvisor::predict_batch` makes around its
+    /// in-process scans. Full answers or a typed error, never a partial
+    /// merge.
     fn predict_batch(
         &mut self,
         queries: &[BatchPredictRequest<'_>],
@@ -761,13 +766,15 @@ impl CoordInner {
             return Ok(Vec::new());
         }
         let len = self.authority.len();
-        let k = self.authority.config().k;
-        // Per-query clamp (k depends on each query's exclusion). A query
-        // with nothing to select fails the whole batch here, before any
-        // frame is built.
-        let ks: Vec<usize> = (queries.iter())
-            .map(|q| knn::select_k(k, len, q.exclude).map_err(|_| ClusterError::EmptyRcs))
-            .collect::<Result<_, _>>()?;
+        // Per-query clamp (k depends on each query's exclusion) and finite
+        // check. A query with nothing to select, or a non-finite one, fails
+        // the whole batch here, before any frame is built.
+        let ks =
+            knn::select_batch(self.authority.config().k, len, queries).map_err(|e| match e {
+                AdvisorError::EmptyRcs => ClusterError::EmptyRcs,
+                AdvisorError::InvalidDataset(d) => ClusterError::InvalidQuery(d),
+                e => ClusterError::Protocol(e.to_string()),
+            })?;
         let ranges = self.lanes.len();
 
         // The ranges' frames differ only in their pin: the query section
@@ -811,11 +818,11 @@ impl CoordInner {
             }
         }
 
-        // Collect phase, fixed range order; one partial list per query
-        // accumulates across ranges. Any optimistic failure is handled
+        // Collect phase, fixed range order: each range's reply is checked
+        // against the contract and kept. Any optimistic failure is handled
         // (health, trace, repair) and the range falls back to the full
         // retry/failover loop.
-        let mut merged: Vec<Vec<(usize, f32)>> = vec![Vec::new(); queries.len()];
+        let mut replies = Vec::with_capacity(ranges);
         for range in 0..ranges {
             let Some(frame) = frames[range].as_ref() else {
                 continue;
@@ -835,23 +842,66 @@ impl CoordInner {
             };
             let tb =
                 TopKBatch::from_frame(&reply).map_err(|e| ClusterError::Protocol(e.to_string()))?;
-            if tb.lists.len() != queries.len() {
-                // Never a partial merge: a count mismatch is a protocol
-                // violation, not a short answer.
-                return Err(ClusterError::Protocol(format!(
-                    "batched reply carries {} lists for {} queries",
-                    tb.lists.len(),
-                    queries.len()
-                )));
-            }
-            for (m, list) in merged.iter_mut().zip(&tb.lists) {
-                m.extend(list.iter().map(|&(id, d)| (id as usize, d)));
-            }
+            self.check_reply(range, queries, &ks, &tb)?;
+            replies.push(tb);
         }
 
-        Ok((queries.iter().zip(ks).zip(merged))
-            .map(|((q, k), m)| knn::merge_vote(m, k, q.w, |id| self.authority.entry(id)))
+        // One candidate buffer for the batch: query `j`'s lists from every
+        // range, merged in place.
+        let mut cands = Vec::new();
+        Ok((queries.iter().zip(ks).enumerate())
+            .map(|(j, (q, k))| {
+                cands.clear();
+                for tb in &replies {
+                    cands.extend(tb.lists[j].iter().map(|&(id, d)| (id as usize, d)));
+                }
+                knn::merge_vote(&mut cands, k, q.w, |id| self.authority.entry(id))
+            })
             .collect())
+    }
+
+    /// The shard-reply contract, checked before anything is merged: one
+    /// list per query; each of exactly `min(k, range_len − [exclude ∈
+    /// range])` entries — what [`knn::partial_topk`] answers; every id owned
+    /// by the replying range (one directory read) and not the excluded one;
+    /// no NaN distance. Anything else is a protocol violation, never a
+    /// partial merge, a short vote or an index panic under the lock.
+    fn check_reply(
+        &self,
+        range: usize,
+        queries: &[BatchPredictRequest<'_>],
+        ks: &[usize],
+        tb: &TopKBatch,
+    ) -> Result<(), ClusterError> {
+        if tb.lists.len() != queries.len() {
+            return Err(ClusterError::Protocol(format!(
+                "batched reply carries {} lists for {} queries",
+                tb.lists.len(),
+                queries.len()
+            )));
+        }
+        let authority = &self.authority;
+        let range_len = authority.shards()[range].len();
+        for ((q, &k), list) in queries.iter().zip(ks).zip(&tb.lists) {
+            let excluded = authority.shard_of(q.exclude) == Some(range);
+            let want = k.min(range_len - usize::from(excluded));
+            if list.len() != want {
+                return Err(ClusterError::Protocol(format!(
+                    "range {range} answered {} neighbours where the contract is {want}",
+                    list.len()
+                )));
+            }
+            let foreign = |&&(id, d): &&(u64, f32)| {
+                let id = usize::try_from(id).unwrap_or(usize::MAX);
+                d.is_nan() || id == q.exclude || authority.shard_of(id) != Some(range)
+            };
+            if let Some((id, d)) = list.iter().find(foreign) {
+                return Err(ClusterError::Protocol(format!(
+                    "range {range} answered id {id} at distance {d}: not a selectable member it owns"
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn push_entry(
@@ -1318,19 +1368,8 @@ impl AdvisorBackend for ClusterCoordinator {
         self.lock().authority.embed_graph_batch(graphs)
     }
 
-    fn predict_excluding(
-        &self,
-        embedding: &[f32],
-        w: MetricWeights,
-        exclude: usize,
-    ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
-        ClusterCoordinator::predict_excluding(self, embedding, w, exclude)
-            .map_err(AdvisorError::from)
-    }
-
-    /// Overrides the per-query default with the wire fan-out itself: this
-    /// is where `ce-serve`'s micro-batcher stops paying one round trip
-    /// per request.
+    /// The wire fan-out itself: this is where `ce-serve`'s micro-batcher
+    /// stops paying one round trip per request.
     fn predict_batch(
         &self,
         queries: &[BatchPredictRequest<'_>],
@@ -1818,5 +1857,153 @@ mod tests {
         let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
         coord.bootstrap().expect("bootstrap");
         assert_eq!(coord.predict_batch(&[only]), Err(ClusterError::EmptyRcs));
+    }
+
+    /// A NaN or ±∞ anywhere in one query embedding refuses its whole batch
+    /// at the clamp: no frame, no wire byte, no trace line.
+    #[test]
+    fn a_non_finite_query_is_refused_before_any_frame() {
+        let w = MetricWeights::new(0.5);
+        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(9, 3), 2);
+        let net = SimNet::new(2, FaultPlan::none());
+        let cfg = ClusterConfig::builder()
+            .no_sleep()
+            .metrics(MetricsRegistry::new_logical())
+            .build()
+            .expect("valid config");
+        let coord = ClusterCoordinator::over_sim(sharded.clone(), &net, 1, cfg);
+        coord.bootstrap().expect("bootstrap");
+        let wire_bytes = || {
+            let m = coord.metrics();
+            let step = [("step", "coord_send_query_batch")];
+            m.counter("ce_cluster_wire_bytes_out_total", &step)
+        };
+        let (steps, trace, bytes) = (net.step(), coord.trace(), wire_bytes());
+        let good = [0.5f32, 0.25, 0.0];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let x = [0.5, bad, 0.0];
+            let batch = [&good, &x].map(|embedding| BatchPredictRequest {
+                embedding,
+                w,
+                exclude: usize::MAX,
+            });
+            let got = coord.predict_batch(&batch);
+            assert!(matches!(got, Err(ClusterError::InvalidQuery(_))), "{got:?}");
+            let backend: &dyn AdvisorBackend = &coord;
+            let got = backend.predict_batch(&batch);
+            assert!(
+                matches!(got, Err(AdvisorError::InvalidDataset(_))),
+                "{got:?}"
+            );
+        }
+        assert_eq!(net.step(), steps, "nothing may reach the wire");
+        assert_eq!(wire_bytes(), bytes);
+        assert_eq!(coord.trace(), trace);
+        assert_eq!(
+            coord.predict_excluding(&good, w, usize::MAX),
+            Ok(sharded.predict_excluding(&good, w, usize::MAX))
+        );
+    }
+
+    /// What a forging replica does to a healthy reply's lists.
+    type Forgery = fn(&mut Vec<Vec<(u64, f32)>>);
+
+    /// A replica hosted in this process whose query-batch replies pass
+    /// through the test's forgery while one is set.
+    struct Forging {
+        state: std::sync::Arc<Mutex<crate::server::ShardState>>,
+        forge: std::sync::Arc<Mutex<Option<Forgery>>>,
+        pending: Option<Frame>,
+    }
+
+    impl Connector for Forging {
+        fn connect(&mut self) -> Result<Box<dyn Conn>, WireError> {
+            Ok(Box::new(Forging {
+                state: self.state.clone(),
+                forge: self.forge.clone(),
+                pending: None,
+            }))
+        }
+
+        fn label(&self) -> String {
+            "forging".into()
+        }
+    }
+
+    impl Conn for Forging {
+        fn send(&mut self, frame: &Frame, _deadline: Duration) -> Result<(), WireError> {
+            let mut reply = self.state.lock().expect("shard state").handle(frame);
+            if let (Step::CoordSendQueryBatch, Some(forge)) =
+                (frame.step, *self.forge.lock().expect("forgery"))
+            {
+                let mut tb = TopKBatch::from_frame(&reply).expect("a healthy reply");
+                forge(&mut tb.lists);
+                reply = tb.into_frame();
+            }
+            self.pending = Some(reply);
+            Ok(())
+        }
+
+        fn recv(&mut self, _deadline: Duration) -> Result<Frame, WireError> {
+            self.pending
+                .take()
+                .ok_or_else(|| WireError::Frame("recv without a send".into()))
+        }
+    }
+
+    /// A reply that breaks the shard contract — a list short of, or past,
+    /// `min(k, range_len − [exclude ∈ range])`; an id outside the RCS, of
+    /// another range, or the excluded one; a NaN distance; a list too many
+    /// — is `Protocol` before anything is merged (it used to vote over
+    /// fewer neighbours, or panic indexing the authority under the lock).
+    /// The lock stays clean, and the next call answers the flat bits.
+    #[test]
+    fn forged_shard_replies_are_protocol_errors() {
+        let w = MetricWeights::new(0.6);
+        // Ranges: ids 0–4 and 5–8; k = 3.
+        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(9, 3), 2);
+        let forge = std::sync::Arc::new(Mutex::new(None));
+        let connectors = (0..2)
+            .map(|range| {
+                let replica = Forging {
+                    state: Default::default(),
+                    forge: if range == 0 {
+                        forge.clone()
+                    } else {
+                        Default::default()
+                    },
+                    pending: None,
+                };
+                vec![Box::new(replica) as Box<dyn Connector>]
+            })
+            .collect();
+        let coord = ClusterCoordinator::new(sharded.clone(), connectors, ClusterConfig::no_sleep());
+        coord.bootstrap().expect("bootstrap");
+        let x = [1.3f32, 0.4, -0.2];
+        let cases: [(&str, usize, Forgery); 8] = [
+            ("an empty list", usize::MAX, |l| l[0].clear()),
+            ("a short list", usize::MAX, |l| l[0].truncate(2)),
+            ("a long list", usize::MAX, |l| l[0].push((4, 9.0))),
+            ("an id outside the RCS", usize::MAX, |l| l[0][0].0 = 1_000),
+            ("an id of another range", usize::MAX, |l| l[0][0].0 = 7),
+            ("the excluded id", 2, |l| l[0][0].0 = 2),
+            ("a NaN distance", usize::MAX, |l| l[0][0].1 = f32::NAN),
+            ("a list too many", usize::MAX, |l| l.push(Vec::new())),
+        ];
+        for (what, exclude, forgery) in cases {
+            *forge.lock().expect("forgery") = Some(forgery);
+            let got = coord.predict_excluding(&x, w, exclude);
+            assert!(
+                matches!(got, Err(ClusterError::Protocol(_))),
+                "{what}: {got:?}"
+            );
+            assert!(!coord.inner.is_poisoned(), "{what}");
+            *forge.lock().expect("forgery") = None;
+            assert_eq!(
+                coord.predict_excluding(&x, w, exclude),
+                Ok(sharded.predict_excluding(&x, w, exclude)),
+                "{what}: the next call"
+            );
+        }
     }
 }

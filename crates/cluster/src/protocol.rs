@@ -521,12 +521,40 @@ pub struct TopKBatch {
     pub lists: Vec<Vec<(u64, f32)>>,
 }
 
+impl TopKBatch {
+    /// The reply frame from borrowed lists — what the shard server answers
+    /// from its one candidate buffer per batch — byte for byte the frame
+    /// [`Message::into_frame`] builds from the owned message.
+    pub fn frame_from_lists<'a>(
+        epoch: u64,
+        lists: impl ExactSizeIterator<Item = &'a [(u64, f32)]>,
+    ) -> Frame {
+        let mut payload = Vec::new();
+        Self::encode_lists(epoch, lists, &mut payload);
+        Frame {
+            step: Self::STEP,
+            payload,
+        }
+    }
+
+    fn encode_lists<'a>(
+        epoch: u64,
+        lists: impl ExactSizeIterator<Item = &'a [(u64, f32)]>,
+        out: &mut Vec<u8>,
+    ) {
+        epoch.encode(out);
+        (lists.len() as u64).encode(out);
+        for list in lists {
+            list.encode(out);
+        }
+    }
+}
+
 impl Message for TopKBatch {
     const STEP: Step = Step::ShardSendTopkBatch;
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.epoch.encode(out);
-        self.lists.encode(out);
+        Self::encode_lists(self.epoch, self.lists.iter().map(Vec::as_slice), out);
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
@@ -825,6 +853,9 @@ mod tests {
         };
         let frame = Frame::from_bytes(&t.clone().into_frame().to_bytes()).expect("parses");
         assert_eq!(TopKBatch::from_frame(&frame).expect("decodes"), t);
+        // The server's borrowed-slices encoding is the owned message's.
+        let borrowed = TopKBatch::frame_from_lists(t.epoch, t.lists.iter().map(Vec::as_slice));
+        assert_eq!(borrowed.to_bytes(), frame.to_bytes());
     }
 
     #[test]

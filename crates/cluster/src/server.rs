@@ -288,18 +288,26 @@ impl ShardState {
                             index: index.as_ref(),
                             generation: table.epoch,
                         };
-                        let mut dists = Vec::new();
-                        let lists = (b.queries.iter())
-                            .map(|q| {
-                                let k = q.k as usize;
-                                knn::partial_topk(&view, &q.embedding, k, q.exclude, &mut dists)
-                            })
-                            .collect();
-                        TopKBatch {
-                            epoch: b.epoch,
-                            lists,
+                        // One scratch per batch: every list is appended to
+                        // one candidate buffer, `bounds` marks where each
+                        // starts, and the reply is encoded from the slices.
+                        let (mut dists, mut cands) = (Vec::new(), Vec::new());
+                        let mut bounds = Vec::with_capacity(b.queries.len() + 1);
+                        bounds.push(0);
+                        for q in &b.queries {
+                            let k = q.k as usize;
+                            knn::partial_topk(
+                                &view,
+                                &q.embedding,
+                                k,
+                                q.exclude,
+                                &mut dists,
+                                &mut cands,
+                            );
+                            bounds.push(cands.len());
                         }
-                        .into_frame()
+                        let lists = bounds.windows(2).map(|w| &cands[w[0]..w[1]]);
+                        TopKBatch::frame_from_lists(b.epoch, lists)
                     }
                     Some(live) => nack(
                         NackCode::StaleTable,

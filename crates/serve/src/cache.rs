@@ -24,49 +24,94 @@ use std::collections::{HashMap, HashSet};
 /// adversarial (they come from the feature extractor), so a fast
 /// non-cryptographic mix is the right trade.
 ///
-/// Words round-robin across **four independent lanes**: one serial
-/// rotate-xor-multiply chain costs 4-5 cycles of latency per word (at
-/// IMDB-scale graphs the fingerprint was ~2µs, a visible slice of a cold
-/// request), while four interleaved chains run at multiply throughput.
-/// The lane assignment depends only on word position, so equal graphs
-/// still produce equal fingerprints; lanes are folded through the same
-/// mix before the final avalanche.
+/// Word `i` of the stream — the vertex count, then per row its length and
+/// its values, then the same for the edges — feeds lane `i mod 4`: one
+/// serial rotate-xor-multiply chain costs 4-5 cycles of latency per word,
+/// four interleaved chains run at multiply throughput. The lane assignment
+/// depends only on word position, so equal graphs still produce equal
+/// fingerprints; lanes are folded through the same mix before the final
+/// avalanche.
+///
+/// The four chains are four *separately named* registers (`Chains`) that
+/// take each row four words at a time: a `[u64; 4]` indexed by `i & 3`
+/// keeps the lanes in memory (the `PackedRows` lesson again). Measured over
+/// 256 graphs of ≈350 words in a timing loop: ≈500 ns per graph for the
+/// lane array, ≈255 ns for the named chains, every `u64` the same; on the
+/// `e2e` benchmark's `graph-hot` trace, fingerprint plus cache hit
+/// (`serve.hit_path_us_p50`) reads 0.62 → 0.38 µs.
 pub fn graph_fingerprint(g: &FeatureGraph) -> u64 {
-    const PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut lanes = [
-        0xcbf2_9ce4_8422_2325u64,
-        0x9ae1_6a3b_2f90_404fu64,
-        0x2545_f491_4f6c_dd1du64,
-        0x8765_4321_0fed_cba9u64,
-    ];
-    let mut i = 0usize;
-    let mut eat = |v: u64| {
-        let lane = &mut lanes[i & 3];
-        *lane = (lane.rotate_left(25) ^ v).wrapping_mul(PRIME);
-        i += 1;
+    let mut c = Chains {
+        next: 0xcbf2_9ce4_8422_2325,
+        second: 0x9ae1_6a3b_2f90_404f,
+        third: 0x2545_f491_4f6c_dd1d,
+        fourth: 0x8765_4321_0fed_cba9,
+        words: 0,
     };
-    eat(g.vertices.len() as u64);
-    for row in &g.vertices {
-        eat(row.len() as u64);
-        for &v in row {
-            eat(v.to_bits() as u64);
+    for rows in [&g.vertices, &g.edges] {
+        c.eat(rows.len() as u64);
+        for row in rows {
+            c.eat_row(row);
         }
     }
-    eat(g.edges.len() as u64);
-    for row in &g.edges {
-        eat(row.len() as u64);
-        for &v in row {
-            eat(v.to_bits() as u64);
-        }
-    }
-    let mut h = lanes[0];
-    for &lane in &lanes[1..] {
-        h = (h.rotate_left(25) ^ lane).wrapping_mul(PRIME);
+    // Undo the rotation: `next` is lane `words mod 4`.
+    let rel = [c.next, c.second, c.third, c.fourth];
+    let lane = |j: usize| rel[(j + 4 - c.words % 4) % 4];
+    let mut h = lane(0);
+    for j in 1..4 {
+        h = mix(h, lane(j));
     }
     // Final avalanche so low-entropy tails still spread over all 64 bits.
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^ (h >> 29)
+}
+
+/// One step of a fingerprint chain.
+#[inline(always)]
+fn mix(lane: u64, v: u64) -> u64 {
+    const PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+    (lane.rotate_left(25) ^ v).wrapping_mul(PRIME)
+}
+
+/// The four lanes of [`graph_fingerprint`], named by who eats next: `next`
+/// takes the coming word, and a single word rotates the names.
+struct Chains {
+    next: u64,
+    second: u64,
+    third: u64,
+    fourth: u64,
+    /// Words eaten so far (which lane `next` is).
+    words: usize,
+}
+
+impl Chains {
+    #[inline(always)]
+    fn eat(&mut self, v: u64) {
+        let fed = mix(self.next, v);
+        self.next = self.second;
+        self.second = self.third;
+        self.third = self.fourth;
+        self.fourth = fed;
+        self.words += 1;
+    }
+
+    /// A row's length, then its values four at a time — one word per
+    /// chain, so the names come back where they were — then the tail.
+    #[inline(always)]
+    fn eat_row(&mut self, row: &[f32]) {
+        self.eat(row.len() as u64);
+        let mut quads = row.chunks_exact(4);
+        for q in &mut quads {
+            self.next = mix(self.next, u64::from(q[0].to_bits()));
+            self.second = mix(self.second, u64::from(q[1].to_bits()));
+            self.third = mix(self.third, u64::from(q[2].to_bits()));
+            self.fourth = mix(self.fourth, u64::from(q[3].to_bits()));
+        }
+        self.words += row.len() - quads.remainder().len();
+        for &v in quads.remainder() {
+            self.eat(u64::from(v.to_bits()));
+        }
+    }
 }
 
 /// Why an insert was refused. Returned by the admission decision so the
@@ -365,6 +410,97 @@ impl EmbeddingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The body `graph_fingerprint` had before its chains were named: one
+    /// `[u64; 4]` indexed by word position. Its bits are the definition.
+    fn oracle_fingerprint(g: &FeatureGraph) -> u64 {
+        const PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut lanes = [
+            0xcbf2_9ce4_8422_2325u64,
+            0x9ae1_6a3b_2f90_404fu64,
+            0x2545_f491_4f6c_dd1du64,
+            0x8765_4321_0fed_cba9u64,
+        ];
+        let mut i = 0usize;
+        let mut eat = |v: u64| {
+            let lane = &mut lanes[i & 3];
+            *lane = (lane.rotate_left(25) ^ v).wrapping_mul(PRIME);
+            i += 1;
+        };
+        eat(g.vertices.len() as u64);
+        for row in &g.vertices {
+            eat(row.len() as u64);
+            for &v in row {
+                eat(v.to_bits() as u64);
+            }
+        }
+        eat(g.edges.len() as u64);
+        for row in &g.edges {
+            eat(row.len() as u64);
+            for &v in row {
+                eat(v.to_bits() as u64);
+            }
+        }
+        let mut h = lanes[0];
+        for &lane in &lanes[1..] {
+            h = (h.rotate_left(25) ^ lane).wrapping_mul(PRIME);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 29)
+    }
+
+    /// `count` rows of 0–12 values (every residue mod 4, so every rotation
+    /// of the chains), a third of them bit patterns a float mix-up would
+    /// fold: NaN payloads, ±0, subnormals, ±∞.
+    fn rows(rng: &mut StdRng, count: usize) -> Vec<Vec<f32>> {
+        const SPECIAL: [u32; 9] = [
+            0x7fc0_0001, // quiet NaN, payload 1
+            0xffc1_2345, // negative quiet NaN, other payload
+            0x7f80_0001, // signalling NaN
+            0x0000_0000, // +0
+            0x8000_0000, // −0
+            0x0000_0001, // least subnormal
+            0x807f_ffff, // greatest negative subnormal
+            0x7f80_0000, // +∞
+            0xff80_0000, // −∞
+        ];
+        (0..count)
+            .map(|_| {
+                (0..rng.gen_range(0..13usize))
+                    .map(|_| {
+                        f32::from_bits(if rng.gen_range(0..3u32) == 0 {
+                            SPECIAL[rng.gen_range(0..SPECIAL.len())]
+                        } else {
+                            rng.gen::<u32>()
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The four named chains are the lane array's `u64`, bit for bit:
+        /// 0–12 vertices, ragged edges (their own count, their own row
+        /// lengths), every row length mod 4.
+        #[test]
+        fn four_chain_fingerprint_is_the_lane_array_bits(
+            seed in 0u64..u64::MAX,
+            vertices in 0usize..13,
+            edges in 0usize..13,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = FeatureGraph {
+                vertices: rows(&mut rng, vertices),
+                edges: rows(&mut rng, edges),
+            };
+            prop_assert_eq!(graph_fingerprint(&g), oracle_fingerprint(&g), "{:?}", g);
+        }
+    }
 
     #[test]
     fn fingerprint_distinguishes_graphs_and_is_stable() {

@@ -5,9 +5,9 @@
 //!
 //! [`ShardedAdvisor::predict_excluding`] is **bit-identical** to
 //! [`AutoCe::predict_excluding`] for every shard count because both are
-//! the same calls into [`autoce::knn`] — `select_k`, `partial_topk` per
-//! partition, `merge_vote` — the flat advisor over one partition, this one
-//! over N. Shard membership never changes a distance;
+//! the same call, [`autoce::knn::predict_batch`] — `select_batch`,
+//! `partial_topk` per partition, `merge_vote` — the flat advisor over one
+//! partition, this one over N. Shard membership never changes a distance;
 //! [`autoce::knn_order`] is a strict total order, so every global top-k
 //! neighbor is inside its shard's partial list and the sorted, truncated
 //! merge is exactly the flat sequence; [`autoce::knn_vote`] accumulates
@@ -15,7 +15,9 @@
 //! any of it.
 
 use autoce::index::IndexConfig;
-use autoce::{knn, AdvisorBackend, AdvisorError, AutoCe, AutoCeConfig, RcsEntry};
+use autoce::{
+    knn, AdvisorBackend, AdvisorError, AutoCe, AutoCeConfig, BatchPredictRequest, RcsEntry,
+};
 use ce_features::{extract_features, FeatureGraph};
 use ce_gnn::GinEncoder;
 use ce_models::ModelKind;
@@ -159,6 +161,12 @@ impl ShardedAdvisor {
     pub fn entry(&self, global: usize) -> &RcsEntry {
         let (s, slot) = self.directory[global];
         &self.shards[s].entries()[slot]
+    }
+
+    /// The shard owning a global index (`None` outside the RCS) — one
+    /// directory read.
+    pub fn shard_of(&self, global: usize) -> Option<usize> {
+        self.directory.get(global).map(|&(s, _)| s)
     }
 
     /// Encodes a dataset into its embedding (identical to
@@ -341,23 +349,17 @@ impl AdvisorBackend for ShardedAdvisor {
         ShardedAdvisor::embed_graph_batch(self, graphs)
     }
 
-    fn predict_excluding(
+    /// Shards are scanned **serially** (inside [`knn::predict_batch`]):
+    /// this is the per-request hot path, a shard's scan is microseconds of
+    /// work, and the rayon shim backs `par_iter` with scoped OS threads (no
+    /// persistent pool) — per-call thread spawns would dwarf the scan on
+    /// multi-core hosts.
+    fn predict_batch(
         &self,
-        embedding: &[f32],
-        w: MetricWeights,
-        exclude: usize,
-    ) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
-        let k = knn::select_k(self.config.k, self.len(), exclude)?;
-        // Shards are scanned **serially**: this is the per-request hot
-        // path, a shard's scan is microseconds of work, and the rayon shim
-        // backs `par_iter` with scoped OS threads (no persistent pool) —
-        // per-call thread spawns would dwarf the scan on multi-core hosts.
-        let mut partials = Vec::with_capacity(k * self.shards.len());
-        let mut dists = Vec::new();
-        for s in &self.shards {
-            partials.extend(s.partial_topk(embedding, k, exclude, self.generation, &mut dists));
-        }
-        Ok(knn::merge_vote(partials, k, w, |id| self.entry(id)))
+        queries: &[BatchPredictRequest<'_>],
+    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
+        let entry = |id| self.entry(id);
+        knn::predict_batch(queries, self.config.k, &self.shards, self.generation, entry)
     }
 
     fn distance_to_nearest(&self, x: &[f32]) -> f32 {

@@ -430,6 +430,49 @@ fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
     check(flat());
 }
 
+/// A NaN or ±∞ feature survives the encoder into the query embedding, where
+/// `knn_order` used to panic the batcher — and every later request of every
+/// caller answered `WorkerFailed`. Each backend now refuses the batch typed
+/// before scanning: a NaN graph alone (the worker path), a +∞ graph in a
+/// burst (inline) and the cached NaN embedding asked again (the hit path)
+/// all answer `InvalidDataset`, and the next valid request gets the flat
+/// advisor's bits. Refused votes still count: a request is counted when
+/// its vote is asked for.
+#[test]
+fn a_non_finite_query_is_refused_not_panicked_on() {
+    fn check<B: autoce::AdvisorBackend + 'static>(backend: B, flat: &autoce::AutoCe) {
+        let graph = |v: f32| ce_features::FeatureGraph {
+            vertices: vec![vec![v, 0.3, 0.3, 0.3]],
+            edges: vec![vec![0.0]],
+        };
+        let w = MetricWeights::new(0.5);
+        let service = AdvisorService::start(backend, serve_config());
+        let handle = service.handle();
+        fn refused<T: std::fmt::Debug>(got: Result<T, AdvisorError>) {
+            assert!(
+                matches!(got, Err(AdvisorError::InvalidDataset(_))),
+                "{got:?}"
+            );
+        }
+        refused(handle.recommend_graph(graph(f32::NAN), w));
+        let burst = vec![graph(0.1), graph(f32::INFINITY), graph(0.2)];
+        refused(handle.query(Query::graphs(burst, w)));
+        refused(handle.recommend_graph(graph(f32::NAN), w));
+        let rec = handle
+            .recommend_graph(graph(0.4), w)
+            .expect("the service keeps answering");
+        let want = flat.predict_from_embedding(&flat.embed_graph(&graph(0.4)), w);
+        assert_eq!((rec.model, rec.scores), want);
+        let stats =
+            |s: ce_serve::ServiceStats| (s.requests, s.batches, s.cache_hits, s.cache_misses);
+        assert_eq!(stats(service.stats()), (6, 3, 1, 5));
+        service.shutdown();
+    }
+    let flat = autoce::fixtures::synthetic_flat(9, 2);
+    check(ShardedAdvisor::from_advisor(&flat, 2), &flat);
+    check(autoce::fixtures::synthetic_flat(9, 2), &flat);
+}
+
 /// Second-touch admission: the first encoding of a graph only records its
 /// fingerprint; the second encodes again and admits; the third hits.
 /// Recommendations are identical throughout — the policy only moves the
