@@ -233,35 +233,6 @@ fn bench_model_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// Wall-clock of one call, for the speedup gates below.
-fn time_ns(f: &mut dyn FnMut()) -> f64 {
-    let t = std::time::Instant::now();
-    f();
-    t.elapsed().as_nanos() as f64
-}
-
-/// Read-merge-write of a shared BENCH_*.json artifact: each bench
-/// contributes its own keys without clobbering what another bench in the
-/// same (or an earlier) run recorded into the same file.
-fn write_bench_json_merged(path: &str, record: serde_json::Value) {
-    let mut root = match std::fs::read(path)
-        .ok()
-        .and_then(|b| serde_json::from_slice(&b).ok())
-    {
-        Some(v @ serde_json::Value::Object(_)) => v,
-        _ => serde_json::json!({}),
-    };
-    if let (serde_json::Value::Object(dst), serde_json::Value::Object(src)) = (&mut root, &record) {
-        for (k, v) in src.iter() {
-            dst.insert(k.clone(), v.clone());
-        }
-    }
-    if let Ok(bytes) = serde_json::to_vec_pretty(&root) {
-        let _ = std::fs::write(path, bytes);
-        println!("[bench] wrote {path}");
-    }
-}
-
 fn bench_optimizer(c: &mut Criterion) {
     if !criterion::filter_allows("optimize_query_dp") {
         return;
@@ -287,12 +258,12 @@ fn bench_optimizer(c: &mut Criterion) {
     });
 }
 
-/// The perf gate of the parallel batched GIN engine: `train_encoder` and
-/// `encode` over a 50-graph workload at default `DmlConfig`, new sparse
-/// single-pass engine vs. the seed's sequential dense double-pass
-/// reference, embeddings verified identical on shared parameters. Emits
-/// `BENCH_gnn.json` (ns per graph) at the workspace root so future PRs can
-/// track the perf trajectory.
+/// The parallel batched GIN engine: `train_encoder` and `encode` over a
+/// 50-graph workload at default `DmlConfig`, the sparse single-pass engine
+/// (stacked and per-graph training) beside the seed's sequential dense
+/// double-pass reference. Embeddings and trained parameters are checked
+/// identical on shared seeds before anything is timed; the speedups are the
+/// ratios of the `train_encoder_*` and `encode_*` lines of one run.
 fn bench_gnn_engine(c: &mut Criterion) {
     let names = [
         "train_encoder_stacked",
@@ -371,98 +342,14 @@ fn bench_gnn_engine(c: &mut Criterion) {
             }
         })
     });
-
-    // Speedup gate: engines timed in alternating tuples (minimum of the
-    // rounds) so slow container-noise drift hits every side equally.
-    let (mut train_new, mut train_pg, mut train_ref) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let (mut encode_new, mut encode_ref) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        train_new = train_new.min(time_ns(&mut || {
-            black_box(train_encoder(&graphs, &labels, &cfg, 9));
-        }));
-        train_pg = train_pg.min(time_ns(&mut || {
-            black_box(train_encoder_per_graph(&graphs, &labels, &cfg, 9));
-        }));
-        train_ref = train_ref.min(time_ns(&mut || {
-            black_box(train_encoder_reference(&graphs, &labels, &cfg, 9));
-        }));
-        encode_new = encode_new.min(time_ns(&mut || {
-            for g in &graphs {
-                black_box(fresh.encode(g));
-            }
-        }));
-        encode_ref = encode_ref.min(time_ns(&mut || {
-            for g in &graphs {
-                black_box(fresh_ref.encode(g));
-            }
-        }));
-    }
-    let train_speedup = train_ref / train_new.max(1.0);
-    let stacked_train_speedup = train_pg / train_new.max(1.0);
-    let encode_speedup = encode_ref / encode_new.max(1.0);
-    println!(
-        "gnn engine: train {train_speedup:.2}x vs sequential dense reference \
-         (stacked {stacked_train_speedup:.2}x vs per-graph taped), encode {encode_speedup:.2}x"
-    );
-
-    let record = serde_json::json!({
-        "workload_graphs": GRAPHS,
-        "workload_config": "DmlConfig::default",
-        "train_ns_per_graph": train_new / GRAPHS as f64,
-        "per_graph_train_ns_per_graph": train_pg / GRAPHS as f64,
-        "train_reference_ns_per_graph": train_ref / GRAPHS as f64,
-        "train_speedup": train_speedup,
-        "stacked_train_speedup": stacked_train_speedup,
-        "encode_ns_per_graph": encode_new / GRAPHS as f64,
-        "encode_reference_ns_per_graph": encode_ref / GRAPHS as f64,
-        "encode_speedup": encode_speedup,
-        "threads": rayon::current_num_threads()
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gnn.json");
-    if let Ok(bytes) = serde_json::to_vec_pretty(&record) {
-        let _ = std::fs::write(path, bytes);
-        println!("[bench] wrote {path}");
-    }
-    // Gate. The single-pass sparse architecture alone (one core) is worth
-    // >2x over the dense double-pass path; batch graphs are independent, so
-    // every additional worker multiplies that. Require the full 3x wherever
-    // parallel hardware exists, and the architectural floor on one core.
-    let threads = rayon::current_num_threads();
-    let required = if threads >= 2 { 3.0 } else { 1.8 };
-    assert!(
-        train_speedup >= required,
-        "train_encoder speedup gate: {train_speedup:.2}x < {required}x ({threads} worker threads)"
-    );
-    // Gate: the stacked training path must at least hold parity with the
-    // per-graph taped path (0.85 = parity minus shared-runner noise; see
-    // `profile_stacked_train` for the phase attribution). A 1.3x single-
-    // core win was the design target, but measurement says no: bit-
-    // identity pins the parameter-gradient association to per-graph
-    // partials (the dominant backward cost, identical work in both paths),
-    // and PR 1-2's workspace pools already removed the per-graph
-    // allocation overhead that serving-side stacking amortized away. What
-    // stacking buys training is the tall-forward dispatch savings
-    // (~1.0-1.1x measured end-to-end on one core, larger with idle cores
-    // since chunks are coarser rayon tasks than 3-vertex graphs), plus
-    // zero-vertex trainability. The ratio is recorded in `BENCH_gnn.json`
-    // and trended by the trajectory gate so a real regression still fails.
-    assert!(
-        stacked_train_speedup >= 0.85,
-        "stacked training speedup gate: {stacked_train_speedup:.2}x < 0.85x of per-graph tapes"
-    );
 }
 
-/// The perf gate of the batch-stacked embedding service: refreshing all
-/// embeddings of an RCS-sized graph set the way the advisor now does it —
-/// cached stacked chunks re-encoded after an encoder update — vs. the
-/// per-graph serving loop `refresh_embeddings` ran before (one context
-/// rebuild + per-layer kernel dispatch + allocations per graph, every
-/// refresh). Embeddings are verified bit-identical first; the stacked path
-/// must be ≥1.5× even on one core (it removes per-graph overhead and runs
-/// tall matmuls that fill the row-blocked micro-kernel, not just
-/// parallelism). Emits `BENCH_embed.json` (ns per graph) at the workspace
-/// root for the perf trajectory.
+/// The batch-stacked embedding service: refreshing all embeddings of an
+/// RCS-sized graph set the way the advisor does it — cached stacked chunks
+/// re-encoded after an encoder update — beside the per-graph serving loop
+/// `refresh_embeddings` ran before (one context rebuild + per-layer kernel
+/// dispatch + allocations per graph, every refresh). Embeddings are checked
+/// bit-identical before either side is timed.
 fn bench_embedding_service(c: &mut Criterion) {
     let names = ["refresh_embeddings_stacked", "refresh_embeddings_per_graph"];
     if !names.iter().any(|n| criterion::filter_allows(n)) {
@@ -525,59 +412,16 @@ fn bench_embedding_service(c: &mut Criterion) {
             black_box(embs)
         })
     });
-
-    // Speedup gate: both paths timed back to back per pair so drift hits
-    // them equally, then the **median of the pairwise ratios** — one noisy
-    // sample on either side (scheduler bursts, frequency boosts) can only
-    // move one pair, not the gate.
-    let mut ratios = Vec::new();
-    let (mut stacked, mut per_graph_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..9 {
-        let s = time_ns(&mut || {
-            refresh(&mut embeddings);
-            black_box(&embeddings);
-        });
-        let p = time_ns(&mut || {
-            let embs: Vec<Vec<f32>> = graphs.par_iter().map(|g| enc.encode(g)).collect();
-            black_box(embs);
-        });
-        stacked = stacked.min(s);
-        per_graph_ns = per_graph_ns.min(p);
-        ratios.push(p / s.max(1.0));
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let speedup = ratios[ratios.len() / 2];
-    println!("embedding service: stacked {speedup:.2}x vs per-graph serving loop");
-
-    let record = serde_json::json!({
-        "workload_graphs": GRAPHS,
-        "workload_config": "DmlConfig::default",
-        "stacked_ns_per_graph": stacked / GRAPHS as f64,
-        "per_graph_ns_per_graph": per_graph_ns / GRAPHS as f64,
-        "stacked_speedup": speedup,
-        "threads": rayon::current_num_threads()
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_embed.json");
-    if let Ok(bytes) = serde_json::to_vec_pretty(&record) {
-        let _ = std::fs::write(path, bytes);
-        println!("[bench] wrote {path}");
-    }
-    assert!(
-        speedup >= 1.5,
-        "refresh_embeddings speedup gate: {speedup:.2}x < 1.5x"
-    );
 }
 
-/// The perf gate of the sharded advisor service (`ce-serve`): concurrent
-/// clients served through the micro-batching service — sharded partial
-/// KNN, stacked batch encoding, embedding cache — vs. the same clients
-/// calling the flat advisor per request (one per-graph encode + full KNN
-/// scan each). The gated workload is serving-realistic: clients share a
-/// query pool and re-ask (tenants re-query at different weightings), so
-/// micro-batching amortizes encodes and repeats hit the cache. A cold
-/// all-distinct stream and the pure cache-hit speedup are recorded
-/// alongside, ungated. Answers are verified identical to the flat advisor
-/// first. Emits `BENCH_serve.json` at the workspace root.
+/// The sharded advisor service (`ce-serve`): concurrent clients served
+/// through the micro-batching service — sharded partial KNN, stacked batch
+/// encoding, embedding cache — beside the same clients calling the flat
+/// advisor per request (one per-graph encode + full KNN scan each), and the
+/// service again with a live metrics registry. Clients share a query pool
+/// and re-ask (tenants re-query at different weightings), so micro-batching
+/// amortizes encodes and repeats hit the cache. Answers are checked
+/// identical to the flat advisor before anything is timed.
 fn bench_advisor_service(c: &mut Criterion) {
     let names = ["serve_sharded_batched", "serve_flat_per_request"];
     if !names.iter().any(|n| criterion::filter_allows(n)) {
@@ -590,7 +434,7 @@ fn bench_advisor_service(c: &mut Criterion) {
 
     const RCS: usize = 96;
     const CLIENTS: usize = 4;
-    const SHARED_POOL: usize = 48; // distinct graphs in the gated workload
+    const SHARED_POOL: usize = 48; // distinct graphs the clients share
     const PASSES: usize = 3; // each client walks the pool three times
     const GROUP: usize = 8; // graphs per client submission burst
     let mut rng = StdRng::seed_from_u64(0x5e57e);
@@ -604,14 +448,6 @@ fn bench_advisor_service(c: &mut Criterion) {
         |name: String| extract_features(&generate_dataset(name, &spec, &mut rng), &fcfg);
     let rcs_graphs: Vec<FeatureGraph> = (0..RCS).map(|i| graph(format!("r{i}"))).collect();
     let pool: Vec<FeatureGraph> = (0..SHARED_POOL).map(|i| graph(format!("q{i}"))).collect();
-    // Disjoint per-client streams for the cold (cache-free) measurement.
-    let cold: Vec<Vec<FeatureGraph>> = (0..CLIENTS)
-        .map(|t| {
-            (0..SHARED_POOL)
-                .map(|i| graph(format!("c{t}-{i}")))
-                .collect()
-        })
-        .collect();
 
     let dml = DmlConfig::default();
     let enc = GinEncoder::new(rcs_graphs[0].vertex_dim(), &dml.hidden, dml.embed_dim, 17);
@@ -729,8 +565,6 @@ fn bench_advisor_service(c: &mut Criterion) {
     }
 
     let shared_streams: Vec<&[FeatureGraph]> = (0..CLIENTS).map(|_| pool.as_slice()).collect();
-    let cold_streams: Vec<&[FeatureGraph]> = cold.iter().map(Vec::as_slice).collect();
-    let requests = (CLIENTS * SHARED_POOL * PASSES) as f64;
 
     c.bench_function("serve_sharded_batched", |b| {
         b.iter(|| {
@@ -744,10 +578,8 @@ fn bench_advisor_service(c: &mut Criterion) {
         b.iter(|| drive_flat(&flat, &shared_streams, &weights, PASSES))
     });
     // The same serving workload with a live registry: every request now
-    // records path counters, batch-depth/queue-wait/encode/vote spans.
-    // Compared against the obs-disabled run below — the hot path records
-    // on pre-registered lock-free cells, so the two must stay within a
-    // few percent.
+    // records path counters, batch-depth/queue-wait/encode/vote spans on
+    // pre-registered lock-free cells.
     let obs_cfg = ServeConfig {
         metrics: MetricsRegistry::new(),
         ..serve_cfg.clone()
@@ -760,118 +592,12 @@ fn bench_advisor_service(c: &mut Criterion) {
             service.shutdown();
         })
     });
-
-    // Speedup gates, timed in alternating pairs with the median of the
-    // pairwise ratios (one noisy sample cannot move the gate).
-    let mut ratios = Vec::new();
-    let mut cold_ratios = Vec::new();
-    let mut obs_ratios = Vec::new();
-    let (mut serve_ns, mut flat_ns) = (f64::INFINITY, f64::INFINITY);
-    let mut obs_serve_ns = f64::INFINITY;
-    let (mut cold_serve_ns, mut cold_flat_ns) = (f64::INFINITY, f64::INFINITY);
-    let mut warm_per_req = f64::INFINITY;
-    let mut hit_rate = 0.0;
-    for _ in 0..7 {
-        let service =
-            AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 4), serve_cfg.clone());
-        let s = time_ns(&mut || drive_service(&service, &shared_streams, &weights, PASSES));
-        // Warm pass on the now-fully-cached service: pure cache-hit serving.
-        let warm = time_ns(&mut || drive_service(&service, &shared_streams, &weights, 1));
-        let stats = service.stats();
-        hit_rate = stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses) as f64;
-        service.shutdown();
-        let f = time_ns(&mut || drive_flat(&flat, &shared_streams, &weights, PASSES));
-        serve_ns = serve_ns.min(s);
-        flat_ns = flat_ns.min(f);
-        warm_per_req = warm_per_req.min(warm / (requests / PASSES as f64));
-        ratios.push(f / s.max(1.0));
-
-        // Instrumented run paired against the obs-disabled `s` from this
-        // same round, so runner drift cancels in the per-round ratio.
-        let obs_service =
-            AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 4), obs_cfg.clone());
-        let os = time_ns(&mut || drive_service(&obs_service, &shared_streams, &weights, PASSES));
-        obs_service.shutdown();
-        obs_serve_ns = obs_serve_ns.min(os);
-        obs_ratios.push(os / s.max(1.0));
-
-        // The cold streams are all-distinct: no graph is ever re-asked, so
-        // second-touch admission skips every LRU insert (pure overhead on
-        // this path) while leaving the warm workload's behavior unchanged.
-        let cold_cfg = ServeConfig {
-            admit_on_second_touch: true,
-            ..serve_cfg.clone()
-        };
-        let cold_service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 4), cold_cfg);
-        let cs = time_ns(&mut || drive_service(&cold_service, &cold_streams, &weights, 1));
-        cold_service.shutdown();
-        let cf = time_ns(&mut || drive_flat(&flat, &cold_streams, &weights, 1));
-        cold_serve_ns = cold_serve_ns.min(cs);
-        cold_flat_ns = cold_flat_ns.min(cf);
-        cold_ratios.push(cf / cs.max(1.0));
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    cold_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    obs_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let speedup = ratios[ratios.len() / 2];
-    let cold_speedup = cold_ratios[cold_ratios.len() / 2];
-    // Best-of-rounds ratio: scheduler jitter on small rounds swamps the
-    // per-round pairing (observed spread ±3% on a 1-CPU container), but
-    // the fastest round of each side is what the machine can actually do,
-    // so min/min isolates the instrumentation cost itself. The paired
-    // median rides along as a diagnostic.
-    let obs_overhead = obs_serve_ns / serve_ns.max(1.0);
-    println!(
-        "obs overhead: instrumented serving at {obs_overhead:.3}x of obs-disabled \
-         (best-of-rounds; paired-round median {:.3}x)",
-        obs_ratios[obs_ratios.len() / 2]
-    );
-    // How much faster a fully-cached request is than a cold served one.
-    let cold_per_req = cold_serve_ns / (CLIENTS * SHARED_POOL) as f64;
-    let cache_hit_speedup = cold_per_req / warm_per_req.max(1.0);
-    println!(
-        "advisor service: {speedup:.2}x vs flat per-request ({CLIENTS} clients; cold {cold_speedup:.2}x, \
-         cache-hit pass {cache_hit_speedup:.2}x, hit rate {hit_rate:.2})"
-    );
-
-    let record = serde_json::json!({
-        "rcs_entries": RCS,
-        "shards": 4,
-        "clients": CLIENTS,
-        "requests_per_run": requests as u64,
-        "serve_ns_per_request": serve_ns / requests,
-        "flat_ns_per_request": flat_ns / requests,
-        "serve_speedup": speedup,
-        "cold_serve_ns_per_request": cold_serve_ns / (CLIENTS * SHARED_POOL) as f64,
-        "cold_flat_ns_per_request": cold_flat_ns / (CLIENTS * SHARED_POOL) as f64,
-        "cold_speedup": cold_speedup,
-        "cache_hit_speedup": cache_hit_speedup,
-        "cache_hit_rate": hit_rate,
-        "obs_serve_ns_per_request": obs_serve_ns / requests,
-        "obs_overhead_ratio": obs_overhead,
-        "threads": rayon::current_num_threads()
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    write_bench_json_merged(path, record);
-    assert!(
-        speedup >= 1.5,
-        "advisor service speedup gate: {speedup:.2}x < 1.5x under concurrent load"
-    );
-    // The observability invariant's perf half: recording on lock-free
-    // pre-registered cells must keep the instrumented hot path within 3%
-    // of the obs-disabled path (median of paired rounds, so one noisy
-    // sample cannot trip it).
-    assert!(
-        obs_overhead <= 1.03,
-        "obs overhead gate: instrumented serving {obs_overhead:.3}x > 1.03x of disabled"
-    );
 }
 
 /// The flat scan at the paper's RCS size — the whole request on
 /// `graph-hot` — through the one-partition advisor and through four shards,
 /// every answer first checked against per-row `euclidean` + a full
-/// `sort_by(knn_order)` + `knn_vote`. Records absolute ns per query in
-/// `BENCH_serve.json` (`flat96_ns_per_query`, `sharded96_ns_per_query`).
+/// `sort_by(knn_order)` + `knn_vote`.
 fn bench_flat_scan_96(c: &mut Criterion) {
     let names = ["knn_flat_scan_96", "knn_flat_scan_96_sharded4"];
     if !names.iter().any(|n| criterion::filter_allows(n)) {
@@ -917,7 +643,6 @@ fn bench_flat_scan_96(c: &mut Criterion) {
             }
         })
     });
-    let flat_ns = c.last_median_ns() / queries.len() as f64;
     c.bench_function(names[1], |b| {
         b.iter(|| {
             for x in &queries {
@@ -925,34 +650,21 @@ fn bench_flat_scan_96(c: &mut Criterion) {
             }
         })
     });
-    let sharded_ns = c.last_median_ns() / queries.len() as f64;
-    println!("flat scan at 96: flat {flat_ns:.0} ns/query, sharded ×4 {sharded_ns:.0} ns/query");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    write_bench_json_merged(
-        path,
-        serde_json::json!({
-            "flat96_ns_per_query": flat_ns,
-            "sharded96_ns_per_query": sharded_ns,
-        }),
-    );
 }
 
-/// The perf gate of the two-stage KNN index (`autoce::index`): indexed
-/// `predict_from_embedding` vs the flat scan at RCS sizes 10³/10⁴/10⁵.
-/// Embeddings are clustered Gaussian blobs (the regime IVF indexes are
-/// for — RCS entries from related workloads embed near each other), so
-/// the admissibility bound genuinely holds and the speedup is earned by
-/// the probed re-rank, not by silently returning different neighbors:
-/// every answer is asserted bit-identical to the flat scan *before*
-/// anything is timed, with the i8-quantized coarse stage engaged. Merges
-/// per-scale numbers and the gated `indexed_knn_speedup` (the 10⁵ point)
-/// into `BENCH_serve.json`; the flat scan — the packed lane-per-row scan of
-/// `knn::partial_topk` — stays recorded as the baseline.
+/// The two-stage KNN index (`autoce::index`): indexed
+/// `predict_from_embedding` beside the flat scan — the packed lane-per-row
+/// scan of `knn::partial_topk` — at RCS sizes 10³/10⁴/10⁵, so the crossover
+/// in `docs/knn-index.md` is one run's `knn_indexed/{n}` and
+/// `knn_flat_scan/{n}` lines. Embeddings are clustered Gaussian blobs (the
+/// regime IVF indexes are for — RCS entries from related workloads embed
+/// near each other), so the admissibility bound genuinely holds and the
+/// index's time is earned by the probed re-rank, not by silently returning
+/// different neighbors: every answer is asserted bit-identical to the flat
+/// scan *before* anything is timed, with the i8-quantized coarse stage
+/// engaged. After timing, each scale prints the index's own attribution from
+/// its registry: query outcomes, mean re-rank candidates and build time.
 fn bench_indexed_knn(c: &mut Criterion) {
-    let names = ["knn_indexed", "knn_flat_scan"];
-    if !names.iter().any(|n| criterion::filter_allows(n)) {
-        return;
-    }
     use autoce::{AutoCe, AutoCeConfig, IndexConfig, QuantMode};
     use ce_serve::MetricsRegistry;
 
@@ -963,9 +675,11 @@ fn bench_indexed_knn(c: &mut Criterion) {
     // (entries, partitions, probe): partitions ≈ √n, probe widened with
     // scale so the candidate pool keeps ≥ k entries with slack.
     let scales: [(usize, usize, usize); 3] = [(1_000, 32, 4), (10_000, 100, 4), (100_000, 256, 4)];
-    let mut per_scale = Vec::new();
-    let mut gated_speedup = f64::NAN;
     for (n, partitions, probe) in scales {
+        let names = [format!("knn_indexed/{n}"), format!("knn_flat_scan/{n}")];
+        if !names.iter().any(|name| criterion::filter_allows(name)) {
+            continue;
+        }
         let mut rng = StdRng::seed_from_u64(0x1d7 + n as u64);
         let (entries, queries) = blob_rcs(n, partitions, DIM, QUERIES, &mut rng);
         let cfg = AutoCeConfig {
@@ -1021,87 +735,40 @@ fn bench_indexed_knn(c: &mut Criterion) {
             );
         }
 
-        if n == 100_000 {
-            c.bench_function("knn_indexed", |b| {
-                b.iter(|| {
-                    for x in &queries {
-                        black_box(indexed.predict_from_embedding(x, w));
-                    }
-                })
-            });
-            c.bench_function("knn_flat_scan", |b| {
-                b.iter(|| {
-                    for x in &queries {
-                        black_box(flat.predict_from_embedding(x, w));
-                    }
-                })
-            });
-        }
-
-        // Speedup: sides timed in alternating rounds, minimum of each
-        // (container-noise drift hits both sides equally).
-        let (mut flat_ns, mut idx_ns) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            flat_ns = flat_ns.min(time_ns(&mut || {
-                for x in &queries {
-                    black_box(flat.predict_from_embedding(x, w));
-                }
-            }));
-            idx_ns = idx_ns.min(time_ns(&mut || {
+        c.bench_function(&names[0], |b| {
+            b.iter(|| {
                 for x in &queries {
                     black_box(indexed.predict_from_embedding(x, w));
                 }
-            }));
-        }
-        let speedup = flat_ns / idx_ns.max(1.0);
+            })
+        });
+        c.bench_function(&names[1], |b| {
+            b.iter(|| {
+                for x in &queries {
+                    black_box(flat.predict_from_embedding(x, w));
+                }
+            })
+        });
 
-        // Honesty counters: the index must actually have served (not
-        // fallen back to the very scan it is being compared against).
+        // Attribution from the registry: the counters and histograms the
+        // index recorded while the checks and the timing above ran. The
+        // index must actually have served (not fallen back to the very scan
+        // it is compared against).
         let snap = metrics.snapshot();
-        let served = snap.counter("ce_index_queries_total", &[("outcome", "indexed")]);
-        let fellback = snap.counter("ce_index_queries_total", &[("outcome", "fallback")]);
-        let bypassed = snap.counter("ce_index_queries_total", &[("outcome", "bypass")]);
-        let total = (served + fellback + bypassed).max(1);
-        let fallback_rate = (fellback + bypassed) as f64 / total as f64;
+        let outcome = |o: &str| snap.counter("ce_index_queries_total", &[("outcome", o)]);
+        let (served, fellback, bypassed) =
+            (outcome("indexed"), outcome("fallback"), outcome("bypass"));
         assert!(served > 0, "index never served at n={n}");
+        let (cand_sum, cand_count) = snap.histogram_totals("ce_index_rerank_candidates", &[]);
+        let (build_sum, build_count) = snap.histogram_totals("ce_index_build_ns", &[]);
         println!(
-            "indexed knn: n={n} p={partitions}/{probe} → {speedup:.2}x \
-             (flat {:.0}ns/q, indexed {:.0}ns/q, fallback rate {fallback_rate:.3})",
-            flat_ns / QUERIES as f64,
-            idx_ns / QUERIES as f64,
+            "indexed knn: n={n} p={partitions}/{probe} → outcomes indexed {served}, \
+             fallback {fellback}, bypass {bypassed}; re-rank {:.1} candidates/query; \
+             {build_count} build(s), {:.1} ms",
+            cand_sum as f64 / cand_count.max(1) as f64,
+            build_sum as f64 * 1e-6,
         );
-        if n == 100_000 {
-            gated_speedup = speedup;
-        }
-        per_scale.push(serde_json::json!({
-            "rcs": n,
-            "partitions": partitions,
-            "probe": probe,
-            "quant": "i8",
-            "flat_ns_per_query": flat_ns / QUERIES as f64,
-            "indexed_ns_per_query": idx_ns / QUERIES as f64,
-            "speedup": speedup,
-            "fallback_rate": fallback_rate,
-        }));
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    write_bench_json_merged(
-        path,
-        serde_json::json!({
-            "indexed_knn_speedup": gated_speedup,
-            "indexed_knn": per_scale,
-        }),
-    );
-    // The gate was 5x (8.9x measured) while the flat scan paid one
-    // dependent-add chain per row. The packed scan made this ratio's
-    // denominator about 4.5x faster and left the index's own per-row
-    // re-rank as it was, so the index now wins by 1.7-2.1x at 10^5 and
-    // loses below about 10^4 (docs/knn-index.md, "Crossover"). What must
-    // stay true is that it wins here at all.
-    assert!(
-        gated_speedup >= 1.2,
-        "indexed KNN speedup gate: {gated_speedup:.2}x < 1.2x at 10^5 RCS entries"
-    );
 }
 
 criterion_group!(

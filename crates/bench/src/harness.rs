@@ -239,7 +239,7 @@ pub fn eval_selector_breakdown(
     (mean(&derr), mean(&qerr), mean(&lat))
 }
 
-/// A synthetic RCS for the KNN benches and `profile_index`: `n` entries
+/// A synthetic RCS for the KNN micro-benches: `n` entries
 /// scattered around `blobs` centres in `dim` dimensions (entry `i` near
 /// centre `i % blobs`), and `queries` query embeddings near those centres.
 pub fn blob_rcs(

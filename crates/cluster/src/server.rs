@@ -86,14 +86,14 @@ struct LiveTable {
 }
 
 impl LiveTable {
-    /// Packs a decoded table; rows of unequal dimension are the refusal a
-    /// scan could only panic with.
+    /// Packs a decoded table; rows of unequal dimension or holding a
+    /// non-finite value are the refusal a scan could only panic with.
     fn install(table: EpochTable) -> Result<Self, Frame> {
         let dim = table.embeddings.first().map_or(0, Vec::len);
-        if table.embeddings.iter().any(|e| e.len() != dim) {
+        if (table.embeddings.iter()).any(|e| e.len() != dim || !all_finite(e)) {
             return Err(nack(
                 NackCode::Malformed,
-                format!("table rows are not all of dimension {dim}"),
+                format!("table rows are not all finite and of dimension {dim}"),
             ));
         }
         Ok(LiveTable {
@@ -104,10 +104,16 @@ impl LiveTable {
     }
 
     /// Whether `embedding` can join, or be measured against, the table's
-    /// rows (an empty table has no dimension yet and takes any).
+    /// rows: finite, and of their dimension (an empty table has no
+    /// dimension yet and takes any).
     fn admits(&self, embedding: &[f32]) -> bool {
-        self.packed.dim().is_none_or(|dim| dim == embedding.len())
+        self.packed.dim().is_none_or(|dim| dim == embedding.len()) && all_finite(embedding)
     }
+}
+
+/// No NaN or ±∞: a distance to such a row or query has no order.
+fn all_finite(embedding: &[f32]) -> bool {
+    embedding.iter().all(|v| v.is_finite())
 }
 
 /// In-memory state of one shard server.
@@ -182,8 +188,8 @@ impl ShardState {
 
     /// Handles one request frame, producing the answer frame. Never
     /// panics on malformed input: undecodable payloads answer
-    /// [`NackCode::Malformed`], and so do embeddings that do not fit the
-    /// dimension of the table they are pinned to.
+    /// [`NackCode::Malformed`], and so do embeddings that are not finite or
+    /// do not fit the dimension of the table they are pinned to.
     pub fn handle(&mut self, frame: &Frame) -> Frame {
         let reply = self.handle_inner(frame);
         // Recorded after the reply is built, so a metrics reply reports
@@ -232,7 +238,7 @@ impl ShardState {
                             return nack(
                                 NackCode::Malformed,
                                 format!(
-                                    "push of dimension {} into a table of another",
+                                    "push of dimension {} is not finite or not the table's",
                                     push.embedding.len()
                                 ),
                             );
@@ -272,7 +278,7 @@ impl ShardState {
                             return nack(
                                 NackCode::Malformed,
                                 format!(
-                                    "query of dimension {} against a table of another",
+                                    "query of dimension {} is not finite or not the table's",
                                     q.embedding.len()
                                 ),
                             );
@@ -529,7 +535,7 @@ pub fn serve(listener: TcpListener) -> std::io::Result<()> {
 /// Entry point for a shard-server process: binds `127.0.0.1:<port>`
 /// (`0` = ephemeral), prints the [`READY_LINE_PREFIX`] line on stdout and
 /// serves until shutdown. Exposed as a library function so any binary —
-/// the dedicated `ce-shard-server` bin, a bench profile, an example — can
+/// the dedicated `ce-shard-server` bin, a benchmark, an example — can
 /// re-execute itself as a shard server.
 pub fn shard_server_main(port: u16) -> std::io::Result<()> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
@@ -817,6 +823,17 @@ mod tests {
                 .to_vec(),
         };
         refused(&mut s, batch.clone().into_frame());
+        // So does one NaN or infinite query of the table's dimension.
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut one = batch.clone();
+            one.queries.truncate(1);
+            one.queries.push(BatchQuery {
+                embedding: vec![0.1, bad],
+                k: 2,
+                exclude: u64::MAX,
+            });
+            refused(&mut s, one.into_frame());
+        }
         let push = |embedding: Vec<f32>| Push {
             epoch: 0,
             version: 3,
@@ -824,10 +841,15 @@ mod tests {
             embedding,
         };
         refused(&mut s, push(vec![1.0]).into_frame());
+        refused(&mut s, push(vec![f32::NAN, 0.0]).into_frame());
         let mut ragged = table(1, 3);
         ragged.embeddings[2].push(0.0);
-        refused(&mut s, Load(ragged.clone()).into_frame());
-        refused(&mut s, crate::protocol::SnapshotEpoch(ragged).into_frame());
+        let mut nan_row = table(1, 3);
+        nan_row.embeddings[1][0] = f32::NAN;
+        for bad in [ragged, nan_row] {
+            refused(&mut s, Load(bad.clone()).into_frame());
+            refused(&mut s, crate::protocol::SnapshotEpoch(bad).into_frame());
+        }
         // Nothing moved: the same pin still answers, a fitting push lands.
         batch.queries.truncate(1);
         let reply = TopKBatch::from_frame(&s.handle(&batch.into_frame())).expect("topk");

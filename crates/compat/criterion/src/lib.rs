@@ -31,15 +31,11 @@ pub fn filter_allows(name: &str) -> bool {
 /// Benchmark driver.
 pub struct Criterion {
     sample_size: usize,
-    last_median_ns: f64,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion {
-            sample_size: 20,
-            last_median_ns: 0.0,
-        }
+        Criterion { sample_size: 20 }
     }
 }
 
@@ -56,7 +52,6 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         if !matches_filter(name) {
-            self.last_median_ns = 0.0;
             return self;
         }
         let mut b = Bencher {
@@ -65,14 +60,7 @@ impl Criterion {
         };
         f(&mut b);
         println!("{name:<40} time: {:>12.1} ns/iter", b.median_ns);
-        self.last_median_ns = b.median_ns;
         self
-    }
-
-    /// Median ns/iter of the most recent `bench_function` (shim extension,
-    /// used to export machine-readable benchmark records).
-    pub fn last_median_ns(&self) -> f64 {
-        self.last_median_ns
     }
 
     /// Opens a named group of benchmarks.
@@ -126,11 +114,6 @@ impl Bencher {
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         self.median_ns = samples[samples.len() / 2];
-    }
-
-    /// Median nanoseconds per iteration of the last [`Bencher::iter`] run.
-    pub fn median_ns(&self) -> f64 {
-        self.median_ns
     }
 }
 

@@ -131,7 +131,7 @@ pub fn train_encoder_observed<G: Borrow<FeatureGraph> + Sync>(
 /// [`train_encoder`] at every step (proptested, including across thread
 /// counts) — retained as the equivalence baseline the stacked path is
 /// gated against, and as the measured side of the
-/// `stacked_train_speedup` benchmark.
+/// `train_encoder_per_graph` micro-bench.
 pub fn train_encoder_per_graph<G: Borrow<FeatureGraph> + Sync>(
     graphs: &[G],
     labels: &[Vec<f64>],

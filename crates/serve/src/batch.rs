@@ -106,15 +106,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Embedding-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Admit an embedding into the cache only the **second** time its
-    /// graph is encoded: the first encoding records the fingerprint (8
-    /// bytes) and drops the embedding. For one-shot-heavy (cold,
-    /// all-distinct) streams this stops dead entries from churning the
-    /// LRU and evicting the few genuinely reused ones. Off by default:
-    /// repeat-heavy traffic pays one extra miss per distinct graph under
-    /// this policy, which is pure loss when nearly everything is re-asked.
-    /// Never changes a recommendation — only which requests hit the cache.
-    pub admit_on_second_touch: bool,
     /// Reservoir sample size bounding each online adaptation. Must be at
     /// least 1 (validated at [`ServeConfigBuilder::build`] or, for
     /// struct-literal construction, at [`AdvisorService::try_start`]); unlike
@@ -146,7 +137,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("batch_deadline", &self.batch_deadline)
             .field("queue_capacity", &self.queue_capacity)
             .field("cache_capacity", &self.cache_capacity)
-            .field("admit_on_second_touch", &self.admit_on_second_touch)
             .field("reservoir_capacity", &self.reservoir_capacity)
             .field("seed", &self.seed)
             .field("metrics_enabled", &self.metrics.is_enabled())
@@ -162,7 +152,6 @@ impl Default for ServeConfig {
             batch_deadline: Duration::ZERO,
             queue_capacity: 256,
             cache_capacity: 1024,
-            admit_on_second_touch: false,
             reservoir_capacity: 64,
             seed: 0xce5e,
             metrics: MetricsRegistry::disabled(),
@@ -219,12 +208,6 @@ impl ServeConfigBuilder {
     /// Embedding-cache capacity in entries (0 disables caching).
     pub fn cache_capacity(mut self, v: usize) -> Self {
         self.cfg.cache_capacity = v;
-        self
-    }
-
-    /// Second-touch cache admission policy.
-    pub fn admit_on_second_touch(mut self, v: bool) -> Self {
-        self.cfg.admit_on_second_touch = v;
         self
     }
 
@@ -903,6 +886,7 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
             counter("ce_serve_cache_misses_total", &[], stats.cache_misses),
             counter("ce_serve_adaptations_total", &[], stats.adaptations),
             counter("ce_serve_cache_inserts_total", &[], cache.inserts),
+            // Retired with second-touch admission: always 0.
             counter(
                 "ce_serve_cache_rejects_total",
                 &[("reason", "first_touch")],
@@ -1010,10 +994,10 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
         let reservoir =
             Reservoir::over_initial(advisor.rcs_len(), cfg.reservoir_capacity, cfg.seed);
         let shared = Arc::new(Shared {
-            cache: Mutex::new(
-                EmbeddingCache::new(cfg.cache_capacity, advisor.generation())
-                    .with_second_touch(cfg.admit_on_second_touch),
-            ),
+            cache: Mutex::new(EmbeddingCache::new(
+                cfg.cache_capacity,
+                advisor.generation(),
+            )),
             obs,
             cfg,
             shutting_down: AtomicBool::new(false),

@@ -14,7 +14,7 @@
 //! see [`AdvisorService::adapt`](crate::AdvisorService::adapt).
 
 use ce_features::FeatureGraph;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Structural fingerprint of a feature graph: a word-at-a-time multiply-
 /// rotate mix (FxHash-style) over the graph shape and the exact bit
@@ -115,17 +115,13 @@ impl Chains {
 }
 
 /// Why an insert was refused. Returned by the admission decision so the
-/// cache can count each reason distinctly — a first touch under
-/// second-touch admission is *policy working as intended*, while a storm
-/// of stale-generation rejects means batches keep racing snapshot swaps,
-/// and conflating the two hides both signals.
+/// cache can count each reason distinctly — a disabled cache is
+/// configuration, while a storm of stale-generation rejects means batches
+/// keep racing snapshot swaps, and conflating the two hides both signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Stored (or refreshed an existing entry).
     Admitted,
-    /// Second-touch admission is on and this was the key's first insert:
-    /// the fingerprint was recorded, the value dropped.
-    RejectedFirstTouch,
     /// The insert carried a generation other than the cache's (an
     /// in-flight batch raced a snapshot swap); the value was dropped.
     RejectedStaleGeneration,
@@ -147,8 +143,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Inserts that stored or refreshed an entry.
     pub inserts: u64,
-    /// Inserts refused because second-touch admission recorded a first
-    /// touch.
+    /// Retired: second-touch admission is gone, so this is always 0. Kept
+    /// so readers of the ledger (and its `first_touch` reject sample) see
+    /// the same fields.
     pub rejected_first_touch: u64,
     /// Inserts refused because they carried a stale generation.
     pub rejected_stale_generation: u64,
@@ -189,19 +186,6 @@ pub struct EmbeddingCache {
     /// snapshot swap racing an in-flight batch could poison the fresh
     /// cache with pre-adaptation embeddings.
     generation: u64,
-    /// When set, a fingerprint is admitted only on its *second* insert:
-    /// the first touch records the fingerprint in `seen_once` (8 bytes)
-    /// and drops the embedding. One-shot traffic (cold all-distinct
-    /// streams) then never spends slots or LRU churn on entries that will
-    /// never be read, while anything asked twice is cached from its
-    /// second encoding onward. Off by default — admit-on-first-touch is
-    /// right for warm repeat-heavy traffic, where paying one extra miss
-    /// per distinct graph would be pure loss.
-    second_touch: bool,
-    /// Fingerprints seen exactly once since the last clear. Bounded (see
-    /// `seen_cap`); overflow resets it, which only costs extra first
-    /// touches, never correctness.
-    seen_once: HashSet<u64>,
     /// Hit/miss/insert/reject ledger. Plain integers: every path that
     /// updates them already holds the service's cache mutex, so counting
     /// costs nothing extra and needs no atomics.
@@ -219,25 +203,8 @@ impl EmbeddingCache {
             head: NIL,
             tail: NIL,
             generation,
-            second_touch: false,
-            seen_once: HashSet::new(),
             counters: CacheStats::default(),
         }
-    }
-
-    /// Enables or disables second-touch admission (builder-style; see the
-    /// `second_touch` field). Switching modes never invalidates existing
-    /// entries.
-    pub fn with_second_touch(mut self, on: bool) -> Self {
-        self.second_touch = on;
-        self
-    }
-
-    /// Cap on the seen-once set: generously larger than the cache itself
-    /// (an entry is 8 bytes against an embedding's hundreds), but bounded
-    /// so adversarially distinct streams cannot grow it without limit.
-    fn seen_cap(&self) -> usize {
-        self.capacity.saturating_mul(8).max(1024)
     }
 
     /// The snapshot generation the cached embeddings belong to.
@@ -305,7 +272,7 @@ impl EmbeddingCache {
     /// capacity. Inserts from a stale generation are dropped (see the
     /// `generation` field).
     pub fn insert(&mut self, generation: u64, key: u64, value: Vec<f32>) -> Admission {
-        let a = self.admits(generation, key);
+        let a = self.admits(generation);
         if a == Admission::Admitted {
             self.store(key, value);
         }
@@ -313,24 +280,21 @@ impl EmbeddingCache {
     }
 
     /// Like [`Self::insert`] for callers holding a borrowed embedding:
-    /// the admission decision runs first, so a rejected insert (stale
-    /// generation, first touch under second-touch admission) costs no
-    /// clone at all.
+    /// the admission decision runs first, so a rejected insert (disabled
+    /// cache, stale generation) costs no clone at all.
     pub fn insert_ref(&mut self, generation: u64, key: u64, value: &[f32]) -> Admission {
-        let a = self.admits(generation, key);
+        let a = self.admits(generation);
         if a == Admission::Admitted {
             self.store(key, value.to_vec());
         }
         a
     }
 
-    /// The admission decision, including second-touch bookkeeping and the
-    /// per-reason reject counters: anything but [`Admission::Admitted`]
-    /// means the value must be dropped (and, on a first touch, that its
-    /// fingerprint was recorded for next time). The checks are ordered so
-    /// each reject is attributed to exactly one reason — disabled before
-    /// stale generation before first touch.
-    fn admits(&mut self, generation: u64, key: u64) -> Admission {
+    /// The admission decision and the per-reason reject counters: anything
+    /// but [`Admission::Admitted`] means the value must be dropped. The
+    /// checks are ordered so each reject is attributed to exactly one
+    /// reason — disabled before stale generation.
+    fn admits(&mut self, generation: u64) -> Admission {
         if self.capacity == 0 {
             self.counters.rejected_disabled += 1;
             return Admission::RejectedDisabled;
@@ -338,18 +302,6 @@ impl EmbeddingCache {
         if generation != self.generation {
             self.counters.rejected_stale_generation += 1;
             return Admission::RejectedStaleGeneration;
-        }
-        if self.second_touch && !self.map.contains_key(&key) {
-            if self.seen_once.len() >= self.seen_cap() {
-                self.seen_once.clear();
-            }
-            if self.seen_once.insert(key) {
-                // First touch: remember the fingerprint, keep the slot.
-                self.counters.rejected_first_touch += 1;
-                return Admission::RejectedFirstTouch;
-            }
-            // Second touch: admit and forget the marker.
-            self.seen_once.remove(&key);
         }
         self.counters.inserts += 1;
         Admission::Admitted
@@ -402,8 +354,6 @@ impl EmbeddingCache {
         self.head = NIL;
         self.tail = NIL;
         self.generation = generation;
-        // New generation, new encoder: first touches start over too.
-        self.seen_once.clear();
     }
 }
 
@@ -579,41 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn second_touch_admits_only_reused_keys() {
-        let mut c = EmbeddingCache::new(4, 0).with_second_touch(true);
-        c.insert(0, 1, vec![1.0]);
-        assert!(c.get(1).is_none(), "first touch records, does not admit");
-        assert!(c.is_empty());
-        c.insert(0, 1, vec![1.0]);
-        assert_eq!(c.get(1), Some(&[1.0f32][..]), "second touch admits");
-        // One-shot keys never occupy a slot.
-        for k in 10..20u64 {
-            c.insert(0, k, vec![k as f32]);
-        }
-        assert_eq!(c.len(), 1, "only the reused key is resident");
-        // Once admitted, refreshes behave like a normal LRU entry.
-        c.insert(0, 1, vec![1.5]);
-        assert_eq!(c.get(1), Some(&[1.5f32][..]));
-    }
-
-    #[test]
-    fn second_touch_seen_set_resets_on_clear_and_overflow() {
-        let mut c = EmbeddingCache::new(4, 0).with_second_touch(true);
-        c.insert(0, 1, vec![1.0]);
-        c.clear_for(1);
-        // The first touch under generation 0 is forgotten: this is a
-        // first touch again, not an admission.
-        c.insert(1, 1, vec![1.0]);
-        assert!(c.get(1).is_none());
-        // The seen set stays bounded under an endless one-shot stream.
-        let cap = 4usize * 8;
-        for k in 100..100 + 10 * cap as u64 {
-            c.insert(1, k, vec![0.0]);
-        }
-        assert!(c.seen_once.len() <= cap.max(1024));
-    }
-
-    #[test]
     fn stats_count_each_reject_reason_distinctly() {
         // Disabled cache: rejects attribute to `disabled`, not stale-gen.
         let mut off = EmbeddingCache::new(0, 0);
@@ -621,12 +536,8 @@ mod tests {
         assert_eq!(off.stats().rejected_disabled, 1);
         assert_eq!(off.stats().rejected_stale_generation, 0);
 
-        let mut c = EmbeddingCache::new(4, 0).with_second_touch(true);
-        // First touch is a first-touch reject, NOT a stale-generation one
-        // (the historical conflation this counter split exists to fix).
-        assert_eq!(c.insert(0, 1, vec![1.0]), Admission::RejectedFirstTouch);
-        // Stale generation is counted as its own reason — even for a key
-        // whose first touch was already recorded.
+        let mut c = EmbeddingCache::new(4, 0);
+        // Stale generation is counted as its own reason.
         assert_eq!(
             c.insert(9, 1, vec![1.0]),
             Admission::RejectedStaleGeneration
@@ -644,7 +555,7 @@ mod tests {
                 s.rejected_stale_generation,
                 s.rejected_disabled,
             ),
-            (1, 1, 1, 1, 1, 0)
+            (1, 1, 1, 0, 1, 0)
         );
         assert_eq!((s.resident, s.capacity), (1, 4));
     }

@@ -20,7 +20,6 @@ fn serve_config() -> ServeConfig {
         batch_deadline: Duration::from_millis(2),
         queue_capacity: 64,
         cache_capacity: 128,
-        admit_on_second_touch: false,
         reservoir_capacity: 4,
         seed: 99,
         ..ServeConfig::default()
@@ -471,41 +470,6 @@ fn a_non_finite_query_is_refused_not_panicked_on() {
     let flat = autoce::fixtures::synthetic_flat(9, 2);
     check(ShardedAdvisor::from_advisor(&flat, 2), &flat);
     check(autoce::fixtures::synthetic_flat(9, 2), &flat);
-}
-
-/// Second-touch admission: the first encoding of a graph only records its
-/// fingerprint; the second encodes again and admits; the third hits.
-/// Recommendations are identical throughout — the policy only moves the
-/// miss/hit boundary.
-#[test]
-fn second_touch_admission_caches_on_reuse_only() {
-    let (datasets, flat) = common::trained_advisor(4, 0x2704);
-    let cfg = ServeConfig {
-        admit_on_second_touch: true,
-        ..serve_config()
-    };
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
-    let handle = service.handle();
-    let w = MetricWeights::new(0.7);
-    let graph = extract_features(&datasets[0], &flat.config.feature);
-    let expected = {
-        let x = flat.embed(&datasets[0]);
-        flat.predict_from_embedding(&x, w)
-    };
-    let hits: Vec<bool> = (0..3)
-        .map(|_| {
-            let rec = handle
-                .recommend_graph(graph.clone(), w)
-                .expect("service is running");
-            assert_eq!((rec.model, rec.scores.clone()), expected);
-            rec.cache_hit
-        })
-        .collect();
-    assert_eq!(
-        hits,
-        vec![false, false, true],
-        "miss (record), miss (admit), hit"
-    );
 }
 
 /// The observability side channel: an instrumented service exposes phase
