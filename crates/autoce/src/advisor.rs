@@ -436,9 +436,10 @@ impl AutoCe {
     /// builds the index over the current embeddings. Counters land in
     /// `metrics`; pass a disabled registry for free no-ops.
     ///
-    /// Rejects a cutover below the advisor's `k` — correctness never
-    /// depends on this (an index short of `k` candidates falls back),
-    /// it is builder-style validation like the serve/cluster configs.
+    /// Rejects a structurally invalid config and a cutover below the
+    /// advisor's `k` ([`IndexConfig::validate_for_k`]) before touching any
+    /// state. Correctness never depends on the cutover check (an index
+    /// short of `k` candidates falls back).
     pub fn set_index_config(
         &mut self,
         cfg: IndexConfig,

@@ -39,11 +39,10 @@ use ce_models::ModelKind;
 use ce_obs::MetricsSnapshot;
 use ce_testbed::{DatasetLabel, MetricWeights};
 
-/// The unified advisor error taxonomy. `ce-serve` returns it directly and
-/// backend-specific errors (`ce-cluster`'s `ClusterError`) convert into
-/// it via `From` impls in their own crates, so code generic over
-/// [`AdvisorBackend`] handles one type — with failure modes as typed
-/// variants, never panics or stringly-typed catch-alls.
+/// The unified advisor error taxonomy. Every backend and serving front
+/// (`ce-serve`, `ce-cluster`'s coordinator) returns it directly, so code
+/// generic over [`AdvisorBackend`] handles one type — with failure modes
+/// as typed variants, never panics or stringly-typed catch-alls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdvisorError {
     /// A distributed backend found every replica of `range` unreachable
@@ -60,7 +59,9 @@ pub enum AdvisorError {
     /// The serving front's worker failed (panicked); the service is
     /// permanently stopped.
     WorkerFailed,
-    /// A configuration was rejected at build time (builder validation).
+    /// A configuration was rejected by the code that takes it, before
+    /// anything started (service start, coordinator construction, index
+    /// install).
     InvalidConfig(String),
     /// The RCS holds no entry the query may select (it is empty, or its
     /// only entry is the excluded one); nothing was computed or sent.
@@ -327,10 +328,10 @@ impl AdvisorBackend for AutoCe {
     }
 }
 
-/// Config knob surface shared by the serving-tier builders: one place for
-/// the "reject at build time, not first use" rule. Builders in `ce-serve`
-/// and `ce-cluster` call these helpers so the validation wording stays
-/// uniform.
+/// The "must be at least 1" check shared by every config validator
+/// (`IndexConfig`, `ServeConfig`, `ClusterConfig`): one place for the
+/// wording, so each rejects a zero knob before first use with the same
+/// message.
 pub fn validate_nonzero(name: &str, value: usize) -> Result<(), AdvisorError> {
     if value == 0 {
         return Err(AdvisorError::InvalidConfig(format!(

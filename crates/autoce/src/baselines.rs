@@ -14,7 +14,7 @@
 
 use crate::advisor::AutoCe;
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
-use ce_gnn::{DmlConfig, GinEncoder};
+use ce_gnn::{DmlConfig, GinEncoder, GinGrads, GraphCtx};
 use ce_models::ModelKind;
 use ce_nn::loss::softmax_cross_entropy;
 use ce_nn::matrix::euclidean;
@@ -43,6 +43,25 @@ impl Selector for AutoCe {
     fn select(&self, ds: &Dataset, w: MetricWeights) -> ModelKind {
         self.recommend(ds, w)
     }
+}
+
+/// One end-to-end step of a GIN-headed baseline on one graph: a tape
+/// forward, the head's forward and loss gradient (`loss_grad`), then the
+/// backward through head and encoder and one Adam step on each.
+fn train_step(
+    encoder: &mut GinEncoder,
+    head: &mut Mlp,
+    ctx: &GraphCtx,
+    lr: f32,
+    loss_grad: impl FnOnce(&mut Mlp, &[f32]) -> Matrix,
+) {
+    let tape = encoder.forward_tape(ctx);
+    let grad = loss_grad(head, tape.embedding());
+    let g_emb = head.backward(&grad);
+    let mut acc = GinGrads::zeros_like(encoder);
+    encoder.backward_tape(ctx, &tape, g_emb.row(0), &mut acc, &encoder.backward_plan());
+    head.step(lr);
+    encoder.step_with(&acc, lr);
 }
 
 // ---------------------------------------------------------------------------
@@ -104,17 +123,15 @@ impl MlpSelector {
             Activation::Linear,
             &mut rng,
         );
+        let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
         let mut order: Vec<usize> = (0..graphs.len()).collect();
         for _ in 0..dml.epochs {
             order.shuffle(&mut rng);
             for &i in &order {
-                let emb = encoder.forward_train(&graphs[i]);
-                let logits = head.forward(&Matrix::row_vector(&emb));
-                let (_, grad) = softmax_cross_entropy(&logits, &[classes[i]]);
-                let g_emb = head.backward(&grad);
-                encoder.backward(g_emb.row(0), graphs[i].num_vertices());
-                head.step(dml.lr);
-                encoder.step(dml.lr);
+                train_step(&mut encoder, &mut head, &ctxs[i], dml.lr, |head, emb| {
+                    let logits = head.forward(&Matrix::row_vector(emb));
+                    softmax_cross_entropy(&logits, &[classes[i]]).1
+                });
             }
         }
         MlpSelector {
@@ -197,17 +214,15 @@ impl RegressionSelector {
             Activation::Sigmoid,
             &mut rng,
         );
+        let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
         let mut order: Vec<usize> = (0..graphs.len()).collect();
         for _ in 0..dml.epochs {
             order.shuffle(&mut rng);
             for &i in &order {
-                let emb = encoder.forward_train(&graphs[i]);
-                let pred = head.forward(&Matrix::row_vector(&emb));
-                let (_, grad) = ce_nn::loss::mse_loss(&pred, &Matrix::row_vector(&targets[i]));
-                let g_emb = head.backward(&grad);
-                encoder.backward(g_emb.row(0), graphs[i].num_vertices());
-                head.step(dml.lr);
-                encoder.step(dml.lr);
+                train_step(&mut encoder, &mut head, &ctxs[i], dml.lr, |head, emb| {
+                    let pred = head.forward(&Matrix::row_vector(emb));
+                    ce_nn::loss::mse_loss(&pred, &Matrix::row_vector(&targets[i])).1
+                });
             }
         }
         RegressionSelector {
@@ -537,6 +552,65 @@ mod tests {
             assert!(valid.contains(&mlp.select(ds, MetricWeights::new(0.9))));
         }
         assert_eq!(mlp.trained_for().accuracy, 0.9);
+    }
+
+    /// FNV-1a over the trained encoder's parameters and the trained head's
+    /// output on every training graph's embedding, for both GIN-headed
+    /// baselines on one fixed input. The labels are synthetic, so no wall
+    /// clock enters. Captured before the two training loops moved onto the
+    /// tape API; any later loop must reproduce it.
+    #[test]
+    fn trained_baseline_parameters_are_pinned() {
+        const GOLDEN: u64 = 0xd2dd_a27e_9d41_9e24;
+        fn fold(h: &mut u64, xs: &[f32]) {
+            for b in xs.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let kinds = [ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
+        let mut rng = StdRng::seed_from_u64(245);
+        let datasets = generate_batch("pin", 6, &DatasetSpec::small(), &mut rng);
+        let labels: Vec<DatasetLabel> = (0..datasets.len())
+            .map(|i| DatasetLabel {
+                dataset: format!("pin{i}"),
+                performances: kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &kind)| ce_testbed::ModelPerformance {
+                        kind,
+                        qerror_mean: 1.0 + ((i * 7 + m * 3) % 5) as f64,
+                        qerror_p50: 1.0,
+                        qerror_p95: 2.0,
+                        qerror_p99: 3.0,
+                        latency_mean_us: 10.0 * (1 + (i + m) % 3) as f64,
+                        train_time_ms: 0.0,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let feature = FeatureConfig::default();
+        let graphs: Vec<FeatureGraph> = datasets
+            .iter()
+            .map(|ds| extract_features(ds, &feature))
+            .collect();
+        let dml = DmlConfig {
+            epochs: 3,
+            hidden: vec![8],
+            embed_dim: 4,
+            ..DmlConfig::default()
+        };
+        let w = MetricWeights::new(0.7);
+        let mlp = MlpSelector::train_from_graphs(&graphs, &labels, w, feature, &dml, 46);
+        let reg = RegressionSelector::train(&datasets, &labels, w, feature, &dml, 47);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (encoder, head) in [(&mlp.encoder, &mlp.head), (&reg.encoder, &reg.head)] {
+            fold(&mut h, &encoder.flat_params());
+            for g in &graphs {
+                let out = head.infer(&Matrix::row_vector(&encoder.encode(g)));
+                fold(&mut h, &out.data);
+            }
+        }
+        assert_eq!(h, GOLDEN, "trained baseline bits moved: {h:#018x}");
     }
 
     #[test]

@@ -74,9 +74,12 @@ pub enum QuantMode {
     F16,
 }
 
-/// Configuration of the two-stage KNN index. Build through
-/// [`IndexConfig::builder`], which rejects degenerate shapes the same way
-/// the serve/cluster builders reject theirs.
+/// Configuration of the two-stage KNN index: a plain struct, checked by
+/// the code that installs it ([`IndexConfig::validate_for_k`]), so a
+/// degenerate shape is rejected however it was written.
+/// [`IndexConfig::builder`] is a second way in that runs the same
+/// [`IndexConfig::validate`] early; the end-to-end benchmark builds through
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfig {
     /// Number of IVF partitions (k-means k). Clamped to the RCS size at
@@ -129,10 +132,11 @@ impl IndexConfig {
         }
     }
 
-    /// Validates the cutover against an advisor's `k` — deferred to the
-    /// point where `k` is known (index installation), since the index
-    /// config itself is advisor-agnostic.
+    /// Every check an install runs: [`Self::validate`], then the cutover
+    /// against the advisor's `k`, which is known only there since the
+    /// index config itself is advisor-agnostic.
     pub fn validate_for_k(&self, k: usize) -> Result<(), AdvisorError> {
+        self.validate()?;
         if self.min_rcs_for_index < k.max(1) {
             return Err(AdvisorError::InvalidConfig(format!(
                 "min_rcs_for_index ({}) must be at least k ({k}): an engaged \
@@ -143,9 +147,10 @@ impl IndexConfig {
         Ok(())
     }
 
-    /// Structural validation — the same checks [`IndexConfigBuilder::build`]
-    /// runs, callable by embedding configs (`ServeConfig`, `ClusterConfig`)
-    /// whose builders accept a struct-literal `IndexConfig`.
+    /// Structural validation, independent of any advisor. Run by every
+    /// install (through [`Self::validate_for_k`]), by the configs that
+    /// embed an index (`ServeConfig`, `ClusterConfig`) before anything
+    /// starts, and by [`IndexConfigBuilder::build`].
     pub fn validate(&self) -> Result<(), AdvisorError> {
         validate_nonzero("partitions", self.partitions)?;
         validate_nonzero("probe", self.probe)?;

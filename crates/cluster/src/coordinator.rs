@@ -58,7 +58,7 @@
 //! failover, or a freshly re-promoted one — cannot change a single bit of
 //! the recommendation. Only when every replica of some range is
 //! unreachable does the coordinator fail, explicitly, with
-//! [`ClusterError::RangeUnavailable`].
+//! [`AdvisorError::RangeUnavailable`].
 //!
 //! # Concurrency
 //!
@@ -82,28 +82,33 @@ use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span, LATENCY_NS_BUCKETS};
 use ce_serve::ShardedAdvisor;
-use ce_testbed::{DatasetLabel, MetricWeights};
+use ce_testbed::DatasetLabel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Robustness knobs for the wire fan-out. Prefer [`ClusterConfig::builder`],
-/// which rejects nonsensical combinations at build time; the struct-literal
-/// form keeps working but performs no validation.
+/// Robustness knobs for the wire fan-out: a plain struct, written as a
+/// literal over [`ClusterConfig::default`] (or [`ClusterConfig::no_sleep`]).
+/// [`ClusterCoordinator::try_new`] checks it before anything is built and
+/// answers [`AdvisorError::InvalidConfig`] for a combination that cannot
+/// work.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Per-request round-trip deadline.
+    /// Per-request round-trip deadline. Must be non-zero when
+    /// `max_attempts_per_replica` allows retries.
     pub request_deadline: Duration,
-    /// Attempts per replica before failing over to the next one.
+    /// Attempts per replica before failing over to the next one; at
+    /// least 1.
     pub max_attempts_per_replica: u32,
     /// Base of the exponential backoff between retries.
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
     /// Consecutive failures after which a replica is demoted out of
-    /// regular traffic (see the module docs). Re-promotion happens on any
-    /// successful round trip — in practice via [`ClusterCoordinator::heartbeat`].
+    /// regular traffic (see the module docs); at least 1. Re-promotion
+    /// happens on any successful round trip — in practice via
+    /// [`ClusterCoordinator::heartbeat`].
     pub demote_after: u32,
     /// Seed for backoff jitter (jitter is deterministic given the seed
     /// and the failure sequence — it never appears in the event trace).
@@ -152,144 +157,28 @@ impl ClusterConfig {
         }
     }
 
-    /// Validated construction: rejects impossible knob combinations when
-    /// the config is built instead of when the first request fails.
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder {
-            cfg: ClusterConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ClusterConfig`]; see [`ClusterConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ClusterConfigBuilder {
-    cfg: ClusterConfig,
-}
-
-impl ClusterConfigBuilder {
-    /// Sets the per-request round-trip deadline.
-    pub fn request_deadline(mut self, d: Duration) -> Self {
-        self.cfg.request_deadline = d;
-        self
-    }
-
-    /// Sets the attempts per replica before failover.
-    pub fn max_attempts_per_replica(mut self, n: u32) -> Self {
-        self.cfg.max_attempts_per_replica = n;
-        self
-    }
-
-    /// Sets the backoff base.
-    pub fn backoff_base(mut self, d: Duration) -> Self {
-        self.cfg.backoff_base = d;
-        self
-    }
-
-    /// Sets the backoff ceiling.
-    pub fn backoff_max(mut self, d: Duration) -> Self {
-        self.cfg.backoff_max = d;
-        self
-    }
-
-    /// Sets the demotion dead-streak threshold.
-    pub fn demote_after(mut self, n: u32) -> Self {
-        self.cfg.demote_after = n;
-        self
-    }
-
-    /// Sets the jitter seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the metrics registry (see [`ClusterConfig::metrics`]).
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.cfg.metrics = registry;
-        self
-    }
-
-    /// Sets the authority-side KNN index configuration (see
-    /// [`ClusterConfig::index`]). Structural validation runs at
-    /// [`Self::build`]; the `k`-dependent cutover check runs at
-    /// coordinator construction, when the authority's `k` is known.
-    pub fn index(mut self, cfg: autoce::index::IndexConfig) -> Self {
-        self.cfg.index = Some(cfg);
-        self
-    }
-
-    /// Zeroes the backoff sleeps (deterministic-gauntlet mode).
-    pub fn no_sleep(mut self) -> Self {
-        self.cfg.backoff_base = Duration::ZERO;
-        self.cfg.backoff_max = Duration::ZERO;
-        self
-    }
-
-    /// Validates and produces the config.
-    pub fn build(self) -> Result<ClusterConfig, AdvisorError> {
+    /// Every check [`ClusterCoordinator::try_new`] runs on the config
+    /// before it builds anything: a zero attempt budget would turn the
+    /// first fault into a dark range with no retry and no failover, a zero
+    /// demotion threshold would demote a replica on its first failure,
+    /// a zero deadline would time every retry out at once, and the index
+    /// must be structurally valid.
+    fn validate(&self) -> Result<(), AdvisorError> {
         validate_nonzero(
             "max_attempts_per_replica",
-            self.cfg.max_attempts_per_replica as usize,
+            self.max_attempts_per_replica as usize,
         )?;
-        validate_nonzero("demote_after", self.cfg.demote_after as usize)?;
-        if self.cfg.request_deadline.is_zero() && self.cfg.max_attempts_per_replica > 1 {
+        validate_nonzero("demote_after", self.demote_after as usize)?;
+        if self.request_deadline.is_zero() && self.max_attempts_per_replica > 1 {
             return Err(AdvisorError::InvalidConfig(
                 "request_deadline must be non-zero when retries are configured \
                  (every retry would time out instantly)"
                     .into(),
             ));
         }
-        if let Some(index) = &self.cfg.index {
-            index.validate()?;
-        }
-        Ok(self.cfg)
-    }
-}
-
-/// A terminal cluster failure (retries and failover already exhausted).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClusterError {
-    /// Every replica of `range` is unreachable or unusable.
-    RangeUnavailable {
-        /// The dark range.
-        range: usize,
-    },
-    /// A peer answered something protocol-violating that retries cannot
-    /// fix.
-    Protocol(String),
-    /// The authority holds no RCS entry a query may select (empty, or its
-    /// only entry excluded); nothing was sent.
-    EmptyRcs,
-    /// A query embedding holds a NaN or ±∞; nothing was sent. Converts to
-    /// [`AdvisorError::InvalidDataset`].
-    InvalidQuery(String),
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::RangeUnavailable { range } => {
-                write!(f, "no live replica for shard range {range}")
-            }
-            ClusterError::Protocol(d) => write!(f, "protocol violation: {d}"),
-            ClusterError::EmptyRcs => {
-                f.write_str("no selectable RCS entry (empty or all excluded)")
-            }
-            ClusterError::InvalidQuery(d) => write!(f, "invalid query: {d}"),
-        }
-    }
-}
-
-impl std::error::Error for ClusterError {}
-
-impl From<ClusterError> for AdvisorError {
-    fn from(e: ClusterError) -> Self {
-        match e {
-            ClusterError::RangeUnavailable { range } => AdvisorError::RangeUnavailable { range },
-            ClusterError::Protocol(d) => AdvisorError::Protocol(d),
-            ClusterError::EmptyRcs => AdvisorError::EmptyRcs,
-            ClusterError::InvalidQuery(d) => AdvisorError::InvalidDataset(d),
+        match &self.index {
+            Some(index) => index.validate(),
+            None => Ok(()),
         }
     }
 }
@@ -569,7 +458,7 @@ impl RangeLane {
         cfg: &ClusterConfig,
         r: usize,
         reply: &Frame,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<(), AdvisorError> {
         match Nack::from_frame(reply) {
             Ok(nack) => {
                 self.obs.nack(nack.code);
@@ -591,7 +480,7 @@ impl RangeLane {
                         // repair applies and a retry would skew again.
                         // Fail typed, at once — retrying to range-dark
                         // would turn an operator's pin into an outage.
-                        return Err(ClusterError::Protocol(format!(
+                        return Err(AdvisorError::Protocol(format!(
                             "range {range} replica {r} refused the wire version: {}",
                             nack.detail
                         )));
@@ -614,7 +503,7 @@ impl RangeLane {
         range: usize,
         cfg: &ClusterConfig,
         frame: &Frame,
-    ) -> Result<Frame, ClusterError> {
+    ) -> Result<Frame, AdvisorError> {
         for (i, r) in self.candidates().into_iter().enumerate() {
             if i > 0 {
                 self.obs.failovers.inc();
@@ -640,7 +529,7 @@ impl RangeLane {
             }
         }
         self.sub.push(format!("range-dark range={range}"));
-        Err(ClusterError::RangeUnavailable { range })
+        Err(AdvisorError::RangeUnavailable { range })
     }
 
     /// Best-effort metrics fetch from replica `r` over
@@ -730,7 +619,7 @@ impl CoordInner {
         }
     }
 
-    fn bootstrap(&mut self) -> Result<(), ClusterError> {
+    fn bootstrap(&mut self) -> Result<(), AdvisorError> {
         for range in 0..self.lanes.len() {
             self.prime_load_frame(range);
             let lane = &mut self.lanes[range];
@@ -744,7 +633,7 @@ impl CoordInner {
             }
             if live == 0 {
                 lane.sub.push(format!("range-dark range={range}"));
-                return Err(ClusterError::RangeUnavailable { range });
+                return Err(AdvisorError::RangeUnavailable { range });
             }
         }
         Ok(())
@@ -761,7 +650,7 @@ impl CoordInner {
     fn predict_batch(
         &mut self,
         queries: &[BatchPredictRequest<'_>],
-    ) -> Result<Vec<(ModelKind, Vec<f64>)>, ClusterError> {
+    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -769,12 +658,7 @@ impl CoordInner {
         // Per-query clamp (k depends on each query's exclusion) and finite
         // check. A query with nothing to select, or a non-finite one, fails
         // the whole batch here, before any frame is built.
-        let ks =
-            knn::select_batch(self.authority.config().k, len, queries).map_err(|e| match e {
-                AdvisorError::EmptyRcs => ClusterError::EmptyRcs,
-                AdvisorError::InvalidDataset(d) => ClusterError::InvalidQuery(d),
-                e => ClusterError::Protocol(e.to_string()),
-            })?;
+        let ks = knn::select_batch(self.authority.config().k, len, queries)?;
         let ranges = self.lanes.len();
 
         // The ranges' frames differ only in their pin: the query section
@@ -841,7 +725,7 @@ impl CoordInner {
                 None => lane.call_range(range, &self.cfg, frame)?,
             };
             let tb =
-                TopKBatch::from_frame(&reply).map_err(|e| ClusterError::Protocol(e.to_string()))?;
+                TopKBatch::from_frame(&reply).map_err(|e| AdvisorError::Protocol(e.to_string()))?;
             self.check_reply(range, queries, &ks, &tb)?;
             replies.push(tb);
         }
@@ -872,9 +756,9 @@ impl CoordInner {
         queries: &[BatchPredictRequest<'_>],
         ks: &[usize],
         tb: &TopKBatch,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<(), AdvisorError> {
         if tb.lists.len() != queries.len() {
-            return Err(ClusterError::Protocol(format!(
+            return Err(AdvisorError::Protocol(format!(
                 "batched reply carries {} lists for {} queries",
                 tb.lists.len(),
                 queries.len()
@@ -886,7 +770,7 @@ impl CoordInner {
             let excluded = authority.shard_of(q.exclude) == Some(range);
             let want = k.min(range_len - usize::from(excluded));
             if list.len() != want {
-                return Err(ClusterError::Protocol(format!(
+                return Err(AdvisorError::Protocol(format!(
                     "range {range} answered {} neighbours where the contract is {want}",
                     list.len()
                 )));
@@ -896,7 +780,7 @@ impl CoordInner {
                 d.is_nan() || id == q.exclude || authority.shard_of(id) != Some(range)
             };
             if let Some((id, d)) = list.iter().find(foreign) {
-                return Err(ClusterError::Protocol(format!(
+                return Err(AdvisorError::Protocol(format!(
                     "range {range} answered id {id} at distance {d}: not a selectable member it owns"
                 )));
             }
@@ -908,7 +792,7 @@ impl CoordInner {
         &mut self,
         graph: FeatureGraph,
         label: &DatasetLabel,
-    ) -> Result<usize, ClusterError> {
+    ) -> Result<usize, AdvisorError> {
         let global = self.authority.push_entry(graph, label);
         let range = self
             .authority
@@ -953,7 +837,7 @@ impl CoordInner {
         Ok(global)
     }
 
-    fn refresh_and_snapshot(&mut self) -> Result<u64, ClusterError> {
+    fn refresh_and_snapshot(&mut self) -> Result<u64, AdvisorError> {
         self.authority.refresh_embeddings();
         self.epoch += 1;
         self.trace.push(format!("snapshot-epoch {}", self.epoch));
@@ -983,7 +867,7 @@ impl CoordInner {
             }
             if staged == 0 {
                 lane.sub.push(format!("range-dark range={range}"));
-                return Err(ClusterError::RangeUnavailable { range });
+                return Err(AdvisorError::RangeUnavailable { range });
             }
         }
         Ok(self.epoch)
@@ -1043,7 +927,7 @@ impl CoordInner {
 pub struct ClusterCoordinator {
     inner: Mutex<CoordInner>,
     /// Clone of the config's registry, held outside the mutex so
-    /// [`Self::metrics`] exposes local counters without touching the
+    /// [`AdvisorBackend::metrics`] exposes local counters without touching the
     /// serving lock.
     metrics: MetricsRegistry,
 }
@@ -1057,14 +941,18 @@ impl ClusterCoordinator {
     }
 
     /// Builds a coordinator over `authority` with `connectors[range][r]`
-    /// dialing the replicas of each authority shard range, rejecting an
-    /// invalid topology (mismatched range count, a range with zero
-    /// replicas) at build time. Call [`Self::bootstrap`] before serving.
+    /// dialing the replicas of each authority shard range. Checks the
+    /// config first (see [`ClusterConfig`]'s field docs), then installs
+    /// its index on the authority and checks the topology (mismatched
+    /// range count, a range with zero replicas): any failure is
+    /// [`AdvisorError::InvalidConfig`], before anything is built. Call
+    /// [`Self::bootstrap`] before serving.
     pub fn try_new(
         mut authority: ShardedAdvisor,
         connectors: Vec<Vec<Box<dyn Connector>>>,
         cfg: ClusterConfig,
     ) -> Result<Self, AdvisorError> {
+        cfg.validate()?;
         if let Some(index) = &cfg.index {
             authority.install_index(index, &cfg.metrics)?;
         }
@@ -1117,15 +1005,15 @@ impl ClusterCoordinator {
         })
     }
 
-    /// [`Self::try_new`] that panics on an invalid topology — the
-    /// historical constructor shape, kept for call sites that construct
-    /// from static topology.
+    /// [`Self::try_new`] that panics on an invalid config or topology —
+    /// the historical constructor shape, kept for call sites that
+    /// construct from static topology.
     pub fn new(
         authority: ShardedAdvisor,
         connectors: Vec<Vec<Box<dyn Connector>>>,
         cfg: ClusterConfig,
     ) -> Self {
-        Self::try_new(authority, connectors, cfg).expect("valid cluster topology")
+        Self::try_new(authority, connectors, cfg).expect("valid cluster config and topology")
     }
 
     /// Convenience: a coordinator over a [`crate::sim::SimNet`] with
@@ -1157,22 +1045,6 @@ impl ClusterCoordinator {
         self.lock().epoch
     }
 
-    /// Encoder generation of the authority (bumps only on adaptation —
-    /// the cache-invalidation signal, not the epoch).
-    pub fn generation(&self) -> u64 {
-        self.lock().authority.generation()
-    }
-
-    /// Number of RCS entries in the authority.
-    pub fn rcs_len(&self) -> usize {
-        self.lock().authority.len()
-    }
-
-    /// Embeds a feature graph on the authority encoder.
-    pub fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
-        self.lock().authority.embed_graph(g)
-    }
-
     /// A snapshot of the ordered event trace so far (wall-clock free:
     /// dials, failures, reloads, failovers, demotions, snapshots — same
     /// seed and same fault plan give the same trace, byte for byte).
@@ -1193,69 +1065,11 @@ impl ClusterCoordinator {
     /// Loads every replica with its range's table and verifies at least
     /// one live replica per range. Idempotent; also usable as a
     /// whole-cluster resync (and, for demoted replicas, re-promotion).
-    pub fn bootstrap(&self) -> Result<(), ClusterError> {
+    pub fn bootstrap(&self) -> Result<(), AdvisorError> {
         let mut inner = self.lock();
         let out = inner.bootstrap();
         inner.merge_trace();
         out
-    }
-
-    /// KNN prediction excluding one global RCS index: [`Self::predict_batch`]
-    /// with a batch of one. Bit-identical to
-    /// [`ShardedAdvisor::predict_excluding`] on the authority (see the
-    /// module docs).
-    pub fn predict_excluding(
-        &self,
-        embedding: &[f32],
-        w: MetricWeights,
-        exclude: usize,
-    ) -> Result<(ModelKind, Vec<f64>), ClusterError> {
-        let query = BatchPredictRequest {
-            embedding,
-            w,
-            exclude,
-        };
-        let mut answers = self.predict_batch(&[query])?;
-        Ok(answers.pop().expect("one answer per query"))
-    }
-
-    /// KNN prediction from an embedding (no exclusion).
-    pub fn predict_from_embedding(
-        &self,
-        embedding: &[f32],
-        w: MetricWeights,
-    ) -> Result<(ModelKind, Vec<f64>), ClusterError> {
-        self.predict_excluding(embedding, w, usize::MAX)
-    }
-
-    /// KNN prediction over the wire via the pipelined range fan-out: one
-    /// `QueryBatch` frame per shard range carries the whole batch, so the
-    /// per-range round trip is paid once per *batch* instead of once per
-    /// query. Each answer is bit-identical to
-    /// [`ShardedAdvisor::predict_excluding`] on the authority for that
-    /// query alone. An RCS with nothing a query may select is
-    /// [`ClusterError::EmptyRcs`] for the whole batch, with nothing sent;
-    /// a peer on another protocol version is [`ClusterError::Protocol`] at
-    /// once — no retry, no failover.
-    pub fn predict_batch(
-        &self,
-        queries: &[BatchPredictRequest<'_>],
-    ) -> Result<Vec<(ModelKind, Vec<f64>)>, ClusterError> {
-        let mut inner = self.lock();
-        let out = inner.predict_batch(queries);
-        inner.merge_trace();
-        out
-    }
-
-    /// Full recommendation from a feature graph: embed on the authority
-    /// encoder, KNN over the wire.
-    pub fn recommend_graph(
-        &self,
-        g: &FeatureGraph,
-        w: MetricWeights,
-    ) -> Result<ModelKind, ClusterError> {
-        let x = self.embed_graph(g);
-        self.predict_from_embedding(&x, w).map(|(m, _)| m)
     }
 
     /// Adds a freshly labeled dataset: authority first, then a
@@ -1268,7 +1082,7 @@ impl ClusterCoordinator {
         &self,
         graph: FeatureGraph,
         label: &DatasetLabel,
-    ) -> Result<usize, ClusterError> {
+    ) -> Result<usize, AdvisorError> {
         let mut inner = self.lock();
         let out = inner.push_entry(graph, label);
         inner.merge_trace();
@@ -1280,7 +1094,7 @@ impl ClusterCoordinator {
     /// the previous epoch serving while the swap propagates, and the
     /// coordinator pins queries to the new epoch only once every range
     /// has at least one replica confirmed on it. Returns the new epoch.
-    pub fn refresh_and_snapshot(&self) -> Result<u64, ClusterError> {
+    pub fn refresh_and_snapshot(&self) -> Result<u64, AdvisorError> {
         let mut inner = self.lock();
         let out = inner.refresh_and_snapshot();
         inner.merge_trace();
@@ -1306,21 +1120,12 @@ impl ClusterCoordinator {
         inner.merge_trace();
     }
 
-    /// The coordinator's *local* metrics snapshot — per-range RTT,
-    /// retries, failovers, NACKs, reloads, demotions, wire bytes per
-    /// step. Reads only pre-registered atomics; does **not** take the
-    /// coordinator mutex and sends nothing over the wire, so it is safe
-    /// to call from a scrape thread while requests are in flight.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
     /// Cluster-wide aggregation: the local snapshot merged with every
     /// replica's shard snapshot, fetched over [`Step::CoordSendMetrics`]
     /// and tagged with `range`/`replica` labels before merging. Replicas
     /// that are down or answer a NACK or a corrupt snapshot are skipped,
     /// never an error. Unlike
-    /// [`Self::metrics`] this serializes behind the coordinator mutex and
+    /// [`AdvisorBackend::metrics`] this serializes behind the coordinator mutex and
     /// does cross the wire — under `SimNet` the fetches advance the
     /// simulated step counter like any other frames, so call it after a
     /// scripted fault workload, not in the middle of one.
@@ -1345,36 +1150,49 @@ impl ClusterCoordinator {
 }
 
 impl AdvisorBackend for ClusterCoordinator {
+    /// Number of RCS entries in the authority.
     fn rcs_len(&self) -> usize {
-        ClusterCoordinator::rcs_len(self)
+        self.lock().authority.len()
     }
 
     /// Epochs track *refreshes* on the wire; the encoder only changes
     /// through the authority's adaptation path, so the authority's
     /// generation is the correct cache-invalidation signal.
     fn generation(&self) -> u64 {
-        ClusterCoordinator::generation(self)
+        self.lock().authority.generation()
     }
 
     fn feature_config(&self) -> FeatureConfig {
         self.lock().authority.config().feature
     }
 
+    /// Embeds a feature graph on the authority encoder.
     fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
-        ClusterCoordinator::embed_graph(self, g)
+        self.lock().authority.embed_graph(g)
     }
 
     fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>> {
         self.lock().authority.embed_graph_batch(graphs)
     }
 
-    /// The wire fan-out itself: this is where `ce-serve`'s micro-batcher
-    /// stops paying one round trip per request.
+    /// KNN prediction over the wire via the pipelined range fan-out: one
+    /// `QueryBatch` frame per shard range carries the whole batch, so the
+    /// per-range round trip is paid once per *batch* instead of once per
+    /// query — this is where `ce-serve`'s micro-batcher stops paying one
+    /// round trip per request. Each answer is bit-identical to
+    /// [`ShardedAdvisor`]'s on the authority for that query alone. An RCS
+    /// with nothing a query may select is [`AdvisorError::EmptyRcs`] for
+    /// the whole batch, with nothing sent; a peer on another protocol
+    /// version is [`AdvisorError::Protocol`] at once — no retry, no
+    /// failover.
     fn predict_batch(
         &self,
         queries: &[BatchPredictRequest<'_>],
     ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
-        ClusterCoordinator::predict_batch(self, queries).map_err(AdvisorError::from)
+        let mut inner = self.lock();
+        let out = inner.predict_batch(queries);
+        inner.merge_trace();
+        out
     }
 
     fn distance_to_nearest(&self, x: &[f32]) -> f32 {
@@ -1390,22 +1208,25 @@ impl AdvisorBackend for ClusterCoordinator {
         graph: FeatureGraph,
         label: &DatasetLabel,
     ) -> Result<usize, AdvisorError> {
-        ClusterCoordinator::push_entry(self, graph, label).map_err(AdvisorError::from)
+        ClusterCoordinator::push_entry(self, graph, label)
     }
 
     fn refresh(&mut self) -> Result<u64, AdvisorError> {
-        self.refresh_and_snapshot().map_err(AdvisorError::from)
+        self.refresh_and_snapshot()
     }
 
-    /// The local coordinator snapshot (lock-free; see
-    /// [`ClusterCoordinator::metrics`]). `ce-serve`'s
-    /// `ServeHandle::metrics_snapshot` merges this into its own, so a
-    /// service fronting a cluster reports both layers in one exposition.
-    /// For shard-side data too, call
-    /// [`ClusterCoordinator::cluster_metrics`] explicitly — the trait
-    /// hook must stay side-effect free and off the wire.
+    /// The coordinator's *local* metrics snapshot — per-range RTT,
+    /// retries, failovers, NACKs, reloads, demotions, wire bytes per
+    /// step. Reads only pre-registered atomics; does **not** take the
+    /// coordinator mutex and sends nothing over the wire, so it is safe
+    /// to call from a scrape thread while requests are in flight.
+    /// `ce-serve`'s `ServeHandle::metrics_snapshot` merges this into its
+    /// own, so a service fronting a cluster reports both layers in one
+    /// exposition. For shard-side data too, call
+    /// [`ClusterCoordinator::cluster_metrics`] explicitly — this hook must
+    /// stay side-effect free and off the wire.
     fn metrics(&self) -> MetricsSnapshot {
-        ClusterCoordinator::metrics(self)
+        self.metrics.snapshot()
     }
 }
 
@@ -1415,6 +1236,8 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::sim::SimNet;
     use autoce::fixtures::synthetic_flat;
+    use autoce::index::IndexConfig;
+    use ce_testbed::MetricWeights;
 
     fn queries() -> Vec<Vec<f32>> {
         vec![
@@ -1482,7 +1305,7 @@ mod tests {
         let coord = ClusterCoordinator::over_sim(sharded, &net, 2, ClusterConfig::no_sleep());
         coord.bootstrap().expect("bootstrap");
         let got = coord.predict_from_embedding(&[0.0, 0.0, 0.0], MetricWeights::new(0.5));
-        assert_eq!(got, Err(ClusterError::RangeUnavailable { range: 0 }));
+        assert_eq!(got, Err(AdvisorError::RangeUnavailable { range: 0 }));
         assert!(coord.health().any_range_dark());
         assert!(coord.health().report().contains("DARK"));
     }
@@ -1607,36 +1430,64 @@ mod tests {
         assert!(!coord.health().any_range_dark());
     }
 
+    /// Every config check runs in `try_new`, on a plain literal, with the
+    /// message naming the knob; nothing is built for a rejected config.
     #[test]
-    fn builder_validates_at_build_time() {
-        assert!(matches!(
-            ClusterConfig::builder().max_attempts_per_replica(0).build(),
-            Err(AdvisorError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            ClusterConfig::builder().demote_after(0).build(),
-            Err(AdvisorError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            ClusterConfig::builder()
-                .request_deadline(Duration::ZERO)
-                .build(),
-            Err(AdvisorError::InvalidConfig(_)),
-        ));
+    fn try_new_validates_the_config() {
+        let try_new = |cfg: ClusterConfig| {
+            let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(4, 2), 1);
+            let net = SimNet::new(1, FaultPlan::none());
+            let connectors: Vec<Vec<Box<dyn Connector>>> = vec![vec![Box::new(net.connector(0))]];
+            ClusterCoordinator::try_new(sharded, connectors, cfg)
+        };
+        let defaults = ClusterConfig::default;
+        let cases = [
+            (
+                ClusterConfig {
+                    max_attempts_per_replica: 0,
+                    ..defaults()
+                },
+                "max_attempts_per_replica",
+            ),
+            (
+                ClusterConfig {
+                    demote_after: 0,
+                    ..defaults()
+                },
+                "demote_after",
+            ),
+            (
+                ClusterConfig {
+                    request_deadline: Duration::ZERO,
+                    ..defaults()
+                },
+                "request_deadline",
+            ),
+            (
+                ClusterConfig {
+                    index: Some(IndexConfig {
+                        probe: 0,
+                        ..IndexConfig::default()
+                    }),
+                    ..defaults()
+                },
+                "probe",
+            ),
+        ];
+        for (cfg, needle) in cases {
+            match try_new(cfg) {
+                Err(AdvisorError::InvalidConfig(msg)) => assert!(msg.contains(needle), "{msg}"),
+                Err(e) => panic!("{needle}: wrong error {e:?}"),
+                Ok(_) => panic!("{needle}: an invalid config was accepted"),
+            }
+        }
         // Zero deadline without retries is allowed (nothing to burn).
-        assert!(ClusterConfig::builder()
-            .request_deadline(Duration::ZERO)
-            .max_attempts_per_replica(1)
-            .build()
-            .is_ok());
-        let cfg = ClusterConfig::builder()
-            .demote_after(2)
-            .seed(7)
-            .no_sleep()
-            .build()
-            .expect("valid");
-        assert_eq!((cfg.demote_after, cfg.seed), (2, 7));
-        assert!(cfg.backoff_base.is_zero());
+        let one_shot = ClusterConfig {
+            request_deadline: Duration::ZERO,
+            max_attempts_per_replica: 1,
+            ..defaults()
+        };
+        assert!(try_new(one_shot).is_ok());
     }
 
     #[test]
@@ -1662,11 +1513,10 @@ mod tests {
             let sharded = ShardedAdvisor::from_advisor(&flat, 2);
             let plan = FaultPlan::none().with_kill(9, 0);
             let net = SimNet::new(4, plan);
-            let cfg = ClusterConfig::builder()
-                .no_sleep()
-                .metrics(metrics)
-                .build()
-                .expect("valid config");
+            let cfg = ClusterConfig {
+                metrics,
+                ..ClusterConfig::no_sleep()
+            };
             let coord = ClusterCoordinator::over_sim(sharded, &net, 2, cfg);
             coord.bootstrap().expect("bootstrap");
             let answers: Vec<_> = queries()
@@ -1796,7 +1646,7 @@ mod tests {
         let coord = ClusterCoordinator::new(sharded, connectors, ClusterConfig::no_sleep());
         let got = coord.predict_from_embedding(&[0.0, 0.0, 0.0], MetricWeights::new(0.5));
         assert!(
-            matches!(got, Err(ClusterError::Protocol(_))),
+            matches!(got, Err(AdvisorError::Protocol(_))),
             "a version pin is policy, not an outage: {got:?}"
         );
         assert_eq!(
@@ -1838,25 +1688,20 @@ mod tests {
         let excluded = BatchPredictRequest { exclude: 0, ..only };
         assert_eq!(
             coord.predict_batch(&[only, excluded]),
-            Err(ClusterError::EmptyRcs)
+            Err(AdvisorError::EmptyRcs)
         );
         assert_eq!(
             coord.predict_excluding(&x, w, 0),
-            Err(ClusterError::EmptyRcs)
+            Err(AdvisorError::EmptyRcs)
         );
         assert_eq!(net.step(), steps, "nothing may reach the wire");
         assert!(coord.predict_batch(&[only]).is_ok());
-        let backend: &dyn AdvisorBackend = &coord;
-        assert_eq!(
-            backend.predict_excluding(&x, w, 0),
-            Err(AdvisorError::EmptyRcs)
-        );
         // No entry at all.
         let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(0, 2), 1);
         let net = SimNet::new(1, FaultPlan::none());
         let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
         coord.bootstrap().expect("bootstrap");
-        assert_eq!(coord.predict_batch(&[only]), Err(ClusterError::EmptyRcs));
+        assert_eq!(coord.predict_batch(&[only]), Err(AdvisorError::EmptyRcs));
     }
 
     /// A NaN or ±∞ anywhere in one query embedding refuses its whole batch
@@ -1866,11 +1711,10 @@ mod tests {
         let w = MetricWeights::new(0.5);
         let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(9, 3), 2);
         let net = SimNet::new(2, FaultPlan::none());
-        let cfg = ClusterConfig::builder()
-            .no_sleep()
-            .metrics(MetricsRegistry::new_logical())
-            .build()
-            .expect("valid config");
+        let cfg = ClusterConfig {
+            metrics: MetricsRegistry::new_logical(),
+            ..ClusterConfig::no_sleep()
+        };
         let coord = ClusterCoordinator::over_sim(sharded.clone(), &net, 1, cfg);
         coord.bootstrap().expect("bootstrap");
         let wire_bytes = || {
@@ -1888,9 +1732,6 @@ mod tests {
                 exclude: usize::MAX,
             });
             let got = coord.predict_batch(&batch);
-            assert!(matches!(got, Err(ClusterError::InvalidQuery(_))), "{got:?}");
-            let backend: &dyn AdvisorBackend = &coord;
-            let got = backend.predict_batch(&batch);
             assert!(
                 matches!(got, Err(AdvisorError::InvalidDataset(_))),
                 "{got:?}"
@@ -1994,7 +1835,7 @@ mod tests {
             *forge.lock().expect("forgery") = Some(forgery);
             let got = coord.predict_excluding(&x, w, exclude);
             assert!(
-                matches!(got, Err(ClusterError::Protocol(_))),
+                matches!(got, Err(AdvisorError::Protocol(_))),
                 "{what}: {got:?}"
             );
             assert!(!coord.inner.is_poisoned(), "{what}");

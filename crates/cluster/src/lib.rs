@@ -33,7 +33,7 @@ pub mod server;
 pub mod sim;
 pub mod transport;
 
-pub use coordinator::{ClusterConfig, ClusterConfigBuilder, ClusterCoordinator, ClusterError};
+pub use coordinator::{ClusterConfig, ClusterCoordinator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use health::{ClusterHealth, ReplicaHealth, ReplicaStatus};
 pub use protocol::{

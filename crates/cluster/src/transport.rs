@@ -22,7 +22,7 @@
 //! byte stream. A `send` with an unconsumed reply still in flight is a
 //! caller bug and answers [`WireError::Frame`].
 
-use crate::protocol::{Frame, FrameError, NackCode, HEADER_LEN};
+use crate::protocol::{Frame, FrameError, HEADER_LEN};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -36,14 +36,6 @@ pub enum WireError {
     Closed(String),
     /// The peer answered bytes that do not parse as a protocol frame.
     Frame(String),
-    /// The peer sent a structured NACK (recoverable; the coordinator
-    /// reloads or retries).
-    Nack {
-        /// Machine-readable reason.
-        code: NackCode,
-        /// Diagnostic detail.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for WireError {
@@ -52,7 +44,6 @@ impl std::fmt::Display for WireError {
             WireError::Timeout => f.write_str("deadline elapsed"),
             WireError::Closed(d) => write!(f, "connection closed: {d}"),
             WireError::Frame(d) => write!(f, "bad frame: {d}"),
-            WireError::Nack { code, detail } => write!(f, "nack {code:?}: {detail}"),
         }
     }
 }

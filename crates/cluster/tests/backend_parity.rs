@@ -20,14 +20,14 @@ const RANGES: usize = 2;
 const REPLICAS_PER_RANGE: usize = 2;
 
 fn serve_config() -> ServeConfig {
-    ServeConfig::builder()
-        .max_batch(8)
-        .batch_deadline(Duration::from_millis(2))
-        .queue_capacity(64)
-        .cache_capacity(128)
-        .seed(99)
-        .build()
-        .expect("valid serve config")
+    ServeConfig {
+        max_batch: 8,
+        batch_deadline: Duration::from_millis(2),
+        queue_capacity: 64,
+        cache_capacity: 128,
+        seed: 99,
+        ..ServeConfig::default()
+    }
 }
 
 /// The request workload: every RCS entry's own graph (so answers span the
@@ -219,15 +219,13 @@ fn unified_query_entrypoint_is_bit_identical_over_all_backends() {
             .build()
             .expect("valid index config")
     };
-    let indexed_serve_config = || {
-        ServeConfig::builder()
-            .max_batch(8)
-            .queue_capacity(64)
-            .cache_capacity(128)
-            .seed(99)
-            .index(index_cfg())
-            .build()
-            .expect("valid serve config")
+    let indexed_serve_config = || ServeConfig {
+        max_batch: 8,
+        queue_capacity: 64,
+        cache_capacity: 128,
+        seed: 99,
+        index: Some(index_cfg()),
+        ..ServeConfig::default()
     };
 
     // One helper drives a service through `query` in both forms;
@@ -291,11 +289,10 @@ fn unified_query_entrypoint_is_bit_identical_over_all_backends() {
             ShardedAdvisor::from_advisor(&flat, RANGES),
             &net,
             REPLICAS_PER_RANGE,
-            ClusterConfig::builder()
-                .no_sleep()
-                .index(index_cfg())
-                .build()
-                .expect("valid cluster config"),
+            ClusterConfig {
+                index: Some(index_cfg()),
+                ..ClusterConfig::no_sleep()
+            },
         ));
         coord.bootstrap().expect("bootstrap");
         let service = AdvisorService::start_shared(coord.clone(), serve_config());

@@ -14,10 +14,9 @@
 
 mod common;
 
-use autoce::{AdvisorError, BatchPredictRequest};
+use autoce::{AdvisorBackend, AdvisorError, BatchPredictRequest};
 use ce_cluster::{
-    ClusterConfig, ClusterCoordinator, ClusterError, FaultPlan, MetricsRegistry, ShardedAdvisor,
-    SimNet,
+    ClusterConfig, ClusterCoordinator, FaultPlan, MetricsRegistry, ShardedAdvisor, SimNet,
 };
 use ce_models::ModelKind;
 use ce_serve::{AdvisorService, ServeConfig};
@@ -78,7 +77,7 @@ fn run_gauntlet_cfg(seed: u64, cfg: ClusterConfig) -> GauntletRun {
         let answer = loop {
             match coord.predict_excluding(&x, w, exclude) {
                 Ok(a) => break a,
-                Err(ClusterError::RangeUnavailable { .. }) => {
+                Err(AdvisorError::RangeUnavailable { .. }) => {
                     attempt += 1;
                     retries += 1;
                     // 500 retries consume far more sim steps than the
@@ -270,7 +269,7 @@ fn fnv1a(lines: &[String]) -> u64 {
 const BATCH_DEPTH: usize = 4;
 
 /// One full gauntlet run driving the same workload in deep batches
-/// ([`ClusterCoordinator::predict_batch`]): the whole chunk rides one
+/// ([`AdvisorBackend::predict_batch`]): the whole chunk rides one
 /// `QueryBatch` frame per range, so every injected wire fault lands on a
 /// batch frame and fails (or heals) the chunk as a unit.
 fn run_batched_gauntlet(seed: u64) -> GauntletRun {
@@ -304,7 +303,7 @@ fn run_batched_gauntlet(seed: u64) -> GauntletRun {
         let batch = loop {
             match coord.predict_batch(&reqs) {
                 Ok(a) => break a,
-                Err(ClusterError::RangeUnavailable { .. }) => {
+                Err(AdvisorError::RangeUnavailable { .. }) => {
                     attempt += 1;
                     retries += 1;
                     assert!(attempt < 500, "seed {seed}: range stayed dark");
@@ -435,12 +434,12 @@ fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
     }
     let service = AdvisorService::start_shared(
         coord.clone(),
-        ServeConfig::builder()
-            .max_batch(4)
-            .batch_deadline(Duration::from_millis(1))
-            .cache_capacity(64)
-            .build()
-            .expect("valid serve config"),
+        ServeConfig {
+            max_batch: 4,
+            batch_deadline: Duration::from_millis(1),
+            cache_capacity: 64,
+            ..ServeConfig::default()
+        },
     );
     let handle = service.handle();
     let w = MetricWeights::new(0.7);
@@ -588,13 +587,13 @@ fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
         coord.bootstrap().expect("healthy bootstrap");
         let service = AdvisorService::start_shared(
             coord.clone(),
-            ServeConfig::builder()
-                .max_batch(4)
-                .batch_deadline(Duration::from_millis(1))
-                .cache_capacity(64)
-                .metrics(registry.clone())
-                .build()
-                .expect("valid serve config"),
+            ServeConfig {
+                max_batch: 4,
+                batch_deadline: Duration::from_millis(1),
+                cache_capacity: 64,
+                metrics: registry.clone(),
+                ..ServeConfig::default()
+            },
         );
         let workers: Vec<_> = (0..threads)
             .map(|_| {

@@ -16,7 +16,7 @@
 //! checksum; the shard server's partial lists are folded separately.
 
 use autoce::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
-use autoce::{AutoCe, BatchPredictRequest, IndexConfig};
+use autoce::{AdvisorBackend, AutoCe, BatchPredictRequest, IndexConfig};
 use ce_cluster::protocol::{Load, Message, Push};
 use ce_cluster::{
     BatchQuery, ClusterConfig, ClusterCoordinator, Conn, Connector, EpochTable, FaultPlan, Frame,

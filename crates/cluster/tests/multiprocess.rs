@@ -6,6 +6,7 @@
 
 mod common;
 
+use autoce::AdvisorBackend;
 use ce_cluster::{
     spawn_shard_process, ClusterConfig, ClusterCoordinator, Connector, MetricsRegistry,
     ShardedAdvisor, TcpConnector,

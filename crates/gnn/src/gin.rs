@@ -33,10 +33,6 @@
 //!   accumulators in a fixed order and applying one
 //!   [`GinEncoder::step_with`] keeps parallel training bit-for-bit
 //!   deterministic across thread counts.
-//!
-//! The legacy single-stream API ([`GinEncoder::forward_train`] /
-//! [`backward`](GinEncoder::backward) / [`step`](GinEncoder::step)) remains,
-//! layered on the pure engine.
 
 use ce_features::{CsrAdjacency, FeatureGraph};
 use ce_nn::matrix::spmm_csr;
@@ -259,28 +255,10 @@ impl GinGrads {
 }
 
 /// The graph encoder: `L` GINConv layers + sum pooling.
+#[derive(Clone)]
 pub struct GinEncoder {
     layers: Vec<GinLayer>,
     t: u64,
-    // Legacy single-stream training state (compat API only).
-    pending: Option<(GraphCtx, ForwardTape)>,
-    acc: Option<GinGrads>,
-}
-
-/// Clones parameters and optimizer state only. The legacy single-stream
-/// training scratch (`pending`/`acc`) is transient within one
-/// forward/backward/step cycle and is not carried over — the clone starts
-/// with a clean slate, which is what the serving layer's snapshot swap
-/// needs.
-impl Clone for GinEncoder {
-    fn clone(&self) -> Self {
-        GinEncoder {
-            layers: self.layers.clone(),
-            t: self.t,
-            pending: None,
-            acc: None,
-        }
-    }
 }
 
 impl GinEncoder {
@@ -294,12 +272,7 @@ impl GinEncoder {
         let layers = (0..dims.len() - 1)
             .map(|i| GinLayer::new(dims[i], dims[i + 1], &mut rng))
             .collect();
-        GinEncoder {
-            layers,
-            t: 0,
-            pending: None,
-            acc: None,
-        }
+        GinEncoder { layers, t: 0 }
     }
 
     /// Embedding dimensionality.
@@ -478,40 +451,6 @@ impl GinEncoder {
         }
     }
 
-    /// Legacy training-mode forward: caches per-graph state on the encoder
-    /// and returns the embedding. Prefer [`Self::forward_tape`] for batch
-    /// training — this entry point is single-stream by construction.
-    pub fn forward_train(&mut self, g: &FeatureGraph) -> Vec<f32> {
-        let ctx = GraphCtx::from_graph(g);
-        let tape = self.forward_tape(&ctx);
-        let embedding = tape.embedding.clone();
-        self.pending = Some((ctx, tape));
-        embedding
-    }
-
-    /// Legacy backward from an embedding gradient; accumulates parameter
-    /// grads on the encoder. Must follow [`Self::forward_train`].
-    pub fn backward(&mut self, grad_embedding: &[f32], num_vertices: usize) {
-        let (ctx, tape) = self.pending.take().expect("backward before forward_train");
-        assert_eq!(ctx.num_vertices(), num_vertices, "vertex count mismatch");
-        let mut acc = match self.acc.take() {
-            Some(acc) => acc,
-            None => GinGrads::zeros_like(self),
-        };
-        let plan = self.backward_plan();
-        self.backward_tape(&ctx, &tape, grad_embedding, &mut acc, &plan);
-        self.acc = Some(acc);
-    }
-
-    /// Legacy Adam step over gradients accumulated by [`Self::backward`].
-    pub fn step(&mut self, lr: f32) {
-        let acc = match self.acc.take() {
-            Some(acc) => acc,
-            None => GinGrads::zeros_like(self),
-        };
-        self.step_with(&acc, lr);
-    }
-
     /// Per-layer parameters `(weights, bias, ε)` — lets the reference
     /// engine clone a trained state for equivalence testing.
     pub(crate) fn layer_params(&self) -> Vec<(&Matrix, &[f32], f32)> {
@@ -593,14 +532,13 @@ mod tests {
 
     #[test]
     fn training_forward_matches_inference() {
-        let mut enc = GinEncoder::new(4, &[8], 5, 45);
+        let enc = GinEncoder::new(4, &[8], 5, 45);
         let g = graph(vec![vec![0.1, 0.2, 0.3, 0.4]], vec![vec![0.0]]);
-        let a = enc.forward_train(&g);
-        let b = enc.encode(&g);
-        assert_eq!(a, b);
-        // The pure tape agrees as well.
         let ctx = GraphCtx::from_graph(&g);
-        assert_eq!(enc.forward_tape(&ctx).embedding(), a.as_slice());
+        assert_eq!(
+            enc.forward_tape(&ctx).embedding(),
+            enc.encode(&g).as_slice()
+        );
     }
 
     /// Finite-difference check of the full encoder gradient w.r.t. the first
@@ -638,13 +576,15 @@ mod tests {
     fn training_moves_embeddings() {
         let mut enc = GinEncoder::new(2, &[4], 3, 47);
         let g = graph(vec![vec![0.5, 0.5]], vec![vec![0.0]]);
+        let ctx = GraphCtx::from_graph(&g);
         let before = enc.encode(&g);
         for _ in 0..5 {
-            let emb = enc.forward_train(&g);
+            let tape = enc.forward_tape(&ctx);
             // Push the embedding towards zero.
-            let grad: Vec<f32> = emb.iter().map(|&v| 2.0 * v).collect();
-            enc.backward(&grad, 1);
-            enc.step(0.01);
+            let grad: Vec<f32> = tape.embedding().iter().map(|&v| 2.0 * v).collect();
+            let mut acc = GinGrads::zeros_like(&enc);
+            enc.backward_tape(&ctx, &tape, &grad, &mut acc, &enc.backward_plan());
+            enc.step_with(&acc, 0.01);
         }
         let after = enc.encode(&g);
         let n_before: f32 = before.iter().map(|v| v * v).sum();
@@ -653,32 +593,5 @@ mod tests {
             n_after < n_before,
             "norm should shrink: {n_before} -> {n_after}"
         );
-    }
-
-    /// The legacy single-stream API and the pure tape API produce identical
-    /// parameter updates.
-    #[test]
-    fn legacy_and_tape_apis_agree() {
-        let g = graph(
-            vec![vec![0.4, -0.3], vec![0.8, 0.1]],
-            vec![vec![0.0, 0.6], vec![0.0, 0.0]],
-        );
-        let mut legacy = GinEncoder::new(2, &[4], 3, 48);
-        let mut pure = GinEncoder::new(2, &[4], 3, 48);
-        for _ in 0..3 {
-            let emb = legacy.forward_train(&g);
-            let grad: Vec<f32> = emb.iter().map(|&v| 2.0 * v).collect();
-            legacy.backward(&grad, 2);
-            legacy.step(0.01);
-
-            let ctx = GraphCtx::from_graph(&g);
-            let tape = pure.forward_tape(&ctx);
-            let grad: Vec<f32> = tape.embedding().iter().map(|&v| 2.0 * v).collect();
-            let mut acc = GinGrads::zeros_like(&pure);
-            let plan = pure.backward_plan();
-            pure.backward_tape(&ctx, &tape, &grad, &mut acc, &plan);
-            pure.step_with(&acc, 0.01);
-        }
-        assert_eq!(legacy.flat_params(), pure.flat_params());
     }
 }

@@ -81,14 +81,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Service tuning knobs.
-///
-/// Prefer [`ServeConfig::builder`], which validates at build time (a zero
-/// `max_batch` or `queue_capacity` would hang clients; see the field
-/// docs). Struct-literal construction still works for this release —
-/// validation then happens at [`AdvisorService::try_start`], as the same
-/// typed error — but is **deprecated in favor of the builder** and will
-/// stop being the documented path once downstream call sites migrate.
+/// Service tuning knobs: a plain struct, written as a literal over
+/// [`ServeConfig::default`]. [`AdvisorService::try_start`] and
+/// [`AdvisorService::try_start_shared`] check it before anything starts
+/// (a zero `max_batch` or `queue_capacity` would hang clients; see the
+/// field docs) and answer [`AdvisorError::InvalidConfig`].
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Maximum requests embedded in one stacked forward.
@@ -107,8 +104,7 @@ pub struct ServeConfig {
     /// Embedding-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Reservoir sample size bounding each online adaptation. Must be at
-    /// least 1 (validated at [`ServeConfigBuilder::build`] or, for
-    /// struct-literal construction, at [`AdvisorService::try_start`]); unlike
+    /// least 1 (validated at [`AdvisorService::try_start`]); unlike
     /// `cache_capacity` there is no "disabled" mode — adaptation always
     /// trains on at least the newcomer plus one sampled entry.
     pub reservoir_capacity: usize,
@@ -161,94 +157,19 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builder-style construction with build-time validation: rejects the
-    /// zero values that would hang clients ([`AdvisorError::InvalidConfig`])
-    /// *before* a service exists, instead of panicking at first use.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            cfg: ServeConfig::default(),
-        }
-    }
-
-    /// The zeros that would hang clients, checked by the builder and, for
-    /// struct-literal configs, by [`AdvisorService::try_start_shared`].
-    fn validate_capacities(&self) -> Result<(), AdvisorError> {
+    /// Every check the service runs before it starts: a zero `max_batch`
+    /// (the worker spins popping nothing), `queue_capacity` (no request is
+    /// ever admitted) or `reservoir_capacity` (adaptation has nothing to
+    /// sample), and a structurally invalid index. `cache_capacity: 0`
+    /// legitimately disables caching.
+    fn validate(&self) -> Result<(), AdvisorError> {
         validate_nonzero("max_batch", self.max_batch)?;
         validate_nonzero("queue_capacity", self.queue_capacity)?;
-        validate_nonzero("reservoir_capacity", self.reservoir_capacity)
-    }
-}
-
-/// Builder for [`ServeConfig`]; start from [`ServeConfig::builder`]
-/// (defaults) and override knobs. [`Self::build`] validates.
-#[derive(Debug, Clone)]
-pub struct ServeConfigBuilder {
-    cfg: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Maximum requests embedded in one stacked forward.
-    pub fn max_batch(mut self, v: usize) -> Self {
-        self.cfg.max_batch = v;
-        self
-    }
-
-    /// Straggler wait after the first queued request.
-    pub fn batch_deadline(mut self, v: Duration) -> Self {
-        self.cfg.batch_deadline = v;
-        self
-    }
-
-    /// Bounded request-queue capacity.
-    pub fn queue_capacity(mut self, v: usize) -> Self {
-        self.cfg.queue_capacity = v;
-        self
-    }
-
-    /// Embedding-cache capacity in entries (0 disables caching).
-    pub fn cache_capacity(mut self, v: usize) -> Self {
-        self.cfg.cache_capacity = v;
-        self
-    }
-
-    /// Reservoir sample size bounding each online adaptation.
-    pub fn reservoir_capacity(mut self, v: usize) -> Self {
-        self.cfg.reservoir_capacity = v;
-        self
-    }
-
-    /// Seed for the reservoir's deterministic sampling.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.cfg.seed = v;
-        self
-    }
-
-    /// Metrics registry the service records into (default: disabled).
-    pub fn metrics(mut self, v: MetricsRegistry) -> Self {
-        self.cfg.metrics = v;
-        self
-    }
-
-    /// Two-stage KNN index configuration to install on the backend at
-    /// start (default: none — flat scan). Validated structurally at
-    /// [`Self::build`]; the `k`-dependent cutover check runs at install,
-    /// when the backend's `k` is known.
-    pub fn index(mut self, v: IndexConfig) -> Self {
-        self.cfg.index = Some(v);
-        self
-    }
-
-    /// Validates and produces the config. `cache_capacity: 0`
-    /// legitimately disables caching, but a zero `max_batch` (worker
-    /// spins popping nothing), `queue_capacity` (no request is ever
-    /// admitted) or `reservoir_capacity` (adaptation has nothing to
-    /// sample) is rejected here, at build time.
-    pub fn build(self) -> Result<ServeConfig, AdvisorError> {
-        self.cfg.validate_capacities()?;
-        if let Some(index) = &self.cfg.index {
-            index.validate()?;
+        validate_nonzero("reservoir_capacity", self.reservoir_capacity)?;
+        match &self.index {
+            Some(index) => index.validate(),
+            None => Ok(()),
         }
-        Ok(self.cfg)
     }
 }
 
@@ -939,16 +860,17 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
     /// set, the two-stage KNN index is installed on the backend here — the
     /// one moment the service holds it exclusively.
     ///
-    /// Returns [`AdvisorError::InvalidConfig`] — before any thread is
-    /// spawned — for a zero `max_batch`, `queue_capacity` or
-    /// `reservoir_capacity`, and for an index the backend rejects (e.g. a
-    /// cutover below its `k`). [`ServeConfig::builder`] and
-    /// [`IndexConfig::builder`] catch the structural errors earlier still.
+    /// Returns [`AdvisorError::InvalidConfig`] — before anything is
+    /// installed or any thread is spawned — for a zero `max_batch`,
+    /// `queue_capacity` or `reservoir_capacity`, for a structurally invalid
+    /// index, and for an index the backend rejects (e.g. a cutover below
+    /// its `k`).
     pub fn try_start(mut advisor: B, cfg: ServeConfig) -> Result<Self, AdvisorError> {
+        cfg.validate()?;
         if let Some(index) = &cfg.index {
             advisor.install_index(index, &cfg.metrics)?;
         }
-        Self::try_start_shared(Arc::new(advisor), cfg)
+        Ok(Self::spawn(Arc::new(advisor), cfg))
     }
 
     /// [`Self::try_start`] for configs known to be valid; panics where it
@@ -964,14 +886,10 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
     /// [`ServeConfig::index`] is not installed here: a shared backend
     /// installs its own index before being wrapped.
     ///
-    /// Returns [`AdvisorError::InvalidConfig`] for the zeros that would
-    /// hang clients: a 0-batch worker spins popping nothing, a 0-capacity
-    /// queue never admits a request, and a 0-capacity reservoir leaves
-    /// adaptation nothing to sample (`cache_capacity: 0` legitimately
-    /// disables caching). The builder rejects them earlier; struct-literal
-    /// configs are checked here.
+    /// Returns [`AdvisorError::InvalidConfig`] for the same config checks
+    /// as [`Self::try_start`] (the index is checked but not installed).
     pub fn try_start_shared(advisor: Arc<B>, cfg: ServeConfig) -> Result<Self, AdvisorError> {
-        cfg.validate_capacities()?;
+        cfg.validate()?;
         Ok(Self::spawn(advisor, cfg))
     }
 

@@ -39,10 +39,7 @@ pub mod cache;
 pub mod reservoir;
 pub mod shard;
 
-pub use batch::{
-    AdvisorService, Query, Recommendation, ServeConfig, ServeConfigBuilder, ServeHandle,
-    ServiceStats,
-};
+pub use batch::{AdvisorService, Query, Recommendation, ServeConfig, ServeHandle, ServiceStats};
 // Index surface: what callers need to configure `ServeConfig::index`.
 pub use autoce::index::{IndexConfig, IndexConfigBuilder, QuantMode};
 pub use cache::{graph_fingerprint, Admission, CacheStats, EmbeddingCache};

@@ -306,7 +306,7 @@ impl ShardedAdvisor {
     /// shard count of zero or one exceeding the RCS size at build time
     /// (an advisor with empty shards *serves* correctly — the merge skips
     /// them — but asking for more shards than entries is always a sizing
-    /// mistake, and the builder path surfaces it before first use).
+    /// mistake, and this path surfaces it before first use).
     pub fn try_from_advisor(advisor: &AutoCe, num_shards: usize) -> Result<Self, AdvisorError> {
         if num_shards == 0 {
             return Err(AdvisorError::InvalidConfig(

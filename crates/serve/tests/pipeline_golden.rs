@@ -175,12 +175,12 @@ fn the_request_pipeline_is_the_captured_sequence() {
         inner: ShardedAdvisor::from_advisor(&synthetic_flat(11, 3), 2),
         log: Mutex::new(Vec::new()),
     });
-    let cfg = ServeConfig::builder()
-        .max_batch(4)
-        .cache_capacity(6)
-        .metrics(MetricsRegistry::new())
-        .build()
-        .expect("valid config");
+    let cfg = ServeConfig {
+        max_batch: 4,
+        cache_capacity: 6,
+        metrics: MetricsRegistry::new(),
+        ..ServeConfig::default()
+    };
     let service = AdvisorService::start_shared(backend.clone(), cfg);
     let handle = service.handle();
     let g = pool();

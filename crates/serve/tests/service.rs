@@ -620,6 +620,18 @@ fn try_start_rejects_invalid_configs_with_typed_errors() {
         },
         "reservoir_capacity",
     );
+    // A structurally invalid index is refused by both, before anything is
+    // installed.
+    rejected(
+        ServeConfig {
+            index: Some(autoce::IndexConfig {
+                probe: 0,
+                ..autoce::IndexConfig::default()
+            }),
+            ..serve_config()
+        },
+        "probe",
+    );
 
     // An index whose cutover sits below the advisor's k (2 here) is the
     // backend's to reject; only `try_start` installs one.

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example cluster`.
 
-use autoce_suite::autoce::{AutoCe, AutoCeConfig};
+use autoce_suite::autoce::{AdvisorBackend, AutoCe, AutoCeConfig};
 use autoce_suite::cluster::{
     maybe_run_shard_server_from_args, spawn_shard_process, ClusterConfig, ClusterCoordinator,
     Connector, MetricsRegistry, TcpConnector,
@@ -71,12 +71,12 @@ fn main() {
     // The registry turns on per-range RTT/failover counters (see
     // docs/observability.md); default is disabled and free.
     let registry = MetricsRegistry::new();
-    let cfg = ClusterConfig::builder()
-        .request_deadline(Duration::from_millis(250))
-        .demote_after(3)
-        .metrics(registry.clone())
-        .build()
-        .expect("valid cluster config");
+    let cfg = ClusterConfig {
+        request_deadline: Duration::from_millis(250),
+        demote_after: 3,
+        metrics: registry.clone(),
+        ..ClusterConfig::default()
+    };
     let coord = ClusterCoordinator::new(sharded.clone(), vec![replicas], cfg);
     coord.bootstrap().expect("bootstrap replicas");
 

@@ -61,13 +61,13 @@ fn main() {
     let registry = MetricsRegistry::new();
     let service = AdvisorService::start(
         sharded,
-        ServeConfig::builder()
-            .max_batch(8)
-            .batch_deadline(Duration::from_millis(2))
-            .reservoir_capacity(8)
-            .metrics(registry.clone())
-            .build()
-            .expect("valid serve config"),
+        ServeConfig {
+            max_batch: 8,
+            batch_deadline: Duration::from_millis(2),
+            reservoir_capacity: 8,
+            metrics: registry.clone(),
+            ..ServeConfig::default()
+        },
     );
 
     // Concurrent tenants: 4 client threads, each asking about several
