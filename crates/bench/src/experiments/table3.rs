@@ -12,15 +12,13 @@ use autoce::Selector;
 use ce_datagen::realworld::imdb_like;
 use ce_datagen::DatasetSpec;
 use ce_gnn::LossKind;
-use ce_models::{build_model, ModelKind, TrainContext};
+use ce_models::ModelKind;
 use ce_storage::Dataset;
-use ce_testbed::{DatasetLabel, MetricWeights, ModelPerformance};
+use ce_testbed::{train_and_measure, DatasetLabel, MetricWeights};
 use ce_workload::ceb::{ceb_workload, derive_templates};
 use ce_workload::label_workload;
-use ce_workload::metrics::{mean_qerror, percentile_qerror};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const QUERY_DRIVEN: [ModelKind; 3] = [ModelKind::Mscn, ModelKind::LwNn, ModelKind::LwXgb];
 
@@ -32,38 +30,7 @@ fn label_with_ceb(ds: &Dataset, scale: Scale, seed: u64) -> DatasetLabel {
     let queries = ceb_workload(ds, &templates, per_template, &mut rng);
     let labeled = label_workload(ds, &queries).expect("CEB queries validate");
     let (train, test) = ce_workload::label::train_test_split(labeled, 0.8);
-    let truths: Vec<f64> = test.iter().map(|lq| lq.true_card as f64).collect();
-    let performances = QUERY_DRIVEN
-        .iter()
-        .map(|&kind| {
-            let t0 = Instant::now();
-            let model = build_model(
-                kind,
-                &TrainContext {
-                    dataset: ds,
-                    train_queries: &train,
-                    seed,
-                },
-            );
-            let train_time_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let est: Vec<f64> = test.iter().map(|lq| model.estimate(&lq.query)).collect();
-            let latency_mean_us = t1.elapsed().as_secs_f64() * 1e6 / test.len().max(1) as f64;
-            ModelPerformance {
-                kind,
-                qerror_mean: mean_qerror(&est, &truths),
-                qerror_p50: percentile_qerror(&est, &truths, 50.0),
-                qerror_p95: percentile_qerror(&est, &truths, 95.0),
-                qerror_p99: percentile_qerror(&est, &truths, 99.0),
-                latency_mean_us,
-                train_time_ms,
-            }
-        })
-        .collect();
-    DatasetLabel {
-        dataset: ds.name.clone(),
-        performances,
-    }
+    train_and_measure(ds, &QUERY_DRIVEN, &train, &test, seed)
 }
 
 /// Runs the experiment and writes `results/table3.json`.

@@ -74,7 +74,7 @@ use crate::health::{ClusterHealth, ReplicaHealth};
 use crate::per_step_counters;
 use crate::protocol::{
     EpochAck, EpochTable, Frame, Load, LoadAck, Message, MetricsReply, MetricsRequest, Nack,
-    NackCode, Ping, Pong, Push, PushAck, QueryBatch, SnapshotEpoch, Step, TopKBatch, HEADER_LEN,
+    NackCode, Ping, Pong, Push, PushAck, QueryBatch, SnapshotEpoch, Step, TopKBatch,
 };
 use crate::transport::{Conn, Connector, WireError};
 use autoce::{knn, validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
@@ -335,8 +335,7 @@ impl RangeLane {
             .send(frame, cfg.request_deadline);
         match &res {
             Ok(()) => {
-                self.obs.bytes_out[frame.step as u16 as usize]
-                    .add((HEADER_LEN + frame.payload.len()) as u64);
+                self.obs.bytes_out[frame.step as u16 as usize].add(frame.wire_len() as u64);
                 self.rtt_span = Some(self.obs.rtt_ns.start_span());
             }
             Err(e) => {
@@ -365,8 +364,7 @@ impl RangeLane {
         drop(self.rtt_span.take());
         match res {
             Ok(reply) => {
-                self.obs.bytes_in[reply.step as u16 as usize]
-                    .add((HEADER_LEN + reply.payload.len()) as u64);
+                self.obs.bytes_in[reply.step as u16 as usize].add(reply.wire_len() as u64);
                 self.record_success(range, r);
                 Ok(reply)
             }
@@ -543,7 +541,7 @@ impl RangeLane {
             self.replicas[r].conn = self.replicas[r].connector.connect().ok();
         }
         let conn = self.replicas[r].conn.as_mut()?;
-        let frame = MetricsRequest.into_frame();
+        let frame = MetricsRequest {}.into_frame();
         if conn.send(&frame, cfg.request_deadline).is_err() {
             self.replicas[r].conn = None;
             return None;
@@ -597,7 +595,7 @@ impl CoordInner {
         }
         let table = self.make_table(range);
         debug_assert_eq!(table.version(), version);
-        self.lanes[range].load_frame = Some((self.epoch, version, Load(table).into_frame()));
+        self.lanes[range].load_frame = Some((self.epoch, version, Load { table }.into_frame()));
     }
 
     /// Drains every lane's sub-trace into the global trace, fixed range
@@ -845,7 +843,7 @@ impl CoordInner {
             self.prime_load_frame(range);
             let table = self.make_table(range);
             let (epoch, version) = (table.epoch, table.version());
-            let frame = SnapshotEpoch(table).into_frame();
+            let frame = SnapshotEpoch { table }.into_frame();
             let lane = &mut self.lanes[range];
             let mut staged = 0usize;
             for r in lane.candidates() {
@@ -909,7 +907,7 @@ impl CoordInner {
     }
 
     fn shutdown_cluster(&mut self) {
-        let frame = crate::protocol::Shutdown.into_frame();
+        let frame = crate::protocol::Shutdown {}.into_frame();
         for range in 0..self.lanes.len() {
             let lane = &mut self.lanes[range];
             for r in 0..lane.replicas.len() {

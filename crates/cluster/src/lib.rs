@@ -6,9 +6,11 @@
 //! over loopback TCP, merging answers **bit-identically** to the flat
 //! advisor — with any number of replicas down short of a whole range.
 //!
-//! * [`protocol`]: the explicit versioned wire protocol (PtoDesc-style
-//!   numbered step enum, epoch-tagged tables, structured NACKs) over the
-//!   compact binary codec in `serde::bin`.
+//! * [`protocol`]: the explicit versioned wire protocol — one PtoDesc-style
+//!   step table whose rows declare each step and its message, fields in
+//!   wire order, with the codec derived from the row (epoch-tagged tables,
+//!   structured NACKs) over the compact binary codec in `serde::bin`, and
+//!   the one frame reader both ends cut a byte stream with.
 //! * [`transport`]: the `Conn`/`Connector` round-trip abstraction with
 //!   per-request deadlines; TCP for production, [`sim`] for tests.
 //! * [`server`]: the shard-server state machine and TCP serving loop —

@@ -1,10 +1,14 @@
 //! The explicit, versioned coordinator ⇄ shard-server protocol.
 //!
 //! Modeled on the mpc4j `PtoDesc` convention: a protocol has a fixed
-//! numeric identity ([`PTO_ID`], [`PTO_NAME`], [`PROTOCOL_VERSION`]) and a
-//! **numbered step enum** ([`Step`]) naming every message that can cross
-//! the wire. Frames carry the protocol magic, the version, the step number
-//! and a length-prefixed payload encoded with the compact binary codec
+//! numeric identity ([`PTO_ID`], [`PTO_NAME`], [`PROTOCOL_VERSION`]) and
+//! one **step table** naming every message that can cross the wire. Each
+//! row of the table is one step: its number ([`Step`]), its metric label
+//! and the message that travels under it, with the payload fields in wire
+//! order. The step enum, every message struct and every payload codec are
+//! derived from the rows, so the format of a message is written once.
+//! Frames carry the protocol magic, the version, the step number and a
+//! length-prefixed payload encoded with the compact binary codec
 //! (`serde::bin`), so a peer can reject foreign or torn traffic before
 //! touching the payload.
 //!
@@ -16,8 +20,11 @@
 //! 4       2     PROTOCOL_VERSION
 //! 6       2     step number (Step enum)
 //! 8       4     payload length in bytes
-//! 12      n     payload (message-specific, serde::bin encoding)
+//! 12      n     payload (the step's message fields, serde::bin encoding)
 //! ```
+//!
+//! One frame reader cuts frames out of a byte stream; both ends of a TCP
+//! connection read through it.
 //!
 //! Floats inside payloads travel as IEEE-754 bit patterns, so embeddings
 //! and distances survive the wire bit-exactly — the cluster's
@@ -47,11 +54,19 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 12;
 
-/// Declares the protocol's step table once: the [`Step`] enum, its wire
-/// numbers ([`Step::from_u16`], [`Step::all`]) and its metric label
-/// strings ([`Step::name`]) all derive from the single list below.
-macro_rules! step_table {
-    ($($(#[$doc:meta])* $variant:ident = $number:literal, $name:literal;)*) => {
+/// Declares the protocol once. Each row is one step: its doc, its
+/// [`Step`] variant and wire number, its metric label, and the message
+/// that travels under it with the payload fields in wire order. The
+/// [`Step`] enum ([`Step::from_u16`], [`Step::all`], [`Step::name`]),
+/// every message struct and its codec derive from the rows: the fields
+/// are encoded, and decoded, in declaration order. A new message is one
+/// row.
+macro_rules! protocol {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $number:literal, $name:literal,
+        $msg:ident { $($(#[$field_doc:meta])* $field:ident: $ty:ty,)* }
+    )*) => {
         /// The numbered protocol steps. The explicit numbers are part of
         /// the wire contract — reordering the table must not renumber the
         /// protocol. Numbers 2 and 3 (the retired per-query `Query`/`TopK`
@@ -85,53 +100,185 @@ macro_rules! step_table {
                 }
             }
         }
+
+        $(
+            $(#[$doc])*
+            ///
+            #[doc = concat!("Travels under [`Step::", stringify!($variant), "`].")]
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $msg {
+                $($(#[$field_doc])* pub $field: $ty,)*
+            }
+
+            impl Message for $msg {
+                const STEP: Step = Step::$variant;
+            }
+
+            impl BinEncode for $msg {
+                #[allow(unused_variables)] // a message without fields writes nothing
+                fn encode(&self, out: &mut Vec<u8>) {
+                    $(self.$field.encode(out);)*
+                }
+            }
+
+            impl BinDecode for $msg {
+                #[allow(unused_variables)] // and reads nothing
+                fn decode(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
+                    Ok($msg { $($field: BinDecode::decode(r)?,)* })
+                }
+            }
+        )*
     };
 }
 
-step_table! {
-    /// Coordinator → shard: full epoch table (bootstrap or post-failover
-    /// reload).
-    CoordSendLoad = 0, "coord_send_load";
+protocol! {
+    /// Coordinator → shard: install a full epoch table (bootstrap, or
+    /// reload after a failover).
+    CoordSendLoad = 0, "coord_send_load",
+    Load {
+        /// The range's whole serving table.
+        table: EpochTable,
+    }
+
     /// Shard → coordinator: table installed.
-    ShardAckLoad = 1, "shard_ack_load";
-    /// Coordinator → shard: staged replacement table for a new epoch
-    /// (online adaptation's generation tag extended across the wire).
-    CoordSendSnapshotEpoch = 4, "coord_send_snapshot_epoch";
+    ShardAckLoad = 1, "shard_ack_load",
+    LoadAck {
+        /// Epoch the shard is serving after the load.
+        epoch: u64,
+        /// Table version (entry count) after the load.
+        version: u64,
+    }
+
+    /// Coordinator → shard: stage the replacement table of a new epoch
+    /// (online adaptation's generation tag extended across the wire). The
+    /// shard keeps the previous epoch alongside, so in-flight old-epoch
+    /// queries still answer during the cluster-wide swap.
+    CoordSendSnapshotEpoch = 4, "coord_send_snapshot_epoch",
+    SnapshotEpoch {
+        /// The new epoch's table.
+        table: EpochTable,
+    }
+
     /// Shard → coordinator: new epoch staged and serving.
-    ShardAckEpoch = 5, "shard_ack_epoch";
-    /// Coordinator → shard: append one entry to the current epoch table
-    /// (online push; bumps the table version, not the epoch).
-    CoordSendPush = 6, "coord_send_push";
+    ShardAckEpoch = 5, "shard_ack_epoch",
+    EpochAck {
+        /// The staged epoch.
+        epoch: u64,
+        /// Its table version (entry count).
+        version: u64,
+    }
+
+    /// Coordinator → shard: append one freshly labeled entry to the
+    /// current epoch table (online adaptation routing a newcomer to its
+    /// shard; bumps the table version, not the epoch).
+    CoordSendPush = 6, "coord_send_push",
+    Push {
+        /// Epoch the push applies to.
+        epoch: u64,
+        /// Expected table version *before* the push (optimistic
+        /// concurrency: a replica that missed an earlier push NACKs
+        /// instead of diverging).
+        version: u64,
+        /// Global RCS index of the new entry.
+        id: u64,
+        /// Embedding bits of the new entry.
+        embedding: Vec<f32>,
+    }
+
     /// Shard → coordinator: push applied.
-    ShardAckPush = 7, "shard_ack_push";
+    ShardAckPush = 7, "shard_ack_push",
+    PushAck {
+        /// Epoch the push applied to.
+        epoch: u64,
+        /// Table version (entry count) after the push.
+        version: u64,
+    }
+
     /// Coordinator → shard: liveness probe.
-    CoordSendPing = 8, "coord_send_ping";
-    /// Shard → coordinator: liveness answer with current table state.
-    ShardSendPong = 9, "shard_send_pong";
+    CoordSendPing = 8, "coord_send_ping",
+    Ping {
+        /// Echo nonce (returned verbatim in the pong).
+        nonce: u64,
+    }
+
+    /// Shard → coordinator: liveness answer with the shard's serving
+    /// state.
+    ShardSendPong = 9, "shard_send_pong",
+    Pong {
+        /// Echoed nonce.
+        nonce: u64,
+        /// Latest staged epoch (`u64::MAX` when no table is loaded).
+        epoch: u64,
+        /// Entry count of the latest table.
+        version: u64,
+    }
+
     /// Shard → coordinator: the request could not be served (epoch or
     /// version mismatch, malformed payload). The coordinator reacts by
     /// reloading or reconnecting — a NACK is a recovery signal, not a
     /// crash.
-    ShardSendNack = 10, "shard_send_nack";
+    ShardSendNack = 10, "shard_send_nack",
+    Nack {
+        /// Machine-readable reason.
+        code: NackCode,
+        /// Human-readable detail (diagnostics only; never parsed).
+        detail: String,
+    }
+
     /// Coordinator → shard: clean process shutdown.
-    CoordSendShutdown = 11, "coord_send_shutdown";
+    CoordSendShutdown = 11, "coord_send_shutdown",
+    Shutdown {}
+
     /// Shard → coordinator: acknowledged, terminating.
-    ShardAckShutdown = 12, "shard_ack_shutdown";
-    /// Coordinator → shard: a batch of partial top-k queries (a single
-    /// query is a batch of one) pinned to one (epoch, version) — one
-    /// frame per range per batch.
-    CoordSendQueryBatch = 13, "coord_send_query_batch";
-    /// Shard → coordinator: the partial top-k list of every query in the
-    /// batch, in submission order.
-    ShardSendTopkBatch = 14, "shard_send_topk_batch";
+    ShardAckShutdown = 12, "shard_ack_shutdown",
+    ShutdownAck {}
+
+    /// Coordinator → shard: a batch of partial top-k requests — a single
+    /// query is a batch of one — pinned to one exact table state
+    /// (epoch, version); one frame per range per batch pays the round
+    /// trip once. A shard whose table does not match the pin answers
+    /// [`Nack`] for the *entire* batch instead of silently serving stale
+    /// embeddings — staleness is a correctness error here, not a
+    /// performance detail, and there is no per-query partial answer.
+    CoordSendQueryBatch = 13, "coord_send_query_batch",
+    QueryBatch {
+        /// Expected serving epoch.
+        epoch: u64,
+        /// Expected table version (entry count).
+        version: u64,
+        /// The batch, in submission order.
+        queries: Vec<BatchQuery>,
+    }
+
+    /// Shard → coordinator: one partial top-k list per batched query, in
+    /// submission order, each `(global id, distance)` list sorted by
+    /// `autoce::knn_order` with distances bit-exact.
+    ShardSendTopkBatch = 14, "shard_send_topk_batch",
+    TopKBatch {
+        /// Epoch the answers were computed under.
+        epoch: u64,
+        /// One `(global RCS id, distance)` list per query, slot-aligned
+        /// with the request batch.
+        lists: Vec<Vec<(u64, f32)>>,
+    }
+
     /// Coordinator → shard: request the shard's metrics snapshot. A pure
     /// read-only side channel — it never touches serving tables and a
     /// NACK here never triggers repair.
-    CoordSendMetrics = 15, "coord_send_metrics";
-    /// Shard → coordinator: the shard's metrics snapshot, carried as
-    /// opaque `ce-obs` snapshot bytes so the wire codec stays independent
-    /// of the metrics schema.
-    ShardSendMetrics = 16, "shard_send_metrics";
+    CoordSendMetrics = 15, "coord_send_metrics",
+    MetricsRequest {}
+
+    /// Shard → coordinator: the shard's metrics snapshot as opaque
+    /// `ce_obs::MetricsSnapshot::to_bytes` bytes. Carrying the snapshot
+    /// pre-encoded keeps this protocol's codec independent of the metrics
+    /// schema — the coordinator decodes (and version-checks) the inner
+    /// bytes with `MetricsSnapshot::from_bytes` and simply skips replicas
+    /// whose snapshots fail to parse.
+    ShardSendMetrics = 16, "shard_send_metrics",
+    MetricsReply {
+        /// `MetricsSnapshot::to_bytes` output, opaque at this layer.
+        snapshot: Vec<u8>,
+    }
 }
 
 /// Why a frame could not be produced or understood.
@@ -185,9 +332,14 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// Bytes the frame occupies on the wire, header included.
+    pub(crate) fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
     /// Encodes header + payload into one buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        let mut out = Vec::with_capacity(self.wire_len());
         MAGIC.encode(&mut out);
         PROTOCOL_VERSION.encode(&mut out);
         (self.step as u16).encode(&mut out);
@@ -199,18 +351,15 @@ impl Frame {
     /// Parses and validates a frame header, returning the step and the
     /// payload length still to be read.
     pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(Step, usize), FrameError> {
-        let mut r = Reader::new(header);
-        let magic = u32::decode(&mut r).expect("fixed-size header");
+        let ((magic, version), (step_raw, len)): ((u32, u16), (u16, u32)) =
+            BinDecode::from_bytes(header).expect("fixed-size header");
         if magic != MAGIC {
             return Err(FrameError::BadMagic(magic));
         }
-        let version = u16::decode(&mut r).expect("fixed-size header");
         if version != PROTOCOL_VERSION {
             return Err(FrameError::BadVersion(version));
         }
-        let step_raw = u16::decode(&mut r).expect("fixed-size header");
         let step = Step::from_u16(step_raw).ok_or(FrameError::BadStep(step_raw))?;
-        let len = u32::decode(&mut r).expect("fixed-size header");
         if len > MAX_PAYLOAD {
             return Err(FrameError::Oversize(len));
         }
@@ -219,23 +368,14 @@ impl Frame {
 
     /// Decodes a full frame from one buffer (header + payload).
     pub fn from_bytes(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() < HEADER_LEN {
-            return Err(FrameError::Payload(serde::bin::Error::Truncated {
-                at: 0,
-                needed: HEADER_LEN,
-                have: buf.len(),
-            }));
-        }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&buf[..HEADER_LEN]);
-        let (step, len) = Frame::parse_header(&header)?;
+        let truncated = |at, needed, have| {
+            FrameError::Payload(serde::bin::Error::Truncated { at, needed, have })
+        };
+        let header = (buf.first_chunk()).ok_or_else(|| truncated(0, HEADER_LEN, buf.len()))?;
+        let (step, len) = Frame::parse_header(header)?;
         let body = &buf[HEADER_LEN..];
         if body.len() != len {
-            return Err(FrameError::Payload(serde::bin::Error::Truncated {
-                at: HEADER_LEN,
-                needed: len,
-                have: body.len(),
-            }));
+            return Err(truncated(HEADER_LEN, len, body.len()));
         }
         Ok(Frame {
             step,
@@ -244,24 +384,61 @@ impl Frame {
     }
 }
 
-/// A typed protocol message: knows its step number and payload codec.
-pub trait Message: Sized {
+/// Cuts frames out of a byte stream — the one framing step both ends of
+/// a connection share. The caller reads by its own policy (a deadline, a
+/// stop flag) and hands the bytes to [`Self::extend`]; [`Self::next_frame`]
+/// yields each frame once its last byte is in, one by one when a single
+/// read brought several. A header that does not parse is an error as soon
+/// as its [`HEADER_LEN`] bytes are in, before any of its payload arrives.
+#[derive(Debug, Default)]
+pub(crate) struct FrameReader {
+    /// Bytes read so far; `start..` is the unconsumed tail.
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl FrameReader {
+    /// Appends bytes read from the stream. The consumed prefix is dropped
+    /// lazily: only when it is the whole buffer (the common case between
+    /// frames).
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete frame, or `None` while it is still arriving.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        let Some(header) = self.buf[self.start..].first_chunk() else {
+            return Ok(None);
+        };
+        let (step, len) = Frame::parse_header(header)?;
+        let at = self.start + HEADER_LEN;
+        let Some(payload) = self.buf.get(at..at + len) else {
+            return Ok(None);
+        };
+        let frame = Frame {
+            step,
+            payload: payload.to_vec(),
+        };
+        self.start = at + len;
+        Ok(Some(frame))
+    }
+}
+
+/// A typed protocol message: a row of the step table, which gives it its
+/// step and its payload codec.
+pub trait Message: BinEncode + BinDecode {
     /// The step this message travels under.
     const STEP: Step;
 
-    /// Encodes the payload.
-    fn encode_payload(&self, out: &mut Vec<u8>);
-
-    /// Decodes the payload.
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self>;
-
     /// Wraps the message into a frame.
     fn into_frame(self) -> Frame {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
         Frame {
             step: Self::STEP,
-            payload,
+            payload: self.to_bytes(),
         }
     }
 
@@ -274,10 +451,7 @@ pub trait Message: Sized {
                 got: frame.step,
             });
         }
-        let mut r = Reader::new(&frame.payload);
-        let msg = Self::decode_payload(&mut r).map_err(FrameError::Payload)?;
-        r.finish().map_err(FrameError::Payload)?;
-        Ok(msg)
+        Self::from_bytes(&frame.payload).map_err(FrameError::Payload)
     }
 }
 
@@ -301,17 +475,19 @@ impl EpochTable {
     pub fn version(&self) -> u64 {
         self.ids.len() as u64
     }
+}
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+impl BinEncode for EpochTable {
+    fn encode(&self, out: &mut Vec<u8>) {
         self.epoch.encode(out);
         self.ids.encode(out);
         self.embeddings.encode(out);
     }
+}
 
-    fn decode_from(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        let epoch = u64::decode(r)?;
-        let ids = Vec::<u64>::decode(r)?;
-        let embeddings = Vec::<Vec<f32>>::decode(r)?;
+impl BinDecode for EpochTable {
+    fn decode(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
+        let (epoch, ids, embeddings): (u64, Vec<u64>, Vec<Vec<f32>>) = BinDecode::decode(r)?;
         if ids.len() != embeddings.len() {
             return Err(serde::bin::Error::Corrupt("table ids/embeddings mismatch"));
         }
@@ -322,85 +498,6 @@ impl EpochTable {
         })
     }
 }
-
-macro_rules! table_message {
-    ($(#[$doc:meta])* $name:ident, $step:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct $name(pub EpochTable);
-
-        impl Message for $name {
-            const STEP: Step = $step;
-
-            fn encode_payload(&self, out: &mut Vec<u8>) {
-                self.0.encode_into(out);
-            }
-
-            fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-                Ok($name(EpochTable::decode_from(r)?))
-            }
-        }
-    };
-}
-
-table_message!(
-    /// `COORD_SEND_LOAD`: install a full table (bootstrap / reload after
-    /// failover).
-    Load,
-    Step::CoordSendLoad
-);
-table_message!(
-    /// `COORD_SEND_SNAPSHOT_EPOCH`: stage the replacement table of a new
-    /// epoch. The shard keeps the previous epoch alongside, so in-flight
-    /// old-epoch queries still answer during the cluster-wide swap.
-    SnapshotEpoch,
-    Step::CoordSendSnapshotEpoch
-);
-
-macro_rules! ack_message {
-    ($(#[$doc:meta])* $name:ident, $step:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq, Eq)]
-        pub struct $name {
-            /// Epoch the shard is serving after the acknowledged action.
-            pub epoch: u64,
-            /// Table version (entry count) after the acknowledged action.
-            pub version: u64,
-        }
-
-        impl Message for $name {
-            const STEP: Step = $step;
-
-            fn encode_payload(&self, out: &mut Vec<u8>) {
-                self.epoch.encode(out);
-                self.version.encode(out);
-            }
-
-            fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-                Ok($name {
-                    epoch: u64::decode(r)?,
-                    version: u64::decode(r)?,
-                })
-            }
-        }
-    };
-}
-
-ack_message!(
-    /// `SHARD_ACK_LOAD`.
-    LoadAck,
-    Step::ShardAckLoad
-);
-ack_message!(
-    /// `SHARD_ACK_EPOCH`.
-    EpochAck,
-    Step::ShardAckEpoch
-);
-ack_message!(
-    /// `SHARD_ACK_PUSH`.
-    PushAck,
-    Step::ShardAckPush
-);
 
 /// One query inside a [`QueryBatch`]: embedding bits plus the per-query
 /// `k` and exclusion (the coordinator clamps `k` to each query's
@@ -415,48 +512,37 @@ pub struct BatchQuery {
     pub exclude: u64,
 }
 
-impl BatchQuery {
-    fn decode_from(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
+impl BinEncode for BatchQuery {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.embedding.as_slice(), self.k, self.exclude).encode(out);
+    }
+}
+
+impl BinDecode for BatchQuery {
+    fn decode(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
+        let (embedding, k, exclude) = BinDecode::decode(r)?;
         Ok(BatchQuery {
-            embedding: Vec::<f32>::decode(r)?,
-            k: u64::decode(r)?,
-            exclude: u64::decode(r)?,
+            embedding,
+            k,
+            exclude,
         })
     }
 }
 
-/// `COORD_SEND_QUERY_BATCH`: a batch of partial top-k requests — a single
-/// query is a batch of one — pinned to one exact table state
-/// (epoch, version); one frame per range per batch pays the round trip
-/// once. A shard whose table does not match the pin answers [`Nack`] for
-/// the *entire* batch instead of silently serving stale embeddings —
-/// staleness is a correctness error here, not a performance detail, and
-/// there is no per-query partial answer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryBatch {
-    /// Expected serving epoch.
-    pub epoch: u64,
-    /// Expected table version (entry count).
-    pub version: u64,
-    /// The batch, in submission order.
-    pub queries: Vec<BatchQuery>,
-}
-
 impl QueryBatch {
     /// Appends the payload's query section, `count ‖ queries`, to `out`
-    /// from borrowed `(embedding, k, exclude)` triples. The ranges of one
-    /// fan-out differ only in their `(epoch, version)` pin, so the
-    /// coordinator encodes this section once per batch and
-    /// [`Self::frame_with_tail`] puts each range's pin in front of it.
+    /// from borrowed `(embedding, k, exclude)` triples — the bytes of the
+    /// `queries` field. The ranges of one fan-out differ only in their
+    /// `(epoch, version)` pin, so the coordinator encodes this section
+    /// once per batch and [`Self::frame_with_tail`] puts each range's pin
+    /// in front of it.
     pub fn encode_queries<'a>(
         queries: impl ExactSizeIterator<Item = (&'a [f32], u64, u64)>,
         out: &mut Vec<u8>,
     ) {
         (queries.len() as u64).encode(out);
-        for (embedding, k, exclude) in queries {
-            embedding.encode(out);
-            k.encode(out);
-            exclude.encode(out);
+        for query in queries {
+            query.encode(out);
         }
     }
 
@@ -475,52 +561,6 @@ impl QueryBatch {
     }
 }
 
-impl Message for QueryBatch {
-    const STEP: Step = Step::CoordSendQueryBatch;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.epoch.encode(out);
-        self.version.encode(out);
-        let queries = self.queries.iter();
-        Self::encode_queries(
-            queries.map(|q| (q.embedding.as_slice(), q.k, q.exclude)),
-            out,
-        );
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        let epoch = u64::decode(r)?;
-        let version = u64::decode(r)?;
-        let n = usize::decode(r)?;
-        if n > r.remaining() {
-            return Err(serde::bin::Error::Corrupt(
-                "batch length prefix exceeds remaining bytes",
-            ));
-        }
-        let mut queries = Vec::with_capacity(n);
-        for _ in 0..n {
-            queries.push(BatchQuery::decode_from(r)?);
-        }
-        Ok(QueryBatch {
-            epoch,
-            version,
-            queries,
-        })
-    }
-}
-
-/// `SHARD_SEND_TOPK_BATCH`: one partial top-k list per batched query, in
-/// submission order, each `(global id, distance)` list sorted by
-/// `autoce::knn_order` with distances bit-exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKBatch {
-    /// Epoch the answers were computed under.
-    pub epoch: u64,
-    /// One `(global RCS id, distance)` list per query, slot-aligned with
-    /// the request batch.
-    pub lists: Vec<Vec<(u64, f32)>>,
-}
-
 impl TopKBatch {
     /// The reply frame from borrowed lists — what the shard server answers
     /// from its one candidate buffer per batch — byte for byte the frame
@@ -530,123 +570,15 @@ impl TopKBatch {
         lists: impl ExactSizeIterator<Item = &'a [(u64, f32)]>,
     ) -> Frame {
         let mut payload = Vec::new();
-        Self::encode_lists(epoch, lists, &mut payload);
+        epoch.encode(&mut payload);
+        (lists.len() as u64).encode(&mut payload);
+        for list in lists {
+            list.encode(&mut payload);
+        }
         Frame {
             step: Self::STEP,
             payload,
         }
-    }
-
-    fn encode_lists<'a>(
-        epoch: u64,
-        lists: impl ExactSizeIterator<Item = &'a [(u64, f32)]>,
-        out: &mut Vec<u8>,
-    ) {
-        epoch.encode(out);
-        (lists.len() as u64).encode(out);
-        for list in lists {
-            list.encode(out);
-        }
-    }
-}
-
-impl Message for TopKBatch {
-    const STEP: Step = Step::ShardSendTopkBatch;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        Self::encode_lists(self.epoch, self.lists.iter().map(Vec::as_slice), out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(TopKBatch {
-            epoch: u64::decode(r)?,
-            lists: Vec::<Vec<(u64, f32)>>::decode(r)?,
-        })
-    }
-}
-
-/// `COORD_SEND_PUSH`: append one freshly labeled entry to the current
-/// epoch table (online adaptation routing a newcomer to its shard).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Push {
-    /// Epoch the push applies to.
-    pub epoch: u64,
-    /// Expected table version *before* the push (optimistic concurrency:
-    /// a replica that missed an earlier push NACKs instead of diverging).
-    pub version: u64,
-    /// Global RCS index of the new entry.
-    pub id: u64,
-    /// Embedding bits of the new entry.
-    pub embedding: Vec<f32>,
-}
-
-impl Message for Push {
-    const STEP: Step = Step::CoordSendPush;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.epoch.encode(out);
-        self.version.encode(out);
-        self.id.encode(out);
-        self.embedding.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(Push {
-            epoch: u64::decode(r)?,
-            version: u64::decode(r)?,
-            id: u64::decode(r)?,
-            embedding: Vec::<f32>::decode(r)?,
-        })
-    }
-}
-
-/// `COORD_SEND_PING`: liveness probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ping {
-    /// Echo nonce (returned verbatim in the pong).
-    pub nonce: u64,
-}
-
-impl Message for Ping {
-    const STEP: Step = Step::CoordSendPing;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.nonce.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(Ping {
-            nonce: u64::decode(r)?,
-        })
-    }
-}
-
-/// `SHARD_SEND_PONG`: liveness answer with the shard's serving state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pong {
-    /// Echoed nonce.
-    pub nonce: u64,
-    /// Latest staged epoch (`u64::MAX` when no table is loaded).
-    pub epoch: u64,
-    /// Entry count of the latest table.
-    pub version: u64,
-}
-
-impl Message for Pong {
-    const STEP: Step = Step::ShardSendPong;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.nonce.encode(out);
-        self.epoch.encode(out);
-        self.version.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(Pong {
-            nonce: u64::decode(r)?,
-            epoch: u64::decode(r)?,
-            version: u64::decode(r)?,
-        })
     }
 }
 
@@ -668,101 +600,20 @@ pub enum NackCode {
     VersionSkew = 4,
 }
 
-impl NackCode {
-    fn from_u16(v: u16) -> Option<NackCode> {
-        Some(match v {
+impl BinEncode for NackCode {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u16).encode(out);
+    }
+}
+
+impl BinDecode for NackCode {
+    fn decode(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
+        Ok(match u16::decode(r)? {
             1 => NackCode::StaleTable,
             2 => NackCode::Malformed,
             3 => NackCode::NoTable,
             4 => NackCode::VersionSkew,
-            _ => return None,
-        })
-    }
-}
-
-/// `SHARD_SEND_NACK`: recoverable refusal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Nack {
-    /// Machine-readable reason.
-    pub code: NackCode,
-    /// Human-readable detail (diagnostics only; never parsed).
-    pub detail: String,
-}
-
-impl Message for Nack {
-    const STEP: Step = Step::ShardSendNack;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        (self.code as u16).encode(out);
-        self.detail.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        let raw = u16::decode(r)?;
-        let code = NackCode::from_u16(raw).ok_or(serde::bin::Error::Corrupt("nack code"))?;
-        Ok(Nack {
-            code,
-            detail: String::decode(r)?,
-        })
-    }
-}
-
-macro_rules! empty_message {
-    ($(#[$doc:meta])* $name:ident, $step:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct $name;
-
-        impl Message for $name {
-            const STEP: Step = $step;
-
-            fn encode_payload(&self, _out: &mut Vec<u8>) {}
-
-            fn decode_payload(_r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-                Ok($name)
-            }
-        }
-    };
-}
-
-empty_message!(
-    /// `COORD_SEND_SHUTDOWN`.
-    Shutdown,
-    Step::CoordSendShutdown
-);
-empty_message!(
-    /// `SHARD_ACK_SHUTDOWN`.
-    ShutdownAck,
-    Step::ShardAckShutdown
-);
-empty_message!(
-    /// `COORD_SEND_METRICS`: ask the shard for its metrics snapshot.
-    MetricsRequest,
-    Step::CoordSendMetrics
-);
-
-/// `SHARD_SEND_METRICS`: the shard's metrics snapshot as opaque
-/// `ce_obs::MetricsSnapshot::to_bytes` bytes. Carrying the snapshot
-/// pre-encoded keeps this protocol's codec independent of the metrics
-/// schema — the coordinator decodes (and version-checks) the inner bytes
-/// with `MetricsSnapshot::from_bytes` and simply skips replicas whose
-/// snapshots fail to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsReply {
-    /// `MetricsSnapshot::to_bytes` output, opaque at this layer.
-    pub snapshot: Vec<u8>,
-}
-
-impl Message for MetricsReply {
-    const STEP: Step = Step::ShardSendMetrics;
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        self.snapshot.encode(out);
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> serde::bin::Result<Self> {
-        Ok(MetricsReply {
-            snapshot: Vec::<u8>::decode(r)?,
+            _ => return Err(serde::bin::Error::Corrupt("nack code")),
         })
     }
 }
@@ -813,7 +664,7 @@ mod tests {
         let frame = m.clone().into_frame();
         let back = Frame::from_bytes(&frame.to_bytes()).expect("parses");
         assert_eq!(MetricsReply::from_frame(&back).expect("decodes"), m);
-        let req = MetricsRequest.into_frame();
+        let req = MetricsRequest {}.into_frame();
         assert!(req.payload.is_empty());
     }
 
@@ -912,11 +763,51 @@ mod tests {
             assert!(Frame::from_bytes(&good[..cut]).is_err(), "cut at {cut}");
         }
         // Wrong step for the typed decode.
-        let other = Shutdown.into_frame();
+        let other = Shutdown {}.into_frame();
         assert!(matches!(
             Ping::from_frame(&other),
             Err(FrameError::WrongStep { .. })
         ));
+    }
+
+    #[test]
+    fn frame_reader_cuts_frames_at_any_split() {
+        let frames = [
+            Ping { nonce: 1 }.into_frame(),
+            MetricsRequest {}.into_frame(),
+            Push {
+                epoch: 2,
+                version: 3,
+                id: 4,
+                embedding: vec![-0.0, f32::NAN],
+            }
+            .into_frame(),
+        ];
+        let wire: Vec<u8> = frames.iter().flat_map(Frame::to_bytes).collect();
+        // Every chunk size, from one byte per read to the whole stream in
+        // one: the same frames come out, in order, each exactly once.
+        for chunk in 1..=wire.len() {
+            let mut reader = FrameReader::default();
+            let mut got = Vec::new();
+            for bytes in wire.chunks(chunk) {
+                reader.extend(bytes);
+                while let Some(frame) = reader.next_frame().expect("valid stream") {
+                    got.push(frame);
+                }
+            }
+            assert_eq!(got, frames, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn frame_reader_refuses_a_bad_header_before_its_payload() {
+        let mut wire = Ping { nonce: 1 }.into_frame().to_bytes();
+        wire[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let mut reader = FrameReader::default();
+        reader.extend(&wire[..HEADER_LEN - 1]);
+        assert_eq!(reader.next_frame(), Ok(None));
+        reader.extend(&wire[HEADER_LEN - 1..HEADER_LEN]);
+        assert_eq!(reader.next_frame(), Err(FrameError::BadVersion(1)));
     }
 
     #[test]

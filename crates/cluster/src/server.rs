@@ -13,11 +13,13 @@
 
 use crate::per_step_counters;
 use crate::protocol::{
-    EpochAck, EpochTable, Frame, FrameError, Load, LoadAck, Message, MetricsReply, Nack, NackCode,
-    Ping, Pong, Push, PushAck, QueryBatch, ShutdownAck, SnapshotEpoch, Step, TopKBatch, HEADER_LEN,
+    EpochAck, EpochTable, Frame, FrameError, FrameReader, Load, LoadAck, Message, MetricsReply,
+    Nack, NackCode, Ping, Pong, Push, PushAck, QueryBatch, ShutdownAck, SnapshotEpoch, Step,
+    TopKBatch,
 };
 use autoce::index::{IndexConfig, KnnIndex};
 use autoce::knn::{self, Partition};
+use autoce::AdvisorError;
 use ce_nn::packed::PackedRows;
 use ce_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -62,9 +64,8 @@ impl ShardObs {
 
     fn record(&self, request: &Frame, reply: &Frame) {
         self.requests[request.step as u16 as usize].inc();
-        self.bytes_in[request.step as u16 as usize]
-            .add((HEADER_LEN + request.payload.len()) as u64);
-        self.bytes_out[reply.step as u16 as usize].add((HEADER_LEN + reply.payload.len()) as u64);
+        self.bytes_in[request.step as u16 as usize].add(request.wire_len() as u64);
+        self.bytes_out[reply.step as u16 as usize].add(reply.wire_len() as u64);
     }
 }
 
@@ -153,11 +154,21 @@ impl ShardState {
     /// scans) and drops every cached build. Safe to flip at any time:
     /// the indexed and flat paths answer bit-identically, so this
     /// changes shard-local work, never wire bits.
-    pub fn set_index_config(&mut self, cfg: Option<IndexConfig>) {
+    ///
+    /// A config that fails [`IndexConfig::validate`] is
+    /// [`AdvisorError::InvalidConfig`], and the knob and the cached builds
+    /// stay as they were. There is no cutover check against `k`
+    /// ([`IndexConfig::validate_for_k`]): a shard has no advisor `k`, every
+    /// query carries its own.
+    pub fn set_index_config(&mut self, cfg: Option<IndexConfig>) -> Result<(), AdvisorError> {
+        if let Some(cfg) = &cfg {
+            cfg.validate()?;
+        }
         self.index_cfg = cfg;
         for live in &mut self.tables {
             live.index = None;
         }
+        Ok(())
     }
 
     /// This shard's metrics snapshot — the same data
@@ -203,7 +214,7 @@ impl ShardState {
         match frame.step {
             Step::CoordSendLoad => {
                 let table = Load::from_frame(frame).map_err(malformed);
-                match table.and_then(|Load(table)| LiveTable::install(table)) {
+                match table.and_then(|Load { table }| LiveTable::install(table)) {
                     Ok(live) => {
                         let (epoch, version) = (live.table.epoch, live.table.version());
                         // A load replaces everything: it re-bases a restarted
@@ -217,7 +228,7 @@ impl ShardState {
             }
             Step::CoordSendSnapshotEpoch => {
                 let table = SnapshotEpoch::from_frame(frame).map_err(malformed);
-                match table.and_then(|SnapshotEpoch(table)| LiveTable::install(table)) {
+                match table.and_then(|SnapshotEpoch { table }| LiveTable::install(table)) {
                     Ok(live) => {
                         let (epoch, version) = (live.table.epoch, live.table.version());
                         self.tables.retain(|t| t.table.epoch != epoch);
@@ -346,7 +357,7 @@ impl ShardState {
                 }
                 Err(e) => malformed(e),
             },
-            Step::CoordSendShutdown => ShutdownAck.into_frame(),
+            Step::CoordSendShutdown => ShutdownAck {}.into_frame(),
             Step::CoordSendMetrics => MetricsReply {
                 snapshot: self.obs.registry.snapshot().to_bytes(),
             }
@@ -399,11 +410,12 @@ fn lock_state(state: &Mutex<ShardState>) -> MutexGuard<'_, ShardState> {
 /// shutdown frame arrives. Returns `true` when the server should stop
 /// accepting (shutdown requested).
 ///
-/// Reads are buffered: a request's header and payload almost always
-/// arrive in one segment, so each frame costs one `read` syscall instead
-/// of two — and when the coordinator pipelines (several requests written
-/// before the first answer is consumed), one `read` can pick up several
-/// frames, which are then answered back to back.
+/// Reads are buffered through a [`FrameReader`]: a request's header and
+/// payload almost always arrive in one segment, so each frame costs one
+/// `read` syscall instead of two — and when the coordinator pipelines
+/// (several requests written before the first answer is consumed), one
+/// `read` can pick up several frames, which are then answered back to
+/// back.
 fn serve_connection(
     stream: TcpStream,
     state: &Arc<Mutex<ShardState>>,
@@ -414,49 +426,23 @@ fn serve_connection(
     // this one promptly.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut start = 0usize;
+    let mut frames = FrameReader::default();
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        // Assemble the next complete frame from the buffer, refilling as
-        // needed.
-        let frame = loop {
-            let avail = buf.len() - start;
-            if avail >= HEADER_LEN {
-                let header: &[u8; HEADER_LEN] = buf[start..start + HEADER_LEN]
-                    .try_into()
-                    .expect("exact header slice");
-                match Frame::parse_header(header) {
-                    Ok((step, len)) => {
-                        if avail >= HEADER_LEN + len {
-                            let at = start + HEADER_LEN;
-                            let payload = buf[at..at + len].to_vec();
-                            start = at + len;
-                            if start == buf.len() {
-                                buf.clear();
-                                start = 0;
-                            }
-                            break Frame { step, payload };
-                        }
-                    }
-                    Err(e) => {
-                        // Foreign/garbled traffic: answer one NACK, then
-                        // drop the connection (the byte stream can no
-                        // longer be trusted).
-                        let _ = stream.write_all(&refuse_header(e).to_bytes());
-                        return false;
-                    }
+        let frame = match frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => match read_chunk_poll(&mut stream, &mut chunk, stop) {
+                Some(n) => {
+                    frames.extend(&chunk[..n]);
+                    continue;
                 }
-            }
-            match read_chunk_poll(&mut stream, &mut chunk, stop) {
-                ReadOutcome::Data(n) => {
-                    if start == buf.len() {
-                        buf.clear();
-                        start = 0;
-                    }
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                ReadOutcome::Stopped | ReadOutcome::Gone => return false,
+                None => return false,
+            },
+            Err(e) => {
+                // Foreign/garbled traffic: answer one NACK, then drop the
+                // connection (the byte stream can no longer be trusted).
+                let _ = stream.write_all(&refuse_header(e).to_bytes());
+                return false;
             }
         };
         let reply = lock_state(state).handle(&frame);
@@ -470,33 +456,23 @@ fn serve_connection(
     }
 }
 
-enum ReadOutcome {
-    Data(usize),
-    Stopped,
-    Gone,
-}
-
 /// One polled `read`: blocks in 50ms slices (the socket's read timeout),
 /// re-checking the stop flag between slices so a shutdown on another
 /// connection ends this one promptly — whether the silence falls between
-/// frames or mid-frame.
-fn read_chunk_poll(
-    stream: &mut TcpStream,
-    chunk: &mut [u8],
-    stop: &Arc<AtomicBool>,
-) -> ReadOutcome {
+/// frames or mid-frame. `None` once the server stops or the peer is gone.
+fn read_chunk_poll(stream: &mut TcpStream, chunk: &mut [u8], stop: &AtomicBool) -> Option<usize> {
     loop {
         if stop.load(Ordering::Acquire) {
-            return ReadOutcome::Stopped;
+            return None;
         }
         match stream.read(chunk) {
-            Ok(0) => return ReadOutcome::Gone,
-            Ok(n) => return ReadOutcome::Data(n),
+            Ok(0) => return None,
+            Ok(n) => return Some(n),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut
                     || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Gone,
+            Err(_) => return None,
         }
     }
 }
@@ -641,7 +617,7 @@ mod tests {
     #[test]
     fn load_query_push_cycle() {
         let mut s = ShardState::new();
-        let ack = s.handle(&Load(table(0, 3)).into_frame());
+        let ack = s.handle(&Load { table: table(0, 3) }.into_frame());
         assert_eq!(
             LoadAck::from_frame(&ack).expect("ack"),
             LoadAck {
@@ -673,8 +649,8 @@ mod tests {
     #[test]
     fn snapshot_keeps_previous_epoch_live() {
         let mut s = ShardState::new();
-        s.handle(&Load(table(0, 2)).into_frame());
-        s.handle(&crate::protocol::SnapshotEpoch(table(1, 2)).into_frame());
+        s.handle(&Load { table: table(0, 2) }.into_frame());
+        s.handle(&crate::protocol::SnapshotEpoch { table: table(1, 2) }.into_frame());
         for epoch in [0u64, 1] {
             let q = query(epoch, 2, &[0.0, 0.0], 1, u64::MAX);
             assert!(
@@ -683,7 +659,7 @@ mod tests {
             );
         }
         // A third epoch evicts the oldest.
-        s.handle(&crate::protocol::SnapshotEpoch(table(2, 2)).into_frame());
+        s.handle(&crate::protocol::SnapshotEpoch { table: table(2, 2) }.into_frame());
         let q = query(0, 2, &[0.0, 0.0], 1, u64::MAX);
         let nack = Nack::from_frame(&s.handle(&q)).expect("nack");
         assert_eq!(nack.code, NackCode::NoTable);
@@ -710,7 +686,7 @@ mod tests {
     #[test]
     fn batched_query_answers_per_query_bits() {
         let mut s = ShardState::new();
-        s.handle(&Load(table(0, 4)).into_frame());
+        s.handle(&Load { table: table(0, 4) }.into_frame());
         let queries = vec![
             BatchQuery {
                 embedding: vec![0.1, 0.9],
@@ -783,7 +759,12 @@ mod tests {
 
         let mut s = ShardState::new();
         // 16 rows fill one lane block; the push opens the next.
-        s.handle(&Load(table(0, 16)).into_frame());
+        s.handle(
+            &Load {
+                table: table(0, 16),
+            }
+            .into_frame(),
+        );
         check(&mut s, 0, "load");
         let push = Push {
             epoch: 0,
@@ -795,7 +776,7 @@ mod tests {
         check(&mut s, 0, "push");
         let mut next = table(1, 17);
         next.embeddings.reverse();
-        s.handle(&crate::protocol::SnapshotEpoch(next).into_frame());
+        s.handle(&crate::protocol::SnapshotEpoch { table: next }.into_frame());
         check(&mut s, 1, "snapshot");
         check(&mut s, 0, "previous epoch beside the snapshot");
     }
@@ -805,7 +786,7 @@ mod tests {
     #[test]
     fn dimension_mismatches_are_malformed_not_a_panic() {
         let mut s = ShardState::new();
-        s.handle(&Load(table(0, 3)).into_frame());
+        s.handle(&Load { table: table(0, 3) }.into_frame());
         let refused = |s: &mut ShardState, frame: Frame| {
             let nack = Nack::from_frame(&s.handle(&frame)).expect("nack");
             assert_eq!(nack.code, NackCode::Malformed, "{}", nack.detail);
@@ -847,8 +828,11 @@ mod tests {
         let mut nan_row = table(1, 3);
         nan_row.embeddings[1][0] = f32::NAN;
         for bad in [ragged, nan_row] {
-            refused(&mut s, Load(bad.clone()).into_frame());
-            refused(&mut s, crate::protocol::SnapshotEpoch(bad).into_frame());
+            refused(&mut s, Load { table: bad.clone() }.into_frame());
+            refused(
+                &mut s,
+                crate::protocol::SnapshotEpoch { table: bad }.into_frame(),
+            );
         }
         // Nothing moved: the same pin still answers, a fitting push lands.
         batch.queries.truncate(1);
@@ -858,7 +842,7 @@ mod tests {
         assert_eq!(ack.expect("push ack").version, 4);
         // An empty table has no dimension yet: it answers any query with
         // nothing and takes its dimension from the first push.
-        s.handle(&Load(table(2, 0)).into_frame());
+        s.handle(&Load { table: table(2, 0) }.into_frame());
         let q = query(2, 0, &[1.0, 2.0, 3.0], 2, u64::MAX);
         assert_eq!(topk(&s.handle(&q)).expect("topk"), []);
         let first = Push {
@@ -876,11 +860,11 @@ mod tests {
     #[test]
     fn metrics_step_reports_per_step_traffic() {
         let mut s = ShardState::new();
-        s.handle(&Load(table(0, 3)).into_frame());
+        s.handle(&Load { table: table(0, 3) }.into_frame());
         let q = query(0, 3, &[0.1, 0.9], 2, u64::MAX);
         s.handle(&q);
         s.handle(&q);
-        let reply = s.handle(&crate::protocol::MetricsRequest.into_frame());
+        let reply = s.handle(&crate::protocol::MetricsRequest {}.into_frame());
         let m = MetricsReply::from_frame(&reply).expect("metrics reply");
         let snap = MetricsSnapshot::from_bytes(&m.snapshot).expect("snapshot decodes");
         let req = |step: &str| snap.counter("ce_shard_requests_total", &[("step", step)]);
@@ -921,11 +905,16 @@ mod tests {
             .build()
             .expect("valid index config");
         let mut indexed = ShardState::new();
-        indexed.set_index_config(Some(cfg));
+        indexed.set_index_config(Some(cfg)).expect("valid knob");
         let mut flat = ShardState::new();
-        flat.set_index_config(None);
+        flat.set_index_config(None).expect("flat knob");
         for s in [&mut indexed, &mut flat] {
-            s.handle(&Load(table(0, 40)).into_frame());
+            s.handle(
+                &Load {
+                    table: table(0, 40),
+                }
+                .into_frame(),
+            );
         }
         let queries: Vec<BatchQuery> = (0..12)
             .map(|i| BatchQuery {
@@ -975,6 +964,65 @@ mod tests {
         }
     }
 
+    /// A knob `IndexConfig::validate` refuses is `InvalidConfig`, and the
+    /// shard keeps its knob, its cached build and its answer bits.
+    #[test]
+    fn invalid_index_knobs_are_refused_and_change_nothing() {
+        let knob = IndexConfig {
+            partitions: 3,
+            probe: 2,
+            min_rcs_for_index: 1,
+            ..IndexConfig::default()
+        };
+        let mut s = ShardState::new();
+        s.set_index_config(Some(knob.clone())).expect("valid knob");
+        s.handle(
+            &Load {
+                table: table(0, 40),
+            }
+            .into_frame(),
+        );
+        let batch = QueryBatch {
+            epoch: 0,
+            version: 40,
+            queries: (0..8)
+                .map(|i| BatchQuery {
+                    embedding: vec![i as f32 * 0.75, 1.0 - i as f32 * 0.5],
+                    k: 4,
+                    exclude: if i % 2 == 0 { i } else { u64::MAX },
+                })
+                .collect(),
+        };
+        let before = s.handle(&batch.clone().into_frame());
+        assert_eq!(before.step, Step::ShardSendTopkBatch);
+        for bad in [
+            IndexConfig {
+                probe: 0,
+                ..knob.clone()
+            },
+            IndexConfig {
+                probe: knob.partitions + 1,
+                ..knob.clone()
+            },
+            IndexConfig {
+                margin: f32::NAN,
+                ..knob.clone()
+            },
+        ] {
+            let refused = s.set_index_config(Some(bad.clone()));
+            assert!(
+                matches!(refused, Err(AdvisorError::InvalidConfig(_))),
+                "{bad:?}: {refused:?}"
+            );
+            assert_eq!(s.index_cfg.as_ref(), Some(&knob), "the knob stays");
+            assert!(
+                matches!(s.tables[0].index, Some(Some(_))),
+                "the cached build stays"
+            );
+            assert_eq!(s.handle(&batch.clone().into_frame()), before, "same bits");
+        }
+    }
+
     /// Writes raw bytes to a fresh shard over a real socket and returns
     /// the one frame it answers before dropping the connection.
     fn answer_then_drop(wire: &[u8]) -> Frame {
@@ -1019,7 +1067,7 @@ mod tests {
     #[test]
     fn poisoned_shard_lock_drops_tables_and_keeps_serving() {
         let state = Arc::new(Mutex::new(ShardState::new()));
-        lock_state(&state).handle(&Load(table(0, 3)).into_frame());
+        lock_state(&state).handle(&Load { table: table(0, 3) }.into_frame());
         let poisoner = state.clone();
         let _ = std::thread::spawn(move || {
             let _guard = poisoner.lock().expect("first holder");
@@ -1034,7 +1082,7 @@ mod tests {
         assert_eq!(nack.code, NackCode::NoTable);
         assert!(!state.is_poisoned(), "the poison is cleared, not re-hit");
         // Reload is the single repair: Load, then the query answers.
-        let ack = lock_state(&state).handle(&Load(table(0, 3)).into_frame());
+        let ack = lock_state(&state).handle(&Load { table: table(0, 3) }.into_frame());
         assert_eq!(LoadAck::from_frame(&ack).expect("ack").version, 3);
         let entries = topk(&lock_state(&state).handle(&q)).expect("topk");
         assert_eq!(entries.len(), 2);

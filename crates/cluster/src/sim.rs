@@ -298,7 +298,7 @@ mod tests {
             ids: vec![0],
             embeddings: vec![vec![1.0]],
         };
-        c.call(&Load(table).into_frame(), Duration::from_secs(1))
+        c.call(&Load { table }.into_frame(), Duration::from_secs(1))
             .expect("load"); // step 2
                              // Step 3: the kill applies before the call — connection dies.
         assert!(matches!(ping(&mut c, 1), Err(WireError::Closed(_))));
@@ -342,7 +342,7 @@ mod tests {
             embeddings: vec![vec![0.5]],
         };
         assert!(matches!(
-            c.call(&Load(table).into_frame(), Duration::from_secs(1)),
+            c.call(&Load { table }.into_frame(), Duration::from_secs(1)),
             Err(WireError::Timeout)
         ));
         let mut c = net.connector(0).connect().expect("reconnect");

@@ -22,7 +22,7 @@
 //! byte stream. A `send` with an unconsumed reply still in flight is a
 //! caller bug and answers [`WireError::Frame`].
 
-use crate::protocol::{Frame, FrameError, HEADER_LEN};
+use crate::protocol::{Frame, FrameError, FrameReader};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -97,9 +97,9 @@ pub trait Connector: Send {
 /// trip is ~100 bytes against a ~5µs loopback RTT floor):
 ///
 /// * **Buffered reads** — the answer's header and payload almost always
-///   arrive in one segment, so [`Conn::recv`] reads into an internal
-///   buffer and parses frames out of it: one `read` per answer instead
-///   of one per header plus one per payload.
+///   arrive in one segment, so [`Conn::recv`] hands each `read` to the
+///   protocol's frame reader and takes the frame out of it: one `read` per answer
+///   instead of one per header plus one per payload.
 /// * **Cached timeouts** — `setsockopt` costs as much as a small `read`;
 ///   since callers pass the same configured deadline on every call, the
 ///   socket timeouts are set once and only re-set when the requested
@@ -108,9 +108,7 @@ pub trait Connector: Send {
 ///   one deadline's worth before the check fails the call.
 pub struct TcpConn {
     stream: TcpStream,
-    /// Read buffer; `start..` is the unconsumed tail.
-    buf: Vec<u8>,
-    start: usize,
+    frames: FrameReader,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
 }
@@ -120,18 +118,13 @@ impl TcpConn {
     pub fn new(stream: TcpStream) -> Self {
         TcpConn {
             stream,
-            buf: Vec::new(),
-            start: 0,
+            frames: FrameReader::default(),
             read_timeout: None,
             write_timeout: None,
         }
     }
 
-    fn available(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// One `read` syscall appending to the buffer, honoring `end`.
+    /// One `read` syscall handed to the frame reader, honoring `end`.
     fn fill(&mut self, end: Instant, deadline: Duration) -> Result<(), WireError> {
         if self.read_timeout != Some(deadline) {
             self.stream
@@ -147,13 +140,7 @@ impl TcpConn {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(WireError::Closed("peer closed mid-frame".into())),
                 Ok(n) => {
-                    // Compact lazily: only when the consumed prefix is the
-                    // whole buffer (the common case between frames).
-                    if self.start == self.buf.len() {
-                        self.buf.clear();
-                        self.start = 0;
-                    }
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.frames.extend(&chunk[..n]);
                     return Ok(());
                 }
                 Err(e)
@@ -184,20 +171,12 @@ impl Conn for TcpConn {
 
     fn recv(&mut self, deadline: Duration) -> Result<Frame, WireError> {
         let end = Instant::now() + deadline;
-        while self.available() < HEADER_LEN {
+        loop {
+            if let Some(frame) = self.frames.next_frame()? {
+                return Ok(frame);
+            }
             self.fill(end, deadline)?;
         }
-        let header: &[u8; HEADER_LEN] = self.buf[self.start..self.start + HEADER_LEN]
-            .try_into()
-            .expect("exact header slice");
-        let (step, len) = Frame::parse_header(header)?;
-        while self.available() < HEADER_LEN + len {
-            self.fill(end, deadline)?;
-        }
-        let at = self.start + HEADER_LEN;
-        let payload = self.buf[at..at + len].to_vec();
-        self.start = at + len;
-        Ok(Frame { step, payload })
     }
 }
 

@@ -83,9 +83,9 @@ proptest! {
             ids: ids[..n].to_vec(),
             embeddings: rows[..n].iter().map(|r| embedding_from(r)).collect(),
         };
-        let wire = Load(table.clone()).into_frame().to_bytes();
+        let wire = Load { table: table.clone() }.into_frame().to_bytes();
         let frame = Frame::from_bytes(&wire).expect("frame parses");
-        let Load(back) = Load::from_frame(&frame).expect("payload decodes");
+        let Load { table: back } = Load::from_frame(&frame).expect("payload decodes");
         prop_assert_eq!(back.epoch, table.epoch);
         prop_assert_eq!(back.version(), table.version());
         prop_assert_eq!(&back.ids, &table.ids);

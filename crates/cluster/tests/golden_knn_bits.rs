@@ -290,7 +290,7 @@ fn cluster(flat: &AutoCe, shard_index: Option<Option<IndexConfig>>) -> ClusterCo
                     (0..REPLICAS)
                         .map(|_| {
                             let mut state = ShardState::new();
-                            state.set_index_config(knob.clone());
+                            state.set_index_config(knob.clone()).expect("valid knob");
                             Box::new(LocalShard {
                                 state: Arc::new(Mutex::new(state)),
                                 pending: None,
@@ -376,13 +376,15 @@ fn shard_lists(knob: Option<IndexConfig>, descending: bool) -> (u64, [u64; 3]) {
             rows.reverse();
         }
         let mut state = ShardState::new();
-        state.set_index_config(knob.clone());
+        state.set_index_config(knob.clone()).expect("valid knob");
         let (ids, embeddings) = rows.into_iter().unzip();
-        let load = Load(EpochTable {
-            epoch: 7,
-            ids,
-            embeddings,
-        });
+        let load = Load {
+            table: EpochTable {
+                epoch: 7,
+                ids,
+                embeddings,
+            },
+        };
         state.handle(&load.into_frame());
         for version in [n as u64, n as u64 + 1] {
             for k in KS {

@@ -4,7 +4,7 @@ use crate::score::{best_index, d_error, score_vector, MetricWeights};
 use ce_models::{build_model, ModelKind, TrainContext, SELECTABLE_MODELS};
 use ce_storage::Dataset;
 use ce_workload::metrics::{mean_qerror, percentile_qerror};
-use ce_workload::{generate_workload, label_workload, WorkloadSpec};
+use ce_workload::{generate_workload, label_workload, LabeledQuery, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -217,11 +217,22 @@ pub fn label_dataset(ds: &Dataset, cfg: &TestbedConfig, seed: u64) -> DatasetLab
         labeled,
         cfg.train_queries as f64 / (cfg.train_queries + cfg.test_queries) as f64,
     );
-    let truths: Vec<f64> = test.iter().map(|lq| lq.true_card as f64).collect();
-
     // Step 3-4: train each model and measure.
-    let performances = cfg
-        .models
+    train_and_measure(ds, &cfg.models, &train, &test, seed)
+}
+
+/// Steps 3–4 of §IV-B1: trains each of `models` on `train` and measures
+/// it on `test` — Q-error against the true cardinalities, mean estimate
+/// latency and training time.
+pub fn train_and_measure(
+    ds: &Dataset,
+    models: &[ModelKind],
+    train: &[LabeledQuery],
+    test: &[LabeledQuery],
+    seed: u64,
+) -> DatasetLabel {
+    let truths: Vec<f64> = test.iter().map(|lq| lq.true_card as f64).collect();
+    let performances = models
         .iter()
         .map(|&kind| {
             let t0 = Instant::now();
@@ -229,7 +240,7 @@ pub fn label_dataset(ds: &Dataset, cfg: &TestbedConfig, seed: u64) -> DatasetLab
                 kind,
                 &TrainContext {
                     dataset: ds,
-                    train_queries: &train,
+                    train_queries: train,
                     seed,
                 },
             );

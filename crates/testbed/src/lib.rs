@@ -16,6 +16,6 @@ pub mod label;
 pub mod parallel;
 pub mod score;
 
-pub use label::{label_dataset, DatasetLabel, ModelPerformance, TestbedConfig};
+pub use label::{label_dataset, train_and_measure, DatasetLabel, ModelPerformance, TestbedConfig};
 pub use parallel::label_datasets;
 pub use score::{d_error, score_vector, MetricWeights};

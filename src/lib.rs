@@ -1,9 +1,11 @@
 //! # autoce-suite — umbrella crate of the AutoCE reproduction
 //!
 //! Re-exports the public API of every workspace crate so examples and
-//! integration tests have a single import root. Each crate's own docs
-//! describe its layer; `docs/*.md` hold the serving contracts (advisor
-//! API, cluster protocol, KNN index, observability).
+//! integration tests have a single import root. New readers start at
+//! `DESIGN.md`, one page mapping the paper's stages to crates, invariants
+//! and documents. Each crate's own docs describe its layer; `docs/*.md`
+//! hold the serving contracts (advisor API, cluster protocol, KNN index,
+//! observability).
 
 pub use autoce;
 pub use ce_cluster as cluster;
