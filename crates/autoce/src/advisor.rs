@@ -172,14 +172,14 @@ impl AdvisorShard {
 
     /// The partial top-k of this partition ([`knn::partial_topk`]),
     /// appended to `out`; `generation` is the owner's live generation,
-    /// `dists` the scan's reusable scratch.
+    /// `scratch` the query path's reusable buffers.
     pub fn partial_topk(
         &self,
         x: &[f32],
         k: usize,
         exclude: usize,
         generation: u64,
-        dists: &mut Vec<f32>,
+        scratch: &mut knn::Scratch,
         out: &mut Vec<(usize, f32)>,
     ) {
         let view = Partition {
@@ -189,7 +189,7 @@ impl AdvisorShard {
             index: self.index.as_ref(),
             generation,
         };
-        knn::partial_topk(&view, x, k, exclude, dists, out);
+        knn::partial_topk(&view, x, k, exclude, scratch, out);
     }
 
     /// Appends an entry under global index `id`. Membership changed: the
@@ -671,7 +671,7 @@ mod tests {
         use ce_nn::matrix::euclidean;
 
         fn check(shard: &AdvisorShard, what: &str) {
-            let (mut dists, mut got) = (Vec::new(), Vec::new());
+            let (mut scratch, mut got) = (knn::Scratch::default(), Vec::new());
             for x in tie_heavy_queries() {
                 let mut all: Vec<(usize, f32)> = (shard.ids().iter().zip(shard.entries()))
                     .map(|(&id, e)| (id, euclidean(&x, &e.embedding)))
@@ -686,7 +686,7 @@ mod tests {
                     want.retain(|&(id, _)| id != exclude);
                     want.truncate(k);
                     got.clear();
-                    shard.partial_topk(&x, k, exclude, 0, &mut dists, &mut got);
+                    shard.partial_topk(&x, k, exclude, 0, &mut scratch, &mut got);
                     assert_eq!(bits(&got), bits(&want), "{what}: k={k} exclude={exclude}");
                 }
             }

@@ -8,18 +8,20 @@
 //! bit of any answer:
 //!
 //! 1. **Coarse stage**: seeded k-means ([`mod@ce_nn::kmeans`]) partitions the
-//!    embeddings (IVF). A query ranks partitions by distance to their
-//!    centroids — exactly, or through the i8/f16 kernels of
-//!    [`ce_nn::index`] — and probes the closest few. Quantization error
-//!    here can change *which partitions are probed*, never an answer.
+//!    embeddings (IVF). A query makes one lane-per-row pass over the packed
+//!    centroids ([`PackedRows`]), which gives every exact centroid
+//!    distance; it ranks partitions by those — or by the i8/f16 kernels of
+//!    [`ce_nn::index`] — and a partial select picks the closest few to
+//!    probe. Quantization error here can change *which partitions are
+//!    probed*, never an answer.
 //! 2. **Exact re-rank**: every candidate in a probed partition gets its
 //!    exact `f32` [`euclidean`] distance — the same call the flat scan
 //!    makes — and the top k are selected under [`knn_order`].
 //!
 //! The result is returned **only if it is provably the flat scan's**: for
 //! every unprobed partition `p`, the triangle-inequality bound
-//! `d(x, c_p) − radius_p` (computed in exact `f32`, regardless of the
-//! coarse quantization mode) must exceed the k-th candidate distance by a
+//! `d(x, c_p) − radius_p` (exact `f32` from the same coarse pass, whatever
+//! the quantization mode) must exceed the k-th candidate distance by a
 //! margin plus a conservative float-error slack. Strict inequality is
 //! required because [`knn_order`] breaks distance ties by RCS index — an
 //! unprobed entry merely *tying* the k-th distance could win the slot. If
@@ -49,9 +51,13 @@
 //!
 //! [`knn_order`]: crate::knn_order
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::backend::{validate_nonzero, AdvisorError};
-use crate::knn::top_k;
-use ce_nn::index::{i8_scale, quantize_f16, quantize_i8, sq_dist_f16, sq_dist_i8};
+use crate::knn::{top_k, Scratch};
+use ce_nn::index::{
+    i8_scale, quantize_f16, quantize_i8, quantize_i8_into, sq_dist_f16, sq_dist_i8,
+};
 use ce_nn::kmeans::kmeans;
 use ce_nn::matrix::euclidean;
 use ce_nn::packed::PackedRows;
@@ -62,7 +68,9 @@ use rand::SeedableRng;
 /// Storage format of the coarse-stage centroids. Only partition
 /// *selection* ever reads the quantized form; the admissibility bound and
 /// the re-rank always use exact `f32`, so every mode is bit-identical to
-/// every other — the mode trades coarse-stage bandwidth against nothing.
+/// every other. Since the coarse pass computes every exact centroid
+/// distance for the bound anyway, a quantized mode only adds its own
+/// proxy pass: `Exact` is the cheapest mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuantMode {
     /// Exact `f32` centroid distances for partition selection too.
@@ -275,6 +283,11 @@ pub struct KnnIndex {
     dim: usize,
     /// Flattened `partitions × dim` exact centroids.
     centroids: Vec<f32>,
+    /// The same centroids packed lane-per-row for the coarse pass: one
+    /// kernel call gives every query–centroid distance, `euclidean`'s
+    /// bits. Not part of the structure checksum (it is a layout, not a
+    /// decision of the build).
+    packed: PackedRows,
     /// Max exact member distance to the partition centroid.
     radii: Vec<f32>,
     /// Member positions per partition, ascending.
@@ -301,7 +314,7 @@ impl KnnIndex {
         if n < cfg.min_rcs_for_index {
             return None;
         }
-        let dim = embeddings[0].len();
+        let dim = embeddings.first()?.len();
         if dim == 0 || embeddings.iter().any(|e| e.len() != dim) {
             return None;
         }
@@ -366,6 +379,7 @@ impl KnnIndex {
             len: n,
             dim,
             centroids,
+            packed: PackedRows::from_rows(&km.centroids),
             radii,
             members,
             quant_i8,
@@ -396,37 +410,40 @@ impl KnnIndex {
         &self.cfg
     }
 
-    fn centroid(&self, c: usize) -> &[f32] {
-        &self.centroids[c * self.dim..(c + 1) * self.dim]
-    }
-
-    /// Coarse partition order: ascending `(proxy distance, partition
-    /// index)`. The proxy is mode-dependent; ties and quantization error
-    /// only steer probing, never results.
-    fn partition_order(&self, query: &[f32]) -> Vec<u32> {
-        let p = self.radii.len();
-        let mut order: Vec<(f64, u32)> = match self.cfg.quant {
-            QuantMode::Exact => (0..p)
-                .map(|c| (euclidean(query, self.centroid(c)) as f64, c as u32))
-                .collect(),
+    /// The coarse pass: one packed kernel call leaves every centroid's
+    /// exact distance in `scratch.dists` (`euclidean`'s bits), then each
+    /// partition's `(proxy, partition index)` key goes to `scratch.keys`
+    /// and a partial select puts the `probe` least first, ascending. The
+    /// proxy is the exact distance or, in a quantized mode, its i8 / f16
+    /// stand-in; ties and quantization error only steer probing, never
+    /// results. Returns how many partitions are probed.
+    fn coarse(&self, query: &[f32], scratch: &mut Scratch) -> usize {
+        self.packed.dists_into(query, &mut scratch.dists);
+        let keys = &mut scratch.keys;
+        keys.clear();
+        match self.cfg.quant {
+            QuantMode::Exact => keys.extend(
+                (scratch.dists.iter().enumerate()).map(|(c, &d)| order_key(f32_rank(d), c)),
+            ),
             QuantMode::I8 => {
-                let qq = quantize_i8(query, 1.0 / self.i8_inv);
-                (0..p)
-                    .map(|c| {
-                        let chunk = &self.quant_i8[c * self.dim..(c + 1) * self.dim];
-                        (sq_dist_i8(&qq, chunk) as f64, c as u32)
-                    })
-                    .collect()
+                quantize_i8_into(query, 1.0 / self.i8_inv, &mut scratch.codes);
+                let codes = &scratch.codes;
+                keys.extend(
+                    (self.quant_i8.chunks_exact(self.dim).enumerate())
+                        .map(|(c, chunk)| order_key(i32_rank(sq_dist_i8(codes, chunk)), c)),
+                );
             }
-            QuantMode::F16 => (0..p)
-                .map(|c| {
-                    let chunk = &self.quant_f16[c * self.dim..(c + 1) * self.dim];
-                    (sq_dist_f16(query, chunk) as f64, c as u32)
-                })
-                .collect(),
-        };
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        order.into_iter().map(|(_, c)| c).collect()
+            QuantMode::F16 => keys.extend(
+                (self.quant_f16.chunks_exact(self.dim).enumerate())
+                    .map(|(c, chunk)| order_key(f32_rank(sq_dist_f16(query, chunk)), c)),
+            ),
+        }
+        let probe = self.cfg.probe.min(keys.len());
+        if probe < keys.len() {
+            keys.select_nth_unstable(probe);
+        }
+        keys[..probe].sort_unstable();
+        probe
     }
 
     /// Two-stage query: probes the closest partitions, exactly re-ranks
@@ -438,8 +455,11 @@ impl KnnIndex {
     /// `exclude` (position; `usize::MAX` for none) is skipped during
     /// candidate collection. `ids` names the members by position and must
     /// ascend (positions then rank like ids, so ties break alike).
+    /// `scratch` holds the coarse pass; reused across calls, it leaves the
+    /// query path without an allocation once grown.
     ///
     /// `k` must already be clamped to the number of selectable entries.
+    #[allow(clippy::too_many_arguments)]
     pub fn query_topk<'e, I, F>(
         &self,
         query: &[f32],
@@ -447,59 +467,124 @@ impl KnnIndex {
         exclude: usize,
         emb_of: F,
         ids: &[I],
+        scratch: &mut Scratch,
         out: &mut Vec<(I, f32)>,
     ) -> bool
     where
         I: Copy + Ord,
         F: Fn(usize) -> &'e [f32],
     {
+        let outcome = self.answer(query, k, exclude, emb_of, ids, scratch, out);
+        self.record(outcome)
+    }
+
+    /// [`Self::query_topk`] without the counters.
+    #[allow(clippy::too_many_arguments)]
+    fn answer<'e, I, F>(
+        &self,
+        query: &[f32],
+        k: usize,
+        exclude: usize,
+        emb_of: F,
+        ids: &[I],
+        scratch: &mut Scratch,
+        out: &mut Vec<(I, f32)>,
+    ) -> Outcome
+    where
+        I: Copy + Ord,
+        F: Fn(usize) -> &'e [f32],
+    {
         if k == 0 || query.len() != self.dim {
-            self.obs.bypass.inc();
-            return false;
+            return Outcome::Bypass;
         }
-        let order = self.partition_order(query);
-        let p = order.len();
-        let probe_n = self.cfg.probe.min(p);
+        let probe = self.coarse(query, scratch);
+        let (probed, unprobed) = scratch.keys.split_at(probe);
 
         let start = out.len();
         let mut scanned = 0usize;
-        let members = (order[..probe_n].iter())
-            .flat_map(|&c| &self.members[c as usize])
+        let members = (probed.iter())
+            .flat_map(|&key| &self.members[partition(key)])
             .map(|&m| m as usize)
             .filter(|&m| m != exclude)
             .inspect(|_| scanned += 1);
         let scored = members.map(|m| (ids[m], euclidean(query, emb_of(m))));
         top_k(scored, k, out);
-        if out.len() - start < k {
-            self.obs.fallback.inc();
+        let Some(&(_, d_k)) = out.get(start + k - 1) else {
             out.truncate(start);
-            return false;
-        }
-        let d_k = out[start + k - 1].1;
+            return Outcome::Fallback { scanned };
+        };
 
         // Admissibility: every unprobed, non-empty partition must be
         // provably too far to contribute — or even tie — a top-k slot.
-        // All distances here are exact f32, whatever the coarse mode.
-        let mut probed = vec![false; p];
-        for &c in &order[..probe_n] {
-            probed[c as usize] = true;
-        }
-        for (c, done) in probed.iter().enumerate() {
-            if *done || self.members[c].is_empty() {
+        // All distances here are the coarse pass's exact f32, whatever the
+        // coarse mode.
+        for &key in unprobed {
+            let c = partition(key);
+            if self.members[c].is_empty() {
                 continue;
             }
-            let d_c = euclidean(query, self.centroid(c));
-            let slack = 4.0 * f32::EPSILON * (self.dim as f32 + 8.0) * (d_c + self.radii[c] + d_k);
-            if d_c - self.radii[c] <= d_k + self.cfg.margin + slack {
-                self.obs.fallback.inc();
+            let (d_c, r_c) = (scratch.dists[c], self.radii[c]);
+            let slack = 4.0 * f32::EPSILON * (self.dim as f32 + 8.0) * (d_c + r_c + d_k);
+            if d_c - r_c <= d_k + self.cfg.margin + slack {
                 out.truncate(start);
-                return false;
+                return Outcome::Fallback { scanned };
             }
         }
-        self.obs.indexed.inc();
-        self.obs.rerank.observe(scanned as u64);
-        true
+        Outcome::Indexed { scanned }
     }
+
+    /// Moves the counter `outcome` names; `true` when the index answered.
+    fn record(&self, outcome: Outcome) -> bool {
+        match outcome {
+            Outcome::Bypass => self.obs.bypass.inc(),
+            Outcome::Fallback { .. } => self.obs.fallback.inc(),
+            Outcome::Indexed { scanned } => {
+                self.obs.indexed.inc();
+                self.obs.rerank.observe(scanned as u64);
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// What one index query did; [`KnnIndex::record`] counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// Never probed: `k == 0`, or a query of another dimension.
+    Bypass,
+    /// Re-ranked `scanned` candidates, then declined: fewer than `k`, or
+    /// an unprobed partition the bound could not rule out.
+    Fallback { scanned: usize },
+    /// Answered from `scanned` re-ranked candidates.
+    Indexed { scanned: usize },
+}
+
+/// `(proxy, partition)` as one integer: its unsigned order is the proxy
+/// rank's, then the partition index's — the coarse stage's total order.
+fn order_key(rank: u32, partition: usize) -> u64 {
+    (u64::from(rank) << 32) | partition as u64
+}
+
+/// The partition an [`order_key`] names.
+fn partition(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// An `f32`'s place under `total_cmp`, as an unsigned integer. On every
+/// non-NaN value that is also the order of its `f64` widening.
+fn f32_rank(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 0 {
+        bits | (1 << 31)
+    } else {
+        !bits
+    }
+}
+
+/// An `i32`'s place in signed order, as an unsigned integer.
+fn i32_rank(x: i32) -> u32 {
+    (x as u32) ^ (1 << 31)
 }
 
 impl KnnIndex {
@@ -540,5 +625,266 @@ impl std::fmt::Debug for KnnIndex {
                 &format_args!("{:#018x}", self.structure_checksum()),
             )
             .finish()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::expect_used)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    fn centroid(ix: &KnnIndex, c: usize) -> &[f32] {
+        &ix.centroids[c * ix.dim..(c + 1) * ix.dim]
+    }
+
+    /// The coarse order before the packed pass: one proxy per centroid,
+    /// ascending `(proxy, partition index)` by a full sort.
+    fn partition_order(ix: &KnnIndex, query: &[f32]) -> Vec<u32> {
+        let p = ix.radii.len();
+        let mut order: Vec<(f64, u32)> = match ix.cfg.quant {
+            QuantMode::Exact => (0..p)
+                .map(|c| (euclidean(query, centroid(ix, c)) as f64, c as u32))
+                .collect(),
+            QuantMode::I8 => {
+                let qq = quantize_i8(query, 1.0 / ix.i8_inv);
+                (0..p)
+                    .map(|c| {
+                        let chunk = &ix.quant_i8[c * ix.dim..(c + 1) * ix.dim];
+                        (sq_dist_i8(&qq, chunk) as f64, c as u32)
+                    })
+                    .collect()
+            }
+            QuantMode::F16 => (0..p)
+                .map(|c| {
+                    let chunk = &ix.quant_f16[c * ix.dim..(c + 1) * ix.dim];
+                    (sq_dist_f16(query, chunk) as f64, c as u32)
+                })
+                .collect(),
+        };
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        order.into_iter().map(|(_, c)| c).collect()
+    }
+
+    /// The oracle: [`KnnIndex::answer`] before the packed pass — the full
+    /// sort above, a probed mask, and one scalar `euclidean` per unprobed
+    /// centroid in the admissibility loop.
+    fn oracle_answer(
+        ix: &KnnIndex,
+        query: &[f32],
+        k: usize,
+        exclude: usize,
+        embs: &[Vec<f32>],
+        out: &mut Vec<(usize, f32)>,
+    ) -> Outcome {
+        if k == 0 || query.len() != ix.dim {
+            return Outcome::Bypass;
+        }
+        let order = partition_order(ix, query);
+        let p = order.len();
+        let probe_n = ix.cfg.probe.min(p);
+        let start = out.len();
+        let mut scanned = 0usize;
+        let members = (order[..probe_n].iter())
+            .flat_map(|&c| &ix.members[c as usize])
+            .map(|&m| m as usize)
+            .filter(|&m| m != exclude)
+            .inspect(|_| scanned += 1);
+        top_k(members.map(|m| (m, euclidean(query, &embs[m]))), k, out);
+        if out.len() - start < k {
+            out.truncate(start);
+            return Outcome::Fallback { scanned };
+        }
+        let d_k = out[start + k - 1].1;
+        let mut probed = vec![false; p];
+        for &c in &order[..probe_n] {
+            probed[c as usize] = true;
+        }
+        for (c, done) in probed.iter().enumerate() {
+            if *done || ix.members[c].is_empty() {
+                continue;
+            }
+            let d_c = euclidean(query, centroid(ix, c));
+            let slack = 4.0 * f32::EPSILON * (ix.dim as f32 + 8.0) * (d_c + ix.radii[c] + d_k);
+            if d_c - ix.radii[c] <= d_k + ix.cfg.margin + slack {
+                out.truncate(start);
+                return Outcome::Fallback { scanned };
+            }
+        }
+        Outcome::Indexed { scanned }
+    }
+
+    /// Outcome counters, then the re-rank histogram's `(sum, count)`.
+    fn counts(registry: &MetricsRegistry) -> [u64; 5] {
+        let snap = registry.snapshot();
+        let outcome = |o| snap.counter("ce_index_queries_total", &[("outcome", o)]);
+        let (sum, count) = snap.histogram_totals("ce_index_rerank_candidates", &[]);
+        [
+            outcome("indexed"),
+            outcome("fallback"),
+            outcome("bypass"),
+            sum,
+            count,
+        ]
+    }
+
+    fn bits(list: &[(usize, f32)]) -> Vec<(usize, u32)> {
+        list.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+    }
+
+    /// `n` points on a 0.5-step grid of `grid` values per coordinate:
+    /// duplicates (so empty partitions) and exact distance ties abound.
+    fn grid_points(rng: &mut StdRng, n: usize, dim: usize, grid: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| rng.gen_range(0..grid) as f32 * 0.5 - 1.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Builds one index per [`QuantMode`] over `n` grid points and asks it
+    /// eight grid queries at several `k`, with and without an excluded
+    /// position, through `query_topk` and through the oracle: the served
+    /// flag, the appended list's bits, `scanned` and every counter must
+    /// agree, and the centroid pack must hold `euclidean`'s bits. Returns
+    /// a tally: builds that left a partition empty, then the queries that
+    /// were indexed, fell back and bypassed.
+    fn check_against_oracle(
+        seed: u64,
+        n: usize,
+        dim: usize,
+        partitions: usize,
+        probe: usize,
+        grid: usize,
+        scratch: &mut Scratch,
+    ) -> [usize; 4] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let embs = grid_points(&mut rng, n, dim, grid);
+        let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+        let queries = grid_points(&mut rng, 8, dim, grid + 1);
+        let positions: Vec<usize> = (0..n).collect();
+        let held = [(usize::MAX, -1.0f32), (3, 0.5)];
+        let mut tally = [0; 4];
+        for quant in [QuantMode::Exact, QuantMode::I8, QuantMode::F16] {
+            let cfg = IndexConfig {
+                partitions,
+                probe,
+                quant,
+                min_rcs_for_index: 1,
+                sample_cap: partitions.max(64),
+                seed,
+                ..IndexConfig::default()
+            };
+            cfg.validate().expect("valid shape");
+            let registry = MetricsRegistry::new();
+            let ix = KnnIndex::build(&refs, &cfg, 0, &registry).expect("n, dim ≥ 1 build");
+            tally[0] += usize::from(ix.members.iter().any(Vec::is_empty));
+            for x in &queries {
+                ix.packed.dists_into(x, &mut scratch.dists);
+                let want: Vec<u32> = (0..ix.radii.len())
+                    .map(|c| euclidean(x, centroid(&ix, c)).to_bits())
+                    .collect();
+                let got: Vec<u32> = scratch.dists.iter().map(|d| d.to_bits()).collect();
+                assert_eq!(got, want, "centroid pack, {quant:?}");
+                for exclude in [usize::MAX, rng.gen_range(0..n)] {
+                    let selectable = n - usize::from(exclude < n);
+                    for k in [0, 1, 2, 5, selectable] {
+                        let k = k.min(selectable);
+                        let case = format!(
+                            "{quant:?}, n={n} dim={dim} p={partitions}/{probe}, k={k} exclude={exclude}"
+                        );
+                        let emb_of = |m: usize| embs[m].as_slice();
+                        let before = counts(&registry);
+                        let mut got = held.to_vec();
+                        let served =
+                            ix.query_topk(x, k, exclude, emb_of, &positions, scratch, &mut got);
+                        let mid = counts(&registry);
+                        let mut want = held.to_vec();
+                        let outcome = oracle_answer(&ix, x, k, exclude, &embs, &mut want);
+                        let served_oracle = ix.record(outcome);
+                        let after = counts(&registry);
+                        assert_eq!(served, served_oracle, "{case}: served");
+                        assert_eq!(bits(&got), bits(&want), "{case}: list");
+                        let delta = |a: [u64; 5], b: [u64; 5]| -> Vec<u64> {
+                            a.iter().zip(b).map(|(a, b)| a - b).collect()
+                        };
+                        assert_eq!(delta(mid, before), delta(after, mid), "{case}: counters");
+                        let mut scanned = Vec::new();
+                        let again =
+                            ix.answer(x, k, exclude, emb_of, &positions, scratch, &mut scanned);
+                        assert_eq!(again, outcome, "{case}: scanned");
+                        tally[match outcome {
+                            Outcome::Indexed { .. } => 1,
+                            Outcome::Fallback { .. } => 2,
+                            Outcome::Bypass => 3,
+                        }] += 1;
+                    }
+                }
+            }
+        }
+        tally
+    }
+
+    /// The name of the dispatch arm every kernel of the coarse pass ran.
+    fn arm() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        let level = ce_nn::matrix::simd_level();
+        #[cfg(not(target_arch = "x86_64"))]
+        let level = 0;
+        ["scalar", "avx2", "avx512f"][usize::from(level)]
+    }
+
+    /// The partition counts the packed pass treats differently (one row,
+    /// a lane block less one, exactly one, plus one, and a hundred), with
+    /// one probe, a few, and every partition (the full-sort case); one
+    /// scratch across all of them, as a batch reuses it.
+    #[test]
+    fn coarse_pass_matches_the_oracle_on_the_shape_grid() {
+        let mut scratch = Scratch::default();
+        let (mut seed, mut tally) = (0xc0a5, [0; 4]);
+        for partitions in [1, 15, 16, 17, 100] {
+            for n in [partitions, 2 * partitions + 3] {
+                for dim in [1, 3, 32] {
+                    for probe in [1, 4.min(partitions), partitions] {
+                        seed += 1;
+                        let t =
+                            check_against_oracle(seed, n, dim, partitions, probe, 3, &mut scratch);
+                        tally.iter_mut().zip(t).for_each(|(a, b)| *a += b);
+                    }
+                }
+            }
+        }
+        let [with_empty, indexed, fallback, bypass] = tally;
+        println!(
+            "index coarse pass: dispatch arm {} on this host; {with_empty} builds with an \
+             empty partition; outcomes indexed {indexed}, fallback {fallback}, bypass {bypass}",
+            arm()
+        );
+        assert!(
+            tally.iter().all(|&t| t > 0),
+            "the grid must reach every case"
+        );
+    }
+
+    proptest! {
+        /// [`check_against_oracle`] at random shapes.
+        #[test]
+        fn coarse_pass_matches_the_oracle(
+            seed in 0u64..1_000_000,
+            shape in 0usize..5,
+            extra in 0usize..40,
+            dim in 0usize..5,
+            probe in 0usize..4,
+            grid in 2usize..6,
+        ) {
+            let partitions = [1, 15, 16, 17, 100][shape];
+            let probe = [1, 2, 6, partitions][probe].min(partitions);
+            let dim = [1, 2, 3, 8, 32][dim];
+            let mut scratch = Scratch::default();
+            check_against_oracle(seed, partitions + extra, dim, partitions, probe, grid, &mut scratch);
+        }
     }
 }

@@ -25,8 +25,8 @@
 //!
 //! The flat [`AutoCe`](crate::AutoCe) owns one [`AdvisorShard`] (ids
 //! `0..n`) and `ce-serve`'s `ShardedAdvisor` owns N; both answer through
-//! [`predict_batch`], which runs steps 1–3 with one distance scratch and
-//! one candidate buffer for the whole batch. `ce-cluster`'s shard server
+//! [`predict_batch`], which runs steps 1–3 with one [`Scratch`] and one
+//! candidate buffer for the whole batch. `ce-cluster`'s shard server
 //! lends its wire tables as [`Partition`] views under the same discipline,
 //! and its coordinator takes the clamp and the merge from here around its
 //! own framing.
@@ -56,6 +56,13 @@
 //!
 //! `crates/cluster/tests/golden_knn_bits.rs` pins the answers of every
 //! tier as captured before the copies were merged.
+//!
+//! Nothing on this path panics on its inputs: [`knn_order`] is total and a
+//! vote over no neighbour is [`AdvisorError::EmptyRcs`]. What is left is
+//! one audited assertion on an owner's own state (in [`partial_topk`]).
+//! The lints below keep it that way.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::advisor::{AdvisorShard, RcsEntry};
 use crate::backend::{AdvisorError, BatchPredictRequest};
@@ -74,11 +81,13 @@ use std::cmp::Ordering;
 /// neighbors of a query are a uniquely determined *set* and a uniquely
 /// determined *sequence* — which is what lets a sharded advisor merge
 /// per-shard partial top-k lists and reproduce the flat scan bit for bit
-/// at any shard count.
+/// at any shard count. Distances compare by `total_cmp`, which is the
+/// numeric order on every distance a scan produces: none is negative, and
+/// `-0.0` appears only at dimension zero, where every distance is `-0.0`.
+/// A NaN, which no finite query over finite embeddings produces, ranks
+/// after every number (before, if negative) instead of panicking.
 pub fn knn_order<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
-    a.1.partial_cmp(&b.1)
-        .expect("finite distances")
-        .then(a.0.cmp(&b.0))
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
 /// The KNN vote of Eq. 13 over an ordered neighbor sequence: score vectors
@@ -88,13 +97,18 @@ pub fn knn_order<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
 /// scores, the **lowest model index wins**. Both rules are load-bearing:
 /// the sharded serving layer relies on them to match the flat advisor
 /// bitwise, so they are part of the public contract (and unit-tested), not
-/// an accident of `max_by`.
-pub fn knn_vote<'a, I>(neighbors: I, k: usize, w: MetricWeights) -> (ModelKind, Vec<f64>)
+/// an accident of `max_by`. No neighbour at all is
+/// [`AdvisorError::EmptyRcs`].
+pub fn knn_vote<'a, I>(
+    neighbors: I,
+    k: usize,
+    w: MetricWeights,
+) -> Result<(ModelKind, Vec<f64>), AdvisorError>
 where
     I: IntoIterator<Item = &'a RcsEntry>,
 {
     let mut iter = neighbors.into_iter();
-    let first = iter.next().expect("at least one neighbor");
+    let first = iter.next().ok_or(AdvisorError::EmptyRcs)?;
     let mut avg = vec![0.0f64; first.kinds.len()];
     for e in std::iter::once(first).chain(iter) {
         // `RcsEntry::scores`, term by term, without the vector per neighbour.
@@ -103,7 +117,7 @@ where
         }
     }
     let best = best_index(&avg);
-    (first.kinds[best], avg)
+    Ok((first.kinds[best], avg))
 }
 
 /// The clamp: how many neighbours a query over an RCS of `len` entries
@@ -141,9 +155,9 @@ pub fn select_batch(
 
 /// Steps 1–3 for a batch over in-process partitions: [`select_batch`],
 /// then per query every partition's [`partial_topk`] appended to one
-/// candidate buffer and [`merge_vote`] over it. One distance scratch and
-/// one candidate buffer serve the whole batch. `entry` resolves a global
-/// id; `generation` is the owner's live generation.
+/// candidate buffer and [`merge_vote`] over it. One [`Scratch`] and one
+/// candidate buffer serve the whole batch. `entry` resolves a global id;
+/// `generation` is the owner's live generation.
 pub fn predict_batch<'a>(
     queries: &[BatchPredictRequest<'_>],
     k: usize,
@@ -153,24 +167,40 @@ pub fn predict_batch<'a>(
 ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
     let len = partitions.iter().map(AdvisorShard::len).sum();
     let ks = select_batch(k, len, queries)?;
-    let mut dists = Vec::new();
+    let mut scratch = Scratch::default();
     let mut cands = Vec::with_capacity(k.min(len) * partitions.len());
-    Ok((queries.iter().zip(ks))
-        .map(|(q, k)| {
-            cands.clear();
-            for p in partitions {
-                p.partial_topk(
-                    q.embedding,
-                    k,
-                    q.exclude,
-                    generation,
-                    &mut dists,
-                    &mut cands,
-                );
-            }
-            merge_vote(&mut cands, k, q.w, &entry)
-        })
-        .collect())
+    let mut answers = Vec::with_capacity(queries.len());
+    for (q, k) in queries.iter().zip(ks) {
+        cands.clear();
+        for p in partitions {
+            p.partial_topk(
+                q.embedding,
+                k,
+                q.exclude,
+                generation,
+                &mut scratch,
+                &mut cands,
+            );
+        }
+        answers.push(merge_vote(&mut cands, k, q.w, &entry)?);
+    }
+    Ok(answers)
+}
+
+/// The buffers of one query path — [`partial_topk`] and the
+/// [`KnnIndex`] under it — for a caller to reuse from partition to
+/// partition and query to query, like its candidate buffer. Each grows to
+/// the largest partition (or partition count) it meets and is never
+/// shrunk, so once warm a query allocates nothing.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// One distance per member (the flat scan), or per centroid (the
+    /// index's coarse pass).
+    pub(crate) dists: Vec<f32>,
+    /// The coarse pass's `(proxy, partition)` keys, probed first.
+    pub(crate) keys: Vec<u64>,
+    /// The query's i8 codes, under `QuantMode::I8`.
+    pub(crate) codes: Vec<i8>,
 }
 
 /// One RCS partition as [`partial_topk`] sees it: borrowed, so an
@@ -197,15 +227,14 @@ pub struct Partition<'a, I, F> {
 /// to `out` (what `out` already held is left as it was). The index and the
 /// flat scan produce the same bits, so whoever merges the list cannot tell
 /// which served it. See the module docs for the clamp, the exclusion and
-/// the counters. `dists` is the flat scan's scratch — one distance per
-/// member — for the caller to reuse from partition to partition and query
-/// to query, like `out`.
+/// the counters. `scratch` holds the index's coarse pass and the flat
+/// scan's distances.
 pub fn partial_topk<'a, I, F>(
     p: &Partition<'a, I, F>,
     x: &[f32],
     k: usize,
     exclude: I,
-    dists: &mut Vec<f32>,
+    scratch: &mut Scratch,
     out: &mut Vec<(I, f32)>,
 ) where
     I: Copy + Ord,
@@ -220,13 +249,16 @@ pub fn partial_topk<'a, I, F>(
         let position = excluded.unwrap_or(usize::MAX);
         if !index.tag_matches(p.generation, p.ids.len()) {
             index.note_bypass();
-        } else if index.query_topk(x, k, position, &p.embedding, p.ids, out) {
+        } else if index.query_topk(x, k, position, &p.embedding, p.ids, scratch, out) {
             return;
         }
     }
+    // Unreachable: each owner writes a packed row wherever it writes a
+    // member (`AdvisorShard::{new, push, write_back}`, a shard server's
+    // table install and `Push`).
     assert_eq!(p.packed.len(), p.ids.len(), "one packed row per member");
-    p.packed.dists_into(x, dists);
-    let scan = p.ids.iter().copied().zip(dists.iter().copied());
+    p.packed.dists_into(x, &mut scratch.dists);
+    let scan = p.ids.iter().copied().zip(scratch.dists.iter().copied());
     top_k(scan.filter(|&(id, _)| id != exclude), k, out);
 }
 
@@ -276,7 +308,7 @@ pub fn merge_vote<'a>(
     k: usize,
     w: MetricWeights,
     entry: impl Fn(usize) -> &'a RcsEntry,
-) -> (ModelKind, Vec<f64>) {
+) -> Result<(ModelKind, Vec<f64>), AdvisorError> {
     partials.sort_unstable_by(knn_order);
     let nearest = &partials[..k.min(partials.len())];
     knn_vote(nearest.iter().map(|&(id, _)| entry(id)), k, w)
@@ -292,6 +324,7 @@ pub fn min_distance<'a>(x: &[f32], embeddings: impl IntoIterator<Item = &'a [f32
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::fixtures::synthetic_grid;
@@ -391,7 +424,7 @@ mod tests {
         ];
         let mut excludes = vec![usize::MAX, 11];
         excludes.extend(ids.choose(&mut rng));
-        let mut dists = Vec::new();
+        let mut scratch = Scratch::default();
         // Another partition's list, already in the buffer.
         let held = [(usize::MAX, -1.0f32), (2, 0.25), (10, f32::NAN)];
         let mut out = Vec::new();
@@ -410,7 +443,7 @@ mod tests {
                     let before = outcomes(&registry);
                     out.clear();
                     out.extend(held);
-                    partial_topk(&view, &x, k, exclude, &mut dists, &mut out);
+                    partial_topk(&view, &x, k, exclude, &mut scratch, &mut out);
                     let want = brute_force(&ids, &embs, &x, k, exclude);
                     let case = format!("{n} × {dim}, {slot}, k={k}, exclude={exclude}");
                     assert_eq!(bits(&out[..held.len()]), bits(&held), "{case}: held");
@@ -545,7 +578,7 @@ mod tests {
             }
             split.shuffle(&mut rng);
             let mut partials = Vec::new();
-            let mut dists = Vec::new();
+            let mut scratch = Scratch::default();
             for ids in &split {
                 let rows: Vec<&[f32]> = ids.iter().map(|&id| embs[id].as_slice()).collect();
                 let view = Partition {
@@ -555,11 +588,11 @@ mod tests {
                     index: None,
                     generation: 0,
                 };
-                partial_topk(&view, &x, k, exclude, &mut dists, &mut partials);
+                partial_topk(&view, &x, k, exclude, &mut scratch, &mut partials);
             }
-            let got = merge_vote(&mut partials, k, w, |id| &entries[id]);
+            let got = merge_vote(&mut partials, k, w, |id| &entries[id]).expect("k ≥ 1 selectable");
             let one = brute_force(&all, &embs, &x, k, exclude);
-            let want = knn_vote(one.iter().map(|&(id, _)| &entries[id]), k, w);
+            let want = knn_vote(one.iter().map(|&(id, _)| &entries[id]), k, w).expect("k ≥ 1");
             prop_assert_eq!(got.0, want.0);
             let score_bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(score_bits(&got.1), score_bits(&want.1));
@@ -601,7 +634,8 @@ mod tests {
                         prop_assert_eq!(Ok(vec![got.clone()]), alone);
                         let k = select_k(k, n, q.exclude).expect("the batch answered");
                         let one = brute_force(&all, &embs, q.embedding, k, q.exclude);
-                        let want = knn_vote(one.iter().map(|&(id, _)| &entries[id]), k, q.w);
+                        let want = knn_vote(one.iter().map(|&(id, _)| &entries[id]), k, q.w)
+                            .expect("k ≥ 1");
                         prop_assert_eq!(got, &want);
                     }
                 }
@@ -610,13 +644,13 @@ mod tests {
                     prop_assert!(n == 1 && batch.iter().any(|q| q.exclude == 0));
                 }
             }
-            let (mut dists, mut out, mut bounds) = (Vec::new(), Vec::new(), vec![0]);
+            let (mut scratch, mut out, mut bounds) = (Scratch::default(), Vec::new(), vec![0]);
             let ks: Vec<usize> = batch.iter().map(|_| rng.gen_range(0..n + 2)).collect();
             for shard in &shards {
                 out.clear();
                 bounds.truncate(1);
                 for (q, &k) in batch.iter().zip(&ks) {
-                    shard.partial_topk(q.embedding, k, q.exclude, 0, &mut dists, &mut out);
+                    shard.partial_topk(q.embedding, k, q.exclude, 0, &mut scratch, &mut out);
                     bounds.push(out.len());
                 }
                 let rows: Vec<Vec<f32>> =
@@ -696,6 +730,28 @@ mod tests {
             .into_iter()
             .map(|(ids, members)| AdvisorShard::new(ids, members))
             .collect()
+    }
+
+    /// Nothing here panics on its inputs: the order ranks a NaN (a
+    /// negative one first, a positive one last) and `-0.0` before `+0.0`;
+    /// a vote over no neighbour is a typed refusal.
+    #[test]
+    fn the_order_is_total_and_an_empty_vote_is_refused() {
+        let mut v = [
+            (3usize, f32::NAN),
+            (1, 0.5),
+            (2, -0.0),
+            (0, 0.0),
+            (4, f32::INFINITY),
+            (5, -f32::NAN),
+        ];
+        v.sort_by(knn_order);
+        assert_eq!(v.map(|(id, _)| id), [5, 2, 0, 1, 4, 3]);
+        let w = MetricWeights::new(0.5);
+        assert_eq!(
+            knn_vote(std::iter::empty(), 2, w),
+            Err(AdvisorError::EmptyRcs)
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! inadmissibility.
 
 use autoce::index::{IndexConfig, KnnIndex, QuantMode};
+use autoce::knn::Scratch;
 use autoce::{knn_order, AutoCe, AutoCeConfig, MetricsRegistry, RcsEntry};
 use ce_features::FeatureGraph;
 use ce_gnn::{DmlConfig, GinEncoder};
@@ -44,8 +45,9 @@ fn indexed_topk(
     exclude: usize,
 ) -> Option<Vec<(usize, f32)>> {
     let positions: Vec<usize> = (0..embs.len()).collect();
-    let mut out = Vec::new();
-    let served = ix.query_topk(x, k, exclude, |i| embs[i].as_slice(), &positions, &mut out);
+    let (mut scratch, mut out) = (Scratch::default(), Vec::new());
+    let emb_of = |i: usize| embs[i].as_slice();
+    let served = ix.query_topk(x, k, exclude, emb_of, &positions, &mut scratch, &mut out);
     assert!(served || out.is_empty(), "a declining index truncates back");
     served.then_some(out)
 }

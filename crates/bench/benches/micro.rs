@@ -628,7 +628,8 @@ fn bench_flat_scan_96(c: &mut Criterion) {
             .map(|(i, e)| (i, euclidean(x, &e.embedding)))
             .collect();
         all.sort_by(knn_order);
-        let want = knn_vote(all[..2].iter().map(|&(i, _)| &flat.rcs()[i]), 2, w);
+        let want = knn_vote(all[..2].iter().map(|&(i, _)| &flat.rcs()[i]), 2, w)
+            .expect("two neighbours vote");
         assert_eq!(flat.predict_from_embedding(x, w), want, "flat ≠ oracle");
         assert_eq!(
             sharded.predict_from_embedding(x, w),

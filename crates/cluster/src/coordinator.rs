@@ -731,7 +731,7 @@ impl CoordInner {
         // One candidate buffer for the batch: query `j`'s lists from every
         // range, merged in place.
         let mut cands = Vec::new();
-        Ok((queries.iter().zip(ks).enumerate())
+        (queries.iter().zip(ks).enumerate())
             .map(|(j, (q, k))| {
                 cands.clear();
                 for tb in &replies {
@@ -739,7 +739,7 @@ impl CoordInner {
                 }
                 knn::merge_vote(&mut cands, k, q.w, |id| self.authority.entry(id))
             })
-            .collect())
+            .collect()
     }
 
     /// The shard-reply contract, checked before anything is merged: one

@@ -308,7 +308,7 @@ impl ShardState {
                         // One scratch per batch: every list is appended to
                         // one candidate buffer, `bounds` marks where each
                         // starts, and the reply is encoded from the slices.
-                        let (mut dists, mut cands) = (Vec::new(), Vec::new());
+                        let (mut scratch, mut cands) = (knn::Scratch::default(), Vec::new());
                         let mut bounds = Vec::with_capacity(b.queries.len() + 1);
                         bounds.push(0);
                         for q in &b.queries {
@@ -318,7 +318,7 @@ impl ShardState {
                                 &q.embedding,
                                 k,
                                 q.exclude,
-                                &mut dists,
+                                &mut scratch,
                                 &mut cands,
                             );
                             bounds.push(cands.len());

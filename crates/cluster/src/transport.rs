@@ -109,6 +109,9 @@ pub trait Connector: Send {
 pub struct TcpConn {
     stream: TcpStream,
     frames: FrameReader,
+    /// What one `read` lands in before the frame reader takes it; zeroed
+    /// once per connection, not once per `read`.
+    chunk: Box<[u8]>,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
 }
@@ -119,6 +122,7 @@ impl TcpConn {
         TcpConn {
             stream,
             frames: FrameReader::default(),
+            chunk: vec![0u8; 16 * 1024].into_boxed_slice(),
             read_timeout: None,
             write_timeout: None,
         }
@@ -132,15 +136,14 @@ impl TcpConn {
                 .map_err(|e| WireError::Closed(e.to_string()))?;
             self.read_timeout = Some(deadline);
         }
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             if Instant::now() >= end {
                 return Err(WireError::Timeout);
             }
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(WireError::Closed("peer closed mid-frame".into())),
                 Ok(n) => {
-                    self.frames.extend(&chunk[..n]);
+                    self.frames.extend(&self.chunk[..n]);
                     return Ok(());
                 }
                 Err(e)

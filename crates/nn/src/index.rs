@@ -114,9 +114,18 @@ pub fn i8_scale(max_abs: f32) -> f32 {
 
 /// Quantizes a vector with a shared symmetric scale (see [`i8_scale`]).
 pub fn quantize_i8(v: &[f32], scale: f32) -> Vec<i8> {
-    v.iter()
-        .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect()
+    let mut codes = Vec::with_capacity(v.len());
+    quantize_i8_into(v, scale, &mut codes);
+    codes
+}
+
+/// [`quantize_i8`] into a buffer the caller reuses (cleared first).
+pub fn quantize_i8_into(v: &[f32], scale: f32, codes: &mut Vec<i8>) {
+    codes.clear();
+    codes.extend(
+        v.iter()
+            .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8),
+    );
 }
 
 // ---- coarse distance kernels -----------------------------------------------
