@@ -119,9 +119,11 @@ pub struct AdvisorShard {
     /// [`Self::write_back`] — and by nothing else (`entries` is lent out
     /// read-only), so it needs no freshness tag. `len · dim · 4` bytes.
     packed: PackedRows,
-    /// Stacked chunks over `entries`' graphs, packed lazily. Graphs are
-    /// immutable once in the RCS, so the packing survives every encoder
-    /// update; only a membership change drops it.
+    /// Stacked chunks over `entries`' graphs, packed lazily by the owner's
+    /// first refresh ([`Self::pack`]); no query reads them, so a read-only
+    /// owner never pays for them. Graphs are immutable once in the RCS, so
+    /// the packing survives every encoder update; only a membership change
+    /// drops it.
     chunks: Option<Vec<StackedCtx>>,
     /// The index slot: a build over this partition's embeddings stamped
     /// `(generation, len)`. Rebuilt with every write-back, dropped by a
@@ -184,7 +186,6 @@ impl AdvisorShard {
     ) {
         let view = Partition {
             ids: &self.ids,
-            embedding: |m: usize| self.entries[m].embedding.as_slice(),
             packed: &self.packed,
             index: self.index.as_ref(),
             generation,

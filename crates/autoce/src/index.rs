@@ -15,8 +15,10 @@
 //!    probe. Quantization error here can change *which partitions are
 //!    probed*, never an answer.
 //! 2. **Exact re-rank**: every candidate in a probed partition gets its
-//!    exact `f32` [`euclidean`] distance — the same call the flat scan
-//!    makes — and the top k are selected under [`knn_order`].
+//!    exact `f32` distance from one lane-per-row pass over that
+//!    partition's packed member block — each the bits of [`euclidean`],
+//!    like the flat scan's — and the top k are selected under
+//!    [`knn_order`].
 //!
 //! The result is returned **only if it is provably the flat scan's**: for
 //! every unprobed partition `p`, the triangle-inequality bound
@@ -50,6 +52,7 @@
 //! any mutation that did not rebuild it.
 //!
 //! [`knn_order`]: crate::knn_order
+//! [`euclidean`]: ce_nn::matrix::euclidean
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -59,7 +62,6 @@ use ce_nn::index::{
     i8_scale, quantize_f16, quantize_i8, quantize_i8_into, sq_dist_f16, sq_dist_i8,
 };
 use ce_nn::kmeans::kmeans;
-use ce_nn::matrix::euclidean;
 use ce_nn::packed::PackedRows;
 use ce_obs::{Counter, Histogram, MetricsRegistry, COUNT_BUCKETS, LATENCY_NS_BUCKETS};
 use rand::rngs::StdRng;
@@ -292,6 +294,11 @@ pub struct KnnIndex {
     radii: Vec<f32>,
     /// Member positions per partition, ascending.
     members: Vec<Vec<u32>>,
+    /// Each partition's member embeddings packed lane-per-row, in member
+    /// order, for the re-rank: `len · dim · 4` bytes plus at most
+    /// fifteen padding rows per partition. Like `packed`, a layout, not
+    /// a decision of the build: not part of the structure checksum.
+    blocks: Vec<PackedRows>,
     /// Quantized centroids (same layout) for the non-exact modes.
     quant_i8: Vec<i8>,
     i8_inv: f32,
@@ -360,6 +367,13 @@ impl KnnIndex {
             radii[best] = radii[best].max(best_d);
         }
 
+        let blocks = (members.iter())
+            .map(|ms| {
+                let rows: Vec<&[f32]> = ms.iter().map(|&m| embeddings[m as usize]).collect();
+                PackedRows::from_rows(&rows)
+            })
+            .collect();
+
         let centroids: Vec<f32> = km.centroids.iter().flatten().copied().collect();
         let (mut quant_i8, mut i8_inv, mut quant_f16) = (Vec::new(), 1.0f32, Vec::new());
         match cfg.quant {
@@ -382,6 +396,7 @@ impl KnnIndex {
             packed: PackedRows::from_rows(&km.centroids),
             radii,
             members,
+            blocks,
             quant_i8,
             i8_inv,
             quant_f16,
@@ -455,60 +470,57 @@ impl KnnIndex {
     /// `exclude` (position; `usize::MAX` for none) is skipped during
     /// candidate collection. `ids` names the members by position and must
     /// ascend (positions then rank like ids, so ties break alike).
-    /// `scratch` holds the coarse pass; reused across calls, it leaves the
-    /// query path without an allocation once grown.
+    /// `scratch` holds the coarse pass and the re-rank distances; reused
+    /// across calls, it leaves the query path without an allocation once
+    /// grown.
     ///
     /// `k` must already be clamped to the number of selectable entries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_topk<'e, I, F>(
+    pub fn query_topk<I: Copy + Ord>(
         &self,
         query: &[f32],
         k: usize,
         exclude: usize,
-        emb_of: F,
         ids: &[I],
         scratch: &mut Scratch,
         out: &mut Vec<(I, f32)>,
-    ) -> bool
-    where
-        I: Copy + Ord,
-        F: Fn(usize) -> &'e [f32],
-    {
-        let outcome = self.answer(query, k, exclude, emb_of, ids, scratch, out);
+    ) -> bool {
+        let outcome = self.answer(query, k, exclude, ids, scratch, out);
         self.record(outcome)
     }
 
     /// [`Self::query_topk`] without the counters.
-    #[allow(clippy::too_many_arguments)]
-    fn answer<'e, I, F>(
+    fn answer<I: Copy + Ord>(
         &self,
         query: &[f32],
         k: usize,
         exclude: usize,
-        emb_of: F,
         ids: &[I],
         scratch: &mut Scratch,
         out: &mut Vec<(I, f32)>,
-    ) -> Outcome
-    where
-        I: Copy + Ord,
-        F: Fn(usize) -> &'e [f32],
-    {
+    ) -> Outcome {
         if k == 0 || query.len() != self.dim {
             return Outcome::Bypass;
         }
         let probe = self.coarse(query, scratch);
         let (probed, unprobed) = scratch.keys.split_at(probe);
 
+        // The re-rank: one packed pass per probed block, each appending its
+        // members' exact distances after the coarse pass's, so the member
+        // stream below and the distances line up one to one.
+        let dists = &mut scratch.dists;
+        let centroids = dists.len();
+        for &key in probed {
+            self.blocks[partition(key)].append_dists(query, dists);
+        }
         let start = out.len();
         let mut scanned = 0usize;
         let members = (probed.iter())
             .flat_map(|&key| &self.members[partition(key)])
             .map(|&m| m as usize)
-            .filter(|&m| m != exclude)
+            .zip(&dists[centroids..])
+            .filter(|&(m, _)| m != exclude)
             .inspect(|_| scanned += 1);
-        let scored = members.map(|m| (ids[m], euclidean(query, emb_of(m))));
-        top_k(scored, k, out);
+        top_k(members.map(|(m, &d)| (ids[m], d)), k, out);
         let Some(&(_, d_k)) = out.get(start + k - 1) else {
             out.truncate(start);
             return Outcome::Fallback { scanned };
@@ -632,8 +644,10 @@ impl std::fmt::Debug for KnnIndex {
 #[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use ce_nn::matrix::euclidean;
     use proptest::prelude::*;
     use rand::Rng;
+    use std::collections::BTreeSet;
 
     fn centroid(ix: &KnnIndex, c: usize) -> &[f32] {
         &ix.centroids[c * ix.dim..(c + 1) * ix.dim]
@@ -667,8 +681,9 @@ mod tests {
         order.into_iter().map(|(_, c)| c).collect()
     }
 
-    /// The oracle: [`KnnIndex::answer`] before the packed pass — the full
-    /// sort above, a probed mask, and one scalar `euclidean` per unprobed
+    /// The oracle: [`KnnIndex::answer`] before the packed passes — the full
+    /// sort above, one scalar `euclidean` per re-ranked member (through its
+    /// embedding), a probed mask, and one scalar `euclidean` per unprobed
     /// centroid in the admissibility loop.
     fn oracle_answer(
         ix: &KnnIndex,
@@ -749,9 +764,11 @@ mod tests {
     /// eight grid queries at several `k`, with and without an excluded
     /// position, through `query_topk` and through the oracle: the served
     /// flag, the appended list's bits, `scanned` and every counter must
-    /// agree, and the centroid pack must hold `euclidean`'s bits. Returns
-    /// a tally: builds that left a partition empty, then the queries that
-    /// were indexed, fell back and bypassed.
+    /// agree, the centroid pack must hold `euclidean`'s bits, and every
+    /// member block those of its members, row by row in member order.
+    /// Returns a tally — builds that left a partition empty, then the
+    /// queries that were indexed, fell back and bypassed — and every
+    /// member count a partition had.
     fn check_against_oracle(
         seed: u64,
         n: usize,
@@ -760,14 +777,14 @@ mod tests {
         probe: usize,
         grid: usize,
         scratch: &mut Scratch,
-    ) -> [usize; 4] {
+    ) -> ([usize; 4], BTreeSet<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let embs = grid_points(&mut rng, n, dim, grid);
         let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
         let queries = grid_points(&mut rng, 8, dim, grid + 1);
         let positions: Vec<usize> = (0..n).collect();
         let held = [(usize::MAX, -1.0f32), (3, 0.5)];
-        let mut tally = [0; 4];
+        let (mut tally, mut sizes) = ([0; 4], BTreeSet::new());
         for quant in [QuantMode::Exact, QuantMode::I8, QuantMode::F16] {
             let cfg = IndexConfig {
                 partitions,
@@ -782,6 +799,8 @@ mod tests {
             let registry = MetricsRegistry::new();
             let ix = KnnIndex::build(&refs, &cfg, 0, &registry).expect("n, dim ≥ 1 build");
             tally[0] += usize::from(ix.members.iter().any(Vec::is_empty));
+            sizes.extend(ix.members.iter().map(Vec::len));
+            assert_eq!(ix.blocks.len(), ix.members.len(), "one block per partition");
             for x in &queries {
                 ix.packed.dists_into(x, &mut scratch.dists);
                 let want: Vec<u32> = (0..ix.radii.len())
@@ -789,6 +808,14 @@ mod tests {
                     .collect();
                 let got: Vec<u32> = scratch.dists.iter().map(|d| d.to_bits()).collect();
                 assert_eq!(got, want, "centroid pack, {quant:?}");
+                for (c, (block, members)) in ix.blocks.iter().zip(&ix.members).enumerate() {
+                    block.dists_into(x, &mut scratch.dists);
+                    let want: Vec<u32> = (members.iter())
+                        .map(|&m| euclidean(x, &embs[m as usize]).to_bits())
+                        .collect();
+                    let got: Vec<u32> = scratch.dists.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(got, want, "member block {c}, {quant:?}");
+                }
                 for exclude in [usize::MAX, rng.gen_range(0..n)] {
                     let selectable = n - usize::from(exclude < n);
                     for k in [0, 1, 2, 5, selectable] {
@@ -796,11 +823,9 @@ mod tests {
                         let case = format!(
                             "{quant:?}, n={n} dim={dim} p={partitions}/{probe}, k={k} exclude={exclude}"
                         );
-                        let emb_of = |m: usize| embs[m].as_slice();
                         let before = counts(&registry);
                         let mut got = held.to_vec();
-                        let served =
-                            ix.query_topk(x, k, exclude, emb_of, &positions, scratch, &mut got);
+                        let served = ix.query_topk(x, k, exclude, &positions, scratch, &mut got);
                         let mid = counts(&registry);
                         let mut want = held.to_vec();
                         let outcome = oracle_answer(&ix, x, k, exclude, &embs, &mut want);
@@ -813,8 +838,7 @@ mod tests {
                         };
                         assert_eq!(delta(mid, before), delta(after, mid), "{case}: counters");
                         let mut scanned = Vec::new();
-                        let again =
-                            ix.answer(x, k, exclude, emb_of, &positions, scratch, &mut scanned);
+                        let again = ix.answer(x, k, exclude, &positions, scratch, &mut scanned);
                         assert_eq!(again, outcome, "{case}: scanned");
                         tally[match outcome {
                             Outcome::Indexed { .. } => 1,
@@ -825,7 +849,7 @@ mod tests {
                 }
             }
         }
-        tally
+        (tally, sizes)
     }
 
     /// The name of the dispatch arm every kernel of the coarse pass ran.
@@ -837,36 +861,51 @@ mod tests {
         ["scalar", "avx2", "avx512f"][usize::from(level)]
     }
 
-    /// The partition counts the packed pass treats differently (one row,
-    /// a lane block less one, exactly one, plus one, and a hundred), with
-    /// one probe, a few, and every partition (the full-sort case); one
-    /// scratch across all of them, as a batch reuses it.
+    /// The shapes the packed passes treat differently: partition counts of
+    /// one row, a lane block less one, exactly one, plus one, and a hundred
+    /// (the coarse pass), and — through one partition holding every point —
+    /// member blocks of 1, 15, 16, 17 and 33 rows beside the empty ones the
+    /// grid's duplicates leave (the re-rank); with one probe, a few, and
+    /// every partition (the full-sort case); one scratch across all of
+    /// them, as a batch reuses it.
     #[test]
     fn coarse_pass_matches_the_oracle_on_the_shape_grid() {
         let mut scratch = Scratch::default();
-        let (mut seed, mut tally) = (0xc0a5, [0; 4]);
-        for partitions in [1, 15, 16, 17, 100] {
-            for n in [partitions, 2 * partitions + 3] {
+        let (mut seed, mut tally, mut sizes) = (0xc0a5, [0; 4], BTreeSet::new());
+        let shapes = [
+            (1, [1, 5, 15, 16, 17, 33].as_slice()),
+            (15, &[15, 33]),
+            (16, &[16, 35]),
+            (17, &[17, 37]),
+            (100, &[100, 203]),
+        ];
+        for (partitions, ns) in shapes {
+            for &n in ns {
                 for dim in [1, 3, 32] {
                     for probe in [1, 4.min(partitions), partitions] {
                         seed += 1;
-                        let t =
+                        let (t, s) =
                             check_against_oracle(seed, n, dim, partitions, probe, 3, &mut scratch);
                         tally.iter_mut().zip(t).for_each(|(a, b)| *a += b);
+                        sizes.extend(s);
                     }
                 }
             }
         }
         let [with_empty, indexed, fallback, bypass] = tally;
         println!(
-            "index coarse pass: dispatch arm {} on this host; {with_empty} builds with an \
-             empty partition; outcomes indexed {indexed}, fallback {fallback}, bypass {bypass}",
+            "index coarse pass and member blocks: dispatch arm {} on this host; \
+             {with_empty} builds with an empty partition; member counts met {sizes:?}; \
+             outcomes indexed {indexed}, fallback {fallback}, bypass {bypass}",
             arm()
         );
         assert!(
             tally.iter().all(|&t| t > 0),
             "the grid must reach every case"
         );
+        for rows in [0, 1, 15, 16, 17, 33] {
+            assert!(sizes.contains(&rows), "no member block of {rows} rows");
+        }
     }
 
     proptest! {

@@ -195,7 +195,8 @@ pub fn predict_batch<'a>(
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// One distance per member (the flat scan), or per centroid (the
-    /// index's coarse pass).
+    /// index's coarse pass) followed by one per member of each probed
+    /// partition (its re-rank).
     pub(crate) dists: Vec<f32>,
     /// The coarse pass's `(proxy, partition)` keys, probed first.
     pub(crate) keys: Vec<u64>,
@@ -206,13 +207,12 @@ pub struct Scratch {
 /// One RCS partition as [`partial_topk`] sees it: borrowed, so an
 /// [`AdvisorShard`] and a shard server's wire table are scanned by the
 /// same code.
-pub struct Partition<'a, I, F> {
+pub struct Partition<'a, I> {
     /// Global RCS id of each member, by position.
     pub ids: &'a [I],
-    /// Position → embedding (the index re-ranks through it).
-    pub embedding: F,
-    /// The same embeddings, by position, packed for the flat scan. Owners
-    /// write it wherever they write an embedding, so it is never stale.
+    /// The members' embeddings, by position, packed for the flat scan.
+    /// Owners write it wherever they write an embedding, so it is never
+    /// stale.
     pub packed: &'a PackedRows,
     /// The partition's index slot. Its `(generation, len)` tag is the
     /// only freshness check there is: a build over any other state of the
@@ -227,19 +227,16 @@ pub struct Partition<'a, I, F> {
 /// to `out` (what `out` already held is left as it was). The index and the
 /// flat scan produce the same bits, so whoever merges the list cannot tell
 /// which served it. See the module docs for the clamp, the exclusion and
-/// the counters. `scratch` holds the index's coarse pass and the flat
-/// scan's distances.
-pub fn partial_topk<'a, I, F>(
-    p: &Partition<'a, I, F>,
+/// the counters. `scratch` holds the index's coarse pass and re-rank and
+/// the flat scan's distances.
+pub fn partial_topk<I: Copy + Ord>(
+    p: &Partition<'_, I>,
     x: &[f32],
     k: usize,
     exclude: I,
     scratch: &mut Scratch,
     out: &mut Vec<(I, f32)>,
-) where
-    I: Copy + Ord,
-    F: Fn(usize) -> &'a [f32],
-{
+) {
     let excluded = p.ids.binary_search(&exclude).ok();
     let k = k.min(p.ids.len() - usize::from(excluded.is_some()));
     if k == 0 {
@@ -249,7 +246,7 @@ pub fn partial_topk<'a, I, F>(
         let position = excluded.unwrap_or(usize::MAX);
         if !index.tag_matches(p.generation, p.ids.len()) {
             index.note_bypass();
-        } else if index.query_topk(x, k, position, &p.embedding, p.ids, scratch, out) {
+        } else if index.query_topk(x, k, position, p.ids, scratch, out) {
             return;
         }
     }
@@ -435,7 +432,6 @@ mod tests {
                 for k in [0, 1, 2, n / 2, n, n + 3] {
                     let view = Partition {
                         ids: &ids,
-                        embedding: |m: usize| embs[m].as_slice(),
                         packed: &packed,
                         index,
                         generation,
@@ -583,7 +579,6 @@ mod tests {
                 let rows: Vec<&[f32]> = ids.iter().map(|&id| embs[id].as_slice()).collect();
                 let view = Partition {
                     ids,
-                    embedding: |m: usize| rows[m],
                     packed: &PackedRows::from_rows(&rows),
                     index: None,
                     generation: 0,

@@ -46,8 +46,7 @@ fn indexed_topk(
 ) -> Option<Vec<(usize, f32)>> {
     let positions: Vec<usize> = (0..embs.len()).collect();
     let (mut scratch, mut out) = (Scratch::default(), Vec::new());
-    let emb_of = |i: usize| embs[i].as_slice();
-    let served = ix.query_topk(x, k, exclude, emb_of, &positions, &mut scratch, &mut out);
+    let served = ix.query_topk(x, k, exclude, &positions, &mut scratch, &mut out);
     assert!(served || out.is_empty(), "a declining index truncates back");
     served.then_some(out)
 }

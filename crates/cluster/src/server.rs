@@ -300,7 +300,6 @@ impl ShardState {
                         });
                         let view = Partition {
                             ids: &table.ids,
-                            embedding: |m: usize| table.embeddings[m].as_slice(),
                             packed: &live.packed,
                             index: index.as_ref(),
                             generation: table.epoch,

@@ -11,9 +11,9 @@
 //! # Bits contract
 //!
 //! `dists_into(q, out)` leaves `out[i].to_bits() ==
-//! euclidean(q, row_i).to_bits()` for every row, at any dimension
-//! (including zero), row count and dispatch arm: per lane the operations
-//! are `t = q[d] − x; acc += t·t` from `f32`'s empty-sum value, exactly the
+//! euclidean(q, row_i).to_bits()` for every row (`append_dists` the same
+//! past `out`'s old end), at any dimension (including zero), row count and
+//! dispatch arm: per lane the operations are `t = q[d] − x; acc += t·t` from `f32`'s empty-sum value, exactly the
 //! sequence `euclidean` performs, and Rust never contracts them into an
 //! FMA. `euclidean` stays the one-pair primitive and this kernel's oracle.
 //! The kernel may change latency, never bits.
@@ -112,18 +112,30 @@ impl PackedRows {
     /// bits of [`euclidean`](crate::matrix::euclidean) before its square
     /// root. `out` is resized to [`Self::len`].
     pub fn sq_dists_into(&self, q: &[f32], out: &mut Vec<f32>) {
-        self.sq_dists_with(sq_dists_kernel::dispatch, q, out);
+        out.clear();
+        self.append_sq_dists_with(sq_dists_kernel::dispatch, q, out);
     }
 
-    /// `out[i] = euclidean(q, row_i)`, bit for bit.
+    /// `out[i] = euclidean(q, row_i)`, bit for bit: [`Self::append_dists`]
+    /// into a cleared `out`.
     pub fn dists_into(&self, q: &[f32], out: &mut Vec<f32>) {
-        self.sq_dists_into(q, out);
-        for d in out.iter_mut() {
+        out.clear();
+        self.append_dists(q, out);
+    }
+
+    /// Appends `euclidean(q, row_i)` for every row, bit for bit, after what
+    /// `out` already holds (left as it was) — so scans over several packs
+    /// share one buffer.
+    pub fn append_dists(&self, q: &[f32], out: &mut Vec<f32>) {
+        let start = out.len();
+        self.append_sq_dists_with(sq_dists_kernel::dispatch, q, out);
+        for d in &mut out[start..] {
             *d = d.sqrt();
         }
     }
 
-    fn sq_dists_with(
+    /// Appends one squared distance per row, computed by `kernel`.
+    fn append_sq_dists_with(
         &self,
         kernel: impl Fn(&[Lane], &[f32], f32, &mut [f32]),
         q: &[f32],
@@ -134,14 +146,14 @@ impl PackedRows {
         }
         // What `euclidean` starts from (`-0.0` on current toolchains).
         let empty_sum: f32 = std::iter::empty::<f32>().sum();
-        out.clear();
+        let start = out.len();
         if self.dim == 0 {
-            out.resize(self.rows, empty_sum);
+            out.resize(start + self.rows, empty_sum);
             return;
         }
-        out.resize(self.rows.div_ceil(LANES) * LANES, 0.0);
-        kernel(&self.data, q, empty_sum, out);
-        out.truncate(self.rows);
+        out.resize(start + self.rows.div_ceil(LANES) * LANES, 0.0);
+        kernel(&self.data, q, empty_sum, &mut out[start..]);
+        out.truncate(start + self.rows);
     }
 }
 
@@ -218,7 +230,8 @@ mod tests {
         let mut skipped = Vec::new();
         for (level, name) in ARMS.iter().enumerate() {
             let ran = std::cell::Cell::new(true);
-            packed.sq_dists_with(
+            out.clear();
+            packed.append_sq_dists_with(
                 |data, q, zero, out| {
                     ran.set(sq_dists_kernel::run_arm(level as u8, data, q, zero, out))
                 },
@@ -318,6 +331,47 @@ mod tests {
             let rows = rows_of(blocks * LANES + extra, dim, &mut rng);
             let q: Vec<f32> = (0..dim).map(|_| awkward(&mut rng)).collect();
             check_all_arms(&rows, &q);
+        }
+
+        /// The appending form at any starting offset, on every dispatch
+        /// arm the host supports: what `out` held stays bit for bit, and
+        /// the appended tail is what `dists_into` leaves — `euclidean`'s
+        /// bits.
+        #[test]
+        fn append_matches_dists_into_at_any_offset(
+            seed in 0u64..1_000_000,
+            dim in 0usize..40,
+            n in 0usize..70,
+            held in 0usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let packed = PackedRows::from_rows(&rows_of(n, dim, &mut rng));
+            let q: Vec<f32> = (0..dim).map(|_| awkward(&mut rng)).collect();
+            let prefix: Vec<f32> = (0..held).map(|_| awkward(&mut rng)).collect();
+            let all_bits = |xs: &[f32]| xs.iter().map(|&d| bits(d)).collect::<Vec<_>>();
+            let mut want = Vec::new();
+            packed.dists_into(&q, &mut want);
+            let mut out = prefix.clone();
+            packed.append_dists(&q, &mut out);
+            prop_assert_eq!(all_bits(&out), all_bits(&[prefix.as_slice(), &want].concat()));
+            for (level, name) in ARMS.iter().enumerate() {
+                let ran = std::cell::Cell::new(true);
+                let mut out = prefix.clone();
+                packed.append_sq_dists_with(
+                    |data, q, zero, out| {
+                        ran.set(sq_dists_kernel::run_arm(level as u8, data, q, zero, out))
+                    },
+                    &q,
+                    &mut out,
+                );
+                if !ran.get() {
+                    continue;
+                }
+                let (head, tail) = out.split_at(held);
+                let roots: Vec<f32> = tail.iter().map(|s| s.sqrt()).collect();
+                prop_assert_eq!(all_bits(head), all_bits(&prefix), "{}: held", name);
+                prop_assert_eq!(all_bits(&roots), all_bits(&want), "{}", name);
+            }
         }
 
         /// Any interleaving of `push` and `set_row` leaves the bits — data

@@ -14,6 +14,8 @@
 //! scores in that order. Thread counts and collection order cannot change
 //! any of it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use autoce::index::IndexConfig;
 use autoce::{
     knn, AdvisorBackend, AdvisorError, AutoCe, AutoCeConfig, BatchPredictRequest, RcsEntry,
@@ -74,15 +76,11 @@ impl ShardedAdvisor {
         for s in 0..num_shards {
             let take = base + usize::from(s < rem);
             let ids: Vec<usize> = (next..next + take).collect();
-            for (slot, &id) in ids.iter().enumerate() {
-                debug_assert_eq!(id, directory.len());
-                let _ = id;
-                directory.push((s, slot));
-            }
+            directory.extend((0..take).map(|slot| (s, slot)));
             shards.push(AdvisorShard::new(ids, entries[next..next + take].to_vec()));
             next += take;
         }
-        let mut sharded = ShardedAdvisor {
+        ShardedAdvisor {
             config: advisor.config.clone(),
             encoder: advisor.encoder().clone(),
             shards,
@@ -90,21 +88,6 @@ impl ShardedAdvisor {
             generation: 0,
             metrics: MetricsRegistry::disabled(),
             index_cfg: None,
-        };
-        // Pre-warm the serving chunks at construction: packing is pure
-        // data movement (no floats change), and doing it here keeps the
-        // first refresh/adaptation — and cold request streams racing it —
-        // from paying the packing cost at serving time.
-        sharded.prewarm_chunks();
-        sharded
-    }
-
-    /// Packs every shard's stacked serving chunks now instead of lazily at
-    /// the next refresh. Idempotent; shards whose membership changed since
-    /// the last packing are rebuilt, clean shards are untouched.
-    pub fn prewarm_chunks(&mut self) {
-        for shard in &mut self.shards {
-            shard.pack();
         }
     }
 
@@ -200,6 +183,9 @@ impl ShardedAdvisor {
     /// for why this matches the flat scan bitwise). A convenience over
     /// [`AdvisorBackend::predict_excluding`] (the [`knn`] steps, typed
     /// errors) that **panics** when the RCS holds nothing to select.
+    // Audited: the documented panic of a tuple-form convenience that
+    // nothing behind `AdvisorService` calls.
+    #[allow(clippy::expect_used)]
     pub fn predict_excluding(
         &self,
         embedding: &[f32],
@@ -245,9 +231,10 @@ impl ShardedAdvisor {
     pub fn push_entry(&mut self, graph: FeatureGraph, label: &DatasetLabel) -> usize {
         let embedding = self.encoder.encode(&graph);
         let global = self.directory.len();
+        // `from_advisor` makes at least one shard, so the minimum exists.
         let target = (0..self.shards.len())
             .min_by_key(|&s| (self.shards[s].len(), s))
-            .expect("at least one shard");
+            .unwrap_or(0);
         let shard = &mut self.shards[target];
         shard.push(global, RcsEntry::from_label(graph, label, embedding));
         self.directory.push((target, shard.len() - 1));
@@ -255,9 +242,11 @@ impl ShardedAdvisor {
     }
 
     /// Recomputes every entry's embedding after an encoder update, routed
-    /// per shard: each shard re-encodes its own cached stacked chunks
-    /// (rebuilt only where membership changed) with the refresh fanned out
-    /// over the rayon pool. Bit-identical to per-graph encoding.
+    /// per shard: each shard re-encodes its own stacked chunks with the
+    /// refresh fanned out over the rayon pool. Construction packs none —
+    /// a read-only service never reads them — so the first refresh packs
+    /// every shard's, and later ones repack only shards whose membership
+    /// changed. Bit-identical to per-graph encoding.
     pub fn refresh_embeddings(&mut self) {
         // Refresh is a cold path (it follows a retrain), so registering
         // the histogram here — under the registry's own mutex, never a
@@ -394,6 +383,7 @@ impl AdvisorBackend for ShardedAdvisor {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use autoce::fixtures::{synthetic_flat, synthetic_label};
