@@ -172,6 +172,17 @@ impl AdvisorShard {
         &self.entries
     }
 
+    /// This partition as [`knn::partial_topk`] scans it, under the owner's
+    /// live `generation`.
+    pub fn view(&self, generation: u64) -> Partition<'_, usize> {
+        Partition {
+            ids: &self.ids,
+            packed: &self.packed,
+            index: self.index.as_ref(),
+            generation,
+        }
+    }
+
     /// The partial top-k of this partition ([`knn::partial_topk`]),
     /// appended to `out`; `generation` is the owner's live generation,
     /// `scratch` the query path's reusable buffers.
@@ -184,13 +195,7 @@ impl AdvisorShard {
         scratch: &mut knn::Scratch,
         out: &mut Vec<(usize, f32)>,
     ) {
-        let view = Partition {
-            ids: &self.ids,
-            packed: &self.packed,
-            index: self.index.as_ref(),
-            generation,
-        };
-        knn::partial_topk(&view, x, k, exclude, scratch, out);
+        knn::partial_topk(&self.view(generation), x, k, exclude, scratch, out);
     }
 
     /// Appends an entry under global index `id`. Membership changed: the
@@ -404,9 +409,12 @@ impl AutoCe {
             .expect("the RCS holds a selectable entry")
     }
 
-    /// Distance from an embedding to the nearest RCS entry (drift check).
+    /// Distance from an embedding to the nearest RCS entry (drift check):
+    /// [`knn::nearest_distance`] over the one partition, index included.
     pub fn distance_to_embedding(&self, x: &[f32]) -> f32 {
-        knn::min_distance(x, self.rcs().iter().map(|e| e.embedding.as_slice()))
+        let view = self.rcs.view(AdvisorBackend::generation(self));
+        let (mut scratch, mut cands) = (knn::Scratch::default(), Vec::new());
+        knn::nearest_distance(&[view], x, usize::MAX, &mut scratch, &mut cands)
     }
 
     /// Full Stage-4 recommendation for a dataset.
@@ -440,7 +448,7 @@ impl AutoCe {
     /// Rejects a structurally invalid config and a cutover below the
     /// advisor's `k` ([`IndexConfig::validate_for_k`]) before touching any
     /// state. Correctness never depends on the cutover check (an index
-    /// short of `k` candidates falls back).
+    /// short of `k` candidates widens to every partition).
     pub fn set_index_config(
         &mut self,
         cfg: IndexConfig,

@@ -208,11 +208,13 @@ pub trait AdvisorBackend: Send + Sync {
     }
 
     /// Distance from an embedding to its nearest RCS entry (the drift
-    /// signal).
+    /// signal): [`crate::knn::nearest_distance`] over the backend's own
+    /// partitions.
     fn distance_to_nearest(&self, x: &[f32]) -> f32;
 
     /// Fits a drift detector over the current RCS membership in global
-    /// index order.
+    /// index order, through the partitions (and indexes) the backend
+    /// serves from ([`DriftDetector::from_partitions`]).
     fn drift_detector(&self) -> DriftDetector;
 
     /// Push hook: absorbs a freshly labeled dataset into the RCS (and,
@@ -234,8 +236,8 @@ pub trait AdvisorBackend: Send + Sync {
     /// ([`crate::index::IndexConfig`]) on backends that scan embeddings
     /// locally; counters land in `metrics`. Purely a performance knob —
     /// the bit-determinism contract above holds with or without an index
-    /// (indexed answers are provably the flat scan's, stale or
-    /// inadmissible indexes fall back). The default ignores the request:
+    /// (indexed answers are provably the flat scan's, an inadmissible
+    /// probe widens, a stale index is bypassed). The default ignores the request:
     /// backends whose scans happen remotely (the cluster coordinator's
     /// shard servers hold their own operator-side index config) have
     /// nothing to install here.

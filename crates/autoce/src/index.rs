@@ -20,16 +20,18 @@
 //!    like the flat scan's — and the top k are selected under
 //!    [`knn_order`].
 //!
-//! The result is returned **only if it is provably the flat scan's**: for
+//! The result is returned **only once it is provably the flat scan's**: for
 //! every unprobed partition `p`, the triangle-inequality bound
 //! `d(x, c_p) − radius_p` (exact `f32` from the same coarse pass, whatever
 //! the quantization mode) must exceed the k-th candidate distance by a
 //! margin plus a conservative float-error slack. Strict inequality is
 //! required because [`knn_order`] breaks distance ties by RCS index — an
 //! unprobed entry merely *tying* the k-th distance could win the slot. If
-//! any partition fails the bound, the query falls back to the flat scan;
-//! the index affects performance, never results. `docs/knn-index.md` has
-//! the proof sketch.
+//! any partition fails the bound, the query **widens**: it doubles its
+//! probe set in coarse order, re-ranks only the newly probed partitions
+//! into the same list, and checks the bound again — with every partition
+//! probed the list is the flat scan's by construction. The index affects
+//! performance, never results. `docs/knn-index.md` has the proof sketch.
 //!
 //! # Position ↔ identity contract
 //!
@@ -57,9 +59,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::backend::{validate_nonzero, AdvisorError};
-use crate::knn::{top_k, Scratch};
+use crate::knn::{top_k_onto, Scratch};
 use ce_nn::index::{
-    i8_scale, quantize_f16, quantize_i8, quantize_i8_into, sq_dist_f16, sq_dist_i8,
+    i8_scale, quantize_f16, quantize_i8, quantize_i8_into, sq_dists_f16, sq_dists_i8,
 };
 use ce_nn::kmeans::kmeans;
 use ce_nn::packed::PackedRows;
@@ -95,11 +97,11 @@ pub struct IndexConfig {
     /// Number of IVF partitions (k-means k). Clamped to the RCS size at
     /// build.
     pub partitions: usize,
-    /// Partitions probed per query. More probes → fewer fallbacks,
-    /// more re-rank work.
+    /// Partitions probed first per query. More probes → fewer widened
+    /// queries, more re-rank work.
     pub probe: usize,
     /// Extra admissibility margin added to the distance bound. Zero is
-    /// correct; a positive margin trades extra fallbacks for headroom
+    /// correct; a positive margin trades extra widening for headroom
     /// against adversarially tight layouts.
     pub margin: f32,
     /// Coarse-stage centroid storage (see [`QuantMode`]).
@@ -251,9 +253,10 @@ impl IndexConfigBuilder {
 }
 
 /// Lock-free metric handles for one index (all no-ops when the registry
-/// is disabled). Outcome taxonomy: `indexed` answered from the index,
-/// `fallback` probed but failed the admissibility bound, `bypass` never
-/// probed (stale tag, dimension mismatch, or no index at this size).
+/// is disabled). Outcome taxonomy: `indexed` answered from the first
+/// `probe` partitions, `fallback` answered after widening past them (the
+/// first round failed the admissibility bound), `bypass` never probed
+/// (stale tag, dimension mismatch, or no index at this size).
 #[derive(Clone)]
 struct IndexObs {
     indexed: Counter,
@@ -427,12 +430,12 @@ impl KnnIndex {
 
     /// The coarse pass: one packed kernel call leaves every centroid's
     /// exact distance in `scratch.dists` (`euclidean`'s bits), then each
-    /// partition's `(proxy, partition index)` key goes to `scratch.keys`
-    /// and a partial select puts the `probe` least first, ascending. The
-    /// proxy is the exact distance or, in a quantized mode, its i8 / f16
-    /// stand-in; ties and quantization error only steer probing, never
-    /// results. Returns how many partitions are probed.
-    fn coarse(&self, query: &[f32], scratch: &mut Scratch) -> usize {
+    /// partition's `(proxy, partition index)` key goes to `scratch.keys`,
+    /// in partition order. The proxy is the exact distance or, in a
+    /// quantized mode, its i8 / f16 stand-in — every centroid's from one
+    /// batched kernel call; ties and quantization error only steer
+    /// probing, never results.
+    fn coarse(&self, query: &[f32], scratch: &mut Scratch) {
         self.packed.dists_into(query, &mut scratch.dists);
         let keys = &mut scratch.keys;
         keys.clear();
@@ -442,31 +445,31 @@ impl KnnIndex {
             ),
             QuantMode::I8 => {
                 quantize_i8_into(query, 1.0 / self.i8_inv, &mut scratch.codes);
-                let codes = &scratch.codes;
+                sq_dists_i8(&scratch.codes, &self.quant_i8, &mut scratch.proxies_i8);
                 keys.extend(
-                    (self.quant_i8.chunks_exact(self.dim).enumerate())
-                        .map(|(c, chunk)| order_key(i32_rank(sq_dist_i8(codes, chunk)), c)),
+                    (scratch.proxies_i8.iter().enumerate())
+                        .map(|(c, &d)| order_key(i32_rank(d), c)),
                 );
             }
-            QuantMode::F16 => keys.extend(
-                (self.quant_f16.chunks_exact(self.dim).enumerate())
-                    .map(|(c, chunk)| order_key(f32_rank(sq_dist_f16(query, chunk)), c)),
-            ),
+            QuantMode::F16 => {
+                sq_dists_f16(query, &self.quant_f16, &mut scratch.proxies_f16);
+                keys.extend(
+                    (scratch.proxies_f16.iter().enumerate())
+                        .map(|(c, &d)| order_key(f32_rank(d), c)),
+                );
+            }
         }
-        let probe = self.cfg.probe.min(keys.len());
-        if probe < keys.len() {
-            keys.select_nth_unstable(probe);
-        }
-        keys[..probe].sort_unstable();
-        probe
     }
 
     /// Two-stage query: probes the closest partitions, exactly re-ranks
     /// their members under [`knn_order`](crate::knn_order), and appends the
-    /// top `k` `(ids[position], exact distance)` ascending to `out` —
-    /// **only** when the admissibility bound proves the result equals the
-    /// flat scan's, which is when it returns `true`. `false` means fall back
-    /// to the flat scan; `out` is then truncated back to where it started.
+    /// top `k` `(ids[position], exact distance)` ascending to `out` — the
+    /// flat scan's list, bit for bit. While the admissibility bound cannot
+    /// prove that, the query widens: the probe set doubles in coarse order
+    /// and only the newly probed partitions are re-ranked into the same
+    /// list, until the bound admits or every partition is probed. Returns
+    /// `false` only for a query it never probed (`k == 0`, or a query of
+    /// another dimension), leaving `out` as it was; the caller then scans.
     /// `exclude` (position; `usize::MAX` for none) is skipped during
     /// candidate collection. `ids` names the members by position and must
     /// ascend (positions then rank like ids, so ties break alike).
@@ -501,62 +504,82 @@ impl KnnIndex {
         if k == 0 || query.len() != self.dim {
             return Outcome::Bypass;
         }
-        let probe = self.coarse(query, scratch);
-        let (probed, unprobed) = scratch.keys.split_at(probe);
-
-        // The re-rank: one packed pass per probed block, each appending its
-        // members' exact distances after the coarse pass's, so the member
-        // stream below and the distances line up one to one.
-        let dists = &mut scratch.dists;
-        let centroids = dists.len();
-        for &key in probed {
-            self.blocks[partition(key)].append_dists(query, dists);
-        }
+        self.coarse(query, scratch);
+        let partitions = scratch.keys.len();
+        let first = self.cfg.probe.min(partitions);
         let start = out.len();
-        let mut scanned = 0usize;
-        let members = (probed.iter())
-            .flat_map(|&key| &self.members[partition(key)])
-            .map(|&m| m as usize)
-            .zip(&dists[centroids..])
-            .filter(|&(m, _)| m != exclude)
-            .inspect(|_| scanned += 1);
-        top_k(members.map(|(m, &d)| (ids[m], d)), k, out);
-        let Some(&(_, d_k)) = out.get(start + k - 1) else {
-            out.truncate(start);
-            return Outcome::Fallback { scanned };
-        };
+        let (mut probed, mut wanted, mut scanned) = (0, first, 0usize);
+        loop {
+            select_least(&mut scratch.keys, probed, wanted);
+            let (keys, dists) = (&scratch.keys[probed..wanted], &mut scratch.dists);
+            // The re-rank of the newly probed partitions: one packed pass
+            // per block, each appending its members' exact distances after
+            // everything the buffer holds (the coarse pass's, then earlier
+            // rounds'), so the member stream below and the distances line
+            // up one to one; streamed into the list earlier rounds left.
+            let from = dists.len();
+            for &key in keys {
+                self.blocks[partition(key)].append_dists(query, dists);
+            }
+            let members = (keys.iter())
+                .flat_map(|&key| &self.members[partition(key)])
+                .map(|&m| m as usize)
+                .zip(&dists[from..])
+                .filter(|&(m, _)| m != exclude)
+                .inspect(|_| scanned += 1);
+            top_k_onto(start, members.map(|(m, &d)| (ids[m], d)), k, out);
+            probed = wanted;
+            if self.admits(&out[start..], k, &scratch.keys[probed..], &scratch.dists) {
+                return if probed == first {
+                    Outcome::Indexed { scanned }
+                } else {
+                    Outcome::Fallback
+                };
+            }
+            if probed == partitions {
+                return Outcome::Fallback;
+            }
+            wanted = (2 * probed).min(partitions);
+        }
+    }
 
-        // Admissibility: every unprobed, non-empty partition must be
-        // provably too far to contribute — or even tie — a top-k slot.
-        // All distances here are the coarse pass's exact f32, whatever the
-        // coarse mode.
+    /// The admissibility bound over a sorted candidate `list`: it holds
+    /// `k` entries, and every unprobed, non-empty partition is provably
+    /// too far to contribute — or even tie — a top-k slot. All distances
+    /// here are the coarse pass's exact f32 (`coarse[c]`), whatever the
+    /// coarse mode.
+    fn admits<I>(&self, list: &[(I, f32)], k: usize, unprobed: &[u64], coarse: &[f32]) -> bool {
+        let Some(&(_, d_k)) = list.get(k - 1) else {
+            return false;
+        };
         for &key in unprobed {
             let c = partition(key);
             if self.members[c].is_empty() {
                 continue;
             }
-            let (d_c, r_c) = (scratch.dists[c], self.radii[c]);
+            let (d_c, r_c) = (coarse[c], self.radii[c]);
             let slack = 4.0 * f32::EPSILON * (self.dim as f32 + 8.0) * (d_c + r_c + d_k);
             if d_c - r_c <= d_k + self.cfg.margin + slack {
-                out.truncate(start);
-                return Outcome::Fallback { scanned };
+                return false;
             }
         }
-        Outcome::Indexed { scanned }
+        true
     }
 
     /// Moves the counter `outcome` names; `true` when the index answered.
     fn record(&self, outcome: Outcome) -> bool {
         match outcome {
-            Outcome::Bypass => self.obs.bypass.inc(),
-            Outcome::Fallback { .. } => self.obs.fallback.inc(),
+            Outcome::Bypass => {
+                self.obs.bypass.inc();
+                return false;
+            }
+            Outcome::Fallback => self.obs.fallback.inc(),
             Outcome::Indexed { scanned } => {
                 self.obs.indexed.inc();
                 self.obs.rerank.observe(scanned as u64);
-                return true;
             }
         }
-        false
+        true
     }
 }
 
@@ -565,11 +588,22 @@ impl KnnIndex {
 enum Outcome {
     /// Never probed: `k == 0`, or a query of another dimension.
     Bypass,
-    /// Re-ranked `scanned` candidates, then declined: fewer than `k`, or
-    /// an unprobed partition the bound could not rule out.
-    Fallback { scanned: usize },
-    /// Answered from `scanned` re-ranked candidates.
+    /// Answered after widening: the first `probe` partitions held fewer
+    /// than `k` candidates, or left one the bound could not rule out.
+    Fallback,
+    /// Answered from the first `probe` partitions' `scanned` re-ranked
+    /// candidates.
     Indexed { scanned: usize },
+}
+
+/// Puts the least of `keys[from..]` in `keys[from..to]`, ascending: the
+/// partitions a query probes next, in coarse order.
+fn select_least(keys: &mut [u64], from: usize, to: usize) {
+    let (rest, n) = (&mut keys[from..], to - from);
+    if n < rest.len() {
+        rest.select_nth_unstable(n);
+    }
+    rest[..n].sort_unstable();
 }
 
 /// `(proxy, partition)` as one integer: its unsigned order is the proxy
@@ -644,6 +678,8 @@ impl std::fmt::Debug for KnnIndex {
 #[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::knn::top_k;
+    use ce_nn::index::{sq_dist_f16, sq_dist_i8};
     use ce_nn::matrix::euclidean;
     use proptest::prelude::*;
     use rand::Rng;
@@ -684,7 +720,9 @@ mod tests {
     /// The oracle: [`KnnIndex::answer`] before the packed passes — the full
     /// sort above, one scalar `euclidean` per re-ranked member (through its
     /// embedding), a probed mask, and one scalar `euclidean` per unprobed
-    /// centroid in the admissibility loop.
+    /// centroid in the admissibility loop. Where that first round declines,
+    /// the widening rule: the answer is the flat scan's list (one
+    /// `euclidean` per member), counted as a fallback.
     fn oracle_answer(
         ix: &KnnIndex,
         query: &[f32],
@@ -707,9 +745,14 @@ mod tests {
             .filter(|&m| m != exclude)
             .inspect(|_| scanned += 1);
         top_k(members.map(|m| (m, euclidean(query, &embs[m]))), k, out);
-        if out.len() - start < k {
+        let widen = |out: &mut Vec<(usize, f32)>| {
             out.truncate(start);
-            return Outcome::Fallback { scanned };
+            let all = (0..embs.len()).filter(|&m| m != exclude);
+            top_k(all.map(|m| (m, euclidean(query, &embs[m]))), k, out);
+            Outcome::Fallback
+        };
+        if out.len() - start < k {
+            return widen(out);
         }
         let d_k = out[start + k - 1].1;
         let mut probed = vec![false; p];
@@ -723,8 +766,7 @@ mod tests {
             let d_c = euclidean(query, centroid(ix, c));
             let slack = 4.0 * f32::EPSILON * (ix.dim as f32 + 8.0) * (d_c + ix.radii[c] + d_k);
             if d_c - ix.radii[c] <= d_k + ix.cfg.margin + slack {
-                out.truncate(start);
-                return Outcome::Fallback { scanned };
+                return widen(out);
             }
         }
         Outcome::Indexed { scanned }
@@ -767,7 +809,7 @@ mod tests {
     /// agree, the centroid pack must hold `euclidean`'s bits, and every
     /// member block those of its members, row by row in member order.
     /// Returns a tally — builds that left a partition empty, then the
-    /// queries that were indexed, fell back and bypassed — and every
+    /// queries that were indexed, widened and bypassed — and every
     /// member count a partition had.
     fn check_against_oracle(
         seed: u64,
@@ -842,7 +884,7 @@ mod tests {
                         assert_eq!(again, outcome, "{case}: scanned");
                         tally[match outcome {
                             Outcome::Indexed { .. } => 1,
-                            Outcome::Fallback { .. } => 2,
+                            Outcome::Fallback => 2,
                             Outcome::Bypass => 3,
                         }] += 1;
                     }

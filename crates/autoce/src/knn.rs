@@ -12,16 +12,18 @@
 //! 2. [`partial_topk`] — per RCS partition, the `k` nearest non-excluded
 //!    members under [`knn_order`], *appended* to a caller-owned candidate
 //!    buffer: from the partition's [`KnnIndex`] when its `(generation, len)`
-//!    tag matches the live partition and the admissibility bound proves the
-//!    answer, otherwise by the flat scan — one lane-per-row kernel pass over
-//!    the partition's [`PackedRows`] mirror, every distance the bits of
-//!    [`euclidean`] (which stays the one-pair primitive and the tests'
-//!    oracle). Both end in one selection tail (`top_k`), fed straight off
-//!    the `(id, distance)` stream.
+//!    tag matches the live partition (the index widens its probe until the
+//!    admissibility bound proves the answer), otherwise by the flat scan —
+//!    one lane-per-row kernel pass over the partition's [`PackedRows`]
+//!    mirror, every distance the bits of [`euclidean`] (which stays the
+//!    one-pair primitive and the tests' oracle). Both end in one selection
+//!    tail (`top_k`), fed straight off the `(id, distance)` stream.
 //! 3. [`merge_vote`] — sort the concatenated partial lists in place, keep
 //!    `k`, [`knn_vote`]. One partition is not a special case: merging one
 //!    sorted list is a no-op sort.
-//! 4. [`min_distance`] — the nearest-member fold behind the drift signal.
+//! 4. [`nearest_distance`] — step 2 at `k = 1` over every partition, the
+//!    least answer: the drift signal, and every row of the drift
+//!    detector's fit ([`crate::online::DriftDetector`]).
 //!
 //! The flat [`AutoCe`](crate::AutoCe) owns one [`AdvisorShard`] (ids
 //! `0..n`) and `ce-serve`'s `ShardedAdvisor` owns N; both answer through
@@ -46,8 +48,10 @@
 //!   wire); nothing converts until a frame is built or read.
 //! * **Index outcome accounting.** `ce_index_queries_total{outcome}` moves
 //!   once per partition query that meets a build: `bypass` for a stale tag
-//!   (here) or a dimension mismatch, `indexed` / `fallback` inside
-//!   [`KnnIndex::query_topk`]. An empty slot counts nothing.
+//!   (here) or a dimension mismatch, `indexed` / `fallback` (answered after
+//!   widening) inside [`KnnIndex::query_topk`]. An empty slot counts
+//!   nothing. Step 4 queries through step 2, so a drift check and a
+//!   detector fit count here too.
 //! * **Fan-out.** None here. A query scans its partitions serially (a scan
 //!   is microseconds; the rayon shim spawns threads per call), and each
 //!   owner keeps the `par_iter` shape of its refresh — the flat advisor
@@ -61,6 +65,8 @@
 //! vote over no neighbour is [`AdvisorError::EmptyRcs`]. What is left is
 //! one audited assertion on an owner's own state (in [`partial_topk`]).
 //! The lints below keep it that way.
+//!
+//! [`euclidean`]: ce_nn::matrix::euclidean
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -68,7 +74,6 @@ use crate::advisor::{AdvisorShard, RcsEntry};
 use crate::backend::{AdvisorError, BatchPredictRequest};
 use crate::index::KnnIndex;
 use ce_models::ModelKind;
-use ce_nn::matrix::euclidean;
 use ce_nn::packed::PackedRows;
 use ce_testbed::score::best_index;
 use ce_testbed::MetricWeights;
@@ -202,6 +207,10 @@ pub struct Scratch {
     pub(crate) keys: Vec<u64>,
     /// The query's i8 codes, under `QuantMode::I8`.
     pub(crate) codes: Vec<i8>,
+    /// One coarse proxy per centroid, under `QuantMode::I8`.
+    pub(crate) proxies_i8: Vec<i32>,
+    /// One coarse proxy per centroid, under `QuantMode::F16`.
+    pub(crate) proxies_f16: Vec<f32>,
 }
 
 /// One RCS partition as [`partial_topk`] sees it: borrowed, so an
@@ -273,8 +282,20 @@ pub(crate) fn top_k<I: Copy + Ord>(
     k: usize,
     out: &mut Vec<(I, f32)>,
 ) {
-    let start = out.len();
-    let mut bar: Option<(I, f32)> = None;
+    top_k_onto(out.len(), candidates, k, out);
+}
+
+/// [`top_k`] continued: `out[start..]` is the list an earlier call left
+/// there (sorted, at most `k`), and the `k` least of it and `candidates`
+/// together replace it — how a widening index query re-ranks only the
+/// partitions it adds. A full list's k-th is the bar from the start.
+pub(crate) fn top_k_onto<I: Copy + Ord>(
+    start: usize,
+    candidates: impl Iterator<Item = (I, f32)>,
+    k: usize,
+    out: &mut Vec<(I, f32)>,
+) {
+    let mut bar = out.get(start + k - 1).copied();
     for c in candidates {
         if let Some(bar) = bar {
             if c.1 > bar.1 || knn_order(&c, &bar) != Ordering::Less {
@@ -311,13 +332,31 @@ pub fn merge_vote<'a>(
     knn_vote(nearest.iter().map(|&(id, _)| entry(id)), k, w)
 }
 
-/// Distance from `x` to the nearest of `embeddings` (`+∞` over none) —
-/// the drift signal's one fold.
-pub fn min_distance<'a>(x: &[f32], embeddings: impl IntoIterator<Item = &'a [f32]>) -> f32 {
-    embeddings
-        .into_iter()
-        .map(|e| euclidean(x, e))
-        .fold(f32::INFINITY, f32::min)
+/// Step 4: the distance from `x` to its nearest member other than
+/// `exclude` — [`partial_topk`] at `k = 1` in every partition, the least of
+/// their answers; `+∞` over no member and for a non-finite `x`. The drift
+/// signal, and the detector fit once per RCS row. `scratch` and `cands` are
+/// the caller's reusable buffers.
+pub fn nearest_distance(
+    partitions: &[Partition<'_, usize>],
+    x: &[f32],
+    exclude: usize,
+    scratch: &mut Scratch,
+    cands: &mut Vec<(usize, f32)>,
+) -> f32 {
+    if !finite(x) {
+        return f32::INFINITY;
+    }
+    cands.clear();
+    for p in partitions {
+        partial_topk(p, x, 1, exclude, scratch, cands);
+    }
+    cands.iter().fold(f32::INFINITY, |m, &(_, d)| m.min(d))
+}
+
+/// True when every coordinate of `x` is a number.
+pub(crate) fn finite(x: &[f32]) -> bool {
+    x.iter().all(|v| v.is_finite())
 }
 
 #[cfg(test)]
@@ -326,6 +365,7 @@ mod tests {
     use super::*;
     use crate::fixtures::synthetic_grid;
     use crate::index::IndexConfig;
+    use ce_nn::matrix::euclidean;
     use ce_obs::MetricsRegistry;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -374,7 +414,7 @@ mod tests {
 
     /// `partial_topk` appends the brute-force prefix — whatever serves it —
     /// after what its buffer already held, which stays as it was (an index
-    /// that declines included), and the index counts one outcome per query
+    /// that widens included), and the index counts one outcome per query
     /// that met a build.
     fn check_partition(
         seed: u64,
@@ -535,6 +575,35 @@ mod tests {
     }
 
     proptest! {
+        /// A stream selected in rounds — [`top_k`] over a first part, then
+        /// [`top_k_onto`] per later part onto the list it left — is the
+        /// stream selected at once, behind whatever the buffer held.
+        #[test]
+        fn selection_in_rounds_is_selection_at_once(
+            seed in 0u64..1_000_000,
+            n in 0usize..80,
+            k in 1usize..12,
+            rounds in 1usize..5,
+            grid in 1usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stream: Vec<(usize, f32)> =
+                (0..n).map(|id| (id, rng.gen_range(0..grid) as f32 * 0.5)).collect();
+            stream.shuffle(&mut rng);
+            let held = [(9usize, 0.0f32), (1, 7.5)];
+            let mut want = held.to_vec();
+            top_k(stream.iter().copied(), k, &mut want);
+            let mut cuts: Vec<usize> = (1..rounds).map(|_| rng.gen_range(0..=n)).collect();
+            cuts.sort_unstable();
+            let mut got = held.to_vec();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([n]) {
+                top_k_onto(held.len(), stream[from..to].iter().copied(), k, &mut got);
+                from = to;
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
         /// [`check_partition`] at random shapes.
         #[test]
         fn partial_topk_is_the_full_sort_prefix(
@@ -749,6 +818,81 @@ mod tests {
         );
     }
 
+    /// Step 4 is `+∞` over no member — no partition, an empty one, a lone
+    /// member excluded — and for a NaN or ±∞ anywhere in the query, with an
+    /// index installed; otherwise it is the least `euclidean` over the
+    /// members, whichever partition holds it.
+    #[test]
+    fn nearest_distance_is_infinite_over_nothing_and_for_a_non_finite_query() {
+        let (mut scratch, mut cands) = (Scratch::default(), Vec::new());
+        let mut nearest = |views: &[Partition<'_, usize>], x: &[f32], exclude: usize| {
+            nearest_distance(views, x, exclude, &mut scratch, &mut cands)
+        };
+        assert_eq!(nearest(&[], &[0.0, 1.0], usize::MAX), f32::INFINITY);
+        fn view<'a>(
+            ids: &'a [usize],
+            packed: &'a PackedRows,
+            index: Option<&'a KnnIndex>,
+        ) -> Partition<'a, usize> {
+            Partition {
+                ids,
+                packed,
+                index,
+                generation: GENERATION,
+            }
+        }
+        let empty = PackedRows::from_rows::<Vec<f32>>(&[]);
+        let none = view(&[], &empty, None);
+        assert_eq!(nearest(&[none], &[0.0, 1.0], usize::MAX), f32::INFINITY);
+        let lone = PackedRows::from_rows(&[[0.5f32, 0.5]]);
+        let lone = view(&[7], &lone, None);
+        assert_eq!(nearest(&[lone], &[0.0, 1.0], 7), f32::INFINITY);
+
+        let mut rng = StdRng::seed_from_u64(0x4ea7);
+        let embs = grid_points(&mut rng, 40, 2, 4);
+        let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+        let (low, high) = refs.split_at(25);
+        let cfg = IndexConfig {
+            partitions: 4,
+            probe: 1,
+            min_rcs_for_index: 1,
+            ..IndexConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let index = KnnIndex::build(low, &cfg, GENERATION, &registry);
+        let (low_ids, high_ids): (Vec<usize>, Vec<usize>) = ((0..25).collect(), (25..40).collect());
+        let (low_packed, high_packed) = (PackedRows::from_rows(low), PackedRows::from_rows(high));
+        let views = [
+            view(&low_ids, &low_packed, index.as_ref()),
+            view(&high_ids, &high_packed, None),
+        ];
+        for x in grid_points(&mut rng, 6, 2, 5) {
+            for exclude in [usize::MAX, 3, 30] {
+                let want = (refs.iter().enumerate())
+                    .filter(|&(id, _)| id != exclude)
+                    .map(|(_, e)| euclidean(&x, e))
+                    .fold(f32::INFINITY, f32::min);
+                let got = nearest(&views, &x, exclude);
+                assert_eq!(got.to_bits(), want.to_bits(), "{x:?} excluding {exclude}");
+            }
+            let before = outcomes(&registry);
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut x = x.clone();
+                x[1] = bad;
+                assert_eq!(nearest(&views, &x, usize::MAX), f32::INFINITY, "{x:?}");
+            }
+            assert_eq!(
+                outcomes(&registry),
+                before,
+                "a non-finite query scans nothing"
+            );
+        }
+        assert!(
+            outcomes(&registry).iter().sum::<u64>() > 0,
+            "the index served"
+        );
+    }
+
     #[test]
     fn select_k_clamps_or_reports_an_empty_rcs() {
         assert_eq!(select_k(2, 0, usize::MAX), Err(AdvisorError::EmptyRcs));
@@ -760,6 +904,5 @@ mod tests {
         );
         assert_eq!(select_k(0, 5, usize::MAX), Ok(1));
         assert_eq!(select_k(700, 5, 3), Ok(4));
-        assert_eq!(min_distance(&[0.0], std::iter::empty()), f32::INFINITY);
     }
 }

@@ -1,6 +1,6 @@
 //! Index bit-identity properties: the two-stage KNN index must reproduce
-//! the flat scan **bit for bit** whenever it answers, fall back whenever
-//! it cannot prove admissibility, and never change a recommendation —
+//! the flat scan **bit for bit** whenever it answers, widen its probe
+//! whenever it cannot prove admissibility, and never change a recommendation —
 //! across tie-heavy quantized-grid embeddings, empty partitions,
 //! single-entry RCSs, `k > |RCS|`, every [`QuantMode`], and forced
 //! inadmissibility.
@@ -36,7 +36,7 @@ fn flat_topk(embs: &[Vec<f32>], x: &[f32], k: usize, exclude: usize) -> Vec<(usi
 }
 
 /// The index's answer over positions `0..n`, in a fresh buffer: `None`
-/// when it declines (the buffer is then left empty, as checked here).
+/// when it never probed (the buffer is then left empty, as checked here).
 fn indexed_topk(
     ix: &KnnIndex,
     embs: &[Vec<f32>],
@@ -136,8 +136,8 @@ proptest! {
                         "distance bits mismatch under {:?}", quant);
                 }
             }
-            // `None` is always legitimate (fallback): the caller serves
-            // the flat scan, which IS `expect`.
+            // `None` is legitimate for an unprobed query: the caller
+            // serves the flat scan, which IS `expect`.
         }
     }
 
@@ -179,8 +179,9 @@ proptest! {
 }
 
 /// Two well-separated clusters, `probe: 1`, and an astronomically large
-/// margin force the admissibility bound to fail: the index must answer
-/// `None` (fallback), and the advisor must still serve the flat bits.
+/// margin force the admissibility bound to fail: the index must widen to
+/// both partitions and answer the flat scan's list bit for bit, counted as
+/// a `fallback` with no re-rank sample.
 #[test]
 fn forced_inadmissible_falls_back() {
     let embs: Vec<Vec<f32>> = (0..16)
@@ -197,13 +198,31 @@ fn forced_inadmissible_falls_back() {
         .build()
         .expect("valid config");
     let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
-    let ix = KnnIndex::build(&refs, &cfg, 0, &MetricsRegistry::disabled()).expect("index builds");
+    let registry = MetricsRegistry::new();
+    let ix = KnnIndex::build(&refs, &cfg, 0, &registry).expect("index builds");
     let x = vec![0.1f32, 0.0, 0.0];
     // Both clusters are non-empty; probing one leaves the other unprobed
     // and the margin makes its bound unprovable.
-    assert!(
-        indexed_topk(&ix, &embs, &x, 3, usize::MAX).is_none(),
-        "an unprovable bound must force the flat fallback"
+    let widened = indexed_topk(&ix, &embs, &x, 3, usize::MAX)
+        .expect("an unprovable bound widens, it does not decline");
+    let expect = flat_topk(&embs, &x, 3, usize::MAX);
+    let bits = |l: &[(usize, f32)]| l.iter().map(|&(i, d)| (i, d.to_bits())).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&widened),
+        bits(&expect),
+        "the widened answer is the flat scan's"
+    );
+    let snap = registry.snapshot();
+    let outcome = |o| snap.counter("ce_index_queries_total", &[("outcome", o)]);
+    assert_eq!(
+        [outcome("indexed"), outcome("fallback"), outcome("bypass")],
+        [0, 1, 0],
+        "a widened answer counts as a fallback"
+    );
+    assert_eq!(
+        snap.histogram_totals("ce_index_rerank_candidates", &[]),
+        (0, 0),
+        "and takes no re-rank sample"
     );
     // Zero margin on the same layout: the far cluster is ~100 away from
     // a query whose k-th neighbor is < 1 away, so the bound holds and

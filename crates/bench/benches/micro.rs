@@ -653,6 +653,65 @@ fn bench_flat_scan_96(c: &mut Criterion) {
     });
 }
 
+/// `(entries, partitions, probe)` of the indexed-KNN benches: partitions
+/// ≈ √n, probe widened with scale so the candidate pool keeps ≥ k entries
+/// with slack.
+const INDEXED_SCALES: [(usize, usize, usize); 3] =
+    [(1_000, 32, 4), (10_000, 100, 4), (100_000, 256, 4)];
+
+/// Embedding dimension of the indexed-KNN benches.
+const INDEXED_DIM: usize = 32;
+
+/// The blob RCS of one indexed-KNN scale — `blobs = partitions` — and its
+/// queries.
+fn indexed_rcs(
+    n: usize,
+    partitions: usize,
+    queries: usize,
+) -> (Vec<autoce::RcsEntry>, Vec<Vec<f32>>) {
+    let mut rng = StdRng::seed_from_u64(0x1d7 + n as u64);
+    blob_rcs(n, partitions, INDEXED_DIM, queries, &mut rng)
+}
+
+/// A flat advisor over `entries` (k = 8), with the indexed-KNN benches'
+/// index installed when `index` holds `(partitions, probe)`, counting into
+/// `metrics`.
+fn indexed_advisor(
+    entries: Vec<autoce::RcsEntry>,
+    index: Option<(usize, usize)>,
+    metrics: &ce_serve::MetricsRegistry,
+) -> autoce::AutoCe {
+    use autoce::{AutoCe, AutoCeConfig, IndexConfig, QuantMode};
+    let cfg = AutoCeConfig {
+        k: 8,
+        incremental: None,
+        dml: DmlConfig {
+            hidden: vec![8],
+            embed_dim: INDEXED_DIM,
+            ..DmlConfig::default()
+        },
+        ..AutoCeConfig::default()
+    };
+    let mut advisor = AutoCe::from_parts(cfg, GinEncoder::new(4, &[8], INDEXED_DIM, 17), entries);
+    if let Some((partitions, probe)) = index {
+        let index = IndexConfig {
+            partitions,
+            probe,
+            quant: QuantMode::I8,
+            // Extra k-means quality at build time: a larger sample and more
+            // refinement keep partitions near the true blobs, which keeps
+            // probed candidate pools small.
+            sample_cap: 16_384,
+            kmeans_iters: 12,
+            ..IndexConfig::default()
+        };
+        advisor
+            .set_index_config(index, metrics.clone())
+            .expect("cutover admits k");
+    }
+    advisor
+}
+
 /// The two-stage KNN index (`autoce::index`): indexed
 /// `predict_from_embedding` beside the flat scan — the packed lane-per-row
 /// scan of `knn::partial_topk` — at RCS sizes 10³/10⁴/10⁵, so the crossover
@@ -666,56 +725,19 @@ fn bench_flat_scan_96(c: &mut Criterion) {
 /// engaged. After timing, each scale prints the index's own attribution from
 /// its registry: query outcomes, mean re-rank candidates and build time.
 fn bench_indexed_knn(c: &mut Criterion) {
-    use autoce::{AutoCe, AutoCeConfig, IndexConfig, QuantMode};
     use ce_serve::MetricsRegistry;
 
-    const DIM: usize = 32;
     const QUERIES: usize = 64;
-    const K: usize = 8;
     let w = MetricWeights::new(0.7);
-    // (entries, partitions, probe): partitions ≈ √n, probe widened with
-    // scale so the candidate pool keeps ≥ k entries with slack.
-    let scales: [(usize, usize, usize); 3] = [(1_000, 32, 4), (10_000, 100, 4), (100_000, 256, 4)];
-    for (n, partitions, probe) in scales {
+    for (n, partitions, probe) in INDEXED_SCALES {
         let names = [format!("knn_indexed/{n}"), format!("knn_flat_scan/{n}")];
         if !names.iter().any(|name| criterion::filter_allows(name)) {
             continue;
         }
-        let mut rng = StdRng::seed_from_u64(0x1d7 + n as u64);
-        let (entries, queries) = blob_rcs(n, partitions, DIM, QUERIES, &mut rng);
-        let cfg = AutoCeConfig {
-            k: K,
-            incremental: None,
-            dml: DmlConfig {
-                hidden: vec![8],
-                embed_dim: DIM,
-                ..DmlConfig::default()
-            },
-            ..AutoCeConfig::default()
-        };
-        let flat = AutoCe::from_parts(
-            cfg.clone(),
-            GinEncoder::new(4, &[8], DIM, 17),
-            entries.clone(),
-        );
-        let mut indexed = AutoCe::from_parts(cfg, GinEncoder::new(4, &[8], DIM, 17), entries);
+        let (entries, queries) = indexed_rcs(n, partitions, QUERIES);
         let metrics = MetricsRegistry::new();
-        indexed
-            .set_index_config(
-                IndexConfig::builder()
-                    .partitions(partitions)
-                    .probe(probe)
-                    .quant(QuantMode::I8)
-                    // Extra k-means quality at build time: a larger sample
-                    // and more refinement keep partitions near the true
-                    // blobs, which keeps probed candidate pools small.
-                    .sample_cap(16_384)
-                    .kmeans_iters(12)
-                    .build()
-                    .expect("valid index config"),
-                metrics.clone(),
-            )
-            .expect("cutover admits k");
+        let flat = indexed_advisor(entries.clone(), None, &metrics);
+        let indexed = indexed_advisor(entries, Some((partitions, probe)), &metrics);
 
         // Gate: every timed answer must be the flat scan's exact bits —
         // model choice and the full f64 score vector — including under
@@ -772,6 +794,58 @@ fn bench_indexed_knn(c: &mut Criterion) {
     }
 }
 
+/// The drift-detector fit through the serving index — `DriftDetector::fit`
+/// over the indexed advisors of `knn_indexed/{n}`, same blob data, same
+/// index shapes — at 10³/10⁴/10⁵ rows. Before timing: `DETECTOR_GOLDEN`
+/// still holds, and the indexed threshold's bits are the unindexed fit's
+/// (`DriftDetector::from_embeddings`, one flat scan per row: about a
+/// minute at 10⁵). After timing, the outcome counts of that one checked
+/// fit: how many row queries the first probe answered and how many widened.
+/// ROADMAP's gate for the fit at 10⁵ is ≤ 5 s on one CPU.
+fn bench_detector_fit_indexed(c: &mut Criterion) {
+    use autoce::online::DriftDetector;
+    use ce_serve::MetricsRegistry;
+
+    for (n, partitions, probe) in INDEXED_SCALES {
+        let name = format!("detector_fit_indexed/{n}");
+        if !criterion::filter_allows(&name) {
+            continue;
+        }
+        assert_eq!(
+            golden_setup_bits::detector_checksum(),
+            golden_setup_bits::DETECTOR_GOLDEN,
+            "DriftDetector moved a bit; its timing means nothing"
+        );
+        let (entries, _) = indexed_rcs(n, partitions, 0);
+        let rows: Vec<&[f32]> = entries.iter().map(|e| e.embedding.as_slice()).collect();
+        let unindexed = DriftDetector::from_embeddings(&rows).threshold();
+        let metrics = MetricsRegistry::new();
+        let indexed = indexed_advisor(entries.clone(), Some((partitions, probe)), &metrics);
+        let outcomes = || {
+            let snap = metrics.snapshot();
+            ["indexed", "fallback", "bypass"]
+                .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]))
+        };
+        let before = outcomes();
+        let threshold = DriftDetector::fit(&indexed).threshold();
+        assert_eq!(
+            threshold.to_bits(),
+            unindexed.to_bits(),
+            "indexed fit ≠ unindexed fit at n={n}"
+        );
+        let after = outcomes();
+        let counts: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        c.bench_function(&name, |b| {
+            b.iter(|| black_box(DriftDetector::fit(&indexed).threshold()))
+        });
+        println!(
+            "detector fit indexed: n={n} p={partitions}/{probe} → per fit, rows indexed {}, \
+             widened (fallback) {}, bypass {}",
+            counts[0], counts[1], counts[2]
+        );
+    }
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -783,6 +857,7 @@ criterion_group!(
         bench_feature_extraction,
         bench_label_dataset,
         bench_detector_fit,
+        bench_detector_fit_indexed,
         bench_index_build,
         bench_advisor_paths,
         bench_model_inference,

@@ -19,6 +19,11 @@
 //! accumulation is exact at any vector width; the f16 kernel chains its
 //! `f32` accumulation in a fixed order (Rust never contracts `a*b + c`
 //! into an FMA), so both are bit-stable across the dispatch tiers.
+//!
+//! Each kernel comes in two forms: the one-pair [`sq_dist_i8`] /
+//! [`sq_dist_f16`], and the batched [`sq_dists_i8`] / [`sq_dists_f16`] the
+//! index's coarse pass calls — every centroid's proxy in one dispatch, each
+//! the pair kernel's value.
 
 use crate::matrix::simd_kernel;
 
@@ -152,6 +157,35 @@ simd_kernel!(sq_dist_f16_kernel, (q: &[f32], h: &[u16], out: &mut [f32]), {
     out[0] = acc;
 });
 
+simd_kernel!(sq_dists_i8_kernel, (q: &[i8], rows: &[i8], out: &mut [i32]), {
+    // One row per output, each summed exactly as `sq_dist_i8_kernel` sums
+    // its pair; `rows` holds `out.len()` rows of `q.len()` codes.
+    let dim = q.len();
+    for (c, o) in out.iter_mut().enumerate() {
+        let row = &rows[c * dim..(c + 1) * dim];
+        let mut acc = 0i32;
+        for i in 0..dim {
+            let d = q[i] as i32 - row[i] as i32;
+            acc += d * d;
+        }
+        *o = acc;
+    }
+});
+
+simd_kernel!(sq_dists_f16_kernel, (q: &[f32], rows: &[u16], out: &mut [f32]), {
+    // Per row the chain of `sq_dist_f16_kernel`, in ascending index.
+    let dim = q.len();
+    for (c, o) in out.iter_mut().enumerate() {
+        let row = &rows[c * dim..(c + 1) * dim];
+        let mut acc = 0f32;
+        for i in 0..dim {
+            let d = q[i] - f16_to_f32(row[i]);
+            acc += d * d;
+        }
+        *o = acc;
+    }
+});
+
 /// Squared L2 distance between two i8 code vectors (exact, integer).
 /// Distances share a scale factor of `scale²`, which is positive, so
 /// ordering by this proxy equals ordering by dequantized distance.
@@ -170,6 +204,25 @@ pub fn sq_dist_f16(q: &[f32], h: &[u16]) -> f32 {
     out[0]
 }
 
+/// [`sq_dist_i8`] of `q` against every row of `rows` (concatenated code
+/// vectors of `q.len()` each) in one dispatch: `out` is resized to the row
+/// count and `out[c]` holds row `c`'s proxy, the pair kernel's value.
+pub fn sq_dists_i8(q: &[i8], rows: &[i8], out: &mut Vec<i32>) {
+    debug_assert!(q.len() < (1 << 15), "i8 kernel accumulator bound");
+    out.clear();
+    out.resize(rows.len().checked_div(q.len()).unwrap_or(0), 0);
+    sq_dists_i8_kernel::dispatch(q, rows, out);
+}
+
+/// [`sq_dist_f16`] of `q` against every row of `rows` (concatenated f16
+/// vectors of `q.len()` each) in one dispatch: `out` is resized to the row
+/// count and `out[c]` holds the pair kernel's bits for row `c`.
+pub fn sq_dists_f16(q: &[f32], rows: &[u16], out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(rows.len().checked_div(q.len()).unwrap_or(0), 0.0);
+    sq_dists_f16_kernel::dispatch(q, rows, out);
+}
+
 /// One named arm of each coarse kernel (`None` when the host lacks it),
 /// for the differential tests in `matrix::arm_tests`: a kernel's module is
 /// private to the file that declares it.
@@ -183,6 +236,16 @@ pub(crate) fn sq_dist_i8_arm(level: u8, a: &[i8], b: &[i8]) -> Option<i32> {
 pub(crate) fn sq_dist_f16_arm(level: u8, q: &[f32], h: &[u16]) -> Option<f32> {
     let mut out = [0f32];
     sq_dist_f16_kernel::run_arm(level, q, h, &mut out).then_some(out[0])
+}
+
+#[cfg(test)]
+pub(crate) fn sq_dists_i8_arm(level: u8, q: &[i8], rows: &[i8], out: &mut [i32]) -> bool {
+    sq_dists_i8_kernel::run_arm(level, q, rows, out)
+}
+
+#[cfg(test)]
+pub(crate) fn sq_dists_f16_arm(level: u8, q: &[f32], rows: &[u16], out: &mut [f32]) -> bool {
+    sq_dists_f16_kernel::run_arm(level, q, rows, out)
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@ use super::{
     add_slices_kernel, matmul_kernel, segbroadcast_kernel, segsum_kernel, spmm_kernel,
     tmatmul_left_kernel,
 };
-use crate::index::{sq_dist_f16_arm, sq_dist_i8_arm};
+use crate::index::{
+    sq_dist_f16_arm, sq_dist_i8_arm, sq_dists_f16, sq_dists_f16_arm, sq_dists_i8, sq_dists_i8_arm,
+};
 use crate::test_values::{awkward_vec, bits, ARMS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -184,6 +186,68 @@ fn every_arm_matches_scalar_on_the_shape_grid() {
     }
     let missing: Vec<_> = ARMS.iter().filter(|arm| !covered.contains(arm)).collect();
     println!("ce-nn kernel arms covered on this host: {covered:?}; NOT covered: {missing:?}");
+}
+
+/// The batched coarse proxies (`sq_dists_i8` / `sq_dists_f16`, one
+/// dispatch per query) against the one-pair kernels: every arm the host has
+/// leaves, row by row, the scalar pair kernel's value — integers exactly,
+/// halves bit for bit (NaN folded) — at row counts on both sides of the
+/// vector widths, at dimensions 0 through 65, over any code and any half.
+#[test]
+fn batched_proxies_match_the_pair_kernels_on_every_arm() {
+    let rng = &mut StdRng::seed_from_u64(0x9b0c);
+    let mut covered = Vec::new();
+    for rows in [0, 1, 2, 7, 8, 15, 16, 17, 100] {
+        for dim in [0, 1, 3, 4, 31, 32, 33, 65] {
+            for special in [false, true] {
+                let q: Vec<i8> = (0..dim).map(|_| rng.gen()).collect();
+                let codes: Vec<i8> = (0..rows * dim).map(|_| rng.gen()).collect();
+                let want: Vec<i32> = (0..rows)
+                    .map(|c| &codes[c * dim..(c + 1) * dim])
+                    .map(|row| sq_dist_i8_arm(0, &q, row).expect("scalar runs"))
+                    .collect();
+                let qf = values(dim, special, rng);
+                let halves: Vec<u16> = (0..rows * dim).map(|_| rng.gen()).collect();
+                let want_f16: Vec<u32> = (0..rows)
+                    .map(|c| &halves[c * dim..(c + 1) * dim])
+                    .map(|row| bits(sq_dist_f16_arm(0, &qf, row).expect("scalar runs")))
+                    .collect();
+                let case = format!("{rows} rows × {dim}, special {special}");
+                let mut arms = Vec::new();
+                for (level, name) in ARMS.iter().enumerate() {
+                    let mut out = vec![7; rows];
+                    let mut out_f16 = vec![7.0; rows];
+                    let ran = sq_dists_i8_arm(level as u8, &q, &codes, &mut out);
+                    let ran_f16 = sq_dists_f16_arm(level as u8, &qf, &halves, &mut out_f16);
+                    assert_eq!(ran, ran_f16, "{case}: both kernels have the same arms");
+                    if !ran {
+                        continue;
+                    }
+                    assert_eq!(out, want, "sq_dists_i8 {case}: {name} against the pair");
+                    let got: Vec<u32> = out_f16.iter().map(|&d| bits(d)).collect();
+                    assert_eq!(
+                        got, want_f16,
+                        "sq_dists_f16 {case}: {name} against the pair"
+                    );
+                    arms.push(*name);
+                }
+                // The dispatching wrappers size their output from the rows.
+                if dim > 0 {
+                    let (mut out, mut out_f16) = (Vec::new(), Vec::new());
+                    sq_dists_i8(&q, &codes, &mut out);
+                    sq_dists_f16(&qf, &halves, &mut out_f16);
+                    assert_eq!(out, want, "sq_dists_i8 {case}: dispatch");
+                    let got: Vec<u32> = out_f16.iter().map(|&d| bits(d)).collect();
+                    assert_eq!(got, want_f16, "sq_dists_f16 {case}: dispatch");
+                }
+                covered = arms;
+            }
+        }
+    }
+    let missing: Vec<_> = ARMS.iter().filter(|arm| !covered.contains(arm)).collect();
+    println!(
+        "batched coarse proxies: arms covered on this host: {covered:?}; NOT covered: {missing:?}"
+    );
 }
 
 proptest! {

@@ -108,14 +108,6 @@ impl PackedRows {
         }
     }
 
-    /// `out[i] = Σ_d (q[d] − row_i[d])²`, summed in ascending `d` — the
-    /// bits of [`euclidean`](crate::matrix::euclidean) before its square
-    /// root. `out` is resized to [`Self::len`].
-    pub fn sq_dists_into(&self, q: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        self.append_sq_dists_with(sq_dists_kernel::dispatch, q, out);
-    }
-
     /// `out[i] = euclidean(q, row_i)`, bit for bit: [`Self::append_dists`]
     /// into a cleared `out`.
     pub fn dists_into(&self, q: &[f32], out: &mut Vec<f32>) {
@@ -316,7 +308,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn query_of_another_dimension_is_rejected() {
         let mut out = Vec::new();
-        PackedRows::from_rows(&[vec![1.0, 2.0]]).sq_dists_into(&[1.0], &mut out);
+        PackedRows::from_rows(&[vec![1.0, 2.0]]).dists_into(&[1.0], &mut out);
     }
 
     proptest! {

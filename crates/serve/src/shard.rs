@@ -208,20 +208,24 @@ impl ShardedAdvisor {
         self.predict_from_embedding(&x, w).0
     }
 
-    /// Distance from an embedding to the nearest RCS entry (drift check).
+    /// Distance from an embedding to the nearest RCS entry (drift check):
+    /// [`knn::nearest_distance`] over the shards, indexes included — the
+    /// flat advisor's bits at any shard count.
     pub fn distance_to_embedding(&self, x: &[f32]) -> f32 {
-        let entries = self.shards.iter().flat_map(AdvisorShard::entries);
-        knn::min_distance(x, entries.map(|e| e.embedding.as_slice()))
+        let views: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.view(self.generation))
+            .collect();
+        let (mut scratch, mut cands) = (knn::Scratch::default(), Vec::new());
+        knn::nearest_distance(&views, x, usize::MAX, &mut scratch, &mut cands)
     }
 
-    /// Fits a drift detector over all entries in global-index order —
-    /// the same threshold [`autoce::online::DriftDetector::fit`] computes
-    /// on the equivalent flat advisor.
+    /// Fits a drift detector over the shards as they serve, indexes
+    /// included — the same threshold [`autoce::online::DriftDetector::fit`]
+    /// computes on the equivalent flat advisor.
     pub fn drift_detector(&self) -> autoce::online::DriftDetector {
-        let embs: Vec<&[f32]> = (0..self.len())
-            .map(|i| self.entry(i).embedding.as_slice())
-            .collect();
-        autoce::online::DriftDetector::from_embeddings(&embs)
+        autoce::online::DriftDetector::from_partitions(&self.shards, self.generation)
     }
 
     /// Adds a freshly labeled dataset, routed to the least-loaded shard

@@ -9,7 +9,7 @@ use autoce::{AutoCe, AutoCeConfig, RcsEntry};
 use ce_features::FeatureGraph;
 use ce_gnn::{DmlConfig, GinEncoder};
 use ce_models::ModelKind;
-use ce_serve::ShardedAdvisor;
+use ce_serve::{IndexConfig, MetricsRegistry, ShardedAdvisor};
 use ce_testbed::MetricWeights;
 use proptest::prelude::*;
 
@@ -115,18 +115,56 @@ fn trained_sharded_recommend_matches_flat_across_threads() {
     }
 }
 
-/// The sharded drift threshold equals the flat detector's.
+/// The sharded drift threshold equals the flat detector's, and so does
+/// either one fitted through an installed index (one probe of three
+/// partitions, so rows widen too).
 #[test]
 fn sharded_drift_threshold_matches_flat() {
     let (_, flat) = common::trained_advisor(12, 0xd1f7);
     let flat_threshold = autoce::online::DriftDetector::fit(&flat).threshold();
+    let index = IndexConfig {
+        partitions: 3,
+        probe: 1,
+        min_rcs_for_index: 2,
+        ..IndexConfig::default()
+    };
     for shards in 1..=4 {
         let sharded = ShardedAdvisor::from_advisor(&flat, shards);
         assert_eq!(
             sharded.drift_detector().threshold().to_bits(),
             flat_threshold.to_bits()
         );
+        let metrics = MetricsRegistry::new();
+        let mut indexed = sharded.clone();
+        indexed.set_metrics(metrics.clone());
+        indexed
+            .set_index_config(index.clone())
+            .expect("cutover covers k");
+        assert_eq!(
+            indexed.drift_detector().threshold().to_bits(),
+            flat_threshold.to_bits(),
+            "{shards} indexed shards"
+        );
+        let snap = metrics.snapshot();
+        let served = ["indexed", "fallback"]
+            .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]));
+        assert_eq!(
+            served.iter().sum::<u64>(),
+            12 * shards as u64,
+            "{shards} shards"
+        );
     }
+    let mut indexed = common::trained_advisor(12, 0xd1f7).1;
+    indexed
+        .set_index_config(index, MetricsRegistry::disabled())
+        .expect("cutover covers k");
+    assert_eq!(
+        autoce::online::DriftDetector::fit(&indexed)
+            .threshold()
+            .to_bits(),
+        flat_threshold.to_bits(),
+        "flat, indexed"
+    );
 }
 
 /// Single-entry RCS: k clamps to 1, every shard count answers.
