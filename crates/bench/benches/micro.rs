@@ -8,10 +8,13 @@ use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::reference::{train_encoder_reference, ReferenceEncoder};
 use ce_gnn::{train_encoder, train_encoder_per_graph, DmlConfig, GinEncoder, StackedCtx};
+use ce_models::encoding::SchemaEncoder;
+use ce_models::gbdt::{Gbdt, GbdtParams};
 use ce_models::{build_model, ModelKind, TrainContext};
+use ce_nn::{Activation, Dense, DenseGrad, Matrix};
 use ce_optsim::{optimize_query, DatasetIndexes, TrueCardEstimator};
-use ce_storage::stats::{ColumnStats, StatsScratch};
-use ce_storage::Column;
+use ce_storage::stats::{ColumnStats, EquiDepthHistogram, StatsScratch};
+use ce_storage::{Column, Dataset};
 use ce_testbed::{label_dataset, MetricWeights};
 use ce_workload::{generate_workload, label_workload, WorkloadSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -143,6 +146,22 @@ fn bench_feature_extraction(c: &mut Criterion) {
     });
 }
 
+/// The end-to-end benchmark's corpus shape and its drift shape: a
+/// `DatasetSpec::small()` dataset of 7 and of 24 tables.
+fn label_shapes() -> [(usize, Dataset); 2] {
+    [7, 24].map(|tables| {
+        let spec = DatasetSpec {
+            tables: SpecRange {
+                lo: tables,
+                hi: tables,
+            },
+            ..DatasetSpec::small()
+        };
+        let ds = generate_dataset("bench", &spec, &mut StdRng::seed_from_u64(1));
+        (tables, ds)
+    })
+}
+
 fn bench_label_dataset(c: &mut Criterion) {
     if !criterion::filter_allows("label_dataset") {
         return;
@@ -154,20 +173,90 @@ fn bench_label_dataset(c: &mut Criterion) {
         "label_dataset moved a bit; its timing means nothing"
     );
     let cfg = golden_label_bits::bench_testbed();
-    // The end-to-end benchmark's corpus shape and its drift shape.
-    for (name, tables) in [
-        ("label_dataset_7_tables", 7),
-        ("label_dataset_24_tables", 24),
-    ] {
-        let spec = DatasetSpec {
-            tables: SpecRange {
-                lo: tables,
-                hi: tables,
-            },
-            ..DatasetSpec::small()
+    for (tables, ds) in label_shapes() {
+        c.bench_function(&format!("label_dataset_{tables}_tables"), |b| {
+            b.iter(|| black_box(label_dataset(&ds, &cfg, 1)))
+        });
+    }
+}
+
+/// The four kernels under `label_dataset`, one at a time, on the inputs
+/// `label_dataset(ds, cfg, 1)` hands them: the cardinality counter over
+/// the testbed's 45 queries, a 100-bucket histogram of every data column
+/// (`PostgresEstimator`), LW-XGB's boosted fit on the 30 training rows,
+/// and one Adam step of LW-NN's two layers.
+fn bench_label_kernels(c: &mut Criterion) {
+    if !criterion::filter_allows("label_kernels") {
+        return;
+    }
+    // Same bits first, then time: the checksum covers every kernel below
+    // (true cardinalities, Postgres, LW-XGB and LW-NN q-errors).
+    assert_eq!(
+        golden_label_bits::golden_pool_checksum(),
+        golden_label_bits::GOLDEN_CHECKSUM,
+        "a labelling kernel moved a bit; its timing means nothing"
+    );
+    let cfg = golden_label_bits::bench_testbed();
+    for (tables, ds) in label_shapes() {
+        let name = |kernel: &str| format!("label_kernels/{kernel}/{tables}");
+        let spec = WorkloadSpec {
+            num_queries: cfg.train_queries + cfg.test_queries,
+            ..cfg.workload
         };
-        let ds = generate_dataset("bench", &spec, &mut StdRng::seed_from_u64(1));
-        c.bench_function(name, |b| b.iter(|| black_box(label_dataset(&ds, &cfg, 1))));
+        let queries = generate_workload(&ds, &spec, &mut StdRng::seed_from_u64(1 ^ 0x7e57));
+        c.bench_function(&name("count_workload"), |b| {
+            b.iter(|| black_box(label_workload(&ds, &queries)))
+        });
+
+        let columns: Vec<&Column> = ds
+            .tables
+            .iter()
+            .flat_map(|t| t.columns.iter().filter(|c| !c.is_key()))
+            .collect();
+        c.bench_function(&name("histogram_build"), |b| {
+            b.iter(|| {
+                for column in &columns {
+                    black_box(EquiDepthHistogram::build(column, 100));
+                }
+            })
+        });
+
+        let labeled = label_workload(&ds, &queries).expect("generated queries validate");
+        let train = &labeled[..cfg.train_queries];
+        let encoder = SchemaEncoder::capture(&ds);
+        let xs: Vec<Vec<f32>> = train
+            .iter()
+            .map(|lq| encoder.encode_flat(&lq.query))
+            .collect();
+        let ys: Vec<f32> = train
+            .iter()
+            .map(|lq| encoder.normalize_card(lq.true_card as f64))
+            .collect();
+        c.bench_function(&name("gbdt_fit"), |b| {
+            b.iter(|| black_box(Gbdt::fit(&xs, &ys, &GbdtParams::default())))
+        });
+
+        let rng = &mut StdRng::seed_from_u64(1);
+        let mut layers = [
+            Dense::new(encoder.flat_dim(), 64, Activation::Relu, rng),
+            Dense::new(64, 1, Activation::Sigmoid, rng),
+        ];
+        let grads: Vec<DenseGrad> = layers
+            .iter()
+            .map(|layer| DenseGrad {
+                gw: Matrix::xavier(layer.w.rows, layer.w.cols, rng),
+                gb: Matrix::xavier(1, layer.b.len(), rng).data,
+            })
+            .collect();
+        let mut t = 0;
+        c.bench_function(&name("adam_step"), |b| {
+            b.iter(|| {
+                t += 1;
+                for (layer, grad) in layers.iter_mut().zip(&grads) {
+                    layer.adam_step_with(grad, 3e-3, t);
+                }
+            })
+        });
     }
 }
 
@@ -856,6 +945,7 @@ criterion_group!(
         bench_flat_scan_96,
         bench_feature_extraction,
         bench_label_dataset,
+        bench_label_kernels,
         bench_detector_fit,
         bench_detector_fit_indexed,
         bench_index_build,

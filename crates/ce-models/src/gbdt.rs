@@ -30,6 +30,15 @@
 //!   both children are again sorted by value with ties in ascending
 //!   sample order. Within a node, a feature whose first and last values
 //!   are equal is skipped.
+//! * **The partition is branch-free.** `stable_partition` writes every id
+//!   to both sides — at the left cursor in place, at the right cursor in a
+//!   scratch array — and advances only its own side's cursor, by the
+//!   row-wise test's `bool` as an integer. The left cursor never passes the
+//!   read position, so no unread id is overwritten, and a write the other
+//!   side does not keep is overwritten by the next id or lies past that
+//!   side's end. Each side therefore receives its ids in read order, which
+//!   is the order `Iterator::partition` (and the branchy loop this
+//!   replaced, its test oracle) gives: the same arrays, so the same trees.
 //!
 //! **Bits contract.** The builder may change latency, never bits: the
 //! `left_sum` accumulation order, the strict `gain > best` first-wins rule
@@ -170,7 +179,7 @@ struct Presorted {
     ids: Vec<u32>,
     /// Per sample: does it fall left of the split being applied?
     goes_left: Vec<bool>,
-    /// Right-hand side of a partition in flight.
+    /// Right-hand side of a partition in flight (`n` ids).
     scratch: Vec<u32>,
 }
 
@@ -209,7 +218,7 @@ impl Presorted {
             root_order,
             ids: vec![0; n],
             goes_left: vec![false; n],
-            scratch: Vec::with_capacity(n),
+            scratch: vec![0; n],
         }
     }
 
@@ -309,20 +318,25 @@ impl Presorted {
 }
 
 /// Moves the ids marked in `goes_left` to the front of `ids`, both sides
-/// keeping their relative order; returns how many went left.
-fn stable_partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
-    scratch.clear();
-    let mut left = 0;
+/// keeping their relative order; returns how many went left. `scratch`
+/// holds at least `ids.len()` ids.
+///
+/// Branch-free: every id is written to both sides — the left cursor in
+/// `ids` (never ahead of the read position) and the right cursor in
+/// `scratch` — and only the side it belongs to advances its cursor, by
+/// the `bool` as an integer. A write the other side does not keep is
+/// overwritten by the next id or lies past that side's end.
+fn stable_partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut [u32]) -> usize {
+    let (mut left, mut right) = (0, 0);
     for r in 0..ids.len() {
         let id = ids[r];
-        if goes_left[id as usize] {
-            ids[left] = id;
-            left += 1;
-        } else {
-            scratch.push(id);
-        }
+        let l = goes_left[id as usize];
+        ids[left] = id;
+        scratch[right] = id;
+        left += usize::from(l);
+        right += usize::from(!l);
     }
-    ids[left..].copy_from_slice(scratch);
+    ids[left..].copy_from_slice(&scratch[..right]);
     left
 }
 
@@ -330,6 +344,9 @@ fn stable_partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>)
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     /// The builder this module replaced: one `to_vec` + stable `sort_by`
     /// per feature per node per tree over the row-major features.
@@ -427,6 +444,23 @@ mod tests {
         }
     }
 
+    /// `stable_partition` before it became branch-free.
+    fn branchy_partition(ids: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
+        scratch.clear();
+        let mut left = 0;
+        for r in 0..ids.len() {
+            let id = ids[r];
+            if goes_left[id as usize] {
+                ids[left] = id;
+                left += 1;
+            } else {
+                scratch.push(id);
+            }
+        }
+        ids[left..].copy_from_slice(scratch);
+        left
+    }
+
     /// Bit-exact rendering of every field (the serialized form is the
     /// fields): `Debug` prints each `f32` to round-trip precision.
     fn rendered(g: &Gbdt) -> String {
@@ -483,6 +517,29 @@ mod tests {
                 rendered(&Gbdt::fit(&xs, ys, &params)),
                 rendered(&oracle::fit(&xs, ys, &params))
             );
+        }
+
+        #[test]
+        fn stable_partition_keeps_iterator_partition_order(
+            sides in prop::collection::vec(0u8..2, 0..300),
+            seed in 0u64..=u64::MAX,
+        ) {
+            let sides: Vec<bool> = sides.iter().map(|&s| s == 1).collect();
+            // A node's ids: a shuffled subset of the samples, over a side
+            // table of every sample, behind a scratch holding stale ids.
+            let n = sides.len();
+            let mut ids: Vec<u32> = (0..n as u32).filter(|i| (seed >> (i % 64)) & 1 == 1).collect();
+            ids.shuffle(&mut StdRng::seed_from_u64(seed));
+            let (want_left, want_right): (Vec<u32>, Vec<u32>) =
+                ids.iter().partition(|&&id| sides[id as usize]);
+            let mut old = ids.clone();
+            let old_mid = branchy_partition(&mut old, &sides, &mut Vec::new());
+            let mut scratch = vec![u32::MAX; n];
+            let mid = stable_partition(&mut ids, &sides, &mut scratch);
+            prop_assert_eq!(mid, want_left.len());
+            prop_assert_eq!(&ids[..mid], &want_left[..]);
+            prop_assert_eq!(&ids[mid..], &want_right[..]);
+            prop_assert_eq!((old_mid, old), (mid, ids));
         }
 
         #[test]

@@ -50,11 +50,19 @@ impl LwNn {
             .map(|lq| encoder.normalize_card(lq.true_card as f64))
             .collect();
         let mut order: Vec<usize> = (0..xs.len()).collect();
+        // One batch buffer per side, refilled in place every step.
+        let mut bx = Matrix::zeros(0, encoder.flat_dim());
+        let mut by = Matrix::zeros(0, 1);
         for _ in 0..Self::EPOCHS {
             order.shuffle(&mut rng);
             for chunk in order.chunks(Self::BATCH) {
-                let bx = Matrix::from_rows(chunk.iter().map(|&i| xs[i].clone()).collect());
-                let by = Matrix::from_rows(chunk.iter().map(|&i| vec![ys[i]]).collect());
+                bx.data.clear();
+                for &i in chunk {
+                    bx.data.extend_from_slice(&xs[i]);
+                }
+                by.data.clear();
+                by.data.extend(chunk.iter().map(|&i| ys[i]));
+                (bx.rows, by.rows) = (chunk.len(), chunk.len());
                 net.train_mse(&bx, &by, Self::LR);
             }
         }

@@ -6,7 +6,7 @@
 //! paper compares against (Fig. 9 "Postgres" and Table V "PostgreSQL").
 
 use crate::traits::{CardEstimator, ModelKind, TrainContext};
-use ce_storage::stats::EquiDepthHistogram;
+use ce_storage::stats::{ndv_with, EquiDepthHistogram, StatsScratch};
 use ce_storage::{Dataset, Query};
 use std::collections::HashMap;
 
@@ -42,13 +42,12 @@ impl PostgresEstimator {
             }
         }
         let mut join_ndv = HashMap::new();
+        let mut scratch = StatsScratch::default();
         for e in &ds.joins {
-            let ndv_fk =
-                ce_storage::stats::ColumnStats::compute(&ds.tables[e.fk_table].columns[e.fk_col])
-                    .ndv as f64;
-            let ndv_pk =
-                ce_storage::stats::ColumnStats::compute(&ds.tables[e.pk_table].columns[e.pk_col])
-                    .ndv as f64;
+            let mut ndv =
+                |t: usize, c: usize| ndv_with(&ds.tables[t].columns[c], &mut scratch) as f64;
+            let ndv_fk = ndv(e.fk_table, e.fk_col);
+            let ndv_pk = ndv(e.pk_table, e.pk_col);
             join_ndv.insert((e.fk_table, e.pk_table), (ndv_fk, ndv_pk));
         }
         PostgresEstimator {

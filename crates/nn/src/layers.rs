@@ -1,6 +1,6 @@
 //! Dense layers and activations with explicit backprop and built-in Adam.
 
-use crate::matrix::Matrix;
+use crate::matrix::{simd_kernel, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -100,6 +100,42 @@ impl DenseGrad {
             *a += b;
         }
     }
+}
+
+/// Adam's decay rates of the first and second moments.
+const B1: f32 = 0.9;
+const B2: f32 = 0.999;
+/// Guard added to the second moment's root.
+const EPS: f32 = 1e-8;
+
+/// Adam's bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)` at step `t`.
+fn bias_corrections(t: u64) -> (f32, f32) {
+    (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32))
+}
+
+// One Adam update per element: each lane is one parameter, and its
+// operations are the scalar loop's — separate `mul`/`add`/`div`/`sqrt` in
+// the same order, never an FMA — so every arm leaves the scalar arm's bits.
+simd_kernel!(adam_kernel, (w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, bc1: f32, bc2: f32), {
+    for (((w, m), v), &g) in w.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
+        *m = B1 * *m + (1.0 - B1) * g;
+        *v = B2 * *v + (1.0 - B2) * g * g;
+        let mhat = *m / bc1;
+        let vhat = *v / bc2;
+        *w -= lr * mhat / (vhat.sqrt() + EPS);
+    }
+});
+
+/// Adam update of the parameters `w` (moments `m`, `v`) by the gradient `g`
+/// at step `t` (1-based) — the one body behind [`Dense::adam_step`] and
+/// [`Dense::adam_step_with`].
+fn adam(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, t: u64) {
+    assert!(
+        m.len() == w.len() && v.len() == w.len() && g.len() == w.len(),
+        "Adam state and gradient shaped like the parameters"
+    );
+    let (bc1, bc2) = bias_corrections(t);
+    adam_kernel::dispatch(w, m, v, g, lr, bc1, bc2);
 }
 
 /// A fully connected layer `y = act(x·W + b)` with Adam state.
@@ -265,54 +301,29 @@ impl Dense {
     /// reduced batch gradient); the layer's internal gradient buffers are
     /// untouched.
     pub fn adam_step_with(&mut self, grad: &DenseGrad, lr: f32, t: u64) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
-        for i in 0..self.w.data.len() {
-            let g = grad.gw.data[i];
-            self.mw.data[i] = B1 * self.mw.data[i] + (1.0 - B1) * g;
-            self.vw.data[i] = B2 * self.vw.data[i] + (1.0 - B2) * g * g;
-            let mhat = self.mw.data[i] / bc1;
-            let vhat = self.vw.data[i] / bc2;
-            self.w.data[i] -= lr * mhat / (vhat.sqrt() + EPS);
-        }
-        for i in 0..self.b.len() {
-            let g = grad.gb[i];
-            self.mb[i] = B1 * self.mb[i] + (1.0 - B1) * g;
-            self.vb[i] = B2 * self.vb[i] + (1.0 - B2) * g * g;
-            let mhat = self.mb[i] / bc1;
-            let vhat = self.vb[i] / bc2;
-            self.b[i] -= lr * mhat / (vhat.sqrt() + EPS);
-        }
+        adam(
+            &mut self.w.data,
+            &mut self.mw.data,
+            &mut self.vw.data,
+            &grad.gw.data,
+            lr,
+            t,
+        );
+        adam(&mut self.b, &mut self.mb, &mut self.vb, &grad.gb, lr, t);
     }
 
     /// Adam update with bias correction at step `t` (1-based); clears grads.
     pub fn adam_step(&mut self, lr: f32, t: u64) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
-        for i in 0..self.w.data.len() {
-            let g = self.gw.data[i];
-            self.mw.data[i] = B1 * self.mw.data[i] + (1.0 - B1) * g;
-            self.vw.data[i] = B2 * self.vw.data[i] + (1.0 - B2) * g * g;
-            let mhat = self.mw.data[i] / bc1;
-            let vhat = self.vw.data[i] / bc2;
-            self.w.data[i] -= lr * mhat / (vhat.sqrt() + EPS);
-            self.gw.data[i] = 0.0;
-        }
-        for i in 0..self.b.len() {
-            let g = self.gb[i];
-            self.mb[i] = B1 * self.mb[i] + (1.0 - B1) * g;
-            self.vb[i] = B2 * self.vb[i] + (1.0 - B2) * g * g;
-            let mhat = self.mb[i] / bc1;
-            let vhat = self.vb[i] / bc2;
-            self.b[i] -= lr * mhat / (vhat.sqrt() + EPS);
-            self.gb[i] = 0.0;
-        }
+        adam(
+            &mut self.w.data,
+            &mut self.mw.data,
+            &mut self.vw.data,
+            &self.gw.data,
+            lr,
+            t,
+        );
+        adam(&mut self.b, &mut self.mb, &mut self.vb, &self.gb, lr, t);
+        self.zero_grad();
     }
 
     /// Clears accumulated gradients without updating.
@@ -325,6 +336,7 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_values::{awkward, ARMS};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -414,6 +426,81 @@ mod tests {
         let mut out = Matrix::xavier(1, 1, &mut rng);
         layer.infer_into(&x, &mut out);
         assert_eq!(out, layer.infer(&x));
+    }
+
+    /// The Adam update before the kernel — the loop `adam_step` and
+    /// `adam_step_with` each ran — over one parameter slice.
+    fn scalar_adam(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, t: u64) {
+        const B1: f32 = 0.9;
+        const B2: f32 = 0.999;
+        const EPS: f32 = 1e-8;
+        let bc1 = 1.0 - B1.powi(t as i32);
+        let bc2 = 1.0 - B2.powi(t as i32);
+        for i in 0..w.len() {
+            let g = g[i];
+            m[i] = B1 * m[i] + (1.0 - B1) * g;
+            v[i] = B2 * v[i] + (1.0 - B2) * g * g;
+            let mhat = m[i] / bc1;
+            let vhat = v[i] / bc2;
+            w[i] -= lr * mhat / (vhat.sqrt() + EPS);
+        }
+    }
+
+    /// Every arm of the Adam kernel the host has (`run_arm`), and the
+    /// dispatching `adam`, leave the scalar loop's bits in the weights and
+    /// both moments (NaN folded): at lengths across the vector widths, at
+    /// steps from 1 to past `i32::MAX` (where `t as i32` wraps), over zero
+    /// and `-0.0` gradients, `-0.0` weights, subnormal moments and the
+    /// awkward values of the other kernels' tests.
+    #[test]
+    fn adam_kernel_matches_the_scalar_loop_on_every_arm() {
+        let rng = &mut StdRng::seed_from_u64(0xada);
+        let mut pick = |n: usize, special: &[f32]| -> Vec<f32> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..4usize) {
+                    0 => special[rng.gen_range(0..special.len())],
+                    1 => awkward(rng),
+                    _ => rng.gen::<f32>() * 2.0 - 1.0,
+                })
+                .collect()
+        };
+        let fold =
+            |xs: &[f32]| -> Vec<u32> { xs.iter().map(|&x| crate::test_values::bits(x)).collect() };
+        let mut covered = Vec::new();
+        for len in [0, 1, 7, 8, 15, 16, 17, 33, 100] {
+            for t in [1u64, 2, 10, 1_000, 100_000, 1 << 31, u64::MAX] {
+                let subnormal = [1e-41, -1e-41, f32::MIN_POSITIVE / 4.0, 1e-45, 0.0];
+                let w = pick(len, &[-0.0, 0.0, 1e-41]);
+                let m = pick(len, &subnormal);
+                let v = pick(len, &subnormal)
+                    .iter()
+                    .map(|x| x.abs())
+                    .collect::<Vec<_>>();
+                let g = pick(len, &[0.0, -0.0, 1e-41]);
+                let lr = [1e-3, 3e-3, 0.05][len % 3];
+                let case = format!("len {len}, t {t}");
+                let (mut want_w, mut want_m, mut want_v) = (w.clone(), m.clone(), v.clone());
+                scalar_adam(&mut want_w, &mut want_m, &mut want_v, &g, lr, t);
+                let want = [fold(&want_w), fold(&want_m), fold(&want_v)];
+                let (bc1, bc2) = bias_corrections(t);
+                let mut arms = Vec::new();
+                for (level, name) in ARMS.iter().enumerate() {
+                    let (mut w, mut m, mut v) = (w.clone(), m.clone(), v.clone());
+                    if !adam_kernel::run_arm(level as u8, &mut w, &mut m, &mut v, &g, lr, bc1, bc2)
+                    {
+                        continue;
+                    }
+                    assert_eq!([fold(&w), fold(&m), fold(&v)], want, "{case}: {name}");
+                    arms.push(*name);
+                }
+                let (mut w, mut m, mut v) = (w.clone(), m.clone(), v.clone());
+                adam(&mut w, &mut m, &mut v, &g, lr, t);
+                assert_eq!([fold(&w), fold(&m), fold(&v)], want, "{case}: dispatch");
+                covered = arms;
+            }
+        }
+        let missing: Vec<_> = ARMS.iter().filter(|arm| !covered.contains(arm)).collect();
+        println!("Adam kernel arms covered on this host: {covered:?}; NOT covered: {missing:?}");
     }
 
     #[test]

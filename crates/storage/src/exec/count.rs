@@ -34,6 +34,23 @@
 //! nothing, and among child rows sharing a primary key the last selected
 //! one is the one a referencing parent row sees.
 //!
+//! # Weights in the capped semiring
+//!
+//! Weights are `u64` under saturating `+` and `×`: counting in
+//! `{0, …, B}` with `B = u64::MAX` standing for "`B` or more". Capping
+//! commutes with both operations on non-negative integers —
+//! `cap(a + b) = cap(cap(a) + cap(b))` and `cap(a · b) = cap(cap(a) ·
+//! cap(b))` (a zero factor gives zero on both sides; otherwise a capped
+//! factor already makes both sides `B`) — so every weight the fold
+//! computes is the capped value of the exact one, and the count is
+//! `min(exact, u64::MAX)`, what the `u128` weights this replaced returned
+//! after their final clamp. The fold's two tests read nothing capping
+//! changes: `cap(w) > 0` exactly when `w > 0` (which child row a duplicate
+//! primary key keeps), and a filtered-out row is weight 0 (so a parent
+//! multiplies without a branch: `0 · x = 0`, capped or not). Predicates
+//! mask the weights in place (`w &= matches`), with no selection vector in
+//! between.
+//!
 //! A counter borrows its dataset and owns scratch buffers; it is built per
 //! workload (or per call, by [`query_cardinality`]) and never shared
 //! between threads.
@@ -41,17 +58,15 @@
 use crate::column::Value;
 use crate::dataset::Dataset;
 use crate::error::StorageError;
-use crate::exec::filter::selection_bitmap;
 use crate::query::Query;
 use std::collections::HashMap;
 
-/// Computes the exact result cardinality of `query` against `ds`.
+/// Computes the exact result cardinality of `query` against `ds`,
+/// saturating at `u64::MAX`.
 ///
-/// The query must validate (connected acyclic join subgraph). Intermediate
-/// weights use saturating `u128` so deep star joins cannot overflow; the
-/// final count saturates at `u64::MAX`. One-shot form of
-/// [`CardinalityCounter`]; callers with a workload should build the counter
-/// once.
+/// The query must validate (connected acyclic join subgraph). One-shot form
+/// of [`CardinalityCounter`]; callers with a workload should build the
+/// counter once.
 pub fn query_cardinality(ds: &Dataset, query: &Query) -> Result<u64, StorageError> {
     CardinalityCounter::new(ds).count(query)
 }
@@ -76,6 +91,15 @@ struct EdgeKeys {
 }
 
 impl EdgeKeys {
+    /// The key ids of `ds.joins[e]`.
+    fn of(ds: &Dataset, e: usize) -> Self {
+        let edge = &ds.joins[e];
+        EdgeKeys::build(
+            &ds.tables[edge.pk_table].columns[edge.pk_col].data,
+            &ds.tables[edge.fk_table].columns[edge.fk_col].data,
+        )
+    }
+
     fn build(pk: &[Value], fk: &[Value]) -> Self {
         let rows = pk.len() + fk.len();
         assert!(
@@ -112,6 +136,38 @@ impl EdgeKeys {
     }
 }
 
+/// Tables of a validated query in DFS visit order from its first table,
+/// and each one's parent (`usize::MAX` for the root and for tables outside
+/// the query). A table's neighbours are met in the order the query lists
+/// its join edges.
+fn visit_order(num_tables: usize, query: &Query) -> (Vec<usize>, Vec<usize>) {
+    let root = query.tables[0];
+    let mut order = Vec::with_capacity(query.tables.len());
+    let mut parent = vec![usize::MAX; num_tables];
+    let mut visited = vec![false; num_tables];
+    let mut stack = vec![root];
+    while let Some(t) = stack.pop() {
+        if std::mem::replace(&mut visited[t], true) {
+            continue;
+        }
+        order.push(t);
+        for &(a, b) in &query.joins {
+            let n = if a == t {
+                b
+            } else if b == t {
+                a
+            } else {
+                continue;
+            };
+            if !visited[n] {
+                parent[n] = t;
+                stack.push(n);
+            }
+        }
+    }
+    (order, parent)
+}
+
 /// Exact cardinalities of many queries over one dataset (see the module
 /// notes): join-key ids are prepared once per edge, on first use, and the
 /// per-table weight buffers are reused from query to query.
@@ -120,9 +176,9 @@ pub struct CardinalityCounter<'a> {
     /// Per entry of `ds.joins`, its key ids once a query has crossed it.
     edges: Vec<Option<EdgeKeys>>,
     /// Per table, its row weights during a count.
-    weights: Vec<Vec<u128>>,
+    weights: Vec<Vec<u64>>,
     /// Per key id of the edge being folded, the child weight under it.
-    acc: Vec<u128>,
+    acc: Vec<u64>,
 }
 
 impl<'a> CardinalityCounter<'a> {
@@ -136,51 +192,30 @@ impl<'a> CardinalityCounter<'a> {
         }
     }
 
-    /// Computes the exact result cardinality of `query`.
+    /// Computes the exact result cardinality of `query`, saturating at
+    /// `u64::MAX` (see the module notes).
     ///
     /// The query must validate (connected acyclic join subgraph).
-    /// Intermediate weights use saturating `u128`; the final count saturates
-    /// at `u64::MAX`.
     pub fn count(&mut self, query: &Query) -> Result<u64, StorageError> {
         let ds = self.ds;
         query.validate(ds)?;
 
-        // Per-query-table selection weights.
+        // Per-query-table selection weights: every row starts at 1 and each
+        // predicate masks it to 0 where it fails.
         for &t in &query.tables {
-            let sel = selection_bitmap(ds.table(t)?, &query.predicates_on(t));
+            let table = ds.table(t)?;
             let w = &mut self.weights[t];
             w.clear();
-            w.extend(sel.into_iter().map(u128::from));
-        }
-
-        // Iterative DFS from the first query table; a table's neighbours
-        // are met in the order the query lists its join edges.
-        let root = query.tables[0];
-        let mut order = Vec::with_capacity(query.tables.len());
-        let mut parent = vec![usize::MAX; ds.num_tables()];
-        let mut visited = vec![false; ds.num_tables()];
-        let mut stack = vec![root];
-        while let Some(t) = stack.pop() {
-            if std::mem::replace(&mut visited[t], true) {
-                continue;
-            }
-            order.push(t);
-            for &(a, b) in &query.joins {
-                let n = if a == t {
-                    b
-                } else if b == t {
-                    a
-                } else {
-                    continue;
-                };
-                if !visited[n] {
-                    parent[n] = t;
-                    stack.push(n);
+            w.resize(table.num_rows(), 1);
+            for p in query.predicates.iter().filter(|p| p.table == t) {
+                for (w, &v) in w.iter_mut().zip(&table.columns[p.column].data) {
+                    *w &= u64::from(p.matches(v));
                 }
             }
         }
 
         // Fold children into parents in reverse visit order.
+        let (order, parent) = visit_order(ds.num_tables(), query);
         for &child in order.iter().rev() {
             let par = parent[child];
             if par == usize::MAX {
@@ -190,12 +225,7 @@ impl<'a> CardinalityCounter<'a> {
                 .join_position(child, par)
                 .expect("validated query edge must exist");
             let edge = &ds.joins[e];
-            let keys = self.edges[e].get_or_insert_with(|| {
-                EdgeKeys::build(
-                    &ds.tables[edge.pk_table].columns[edge.pk_col].data,
-                    &ds.tables[edge.fk_table].columns[edge.fk_col].data,
-                )
-            });
+            let keys = self.edges[e].get_or_insert_with(|| EdgeKeys::of(ds, e));
             self.acc.clear();
             self.acc.resize(keys.num_ids, 0);
             let acc = &mut self.acc;
@@ -217,19 +247,18 @@ impl<'a> CardinalityCounter<'a> {
                 }
                 &keys.fk_id
             };
+            // A filtered-out parent row stays 0: `0 · x` is 0 at any `x`.
             for (&id, w) in par_id.iter().zip(par_w.iter_mut()) {
-                if *w > 0 {
-                    *w = w.saturating_mul(acc[id as usize]);
-                }
+                *w = w.saturating_mul(acc[id as usize]);
             }
             // Hand the buffer back for the next query.
             self.weights[child] = child_w;
         }
 
-        let total = self.weights[root]
+        let root = query.tables[0];
+        Ok(self.weights[root]
             .iter()
-            .fold(0u128, |sum, &w| sum.saturating_add(w));
-        Ok(total.min(u128::from(u64::MAX)) as u64)
+            .fold(0u64, |sum, &w| sum.saturating_add(w)))
     }
 }
 
@@ -238,17 +267,82 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The counter this module replaced: key maps, weights, adjacency,
-    /// parents and visited set rebuilt as `HashMap`s per edge per query.
-    /// Its `u128` additions wrap where the prepared counter saturates; no
-    /// test input comes near either.
+    /// The counters this module replaced.
     mod oracle {
+        use super::super::{visit_order, EdgeKeys};
         use crate::dataset::Dataset;
         use crate::error::StorageError;
-        use crate::exec::filter::selection_bitmap;
-        use crate::query::Query;
+        use crate::query::{Predicate, Query};
+        use crate::table::Table;
         use std::collections::HashMap;
 
+        /// One boolean per row of `table`: does it satisfy all `predicates`?
+        fn selection_bitmap(table: &Table, predicates: &[&Predicate]) -> Vec<bool> {
+            let n = table.num_rows();
+            let mut sel = vec![true; n];
+            for p in predicates {
+                let col = &table.columns[p.column].data;
+                for (row, keep) in sel.iter_mut().enumerate() {
+                    if *keep && !p.matches(col[row]) {
+                        *keep = false;
+                    }
+                }
+            }
+            sel
+        }
+
+        /// The prepared counter before its weights became `u64`: saturating
+        /// `u128` weights from a selection bitmap, a parent fold that skips
+        /// zero rows, the total clamped to `u64::MAX` at the end. Key ids
+        /// are built per call.
+        pub fn count_u128(ds: &Dataset, query: &Query) -> Result<u64, StorageError> {
+            query.validate(ds)?;
+            let mut weights = vec![Vec::new(); ds.num_tables()];
+            for &t in &query.tables {
+                let sel = selection_bitmap(ds.table(t)?, &query.predicates_on(t));
+                weights[t] = sel.into_iter().map(u128::from).collect::<Vec<u128>>();
+            }
+            let (order, parent) = visit_order(ds.num_tables(), query);
+            for &child in order.iter().rev() {
+                let par = parent[child];
+                if par == usize::MAX {
+                    continue; // root
+                }
+                let e = ds
+                    .join_position(child, par)
+                    .expect("validated query edge must exist");
+                let keys = EdgeKeys::of(ds, e);
+                let mut acc = vec![0u128; keys.num_ids];
+                let child_w = std::mem::take(&mut weights[child]);
+                let par_id = if ds.joins[e].fk_table == child {
+                    for (&id, &w) in keys.fk_id.iter().zip(&child_w) {
+                        acc[id as usize] = acc[id as usize].saturating_add(w);
+                    }
+                    &keys.pk_id
+                } else {
+                    for (&id, &w) in keys.pk_id.iter().zip(&child_w) {
+                        if w > 0 {
+                            acc[id as usize] = w;
+                        }
+                    }
+                    &keys.fk_id
+                };
+                for (&id, w) in par_id.iter().zip(weights[par].iter_mut()) {
+                    if *w > 0 {
+                        *w = w.saturating_mul(acc[id as usize]);
+                    }
+                }
+            }
+            let total = weights[query.tables[0]]
+                .iter()
+                .fold(0u128, |sum, &w| sum.saturating_add(w));
+            Ok(total.min(u128::from(u64::MAX)) as u64)
+        }
+
+        /// The counter before that: key maps, weights, adjacency, parents
+        /// and visited set rebuilt as `HashMap`s per edge per query. Its
+        /// `u128` additions wrap where the prepared counters saturate; no
+        /// proptest input comes near either.
         pub fn query_cardinality(ds: &Dataset, query: &Query) -> Result<u64, StorageError> {
             query.validate(ds)?;
 
@@ -598,6 +692,7 @@ mod tests {
                             .collect(),
                     };
                     let want = oracle::query_cardinality(&ds, &q);
+                    prop_assert_eq!(oracle::count_u128(&ds, &q), want.clone());
                     prop_assert_eq!(counter.count(&q), want.clone());
                     prop_assert_eq!(query_cardinality(&ds, &q), want);
                 }
@@ -668,5 +763,96 @@ mod tests {
             ..q
         };
         assert_eq!(query_cardinality(&ds, &q).unwrap(), u64::MAX);
+    }
+
+    /// `hub(id PK, x)` referenced by `fans` tables of `heavy` rows on key 1
+    /// and three rows on key 2, optionally under `top(id PK, x)` through
+    /// `hub.top_id` (hub row `k` references top row `k`).
+    fn fan_out(fans: usize, heavy: usize, with_top: bool) -> Dataset {
+        let mut hub = vec![
+            Column::primary_key("id", vec![1, 2]),
+            Column::data("x", vec![0, 1]),
+        ];
+        let mut tables = Vec::new();
+        let mut joins = Vec::new();
+        if with_top {
+            hub.push(Column::foreign_key("top_id", vec![1, 2]));
+            tables.push(
+                Table::with_columns(
+                    "top",
+                    vec![
+                        Column::primary_key("id", vec![1, 2]),
+                        Column::data("x", vec![0, 1]),
+                    ],
+                )
+                .unwrap(),
+            );
+            joins.push(JoinEdge {
+                fk_table: 1,
+                fk_col: 2,
+                pk_table: 0,
+                pk_col: 0,
+            });
+        }
+        let hub_table = tables.len();
+        tables.push(Table::with_columns("hub", hub).unwrap());
+        for f in 0..fans {
+            let keys = [vec![1; heavy], vec![2; 3]].concat();
+            joins.push(JoinEdge {
+                fk_table: tables.len(),
+                fk_col: 0,
+                pk_table: hub_table,
+                pk_col: 0,
+            });
+            tables.push(
+                Table::with_columns(format!("f{f}"), vec![Column::foreign_key("hub_id", keys)])
+                    .unwrap(),
+            );
+        }
+        Dataset::new("fan_out", tables, joins).unwrap()
+    }
+
+    /// Every table of `ds` in the query, rooted at each table in turn.
+    fn every_rooting(ds: &Dataset, predicates: Vec<Predicate>) -> Vec<Query> {
+        (0..ds.num_tables())
+            .map(|root| {
+                let mut tables: Vec<usize> = (0..ds.num_tables()).collect();
+                tables.rotate_left(root);
+                Query {
+                    tables,
+                    joins: ds.joins.iter().map(|j| (j.fk_table, j.pk_table)).collect(),
+                    predicates: predicates.clone(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counts_past_two_to_the_64_saturate_like_the_u128_counter() {
+        // Five fans of 2¹³ rows on key 1: (2¹³)⁵ = 2⁶⁵ join rows, past the
+        // `u64` weights but well inside the `u128` ones.
+        let ds = fan_out(5, 1 << 13, false);
+        for q in every_rooting(&ds, vec![]) {
+            assert_eq!(oracle::count_u128(&ds, &q), Ok(u64::MAX));
+            assert_eq!(query_cardinality(&ds, &q), Ok(u64::MAX), "{:?}", q.tables);
+        }
+    }
+
+    #[test]
+    fn a_capped_subtree_under_a_filtered_out_row_counts_exactly() {
+        // Hub row 1 carries 2⁶⁵ fan rows, which caps its weight, but the top
+        // row it references is filtered out; only hub row 2's 3⁵ remain.
+        let ds = fan_out(5, 1 << 13, true);
+        let keep_top_2 = Predicate {
+            table: 0,
+            column: 1,
+            lo: 1,
+            hi: 1,
+        };
+        let mut counter = CardinalityCounter::new(&ds);
+        for q in every_rooting(&ds, vec![keep_top_2]) {
+            assert_eq!(oracle::count_u128(&ds, &q), Ok(243));
+            assert_eq!(counter.count(&q), Ok(243), "{:?}", q.tables);
+        }
     }
 }

@@ -21,24 +21,6 @@ pub fn filter_table(table: &Table, predicates: &[&Predicate]) -> Vec<u32> {
     out
 }
 
-/// Returns a boolean selection bitmap (one entry per row) for `table`.
-///
-/// Faster than [`filter_table`] when downstream code probes membership by
-/// row id (the Yannakakis counter does).
-pub fn selection_bitmap(table: &Table, predicates: &[&Predicate]) -> Vec<bool> {
-    let n = table.num_rows();
-    let mut sel = vec![true; n];
-    for p in predicates {
-        let col = &table.columns[p.column].data;
-        for (row, keep) in sel.iter_mut().enumerate() {
-            if *keep && !p.matches(col[row]) {
-                *keep = false;
-            }
-        }
-    }
-    sel
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,14 +54,11 @@ mod tests {
         };
         let rows = filter_table(&t, &[&p1, &p2]);
         assert_eq!(rows, vec![1, 2]); // rows with a in 2..=4 and b in 3..=5
-        let bm = selection_bitmap(&t, &[&p1, &p2]);
-        assert_eq!(bm, vec![false, true, true, false, false]);
     }
 
     #[test]
     fn no_predicates_selects_everything() {
         let t = table();
-        assert_eq!(filter_table(&t, &[]).len(), 5);
-        assert!(selection_bitmap(&t, &[]).iter().all(|&b| b));
+        assert_eq!(filter_table(&t, &[]), vec![0, 1, 2, 3, 4]);
     }
 }

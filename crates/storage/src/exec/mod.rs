@@ -2,8 +2,8 @@
 //!
 //! * [`filter`]: per-table predicate evaluation producing row-id selections.
 //! * [`count`]: exact cardinality of acyclic SPJ queries via a
-//!   Yannakakis-style bottom-up weighted count (linear in table sizes).
-//!   [`CardinalityCounter`] prepares a dataset for a whole workload: per
+//!   Yannakakis-style bottom-up weighted count (linear in table sizes), in
+//!   saturating `u64` weights. [`CardinalityCounter`] prepares a dataset for a whole workload: per
 //!   join edge, on first use, it numbers the keys with dense ids
 //!   (`key − min` when the key span is no larger than the edge's row count,
 //!   else one hash map built per edge), so a query folds an edge with two
@@ -19,6 +19,6 @@ pub mod join;
 pub mod sample;
 
 pub use count::{query_cardinality, CardinalityCounter};
-pub use filter::{filter_table, selection_bitmap};
+pub use filter::filter_table;
 pub use join::{hash_join, nested_loop_join, JoinedRows};
 pub use sample::sample_join;

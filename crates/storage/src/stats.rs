@@ -30,6 +30,24 @@
 //! Both paths produce integers; their oracles are the `HashSet`
 //! definitions.
 //!
+//! # Histograms: counting runs
+//!
+//! [`EquiDepthHistogram::build`] packs a column's sorted run-length
+//! encoding — each distinct value once, ascending, with its row count —
+//! into buckets. The runs come from one of two paths, picked by
+//! `counting_slots` from the value span and row count alone:
+//!
+//! * **counting** — when the span `min..=max` has at most eight values per
+//!   row, each row adds one to the slot at `v − min`. The slots ascend
+//!   with the values they stand for, so the non-zero slots in slot order,
+//!   each with its count, are exactly the runs a sort would have produced:
+//!   the same values, in the same order, with the same counts;
+//! * **sorted** — otherwise it sorts a copy and counts runs, as the build
+//!   always did (that build is the test oracle).
+//!
+//! The bucket packing after either path is unchanged, so the histogram is
+//! equal field for field.
+//!
 //! # Moments: a table at a time
 //!
 //! [`ColumnStats`] is defined by two row-order `f64` loops per column
@@ -62,7 +80,8 @@
 //!
 //! Callers that summarise many columns in a row (`ce-features`) pass one
 //! [`StatsScratch`] through the `*_with` variants so the bitmap and the sort
-//! buffer are allocated once.
+//! buffer are allocated once; [`ndv_with`] is the distinct count alone, for
+//! callers that want no moments.
 
 use crate::column::{Column, Value};
 use crate::dataset::{Dataset, JoinEdge};
@@ -144,6 +163,14 @@ fn distinct_count(data: &[Value], min: Value, max: Value, scratch: &mut StatsScr
     scratch.bits.resize(words, 0);
     mark(&mut scratch.bits, data, min);
     popcount(&scratch.bits)
+}
+
+/// Number of distinct values in `column` (its [`ColumnStats::ndv`]) without
+/// the moments.
+pub fn ndv_with(column: &Column, scratch: &mut StatsScratch) -> usize {
+    min_max(&column.data).map_or(0, |(min, max)| {
+        distinct_count(&column.data, min, max, scratch)
+    })
 }
 
 /// `(|set(pk) ∩ set(fk)|, |set(pk)|)`.
@@ -541,6 +568,53 @@ impl ColumnStats {
     }
 }
 
+/// Value slots per row up to which [`value_runs`] counts instead of sorting.
+const COUNTING_SLOTS_PER_ROW: i128 = 8;
+
+/// The counting/sorted rule of [`value_runs`]: `Some(slots)` when one
+/// counter per value of `min..=max` takes at most
+/// [`COUNTING_SLOTS_PER_ROW`] counters per row (and a `u32` holds any
+/// count), else `None`. A function of the span and the row count only.
+#[inline]
+fn counting_slots(min: Value, max: Value, rows: usize) -> Option<usize> {
+    let slots = wide_span(min, max) + 1;
+    (slots <= COUNTING_SLOTS_PER_ROW * rows as i128 && u32::try_from(rows).is_ok())
+        .then_some(slots as usize)
+}
+
+/// The sorted run-length encoding of `data`: each distinct value once, in
+/// ascending order, with the number of rows holding it. Counted into one
+/// slot per value of the span when [`counting_slots`] allows (the non-zero
+/// slots in slot order *are* the runs in value order), else sorted.
+fn value_runs(data: &[Value]) -> Vec<(Value, usize)> {
+    let Some((min, max)) = min_max(data) else {
+        return Vec::new();
+    };
+    if let Some(slots) = counting_slots(min, max, data.len()) {
+        let mut counts = vec![0u32; slots];
+        for &v in data {
+            // `min..=max` holds every value, so the offset is below `slots`.
+            counts[v.wrapping_sub(min) as u64 as usize] += 1;
+        }
+        return counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(slot, &c)| (min.wrapping_add(slot as Value), c as usize))
+            .collect();
+    }
+    let mut sorted = data.to_vec();
+    sorted.sort_unstable();
+    let mut runs: Vec<(Value, usize)> = Vec::new();
+    for &v in &sorted {
+        match runs.last_mut() {
+            Some((rv, c)) if *rv == v => *c += 1,
+            _ => runs.push((v, 1)),
+        }
+    }
+    runs
+}
+
 /// Equi-depth histogram over a column.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EquiDepthHistogram {
@@ -557,30 +631,21 @@ pub struct EquiDepthHistogram {
 impl EquiDepthHistogram {
     /// Builds a histogram with at most `buckets` buckets.
     pub fn build(column: &Column, buckets: usize) -> Self {
-        let mut sorted = column.data.clone();
-        sorted.sort_unstable();
-        let total = sorted.len();
-        if total == 0 || buckets == 0 {
+        let total = column.len();
+        let Some((min, _)) = min_max(&column.data).filter(|_| buckets > 0) else {
             return EquiDepthHistogram {
                 bounds: Vec::new(),
                 counts: Vec::new(),
                 total: 0,
                 min: 0,
             };
-        }
-        let min = sorted[0];
+        };
         let per = total.div_ceil(buckets);
-        // Run-length encode, then pack runs greedily into buckets of target
-        // depth `per`. A run at least as large as `per` (a heavy hitter)
-        // always gets its own bucket, so point queries on skewed columns stay
-        // accurate — the behavior PostgreSQL gets from its MCV list.
-        let mut runs: Vec<(Value, usize)> = Vec::new();
-        for &v in &sorted {
-            match runs.last_mut() {
-                Some((rv, c)) if *rv == v => *c += 1,
-                _ => runs.push((v, 1)),
-            }
-        }
+        // Pack the runs greedily into buckets of target depth `per`. A run
+        // at least as large as `per` (a heavy hitter) always gets its own
+        // bucket, so point queries on skewed columns stay accurate — the
+        // behavior PostgreSQL gets from its MCV list.
+        let runs = value_runs(&column.data);
         let mut bounds = Vec::new();
         let mut counts = Vec::new();
         let mut acc = 0usize;
@@ -747,6 +812,23 @@ mod tests {
     }
 
     #[test]
+    fn histogram_of_nothing_is_empty() {
+        let empty = oracle::histogram(&[], 10);
+        assert_eq!(
+            EquiDepthHistogram::build(&Column::data("e", vec![]), 10),
+            empty
+        );
+        assert_eq!(empty.total, 0);
+        let no_buckets = EquiDepthHistogram::build(&Column::data("b", vec![3, 1]), 0);
+        assert_eq!(no_buckets, oracle::histogram(&[3, 1], 0));
+        assert_eq!(value_runs(&[]), vec![]);
+        // The rule: slots up to eight per row are counted.
+        assert_eq!(counting_slots(0, 15, 2), Some(16));
+        assert_eq!(counting_slots(0, 16, 2), None);
+        assert_eq!(counting_slots(i64::MIN, i64::MAX, usize::MAX), None);
+    }
+
+    #[test]
     fn histogram_heavy_hitter_not_split() {
         let mut data = vec![5; 500];
         data.extend(1..=500);
@@ -806,7 +888,7 @@ mod tests {
 
     /// The definitions the kernels replaced, kept as test oracles only.
     mod oracle {
-        use super::{ColumnStats, Value};
+        use super::{ColumnStats, EquiDepthHistogram, Value};
         use std::collections::HashSet;
 
         pub fn ndv(data: &[Value]) -> usize {
@@ -914,6 +996,53 @@ mod tests {
             let mut seen = HashSet::new();
             data.iter().copied().find(|&v| !seen.insert(v))
         }
+
+        /// `EquiDepthHistogram::build` before the counting runs: clone,
+        /// sort, run-length encode, pack.
+        pub fn histogram(data: &[Value], buckets: usize) -> EquiDepthHistogram {
+            let mut sorted = data.to_vec();
+            sorted.sort_unstable();
+            let total = sorted.len();
+            if total == 0 || buckets == 0 {
+                return EquiDepthHistogram {
+                    bounds: Vec::new(),
+                    counts: Vec::new(),
+                    total: 0,
+                    min: 0,
+                };
+            }
+            let min = sorted[0];
+            let per = total.div_ceil(buckets);
+            let mut runs: Vec<(Value, usize)> = Vec::new();
+            for &v in &sorted {
+                match runs.last_mut() {
+                    Some((rv, c)) if *rv == v => *c += 1,
+                    _ => runs.push((v, 1)),
+                }
+            }
+            let mut bounds = Vec::new();
+            let mut counts = Vec::new();
+            let mut acc = 0usize;
+            for (i, &(v, c)) in runs.iter().enumerate() {
+                if c >= per && acc > 0 {
+                    bounds.push(runs[i - 1].0);
+                    counts.push(acc);
+                    acc = 0;
+                }
+                acc += c;
+                if acc >= per || i + 1 == runs.len() {
+                    bounds.push(v);
+                    counts.push(acc);
+                    acc = 0;
+                }
+            }
+            EquiDepthHistogram {
+                bounds,
+                counts,
+                total,
+                min,
+            }
+        }
     }
 
     /// Shapes a column out of raw 64-bit draws: dictionary codes, negative
@@ -992,6 +1121,33 @@ mod tests {
                 prop_assert_eq!((s.min, s.max), (lo, lo + span));
                 prop_assert_eq!(s.ndv, oracle::ndv(&data));
             }
+        }
+
+        #[test]
+        fn counting_histogram_matches_the_sort_oracle(
+            raw in prop::collection::vec(i64::MIN..=i64::MAX, 0..200),
+            kind in 0usize..7,
+            buckets in 0usize..12,
+        ) {
+            // Five `shaped` kinds (codes, negative codes, one value, spans
+            // near 64·n, the whole `i64` range), then spans on either side
+            // of the counting rule's bound — `8·n` slots counted, `8·n + 1`
+            // sorted — pinned to `i64::MIN` or `i64::MAX`.
+            let n = raw.len();
+            let mut data = shaped(kind, &raw);
+            if kind >= 5 && n > 1 {
+                let span = 8 * n as i64 - 6 + kind as i64; // 8n − 1 or 8n
+                let lo = if raw[0] % 2 == 0 { i64::MIN } else { i64::MAX - span };
+                data = raw.iter().map(|v| lo + v.rem_euclid(span + 1)).collect();
+                data[0] = lo;
+                data[n - 1] = lo + span;
+                prop_assert_eq!(counting_slots(lo, lo + span, n).is_some(), kind == 5);
+            }
+            let column = Column::data("c", data.clone());
+            prop_assert_eq!(
+                EquiDepthHistogram::build(&column, buckets),
+                oracle::histogram(&data, buckets)
+            );
         }
 
         #[test]

@@ -12,22 +12,42 @@
 //! training + 15 testing queries, `DatasetSpec::small()`, one pinned CPU),
 //! milliseconds per dataset at 7 tables / at 24 tables:
 //!
-//! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter |
-//! |---|---|---|
-//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 |
-//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 |
-//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 |
-//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 |
-//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 |
-//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 |
-//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 |
+//! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter | `u64` counter, counting runs, branch-free partition, one Adam kernel |
+//! |---|---|---|---|
+//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 |
+//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 |
+//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 |
+//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 |
+//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 |
+//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 |
+//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 |
 //!
 //! The left column re-sorted every feature at every node of every tree,
 //! rebuilt hash maps per join edge per query, and computed an input
-//! gradient nobody read; the right column is what remains once none of
-//! that is done (same bits — `tests/golden_label_bits.rs`). What is left is
-//! spread evenly: the network's two matmuls, the histogram build, the
-//! scan of 60 trees' candidate splits, and the row passes of the counter.
+//! gradient nobody read; the middle column is what remains once none of
+//! that is done (same bits — `tests/golden_label_bits.rs`). The right
+//! column replaces four kernels, again at the same bits: the counter's
+//! saturating `u128` weights and selection vectors by `u64` weights masked
+//! in place, the histogram's clone-and-sort by counting into one slot per
+//! value, the GBDT's branchy partition by a branch-free one, and two
+//! scalar Adam loops by one `simd_kernel!` body. It was measured
+//! alternately with the middle column's code on one host, where that code
+//! read 2.4 / 5.0 (`LwXgb::train`), 1.7 / 4.2 (`LwNn::train`), 2.0 / 2.0
+//! (`label_workload`), 0.9 / 3.0 (`PostgresEstimator`) and 7.2 / 14.6
+//! (`label_dataset`). The kernels alone, from `micro.rs -- label_kernels`
+//! on that host, before → after:
+//!
+//! | kernel | 7 tables | 24 tables |
+//! |---|---|---|
+//! | `count_workload` (45 queries) | 1.86 → 1.05 ms | 1.96 → 1.08 ms |
+//! | `histogram_build` (every data column) | 0.77 → 0.35 ms | 2.65 → 1.40 ms |
+//! | `gbdt_fit` (LW-XGB, 30 rows) | 2.30 → 1.66 ms | 4.50 → 4.12 ms |
+//! | `adam_step` (LW-NN's two layers) | 6.2 → 5.4 µs | 22.2 → 19.9 µs |
+//!
+//! The Adam step gains least: per element it is three divisions and a
+//! square root, which no vector width makes cheaper per lane. What is left
+//! is the network's two matmuls, the scan of 60 trees' candidate splits,
+//! the counter's row passes and query validation.
 
 use crate::label::{label_dataset, DatasetLabel, TestbedConfig};
 use ce_storage::Dataset;
