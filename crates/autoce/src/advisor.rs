@@ -513,28 +513,6 @@ impl AutoCe {
         self.rcs
             .write_back(&pooled, self.index_cfg.as_ref(), &self.metrics, generation);
     }
-
-    /// Embeds many datasets at once: features are extracted in parallel and
-    /// the graphs are encoded through the batch-stacked service. Identical
-    /// to mapping [`Self::embed`] over `datasets`, with far fewer kernel
-    /// dispatches.
-    pub fn embed_batch(&self, datasets: &[Dataset]) -> Vec<Vec<f32>> {
-        let graphs: Vec<FeatureGraph> = datasets
-            .par_iter()
-            .map(|ds| extract_features(ds, &self.config.feature))
-            .collect();
-        self.encoder.encode_batch(&graphs)
-    }
-
-    /// Batch Stage-4 recommendation: one stacked embedding pass over all
-    /// datasets, then the KNN vote per embedding. Equivalent to calling
-    /// [`Self::recommend`] per dataset.
-    pub fn recommend_batch(&self, datasets: &[Dataset], w: MetricWeights) -> Vec<ModelKind> {
-        self.embed_batch(datasets)
-            .iter()
-            .map(|x| self.predict_from_embedding(x, w).0)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -611,8 +589,9 @@ mod tests {
     }
 
     /// The batch-stacked serving path must agree with the per-graph path
-    /// bit for bit: refreshed RCS embeddings, batch embeds and batch
-    /// recommendations all match their one-at-a-time equivalents.
+    /// bit for bit: refreshed RCS embeddings, stacked batch embeds and the
+    /// recommendations voted from them all match their one-at-a-time
+    /// equivalents.
     #[test]
     fn stacked_serving_path_matches_per_graph_path_bitwise() {
         let (datasets, mut advisor) = tiny_training_run(2, false);
@@ -626,12 +605,16 @@ mod tests {
         for (e, expect) in advisor.rcs().iter().zip(&per_graph_rcs) {
             assert_eq!(&e.embedding, expect, "stacked refresh must be bitwise");
         }
-        let batch = advisor.embed_batch(&datasets);
+        let graphs: Vec<FeatureGraph> = datasets
+            .iter()
+            .map(|ds| extract_features(ds, &advisor.config().feature))
+            .collect();
+        let batch = advisor.encoder().encode_batch(&graphs);
         let w = MetricWeights::new(0.7);
-        let recs = advisor.recommend_batch(&datasets, w);
-        for ((ds, emb), rec) in datasets.iter().zip(&batch).zip(&recs) {
+        for (ds, emb) in datasets.iter().zip(&batch) {
             assert_eq!(emb, &advisor.embed(ds), "stacked embed must be bitwise");
-            assert_eq!(*rec, advisor.recommend(ds, w));
+            let rec = advisor.predict_from_embedding(emb, w).0;
+            assert_eq!(rec, advisor.recommend(ds, w));
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::advisor::AutoCe;
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
-use ce_gnn::{DmlConfig, GinEncoder, GinGrads, GraphCtx};
+use ce_gnn::{DmlConfig, GinEncoder, GradPool, StackedCtx, StackedTape};
 use ce_models::ModelKind;
 use ce_nn::loss::softmax_cross_entropy;
 use ce_nn::matrix::euclidean;
@@ -45,23 +45,44 @@ impl Selector for AutoCe {
     }
 }
 
-/// One end-to-end step of a GIN-headed baseline on one graph: a tape
-/// forward, the head's forward and loss gradient (`loss_grad`), then the
-/// backward through head and encoder and one Adam step on each.
-fn train_step(
+/// End-to-end training of a GIN-headed baseline: per epoch the graphs are
+/// shuffled, and each graph takes one step — a taped forward of its
+/// one-graph stack, the head's forward and loss gradient (`loss_grad`,
+/// given the graph's index), then the backward through head and encoder
+/// and one Adam step on each. A graph whose embedding gradient is exactly
+/// zero still steps (with a zero accumulator), so Adam's `t` advances.
+fn train_end_to_end(
     encoder: &mut GinEncoder,
     head: &mut Mlp,
-    ctx: &GraphCtx,
-    lr: f32,
-    loss_grad: impl FnOnce(&mut Mlp, &[f32]) -> Matrix,
+    graphs: &[FeatureGraph],
+    dml: &DmlConfig,
+    rng: &mut StdRng,
+    loss_grad: impl Fn(&mut Mlp, &[f32], usize) -> Matrix,
 ) {
-    let tape = encoder.forward_tape(ctx);
-    let grad = loss_grad(head, tape.embedding());
-    let g_emb = head.backward(&grad);
-    let mut acc = GinGrads::zeros_like(encoder);
-    encoder.backward_tape(ctx, &tape, g_emb.row(0), &mut acc, &encoder.backward_plan());
-    head.step(lr);
-    encoder.step_with(&acc, lr);
+    let stacks: Vec<StackedCtx> = graphs
+        .iter()
+        .map(|g| StackedCtx::from_graphs(&[g]))
+        .collect();
+    let mut tape = StackedTape::new();
+    let pool = GradPool::new();
+    let mut order: Vec<usize> = (0..graphs.len()).collect();
+    for _ in 0..dml.epochs {
+        order.shuffle(rng);
+        for &i in &order {
+            encoder.forward_stacked_tape_into(&stacks[i], &mut tape);
+            let grad = loss_grad(head, tape.embedding(0), i);
+            let g_emb = vec![head.backward(&grad).row(0).to_vec()];
+            let plan = encoder.backward_plan();
+            let acc = encoder
+                .backward_stacked_tape(&stacks[i], &tape, &g_emb, &plan, &pool)
+                .pop()
+                .flatten()
+                .unwrap_or_else(|| pool.checkout(encoder));
+            head.step(dml.lr);
+            encoder.step_with(&acc, dml.lr);
+            pool.restore(acc);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -123,17 +144,17 @@ impl MlpSelector {
             Activation::Linear,
             &mut rng,
         );
-        let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
-        let mut order: Vec<usize> = (0..graphs.len()).collect();
-        for _ in 0..dml.epochs {
-            order.shuffle(&mut rng);
-            for &i in &order {
-                train_step(&mut encoder, &mut head, &ctxs[i], dml.lr, |head, emb| {
-                    let logits = head.forward(&Matrix::row_vector(emb));
-                    softmax_cross_entropy(&logits, &[classes[i]]).1
-                });
-            }
-        }
+        train_end_to_end(
+            &mut encoder,
+            &mut head,
+            graphs,
+            dml,
+            &mut rng,
+            |head, emb, i| {
+                let logits = head.forward(&Matrix::row_vector(emb));
+                softmax_cross_entropy(&logits, &[classes[i]]).1
+            },
+        );
         MlpSelector {
             feature,
             encoder,
@@ -214,17 +235,17 @@ impl RegressionSelector {
             Activation::Sigmoid,
             &mut rng,
         );
-        let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
-        let mut order: Vec<usize> = (0..graphs.len()).collect();
-        for _ in 0..dml.epochs {
-            order.shuffle(&mut rng);
-            for &i in &order {
-                train_step(&mut encoder, &mut head, &ctxs[i], dml.lr, |head, emb| {
-                    let pred = head.forward(&Matrix::row_vector(emb));
-                    ce_nn::loss::mse_loss(&pred, &Matrix::row_vector(&targets[i])).1
-                });
-            }
-        }
+        train_end_to_end(
+            &mut encoder,
+            &mut head,
+            &graphs,
+            dml,
+            &mut rng,
+            |head, emb, i| {
+                let pred = head.forward(&Matrix::row_vector(emb));
+                ce_nn::loss::mse_loss(&pred, &Matrix::row_vector(&targets[i])).1
+            },
+        );
         RegressionSelector {
             feature,
             encoder,
@@ -554,23 +575,27 @@ mod tests {
         assert_eq!(mlp.trained_for().accuracy, 0.9);
     }
 
-    /// FNV-1a over the trained encoder's parameters and the trained head's
-    /// output on every training graph's embedding, for both GIN-headed
-    /// baselines on one fixed input. The labels are synthetic, so no wall
-    /// clock enters. Captured before the two training loops moved onto the
-    /// tape API; any later loop must reproduce it.
-    #[test]
-    fn trained_baseline_parameters_are_pinned() {
-        const GOLDEN: u64 = 0xd2dd_a27e_9d41_9e24;
-        fn fold(h: &mut u64, xs: &[f32]) {
-            for b in xs.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
-                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fold(h: &mut u64, xs: &[f32]) {
+        for b in xs.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// Folds a trained encoder's parameters, then the head's output on
+    /// every graph's embedding.
+    fn fold_trained(h: &mut u64, encoder: &GinEncoder, head: &Mlp, graphs: &[FeatureGraph]) {
+        fold(h, &encoder.flat_params());
+        for g in graphs {
+            fold(h, &head.infer(&Matrix::row_vector(&encoder.encode(g))).data);
+        }
+    }
+
+    /// Synthetic labels over three models: no wall clock enters.
+    fn pinned_labels(n: usize) -> Vec<DatasetLabel> {
         let kinds = [ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
-        let mut rng = StdRng::seed_from_u64(245);
-        let datasets = generate_batch("pin", 6, &DatasetSpec::small(), &mut rng);
-        let labels: Vec<DatasetLabel> = (0..datasets.len())
+        (0..n)
             .map(|i| DatasetLabel {
                 dataset: format!("pin{i}"),
                 performances: kinds
@@ -587,7 +612,20 @@ mod tests {
                     })
                     .collect(),
             })
-            .collect();
+            .collect()
+    }
+
+    /// FNV-1a over the trained encoder's parameters and the trained head's
+    /// output on every training graph's embedding, for both GIN-headed
+    /// baselines on one fixed input. The labels are synthetic, so no wall
+    /// clock enters. Captured before the two training loops moved onto the
+    /// tape API; any later loop must reproduce it.
+    #[test]
+    fn trained_baseline_parameters_are_pinned() {
+        const GOLDEN: u64 = 0xd2dd_a27e_9d41_9e24;
+        let mut rng = StdRng::seed_from_u64(245);
+        let datasets = generate_batch("pin", 6, &DatasetSpec::small(), &mut rng);
+        let labels = pinned_labels(datasets.len());
         let feature = FeatureConfig::default();
         let graphs: Vec<FeatureGraph> = datasets
             .iter()
@@ -602,15 +640,56 @@ mod tests {
         let w = MetricWeights::new(0.7);
         let mlp = MlpSelector::train_from_graphs(&graphs, &labels, w, feature, &dml, 46);
         let reg = RegressionSelector::train(&datasets, &labels, w, feature, &dml, 47);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (encoder, head) in [(&mlp.encoder, &mlp.head), (&reg.encoder, &reg.head)] {
-            fold(&mut h, &encoder.flat_params());
-            for g in &graphs {
-                let out = head.infer(&Matrix::row_vector(&encoder.encode(g)));
-                fold(&mut h, &out.data);
+        let mut h = FNV_OFFSET;
+        fold_trained(&mut h, &mlp.encoder, &mlp.head, &graphs);
+        fold_trained(&mut h, &reg.encoder, &reg.head, &graphs);
+        assert_eq!(h, GOLDEN, "trained baseline bits moved: {h:#018x}");
+    }
+
+    /// Golden bits of each GIN-headed baseline over a single- and
+    /// multi-table corpus, five seeds, two weightings and one- and
+    /// two-layer encoders: FNV-1a over every trained encoder's
+    /// `flat_params` and its head's output on every graph. Captured on the
+    /// per-graph taped engine, before the baselines trained through a
+    /// one-graph stack.
+    #[test]
+    fn baseline_training_bits_are_golden() {
+        const MLP_GOLDEN: u64 = 0x716b_1484_3498_912e;
+        const REGRESSION_GOLDEN: u64 = 0x7ccc_1f39_4099_dca3;
+        let mut rng = StdRng::seed_from_u64(246);
+        let mut datasets = generate_batch("gs", 5, &DatasetSpec::small().single_table(), &mut rng);
+        datasets.extend(generate_batch(
+            "gm",
+            5,
+            &DatasetSpec::small().multi_table(),
+            &mut rng,
+        ));
+        let labels = pinned_labels(datasets.len());
+        let feature = FeatureConfig::default();
+        let graphs: Vec<FeatureGraph> = datasets
+            .iter()
+            .map(|ds| extract_features(ds, &feature))
+            .collect();
+        let (mut mlp_h, mut reg_h) = (FNV_OFFSET, FNV_OFFSET);
+        for seed in 1..=5u64 {
+            let dml = DmlConfig {
+                epochs: 3,
+                hidden: if seed % 2 == 0 { vec![8, 6] } else { vec![8] },
+                embed_dim: 4,
+                ..DmlConfig::default()
+            };
+            for w in [MetricWeights::new(0.9), MetricWeights::new(0.3)] {
+                let mlp = MlpSelector::train_from_graphs(&graphs, &labels, w, feature, &dml, seed);
+                fold_trained(&mut mlp_h, &mlp.encoder, &mlp.head, &graphs);
+                let reg = RegressionSelector::train(&datasets, &labels, w, feature, &dml, seed);
+                fold_trained(&mut reg_h, &reg.encoder, &reg.head, &graphs);
             }
         }
-        assert_eq!(h, GOLDEN, "trained baseline bits moved: {h:#018x}");
+        assert_eq!(mlp_h, MLP_GOLDEN, "MLP baseline bits moved: {mlp_h:#018x}");
+        assert_eq!(
+            reg_h, REGRESSION_GOLDEN,
+            "regression baseline bits moved: {reg_h:#018x}"
+        );
     }
 
     #[test]

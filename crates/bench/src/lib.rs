@@ -1,8 +1,10 @@
 //! # ce-bench — the reproduction harness
 //!
-//! One experiment module (and one binary) per table and figure of the
-//! paper's evaluation (§VII). Every experiment prints the same rows/series
-//! the paper reports and writes a JSON record under `results/`.
+//! One experiment module per table and figure of the paper's evaluation
+//! (§VII), all run by one binary: `experiments <name>|all` (for example
+//! `cargo run --release -p ce-bench --bin experiments -- table4`). Every
+//! experiment prints the same rows/series the paper reports and writes a
+//! JSON record under `results/`.
 //!
 //! Scale is controlled by the `AUTOCE_SCALE` environment variable
 //! (default 1.0 — a laptop-sized run preserving the paper's comparisons;

@@ -2,11 +2,10 @@
 //!
 //! [`extract_features`] is the first layer of every `Dataset` request, and
 //! on a cache-missing one nearly all of its time. It owns one
-//! [`StatsScratch`] per call — local, so parallel callers (`AutoCe::train`,
-//! `embed_batch`) share nothing — and hands it to `ce_storage::stats`'
-//! kernels: the data columns of a table are summarised together
-//! ([`ColumnStats::compute_table_with`]), then every used column pair and
-//! join edge. The kernels may change latency, never bits:
+//! [`StatsScratch`] per call — local, so parallel callers share nothing —
+//! and hands it to `ce_storage::stats`' kernels: the data columns of a
+//! table are summarised together ([`ColumnStats::compute_table_with`]),
+//! then every used column pair and join edge. The kernels may change latency, never bits:
 //! `tests/golden_bits.rs` pins a checksum of every vertex and edge value
 //! captured before the hash-free kernels, and one of every `f64` statistic
 //! underneath captured before the table-at-a-time ones.

@@ -13,23 +13,22 @@
 //! gradients; `ε`'s gradient is the inner product of the incoming gradient
 //! with the layer input.
 //!
-//! # Engine architecture (throughput rebuild)
+//! # Engine architecture
 //!
 //! Parameters are split from activation state so the encoder can train a
 //! whole batch of graphs in parallel:
 //!
 //! * [`GinEncoder`] owns **shared parameters only** (weights, ε, Adam
-//!   moments). [`GinEncoder::forward_tape`] and
-//!   [`GinEncoder::backward_tape`] are pure w.r.t. the encoder (`&self`),
-//!   so any number of graphs can be in flight concurrently.
+//!   moments); its forward and backward passes are `&self`, so any number
+//!   of graphs can be in flight concurrently.
 //! * [`GraphCtx`] is the per-graph prepared input: the vertex matrix copied
-//!   once (no per-forward `Vec` clones) and the symmetrized adjacency in
-//!   CSR form built once — the seed engine rebuilt a dense n×n aggregation
-//!   matrix per layer per forward.
-//! * [`ForwardTape`] records per-layer activations of one training forward;
-//!   the same tape yields the embedding **and** feeds backprop, eliminating
-//!   the seed's second (cache-building) forward pass per graph per batch.
-//! * [`GinGrads`] is a per-stream gradient accumulator. Reducing
+//!   once and the symmetrized adjacency in CSR form built once.
+//! * One taped engine trains: [`crate::stack::StackedTape`] records a
+//!   stack of graphs' activations in one forward, and its segmented
+//!   backward splits parameter gradients per graph. The per-graph taped
+//!   engine it replaced and the seed's dense engine live on only as its
+//!   `#[cfg(test)]` oracles (`per_graph`, `reference`).
+//! * [`GinGrads`] is a per-graph gradient accumulator. Reducing
 //!   accumulators in a fixed order and applying one
 //!   [`GinEncoder::step_with`] keeps parallel training bit-for-bit
 //!   deterministic across thread counts.
@@ -111,46 +110,10 @@ impl GraphCtx {
     }
 }
 
-/// Activations of one training forward: per layer, the aggregated input `M`
-/// fed to the dense map and its post-activation output `Y`. Layer `l`'s
-/// aggregation input is layer `l-1`'s `Y` (or the graph's vertex matrix),
-/// so nothing is stored twice.
-pub struct ForwardTape {
-    steps: Vec<TapeStep>,
-    embedding: Vec<f32>,
-}
-
-struct TapeStep {
-    m: Matrix,
-    y: Matrix,
-}
-
-impl ForwardTape {
-    /// An empty tape, ready for [`GinEncoder::forward_tape_into`]. Pooled
-    /// tapes start here and keep their buffers across checkouts.
-    pub fn new() -> Self {
-        ForwardTape {
-            steps: Vec::new(),
-            embedding: Vec::new(),
-        }
-    }
-
-    /// The graph embedding this forward produced (sum-pooled vertices).
-    pub fn embedding(&self) -> &[f32] {
-        &self.embedding
-    }
-}
-
-impl Default for ForwardTape {
-    fn default() -> Self {
-        ForwardTape::new()
-    }
-}
-
 /// Per-batch backward plan: every layer's `Wᵀ` materialized once and shared
-/// (read-only) by all concurrent per-graph backward passes of the batch.
-/// Weights are constant within a batch, so one transpose amortizes over
-/// every graph and keeps the `dx = g·Wᵀ` product on the wide i-k-j kernel.
+/// (read-only) by all concurrent backward passes of the batch. Weights are
+/// constant within a batch, so one transpose amortizes over every graph
+/// and keeps the `dx = g·Wᵀ` product on the wide i-k-j kernel.
 pub struct BackwardPlan {
     wts: Vec<Matrix>,
 }
@@ -195,24 +158,6 @@ impl GinGrads {
             a.dense.add_assign(&b.dense);
             a.eps += b.eps;
         }
-    }
-
-    /// ε-gradient of each layer (exposed for tests).
-    pub fn epsilon_grads(&self) -> Vec<f32> {
-        self.layers.iter().map(|l| l.eps).collect()
-    }
-
-    /// Every accumulated gradient flattened in a stable order (weights,
-    /// biases, ε per layer) — the bit-exactness witness the stacked-vs-
-    /// per-graph backward equivalence tests compare.
-    pub fn flat(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        for l in &self.layers {
-            out.extend_from_slice(&l.dense.gw.data);
-            out.extend_from_slice(&l.dense.gb);
-            out.push(l.eps);
-        }
-        out
     }
 
     /// Mutable access to one layer's accumulator slot (for the segmented
@@ -299,44 +244,6 @@ impl GinEncoder {
         h.sum_rows().data
     }
 
-    /// Pure training forward: records the per-layer activations needed by
-    /// [`Self::backward_tape`] and the embedding. `&self` only — safe to
-    /// run for many graphs concurrently.
-    pub fn forward_tape(&self, ctx: &GraphCtx) -> ForwardTape {
-        let mut tape = ForwardTape::new();
-        self.forward_tape_into(ctx, &mut tape);
-        tape
-    }
-
-    /// Allocation-recycling variant of [`Self::forward_tape`]: overwrites
-    /// `tape` in place, reusing its per-layer matrices and embedding buffer
-    /// (reshaped as needed). Bit-identical to a freshly allocated tape —
-    /// this is what a [`TapePool`](crate::pool::TapePool) checkout runs.
-    pub fn forward_tape_into(&self, ctx: &GraphCtx, tape: &mut ForwardTape) {
-        tape.steps.resize_with(self.layers.len(), || TapeStep {
-            m: Matrix::zeros(0, 0),
-            y: Matrix::zeros(0, 0),
-        });
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = tape.steps.split_at_mut(l);
-            let step = &mut rest[0];
-            let h = if l == 0 { &ctx.h0 } else { &done[l - 1].y };
-            // The SpMM inside `aggregate` zeroes its output itself.
-            step.m.reshape_for_overwrite(h.rows, h.cols);
-            layer.aggregate(h, &ctx.csr, &mut step.m);
-            layer.mlp.infer_into(&step.m, &mut step.y);
-        }
-        let h = tape.steps.last().map_or(&ctx.h0, |s| &s.y);
-        tape.embedding.clear();
-        tape.embedding.resize(h.cols, 0.0);
-        // Ascending-row accumulation — identical to `Matrix::sum_rows`.
-        for r in 0..h.rows {
-            for (e, &v) in tape.embedding.iter_mut().zip(h.row(r)) {
-                *e += v;
-            }
-        }
-    }
-
     /// Runs the GINConv stack over an already-stacked vertex matrix `h0`
     /// with a block-diagonal adjacency `csr`, returning the final per-vertex
     /// activations (pooling is the caller's job). Rows of different graphs
@@ -371,61 +278,6 @@ impl GinEncoder {
         }
     }
 
-    /// Pure backward from an embedding gradient, accumulating parameter
-    /// gradients into `acc`. `&self` only; `plan` is shared read-only by
-    /// every graph of the batch.
-    pub fn backward_tape(
-        &self,
-        ctx: &GraphCtx,
-        tape: &ForwardTape,
-        grad_embedding: &[f32],
-        acc: &mut GinGrads,
-        plan: &BackwardPlan,
-    ) {
-        let n = ctx.num_vertices();
-        // Sum pooling broadcasts the embedding gradient to every vertex.
-        let mut g = Matrix::zeros(n, grad_embedding.len());
-        for r in 0..n {
-            g.row_mut(r).copy_from_slice(grad_embedding);
-        }
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let step = &tape.steps[l];
-            let h = if l == 0 {
-                &ctx.h0
-            } else {
-                &tape.steps[l - 1].y
-            };
-            let layer_acc = &mut acc.layers[l];
-            let gm = layer.mlp.backward_owned_wt(
-                &step.m,
-                &step.y,
-                g,
-                &plan.wts[l],
-                &mut layer_acc.dense,
-            );
-            // dL/dε = Σ_i <gm_i, h_i> (the ε term contributes ε·h_i to m_i).
-            for (a, b) in gm.data.iter().zip(&h.data) {
-                layer_acc.eps += a * b;
-            }
-            if l == 0 {
-                // The input-feature gradient is never consumed.
-                break;
-            }
-            // dL/dH = (1+ε)·gm + Aᵀ·gm; A is symmetric, so the forward
-            // SpMM kernel routes the gradient too.
-            let mut gh = Matrix::zeros(h.rows, h.cols);
-            spmm_csr(
-                &ctx.csr.indptr,
-                &ctx.csr.indices,
-                &ctx.csr.weights,
-                1.0 + layer.eps,
-                &gm,
-                &mut gh,
-            );
-            g = gh;
-        }
-    }
-
     /// The layer stack (for the stacked training path in `crate::stack`).
     pub(crate) fn layers(&self) -> &[GinLayer] {
         &self.layers
@@ -451,20 +303,6 @@ impl GinEncoder {
         }
     }
 
-    /// Per-layer parameters `(weights, bias, ε)` — lets the reference
-    /// engine clone a trained state for equivalence testing.
-    pub(crate) fn layer_params(&self) -> Vec<(&Matrix, &[f32], f32)> {
-        self.layers
-            .iter()
-            .map(|l| (&l.mlp.w, l.mlp.b.as_slice(), l.eps))
-            .collect()
-    }
-
-    /// Learnable ε of each layer (exposed for tests / inspection).
-    pub fn epsilons(&self) -> Vec<f32> {
-        self.layers.iter().map(|l| l.eps).collect()
-    }
-
     /// Every parameter flattened in a stable order (weights, biases, ε per
     /// layer) — the bit-exactness witness for determinism tests.
     pub fn flat_params(&self) -> Vec<f32> {
@@ -473,6 +311,39 @@ impl GinEncoder {
             out.extend_from_slice(&layer.mlp.w.data);
             out.extend_from_slice(&layer.mlp.b);
             out.push(layer.eps);
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+impl GinEncoder {
+    /// Per-layer parameters `(weights, bias, ε)` — lets the reference
+    /// engine clone a trained state for equivalence testing.
+    pub(crate) fn layer_params(&self) -> Vec<(&Matrix, &[f32], f32)> {
+        self.layers
+            .iter()
+            .map(|l| (&l.mlp.w, l.mlp.b.as_slice(), l.eps))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl GinGrads {
+    /// ε-gradient of each layer.
+    pub(crate) fn epsilon_grads(&self) -> Vec<f32> {
+        self.layers.iter().map(|l| l.eps).collect()
+    }
+
+    /// Every accumulated gradient flattened in a stable order (weights,
+    /// biases, ε per layer) — the bit-exactness witness the stacked-vs-
+    /// per-graph backward equivalence tests compare.
+    pub(crate) fn flat(&self) -> Vec<f32> {
+        let mut out = Vec::new();
+        for l in &self.layers {
+            out.extend_from_slice(&l.dense.gw.data);
+            out.extend_from_slice(&l.dense.gb);
+            out.push(l.eps);
         }
         out
     }

@@ -19,22 +19,30 @@
 //!   same block-diagonal structure, splitting per-graph contributions at
 //!   segment boundaries so the fixed-order reduction stays bit-identical
 //!   to per-graph training.
-//! * [`pool`]: reusable training workspaces (per-graph and stacked tapes,
-//!   gradient accumulators) recycled across batches; pooled gradient
-//!   buffers are zeroed on checkout, never trusted on return.
+//! * [`pool`]: reusable training workspaces (stacked tapes, gradient
+//!   accumulators) recycled across batches; pooled gradient buffers are
+//!   zeroed on checkout, never trusted on return.
+//!
+//! The stacked tape is the one taped engine. The per-graph taped engine it
+//! replaced and the seed's dense engine live on only as its
+//! `#[cfg(test)]` oracles.
 
 pub mod gin;
 pub mod loss;
 pub mod pool;
-pub mod reference;
 pub mod stack;
 pub mod train;
 
-pub use gin::{BackwardPlan, ForwardTape, GinEncoder, GinGrads, GraphCtx};
+pub use gin::{BackwardPlan, GinEncoder, GinGrads, GraphCtx};
 pub use loss::{basic_contrastive, performance_similarity, weighted_contrastive, PairSets};
-pub use pool::{GradPool, StackedTapePool, TapePool, WorkspacePools};
+pub use pool::{GradPool, StackedTapePool, WorkspacePools};
 pub use stack::{StackedCtx, StackedTape, STACK_CHUNK_ROWS};
 pub use train::{
-    train_encoder, train_encoder_incremental_observed, train_encoder_observed,
-    train_encoder_per_graph, DmlConfig, LossKind, TrainObs,
+    train_encoder, train_encoder_incremental_observed, train_encoder_observed, DmlConfig, LossKind,
+    TrainObs,
 };
+
+#[cfg(test)]
+mod per_graph;
+#[cfg(test)]
+mod reference;

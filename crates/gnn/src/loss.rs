@@ -32,15 +32,9 @@ pub fn performance_similarity(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Assigns each ordered pair to the positive or negative set by threshold
-/// `tau` (Def. 3).
-pub fn pair_sets(labels: &[Vec<f64>], tau: f64) -> PairSets {
-    pair_sets_with_sims(labels, tau).0
-}
-
-/// [`pair_sets`] variant that also returns the pairwise similarity matrix
-/// it computed, so [`weighted_contrastive_presim`] can reuse it instead of
-/// recomputing the same O(m²·dim) pass.
-pub fn pair_sets_with_sims(labels: &[Vec<f64>], tau: f64) -> (PairSets, Vec<f64>) {
+/// `tau` (Def. 3), and returns the pairwise similarity matrix it computed
+/// (`m×m`, row-major) for [`weighted_contrastive`] to reuse.
+pub fn pair_sets(labels: &[Vec<f64>], tau: f64) -> (PairSets, Vec<f64>) {
     let m = labels.len();
     let sims = pairwise_similarities(labels);
     let mut positives = vec![Vec::new(); m];
@@ -117,21 +111,10 @@ fn pairwise_similarities(labels: &[Vec<f64>]) -> Vec<f64> {
 
 /// The weighted contrastive loss (Eq. 9) with gradients.
 ///
-/// `gamma` is the fixed margin of the negative term. Similarities are the
-/// label cosine similarities; distances are embedding Euclidean distances.
+/// `gamma` is the fixed margin of the negative term. `sims` are the label
+/// cosine similarities [`pair_sets`] returns; distances are embedding
+/// Euclidean distances.
 pub fn weighted_contrastive(
-    embeddings: &[Vec<f32>],
-    labels: &[Vec<f64>],
-    pairs: &PairSets,
-    gamma: f64,
-) -> LossGrad {
-    weighted_contrastive_presim(embeddings, &pairwise_similarities(labels), pairs, gamma)
-}
-
-/// [`weighted_contrastive`] with the label-similarity matrix supplied by
-/// the caller (from [`pair_sets_with_sims`]) — the hot-path form used by
-/// training, which avoids computing the matrix twice per batch.
-pub fn weighted_contrastive_presim(
     embeddings: &[Vec<f32>],
     sims: &[f64],
     pairs: &PairSets,
@@ -264,7 +247,7 @@ mod tests {
     #[test]
     fn pair_sets_respect_threshold() {
         let labels = vec![vec![1.0, 0.0], vec![0.9, 0.1], vec![0.0, 1.0]];
-        let p = pair_sets(&labels, 0.8);
+        let (p, _) = pair_sets(&labels, 0.8);
         assert!(p.positives[0].contains(&1));
         assert!(p.negatives[0].contains(&2));
         assert!(p.positives[1].contains(&0));
@@ -278,8 +261,8 @@ mod tests {
             vec![0.1, 0.5], // negative of 0
         ];
         let labels = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]];
-        let pairs = pair_sets(&labels, 0.5);
-        let lg = weighted_contrastive(&embeddings, &labels, &pairs, 1.0);
+        let (pairs, sims) = pair_sets(&labels, 0.5);
+        let lg = weighted_contrastive(&embeddings, &sims, &pairs, 1.0);
         assert!(lg.loss.is_finite());
         // Gradient on anchor 0 w.r.t. positive 1: descent moves x0 toward x1
         // (gradient points away from x1, i.e. negative x-component... check
@@ -304,15 +287,15 @@ mod tests {
             vec![0.0, 1.0, 0.5],
             vec![0.1, 0.9, 0.2],
         ];
-        let pairs = pair_sets(&labels, 0.7);
-        let lg = weighted_contrastive(&embeddings, &labels, &pairs, 1.0);
+        let (pairs, sims) = pair_sets(&labels, 0.7);
+        let lg = weighted_contrastive(&embeddings, &sims, &pairs, 1.0);
         let eps = 1e-3f32;
         for (i, d) in [(0usize, 0usize), (1, 1), (2, 0), (3, 1)] {
             let orig = embeddings[i][d];
             embeddings[i][d] = orig + eps;
-            let lp = weighted_contrastive(&embeddings, &labels, &pairs, 1.0).loss;
+            let lp = weighted_contrastive(&embeddings, &sims, &pairs, 1.0).loss;
             embeddings[i][d] = orig - eps;
-            let lm = weighted_contrastive(&embeddings, &labels, &pairs, 1.0).loss;
+            let lm = weighted_contrastive(&embeddings, &sims, &pairs, 1.0).loss;
             embeddings[i][d] = orig;
             let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let analytic = lg.grads[i][d];
@@ -328,7 +311,7 @@ mod tests {
     fn basic_gradient_matches_finite_difference() {
         let mut embeddings = vec![vec![0.1f32, 0.2], vec![0.7, -0.3], vec![-0.4, 0.6]];
         let labels = vec![vec![1.0, 0.0], vec![0.95, 0.05], vec![0.0, 1.0]];
-        let pairs = pair_sets(&labels, 0.6);
+        let (pairs, _) = pair_sets(&labels, 0.6);
         let lg = basic_contrastive(&embeddings, &pairs, 2.0);
         let eps = 1e-3f32;
         for (i, d) in [(0usize, 0usize), (1, 1), (2, 0)] {
@@ -349,7 +332,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_zero_loss() {
-        let lg = weighted_contrastive(&[], &[], &pair_sets(&[], 0.9), 1.0);
+        let (pairs, sims) = pair_sets(&[], 0.9);
+        let lg = weighted_contrastive(&[], &sims, &pairs, 1.0);
         assert_eq!(lg.loss, 0.0);
         assert!(lg.grads.is_empty());
     }

@@ -1,12 +1,11 @@
-//! Reusable training workspaces: checkout/restore pools for the per-graph
-//! [`ForwardTape`]s and [`GinGrads`] accumulators of batch training.
+//! Reusable training workspaces: checkout/restore pools for the
+//! [`StackedTape`]s and [`GinGrads`] accumulators of batch training.
 //!
-//! `train_batch` used to allocate one tape (per-layer activation matrices)
-//! and one gradient accumulator per graph per batch; at GIN sizes that
-//! allocation traffic was ~10% of the training profile. The pools below
-//! recycle those buffers across batches: a rayon worker checks a workspace
-//! out, fills it, and the batch driver returns every workspace once the
-//! fixed-order reduction is done.
+//! Allocating one tape (per-layer activation matrices) per chunk and one
+//! gradient accumulator per graph per batch was ~10% of the training
+//! profile at GIN sizes. The pools below recycle those buffers across
+//! batches: a rayon worker checks a workspace out, fills it, and the batch
+//! driver returns every workspace once the fixed-order reduction is done.
 //!
 //! # Checkout rules (the pool invariants)
 //!
@@ -18,14 +17,14 @@
 //! * **Shape-checked.** A pooled accumulator that no longer matches the
 //!   encoder's parameter shapes (the pool outlived a differently-shaped
 //!   encoder) is dropped and replaced by a fresh zero accumulator.
-//! * **Determinism is unaffected.** Which physical buffer a graph gets
+//! * **Determinism is unaffected.** Which physical buffer a chunk gets
 //!   changes no value: tapes are fully overwritten
-//!   ([`GinEncoder::forward_tape_into`]) and accumulators start from
-//!   all-zeros, while the gradient reduction still runs in fixed batch
+//!   ([`GinEncoder::forward_stacked_tape_into`]) and accumulators start
+//!   from all-zeros, while the gradient reduction still runs in fixed batch
 //!   order. Training remains bit-identical across thread counts and with
 //!   or without pooling.
 
-use crate::gin::{ForwardTape, GinEncoder, GinGrads};
+use crate::gin::{GinEncoder, GinGrads};
 use crate::stack::StackedTape;
 use ce_obs::{Counter, MetricsRegistry};
 use std::sync::Mutex;
@@ -53,55 +52,7 @@ impl PoolObs {
     }
 }
 
-/// Recycling pool for [`ForwardTape`]s. A checked-out tape may hold stale
-/// contents; every consumer overwrites it via
-/// [`GinEncoder::forward_tape_into`], which reshapes all buffers.
-#[derive(Default)]
-pub struct TapePool {
-    slots: Mutex<Vec<ForwardTape>>,
-    obs: PoolObs,
-}
-
-impl TapePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        TapePool::default()
-    }
-
-    /// An empty pool recording checkout stats into `registry` as
-    /// `ce_gnn_pool_{checkouts,misses}_total{pool="tape"}`.
-    pub fn observed(registry: &MetricsRegistry) -> Self {
-        TapePool {
-            slots: Mutex::new(Vec::new()),
-            obs: PoolObs::new(registry, "tape"),
-        }
-    }
-
-    /// Pops a pooled tape (or builds an empty one). The returned tape's
-    /// contents are unspecified — it must be filled with
-    /// [`GinEncoder::forward_tape_into`] before use.
-    pub fn checkout(&self) -> ForwardTape {
-        self.obs.checkouts.inc();
-        let pooled = self.slots.lock().expect("tape pool poisoned").pop();
-        pooled.unwrap_or_else(|| {
-            self.obs.misses.inc();
-            ForwardTape::default()
-        })
-    }
-
-    /// Returns one tape to the pool.
-    pub fn restore(&self, tape: ForwardTape) {
-        self.slots.lock().expect("tape pool poisoned").push(tape);
-    }
-
-    /// Returns a batch of tapes to the pool.
-    pub fn restore_all(&self, tapes: impl IntoIterator<Item = ForwardTape>) {
-        self.slots.lock().expect("tape pool poisoned").extend(tapes);
-    }
-}
-
-/// Recycling pool for [`StackedTape`]s — the stacked-training counterpart
-/// of [`TapePool`], with the same discipline: checked-out tapes hold stale
+/// Recycling pool for [`StackedTape`]s: checked-out tapes hold stale
 /// contents and every consumer fully overwrites them via
 /// [`GinEncoder::forward_stacked_tape_into`], so which physical buffer a
 /// chunk gets can never change a value.
@@ -218,8 +169,6 @@ impl GradPool {
 /// The pair of pools one training run threads through every batch.
 #[derive(Default)]
 pub struct WorkspacePools {
-    /// Per-graph forward-tape recycling (legacy per-graph batch path).
-    pub tapes: TapePool,
     /// Gradient-accumulator recycling.
     pub grads: GradPool,
     /// Stacked-tape recycling (one tape per ≈`STACK_CHUNK_ROWS` chunk).
@@ -234,11 +183,10 @@ impl WorkspacePools {
 
     /// Empty pools recording checkout stats into `registry` under
     /// `ce_gnn_pool_checkouts_total{pool}` / `ce_gnn_pool_misses_total{pool}`
-    /// with `pool` ∈ `tape` | `grad` | `stacked`. With a disabled registry
+    /// with `pool` ∈ `grad` | `stacked`. With a disabled registry
     /// this is identical to [`WorkspacePools::new`].
     pub fn observed(registry: &MetricsRegistry) -> Self {
         WorkspacePools {
-            tapes: TapePool::observed(registry),
             grads: GradPool::observed(registry),
             stacked: StackedTapePool::observed(registry),
         }
@@ -289,10 +237,10 @@ mod tests {
         use ce_obs::MetricsRegistry;
         let reg = MetricsRegistry::new();
         let pools = WorkspacePools::observed(&reg);
-        // Tape pool: cold miss, then a recycled hit.
-        let t = pools.tapes.checkout();
-        pools.tapes.restore(t);
-        let _t = pools.tapes.checkout();
+        // Stacked-tape pool: cold miss, then a recycled hit.
+        let t = pools.stacked.checkout();
+        pools.stacked.restore(t);
+        let _t = pools.stacked.checkout();
         // Grad pool: cold miss, dirty restore, recycled hit, then a
         // shape-mismatched checkout that must count as a second miss.
         let small = GinEncoder::new(2, &[4], 3, 1);
@@ -304,15 +252,15 @@ mod tests {
         let _g = pools.grads.checkout(&big);
         let snap = reg.snapshot();
         let c = |name: &str, pool: &str| snap.counter(name, &[("pool", pool)]);
-        assert_eq!(c("ce_gnn_pool_checkouts_total", "tape"), 2);
-        assert_eq!(c("ce_gnn_pool_misses_total", "tape"), 1);
+        assert_eq!(c("ce_gnn_pool_checkouts_total", "stacked"), 2);
+        assert_eq!(c("ce_gnn_pool_misses_total", "stacked"), 1);
         assert_eq!(c("ce_gnn_pool_checkouts_total", "grad"), 3);
         assert_eq!(c("ce_gnn_pool_misses_total", "grad"), 2);
         // Unobserved pools stay silent and free.
         let silent = WorkspacePools::new();
-        let t = silent.tapes.checkout();
-        silent.tapes.restore(t);
-        assert_eq!(c("ce_gnn_pool_checkouts_total", "tape"), 2);
+        let t = silent.stacked.checkout();
+        silent.stacked.restore(t);
+        assert_eq!(c("ce_gnn_pool_checkouts_total", "stacked"), 2);
     }
 
     #[test]
@@ -389,7 +337,7 @@ mod tests {
         let enc = GinEncoder::new(2, &[4], 3, 46);
         let ctx = GraphCtx::from_graph(&toy_graph());
         let fresh = enc.forward_tape(&ctx);
-        let pool = TapePool::new();
+        let pool = crate::per_graph::TapePool::default();
         // Dirty the pool with a tape of a different encoder shape.
         let other = GinEncoder::new(2, &[7], 2, 9);
         pool.restore(other.forward_tape(&ctx));

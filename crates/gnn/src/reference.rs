@@ -1,5 +1,5 @@
-//! The pre-refactor GIN engine, kept verbatim in architecture as the
-//! baseline the parallel sparse engine is benchmarked and equivalence-tested
+//! The seed's dense GIN engine, kept verbatim in architecture as the
+//! `#[cfg(test)]` oracle the sparse stacked engine is equivalence-tested
 //! against.
 //!
 //! This is the seed implementation's shape: every layer rebuilds a dense

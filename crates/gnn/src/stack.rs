@@ -187,24 +187,12 @@ impl GinEncoder {
             .collect();
         per_chunk.into_iter().flatten().collect()
     }
-
-    /// [`Self::encode_batch`] over already-prepared graph contexts (the
-    /// trainer holds these for the whole run).
-    pub fn encode_ctx_batch(&self, ctxs: &[GraphCtx]) -> Vec<Vec<f32>> {
-        let ranges = chunk_ranges(ctxs.iter().map(GraphCtx::num_vertices));
-        let per_chunk: Vec<Vec<Vec<f32>>> = ranges
-            .par_iter()
-            .map(|r| self.encode_stacked(&StackedCtx::from_ctxs(&ctxs[r.clone()])))
-            .collect();
-        per_chunk.into_iter().flatten().collect()
-    }
 }
 
 /// Activations of one **stacked training forward**: per layer the tall
 /// aggregated input `M` and post-activation output `Y` across every graph
 /// of the chunk, plus the segment-pooled embeddings (one row per graph).
-/// The stacked analogue of [`crate::gin::ForwardTape`], serving both the
-/// loss embeddings and the segmented backward from a single pass.
+/// One pass serves both the loss embeddings and the segmented backward.
 ///
 /// Pooled instances (see [`crate::pool::StackedTapePool`]) keep their
 /// buffers across checkouts; [`GinEncoder::forward_stacked_tape_into`]
@@ -233,8 +221,8 @@ impl StackedTape {
         self.pooled.rows
     }
 
-    /// Graph `i`'s embedding — bit-identical to the per-graph
-    /// [`crate::gin::ForwardTape::embedding`] of the same graph.
+    /// Graph `i`'s embedding — bit-identical to [`GinEncoder::encode`] of
+    /// the same graph.
     pub fn embedding(&self, i: usize) -> &[f32] {
         self.pooled.row(i)
     }
@@ -256,8 +244,8 @@ impl GinEncoder {
     /// per-layer activations the segmented backward needs and pools each
     /// graph's embedding. One kernel dispatch per layer for N graphs —
     /// embeddings and tape contents are bit-identical per block to N
-    /// per-graph [`Self::forward_tape`] calls (every kernel is row-local
-    /// or block-local with preserved order; see the module docs).
+    /// per-graph taped forwards (every kernel is row-local or block-local
+    /// with preserved order; see the module docs).
     pub fn forward_stacked_tape(&self, stacked: &StackedCtx) -> StackedTape {
         let mut tape = StackedTape::new();
         self.forward_stacked_tape_into(stacked, &mut tape);
@@ -299,8 +287,7 @@ impl GinEncoder {
     /// Segmented backward of one stacked chunk: backpropagates all N
     /// graphs through the block-diagonal CSR in a single tall pass and
     /// returns one gradient accumulator per graph (checked out of `pool`,
-    /// `None` for graphs whose embedding gradient is exactly zero — the
-    /// same skip the per-graph batch step applies).
+    /// `None` for graphs whose embedding gradient is exactly zero).
     ///
     /// # Bit-identity to the per-graph backward
     ///
@@ -466,9 +453,7 @@ mod tests {
         for (g, emb) in graphs.iter().zip(&batch) {
             assert_eq!(&enc.encode(g), emb);
         }
-        // Prepared-context and cached-chunk entry points agree.
-        let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
-        assert_eq!(enc.encode_ctx_batch(&ctxs), batch);
+        // The cached-chunk entry point agrees.
         let packed = StackedCtx::pack_graphs(&graphs);
         assert!(packed.len() > 1, "workload must span several chunks");
         let repacked: Vec<Vec<f32>> = packed.iter().flat_map(|s| enc.encode_stacked(s)).collect();

@@ -2,10 +2,10 @@
 //!
 //! Per epoch the labeled feature graphs are shuffled into batches; for each
 //! batch the positive/negative pair sets are derived from score-vector
-//! similarities (Def. 2/3), one **taped forward pass** per graph produces
-//! both the loss embeddings and the backprop state, the chosen contrastive
-//! loss yields per-embedding gradients, and per-graph backward passes
-//! accumulate into independent [`GinGrads`] before a single Adam step.
+//! similarities (Def. 2/3), one **taped forward pass** produces both the
+//! loss embeddings and the backprop state, the chosen contrastive loss
+//! yields per-embedding gradients, and the backward pass accumulates into
+//! per-graph [`GinGrads`] before a single Adam step.
 //!
 //! # Stacked batches, parallel execution & determinism
 //!
@@ -18,13 +18,13 @@
 //! whole chunk — the encoder is `&self` for both. The segmented backward
 //! splits parameter-gradient contributions at segment boundaries into
 //! per-graph accumulators, which are reduced **in fixed batch order**
-//! before the step, so training is bit-for-bit identical to the per-graph
-//! taped path ([`train_encoder_per_graph`], retained as the equivalence
-//! baseline) at any chunk size — and deterministic across runs and thread
-//! counts (`tests::parallel_training_is_bit_deterministic`).
+//! before the step. Training is therefore bit-for-bit identical to one
+//! taped forward and backward per graph at any chunk size (the
+//! `#[cfg(test)]` per-graph oracle checks it), and deterministic across
+//! runs and thread counts (`tests::parallel_training_is_bit_deterministic`).
 
-use crate::gin::{ForwardTape, GinEncoder, GinGrads, GraphCtx};
-use crate::loss::{basic_contrastive, pair_sets_with_sims, weighted_contrastive_presim};
+use crate::gin::{GinEncoder, GinGrads, GraphCtx};
+use crate::loss::{basic_contrastive, pair_sets, weighted_contrastive, LossGrad};
 use crate::pool::WorkspacePools;
 use crate::stack::{chunk_ranges, StackedCtx, StackedTape};
 use ce_features::FeatureGraph;
@@ -114,46 +114,7 @@ pub fn train_encoder_observed<G: Borrow<FeatureGraph> + Sync>(
     }
     let obs = TrainObs::new(metrics);
     let ctxs = obs.timed_prepare(|| prepare_ctxs(graphs));
-    run_epochs(
-        &mut encoder,
-        &ctxs,
-        labels,
-        cfg,
-        seed ^ 0xd31,
-        train_batch,
-        &obs,
-    );
-    encoder
-}
-
-/// The pre-stacking batch engine: one taped forward and backward **per
-/// graph**, fanned out over the rayon pool. Bit-identical to
-/// [`train_encoder`] at every step (proptested, including across thread
-/// counts) — retained as the equivalence baseline the stacked path is
-/// gated against, and as the measured side of the
-/// `train_encoder_per_graph` micro-bench.
-pub fn train_encoder_per_graph<G: Borrow<FeatureGraph> + Sync>(
-    graphs: &[G],
-    labels: &[Vec<f64>],
-    cfg: &DmlConfig,
-    seed: u64,
-) -> GinEncoder {
-    assert_eq!(graphs.len(), labels.len(), "graph/label count mismatch");
-    let input_dim = graphs.first().map_or(1, |g| g.borrow().vertex_dim());
-    let mut encoder = GinEncoder::new(input_dim, &cfg.hidden, cfg.embed_dim, seed);
-    if graphs.is_empty() {
-        return encoder;
-    }
-    let ctxs = prepare_ctxs(graphs);
-    run_epochs(
-        &mut encoder,
-        &ctxs,
-        labels,
-        cfg,
-        seed ^ 0xd31,
-        train_batch_per_graph,
-        &TrainObs::new(&MetricsRegistry::disabled()),
-    );
+    run_epochs(&mut encoder, &ctxs, labels, cfg, seed ^ 0xd31, &obs);
     encoder
 }
 
@@ -194,7 +155,7 @@ pub fn train_encoder_incremental_observed<G: Borrow<FeatureGraph> + Sync>(
     }
     let obs = TrainObs::new(metrics);
     let ctxs = obs.timed_prepare(|| prepare_ctxs(graphs));
-    run_epochs(encoder, &ctxs, labels, cfg, seed ^ 0x1c2, train_batch, &obs);
+    run_epochs(encoder, &ctxs, labels, cfg, seed ^ 0x1c2, &obs);
 }
 
 /// Per-phase training observability. One batch records four spans into
@@ -238,20 +199,13 @@ impl TrainObs {
     }
 }
 
-/// A batch engine: one gradient step over the chunk's graph indices.
-type BatchFn =
-    fn(&mut GinEncoder, &[GraphCtx], &[Vec<f64>], &[usize], &DmlConfig, &WorkspacePools, &TrainObs);
-
-/// Shared epoch loop: shuffle, batch, step — parameterized over the batch
-/// engine so the stacked path and the per-graph baseline stay in lockstep
-/// (identical shuffles, identical batches).
+/// Shared epoch loop: shuffle, batch, step.
 fn run_epochs(
     encoder: &mut GinEncoder,
     ctxs: &[GraphCtx],
     labels: &[Vec<f64>],
     cfg: &DmlConfig,
     shuffle_seed: u64,
-    batch_fn: BatchFn,
     obs: &TrainObs,
 ) {
     let pools = WorkspacePools::observed(&obs.registry);
@@ -261,7 +215,7 @@ fn run_epochs(
         order.shuffle(&mut rng);
         for chunk in order.chunks(cfg.batch_size) {
             obs.batches.inc();
-            batch_fn(encoder, ctxs, labels, chunk, cfg, &pools, obs);
+            train_batch(encoder, ctxs, labels, chunk, cfg, &pools, obs);
         }
     }
 }
@@ -274,13 +228,26 @@ fn prepare_ctxs<G: Borrow<FeatureGraph> + Sync>(graphs: &[G]) -> Vec<GraphCtx> {
         .collect()
 }
 
-/// The stacked batch engine: the batch's graphs are packed (in batch
-/// order) into ≈`STACK_CHUNK_ROWS`-row stacks, one rayon task per stack —
-/// **one** taped tall forward and one segmented backward per stack instead
-/// of one per graph. The segmented backward hands back per-graph
-/// accumulators split at segment boundaries, so the fixed-batch-order
-/// reduction below — and therefore every Adam step — is bit-identical to
-/// [`train_batch_per_graph`] at any chunk size and thread count.
+/// The contrastive loss `cfg` selects, over one batch's embeddings and
+/// score vectors.
+pub(crate) fn batch_loss(
+    embeddings: &[Vec<f32>],
+    labels: &[Vec<f64>],
+    cfg: &DmlConfig,
+) -> LossGrad {
+    let (pairs, sims) = pair_sets(labels, cfg.tau);
+    match cfg.loss {
+        LossKind::Weighted => weighted_contrastive(embeddings, &sims, &pairs, cfg.gamma),
+        LossKind::Basic => basic_contrastive(embeddings, &pairs, cfg.gamma),
+    }
+}
+
+/// One batch step: the batch's graphs are packed (in batch order) into
+/// ≈`STACK_CHUNK_ROWS`-row stacks, one rayon task per stack — **one** taped
+/// tall forward and one segmented backward per stack. The segmented
+/// backward hands back per-graph accumulators split at segment boundaries,
+/// so the fixed-batch-order reduction below — and therefore every Adam
+/// step — is bit-identical at any chunk size and thread count.
 fn train_batch(
     encoder: &mut GinEncoder,
     ctxs: &[GraphCtx],
@@ -314,15 +281,11 @@ fn train_batch(
         .flat_map(|(_, t)| (0..t.num_graphs()).map(move |i| t.embedding(i).to_vec()))
         .collect();
     let batch_labels: Vec<Vec<f64>> = chunk.iter().map(|&i| labels[i].clone()).collect();
-    let (pairs, sims) = pair_sets_with_sims(&batch_labels, cfg.tau);
-    let lg = match cfg.loss {
-        LossKind::Weighted => weighted_contrastive_presim(&embeddings, &sims, &pairs, cfg.gamma),
-        LossKind::Basic => basic_contrastive(&embeddings, &pairs, cfg.gamma),
-    };
+    let lg = batch_loss(&embeddings, &batch_labels, cfg);
     drop(loss_span);
     // One segmented backward per stack, fanned out over the pool; each
     // returns per-graph accumulators (pooled, zeroed on checkout; `None`
-    // for zero-gradient graphs, matching the per-graph skip)...
+    // for zero-gradient graphs)...
     let backward_span = obs.backward_ns.start_span();
     let plan = enc.backward_plan();
     let slots: Vec<usize> = (0..stacks.len()).collect();
@@ -358,95 +321,22 @@ fn train_batch(
         .restore_all(stacks.into_iter().map(|(_, t)| t));
 }
 
-/// The per-graph batch engine (pre-stacking): one taped forward and
-/// backward per graph. See [`train_encoder_per_graph`].
-fn train_batch_per_graph(
-    encoder: &mut GinEncoder,
-    ctxs: &[GraphCtx],
-    labels: &[Vec<f64>],
-    chunk: &[usize],
-    cfg: &DmlConfig,
-    pools: &WorkspacePools,
-    obs: &TrainObs,
-) {
-    let enc: &GinEncoder = encoder;
-    // Single taped forward per graph, fanned out over the pool; the tapes
-    // serve both the loss embeddings and backprop (no second pass). Tape
-    // buffers are recycled across batches via the workspace pool.
-    let forward_span = obs.forward_ns.start_span();
-    let tapes: Vec<ForwardTape> = chunk
-        .par_iter()
-        .map(|&i| {
-            let mut tape = pools.tapes.checkout();
-            enc.forward_tape_into(&ctxs[i], &mut tape);
-            tape
-        })
-        .collect();
-    drop(forward_span);
-    let loss_span = obs.loss_ns.start_span();
-    let embeddings: Vec<Vec<f32>> = tapes.iter().map(|t| t.embedding().to_vec()).collect();
-    let batch_labels: Vec<Vec<f64>> = chunk.iter().map(|&i| labels[i].clone()).collect();
-    let (pairs, sims) = pair_sets_with_sims(&batch_labels, cfg.tau);
-    let lg = match cfg.loss {
-        LossKind::Weighted => weighted_contrastive_presim(&embeddings, &sims, &pairs, cfg.gamma),
-        LossKind::Basic => basic_contrastive(&embeddings, &pairs, cfg.gamma),
-    };
-    drop(loss_span);
-    // Parallel backward into per-graph accumulators (pooled, zeroed on
-    // checkout); the backward plan (per-layer Wᵀ) is built once and shared
-    // read-only by every stream...
-    let backward_span = obs.backward_ns.start_span();
-    let plan = enc.backward_plan();
-    let slots: Vec<usize> = (0..chunk.len()).collect();
-    let grads: Vec<Option<GinGrads>> = slots
-        .par_iter()
-        .map(|&b| {
-            if lg.grads[b].iter().all(|&g| g == 0.0) {
-                return None;
-            }
-            let mut acc = pools.grads.checkout(enc);
-            enc.backward_tape(&ctxs[chunk[b]], &tapes[b], &lg.grads[b], &mut acc, &plan);
-            Some(acc)
-        })
-        .collect();
-    drop(backward_span);
-    // ...reduced in fixed batch order, then one Adam step.
-    let step_span = obs.step_ns.start_span();
-    let mut total = pools.grads.checkout(enc);
-    for g in grads.iter().flatten() {
-        total.add_assign(g);
-    }
-    encoder.step_with(&total, cfg.lr);
-    drop(step_span);
-    // Workspaces go back dirty; the next checkout re-zeroes what it needs.
-    pools.grads.restore(total);
-    pools.grads.restore_all(grads.into_iter().flatten());
-    pools.tapes.restore_all(tapes);
-}
-
-/// Evaluates the mean batch loss over the whole set (for tests/monitoring).
-/// Embeddings come from the batch-stacked service ([`GinEncoder::
-/// encode_batch`]) — bit-identical to per-graph encoding, a fraction of the
-/// kernel dispatches.
-pub fn evaluate_loss<G: Borrow<FeatureGraph> + Sync>(
+/// The loss of the whole set as one batch (the oracles' training-quality
+/// witness).
+#[cfg(test)]
+pub(crate) fn evaluate_loss(
     encoder: &GinEncoder,
-    graphs: &[G],
+    graphs: &[FeatureGraph],
     labels: &[Vec<f64>],
     cfg: &DmlConfig,
 ) -> f64 {
-    let embeddings: Vec<Vec<f32>> = encoder.encode_batch(graphs);
-    let (pairs, sims) = pair_sets_with_sims(labels, cfg.tau);
-    match cfg.loss {
-        LossKind::Weighted => {
-            weighted_contrastive_presim(&embeddings, &sims, &pairs, cfg.gamma).loss
-        }
-        LossKind::Basic => basic_contrastive(&embeddings, &pairs, cfg.gamma).loss,
-    }
+    batch_loss(&encoder.encode_batch(graphs), labels, cfg).loss
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::per_graph::train_encoder_per_graph;
     use crate::reference::train_encoder_reference;
     use ce_nn::matrix::euclidean;
 
@@ -760,12 +650,10 @@ mod tests {
                 close(&fast.encode(g), &reference.encode(g), tol, "embedding");
             }
             // Both engines reach the same training quality.
-            use crate::loss::{pair_sets, weighted_contrastive};
             let labels_ref = &labels;
             let loss_fast = evaluate_loss(&fast, &graphs, labels_ref, &cfg);
             let embeddings: Vec<Vec<f32>> = graphs.iter().map(|g| reference.encode(g)).collect();
-            let pairs = pair_sets(labels_ref, cfg.tau);
-            let loss_ref = weighted_contrastive(&embeddings, labels_ref, &pairs, cfg.gamma).loss;
+            let loss_ref = batch_loss(&embeddings, labels_ref, &cfg).loss;
             assert!(
                 (loss_fast - loss_ref).abs() <= 0.05 * (1.0 + loss_ref.abs()),
                 "loss {loss_fast} vs reference {loss_ref}"

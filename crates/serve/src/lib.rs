@@ -46,5 +46,5 @@ pub use cache::{graph_fingerprint, Admission, CacheStats, EmbeddingCache};
 // Observability surface: what callers need to configure
 // `ServeConfig::metrics` and read `ServeHandle::metrics_snapshot`.
 pub use ce_obs::{MetricsRegistry, MetricsSnapshot};
-pub use reservoir::{adapt_online_bounded, Reservoir};
+pub use reservoir::Reservoir;
 pub use shard::{AdvisorShard, ShardedAdvisor};

@@ -9,14 +9,14 @@
 //! `capacity + 1` graphs (the reservoir plus the drifted newcomer), no
 //! matter how large the RCS has grown. The refresh that follows is routed
 //! per shard over cached stacked chunks
-//! ([`ShardedAdvisor::refresh_embeddings`]).
+//! ([`ShardedAdvisor::refresh_embeddings`]). The drift check that decides
+//! whether to adapt is the service's ([`crate::AdvisorService::adapt`]).
 
 use crate::shard::ShardedAdvisor;
-use autoce::online::{online_update_config, DriftDetector};
-use ce_features::{extract_features, FeatureGraph};
+use autoce::online::online_update_config;
+use ce_features::FeatureGraph;
 use ce_gnn::train::train_encoder_incremental_observed;
-use ce_storage::Dataset;
-use ce_testbed::{label_dataset, DatasetLabel, TestbedConfig};
+use ce_testbed::DatasetLabel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,30 +143,6 @@ impl ShardedAdvisor {
         self.refresh_embeddings();
         ids.len()
     }
-}
-
-/// The full online-adapting loop on a sharded advisor — the
-/// reservoir-bounded counterpart of [`autoce::online::adapt_online`]: if
-/// `ds` drifts past the detector threshold, labels it on the testbed,
-/// extends the RCS (routed to the least-loaded shard) and incrementally
-/// updates the encoder against the reservoir sample. Returns `true` if an
-/// adaptation happened.
-pub fn adapt_online_bounded(
-    advisor: &mut ShardedAdvisor,
-    detector: &DriftDetector,
-    ds: &Dataset,
-    testbed: &TestbedConfig,
-    reservoir: &mut Reservoir,
-    seed: u64,
-) -> bool {
-    let graph = extract_features(ds, &advisor.config().feature);
-    let x = advisor.embed_graph(&graph);
-    if advisor.distance_to_embedding(&x) <= detector.threshold() {
-        return false;
-    }
-    let label = label_dataset(ds, testbed, seed);
-    advisor.adapt_with_reservoir(graph, &label, reservoir, seed);
-    true
 }
 
 #[cfg(test)]

@@ -294,26 +294,6 @@ impl ShardedAdvisor {
     pub fn index_config(&self) -> Option<&IndexConfig> {
         self.index_cfg.as_ref()
     }
-
-    /// Validated construction: like [`Self::from_advisor`] but rejects a
-    /// shard count of zero or one exceeding the RCS size at build time
-    /// (an advisor with empty shards *serves* correctly — the merge skips
-    /// them — but asking for more shards than entries is always a sizing
-    /// mistake, and this path surfaces it before first use).
-    pub fn try_from_advisor(advisor: &AutoCe, num_shards: usize) -> Result<Self, AdvisorError> {
-        if num_shards == 0 {
-            return Err(AdvisorError::InvalidConfig(
-                "shard count must be at least 1".into(),
-            ));
-        }
-        if num_shards > advisor.rcs().len() {
-            return Err(AdvisorError::InvalidConfig(format!(
-                "shard count {num_shards} exceeds RCS size {} (empty shards)",
-                advisor.rcs().len()
-            )));
-        }
-        Ok(ShardedAdvisor::from_advisor(advisor, num_shards))
-    }
 }
 
 /// The unified query surface over the in-process sharded advisor: every

@@ -219,16 +219,14 @@ fn adapt_with_reservoir_trains_on_bounded_subset() {
     let mut spec = DatasetSpec::small().multi_table();
     spec.tables = SpecRange { lo: 5, hi: 5 };
     let odd = generate_dataset("odd2", &spec, &mut rng);
+    // The drift check `AdvisorService::adapt` makes, then the bounded update.
     let detector = sharded.drift_detector();
-    let adapted = ce_serve::adapt_online_bounded(
-        &mut sharded,
-        &detector,
-        &odd,
-        &common::testbed(),
-        &mut reservoir,
-        13,
-    );
+    let graph = extract_features(&odd, &sharded.config().feature);
+    let x = sharded.embed_graph(&graph);
+    let adapted = sharded.distance_to_embedding(&x) > detector.threshold();
     assert!(adapted, "5-table dataset should drift off a 1-table corpus");
+    let label = ce_testbed::label_dataset(&odd, &common::testbed(), 13);
+    sharded.adapt_with_reservoir(graph, &label, &mut reservoir, 13);
     assert_eq!(sharded.len(), 17);
     assert_eq!(sharded.generation(), 1);
     // The bound: reservoir capacity (4) plus the newcomer.

@@ -2,11 +2,6 @@
 
 use autoce_suite::datagen::ParetoColumn;
 use autoce_suite::features::{mixup_graphs, FeatureGraph};
-use autoce_suite::gnn::train::evaluate_loss;
-use autoce_suite::gnn::{
-    train_encoder, train_encoder_per_graph, DmlConfig, GinEncoder, GinGrads, GradPool, GraphCtx,
-    StackedCtx,
-};
 use autoce_suite::storage::exec::{filter_table, query_cardinality};
 use autoce_suite::storage::stats::EquiDepthHistogram;
 use autoce_suite::storage::{Column, Dataset, JoinEdge, Predicate, Query, Table};
@@ -14,7 +9,7 @@ use autoce_suite::testbed::score::{best_index, d_error, score_vector, MetricWeig
 use autoce_suite::workload::qerror;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Brute-force join cardinality by enumerating row pairs.
 fn brute_force_star(pk: &[i64], fk: &[i64], pk_sel: &[bool], fk_sel: &[bool]) -> u64 {
@@ -168,113 +163,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for v in p.sample_column(64, &mut rng) {
             prop_assert!((1..=dom).contains(&v));
-        }
-    }
-}
-
-/// Random small graphs with 1..=max_v vertices and random sparse edges.
-#[allow(clippy::needless_range_loop)]
-fn random_train_set(count: usize, dim: usize, max_v: usize, seed: u64) -> Vec<FeatureGraph> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let n = rng.gen_range(1usize..=max_v);
-            let mut edges = vec![vec![0.0f32; n]; n];
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && rng.gen::<f32>() < 0.3 {
-                        edges[i][j] = rng.gen_range(0.05f32..1.0);
-                    }
-                }
-            }
-            let vertices = (0..n)
-                .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..=1.0)).collect())
-                .collect();
-            FeatureGraph { vertices, edges }
-        })
-        .collect()
-}
-
-proptest! {
-    /// Stacked-train ≡ per-graph-train, bit for bit: same loss, same
-    /// gradients, same post-step parameters — for random graph sets
-    /// (including single-vertex graphs), every batch size, any chunk
-    /// packing. The CI determinism matrix runs this at 1/2/4/8 rayon
-    /// workers, extending the equivalence across thread counts.
-    #[test]
-    fn stacked_train_matches_per_graph_train_bitwise(
-        seed in 0u64..24,
-        count in 4usize..12,
-        batch in 2usize..7,
-    ) {
-        let graphs = random_train_set(count, 4, 6, seed.wrapping_mul(0x9e37));
-        let labels: Vec<Vec<f64>> = (0..count)
-            .map(|i| if i % 2 == 0 { vec![1.0, 0.1, 0.0] } else { vec![0.0, 0.1, 1.0] })
-            .collect();
-        let cfg = DmlConfig {
-            epochs: 3,
-            batch_size: batch,
-            hidden: vec![8],
-            embed_dim: 5,
-            ..DmlConfig::default()
-        };
-        let stacked = train_encoder(&graphs, &labels, &cfg, seed);
-        let per_graph = train_encoder_per_graph(&graphs, &labels, &cfg, seed);
-        prop_assert_eq!(stacked.flat_params(), per_graph.flat_params());
-        let loss_s = evaluate_loss(&stacked, &graphs, &labels, &cfg);
-        let loss_p = evaluate_loss(&per_graph, &graphs, &labels, &cfg);
-        prop_assert_eq!(loss_s, loss_p);
-    }
-
-    /// The segmented backward splits per-graph gradients at segment
-    /// boundaries bit-identically to per-graph backward passes — with
-    /// empty (zero-vertex) graphs interleaved as zero-height blocks and
-    /// zero-gradient graphs skipped on both sides.
-    #[test]
-    fn segmented_backward_splits_match_per_graph(seed in 0u64..32, count in 3usize..9) {
-            let dim = 3;
-        let mut graphs = random_train_set(count, dim, 5, seed.wrapping_mul(0x51ed));
-        // Interleave empty graphs: legal in the stacked path (zero-height
-        // blocks), impossible per graph — their accumulators must come
-        // back all-zero (nonzero grad) or skipped (zero grad).
-        let empty = FeatureGraph { vertices: vec![], edges: vec![] };
-        graphs.insert(0, empty.clone());
-        graphs.push(empty);
-        let enc = GinEncoder::new(dim, &[7, 6], 4, seed ^ 0x91);
-        let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
-        let stacked_ctx = StackedCtx::from_ctxs(&ctxs);
-        let tape = enc.forward_stacked_tape(&stacked_ctx);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
-        let grads_in: Vec<Vec<f32>> = (0..graphs.len())
-            .map(|i| {
-                if i % 4 == 1 {
-                    vec![0.0; enc.embed_dim()]
-                } else {
-                    (0..enc.embed_dim()).map(|_| rng.gen_range(-1.0f32..=1.0)).collect()
-                }
-            })
-            .collect();
-        let plan = enc.backward_plan();
-        let pool = GradPool::new();
-        let accs = enc.backward_stacked_tape(&stacked_ctx, &tape, &grads_in, &plan, &pool);
-        for (i, (ctx, acc)) in ctxs.iter().zip(&accs).enumerate() {
-            // Embeddings agree first (empty graphs pool to zeros).
-            if ctx.num_vertices() > 0 {
-                prop_assert_eq!(tape.embedding(i), enc.forward_tape(ctx).embedding());
-            } else {
-                prop_assert!(tape.embedding(i).iter().all(|&v| v == 0.0));
-            }
-            if grads_in[i].iter().all(|&v| v == 0.0) {
-                prop_assert!(acc.is_none());
-                continue;
-            }
-            let acc = acc.as_ref().expect("active graph has an accumulator");
-            let mut expect = GinGrads::zeros_like(&enc);
-            if ctx.num_vertices() > 0 {
-                let per_tape = enc.forward_tape(ctx);
-                enc.backward_tape(ctx, &per_tape, &grads_in[i], &mut expect, &plan);
-            }
-            prop_assert_eq!(acc.flat(), expect.flat());
         }
     }
 }
