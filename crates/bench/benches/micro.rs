@@ -179,11 +179,11 @@ fn bench_label_dataset(c: &mut Criterion) {
     }
 }
 
-/// The four kernels under `label_dataset`, one at a time, on the inputs
+/// The kernels under `label_dataset`, one at a time, on the inputs
 /// `label_dataset(ds, cfg, 1)` hands them: the cardinality counter over
 /// the testbed's 45 queries, a 100-bucket histogram of every data column
 /// (`PostgresEstimator`), LW-XGB's boosted fit on the 30 training rows,
-/// and one Adam step of LW-NN's two layers.
+/// one Adam step of LW-NN's two layers, and LW-NN's whole training.
 fn bench_label_kernels(c: &mut Criterion) {
     if !criterion::filter_allows("label_kernels") {
         return;
@@ -233,6 +233,15 @@ fn bench_label_kernels(c: &mut Criterion) {
             .collect();
         c.bench_function(&name("gbdt_fit"), |b| {
             b.iter(|| black_box(Gbdt::fit(&xs, &ys, &GbdtParams::default())))
+        });
+
+        let ctx = TrainContext {
+            dataset: &ds,
+            train_queries: train,
+            seed: 1,
+        };
+        c.bench_function(&name("lwnn_train"), |b| {
+            b.iter(|| black_box(build_model(ModelKind::LwNn, &ctx)))
         });
 
         let rng = &mut StdRng::seed_from_u64(1);

@@ -23,10 +23,10 @@ impl Activation {
         match self {
             Activation::Linear => {}
             Activation::Relu => {
+                // A select, not a branch: it vectorises, and keeps `-0.0`
+                // and NaN as they are.
                 for v in &mut x.data {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
+                    *v = if *v < 0.0 { 0.0 } else { *v };
                 }
             }
             Activation::Sigmoid => {
@@ -50,9 +50,7 @@ impl Activation {
             Activation::Linear => {}
             Activation::Relu => {
                 for (g, &o) in grad.data.iter_mut().zip(&y.data) {
-                    if o <= 0.0 {
-                        *g = 0.0;
-                    }
+                    *g = if o <= 0.0 { 0.0 } else { *g };
                 }
             }
             Activation::Sigmoid => {
@@ -192,15 +190,30 @@ impl Dense {
 
     /// Forward pass, caching what backward needs.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
+        self.forward_cached(x).clone()
+    }
+
+    /// The output cached by the last training forward pass.
+    pub(crate) fn cached_output(&self) -> &Matrix {
+        self.y_cache
+            .as_ref()
+            .expect("forward before reading its output")
+    }
+
+    /// [`Self::forward`] into the layer's own caches, reusing their
+    /// buffers; returns the cached output.
+    pub(crate) fn forward_cached(&mut self, x: &Matrix) -> &Matrix {
+        let x_cache = self.x_cache.get_or_insert_with(Matrix::default);
+        x_cache.reshape_for_overwrite(x.rows, x.cols);
+        x_cache.data.copy_from_slice(&x.data);
+        let y = self.y_cache.get_or_insert_with(Matrix::default);
+        x.matmul_into(&self.w, y);
         for r in 0..y.rows {
             for (v, &b) in y.row_mut(r).iter_mut().zip(&self.b) {
                 *v += b;
             }
         }
-        self.activation.apply(&mut y);
-        self.x_cache = Some(x.clone());
-        self.y_cache = Some(y.clone());
+        self.activation.apply(y);
         y
     }
 
@@ -229,30 +242,82 @@ impl Dense {
     /// Backward pass: accumulates weight gradients and returns the gradient
     /// w.r.t. the input. Must follow a `forward` call.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let mut g = grad_out.clone();
+        self.backward_params(&mut g, &mut Matrix::default());
         // dx = g·Wᵀ.
-        self.backward_params(grad_out).matmul(&self.w.transpose())
+        g.matmul(&self.w.transpose())
     }
 
-    /// The parameter half of [`Self::backward`]: accumulates the weight and
-    /// bias gradients and returns `g`, the output gradient taken through
-    /// the activation — everything but the `g·Wᵀ` input gradient. A network's
-    /// first layer, whose input gradient nobody reads, stops here.
-    pub fn backward_params(&mut self, grad_out: &Matrix) -> Matrix {
+    /// The parameter half of [`Self::backward`], on `g` in place (the
+    /// output gradient in, the one taken through the activation out):
+    /// accumulates the weight and bias gradients, with `product` as the
+    /// buffer of the `xᵀ·g` product (reshaped, its allocation reused). A
+    /// network's first layer, whose input gradient nobody reads, stops here.
+    pub(crate) fn backward_params(&mut self, g: &mut Matrix, product: &mut Matrix) {
         let y = self.y_cache.as_ref().expect("backward before forward");
         let x = self.x_cache.as_ref().expect("backward before forward");
-        let mut g = grad_out.clone();
-        self.activation.backward(y, &mut g);
+        self.activation.backward(y, g);
         // dW += xᵀ·g ; db += Σ_rows g. The product is taken into a zeroed
         // buffer first, then added: accumulating straight into a non-zero
         // `gw` (several backward calls per step) would re-associate the sum.
-        let gw = x.matmul_transposed_left(&g);
-        self.gw.add_assign(&gw);
+        product.reset_zeroed(x.cols, g.cols);
+        x.matmul_transposed_left_into(g, product);
+        self.gw.add_assign(product);
         for r in 0..g.rows {
             for (acc, &v) in self.gb.iter_mut().zip(g.row(r)) {
                 *acc += v;
             }
         }
-        g
+    }
+
+    /// This layer reading only the input rows `keep` of its weights: those
+    /// rows of `w`, of its gradient and of both Adam moments, every other
+    /// field copied; no caches.
+    pub(crate) fn select_inputs(&self, keep: &[usize]) -> Dense {
+        let rows = |m: &Matrix| Matrix {
+            rows: keep.len(),
+            cols: m.cols,
+            data: keep.iter().flat_map(|&r| m.row(r)).copied().collect(),
+        };
+        Dense {
+            w: rows(&self.w),
+            b: self.b.clone(),
+            activation: self.activation,
+            gw: rows(&self.gw),
+            gb: self.gb.clone(),
+            mw: rows(&self.mw),
+            vw: rows(&self.vw),
+            mb: self.mb.clone(),
+            vb: self.vb.clone(),
+            x_cache: None,
+            y_cache: None,
+        }
+    }
+
+    /// Writes `narrow`, made by [`Self::select_inputs`] with the same
+    /// `keep`, back: its rows into rows `keep` of `w`, the gradient and both
+    /// moments, every other field copied; the caches are dropped.
+    pub(crate) fn scatter_inputs(&mut self, narrow: &Dense, keep: &[usize]) {
+        for (wide, narrow) in [
+            (&mut self.w, &narrow.w),
+            (&mut self.gw, &narrow.gw),
+            (&mut self.mw, &narrow.mw),
+            (&mut self.vw, &narrow.vw),
+        ] {
+            for (j, &r) in keep.iter().enumerate() {
+                wide.row_mut(r).copy_from_slice(narrow.row(j));
+            }
+        }
+        for (wide, narrow) in [
+            (&mut self.b, &narrow.b),
+            (&mut self.gb, &narrow.gb),
+            (&mut self.mb, &narrow.mb),
+            (&mut self.vb, &narrow.vb),
+        ] {
+            wide.clone_from(narrow);
+        }
+        self.activation = narrow.activation;
+        (self.x_cache, self.y_cache) = (None, None);
     }
 
     /// Pure backward: given the input `x` and the post-activation output
@@ -330,6 +395,18 @@ impl Dense {
     pub fn zero_grad(&mut self) {
         self.gw.data.iter_mut().for_each(|v| *v = 0.0);
         self.gb.iter_mut().for_each(|v| *v = 0.0);
+    }
+}
+
+#[cfg(test)]
+impl Dense {
+    /// Weights, bias, their gradients and all four Adam moments as bit
+    /// patterns — everything but the caches.
+    pub(crate) fn state_bits(&self) -> Vec<Vec<u32>> {
+        let fields = [&self.w.data, &self.b, &self.gw.data, &self.gb];
+        let moments = [&self.mw.data, &self.vw.data, &self.mb, &self.vb];
+        let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect();
+        fields.into_iter().chain(moments).map(bits).collect()
     }
 }
 

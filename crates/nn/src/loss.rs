@@ -4,17 +4,25 @@ use crate::matrix::Matrix;
 
 /// Mean squared error over all entries; returns `(loss, dL/dpred)`.
 pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = mse_loss_into(pred, target, &mut grad);
+    (loss, grad)
+}
+
+/// [`mse_loss`] writing `dL/dpred` into `grad` (reshaped, its buffer
+/// reused); returns the loss.
+pub(crate) fn mse_loss_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
     assert_eq!(pred.rows, target.rows, "mse shape mismatch");
     assert_eq!(pred.cols, target.cols, "mse shape mismatch");
     let n = pred.data.len().max(1) as f32;
-    let mut grad = Matrix::zeros(pred.rows, pred.cols);
+    grad.reshape_for_overwrite(pred.rows, pred.cols);
     let mut loss = 0.0f32;
     for i in 0..pred.data.len() {
         let d = pred.data[i] - target.data[i];
         loss += d * d;
         grad.data[i] = 2.0 * d / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Row-wise softmax.

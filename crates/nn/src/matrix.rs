@@ -369,7 +369,7 @@ simd_kernel!(spmm_kernel, (indptr: &[usize], indices: &[usize], weights: &[f32],
 });
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
@@ -556,13 +556,20 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Allocation-free variant of [`Self::transpose`]: reshapes `out`
+    /// (reusing its buffer) and overwrites it.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.reshape_for_overwrite(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 *out.get_mut(c, r) = self.get(r, c);
             }
         }
-        out
     }
 
     /// Elementwise in-place addition (SIMD-dispatched; this is the

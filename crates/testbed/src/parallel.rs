@@ -12,15 +12,15 @@
 //! training + 15 testing queries, `DatasetSpec::small()`, one pinned CPU),
 //! milliseconds per dataset at 7 tables / at 24 tables:
 //!
-//! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter | `u64` counter, counting runs, branch-free partition, one Adam kernel |
-//! |---|---|---|---|
-//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 |
-//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 |
-//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 |
-//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 |
-//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 |
-//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 |
-//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 |
+//! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter | `u64` counter, counting runs, branch-free partition, one Adam kernel | membership-mask GBDT with a lane kernel, live-column LW-NN |
+//! |---|---|---|---|---|
+//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 | 0.6 / 1.5 |
+//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 | 1.4 / 4.1 |
+//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 | 1.3 / 1.5 |
+//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 | 0.5 / 1.8 |
+//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 | 0.1 / 0.3 |
+//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 |
+//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 | ≈4.2 / ≈9.6 |
 //!
 //! The left column re-sorted every feature at every node of every tree,
 //! rebuilt hash maps per join edge per query, and computed an input
@@ -45,9 +45,21 @@
 //! | `adam_step` (LW-NN's two layers) | 6.2 → 5.4 µs | 22.2 → 19.9 µs |
 //!
 //! The Adam step gains least: per element it is three divisions and a
-//! square root, which no vector width makes cheaper per lane. What is left
-//! is the network's two matmuls, the scan of 60 trees' candidate splits,
-//! the counter's row passes and query validation.
+//! square root, which no vector width makes cheaper per lane.
+//!
+//! The fourth column, again at the same bits, grows each tree over node
+//! membership masks (no split rewrites an order array) and scans sixteen
+//! features per AVX-512F lane group, and trains LW-NN on the input columns
+//! that are non-zero in some training row (79 % of them at 24 tables, all
+//! of them at 7) with buffers kept across steps and a branch-free ReLU. It
+//! was measured on a slower, noisier host than the third (best of 30 calls
+//! per stage, the least of four rounds alternated with the third column's
+//! code, which read 2.0 / 4.8 for `LwXgb::train`, 1.7 / 5.1 for
+//! `LwNn::train`, 1.3 / 1.4 for `label_workload` and 6.2 / 13.9 for
+//! `label_dataset` there). `gbdt_fit` fell 3.1–3.4 → 0.8 ms at 7 tables
+//! and 7.4–8.6 → 1.1–1.6 ms at 24 (`micro.rs -- label_kernels`,
+//! medians, same host). What is left is LW-NN's two matmuls, which every
+//! live column still pays, the counter's row passes and query validation.
 
 use crate::label::{label_dataset, DatasetLabel, TestbedConfig};
 use ce_storage::Dataset;

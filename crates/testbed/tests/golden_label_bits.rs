@@ -140,3 +140,38 @@ fn join_sampled_models_repeat_their_bits() {
         assert_eq!(bits(), first, "run {run} of one seed moved a q-error bit");
     }
 }
+
+/// The pinned bits of the two models `GOLDEN_CHECKSUM` leaves out: their
+/// training reaches `Mlp::train_mse` (UAE's calibration net) and
+/// `Dense::backward` (the autoregressive heads).
+#[test]
+fn join_sampled_models_reproduce_pinned_bits() {
+    /// FNV-1a, as for `GOLDEN_CHECKSUM`, of NeuroCard's and UAE's q-error
+    /// fields over the datasets below, captured before `Mlp::train_mse`
+    /// reused its buffers.
+    const JOIN_SAMPLED_CHECKSUM: u64 = 0x83c2_057b_10f2_1840;
+    /// Table counts: one degenerate, one corpus-shaped, one wide dataset.
+    const JOIN_SAMPLED_TABLES: [usize; 3] = [1, 6, 12];
+    let mut rng = StdRng::seed_from_u64(POOL_SEED ^ 0x0ae);
+    let cfg = TestbedConfig {
+        models: vec![ModelKind::NeuroCard, ModelKind::Uae],
+        ..bench_testbed()
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (i, tables) in JOIN_SAMPLED_TABLES.into_iter().enumerate() {
+        let spec = DatasetSpec {
+            tables: SpecRange {
+                lo: tables,
+                hi: tables,
+            },
+            ..DatasetSpec::small()
+        };
+        let ds = generate_dataset(format!("joined{i}"), &spec, &mut rng);
+        let seed = LABEL_SEED.wrapping_add(i as u64);
+        fold(&mut h, &label_dataset(&ds, &cfg, seed));
+    }
+    assert_eq!(
+        h, JOIN_SAMPLED_CHECKSUM,
+        "NeuroCard or UAE moved a q-error bit: {h:#018x}"
+    );
+}
