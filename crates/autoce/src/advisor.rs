@@ -1,26 +1,54 @@
-//! The AutoCE advisor: Stage-2 training and Stage-4 recommendation.
+//! The AutoCE advisor: Stage-2 training and Stage-4 recommendation — the
+//! one in-process advisor, sharded or not.
+//!
+//! # Partitions
+//!
+//! [`AutoCe`] holds its RCS as one or more [`AdvisorShard`]s. Training and
+//! [`AutoCe::from_parts`] make one (global ids `0..n`);
+//! [`AutoCe::from_advisor`] deals an advisor's RCS across N in contiguous,
+//! balanced ranges. Every method runs the same code at any shard count,
+//! and with one shard it is the flat advisor's.
+//!
+//! # Flat equivalence
+//!
+//! Answers are **bit-identical** at every shard count because every shard
+//! count makes the same call, [`knn::predict_batch`] — `select_batch`,
+//! `partial_topk` per partition, `merge_vote`. Shard membership never
+//! changes a distance; [`knn_order`](crate::knn_order) is a strict total
+//! order, so every global top-k neighbour is inside its shard's partial
+//! list and the sorted, truncated merge is exactly the one-partition
+//! sequence; [`knn_vote`](crate::knn_vote) accumulates scores in that
+//! order. Thread counts and collection order cannot change any of it.
 //!
 //! # Serving path
 //!
 //! Every bulk embedding computation — the post-training RCS embeddings,
 //! [`AutoCe::refresh_embeddings`] after incremental/online encoder updates,
-//! and the batch recommendation entry points — runs on the batch-stacked
+//! and the batch embedding entry point — runs on the batch-stacked
 //! embedding service ([`GinEncoder::encode_batch`]): graph blocks are
 //! concatenated into one tall vertex matrix with a block-diagonal CSR
 //! adjacency and encoded in a handful of large SIMD kernel calls instead of
 //! one dispatch per graph per layer. The stacked path is bit-identical to
 //! per-graph encoding, so switching it in changes no recommendation.
+//!
+//! The lints below keep `unwrap`, `expect` and `panic!` out of this module;
+//! the one audited exception is the tuple-form
+//! [`AutoCe::predict_excluding`] convenience.
 
-use crate::backend::{AdvisorBackend, AdvisorError};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::backend::{AdvisorBackend, AdvisorError, BatchPredictRequest};
 use crate::incremental::{run_incremental_learning, IncrementalConfig};
-use crate::index::{IndexConfig, KnnIndex};
-use crate::knn::{self, Partition};
+use crate::index::IndexConfig;
+use crate::knn;
+use crate::online::{online_update_config, DriftDetector, Reservoir};
+use crate::shard::AdvisorShard;
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
+use ce_gnn::train::train_encoder_incremental_observed;
 use ce_gnn::{train_encoder, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::ModelKind;
-use ce_nn::packed::PackedRows;
 use ce_nn::Matrix;
-use ce_obs::MetricsRegistry;
+use ce_obs::{MetricsRegistry, LATENCY_NS_BUCKETS};
 use ce_storage::Dataset;
 use ce_testbed::{DatasetLabel, MetricWeights};
 use rayon::prelude::*;
@@ -70,8 +98,7 @@ pub struct RcsEntry {
 
 impl RcsEntry {
     /// Builds an entry from a testbed label and a precomputed embedding
-    /// (shared by [`AutoCe::push_rcs_entry`] and the sharded serving
-    /// layer's online adaptation).
+    /// (what [`AutoCe::push_entry`] admits).
     pub fn from_label(graph: FeatureGraph, label: &DatasetLabel, embedding: Vec<f32>) -> Self {
         let (sa, se) = label.normalized_components();
         RcsEntry {
@@ -102,204 +129,31 @@ impl RcsEntry {
     }
 }
 
-/// One partition of the RCS — all of it for the flat [`AutoCe`], one shard
-/// of it in `ce-serve`'s `ShardedAdvisor`: entries tagged with their global
-/// indices, the packed mirror of their embeddings the flat scan reads, the
-/// stacked serving chunks over their graphs, the partition's KNN index
-/// slot, and the refresh steps every owner shares (pack → encode → write
-/// back → rebuild the index). Queries go through [`Self::partial_topk`],
-/// i.e. [`knn::partial_topk`].
+/// The trained advisor: the encoder, the RCS as [`AdvisorShard`]s and the
+/// Stage-4 serving path over them. Recommendations are bit-identical at any
+/// shard count (see the module docs); online adaptation routes new entries
+/// to the least-loaded shard and refreshes every shard's embeddings from
+/// its cached stacked chunks.
 #[derive(Clone)]
-pub struct AdvisorShard {
-    /// Global RCS index of each entry, ascending, aligned with `entries`.
-    ids: Vec<usize>,
-    entries: Vec<RcsEntry>,
-    /// `entries[m].embedding` as row `m`, lane-per-row. Written by the three
-    /// mutations that write an embedding — [`Self::new`], [`Self::push`],
-    /// [`Self::write_back`] — and by nothing else (`entries` is lent out
-    /// read-only), so it needs no freshness tag. `len · dim · 4` bytes.
-    packed: PackedRows,
-    /// Stacked chunks over `entries`' graphs, packed lazily by the owner's
-    /// first refresh ([`Self::pack`]); no query reads them, so a read-only
-    /// owner never pays for them. Graphs are immutable once in the RCS, so
-    /// the packing survives every encoder update; only a membership change
-    /// drops it.
-    chunks: Option<Vec<StackedCtx>>,
-    /// The index slot: a build over this partition's embeddings stamped
-    /// `(generation, len)`. Rebuilt with every write-back, dropped by a
-    /// push, and consulted only while its stamp matches the live
-    /// partition (checked in [`knn::partial_topk`]) — so answers never
-    /// depend on index freshness.
-    index: Option<KnnIndex>,
-}
-
-impl AdvisorShard {
-    /// A partition over `entries` with global indices `ids` (ascending).
-    /// The entries' embeddings must share one dimension (`"dimension
-    /// mismatch"` otherwise — what the first query used to panic with).
-    pub fn new(ids: Vec<usize>, entries: Vec<RcsEntry>) -> Self {
-        assert_eq!(ids.len(), entries.len(), "one global index per entry");
-        AdvisorShard {
-            ids,
-            packed: PackedRows::from_rows(&embeddings(&entries)),
-            entries,
-            chunks: None,
-            index: None,
-        }
-    }
-
-    /// Number of entries this partition owns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the partition owns no entries (possible when there are
-    /// more shards than RCS entries).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Global indices of the entries this partition owns.
-    pub fn ids(&self) -> &[usize] {
-        &self.ids
-    }
-
-    /// The entries this partition owns, slot-aligned with [`Self::ids`].
-    /// Read-only: consumers (the cluster layer projects `(ids,
-    /// embeddings)` tables onto shard servers) must not be able to bypass
-    /// the chunk and index bookkeeping.
-    pub fn entries(&self) -> &[RcsEntry] {
-        &self.entries
-    }
-
-    /// This partition as [`knn::partial_topk`] scans it, under the owner's
-    /// live `generation`.
-    pub fn view(&self, generation: u64) -> Partition<'_, usize> {
-        Partition {
-            ids: &self.ids,
-            packed: &self.packed,
-            index: self.index.as_ref(),
-            generation,
-        }
-    }
-
-    /// The partial top-k of this partition ([`knn::partial_topk`]),
-    /// appended to `out`; `generation` is the owner's live generation,
-    /// `scratch` the query path's reusable buffers.
-    pub fn partial_topk(
-        &self,
-        x: &[f32],
-        k: usize,
-        exclude: usize,
-        generation: u64,
-        scratch: &mut knn::Scratch,
-        out: &mut Vec<(usize, f32)>,
-    ) {
-        knn::partial_topk(&self.view(generation), x, k, exclude, scratch, out);
-    }
-
-    /// Appends an entry under global index `id`. Membership changed: the
-    /// packed chunks are stale, and the index is dropped at once (its
-    /// length stamp would bypass it anyway). The embedding mirror takes the
-    /// new row in place.
-    pub fn push(&mut self, id: usize, entry: RcsEntry) {
-        self.packed.push(&entry.embedding);
-        self.ids.push(id);
-        self.entries.push(entry);
-        self.chunks = None;
-        self.index = None;
-    }
-
-    /// Packs the stacked serving chunks if membership changed since the
-    /// last packing, and returns them. Pure data movement.
-    pub fn pack(&mut self) -> &[StackedCtx] {
-        let entries = &self.entries;
-        self.chunks.get_or_insert_with(|| {
-            let graphs: Vec<&FeatureGraph> = entries.iter().map(|e| &e.graph).collect();
-            StackedCtx::pack_graphs(&graphs)
-        })
-    }
-
-    /// The chunks [`Self::pack`] left (owners that fan a refresh out over
-    /// partitions pack first, then encode under a shared borrow).
-    pub fn chunks(&self) -> &[StackedCtx] {
-        self.chunks.as_deref().expect("packed before encoding")
-    }
-
-    /// One stacked forward over one packed chunk: a row per graph.
-    pub fn encode_chunk(encoder: &GinEncoder, chunk: &StackedCtx) -> Matrix {
-        let mut m = Matrix::zeros(0, 0);
-        encoder.encode_stacked_into(chunk, &mut m);
-        m
-    }
-
-    /// Writes refreshed embeddings back — `pooled` holds one row per entry,
-    /// chunk by chunk — into the entries and their packed mirror, and
-    /// rebuilds the index over them in the same mutation, so nobody can
-    /// pair refreshed embeddings with a pre-refresh mirror or build, or the
-    /// reverse.
-    pub fn write_back(
-        &mut self,
-        pooled: &[Matrix],
-        index: Option<&IndexConfig>,
-        metrics: &MetricsRegistry,
-        generation: u64,
-    ) {
-        // Entries handed over ahead of their first encode change dimension
-        // here; only then is the mirror packed anew.
-        let in_place = pooled.first().map(|m| m.cols) == self.packed.dim();
-        let mut rows = pooled
-            .iter()
-            .flat_map(|m| (0..m.rows).map(move |r| m.row(r)));
-        for (m, e) in self.entries.iter_mut().enumerate() {
-            let row = rows.next().expect("one pooled row per entry");
-            e.embedding.clear();
-            e.embedding.extend_from_slice(row);
-            if in_place {
-                self.packed.set_row(m, row);
-            }
-        }
-        assert!(rows.next().is_none(), "pooled rows must match the entries");
-        if !in_place {
-            self.packed = PackedRows::from_rows(&embeddings(&self.entries));
-        }
-        self.rebuild_index(index, metrics, generation);
-    }
-
-    /// Rebuilds the index over the live embeddings, stamped
-    /// `(generation, len)`. No configuration, or a partition below the
-    /// cutover, empties the slot — the flat scan serves.
-    pub fn rebuild_index(
-        &mut self,
-        index: Option<&IndexConfig>,
-        metrics: &MetricsRegistry,
-        generation: u64,
-    ) {
-        debug_assert!(
-            self.ids.windows(2).all(|w| w[0] < w[1]),
-            "ids must ascend for position/id tie-break equivalence"
-        );
-        self.index = index
-            .and_then(|cfg| KnnIndex::build(&embeddings(&self.entries), cfg, generation, metrics));
-    }
-}
-
-/// Every entry's embedding, by position.
-fn embeddings(entries: &[RcsEntry]) -> Vec<&[f32]> {
-    entries.iter().map(|e| e.embedding.as_slice()).collect()
-}
-
-/// The trained advisor.
 pub struct AutoCe {
     /// Configuration it was trained with.
     pub config: AutoCeConfig,
     encoder: GinEncoder,
-    /// The whole RCS as one partition (global indices `0..n`).
-    rcs: AdvisorShard,
+    /// The RCS partitions, at least one.
+    shards: Vec<AdvisorShard>,
+    /// Global index → `(shard, slot)`; one entry per RCS member, appended
+    /// in global-index order (global ids are never reused).
+    directory: Vec<(usize, usize)>,
+    /// Encoder generation: bumped by every adaptation before its refresh,
+    /// so caches and index builds of the previous encoder read as stale.
+    generation: u64,
     /// Two-stage KNN index configuration ([`crate::index`]); `None` serves
-    /// every query by flat scan. The build itself lives in `rcs`.
+    /// every partial top-k by flat scan. The builds live in the shards,
+    /// rebuilt on refresh (inside the same value a snapshot swap
+    /// publishes) and dropped on pushes.
     index_cfg: Option<IndexConfig>,
-    /// Where index builds and queries count.
+    /// Where refreshes, adaptations, index builds and index queries record
+    /// (default: disabled, every site a no-op).
     metrics: MetricsRegistry,
 }
 
@@ -311,26 +165,12 @@ impl AutoCe {
         config: AutoCeConfig,
         seed: u64,
     ) -> Self {
-        let graphs: Vec<FeatureGraph> = datasets
-            .iter()
-            .map(|ds| extract_features(ds, &config.feature))
-            .collect();
-        Self::train_from_graphs(graphs, labels, config, seed)
-    }
-
-    /// Trains from already-extracted feature graphs (used by ablations and
-    /// the incremental stage itself).
-    pub fn train_from_graphs(
-        graphs: Vec<FeatureGraph>,
-        labels: &[DatasetLabel],
-        config: AutoCeConfig,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(graphs.len(), labels.len(), "graph/label count mismatch");
-        let mut entries: Vec<RcsEntry> = graphs
-            .into_iter()
-            .zip(labels)
-            .map(|(graph, label)| RcsEntry::from_label(graph, label, Vec::new()))
+        assert_eq!(datasets.len(), labels.len(), "dataset/label count mismatch");
+        let mut entries: Vec<RcsEntry> = (datasets.iter().zip(labels))
+            .map(|(ds, label)| {
+                let graph = extract_features(ds, &config.feature);
+                RcsEntry::from_label(graph, label, Vec::new())
+            })
             .collect();
 
         // Stage 2: deep metric learning. Graphs are borrowed into the
@@ -353,14 +193,52 @@ impl AutoCe {
         AutoCe::from_parts(config, encoder, entries)
     }
 
-    /// The recommendation candidate set.
-    pub fn rcs(&self) -> &[RcsEntry] {
-        self.rcs.entries()
+    /// Assembles a one-shard advisor from its parts (global ids `0..n` in
+    /// `rcs` order). Entries are trusted as-is: their embeddings must have
+    /// been produced by `encoder` (or be about to be refreshed). This is
+    /// the constructor synthetic advisors and the benchmark's RCS are built
+    /// with.
+    pub fn from_parts(config: AutoCeConfig, encoder: GinEncoder, rcs: Vec<RcsEntry>) -> Self {
+        AutoCe {
+            config,
+            encoder,
+            directory: (0..rcs.len()).map(|slot| (0, slot)).collect(),
+            shards: vec![AdvisorShard::new((0..rcs.len()).collect(), rcs)],
+            generation: 0,
+            index_cfg: None,
+            metrics: MetricsRegistry::disabled(),
+        }
     }
 
-    /// The RCS as the one partition the KNN predictor scans.
-    pub(crate) fn partition(&self) -> &AdvisorShard {
-        &self.rcs
+    /// Deals `advisor`'s RCS across `num_shards` shards (at least one) in
+    /// contiguous, balanced ranges — the one way to shard. Global index
+    /// order is preserved, so one shard is layout-identical to a one-shard
+    /// advisor. `advisor` is left untouched: entries and encoder are
+    /// cloned, the generation carried over; no index is installed and
+    /// metrics are disabled.
+    pub fn from_advisor(advisor: &AutoCe, num_shards: usize) -> Self {
+        let num_shards = num_shards.max(1);
+        let n = advisor.len();
+        let (base, rem) = (n / num_shards, n % num_shards);
+        let mut shards = Vec::with_capacity(num_shards);
+        let mut directory = Vec::with_capacity(n);
+        let mut next = 0usize;
+        for s in 0..num_shards {
+            let ids: Vec<usize> = (next..next + base + usize::from(s < rem)).collect();
+            let entries = ids.iter().map(|&id| advisor.entry(id).clone()).collect();
+            directory.extend((0..ids.len()).map(|slot| (s, slot)));
+            next += ids.len();
+            shards.push(AdvisorShard::new(ids, entries));
+        }
+        AutoCe {
+            config: advisor.config.clone(),
+            encoder: advisor.encoder.clone(),
+            shards,
+            directory,
+            generation: advisor.generation,
+            index_cfg: None,
+            metrics: MetricsRegistry::disabled(),
+        }
     }
 
     /// The advisor configuration (read-only).
@@ -374,15 +252,50 @@ impl AutoCe {
         self.config.k = k.max(1);
     }
 
-    /// Encodes a dataset into its embedding (Stage 4, steps 1-3).
-    pub fn embed(&self, ds: &Dataset) -> Vec<f32> {
-        let g = extract_features(ds, &self.config.feature);
-        self.encoder.encode(&g)
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// Encodes a feature graph.
-    pub fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
-        self.encoder.encode(g)
+    /// The shards (read-only).
+    pub fn shards(&self) -> &[AdvisorShard] {
+        &self.shards
+    }
+
+    /// Total RCS entries across all shards.
+    pub fn len(&self) -> usize {
+        self.directory.len()
+    }
+
+    /// True when the RCS holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.directory.is_empty()
+    }
+
+    /// The RCS entry at a global index (panics outside `0..len()`).
+    pub fn entry(&self, global: usize) -> &RcsEntry {
+        let (s, slot) = self.directory[global];
+        &self.shards[s].entries()[slot]
+    }
+
+    /// The shard owning a global index (`None` outside the RCS) — one
+    /// directory read.
+    pub fn shard_of(&self, global: usize) -> Option<usize> {
+        self.directory.get(global).map(|&(s, _)| s)
+    }
+
+    /// Points the refresh/adaptation instrumentation at `registry`:
+    /// embedding refreshes record `ce_serve_refresh_ns`, incremental DML
+    /// updates the `ce_gnn_*` training metrics, index builds and queries
+    /// the `ce_index_*` families. A disabled registry (the default) makes
+    /// every site a no-op; no answer depends on it.
+    pub fn set_metrics(&mut self, registry: MetricsRegistry) {
+        self.metrics = registry;
+    }
+
+    /// Encodes a dataset into its embedding (Stage 4, steps 1-3).
+    pub fn embed(&self, ds: &Dataset) -> Vec<f32> {
+        self.embed_graph(&extract_features(ds, &self.config.feature))
     }
 
     /// KNN prediction from an embedding (Eq. 13): averaged neighbor score
@@ -395,10 +308,13 @@ impl AutoCe {
         self.predict_excluding(embedding, w, usize::MAX)
     }
 
-    /// KNN prediction that can exclude one RCS index — used by the
+    /// KNN prediction that can exclude one global RCS index — used by the
     /// leave-one-out cross-validation of Algorithm 2. A convenience over
     /// [`AdvisorBackend::predict_excluding`] (the [`knn`] steps, typed
     /// errors) that **panics** when the RCS holds nothing to select.
+    // Audited: the documented panic of a tuple-form convenience that
+    // nothing behind `AdvisorService` calls.
+    #[allow(clippy::expect_used)]
     pub fn predict_excluding(
         &self,
         embedding: &[f32],
@@ -409,14 +325,6 @@ impl AutoCe {
             .expect("the RCS holds a selectable entry")
     }
 
-    /// Distance from an embedding to the nearest RCS entry (drift check):
-    /// [`knn::nearest_distance`] over the one partition, index included.
-    pub fn distance_to_embedding(&self, x: &[f32]) -> f32 {
-        let view = self.rcs.view(AdvisorBackend::generation(self));
-        let (mut scratch, mut cands) = (knn::Scratch::default(), Vec::new());
-        knn::nearest_distance(&[view], x, usize::MAX, &mut scratch, &mut cands)
-    }
-
     /// Full Stage-4 recommendation for a dataset.
     pub fn recommend(&self, ds: &Dataset, w: MetricWeights) -> ModelKind {
         let x = self.embed(ds);
@@ -425,97 +333,242 @@ impl AutoCe {
 
     /// Recommendation from a pre-extracted feature graph.
     pub fn recommend_graph(&self, g: &FeatureGraph, w: MetricWeights) -> ModelKind {
-        let x = self.encoder.encode(g);
+        let x = self.embed_graph(g);
         self.predict_from_embedding(&x, w).0
     }
 
-    /// Shared encoder access.
-    pub fn encoder(&self) -> &GinEncoder {
-        &self.encoder
+    /// Distance from an embedding to the nearest RCS entry (drift check):
+    /// [`knn::nearest_distance`] over the shards, indexes included.
+    pub fn distance_to_embedding(&self, x: &[f32]) -> f32 {
+        let views: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.view(self.generation))
+            .collect();
+        let (mut scratch, mut cands) = (knn::Scratch::default(), Vec::new());
+        knn::nearest_distance(&views, x, usize::MAX, &mut scratch, &mut cands)
     }
 
-    /// Adds a freshly labeled dataset to the RCS (online adapting, §V-E).
-    pub fn push_rcs_entry(&mut self, graph: FeatureGraph, label: &DatasetLabel) {
+    /// Adds a freshly labeled dataset (online adapting, §V-E), routed to
+    /// the least-loaded shard (ties to the lowest shard index). Returns
+    /// the new global index. The entry is embedded by the current encoder;
+    /// the receiving shard's chunks are marked stale and its index dropped.
+    pub fn push_entry(&mut self, graph: FeatureGraph, label: &DatasetLabel) -> usize {
         let embedding = self.encoder.encode(&graph);
-        let entry = RcsEntry::from_label(graph, label, embedding);
-        self.rcs.push(self.rcs.len(), entry);
+        let global = self.directory.len();
+        // Every constructor makes at least one shard, so the minimum exists.
+        let target = (0..self.shards.len())
+            .min_by_key(|&s| (self.shards[s].len(), s))
+            .unwrap_or(0);
+        let shard = &mut self.shards[target];
+        shard.push(global, RcsEntry::from_label(graph, label, embedding));
+        self.directory.push((target, shard.len() - 1));
+        global
     }
 
-    /// Installs (or replaces) a two-stage KNN index configuration and
-    /// builds the index over the current embeddings. Counters land in
-    /// `metrics`; pass a disabled registry for free no-ops.
+    /// Recomputes every RCS embedding (after an encoder update) on the
+    /// batch-stacked embedding service: one `par_iter` over the packed
+    /// chunks of every shard, in shard order, each chunk one stacked
+    /// forward. The chunks
+    /// are packed by the first refresh (construction packs none — a
+    /// read-only advisor never reads them) and repacked only for shards
+    /// whose membership changed, so in steady state this path does no
+    /// per-graph work. Each shard's index is rebuilt in its write-back.
+    /// Bit-identical to encoding each graph separately.
+    pub fn refresh_embeddings(&mut self) {
+        // Refresh is a cold path (it follows a retrain), so registering
+        // the histogram here — under the registry's own mutex, never a
+        // serving lock — is fine.
+        let _span = self
+            .metrics
+            .histogram("ce_serve_refresh_ns", &[], LATENCY_NS_BUCKETS)
+            .start_span();
+        let packed: Vec<&[StackedCtx]> = self.shards.iter_mut().map(|s| s.pack()).collect();
+        let counts: Vec<usize> = packed.iter().map(|chunks| chunks.len()).collect();
+        let chunks: Vec<&StackedCtx> = packed.into_iter().flatten().collect();
+        let encoder = &self.encoder;
+        let pooled: Vec<Matrix> = (chunks.par_iter())
+            .map(|chunk| AdvisorShard::encode_chunk(encoder, chunk))
+            .collect();
+        // Write-back rebuilds each shard's index inside the same advisor
+        // value a snapshot swap publishes, so no query can pair entries
+        // with another generation's index (docs/knn-index.md).
+        let (index, metrics) = (self.index_cfg.as_ref(), &self.metrics);
+        let mut pooled = pooled.into_iter();
+        for (shard, n) in self.shards.iter_mut().zip(counts) {
+            let mats: Vec<Matrix> = pooled.by_ref().take(n).collect();
+            shard.write_back(&mats, index, metrics, self.generation);
+        }
+    }
+
+    /// Installs (or replaces) the two-stage KNN index configuration and
+    /// builds every shard's index over the current embeddings; builds and
+    /// queries count into the registry [`Self::set_metrics`] (or
+    /// [`AdvisorBackend::install_index`]) supplied.
     ///
     /// Rejects a structurally invalid config and a cutover below the
     /// advisor's `k` ([`IndexConfig::validate_for_k`]) before touching any
     /// state. Correctness never depends on the cutover check (an index
     /// short of `k` candidates widens to every partition).
-    pub fn set_index_config(
-        &mut self,
-        cfg: IndexConfig,
-        metrics: MetricsRegistry,
-    ) -> Result<(), AdvisorError> {
+    pub fn set_index_config(&mut self, cfg: IndexConfig) -> Result<(), AdvisorError> {
         cfg.validate_for_k(self.config.k)?;
         self.index_cfg = Some(cfg);
-        self.metrics = metrics;
-        let generation = AdvisorBackend::generation(self);
-        self.rcs
-            .rebuild_index(self.index_cfg.as_ref(), &self.metrics, generation);
+        for shard in &mut self.shards {
+            shard.rebuild_index(self.index_cfg.as_ref(), &self.metrics, self.generation);
+        }
         Ok(())
     }
 
-    /// The installed index configuration, if any.
-    pub fn index_config(&self) -> Option<&IndexConfig> {
-        self.index_cfg.as_ref()
+    /// Online model update bounded by a reservoir (§V-E): the one
+    /// adaptation body ([`crate::online::adapt_online`] runs it over the
+    /// full RCS) with the training set `reservoir ∪ {newcomer}` — at most
+    /// `capacity + 1` graphs, however large the RCS has grown. Returns the
+    /// number of graphs trained on.
+    pub fn adapt_with_reservoir(
+        &mut self,
+        graph: FeatureGraph,
+        label: &DatasetLabel,
+        reservoir: &mut Reservoir,
+        seed: u64,
+    ) -> usize {
+        self.adapt(graph, label, Some(reservoir), seed)
     }
 
-    /// Reassembles an advisor from its parts — the inverse of
-    /// [`Self::into_parts`]. Entries are trusted as-is: their embeddings
-    /// must have been produced by `encoder` (or be about to be refreshed).
-    /// This is the constructor the sharded serving layer and synthetic
-    /// KNN tests build flat reference advisors with.
-    pub fn from_parts(config: AutoCeConfig, encoder: GinEncoder, rcs: Vec<RcsEntry>) -> Self {
-        AutoCe {
-            config,
+    /// The adaptation body: pushes the labeled newcomer, runs the
+    /// incremental DML update on an ascending global-id list — every id
+    /// without a reservoir, the reservoir's sample plus the newcomer with
+    /// one — bumps the generation, then refreshes every embedding. Returns
+    /// the number of graphs trained on.
+    pub(crate) fn adapt(
+        &mut self,
+        graph: FeatureGraph,
+        label: &DatasetLabel,
+        reservoir: Option<&mut Reservoir>,
+        seed: u64,
+    ) -> usize {
+        let new_id = self.push_entry(graph, label);
+        let ids = match reservoir {
+            None => (0..self.len()).collect(),
+            Some(reservoir) => reservoir.sample_with(new_id),
+        };
+        let cfg = online_update_config(&self.config.dml);
+        let labels: Vec<Vec<f64>> = ids.iter().map(|&id| self.entry(id).dml_label()).collect();
+        // Split borrow: the encoder trains against graphs borrowed in place
+        // from the shards.
+        let AutoCe {
             encoder,
-            rcs: AdvisorShard::new((0..rcs.len()).collect(), rcs),
-            index_cfg: None,
-            metrics: MetricsRegistry::disabled(),
-        }
-    }
-
-    /// Decomposes the advisor into configuration, encoder and RCS entries
-    /// (the sharded serving layer redistributes the entries across shards).
-    pub fn into_parts(self) -> (AutoCeConfig, GinEncoder, Vec<RcsEntry>) {
-        (self.config, self.encoder, self.rcs.entries)
-    }
-
-    /// Splits a mutable encoder borrow from a shared RCS borrow (online
-    /// adapting retrains the encoder on borrowed RCS graphs).
-    pub(crate) fn encoder_and_rcs(&mut self) -> (&mut GinEncoder, &[RcsEntry]) {
-        (&mut self.encoder, self.rcs.entries())
-    }
-
-    /// Recomputes all RCS embeddings (after incremental encoder updates)
-    /// on the batch-stacked embedding service: the whole RCS is encoded in
-    /// a few large stacked forwards (chunks fanned out over the pool)
-    /// instead of one kernel dispatch per graph per layer. The stacked
-    /// chunks are cached across refreshes — in steady state this path does
-    /// no *per-graph* work (no context rebuild or per-graph allocation;
-    /// entry embedding buffers are reused in place, with only a few
-    /// per-chunk workspace matrices allocated per call). Bit-identical to
-    /// encoding each graph separately.
-    pub fn refresh_embeddings(&mut self) {
-        let encoder = &self.encoder;
-        let pooled: Vec<Matrix> = (self.rcs.pack().par_iter())
-            .map(|chunk| AdvisorShard::encode_chunk(encoder, chunk))
+            shards,
+            directory,
+            metrics,
+            ..
+        } = self;
+        let graphs: Vec<&FeatureGraph> = (ids.iter())
+            .map(|&id| {
+                let (s, slot) = directory[id];
+                &shards[s].entries()[slot].graph
+            })
             .collect();
-        let generation = AdvisorBackend::generation(self);
-        self.rcs
-            .write_back(&pooled, self.index_cfg.as_ref(), &self.metrics, generation);
+        // The observed trainer lands the train phase timings in the same
+        // registry as the serving metrics; a disabled registry leaves it
+        // the plain trainer.
+        train_encoder_incremental_observed(encoder, &graphs, &labels, &cfg, seed ^ 0x0ada, metrics);
+        // Bump BEFORE refreshing: the refresh rebuilds every index stamped
+        // with the current generation, and a pre-bump stamp would mismatch
+        // every post-adaptation query (permanent index bypass).
+        self.generation += 1;
+        self.refresh_embeddings();
+        ids.len()
+    }
+}
+
+/// The advisor's query surface — the only copy of the methods whose
+/// signatures the trait already has, so an [`AutoCe`] at any shard count is
+/// interchangeable with any other backend behind an `AdvisorService`.
+impl AdvisorBackend for AutoCe {
+    fn rcs_len(&self) -> usize {
+        self.len()
+    }
+
+    /// Bumped by every adaptation, before its refresh.
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn feature_config(&self) -> FeatureConfig {
+        self.config.feature
+    }
+
+    fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
+        self.encoder.encode(g)
+    }
+
+    /// The stacked service: one tall forward per chunk.
+    fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>> {
+        self.encoder.encode_batch(graphs)
+    }
+
+    /// Shards are scanned **serially** (inside [`knn::predict_batch`]):
+    /// this is the per-request hot path, a shard's scan is microseconds of
+    /// work, and the rayon shim backs `par_iter` with scoped OS threads (no
+    /// persistent pool) — per-call thread spawns would dwarf the scan on
+    /// multi-core hosts.
+    fn predict_batch(
+        &self,
+        queries: &[BatchPredictRequest<'_>],
+    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
+        let entry = |id| self.entry(id);
+        knn::predict_batch(queries, self.config.k, &self.shards, self.generation, entry)
+    }
+
+    fn distance_to_nearest(&self, x: &[f32]) -> f32 {
+        self.distance_to_embedding(x)
+    }
+
+    /// Fitted over the shards as they serve, indexes included.
+    fn drift_detector(&self) -> DriftDetector {
+        DriftDetector::from_partitions(&self.shards, self.generation)
+    }
+
+    fn push_entry(
+        &mut self,
+        graph: FeatureGraph,
+        label: &DatasetLabel,
+    ) -> Result<usize, AdvisorError> {
+        Ok(AutoCe::push_entry(self, graph, label))
+    }
+
+    fn refresh(&mut self) -> Result<u64, AdvisorError> {
+        self.refresh_embeddings();
+        Ok(self.generation)
+    }
+
+    fn install_index(
+        &mut self,
+        cfg: &IndexConfig,
+        metrics: &MetricsRegistry,
+    ) -> Result<(), AdvisorError> {
+        self.set_metrics(metrics.clone());
+        self.set_index_config(cfg.clone())
     }
 }
 
 #[cfg(test)]
+impl AutoCe {
+    /// Decomposes the advisor into configuration, encoder and RCS entries
+    /// in global-index order.
+    pub(crate) fn into_parts(self) -> (AutoCeConfig, GinEncoder, Vec<RcsEntry>) {
+        let entries = (0..self.len()).map(|id| self.entry(id).clone()).collect();
+        (self.config, self.encoder, entries)
+    }
+
+    /// Shared encoder access.
+    pub(crate) fn encoder(&self) -> &GinEncoder {
+        &self.encoder
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use ce_datagen::{generate_batch, DatasetSpec};
@@ -568,8 +621,8 @@ mod tests {
                 "recommended unlabeled model {m}"
             );
         }
-        assert_eq!(advisor.rcs().len(), 12);
-        assert!(advisor.rcs().iter().all(|e| !e.embedding.is_empty()));
+        assert_eq!(advisor.len(), 12);
+        assert!((0..12).all(|i| !advisor.entry(i).embedding.is_empty()));
     }
 
     #[test]
@@ -585,7 +638,7 @@ mod tests {
         let (datasets, advisor) = tiny_training_run(2, true);
         let m = advisor.recommend(&datasets[0], MetricWeights::new(0.5));
         let _ = m;
-        assert_eq!(advisor.rcs().len(), 12, "RCS keeps original entries");
+        assert_eq!(advisor.len(), 12, "RCS keeps original entries");
     }
 
     /// The batch-stacked serving path must agree with the per-graph path
@@ -596,14 +649,13 @@ mod tests {
     fn stacked_serving_path_matches_per_graph_path_bitwise() {
         let (datasets, mut advisor) = tiny_training_run(2, false);
         // Per-graph references, computed before any refresh.
-        let per_graph_rcs: Vec<Vec<f32>> = advisor
-            .rcs()
-            .iter()
-            .map(|e| advisor.embed_graph(&e.graph))
+        let per_graph_rcs: Vec<Vec<f32>> = (0..advisor.len())
+            .map(|i| advisor.embed_graph(&advisor.entry(i).graph))
             .collect();
         advisor.refresh_embeddings();
-        for (e, expect) in advisor.rcs().iter().zip(&per_graph_rcs) {
-            assert_eq!(&e.embedding, expect, "stacked refresh must be bitwise");
+        for (i, expect) in per_graph_rcs.iter().enumerate() {
+            let got = &advisor.entry(i).embedding;
+            assert_eq!(got, expect, "stacked refresh must be bitwise");
         }
         let graphs: Vec<FeatureGraph> = datasets
             .iter()
@@ -717,7 +769,7 @@ mod tests {
     #[test]
     fn dml_label_concatenates_components() {
         let (_, advisor) = tiny_training_run(2, false);
-        let e = &advisor.rcs()[0];
+        let e = advisor.entry(0);
         assert_eq!(e.dml_label().len(), e.sa.len() + e.se.len());
         // Scores at wa = 1 equal sa.
         let s = e.scores(MetricWeights::new(1.0));

@@ -1,13 +1,12 @@
 //! The unified advisor query surface: [`AdvisorBackend`] and the shared
 //! error taxonomy [`AdvisorError`].
 //!
-//! The flat [`AutoCe`], the in-process sharded advisor (`ce-serve`) and
-//! the cross-process cluster coordinator (`ce-cluster`) answer the same
+//! The in-process [`AutoCe`](crate::AutoCe) (at any shard count) and the
+//! cross-process cluster coordinator (`ce-cluster`) answer the same
 //! questions — embed a feature graph, KNN-vote over the RCS, absorb a new
-//! entry — but grew three near-duplicate, mutually incompatible method
-//! sets. This trait captures the *real* query surface once, so serving
-//! machinery (micro-batching, embedding caches, benchmarks, parity
-//! tests) can be written one time and run against any backend.
+//! entry. This trait captures that query surface once, so serving
+//! machinery (micro-batching, embedding caches, benchmarks, parity tests)
+//! can be written one time and run against either backend.
 //!
 //! # Determinism obligations
 //!
@@ -31,8 +30,6 @@
 //! See `docs/advisor-api.md` for the full contract, including the
 //! snapshot/epoch rules distributed implementations follow.
 
-use crate::advisor::AutoCe;
-use crate::knn;
 use crate::online::DriftDetector;
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
@@ -111,8 +108,8 @@ pub struct BatchPredictRequest<'a> {
     pub exclude: usize,
 }
 
-/// The advisor query surface every serving tier implements: the flat
-/// [`AutoCe`], `ce-serve`'s `ShardedAdvisor`, and `ce-cluster`'s
+/// The advisor query surface both backends implement: the in-process
+/// [`AutoCe`](crate::AutoCe) (sharded or not) and `ce-cluster`'s
 /// `ClusterCoordinator`. See the module docs for the determinism
 /// obligations implementations carry.
 ///
@@ -254,79 +251,11 @@ pub trait AdvisorBackend: Send + Sync {
     /// whatever this backend instruments. Strictly a read-only side
     /// channel — implementations must not take serving locks, change any
     /// float association, or append to deterministic event traces to
-    /// answer it. The default (and the flat [`AutoCe`]) reports nothing;
-    /// instrumented tiers (`ce-serve`, `ce-cluster`) override it. See
-    /// `docs/observability.md` for the metric name catalogue.
+    /// answer it. The default (and [`AutoCe`](crate::AutoCe)) reports
+    /// nothing; instrumented tiers (`ce-serve`, `ce-cluster`) override it.
+    /// See `docs/observability.md` for the metric name catalogue.
     fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot::empty()
-    }
-}
-
-impl AdvisorBackend for AutoCe {
-    fn rcs_len(&self) -> usize {
-        self.rcs().len()
-    }
-
-    /// The flat advisor's encoder only changes through owned mutation
-    /// (`adapt_online`), which rebuilds the value wholesale in every
-    /// serving context — so a constant generation is correct: any cached
-    /// embedding outlives exactly the advisor value it was computed by.
-    /// Its index is stamped with the same constant; a push is caught by
-    /// the length half of the stamp, a refresh rebuilds in place.
-    fn generation(&self) -> u64 {
-        0
-    }
-
-    fn feature_config(&self) -> FeatureConfig {
-        self.config().feature
-    }
-
-    fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
-        AutoCe::embed_graph(self, g)
-    }
-
-    fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>> {
-        self.encoder().encode_batch(graphs)
-    }
-
-    fn predict_batch(
-        &self,
-        queries: &[BatchPredictRequest<'_>],
-    ) -> Result<Vec<(ModelKind, Vec<f64>)>, AdvisorError> {
-        let rcs = self.partition();
-        let partitions = std::slice::from_ref(rcs);
-        let entry = |i: usize| &rcs.entries()[i];
-        knn::predict_batch(queries, self.config.k, partitions, self.generation(), entry)
-    }
-
-    fn distance_to_nearest(&self, x: &[f32]) -> f32 {
-        self.distance_to_embedding(x)
-    }
-
-    fn drift_detector(&self) -> DriftDetector {
-        DriftDetector::fit(self)
-    }
-
-    fn push_entry(
-        &mut self,
-        graph: FeatureGraph,
-        label: &DatasetLabel,
-    ) -> Result<usize, AdvisorError> {
-        self.push_rcs_entry(graph, label);
-        Ok(self.rcs().len() - 1)
-    }
-
-    fn refresh(&mut self) -> Result<u64, AdvisorError> {
-        self.refresh_embeddings();
-        Ok(AdvisorBackend::generation(self))
-    }
-
-    fn install_index(
-        &mut self,
-        cfg: &crate::index::IndexConfig,
-        metrics: &ce_obs::MetricsRegistry,
-    ) -> Result<(), AdvisorError> {
-        self.set_index_config(cfg.clone(), metrics.clone())
     }
 }
 
@@ -346,7 +275,7 @@ pub fn validate_nonzero(name: &str, value: usize) -> Result<(), AdvisorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advisor::{AutoCeConfig, RcsEntry};
+    use crate::advisor::{AutoCe, AutoCeConfig, RcsEntry};
     use ce_gnn::{DmlConfig, GinEncoder};
 
     fn tiny_advisor() -> AutoCe {
@@ -391,8 +320,8 @@ mod tests {
                 .expect("flat never fails"),
             advisor.predict_excluding(&x, w, 1)
         );
-        assert_eq!(backend.rcs_len(), advisor.rcs().len());
-        let g = advisor.rcs()[0].graph.clone();
+        assert_eq!(backend.rcs_len(), advisor.len());
+        let g = advisor.entry(0).graph.clone();
         assert_eq!(backend.embed_graph(&g), advisor.embed_graph(&g));
         assert_eq!(
             backend.embed_graph_batch(&[&g, &g]),
@@ -407,7 +336,7 @@ mod tests {
     #[test]
     fn distance_to_nearest_hits_zero_on_members() {
         let advisor = tiny_advisor();
-        let member = advisor.rcs()[2].embedding.clone();
+        let member = advisor.entry(2).embedding.clone();
         assert_eq!(AdvisorBackend::distance_to_nearest(&advisor, &member), 0.0);
         assert!(AdvisorBackend::distance_to_nearest(&advisor, &[9.0, 9.0, 9.0]) > 1.0);
     }
@@ -415,10 +344,11 @@ mod tests {
     #[test]
     fn push_hook_returns_the_new_global_index() {
         let mut advisor = tiny_advisor();
-        let before = advisor.rcs().len();
+        let before = advisor.len();
         let label = DatasetLabel {
             dataset: "new".into(),
-            performances: advisor.rcs()[0]
+            performances: advisor
+                .entry(0)
                 .kinds
                 .iter()
                 .enumerate()
@@ -433,10 +363,10 @@ mod tests {
                 })
                 .collect(),
         };
-        let g = advisor.rcs()[0].graph.clone();
+        let g = advisor.entry(0).graph.clone();
         let id = AdvisorBackend::push_entry(&mut advisor, g, &label).expect("push");
         assert_eq!(id, before);
-        assert_eq!(advisor.rcs().len(), before + 1);
+        assert_eq!(advisor.len(), before + 1);
     }
 
     #[test]

@@ -407,19 +407,14 @@ impl KnnIndex {
         })
     }
 
-    /// The `(generation, rcs_len)` tag stamped at build.
-    pub fn tag(&self) -> (u64, usize) {
-        (self.generation, self.len)
-    }
-
     /// Whether this index was built over exactly the caller's live state.
-    pub fn tag_matches(&self, generation: u64, len: usize) -> bool {
+    pub(crate) fn tag_matches(&self, generation: u64, len: usize) -> bool {
         self.generation == generation && self.len == len
     }
 
     /// Records that a backend skipped this index (stale tag) and served
     /// the flat scan directly.
-    pub fn note_bypass(&self) {
+    pub(crate) fn note_bypass(&self) {
         self.obs.bypass.inc();
     }
 

@@ -25,13 +25,12 @@
 //!    least answer: the drift signal, and every row of the drift
 //!    detector's fit ([`crate::online::DriftDetector`]).
 //!
-//! The flat [`AutoCe`](crate::AutoCe) owns one [`AdvisorShard`] (ids
-//! `0..n`) and `ce-serve`'s `ShardedAdvisor` owns N; both answer through
-//! [`predict_batch`], which runs steps 1–3 with one [`Scratch`] and one
-//! candidate buffer for the whole batch. `ce-cluster`'s shard server
-//! lends its wire tables as [`Partition`] views under the same discipline,
-//! and its coordinator takes the clamp and the merge from here around its
-//! own framing.
+//! [`AutoCe`](crate::AutoCe) owns one [`AdvisorShard`] (ids `0..n`) or N,
+//! and answers through [`predict_batch`], which runs steps 1–3 with one
+//! [`Scratch`] and one candidate buffer for the whole batch. `ce-cluster`'s
+//! shard server lends its wire tables as [`Partition`] views under the same
+//! discipline, and its coordinator takes the clamp and the merge from here
+//! around its own framing.
 //!
 //! # Five things the former per-tier copies disagreed on, settled
 //!
@@ -53,10 +52,9 @@
 //!   nothing. Step 4 queries through step 2, so a drift check and a
 //!   detector fit count here too.
 //! * **Fan-out.** None here. A query scans its partitions serially (a scan
-//!   is microseconds; the rayon shim spawns threads per call), and each
-//!   owner keeps the `par_iter` shape of its refresh — the flat advisor
-//!   over chunks, the sharded one over shards. Only the pack, the chunk
-//!   encode and the write-back are shared ([`AdvisorShard`]).
+//!   is microseconds; the rayon shim spawns threads per call). The refresh
+//!   is [`AutoCe::refresh_embeddings`](crate::AutoCe::refresh_embeddings):
+//!   one `par_iter` over every shard's packed chunks.
 //!
 //! `crates/cluster/tests/golden_knn_bits.rs` pins the answers of every
 //! tier as captured before the copies were merged.
@@ -70,9 +68,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::advisor::{AdvisorShard, RcsEntry};
+use crate::advisor::RcsEntry;
 use crate::backend::{AdvisorError, BatchPredictRequest};
 use crate::index::KnnIndex;
+use crate::shard::AdvisorShard;
 use ce_models::ModelKind;
 use ce_nn::packed::PackedRows;
 use ce_testbed::score::best_index;

@@ -4,21 +4,21 @@
 //! dataset and metric weighting, without training any CE model online:
 //!
 //! * [`advisor`]: the four-stage pipeline — feature graphs, DML-trained GIN
-//!   encoder and the recommendation candidate set (RCS), held as
-//!   [`AdvisorShard`] partitions;
+//!   encoder and the recommendation candidate set (RCS), held as one or more
+//!   [`AdvisorShard`] partitions of the one in-process advisor, [`AutoCe`];
 //! * [`knn`]: the KNN predictor of Eq. 13 — the one clamp → partial top-k →
 //!   merge → vote every serving tier calls;
 //! * [`incremental`]: Algorithm 2 — cross-validated feedback collection and
 //!   Mixup-based data augmentation, then incremental encoder training;
 //! * [`online`]: the online adaptive method of §V-E — drift detection by
 //!   embedding distance (90th-percentile threshold) and RCS/encoder updates
-//!   from online-labeled datasets;
+//!   from online-labeled datasets, over the full RCS or a reservoir sample;
 //! * [`baselines`]: the four selection baselines of §VII (MLP-based,
 //!   Rule-based, Knn-based, Sampling-based) plus Learning-All;
 //! * [`beta`]: Beta-distribution sampling for Mixup's λ.
 
-//! * [`backend`]: the unified [`AdvisorBackend`] query surface every
-//!   serving tier (flat, sharded, clustered) implements, plus the shared
+//! * [`backend`]: the unified [`AdvisorBackend`] query surface both
+//!   backends (in-process, clustered) implement, plus the shared
 //!   [`AdvisorError`] taxonomy;
 //! * [`index`]: the two-stage deterministic KNN index (coarse IVF probe +
 //!   exact re-rank under [`knn_order`]) that keeps serving sub-linear in
@@ -34,8 +34,10 @@ pub mod incremental;
 pub mod index;
 pub mod knn;
 pub mod online;
+mod reservoir;
+mod shard;
 
-pub use advisor::{AdvisorShard, AutoCe, AutoCeConfig, RcsEntry};
+pub use advisor::{AutoCe, AutoCeConfig, RcsEntry};
 pub use backend::{validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
 pub use index::{IndexConfig, IndexConfigBuilder, KnnIndex, QuantMode};
 pub use knn::{knn_order, knn_vote};
@@ -47,3 +49,4 @@ pub use baselines::{
 };
 pub use ce_obs::{MetricsRegistry, MetricsSnapshot};
 pub use incremental::IncrementalConfig;
+pub use shard::AdvisorShard;

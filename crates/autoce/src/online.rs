@@ -12,17 +12,24 @@
 //! the backend's own partitions, index first). A dataset's distance is one
 //! such query; the detector's fit is one per RCS row, excluding the row
 //! itself, so with an index installed the fit is sub-quadratic.
+//!
+//! Step 3 has one body ([`AutoCe::adapt_with_reservoir`]'s): push the
+//! newcomer, train on an ascending list of global ids, bump the generation,
+//! refresh. [`adapt_online`] trains on every id; a [`Reservoir`] bounds the
+//! list to a fixed-size uniform sample of the RCS plus the newcomer, which
+//! is what the serving layer adapts with.
 
-use crate::advisor::{AdvisorShard, AutoCe};
-use crate::backend::AdvisorBackend;
+use crate::advisor::AutoCe;
 use crate::knn::{self, finite, Partition, Scratch};
+use crate::shard::AdvisorShard;
 use ce_features::extract_features;
-use ce_gnn::train::train_encoder_incremental;
 use ce_gnn::DmlConfig;
 use ce_nn::packed::PackedRows;
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, TestbedConfig};
 use rayon::prelude::*;
+
+pub use crate::reservoir::Reservoir;
 
 /// Drift detector built over the advisor's RCS.
 ///
@@ -43,20 +50,13 @@ impl DriftDetector {
     /// Rows per task of the fit's fan-out.
     const FIT_CHUNK: usize = 64;
 
-    /// Builds the detector from the current RCS, through its index when
-    /// one is installed.
-    pub fn fit(advisor: &AutoCe) -> Self {
-        let rcs = std::slice::from_ref(advisor.partition());
-        Self::from_partitions(rcs, AdvisorBackend::generation(advisor))
-    }
-
     /// Builds the detector over an RCS held as `partitions` (global ids
-    /// `0..n` between them) under the owner's live `generation`: the flat
-    /// [`Self::fit`] over one, the sharded serving layer over its shards,
-    /// so both produce the same threshold. Each row's nearest other member
-    /// comes from [`knn::nearest_distance`] over the partitions as they
-    /// serve — a partition's index when its tag is live, widening wherever
-    /// the bound declines, its flat scan otherwise.
+    /// `0..n` between them) under the owner's live `generation` — what
+    /// [`AutoCe`]'s [`drift_detector`](crate::AdvisorBackend::drift_detector)
+    /// fits, so every shard count produces the same threshold. Each row's
+    /// nearest other member comes from [`knn::nearest_distance`] over the
+    /// partitions as they serve — a partition's index when its tag is live,
+    /// widening wherever the bound declines, its flat scan otherwise.
     pub fn from_partitions(partitions: &[AdvisorShard], generation: u64) -> Self {
         let mut rows: Vec<(usize, &[f32])> = (partitions.iter())
             .flat_map(|p| p.ids().iter().copied().zip(p.entries()))
@@ -119,24 +119,6 @@ impl DriftDetector {
         Self::from_nn_dists(nearest.into_iter().flatten().collect())
     }
 
-    /// The pairwise loop the fit replaced, kept as its oracle: one
-    /// `euclidean` call per ordered pair, the minimum over roots.
-    #[cfg(test)]
-    fn from_embeddings_oracle(embeddings: &[&[f32]]) -> Self {
-        Self::from_nn_dists(
-            (0..embeddings.len())
-                .map(|i| {
-                    embeddings
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .map(|(_, o)| ce_nn::matrix::euclidean(embeddings[i], o))
-                        .fold(f32::INFINITY, f32::min)
-                })
-                .collect(),
-        )
-    }
-
     /// The percentile rank over each row's nearest-neighbor distance.
     fn from_nn_dists(mut nn_dists: Vec<f32>) -> Self {
         nn_dists.retain(|d| d.is_finite());
@@ -170,10 +152,8 @@ impl DriftDetector {
 
 /// DML configuration of an *online* encoder update: identical to Stage-2
 /// training but with the epoch count capped — a drifted dataset must not
-/// trigger a full retraining-sized pass. The flat [`adapt_online`] and the
-/// sharded serving layer's reservoir-bounded adaptation share this so both
-/// paths train under the same rules.
-pub fn online_update_config(dml: &DmlConfig) -> DmlConfig {
+/// trigger a full retraining-sized pass.
+pub(crate) fn online_update_config(dml: &DmlConfig) -> DmlConfig {
     let mut cfg = dml.clone();
     cfg.epochs = cfg.epochs.min(5);
     cfg
@@ -183,9 +163,9 @@ pub fn online_update_config(dml: &DmlConfig) -> DmlConfig {
 /// online, extends the RCS, and incrementally updates the encoder. Returns
 /// `true` if an adaptation happened.
 ///
-/// This flat path retrains on the **full** RCS per drifted dataset — O(RCS)
-/// per adaptation. The serving layer (`ce-serve`) bounds that with
-/// reservoir sampling; prefer it once the RCS grows beyond a few hundred
+/// This path retrains on the **full** RCS per drifted dataset — O(RCS) per
+/// adaptation. [`AutoCe::adapt_with_reservoir`] runs the same body over a
+/// [`Reservoir`] sample; prefer it once the RCS grows beyond a few hundred
 /// entries.
 pub fn adapt_online(
     advisor: &mut AutoCe,
@@ -200,23 +180,36 @@ pub fn adapt_online(
     // Step 2: online learning for ground truth.
     let label = label_dataset(ds, testbed, seed);
     let graph = extract_features(ds, &advisor.config.feature);
-    advisor.push_rcs_entry(graph, &label);
-
-    // Step 3: incremental DML update over the extended RCS (graphs
-    // borrowed in place).
-    let cfg = online_update_config(&advisor.config.dml);
-    let (encoder, rcs) = advisor.encoder_and_rcs();
-    let graphs: Vec<_> = rcs.iter().map(|e| &e.graph).collect();
-    let labels: Vec<_> = rcs.iter().map(|e| e.dml_label()).collect();
-    train_encoder_incremental(encoder, &graphs, &labels, &cfg, seed ^ 0x0ada);
-    advisor.refresh_embeddings();
+    // Step 3: the model update over the extended RCS.
+    advisor.adapt(graph, &label, None, seed);
     true
+}
+
+#[cfg(test)]
+impl DriftDetector {
+    /// The pairwise loop the fit replaced, kept as its oracle: one
+    /// `euclidean` call per ordered pair, the minimum over roots.
+    fn from_embeddings_oracle(embeddings: &[&[f32]]) -> Self {
+        Self::from_nn_dists(
+            (0..embeddings.len())
+                .map(|i| {
+                    embeddings
+                        .iter()
+                        .enumerate()
+                        .filter(|(j, _)| *j != i)
+                        .map(|(_, o)| ce_nn::matrix::euclidean(embeddings[i], o))
+                        .fold(f32::INFINITY, f32::min)
+                })
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::advisor::{AutoCeConfig, RcsEntry};
+    use crate::backend::{AdvisorBackend, BatchPredictRequest};
     use crate::index::{IndexConfig, QuantMode};
     use ce_datagen::{generate_batch, generate_dataset, DatasetSpec, SpecRange};
     use ce_features::FeatureGraph;
@@ -455,7 +448,7 @@ mod tests {
     #[test]
     fn in_distribution_dataset_is_not_drifted() {
         let advisor = trained_advisor(251);
-        let detector = DriftDetector::fit(&advisor);
+        let detector = advisor.drift_detector();
         let mut rng = StdRng::seed_from_u64(252);
         // Same generator: most draws should be within the threshold.
         // Deterministic thanks to the pinned label latencies in
@@ -475,7 +468,7 @@ mod tests {
     #[test]
     fn out_of_distribution_dataset_is_flagged_and_adapted() {
         let mut advisor = trained_advisor(253);
-        let detector = DriftDetector::fit(&advisor);
+        let detector = advisor.drift_detector();
         // A wildly different dataset: 5 tables instead of 1.
         let mut rng = StdRng::seed_from_u64(254);
         let mut spec = DatasetSpec::small().multi_table();
@@ -485,19 +478,90 @@ mod tests {
             detector.is_drifted(&advisor, &odd),
             "multi-table should drift"
         );
-        let before = advisor.rcs().len();
+        let before = advisor.len();
         let adapted = adapt_online(&mut advisor, &detector, &odd, &testbed(), 9);
         assert!(adapted);
-        assert_eq!(advisor.rcs().len(), before + 1);
+        assert_eq!(advisor.len(), before + 1);
         // After adapting, the same dataset is close to the RCS.
-        let d_after = DriftDetector::fit(&advisor).distance_to_rcs(&advisor, &odd);
+        let d_after = advisor.drift_detector().distance_to_rcs(&advisor, &odd);
         assert!(d_after < 1e-3, "adapted dataset distance {d_after}");
     }
 
     #[test]
     fn detector_handles_tiny_rcs() {
         let advisor = trained_advisor(255);
-        let detector = DriftDetector::fit(&advisor);
+        let detector = advisor.drift_detector();
         assert!(detector.threshold() > 0.0);
+    }
+
+    /// Encoder parameter bits, every embedding's bits, the generation and
+    /// the answers to a tie-heavy batch (exclusions included), as bits.
+    type AdvisorBits = (Vec<u32>, Vec<Vec<u32>>, u64, Vec<(ModelKind, Vec<u64>)>);
+
+    fn advisor_bits(a: &AutoCe) -> AdvisorBits {
+        use crate::fixtures::tie_heavy_queries;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let queries = tie_heavy_queries();
+        let batch: Vec<BatchPredictRequest<'_>> = (queries.iter().enumerate())
+            .map(|(i, x)| BatchPredictRequest {
+                embedding: x,
+                w: ce_testbed::MetricWeights::new(i as f64 / 24.0),
+                exclude: [usize::MAX, 0, a.len() - 1][i % 3],
+            })
+            .collect();
+        let answers = (a.predict_batch(&batch).expect("a selectable RCS"))
+            .into_iter()
+            .map(|(m, s)| (m, s.iter().map(|v| v.to_bits()).collect()))
+            .collect();
+        (
+            bits(&a.encoder().flat_params()),
+            (0..a.len()).map(|i| bits(&a.entry(i).embedding)).collect(),
+            a.generation(),
+            answers,
+        )
+    }
+
+    /// Full-RCS adaptation and reservoir adaptation are one body: with a
+    /// reservoir that holds the whole RCS, newcomer included, the reservoir
+    /// path trains on the full path's id list, so at every shard count both
+    /// leave the encoder bits, embeddings and answers of the one-shard
+    /// full-RCS adaptation. The label is synthetic on purpose: a testbed
+    /// label carries a wall-clock efficiency score.
+    #[test]
+    fn full_and_reservoir_adaptation_are_one_body() {
+        use crate::fixtures::{synthetic_flat, synthetic_label};
+        let base = synthetic_flat(11, 3);
+        let graph = FeatureGraph {
+            vertices: vec![vec![0.3, 0.9, -0.2, 0.4], vec![1.1, 0.0, 0.5, 0.25]],
+            edges: vec![vec![0.0, 1.0], vec![1.0, 0.0]],
+        };
+        let label = synthetic_label(&base.entry(0).kinds);
+        let seed = 0x0b5e;
+        let mut want = base.clone();
+        assert_eq!(want.adapt(graph.clone(), &label, None, seed), 12);
+        let want = advisor_bits(&want);
+        assert_ne!(
+            want.0,
+            advisor_bits(&base).0,
+            "the update moved the encoder"
+        );
+        assert_eq!(want.2, 1, "one adaptation, one generation");
+        for shards in 1..=4 {
+            let mut full = AutoCe::from_advisor(&base, shards);
+            assert_eq!(full.adapt(graph.clone(), &label, None, seed), 12);
+            assert_eq!(advisor_bits(&full), want, "full RCS, {shards} shards");
+            for capacity in [12, 64] {
+                let mut sampled = AutoCe::from_advisor(&base, shards);
+                let mut reservoir = Reservoir::over_initial(base.len(), capacity, 5);
+                let trained =
+                    sampled.adapt_with_reservoir(graph.clone(), &label, &mut reservoir, seed);
+                assert_eq!(trained, 12);
+                assert_eq!(
+                    advisor_bits(&sampled),
+                    want,
+                    "reservoir of {capacity}, {shards} shards"
+                );
+            }
+        }
     }
 }

@@ -169,7 +169,7 @@ proptest! {
                 .build()
                 .expect("valid index config");
             indexed
-                .set_index_config(cfg, MetricsRegistry::disabled())
+                .set_index_config(cfg)
                 .expect("config admissible for k");
             let got = indexed.predict_excluding(&x, w, exclude);
             prop_assert_eq!(&got.0, &expect.0, "model mismatch under {:?}", quant);
@@ -259,7 +259,6 @@ fn single_entry_and_oversized_k_match_flat() {
                 .min_rcs_for_index(4)
                 .build()
                 .expect("valid"),
-            MetricsRegistry::disabled(),
         )
         .expect("installs");
     let x = vec![0.5f32, -1.0, 1.5];
@@ -299,9 +298,7 @@ fn builder_rejects_degenerate_configs() {
     assert!(cfg.validate_for_k(3).is_err());
     assert!(cfg.validate_for_k(2).is_ok());
     let mut advisor = synthetic_advisor(&[vec![0i64, 0, 0], vec![1, 1, 1]], 3);
-    assert!(advisor
-        .set_index_config(cfg, MetricsRegistry::disabled())
-        .is_err());
+    assert!(advisor.set_index_config(cfg).is_err());
 }
 
 /// The staleness tag: a push without a refresh bypasses the index (the
@@ -312,6 +309,7 @@ fn stale_tag_bypasses_until_refresh() {
     let embq: Vec<Vec<i64>> = (0..12).map(|i| vec![i, -i, 2 * i]).collect();
     let mut advisor = synthetic_advisor(&embq, 2);
     let metrics = MetricsRegistry::new();
+    advisor.set_metrics(metrics.clone());
     advisor
         .set_index_config(
             IndexConfig::builder()
@@ -320,7 +318,6 @@ fn stale_tag_bypasses_until_refresh() {
                 .min_rcs_for_index(2)
                 .build()
                 .expect("valid"),
-            metrics.clone(),
         )
         .expect("installs");
     let x = vec![0.5f32, -0.5, 1.0];
@@ -340,7 +337,8 @@ fn stale_tag_bypasses_until_refresh() {
     };
     let label = ce_testbed::DatasetLabel {
         dataset: "new".into(),
-        performances: advisor.rcs()[0]
+        performances: advisor
+            .entry(0)
             .kinds
             .iter()
             .enumerate()
@@ -355,7 +353,7 @@ fn stale_tag_bypasses_until_refresh() {
             })
             .collect(),
     };
-    advisor.push_rcs_entry(graph, &label);
+    advisor.push_entry(graph, &label);
     let _ = advisor.predict_excluding(&x, w, usize::MAX);
     let snap = metrics.snapshot();
     assert_eq!(

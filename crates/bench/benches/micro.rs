@@ -3,6 +3,7 @@
 //! These back the §VII-A timing claims (training 107 s offline, 0.79 s
 //! inference per dataset at paper scale; proportionally smaller here).
 
+use autoce::AdvisorBackend;
 use ce_bench::harness::{blob_rcs, build_corpus, train_default_advisor, Scale};
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
@@ -501,7 +502,7 @@ fn bench_advisor_service(c: &mut Criterion) {
         return;
     }
     use autoce::{AutoCe, AutoCeConfig, RcsEntry};
-    use ce_serve::{AdvisorService, MetricsRegistry, Query, ServeConfig, ShardedAdvisor};
+    use ce_serve::{AdvisorService, MetricsRegistry, Query, ServeConfig};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -562,8 +563,7 @@ fn bench_advisor_service(c: &mut Criterion) {
 
     // Answers must be flat-identical before anything is timed.
     {
-        let service =
-            AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 4), serve_cfg.clone());
+        let service = AdvisorService::start(AutoCe::from_advisor(&flat, 4), serve_cfg.clone());
         let handle = service.handle();
         for g in pool.iter().take(8) {
             let rec = handle
@@ -641,8 +641,7 @@ fn bench_advisor_service(c: &mut Criterion) {
 
     c.bench_function("serve_sharded_batched", |b| {
         b.iter(|| {
-            let service =
-                AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 4), serve_cfg.clone());
+            let service = AdvisorService::start(AutoCe::from_advisor(&flat, 4), serve_cfg.clone());
             drive_service(&service, &shared_streams, &weights, PASSES);
             service.shutdown();
         })
@@ -659,8 +658,7 @@ fn bench_advisor_service(c: &mut Criterion) {
     };
     c.bench_function("serve_sharded_batched_instrumented", |b| {
         b.iter(|| {
-            let service =
-                AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 4), obs_cfg.clone());
+            let service = AdvisorService::start(AutoCe::from_advisor(&flat, 4), obs_cfg.clone());
             drive_service(&service, &shared_streams, &weights, PASSES);
             service.shutdown();
         })
@@ -678,7 +676,6 @@ fn bench_flat_scan_96(c: &mut Criterion) {
     }
     use autoce::{knn_order, knn_vote, AutoCe, AutoCeConfig};
     use ce_nn::matrix::euclidean;
-    use ce_serve::ShardedAdvisor;
 
     const DIM: usize = 32;
     let mut rng = StdRng::seed_from_u64(0xf1a7);
@@ -694,14 +691,14 @@ fn bench_flat_scan_96(c: &mut Criterion) {
         ..AutoCeConfig::default()
     };
     let flat = AutoCe::from_parts(cfg, GinEncoder::new(4, &[8], DIM, 17), entries);
-    let sharded = ShardedAdvisor::from_advisor(&flat, 4);
+    let sharded = AutoCe::from_advisor(&flat, 4);
     let w = MetricWeights::new(0.7);
     for x in &queries {
-        let mut all: Vec<(usize, f32)> = (flat.rcs().iter().enumerate())
-            .map(|(i, e)| (i, euclidean(x, &e.embedding)))
+        let mut all: Vec<(usize, f32)> = (0..flat.len())
+            .map(|i| (i, euclidean(x, &flat.entry(i).embedding)))
             .collect();
         all.sort_by(knn_order);
-        let want = knn_vote(all[..2].iter().map(|&(i, _)| &flat.rcs()[i]), 2, w)
+        let want = knn_vote(all[..2].iter().map(|&(i, _)| flat.entry(i)), 2, w)
             .expect("two neighbours vote");
         assert_eq!(flat.predict_from_embedding(x, w), want, "flat ≠ oracle");
         assert_eq!(
@@ -778,9 +775,8 @@ fn indexed_advisor(
             kmeans_iters: 12,
             ..IndexConfig::default()
         };
-        advisor
-            .set_index_config(index, metrics.clone())
-            .expect("cutover admits k");
+        advisor.set_metrics(metrics.clone());
+        advisor.set_index_config(index).expect("cutover admits k");
     }
     advisor
 }
@@ -867,7 +863,7 @@ fn bench_indexed_knn(c: &mut Criterion) {
     }
 }
 
-/// The drift-detector fit through the serving index — `DriftDetector::fit`
+/// The drift-detector fit through the serving index — `drift_detector()`
 /// over the indexed advisors of `knn_indexed/{n}`, same blob data, same
 /// index shapes — at 10³/10⁴/10⁵ rows. Before timing: `DETECTOR_GOLDEN`
 /// still holds, and the indexed threshold's bits are the unindexed fit's
@@ -900,7 +896,7 @@ fn bench_detector_fit_indexed(c: &mut Criterion) {
                 .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]))
         };
         let before = outcomes();
-        let threshold = DriftDetector::fit(&indexed).threshold();
+        let threshold = indexed.drift_detector().threshold();
         assert_eq!(
             threshold.to_bits(),
             unindexed.to_bits(),
@@ -909,7 +905,7 @@ fn bench_detector_fit_indexed(c: &mut Criterion) {
         let after = outcomes();
         let counts: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
         c.bench_function(&name, |b| {
-            b.iter(|| black_box(DriftDetector::fit(&indexed).threshold()))
+            b.iter(|| black_box(indexed.drift_detector().threshold()))
         });
         println!(
             "detector fit indexed: n={n} p={partitions}/{probe} → per fit, rows indexed {}, \

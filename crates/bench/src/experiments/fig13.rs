@@ -9,7 +9,8 @@ use crate::harness::{
     build_corpus, cached_labels, eval_selector, mean, train_default_advisor, Scale,
 };
 use crate::report::{f3, Report};
-use autoce::online::{adapt_online, DriftDetector};
+use autoce::online::adapt_online;
+use autoce::AdvisorBackend;
 use ce_datagen::{generate_batch, DatasetSpec, SpecRange};
 use ce_models::SELECTABLE_MODELS;
 use ce_testbed::MetricWeights;
@@ -46,7 +47,7 @@ pub fn run(scale: Scale) {
     let eval_labels = cached_labels("ood-eval", eval_half, &corpus.testbed, 0x1313);
 
     // Online adapting over the first half.
-    let detector = DriftDetector::fit(&adapted);
+    let detector = adapted.drift_detector();
     let mut adapted_count = 0;
     for (i, ds) in adapt_half.iter().enumerate() {
         if adapt_online(

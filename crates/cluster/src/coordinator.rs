@@ -1,9 +1,9 @@
-//! The cluster coordinator: the authority copy of the sharded advisor
-//! plus the replicated wire fan-out.
+//! The cluster coordinator: the authority copy of the advisor plus the
+//! replicated wire fan-out.
 //!
 //! # Authority-first discipline
 //!
-//! The coordinator owns a full [`ShardedAdvisor`] (the *authority*):
+//! The coordinator owns a full, sharded [`AutoCe`] (the *authority*):
 //! every mutation — push, embedding refresh, epoch advance — applies to
 //! the authority first, and remote shard tables are pure derived state
 //! (`(ids, embeddings)` projections of one authority range). Any replica
@@ -50,7 +50,7 @@
 //!
 //! Partial top-k answers come off the wire, but every float they carry
 //! was computed by the same [`knn::partial_topk`] the in-process
-//! [`ShardedAdvisor`] calls, over embedding bits that traveled
+//! [`AutoCe`] calls, over embedding bits that traveled
 //! bit-exactly, in the same slot order. The merge and vote
 //! ([`knn::merge_vote`]) run coordinator-side on authority metadata.
 //! Replicas of a range hold identical tables (they NACK rather than serve
@@ -77,11 +77,10 @@ use crate::protocol::{
     NackCode, Ping, Pong, Push, PushAck, QueryBatch, SnapshotEpoch, Step, TopKBatch,
 };
 use crate::transport::{Conn, Connector, WireError};
-use autoce::{knn, validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
+use autoce::{knn, validate_nonzero, AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span, LATENCY_NS_BUCKETS};
-use ce_serve::ShardedAdvisor;
 use ce_testbed::DatasetLabel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -560,7 +559,7 @@ impl RangeLane {
 
 /// Everything behind the coordinator's mutex; see [`ClusterCoordinator`].
 struct CoordInner {
-    authority: ShardedAdvisor,
+    authority: AutoCe,
     cfg: ClusterConfig,
     /// Current serving epoch (the generation tag extended to the wire).
     epoch: u64,
@@ -642,7 +641,7 @@ impl CoordInner {
     /// single query is a batch of one), so a B-deep batch over R ranges
     /// pays R round trips instead of B×R. The batch clamp
     /// ([`knn::select_batch`]) and the merge and vote ([`knn::merge_vote`])
-    /// are the calls `ShardedAdvisor::predict_batch` makes around its
+    /// are the calls `AutoCe::predict_batch` makes around its
     /// in-process scans. Full answers or a typed error, never a partial
     /// merge.
     fn predict_batch(
@@ -946,7 +945,7 @@ impl ClusterCoordinator {
     /// [`AdvisorError::InvalidConfig`], before anything is built. Call
     /// [`Self::bootstrap`] before serving.
     pub fn try_new(
-        mut authority: ShardedAdvisor,
+        mut authority: AutoCe,
         connectors: Vec<Vec<Box<dyn Connector>>>,
         cfg: ClusterConfig,
     ) -> Result<Self, AdvisorError> {
@@ -1007,7 +1006,7 @@ impl ClusterCoordinator {
     /// the historical constructor shape, kept for call sites that
     /// construct from static topology.
     pub fn new(
-        authority: ShardedAdvisor,
+        authority: AutoCe,
         connectors: Vec<Vec<Box<dyn Connector>>>,
         cfg: ClusterConfig,
     ) -> Self {
@@ -1019,7 +1018,7 @@ impl ClusterCoordinator {
     /// `range * replicas_per_range + r` on the net (the flat numbering
     /// [`crate::fault::FaultEvent::replica`] uses).
     pub fn over_sim(
-        authority: ShardedAdvisor,
+        authority: AutoCe,
         net: &crate::sim::SimNet,
         replicas_per_range: usize,
         cfg: ClusterConfig,
@@ -1178,7 +1177,7 @@ impl AdvisorBackend for ClusterCoordinator {
     /// per-range round trip is paid once per *batch* instead of once per
     /// query — this is where `ce-serve`'s micro-batcher stops paying one
     /// round trip per request. Each answer is bit-identical to
-    /// [`ShardedAdvisor`]'s on the authority for that query alone. An RCS
+    /// [`AutoCe`]'s on the authority for that query alone. An RCS
     /// with nothing a query may select is [`AdvisorError::EmptyRcs`] for
     /// the whole batch, with nothing sent; a peer on another protocol
     /// version is [`AdvisorError::Protocol`] at once — no retry, no
@@ -1250,7 +1249,7 @@ mod tests {
         let flat = synthetic_flat(11, 3);
         let w = MetricWeights::new(0.7);
         for ranges in [1usize, 3] {
-            let sharded = ShardedAdvisor::from_advisor(&flat, ranges);
+            let sharded = AutoCe::from_advisor(&flat, ranges);
             let net = SimNet::new(ranges * 2, FaultPlan::none());
             let coord =
                 ClusterCoordinator::over_sim(sharded.clone(), &net, 2, ClusterConfig::no_sleep());
@@ -1270,7 +1269,7 @@ mod tests {
     fn failover_is_bit_identical_and_reported() {
         let flat = synthetic_flat(9, 3);
         let w = MetricWeights::new(0.5);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+        let sharded = AutoCe::from_advisor(&flat, 2);
         // Replica 0 of range 0 dies right after bootstrap (4 replicas ×
         // (dial + load) = 8 steps) and never comes back.
         let plan = FaultPlan::none().with_kill(9, 0);
@@ -1296,7 +1295,7 @@ mod tests {
     #[test]
     fn all_replicas_down_is_an_explicit_error() {
         let flat = synthetic_flat(5, 2);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 1);
+        let sharded = AutoCe::from_advisor(&flat, 1);
         // Both replicas die after bootstrap (2 × (dial + load) = 4 steps).
         let plan = FaultPlan::none().with_kill(5, 0).with_kill(5, 1);
         let net = SimNet::new(2, plan);
@@ -1311,7 +1310,7 @@ mod tests {
     #[test]
     fn push_and_snapshot_keep_replicas_in_lockstep() {
         let flat = synthetic_flat(6, 2);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+        let sharded = AutoCe::from_advisor(&flat, 2);
         let mut mirror = sharded.clone();
         let net = SimNet::new(4, FaultPlan::none());
         let coord = ClusterCoordinator::over_sim(sharded, &net, 2, ClusterConfig::no_sleep());
@@ -1365,7 +1364,7 @@ mod tests {
     fn dead_replica_is_demoted_and_heartbeat_repromotes() {
         let flat = synthetic_flat(9, 3);
         let w = MetricWeights::new(0.5);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 1);
+        let sharded = AutoCe::from_advisor(&flat, 1);
         // Bootstrap: 2 × (dial + load) = steps 1-4. Replica 0 dies at the
         // first post-bootstrap interaction (step 5) and restarts — empty —
         // just before the heartbeat's re-dial (step 11; see the step
@@ -1433,7 +1432,7 @@ mod tests {
     #[test]
     fn try_new_validates_the_config() {
         let try_new = |cfg: ClusterConfig| {
-            let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(4, 2), 1);
+            let sharded = AutoCe::from_advisor(&synthetic_flat(4, 2), 1);
             let net = SimNet::new(1, FaultPlan::none());
             let connectors: Vec<Vec<Box<dyn Connector>>> = vec![vec![Box::new(net.connector(0))]];
             ClusterCoordinator::try_new(sharded, connectors, cfg)
@@ -1491,7 +1490,7 @@ mod tests {
     #[test]
     fn try_new_rejects_zero_replica_ranges() {
         let flat = synthetic_flat(4, 2);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+        let sharded = AutoCe::from_advisor(&flat, 2);
         let net = SimNet::new(1, FaultPlan::none());
         let connectors: Vec<Vec<Box<dyn Connector>>> =
             vec![vec![Box::new(net.connector(0))], vec![]];
@@ -1508,7 +1507,7 @@ mod tests {
         // Same scripted fault sequence as the failover test: replica 0 of
         // range 0 dies after bootstrap.
         let run = |metrics: MetricsRegistry| {
-            let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+            let sharded = AutoCe::from_advisor(&flat, 2);
             let plan = FaultPlan::none().with_kill(9, 0);
             let net = SimNet::new(4, plan);
             let cfg = ClusterConfig {
@@ -1574,7 +1573,7 @@ mod tests {
     fn coordinator_serves_through_the_backend_trait() {
         let flat = synthetic_flat(7, 3);
         let w = MetricWeights::new(0.6);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+        let sharded = AutoCe::from_advisor(&flat, 2);
         let net = SimNet::new(4, FaultPlan::none());
         let coord =
             ClusterCoordinator::over_sim(sharded.clone(), &net, 2, ClusterConfig::no_sleep());
@@ -1629,7 +1628,7 @@ mod tests {
     #[test]
     fn version_skew_nack_is_a_typed_error_after_one_attempt() {
         let flat = synthetic_flat(5, 2);
-        let sharded = ShardedAdvisor::from_advisor(&flat, 1);
+        let sharded = AutoCe::from_advisor(&flat, 1);
         let sent = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         // Two replicas, both skewed: a failover would show as a second
         // frame.
@@ -1678,7 +1677,7 @@ mod tests {
         };
         // One entry: excluding it leaves nothing, and one such query
         // fails its whole batch.
-        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(1, 2), 1);
+        let sharded = AutoCe::from_advisor(&synthetic_flat(1, 2), 1);
         let net = SimNet::new(1, FaultPlan::none());
         let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
         coord.bootstrap().expect("bootstrap");
@@ -1695,7 +1694,7 @@ mod tests {
         assert_eq!(net.step(), steps, "nothing may reach the wire");
         assert!(coord.predict_batch(&[only]).is_ok());
         // No entry at all.
-        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(0, 2), 1);
+        let sharded = AutoCe::from_advisor(&synthetic_flat(0, 2), 1);
         let net = SimNet::new(1, FaultPlan::none());
         let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
         coord.bootstrap().expect("bootstrap");
@@ -1707,7 +1706,7 @@ mod tests {
     #[test]
     fn a_non_finite_query_is_refused_before_any_frame() {
         let w = MetricWeights::new(0.5);
-        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(9, 3), 2);
+        let sharded = AutoCe::from_advisor(&synthetic_flat(9, 3), 2);
         let net = SimNet::new(2, FaultPlan::none());
         let cfg = ClusterConfig {
             metrics: MetricsRegistry::new_logical(),
@@ -1800,7 +1799,7 @@ mod tests {
     fn forged_shard_replies_are_protocol_errors() {
         let w = MetricWeights::new(0.6);
         // Ranges: ids 0–4 and 5–8; k = 3.
-        let sharded = ShardedAdvisor::from_advisor(&synthetic_flat(9, 3), 2);
+        let sharded = AutoCe::from_advisor(&synthetic_flat(9, 3), 2);
         let forge = std::sync::Arc::new(Mutex::new(None));
         let connectors = (0..2)
             .map(|range| {

@@ -1,10 +1,11 @@
 //! # ce-cluster — cross-process sharded advisor serving
 //!
-//! Takes `ce-serve`'s in-process [`ShardedAdvisor`] across process
-//! boundaries: a [`ClusterCoordinator`] owns the authority advisor and
-//! fans partial top-k queries out to replicated shard-server processes
-//! over loopback TCP, merging answers **bit-identically** to the flat
-//! advisor — with any number of replicas down short of a whole range.
+//! Takes the in-process advisor ([`autoce::AutoCe`], dealt over shard
+//! ranges) across process boundaries: a [`ClusterCoordinator`] owns it as
+//! the authority and fans partial top-k queries out to replicated
+//! shard-server processes over loopback TCP, merging answers
+//! **bit-identically** to the one-shard advisor — with any number of
+//! replicas down short of a whole range.
 //!
 //! * [`protocol`]: the explicit versioned wire protocol — one PtoDesc-style
 //!   step table whose rows declare each step and its message, fields in
@@ -51,10 +52,6 @@ pub use server::{
 };
 pub use sim::SimNet;
 pub use transport::{Conn, Connector, TcpConnector, WireError};
-
-// Re-exported so cluster users need not depend on ce-serve directly for
-// the common path.
-pub use ce_serve::ShardedAdvisor;
 
 /// One `name{step=…}` counter per defined step, indexed by wire number
 /// (a retired number holds an unregistered no-op handle).

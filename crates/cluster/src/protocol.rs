@@ -457,7 +457,7 @@ pub trait Message: BinEncode + BinDecode {
 
 /// One shard range's serving table at a given epoch: global RCS ids and
 /// their embeddings, in shard slot order — the `(ids, embeddings)`
-/// projection of one authority [`ce_serve::AdvisorShard`], scanned by the
+/// projection of one authority [`autoce::AdvisorShard`], scanned by the
 /// same `autoce::knn::partial_topk`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTable {

@@ -8,10 +8,10 @@
 mod common;
 
 use autoce::{AdvisorBackend, AutoCe, BatchPredictRequest};
-use ce_cluster::{ClusterConfig, ClusterCoordinator, FaultPlan, ShardedAdvisor, SimNet};
+use ce_cluster::{ClusterConfig, ClusterCoordinator, FaultPlan, SimNet};
 use ce_features::FeatureGraph;
 use ce_models::ModelKind;
-use ce_serve::{AdvisorService, IndexConfig, Query, ServeConfig};
+use ce_serve::{AdvisorService, IndexConfig, Query, ServeConfig, ShardedAdvisor};
 use ce_testbed::MetricWeights;
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +33,9 @@ fn serve_config() -> ServeConfig {
 /// The request workload: every RCS entry's own graph (so answers span the
 /// whole table, including KNN tie cases the fixtures are built to hit).
 fn graphs(flat: &AutoCe) -> Vec<FeatureGraph> {
-    flat.rcs().iter().map(|e| e.graph.clone()).collect()
+    (0..flat.len())
+        .map(|i| flat.entry(i).graph.clone())
+        .collect()
 }
 
 /// Ground truth straight off the flat advisor: embed, then vote.

@@ -10,14 +10,12 @@
 //! Transient `RangeUnavailable` errors are retried — every retry advances
 //! the simulated clock, so scheduled restarts eventually land and the
 //! plan drains — and every answer that arrives is compared bit for bit
-//! against the in-process [`ShardedAdvisor`].
+//! against the in-process [`AutoCe`].
 
 mod common;
 
-use autoce::{AdvisorBackend, AdvisorError, BatchPredictRequest};
-use ce_cluster::{
-    ClusterConfig, ClusterCoordinator, FaultPlan, MetricsRegistry, ShardedAdvisor, SimNet,
-};
+use autoce::{AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
+use ce_cluster::{ClusterConfig, ClusterCoordinator, FaultPlan, MetricsRegistry, SimNet};
 use ce_models::ModelKind;
 use ce_serve::{AdvisorService, ServeConfig};
 use ce_testbed::MetricWeights;
@@ -56,7 +54,7 @@ fn run_gauntlet(seed: u64) -> GauntletRun {
 /// sweep can hand in an instrumented config and replay the exact same run.
 fn run_gauntlet_cfg(seed: u64, cfg: ClusterConfig) -> GauntletRun {
     let flat = common::synthetic_flat(11, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let replicas = RANGES * REPLICAS_PER_RANGE;
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
@@ -115,7 +113,7 @@ fn run_gauntlet_cfg(seed: u64, cfg: ClusterConfig) -> GauntletRun {
 #[test]
 fn seeded_fault_sweep_is_bit_identical_to_flat() {
     let flat = common::synthetic_flat(11, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let w = MetricWeights::new(0.7);
     let expected: Vec<(ModelKind, Vec<f64>)> = workload()
         .iter()
@@ -199,7 +197,7 @@ fn same_seed_replays_the_same_event_trace() {
 #[test]
 fn kill_restart_cycle_heals_through_reload() {
     let flat = common::synthetic_flat(9, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let replicas = RANGES * REPLICAS_PER_RANGE;
     // Bootstrap consumes replicas × (dial + load) = 8 steps. Kill the
     // primary of range 0 right after, restart it shortly before the
@@ -274,7 +272,7 @@ const BATCH_DEPTH: usize = 4;
 /// batch frame and fails (or heals) the chunk as a unit.
 fn run_batched_gauntlet(seed: u64) -> GauntletRun {
     let flat = common::synthetic_flat(11, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let replicas = RANGES * REPLICAS_PER_RANGE;
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
@@ -335,7 +333,7 @@ fn run_batched_gauntlet(seed: u64) -> GauntletRun {
 #[test]
 fn batched_fault_sweep_is_bit_identical_to_flat() {
     let flat = common::synthetic_flat(11, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let w = MetricWeights::new(0.7);
     let expected: Vec<(ModelKind, Vec<f64>)> = workload()
         .iter()
@@ -415,7 +413,7 @@ type ServiceGauntletRun = (Vec<(ModelKind, Vec<f64>)>, Vec<String>, usize);
 /// heartbeats and the trace; queries ride the service front).
 fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
     let flat = common::synthetic_flat(11, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let replicas = RANGES * REPLICAS_PER_RANGE;
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
@@ -444,7 +442,7 @@ fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
     let handle = service.handle();
     let w = MetricWeights::new(0.7);
     let mut answers = Vec::new();
-    for (i, e) in flat.rcs().iter().enumerate() {
+    for (i, e) in (0..flat.len()).map(|i| (i, flat.entry(i))) {
         let mut attempt = 0u32;
         let rec = loop {
             match handle.recommend_graph(e.graph.clone(), w) {
@@ -473,13 +471,11 @@ fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
 #[test]
 fn service_fronted_gauntlet_is_bit_identical_and_replays() {
     let flat = common::synthetic_flat(11, 3);
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let w = MetricWeights::new(0.7);
-    let expected: Vec<(ModelKind, Vec<f64>)> = flat
-        .rcs()
-        .iter()
-        .map(|e| {
-            let x = sharded.embed_graph(&e.graph);
+    let expected: Vec<(ModelKind, Vec<f64>)> = (0..flat.len())
+        .map(|i| {
+            let x = sharded.embed_graph(&flat.entry(i).graph);
             sharded.predict_from_embedding(&x, w)
         })
         .collect();
@@ -559,13 +555,12 @@ fn metrics_enabled_sweep_is_byte_equal_to_unobserved() {
 #[test]
 fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
     let flat = Arc::new(common::synthetic_flat(11, 3));
-    let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let sharded = AutoCe::from_advisor(&flat, RANGES);
     let w = MetricWeights::new(0.7);
     let expected: Arc<Vec<(ModelKind, Vec<f64>)>> = Arc::new(
-        flat.rcs()
-            .iter()
-            .map(|e| {
-                let x = sharded.embed_graph(&e.graph);
+        (0..flat.len())
+            .map(|i| {
+                let x = sharded.embed_graph(&flat.entry(i).graph);
                 sharded.predict_from_embedding(&x, w)
             })
             .collect(),
@@ -579,7 +574,7 @@ fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
         let replicas = RANGES * REPLICAS_PER_RANGE;
         let net = SimNet::new(replicas, FaultPlan::none());
         let coord = Arc::new(ClusterCoordinator::over_sim(
-            ShardedAdvisor::from_advisor(&flat, RANGES),
+            AutoCe::from_advisor(&flat, RANGES),
             &net,
             REPLICAS_PER_RANGE,
             cfg,
@@ -601,7 +596,8 @@ fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
                 let flat = flat.clone();
                 let expected = expected.clone();
                 std::thread::spawn(move || {
-                    for (e, want) in flat.rcs().iter().zip(expected.iter()) {
+                    for (i, want) in expected.iter().enumerate() {
+                        let e = flat.entry(i);
                         let rec = handle
                             .recommend_graph(e.graph.clone(), w)
                             .expect("healthy cluster");
@@ -622,7 +618,7 @@ fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
         let snap = service.handle().metrics_snapshot();
         assert_eq!(
             snap.counter("ce_serve_requests_total", &[]),
-            (threads * flat.rcs().len()) as u64,
+            (threads * flat.len()) as u64,
             "{threads} threads: request counter must account for every call"
         );
         let path_total: u64 = ["cache_hit", "inline", "worker"]
@@ -631,7 +627,7 @@ fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
             .sum();
         assert_eq!(
             path_total,
-            (threads * flat.rcs().len()) as u64,
+            (threads * flat.len()) as u64,
             "{threads} threads: every request must be attributed to a path"
         );
         service.shutdown();

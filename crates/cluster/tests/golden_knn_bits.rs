@@ -20,7 +20,7 @@ use autoce::{AdvisorBackend, AutoCe, BatchPredictRequest, IndexConfig};
 use ce_cluster::protocol::{Load, Message, Push};
 use ce_cluster::{
     BatchQuery, ClusterConfig, ClusterCoordinator, Conn, Connector, EpochTable, FaultPlan, Frame,
-    QueryBatch, ShardState, ShardedAdvisor, SimNet, TopKBatch, WireError,
+    QueryBatch, ShardState, SimNet, TopKBatch, WireError,
 };
 use ce_features::FeatureGraph;
 use ce_models::ModelKind;
@@ -153,7 +153,7 @@ fn tier<A>(
             push(
                 &mut a,
                 pushed_graph(),
-                &synthetic_label(&flat.rcs()[0].kinds),
+                &synthetic_label(&flat.entry(0).kinds),
             );
             fold_answers(&mut sums[1], n, len(&a), |x, w, e| predict(&a, x, w, e));
             refresh(&mut a);
@@ -182,16 +182,18 @@ fn outcomes(snapshot: &MetricsSnapshot) -> [u64; 3] {
 fn flat_tier(registry: Option<&MetricsRegistry>) -> [u64; 3] {
     tier(
         |flat, k| {
-            let mut a = synthetic_grid(flat.rcs().len(), k);
+            let mut a = synthetic_grid(flat.len(), k);
             if let Some(registry) = registry {
-                a.set_index_config(index_cfg(k), registry.clone())
-                    .expect("cutover covers k");
+                a.set_metrics(registry.clone());
+                a.set_index_config(index_cfg(k)).expect("cutover covers k");
             }
             a
         },
-        |a| a.rcs().len(),
+        AutoCe::len,
         |a, x, w, e| a.predict_excluding(x, w, e),
-        |a, g, l| a.push_rcs_entry(g, l),
+        |a, g, l| {
+            a.push_entry(g, l);
+        },
         AutoCe::refresh_embeddings,
     )
 }
@@ -199,19 +201,19 @@ fn flat_tier(registry: Option<&MetricsRegistry>) -> [u64; 3] {
 fn sharded_tier(shards: usize, registry: Option<&MetricsRegistry>) -> [u64; 3] {
     tier(
         |flat, k| {
-            let mut a = ShardedAdvisor::from_advisor(flat, shards);
+            let mut a = AutoCe::from_advisor(flat, shards);
             if let Some(registry) = registry {
                 a.set_metrics(registry.clone());
                 a.set_index_config(index_cfg(k)).expect("cutover covers k");
             }
             a
         },
-        ShardedAdvisor::len,
+        AutoCe::len,
         |a, x, w, e| a.predict_excluding(x, w, e),
         |a, g, l| {
             a.push_entry(g, l);
         },
-        ShardedAdvisor::refresh_embeddings,
+        AutoCe::refresh_embeddings,
     )
 }
 
@@ -278,7 +280,7 @@ const REPLICAS: usize = 2;
 /// replicas on a `SimNet` (default shard knob: an index from 256 entries
 /// per range); `Some(cfg)` hosts them on [`LocalShard`]s with that knob.
 fn cluster(flat: &AutoCe, shard_index: Option<Option<IndexConfig>>) -> ClusterCoordinator {
-    let authority = ShardedAdvisor::from_advisor(flat, RANGES);
+    let authority = AutoCe::from_advisor(flat, RANGES);
     let coord = match shard_index {
         None => {
             let net = SimNet::new(RANGES * REPLICAS, FaultPlan::none());
@@ -337,7 +339,7 @@ fn cluster_tier(shard_index: impl Fn(usize) -> Option<Option<IndexConfig>>) -> [
             let coord = cluster(&flat, shard_index(k));
             fold(&mut sums[0], n, &coord);
             coord
-                .push_entry(pushed_graph(), &synthetic_label(&flat.rcs()[0].kinds))
+                .push_entry(pushed_graph(), &synthetic_label(&flat.entry(0).kinds))
                 .expect("push");
             fold(&mut sums[1], n, &coord);
             coord.refresh_and_snapshot().expect("snapshot");
@@ -366,11 +368,8 @@ fn shard_lists(knob: Option<IndexConfig>, descending: bool) -> (u64, [u64; 3]) {
     let qs = queries();
     for n in NS {
         let flat = synthetic_grid(n, 1);
-        let mut rows: Vec<(u64, Vec<f32>)> = flat
-            .rcs()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i as u64, e.embedding.clone()))
+        let mut rows: Vec<(u64, Vec<f32>)> = (0..flat.len())
+            .map(|i| (i as u64, flat.entry(i).embedding.clone()))
             .collect();
         if descending {
             rows.reverse();

@@ -1,15 +1,15 @@
 //! Real-process smoke test: shard servers as separate OS processes on
 //! loopback TCP, including one hard kill (`SIGKILL`, no goodbye) and an
-//! epoch swap while a replica is down. The in-process [`ShardedAdvisor`]
+//! epoch swap while a replica is down. The in-process [`AutoCe`]
 //! is the oracle throughout — answers off the real wire must match it bit
 //! for bit.
 
 mod common;
 
-use autoce::AdvisorBackend;
+use autoce::{AdvisorBackend, AutoCe};
 use ce_cluster::{
     spawn_shard_process, ClusterConfig, ClusterCoordinator, Connector, MetricsRegistry,
-    ShardedAdvisor, TcpConnector,
+    TcpConnector,
 };
 use ce_obs::parse_prometheus;
 use ce_testbed::MetricWeights;
@@ -22,7 +22,7 @@ const REPLICAS_PER_RANGE: usize = 2;
 #[test]
 fn loopback_cluster_survives_a_hard_shard_kill() {
     let flat = common::synthetic_flat(9, 3);
-    let mut mirror = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let mut mirror = AutoCe::from_advisor(&flat, RANGES);
     let bin = Path::new(env!("CARGO_BIN_EXE_ce-shard-server"));
 
     // children[range * REPLICAS_PER_RANGE + r] serves replica r of range.
@@ -107,7 +107,7 @@ fn loopback_cluster_survives_a_hard_shard_kill() {
 #[test]
 fn metrics_smoke_scrapes_every_family_over_real_processes() {
     let flat = common::synthetic_flat(9, 3);
-    let mirror = ShardedAdvisor::from_advisor(&flat, RANGES);
+    let mirror = AutoCe::from_advisor(&flat, RANGES);
     let bin = Path::new(env!("CARGO_BIN_EXE_ce-shard-server"));
 
     let mut children = Vec::new();

@@ -4,9 +4,9 @@
 //! # Design
 //!
 //! * **Backend-generic** — [`AdvisorService<B>`] fronts any
-//!   [`AdvisorBackend`]: the in-process [`ShardedAdvisor`] (the default
-//!   type parameter, so existing code keeps reading `AdvisorService`),
-//!   the flat [`autoce::AutoCe`], or `ce-cluster`'s coordinator. The
+//!   [`AdvisorBackend`]: the in-process [`AutoCe`] at any shard count (the
+//!   default type parameter, so existing code keeps reading
+//!   `AdvisorService`) or `ce-cluster`'s coordinator. The
 //!   batching, caching and snapshot machinery below is written once
 //!   against the trait; a cluster behind the service gets one taped
 //!   query fan-out per *batch* instead of per request.
@@ -60,11 +60,9 @@
 //! direct call would.
 
 use crate::cache::{graph_fingerprint, CacheStats, EmbeddingCache};
-use crate::reservoir::Reservoir;
-use crate::shard::ShardedAdvisor;
 use autoce::index::IndexConfig;
-use autoce::online::DriftDetector;
-use autoce::{validate_nonzero, AdvisorBackend, AdvisorError, BatchPredictRequest};
+use autoce::online::{DriftDetector, Reservoir};
+use autoce::{validate_nonzero, AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::{
@@ -625,7 +623,7 @@ fn request(slots: &[Option<Vec<f32>>], i: usize, w: MetricWeights) -> BatchPredi
 }
 
 /// A cloneable client handle onto a running [`AdvisorService`].
-pub struct ServeHandle<B = ShardedAdvisor> {
+pub struct ServeHandle<B = AutoCe> {
     shared: Arc<Shared<B>>,
 }
 
@@ -845,9 +843,9 @@ struct AdminState {
 /// The running advisor service: a worker thread micro-batching requests
 /// against the current snapshot of any [`AdvisorBackend`], plus the
 /// serialized admin path for online adaptation (available when the
-/// backend is the in-process [`ShardedAdvisor`]; distributed backends
-/// adapt through their own authority, see `ce-cluster`).
-pub struct AdvisorService<B: AdvisorBackend + 'static = ShardedAdvisor> {
+/// backend is the in-process [`AutoCe`]; distributed backends adapt
+/// through their own authority, see `ce-cluster`).
+pub struct AdvisorService<B: AdvisorBackend + 'static = AutoCe> {
     shared: Arc<Shared<B>>,
     admin: Mutex<AdminState>,
     worker: Option<JoinHandle<()>>,
@@ -998,7 +996,7 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
     }
 }
 
-impl AdvisorService<ShardedAdvisor> {
+impl AdvisorService<AutoCe> {
     /// Online adaptation (§V-E, reservoir-bounded): if `ds` drifts past
     /// the detector threshold, labels it on the testbed, clones the
     /// current snapshot, adapts the clone against the reservoir sample,
@@ -1007,7 +1005,7 @@ impl AdvisorService<ShardedAdvisor> {
     /// swap (a new encoder invalidates every cached embedding). Returns
     /// `true` if an adaptation happened.
     ///
-    /// Only the in-process sharded backend adapts through the service —
+    /// Only the in-process backend adapts through the service —
     /// the clone-and-swap needs an owned advisor value. A cluster adapts
     /// at its authority (`push_entry` + `refresh_and_snapshot`); the
     /// service's generation-tagged cache picks the change up through

@@ -1,13 +1,14 @@
-//! Sharded-index parity: a `ShardedAdvisor` carrying per-shard KNN
-//! indexes must stay bit-identical to the flat advisor for every shard
+//! Sharded-index parity: an `AutoCe` dealt over shards, each carrying its
+//! own KNN index, must stay bit-identical to the one-shard advisor for every shard
 //! count — and the index must obey the snapshot discipline: a push
 //! bypasses it (stale tag), a refresh rebuilds it, and an online
 //! adaptation stamps the rebuilt indexes with the **post-bump**
 //! generation (the swap-race regression).
 
 use autoce::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
+use autoce::{AdvisorBackend, AutoCe};
 use ce_features::FeatureGraph;
-use ce_serve::{IndexConfig, MetricsRegistry, Reservoir, ShardedAdvisor};
+use ce_serve::{IndexConfig, MetricsRegistry, Reservoir};
 use ce_testbed::MetricWeights;
 
 /// Indexed sharded advisors (1–4 shards, admissibility-guaranteed and
@@ -23,7 +24,7 @@ fn indexed_sharded_parity_one_to_four_shards() {
     for (partitions, probe) in [(3usize, 3usize), (4, 1)] {
         for shards in 1..=4usize {
             let metrics = MetricsRegistry::new();
-            let mut sharded = ShardedAdvisor::from_advisor(&flat, shards);
+            let mut sharded = AutoCe::from_advisor(&flat, shards);
             sharded.set_metrics(metrics.clone());
             sharded
                 .set_index_config(
@@ -64,7 +65,7 @@ fn indexed_sharded_parity_one_to_four_shards() {
 fn push_bypasses_index_until_refresh_rebuilds() {
     let flat = synthetic_grid(20, 2);
     let metrics = MetricsRegistry::new();
-    let mut sharded = ShardedAdvisor::from_advisor(&flat, 2);
+    let mut sharded = AutoCe::from_advisor(&flat, 2);
     sharded.set_metrics(metrics.clone());
     sharded
         .set_index_config(
@@ -89,7 +90,7 @@ fn push_bypasses_index_until_refresh_rebuilds() {
     // Push: one shard's membership changes; that shard must not serve
     // its stale index, and answers must equal an identically-pushed
     // flat advisor's.
-    let label = synthetic_label(&flat.rcs()[0].kinds);
+    let label = synthetic_label(&flat.entry(0).kinds);
     let graph = FeatureGraph {
         vertices: vec![vec![0.3, 0.3, 0.3, 0.3]],
         edges: vec![vec![0.0]],
@@ -97,7 +98,7 @@ fn push_bypasses_index_until_refresh_rebuilds() {
     // A second, identically-built flat advisor (construction is
     // deterministic) to receive the same push.
     let mut flat_pushed = synthetic_grid(20, 2);
-    flat_pushed.push_rcs_entry(graph.clone(), &label);
+    flat_pushed.push_entry(graph.clone(), &label);
     sharded.push_entry(graph, &label);
     assert_eq!(
         sharded.predict_excluding(&x, w, usize::MAX),
@@ -130,7 +131,7 @@ fn push_bypasses_index_until_refresh_rebuilds() {
 fn adaptation_rebuilds_index_under_new_generation() {
     let flat = synthetic_grid(20, 2);
     let metrics = MetricsRegistry::new();
-    let mut sharded = ShardedAdvisor::from_advisor(&flat, 2);
+    let mut sharded = AutoCe::from_advisor(&flat, 2);
     sharded.set_metrics(metrics.clone());
     sharded
         .set_index_config(
@@ -154,7 +155,7 @@ fn adaptation_rebuilds_index_under_new_generation() {
 
     let gen_before = sharded.generation();
     let mut reservoir = Reservoir::over_initial(sharded.len(), 8, 0xfeed);
-    let label = synthetic_label(&flat.rcs()[0].kinds);
+    let label = synthetic_label(&flat.entry(0).kinds);
     let graph = FeatureGraph {
         vertices: vec![vec![0.7, -0.1, 0.2, 0.4]],
         edges: vec![vec![0.0]],

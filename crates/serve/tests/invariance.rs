@@ -1,15 +1,15 @@
-//! Shard-invariance guarantees: `ShardedAdvisor` must reproduce the flat
-//! advisor bit for bit — recommendations *and* score vectors — for every
+//! Shard-invariance guarantees: `AutoCe::from_advisor` must reproduce the
+//! one-shard advisor bit for bit — recommendations *and* score vectors — for every
 //! shard count, including single-entry RCSs and empty shards, at any
 //! rayon worker count.
 
 mod common;
 
-use autoce::{AutoCe, AutoCeConfig, RcsEntry};
+use autoce::{AdvisorBackend, AutoCe, AutoCeConfig, RcsEntry};
 use ce_features::FeatureGraph;
 use ce_gnn::{DmlConfig, GinEncoder};
 use ce_models::ModelKind;
-use ce_serve::{IndexConfig, MetricsRegistry, ShardedAdvisor};
+use ce_serve::{IndexConfig, MetricsRegistry};
 use ce_testbed::MetricWeights;
 use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ proptest! {
         let exclude = if exsel < n && n > 1 { exsel } else { usize::MAX };
         let expect = flat.predict_excluding(&x, w, exclude);
         for shards in 1..=4 {
-            let sharded = ShardedAdvisor::from_advisor(&flat, shards);
+            let sharded = AutoCe::from_advisor(&flat, shards);
             prop_assert_eq!(sharded.len(), n);
             let got = sharded.predict_excluding(&x, w, exclude);
             prop_assert_eq!(&got.0, &expect.0, "model mismatch at {} shards", shards);
@@ -80,9 +80,9 @@ proptest! {
     }
 }
 
-/// A trained advisor end to end: `ShardedAdvisor::recommend` must equal
-/// `AutoCe::recommend` (and the score vectors must match bitwise) for
-/// every shard count and across rayon worker counts.
+/// A trained advisor end to end: every shard count must recommend what the
+/// one-shard advisor recommends (and the score vectors must match bitwise)
+/// across rayon worker counts.
 #[test]
 fn trained_sharded_recommend_matches_flat_across_threads() {
     let (datasets, flat) = common::trained_advisor(10, 0xbead);
@@ -95,7 +95,7 @@ fn trained_sharded_recommend_matches_flat_across_threads() {
         })
         .collect();
     for shards in 1..=4 {
-        let sharded = ShardedAdvisor::from_advisor(&flat, shards);
+        let sharded = AutoCe::from_advisor(&flat, shards);
         for threads in [1usize, 4] {
             let got: Vec<(ModelKind, Vec<f64>)> = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -115,13 +115,13 @@ fn trained_sharded_recommend_matches_flat_across_threads() {
     }
 }
 
-/// The sharded drift threshold equals the flat detector's, and so does
+/// The sharded drift threshold equals the one-shard detector's, and so does
 /// either one fitted through an installed index (one probe of three
 /// partitions, so rows widen too).
 #[test]
 fn sharded_drift_threshold_matches_flat() {
     let (_, flat) = common::trained_advisor(12, 0xd1f7);
-    let flat_threshold = autoce::online::DriftDetector::fit(&flat).threshold();
+    let flat_threshold = flat.drift_detector().threshold();
     let index = IndexConfig {
         partitions: 3,
         probe: 1,
@@ -129,7 +129,7 @@ fn sharded_drift_threshold_matches_flat() {
         ..IndexConfig::default()
     };
     for shards in 1..=4 {
-        let sharded = ShardedAdvisor::from_advisor(&flat, shards);
+        let sharded = AutoCe::from_advisor(&flat, shards);
         assert_eq!(
             sharded.drift_detector().threshold().to_bits(),
             flat_threshold.to_bits()
@@ -155,13 +155,9 @@ fn sharded_drift_threshold_matches_flat() {
         );
     }
     let mut indexed = common::trained_advisor(12, 0xd1f7).1;
-    indexed
-        .set_index_config(index, MetricsRegistry::disabled())
-        .expect("cutover covers k");
+    indexed.set_index_config(index).expect("cutover covers k");
     assert_eq!(
-        autoce::online::DriftDetector::fit(&indexed)
-            .threshold()
-            .to_bits(),
+        indexed.drift_detector().threshold().to_bits(),
         flat_threshold.to_bits(),
         "flat, indexed"
     );
@@ -176,7 +172,7 @@ fn single_entry_rcs_serves_at_any_shard_count() {
     let w = MetricWeights::new(0.4);
     let expect = flat.predict_from_embedding(&[0.0, 0.0, 0.0], w);
     for shards in 1..=4 {
-        let sharded = ShardedAdvisor::from_advisor(&flat, shards);
+        let sharded = AutoCe::from_advisor(&flat, shards);
         assert_eq!(sharded.predict_from_embedding(&[0.0, 0.0, 0.0], w), expect);
     }
 }

@@ -14,13 +14,12 @@
 
 use autoce::fixtures::synthetic_flat;
 use autoce::online::DriftDetector;
-use autoce::{AdvisorBackend, AdvisorError, BatchPredictRequest};
+use autoce::{AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::SampleValue;
 use ce_serve::{
     graph_fingerprint, AdvisorService, MetricsRegistry, Query, Recommendation, ServeConfig,
-    ShardedAdvisor,
 };
 use ce_testbed::{DatasetLabel, MetricWeights};
 use std::sync::{Arc, Mutex};
@@ -54,7 +53,7 @@ impl Fnv {
 
 /// Forwards to a sharded advisor and logs every query-path call as words.
 struct Recording {
-    inner: ShardedAdvisor,
+    inner: AutoCe,
     log: Mutex<Vec<u64>>,
 }
 
@@ -172,7 +171,7 @@ fn fold_answer(h: &mut Fnv, r: &Recommendation) {
 #[test]
 fn the_request_pipeline_is_the_captured_sequence() {
     let backend = Arc::new(Recording {
-        inner: ShardedAdvisor::from_advisor(&synthetic_flat(11, 3), 2),
+        inner: AutoCe::from_advisor(&synthetic_flat(11, 3), 2),
         log: Mutex::new(Vec::new()),
     });
     let cfg = ServeConfig {

@@ -4,10 +4,10 @@
 
 mod common;
 
-use autoce::AdvisorError;
+use autoce::{AdvisorBackend, AdvisorError, AutoCe};
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::extract_features;
-use ce_serve::{AdvisorService, Query, Reservoir, ServeConfig, ShardedAdvisor};
+use ce_serve::{AdvisorService, Query, Reservoir, ServeConfig};
 use ce_storage::Dataset;
 use ce_testbed::MetricWeights;
 use rand::rngs::StdRng;
@@ -42,7 +42,7 @@ fn concurrent_clients_get_flat_identical_answers() {
         .map(|ds| extract_features(ds, &flat.config.feature))
         .collect();
 
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 3), serve_config());
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 3), serve_config());
     std::thread::scope(|scope| {
         for t in 0..4 {
             let handle = service.handle();
@@ -98,7 +98,7 @@ fn five_table_dataset() -> Dataset {
 #[test]
 fn adaptation_is_reservoir_bounded_and_swaps_snapshots() {
     let (datasets, flat) = common::trained_advisor(16, 0xada2);
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 3), serve_config());
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 3), serve_config());
     let testbed = common::testbed();
     let w = MetricWeights::new(0.5);
 
@@ -138,7 +138,7 @@ fn adaptation_is_reservoir_bounded_and_swaps_snapshots() {
 #[test]
 fn adapt_survives_a_poisoned_admin_lock() {
     let (_, flat) = common::trained_advisor(16, 0xada3);
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), serve_config());
     let testbed = common::testbed();
     let odd = five_table_dataset();
     let mut broken = odd.clone();
@@ -165,7 +165,7 @@ fn adapt_survives_a_poisoned_admin_lock() {
 #[test]
 fn a_malformed_dataset_is_refused_not_panicked_on() {
     let (datasets, flat) = common::trained_advisor(10, 0xbad5);
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), serve_config());
     let handle = service.handle();
     let w = MetricWeights::new(0.5);
     let good = five_table_dataset();
@@ -213,7 +213,7 @@ fn a_malformed_dataset_is_refused_not_panicked_on() {
 #[test]
 fn adapt_with_reservoir_trains_on_bounded_subset() {
     let (_, flat) = common::trained_advisor(16, 0xb0b);
-    let mut sharded = ShardedAdvisor::from_advisor(&flat, 2);
+    let mut sharded = AutoCe::from_advisor(&flat, 2);
     let mut reservoir = Reservoir::over_initial(sharded.len(), 4, 5);
     let mut rng = StdRng::seed_from_u64(8);
     let mut spec = DatasetSpec::small().multi_table();
@@ -226,17 +226,17 @@ fn adapt_with_reservoir_trains_on_bounded_subset() {
     let adapted = sharded.distance_to_embedding(&x) > detector.threshold();
     assert!(adapted, "5-table dataset should drift off a 1-table corpus");
     let label = ce_testbed::label_dataset(&odd, &common::testbed(), 13);
-    sharded.adapt_with_reservoir(graph, &label, &mut reservoir, 13);
+    let trained = sharded.adapt_with_reservoir(graph, &label, &mut reservoir, 13);
     assert_eq!(sharded.len(), 17);
     assert_eq!(sharded.generation(), 1);
     // The bound: reservoir capacity (4) plus the newcomer.
-    assert!(reservoir.sample().len() <= 4);
+    assert!(trained <= 5, "trained on {trained} graphs");
     assert_eq!(reservoir.seen(), 17);
     // Every embedding is consistent with the updated encoder.
     for i in 0..sharded.len() {
         assert_eq!(
             sharded.entry(i).embedding,
-            sharded.encoder().encode(&sharded.entry(i).graph),
+            sharded.embed_graph(&sharded.entry(i).graph),
             "entry {i} embedding stale after refresh"
         );
     }
@@ -256,7 +256,7 @@ fn burst_larger_than_queue_capacity_completes() {
         max_batch: 2,
         ..serve_config()
     };
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), cfg);
     let w = MetricWeights::new(0.6);
     let graphs: Vec<_> = datasets
         .iter()
@@ -293,7 +293,7 @@ fn burst_larger_than_queue_capacity_completes() {
 #[test]
 fn inline_burst_misses_serve_flat_identical_without_worker() {
     let (datasets, flat) = common::trained_advisor(8, 0x1a7e);
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), serve_config());
     let w = MetricWeights::new(0.7);
     let burst: Vec<_> = datasets
         .iter()
@@ -329,7 +329,7 @@ fn inline_burst_misses_serve_flat_identical_without_worker() {
 #[test]
 fn shutdown_rejects_new_requests() {
     let (datasets, flat) = common::trained_advisor(6, 0xdead);
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), serve_config());
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), serve_config());
     let handle = service.handle();
     let g = extract_features(&datasets[0], &flat.config.feature);
     assert!(handle
@@ -356,7 +356,7 @@ fn worker_panic_fails_submitters_instead_of_hanging() {
         cache_capacity: 0,
         ..serve_config()
     };
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), cfg);
     let handle = service.handle();
     let w = MetricWeights::new(0.5);
     // Vertex width disagrees with the encoder's input dimension.
@@ -423,7 +423,7 @@ fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
         service.shutdown();
     }
     let flat = || autoce::fixtures::synthetic_flat(0, 2);
-    check(ShardedAdvisor::from_advisor(&flat(), 2));
+    check(AutoCe::from_advisor(&flat(), 2));
     check(flat());
 }
 
@@ -466,7 +466,7 @@ fn a_non_finite_query_is_refused_not_panicked_on() {
         service.shutdown();
     }
     let flat = autoce::fixtures::synthetic_flat(9, 2);
-    check(ShardedAdvisor::from_advisor(&flat, 2), &flat);
+    check(AutoCe::from_advisor(&flat, 2), &flat);
     check(autoce::fixtures::synthetic_flat(9, 2), &flat);
 }
 
@@ -483,7 +483,7 @@ fn metrics_snapshot_reports_instrumented_serving() {
         metrics: registry.clone(),
         ..serve_config()
     };
-    let service = AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), cfg);
     let handle = service.handle();
     let graphs: Vec<_> = datasets
         .iter()
@@ -582,7 +582,7 @@ fn metrics_snapshot_reports_instrumented_serving() {
 #[test]
 fn try_start_rejects_invalid_configs_with_typed_errors() {
     let (_, flat) = common::trained_advisor(6, 0x7a57);
-    let sharded = ShardedAdvisor::from_advisor(&flat, 2);
+    let sharded = AutoCe::from_advisor(&flat, 2);
     let rejected = |cfg: ServeConfig, needle: &str| {
         for result in [
             AdvisorService::try_start(sharded.clone(), cfg.clone()).map(drop),
@@ -660,5 +660,5 @@ fn start_panics_where_try_start_returns_err() {
         queue_capacity: 0,
         ..serve_config()
     };
-    AdvisorService::start(ShardedAdvisor::from_advisor(&flat, 2), cfg);
+    AdvisorService::start(AutoCe::from_advisor(&flat, 2), cfg);
 }

@@ -5,8 +5,8 @@
 //!
 //! Run with `cargo run --release --example cloud_advisor`.
 
-use autoce_suite::autoce::online::{adapt_online, DriftDetector};
-use autoce_suite::autoce::{AutoCe, AutoCeConfig};
+use autoce_suite::autoce::online::adapt_online;
+use autoce_suite::autoce::{AdvisorBackend, AutoCe, AutoCeConfig};
 use autoce_suite::datagen::{generate_batch, generate_dataset, DatasetSpec, SpecRange};
 use autoce_suite::gnn::DmlConfig;
 use autoce_suite::models::SELECTABLE_MODELS;
@@ -40,7 +40,7 @@ fn main() {
         },
         5,
     );
-    let detector = DriftDetector::fit(&advisor);
+    let detector = advisor.drift_detector();
     println!(
         "drift threshold (90th pct of RCS NN distances): {:.3}",
         detector.threshold()
@@ -77,7 +77,7 @@ fn main() {
     let adapted = adapt_online(&mut advisor, &detector, &odd, &testbed, 77);
     println!(
         "online adapting triggered: {adapted}; RCS size now {}",
-        advisor.rcs().len()
+        advisor.len()
     );
     println!(
         "post-adaptation recommendation for tenant-odd: {}",

@@ -14,7 +14,6 @@ use autoce_suite::cluster::{
 use autoce_suite::datagen::{generate_batch, DatasetSpec};
 use autoce_suite::gnn::DmlConfig;
 use autoce_suite::models::ModelKind;
-use autoce_suite::serve::ShardedAdvisor;
 use autoce_suite::testbed::{label_datasets, MetricWeights, TestbedConfig};
 use autoce_suite::workload::WorkloadSpec;
 use rand::rngs::StdRng;
@@ -54,7 +53,7 @@ fn main() {
         },
         7,
     );
-    let sharded = ShardedAdvisor::from_advisor(&advisor, 1);
+    let sharded = AutoCe::from_advisor(&advisor, 1);
 
     println!("cluster: spawning two replica shard servers on loopback...");
     let exe = std::env::current_exe().expect("own executable path");

@@ -5,11 +5,11 @@
 //!
 //! Run with `cargo run --release --example serving`.
 
-use autoce_suite::autoce::{AutoCe, AutoCeConfig};
+use autoce_suite::autoce::{AdvisorBackend, AutoCe, AutoCeConfig};
 use autoce_suite::datagen::{generate_batch, generate_dataset, DatasetSpec, SpecRange};
 use autoce_suite::gnn::DmlConfig;
 use autoce_suite::models::ModelKind;
-use autoce_suite::serve::{AdvisorService, MetricsRegistry, ServeConfig, ShardedAdvisor};
+use autoce_suite::serve::{AdvisorService, MetricsRegistry, ServeConfig};
 use autoce_suite::testbed::{label_datasets, MetricWeights, TestbedConfig};
 use autoce_suite::workload::WorkloadSpec;
 use rand::rngs::StdRng;
@@ -47,7 +47,7 @@ fn main() {
 
     // Shard the RCS and start the service: one batcher thread, bounded
     // queue, embedding cache, reservoir-bounded adaptation.
-    let sharded = ShardedAdvisor::from_advisor(&advisor, 4);
+    let sharded = AutoCe::from_advisor(&advisor, 4);
     println!(
         "sharded RCS: {} entries over {} shards {:?}",
         sharded.len(),
