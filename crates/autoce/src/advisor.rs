@@ -498,6 +498,10 @@ impl AdvisorBackend for AutoCe {
         self.config.feature
     }
 
+    fn vertex_dim(&self) -> usize {
+        self.encoder.input_dim()
+    }
+
     fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
         self.encoder.encode(g)
     }

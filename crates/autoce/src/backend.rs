@@ -63,11 +63,14 @@ pub enum AdvisorError {
     /// The RCS holds no entry the query may select (it is empty, or its
     /// only entry is the excluded one); nothing was computed or sent.
     EmptyRcs,
-    /// A request's dataset is malformed — columns of unequal length in one
-    /// table, or a join edge naming a table or column that does not exist
-    /// (`Dataset::validate_shape`), nothing extracted or sent — or a query
-    /// embedding holds a NaN or ±∞ (a non-finite feature reached the
-    /// encoder; `knn::select_batch`), nothing scanned or sent.
+    /// A request's dataset or feature graph is malformed — columns of
+    /// unequal length in one table, or a join edge naming a table or column
+    /// that does not exist (`Dataset::validate_shape`), nothing extracted or
+    /// sent; a feature graph whose vertex rows are not
+    /// [`AdvisorBackend::vertex_dim`] wide or whose edge matrix is not
+    /// n × n for its n vertices, nothing encoded; or a query embedding
+    /// holding a NaN or ±∞ (a non-finite feature reached the encoder;
+    /// `knn::select_batch`), nothing scanned or sent.
     InvalidDataset(String),
 }
 
@@ -139,6 +142,13 @@ pub trait AdvisorBackend: Send + Sync {
     /// The feature-extraction configuration queries must be prepared
     /// with (owned: backends behind locks cannot lend references).
     fn feature_config(&self) -> FeatureConfig;
+
+    /// Width of every vertex row the encoder takes: `feature_config()`'s
+    /// [`FeatureConfig::vertex_dim`] for an advisor trained on extracted
+    /// features, the encoder's own input width for one built from parts.
+    /// A serving front refuses graphs of any other width before they reach
+    /// the encoder.
+    fn vertex_dim(&self) -> usize;
 
     /// Encodes one feature graph into an embedding.
     fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32>;

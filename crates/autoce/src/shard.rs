@@ -34,8 +34,9 @@ pub struct AdvisorShard {
     /// Stacked chunks over `entries`' graphs, packed lazily by the owner's
     /// first refresh (`pack`); no query reads them, so a read-only owner
     /// never pays for them. Graphs are immutable once in the RCS, so
-    /// the packing survives every encoder update; only a membership change
-    /// drops it.
+    /// the packing survives every encoder update, and a push appends the
+    /// newcomer to it ([`StackedCtx::push_packed`]): the chunks always
+    /// equal a fresh packing of `entries`' graphs.
     chunks: Option<Vec<StackedCtx>>,
     /// The index slot: a build over this partition's embeddings stamped
     /// `(generation, len)`. Rebuilt with every write-back, dropped by a
@@ -110,20 +111,21 @@ impl AdvisorShard {
         knn::partial_topk(&self.view(generation), x, k, exclude, scratch, out);
     }
 
-    /// Appends an entry under global index `id`. Membership changed: the
-    /// packed chunks are stale, and the index is dropped at once (its
-    /// length stamp would bypass it anyway). The embedding mirror takes the
-    /// new row in place.
+    /// Appends an entry under global index `id`. The embedding mirror and
+    /// the packed chunks (if packed yet) take the newcomer in place; the
+    /// index is dropped at once (its length stamp would bypass it anyway).
     pub(crate) fn push(&mut self, id: usize, entry: RcsEntry) {
         self.packed.push(&entry.embedding);
+        if let Some(chunks) = &mut self.chunks {
+            StackedCtx::push_packed(chunks, &entry.graph);
+        }
         self.ids.push(id);
         self.entries.push(entry);
-        self.chunks = None;
         self.index = None;
     }
 
-    /// Packs the stacked serving chunks if membership changed since the
-    /// last packing, and returns them. Pure data movement.
+    /// Packs the stacked serving chunks on the first call, and returns
+    /// them. Pure data movement.
     pub(crate) fn pack(&mut self) -> &[StackedCtx] {
         let entries = &self.entries;
         self.chunks.get_or_insert_with(|| {
@@ -201,6 +203,7 @@ mod tests {
     use crate::backend::AdvisorBackend;
     use crate::fixtures::{synthetic_flat, synthetic_label};
     use ce_features::FeatureGraph;
+    use ce_gnn::StackedCtx;
     use ce_testbed::MetricWeights;
 
     #[test]
@@ -267,5 +270,51 @@ mod tests {
             assert_eq!(&sharded.entry(i).embedding, expect);
         }
         assert_eq!(sharded.generation(), 0, "a refresh is not an adaptation");
+    }
+
+    proptest::proptest! {
+        /// A push keeps the receiving shard's packed chunks and appends the
+        /// newcomer: the next refresh reads the chunks a fresh
+        /// `pack_graphs` over the shard's graphs builds, and writes the
+        /// embedding bits a fresh stacked encode gives.
+        #[test]
+        fn push_then_refresh_is_a_fresh_packing(
+            base in 1usize..12,
+            shards in 1usize..4,
+            pushed in proptest::collection::vec(1usize..6, 1..24),
+            v0 in -1.0f32..1.0,
+        ) {
+            let flat = synthetic_flat(base, 2);
+            let mut sharded = AutoCe::from_advisor(&flat, shards);
+            sharded.refresh_embeddings();
+            let label = synthetic_label(&flat.entry(0).kinds);
+            for (j, &n) in pushed.iter().enumerate() {
+                let v = v0 + j as f32 * 0.125;
+                let graph = FeatureGraph {
+                    vertices: (0..n).map(|r| vec![v, r as f32 * 0.5, -v, 0.25]).collect(),
+                    edges: (0..n)
+                        .map(|a| (0..n).map(|b| if a + 1 == b { 0.5 } else { 0.0 }).collect())
+                        .collect(),
+                };
+                sharded.push_entry(graph, &label);
+            }
+            sharded.refresh_embeddings();
+            for shard in sharded.shards() {
+                let graphs: Vec<&FeatureGraph> = shard.entries().iter().map(|e| &e.graph).collect();
+                let fresh = StackedCtx::pack_graphs(&graphs);
+                let kept = shard.chunks.as_deref().unwrap_or_default();
+                proptest::prop_assert_eq!(kept.len(), fresh.len());
+                for (a, b) in kept.iter().zip(&fresh) {
+                    proptest::prop_assert_eq!(a.offsets(), b.offsets());
+                }
+            }
+            let graphs: Vec<&FeatureGraph> =
+                (0..sharded.len()).map(|i| &sharded.entry(i).graph).collect();
+            let want = sharded.encoder().encode_batch(&graphs);
+            for (i, want) in want.iter().enumerate() {
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&sharded.entry(i).embedding), bits(want), "entry {}", i);
+            }
+        }
     }
 }

@@ -1163,6 +1163,10 @@ impl AdvisorBackend for ClusterCoordinator {
         self.lock().authority.config().feature
     }
 
+    fn vertex_dim(&self) -> usize {
+        self.lock().authority.vertex_dim()
+    }
+
     /// Embeds a feature graph on the authority encoder.
     fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
         self.lock().authority.embed_graph(g)

@@ -13,6 +13,8 @@
 //! against the in-process [`AutoCe`].
 
 mod common;
+#[path = "../../serve/tests/faulty/mod.rs"]
+mod faulty;
 
 use autoce::{AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
 use ce_cluster::{ClusterConfig, ClusterCoordinator, FaultPlan, MetricsRegistry, SimNet};
@@ -404,25 +406,32 @@ fn batched_gauntlet_replays_the_same_event_trace() {
     );
 }
 
-/// Answers, coordinator trace, and RangeUnavailable-retry count from one
-/// service-fronted gauntlet run.
-type ServiceGauntletRun = (Vec<(ModelKind, Vec<f64>)>, Vec<String>, usize);
+/// Answers, coordinator trace, RangeUnavailable-retry count and the number
+/// of worker batches a dark range failed, from one service-fronted
+/// gauntlet run.
+type ServiceGauntletRun = (Vec<(ModelKind, Vec<f64>)>, Vec<String>, usize, usize);
 
 /// One gauntlet run with the cluster mounted behind the micro-batched
 /// [`AdvisorService`] (the caller keeps the coordinator's admin handle for
-/// heartbeats and the trace; queries ride the service front).
+/// heartbeats and the trace; queries ride the service front). A lone miss
+/// rides the queue to the batcher only on a busy front, so a holder
+/// client's inline run is held at the backend's gate (`tests/faulty`) for
+/// the whole run: every query's first attempt is a worker batch, where a
+/// dark range fails the batch with `RangeUnavailable` and the worker
+/// lives on; retries hit the embedding that attempt cached. The trace is
+/// taken before the holder is let go.
 fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
     let flat = common::synthetic_flat(11, 3);
     let sharded = AutoCe::from_advisor(&flat, RANGES);
     let replicas = RANGES * REPLICAS_PER_RANGE;
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
-    let coord = Arc::new(ClusterCoordinator::over_sim(
-        sharded,
-        &net,
-        REPLICAS_PER_RANGE,
-        ClusterConfig::no_sleep(),
+    let backend = Arc::new(faulty::Faulty::new(
+        ClusterCoordinator::over_sim(sharded, &net, REPLICAS_PER_RANGE, ClusterConfig::no_sleep()),
+        &[0],
+        None,
     ));
+    let coord = backend.inner();
     let mut attempt = 0u32;
     let mut retries = 0usize;
     while let Err(e) = coord.bootstrap() {
@@ -430,44 +439,72 @@ fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
         retries += 1;
         assert!(attempt < 100, "seed {seed}: bootstrap never converged: {e}");
     }
+    let registry = MetricsRegistry::new();
     let service = AdvisorService::start_shared(
-        coord.clone(),
+        backend.clone(),
         ServeConfig {
             max_batch: 4,
             batch_deadline: Duration::from_millis(1),
             cache_capacity: 64,
+            metrics: registry.clone(),
             ..ServeConfig::default()
         },
     );
     let handle = service.handle();
     let w = MetricWeights::new(0.7);
     let mut answers = Vec::new();
-    for (i, e) in (0..flat.len()).map(|i| (i, flat.entry(i))) {
-        let mut attempt = 0u32;
-        let rec = loop {
-            match handle.recommend_graph(e.graph.clone(), w) {
-                Ok(rec) => break rec,
-                Err(AdvisorError::RangeUnavailable { .. }) => {
-                    attempt += 1;
-                    retries += 1;
-                    assert!(attempt < 500, "seed {seed}: range stayed dark");
-                }
-                Err(e) => panic!("seed {seed}: non-transient service failure: {e}"),
-            }
+    let mut dark_batches = 0usize;
+    let trace = std::thread::scope(|scope| {
+        let gate = backend.opener();
+        let holder = {
+            let (handle, mut graph) = (service.handle(), flat.entry(0).graph.clone());
+            graph.vertices.push(graph.vertices[0].clone());
+            graph.edges = vec![vec![0.0; graph.vertices.len()]; graph.vertices.len()];
+            scope.spawn(move || handle.recommend_graph(graph, w))
         };
-        answers.push((rec.model, rec.scores));
-        if i % 3 == 2 {
-            let _ = coord.heartbeat();
+        backend.wait_for_calls(1);
+        for (i, e) in (0..flat.len()).map(|i| (i, flat.entry(i))) {
+            let mut attempt = 0u32;
+            let rec = loop {
+                match handle.recommend_graph(e.graph.clone(), w) {
+                    Ok(rec) => break rec,
+                    Err(AdvisorError::RangeUnavailable { .. }) => {
+                        dark_batches += usize::from(attempt == 0);
+                        attempt += 1;
+                        retries += 1;
+                        assert!(attempt < 500, "seed {seed}: range stayed dark");
+                    }
+                    Err(e) => panic!("seed {seed}: non-transient service failure: {e}"),
+                }
+            };
+            answers.push((rec.model, rec.scores));
+            if i % 3 == 2 {
+                let _ = coord.heartbeat();
+            }
         }
-    }
+        let trace = coord.take_trace();
+        drop(gate);
+        // The holder's answer comes off the same faulty wire; only its
+        // return matters.
+        let _ = holder.join().expect("the holder returns");
+        trace
+    });
+    let snap = service.metrics_snapshot();
+    let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
+    assert_eq!(
+        path("worker"),
+        flat.len() as u64,
+        "seed {seed}: every first attempt was a worker batch"
+    );
     service.shutdown();
-    (answers, coord.take_trace(), retries)
+    (answers, trace, retries, dark_batches)
 }
 
 /// The gauntlet through the service front: every recommendation off the
-/// faulty wire equals the in-process sharded advisor bit for bit, and the
+/// faulty wire equals the in-process sharded advisor bit for bit, the
 /// whole run — batching, caching, retries, fault recovery — replays
-/// byte-identically from the same seed.
+/// byte-identically from the same seed, and some seed's dark range fails a
+/// worker batch (which must reach its submitter as `RangeUnavailable`).
 #[test]
 fn service_fronted_gauntlet_is_bit_identical_and_replays() {
     let flat = common::synthetic_flat(11, 3);
@@ -479,19 +516,29 @@ fn service_fronted_gauntlet_is_bit_identical_and_replays() {
             sharded.predict_from_embedding(&x, w)
         })
         .collect();
+    let mut dark_batches = 0;
     for seed in 1u64..=8 {
-        let (answers, trace, retries) = run_service_gauntlet(seed);
+        let (answers, trace, retries, dark) = run_service_gauntlet(seed);
+        dark_batches += dark;
         assert_eq!(
             answers, expected,
             "seed {seed}: a fault changed a service answer bit"
         );
-        let (answers2, trace2, retries2) = run_service_gauntlet(seed);
+        let (answers2, trace2, retries2, dark2) = run_service_gauntlet(seed);
         assert_eq!(
             trace, trace2,
             "seed {seed}: the service-fronted trace must replay byte-identically"
         );
-        assert_eq!((answers, retries), (answers2, retries2), "seed {seed}");
+        assert_eq!(
+            (answers, retries, dark),
+            (answers2, retries2, dark2),
+            "seed {seed}"
+        );
     }
+    assert!(
+        dark_batches > 0,
+        "no dark range ever failed a worker batch — plan too gentle"
+    );
 }
 
 /// A logically-clocked [`ClusterConfig`] plus the registry it records into.

@@ -220,6 +220,11 @@ impl GinEncoder {
         GinEncoder { layers, t: 0 }
     }
 
+    /// Width of the vertex rows the encoder takes.
+    pub fn input_dim(&self) -> usize {
+        self.layers.first().map_or(0, |l| l.mlp.input_dim())
+    }
+
     /// Embedding dimensionality.
     pub fn embed_dim(&self) -> usize {
         self.layers.last().map_or(0, |l| l.mlp.output_dim())

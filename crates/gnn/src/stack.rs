@@ -133,6 +133,38 @@ impl StackedCtx {
             .collect()
     }
 
+    /// Appends `g` to chunks [`Self::pack_graphs`] built, exactly as
+    /// `pack_graphs` would have packed it as the last graph of its input:
+    /// into the last chunk while that holds fewer than
+    /// [`STACK_CHUNK_ROWS`] rows, else into a new chunk. Only the receiving
+    /// chunk is touched, so growing a packed set by one graph costs one
+    /// graph's packing, not the whole set's.
+    pub fn push_packed(chunks: &mut Vec<StackedCtx>, g: &FeatureGraph) {
+        let ctx = GraphCtx::from_graph(g);
+        match chunks.last_mut() {
+            Some(last) if last.num_vertices() < STACK_CHUNK_ROWS => last.push(&ctx),
+            _ => chunks.push(StackedCtx::from_ctxs(&[ctx])),
+        }
+    }
+
+    /// Appends one graph's block: the [`Self::from_ctxs`] layout over the
+    /// old graphs plus `ctx`.
+    fn push(&mut self, ctx: &GraphCtx) {
+        if self.h0.cols == 0 {
+            self.h0.cols = ctx.h0.cols;
+        }
+        if ctx.h0.rows > 0 {
+            assert_eq!(
+                ctx.h0.cols, self.h0.cols,
+                "stacked graphs must share vertex dim"
+            );
+            self.h0.data.extend_from_slice(&ctx.h0.data);
+            self.h0.rows += ctx.h0.rows;
+        }
+        self.csr = CsrAdjacency::stack(&[&self.csr, &ctx.csr]);
+        self.offsets.push(self.h0.rows);
+    }
+
     /// Number of stacked graphs.
     pub fn num_graphs(&self) -> usize {
         self.offsets.len() - 1
@@ -458,6 +490,44 @@ mod tests {
         assert!(packed.len() > 1, "workload must span several chunks");
         let repacked: Vec<Vec<f32>> = packed.iter().flat_map(|s| enc.encode_stacked(s)).collect();
         assert_eq!(repacked, batch);
+    }
+
+    proptest::proptest! {
+        /// Growing a packed set graph by graph lays out every chunk as
+        /// packing the whole set at once does — zero-vertex graphs and
+        /// chunk boundaries included.
+        #[test]
+        fn push_packed_is_pack_graphs(
+            sizes in proptest::collection::vec(0usize..=9, 0..40),
+            split in 0usize..40,
+            seed in 0u64..1000,
+        ) {
+            let mut graphs = random_graphs(sizes.len(), 3, seed);
+            for (g, &n) in graphs.iter_mut().zip(&sizes) {
+                g.vertices.resize(n, vec![0.25; 3]);
+                g.edges.resize(n, Vec::new());
+                for row in &mut g.edges {
+                    row.resize(n, 0.0);
+                }
+            }
+            let split = split.min(graphs.len());
+            let mut grown = StackedCtx::pack_graphs(&graphs[..split]);
+            for g in &graphs[split..] {
+                StackedCtx::push_packed(&mut grown, g);
+            }
+            let whole = StackedCtx::pack_graphs(&graphs);
+            proptest::prop_assert_eq!(grown.len(), whole.len());
+            for (a, b) in grown.iter().zip(&whole) {
+                proptest::prop_assert_eq!((a.h0.rows, a.h0.cols), (b.h0.rows, b.h0.cols));
+                let bits = |m: &Matrix| m.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&a.h0), bits(&b.h0));
+                proptest::prop_assert_eq!(&a.offsets, &b.offsets);
+                proptest::prop_assert_eq!(&a.csr.indptr, &b.csr.indptr);
+                proptest::prop_assert_eq!(&a.csr.indices, &b.csr.indices);
+                let weights = |c: &CsrAdjacency| c.weights.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(weights(&a.csr), weights(&b.csr));
+            }
+        }
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //!   batching, caching and snapshot machinery below is written once
 //!   against the trait; a cluster behind the service gets one taped
 //!   query fan-out per *batch* instead of per request.
-//! * **Micro-batching** — client threads submit `recommend` requests into
-//!   a bounded queue; a single worker drains it into batches of at most
-//!   [`ServeConfig::max_batch`], waiting up to
+//! * **Micro-batching** — lone misses that meet a busy front (see below)
+//!   go into a bounded queue; a single worker drains it into batches of at
+//!   most [`ServeConfig::max_batch`], waiting up to
 //!   [`ServeConfig::batch_deadline`] after the first request for
 //!   stragglers. Each batch's cache-missing graphs run as **one** stacked
 //!   forward ([`AdvisorBackend::embed_graph_batch`]) — the whole point:
 //!   per-graph kernel dispatch is what makes per-request serving slow.
-//! * **Snapshot reads** — the worker serves from an `Arc<B>` snapshot.
-//!   Online adaptation builds a *new* advisor value and swaps the `Arc`
+//! * **Snapshot reads** — every pipeline run serves from an `Arc<B>`
+//!   snapshot. Online adaptation builds a *new* advisor value and swaps the `Arc`
 //!   under a momentary lock; in-flight batches keep reading the old
 //!   snapshot, so serving never blocks behind a refresh (requests are
 //!   answered by whichever snapshot their batch started on — the same
@@ -34,16 +34,19 @@
 //!   request and never wakes the worker. Hits skip the encoder entirely;
 //!   every other step is identical, so caching never changes a
 //!   recommendation.
-//! * **Inline burst serving** — a submission carrying two or more cache
-//!   misses is already its own micro-batch, so the calling thread encodes
-//!   it directly instead of paying the enqueue/park/wake round trip. Cold
-//!   all-distinct streams — previously *slower* than the flat advisor
-//!   because every request bought a handoff — now beat it; lockstep
-//!   single-graph clients still share worker batches.
-//! * **One pipeline** — the cache-hit, inline-burst and worker paths run
-//!   the same three steps (`lookup` → `encode_misses` → `vote`); they
-//!   differ only in which thread runs them and in the `path` label their
-//!   metrics carry.
+//! * **Inline miss serving** — a submission's cache misses are encoded
+//!   and voted on the calling thread, with no enqueue/park/wake round trip,
+//!   with one exception: a *lone* miss that arrives while the front is busy
+//!   rides the queue, so concurrent single-graph clients still share
+//!   stacked forwards. The front is idle when nothing is queued and no
+//!   pipeline run (a worker batch or an inline lone miss) is in flight —
+//!   observed under the queue lock, not configured. A single closed-loop
+//!   client therefore never pays a handoff; two or more misses in one
+//!   submission are already their own micro-batch and never queue.
+//! * **One pipeline** — the cache-hit, inline and worker paths run the
+//!   same three steps (`lookup` → `encode_misses` → `vote`); they differ
+//!   only in which thread runs them and in the `path` label their metrics
+//!   carry.
 //!
 //! Responses are bit-identical to calling the backend's
 //! `recommend_graph` directly (and hence to the flat
@@ -53,11 +56,15 @@
 //! # Errors
 //!
 //! The public surface returns the unified [`autoce::AdvisorError`]
-//! regardless of backend: the service's own refusals are `ShuttingDown`
-//! and `WorkerFailed`, and a distributed backend's typed failures
-//! (`RangeUnavailable`, protocol violations) pass through untouched — a
+//! regardless of backend: the service's own refusals are `ShuttingDown`,
+//! `WorkerFailed` and `InvalidDataset` (a malformed dataset or feature
+//! graph, refused before it is fingerprinted), and a distributed backend's
+//! typed failures (`RangeUnavailable`, protocol violations) pass through
+//! untouched — a
 //! cache-hit request and a batched request fail with the same variant the
 //! direct call would.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::cache::{graph_fingerprint, CacheStats, EmbeddingCache};
 use autoce::index::IndexConfig;
@@ -89,12 +96,14 @@ pub struct ServeConfig {
     /// Maximum requests embedded in one stacked forward.
     pub max_batch: usize,
     /// How long the batcher waits after the first queued request for more
-    /// to arrive before closing the batch. Zero (the default) is the right
-    /// mode for blocking callers: the worker still yields once and
-    /// re-drains before encoding — enough for concurrent clients to share
-    /// forwards — but never sleeps on speculation. A nonzero deadline
-    /// trades latency for occupancy with open-loop producers (pipelined
-    /// submitters, network frontends).
+    /// to arrive before closing the batch. It applies to queued requests
+    /// only — lone misses that met a busy front; misses served on the
+    /// calling thread never wait. Zero (the default) is the right mode for
+    /// blocking callers: the worker still yields once and re-drains before
+    /// encoding — enough for concurrent clients to share forwards — but
+    /// never sleeps on speculation. A nonzero deadline trades latency for
+    /// occupancy with open-loop producers (pipelined submitters, network
+    /// frontends).
     pub batch_deadline: Duration,
     /// Bounded request-queue capacity; submitters block when it is full
     /// (backpressure instead of unbounded memory growth).
@@ -254,14 +263,14 @@ pub struct Recommendation {
 /// `ce_serve_path_requests_total{path}` counters follow it too: a request
 /// is counted when its KNN vote is asked for, whether or not the backend
 /// then answers. A request refused before that (shutdown, a malformed
-/// dataset) is not counted; one whose vote fails (`EmptyRcs`, a dark
-/// cluster range) is.
+/// dataset or feature graph) is not counted; one whose vote fails
+/// (`EmptyRcs`, a dark cluster range) is.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests whose vote was asked for.
     pub requests: u64,
-    /// Micro-batches processed: worker batches plus client-side inline
-    /// bursts (a submission with two or more cache misses). Cache hits on
+    /// Micro-batches processed: worker batches plus inline runs (a
+    /// submission's misses encoded on the calling thread). Cache hits on
     /// the calling thread ride no batch, so mean batch occupancy is
     /// `cache_misses / batches`, not `requests / batches`.
     pub batches: u64,
@@ -342,9 +351,11 @@ impl ObsHandles {
 /// they index the encode and depth handles.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Path {
-    /// A burst of two or more misses, encoded on the calling thread.
+    /// A submission's misses, encoded on the calling thread: two or more,
+    /// or a lone one on an idle front.
     Inline,
-    /// A micro-batch drained from the queue by the worker.
+    /// A micro-batch drained from the queue by the worker: lone misses
+    /// that met a busy front.
     Worker,
     /// Cache hits, voted on the calling thread.
     CacheHit,
@@ -363,11 +374,6 @@ impl Path {
     }
 }
 
-/// Cache misses in one submission at which the calling thread encodes them
-/// itself; a lone miss rides the queue so lockstep single-graph clients
-/// keep sharing worker batches.
-const INLINE_BURST_MISSES: usize = 2;
-
 struct Request {
     graph: FeatureGraph,
     fingerprint: u64,
@@ -382,11 +388,34 @@ struct Request {
 struct QueueState {
     items: VecDeque<Request>,
     shutdown: bool,
+    /// Pipeline runs holding the front busy: worker batches and inline
+    /// lone misses. With `items`, what a lone miss reads to choose between
+    /// the calling thread and the queue.
+    in_flight: usize,
+}
+
+impl QueueState {
+    /// Counts one more run in flight until the returned guard drops.
+    fn enter<'a>(&mut self, queue: &'a Mutex<QueueState>) -> Busy<'a> {
+        self.in_flight += 1;
+        Busy(queue)
+    }
+}
+
+/// One pipeline run holding the front busy ([`QueueState::in_flight`]).
+/// Dropping it frees the front — also while unwinding, so a caller that
+/// panics mid-run cannot wedge every later lone miss onto the queue.
+struct Busy<'a>(&'a Mutex<QueueState>);
+
+impl Drop for Busy<'_> {
+    fn drop(&mut self) {
+        plock(self.0).in_flight -= 1;
+    }
 }
 
 /// Locks a service mutex, tolerating poison: the worker catches its own
-/// panics, but a *client* thread can die inside the inline-burst path
-/// while holding the cache lock, and the service must keep refusing (or
+/// panics, but a *client* thread can die inside the inline path while
+/// holding the cache lock, and the service must keep refusing (or
 /// serving) cleanly instead of cascading panics through every submitter.
 /// All states guarded here are safe to take mid-poison — the cache is
 /// regenerable, the queue's invariants are single-field, and the admin
@@ -400,6 +429,9 @@ fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 struct Shared<B> {
     cfg: ServeConfig,
+    /// The backend's [`AdvisorBackend::vertex_dim`], read once at start:
+    /// no adaptation changes the encoder's shape.
+    vertex_dim: usize,
     /// Mirrors `QueueState::shutdown` for the lock-free fast path.
     shutting_down: AtomicBool,
     /// Set (never cleared) when the worker dies on a panic; distinguishes
@@ -438,6 +470,18 @@ impl<B> Shared<B> {
         }
     }
 
+    /// Claims the front for a lone miss if it is idle — nothing queued, no
+    /// run in flight — in the critical section that checks it. `None` when
+    /// busy: the miss rides the queue and batches with whoever is there.
+    /// Refuses as [`Self::enqueue`] does once the service is stopping.
+    fn claim_idle(&self) -> Result<Option<Busy<'_>>, AdvisorError> {
+        let mut q = plock(&self.queue);
+        if q.shutdown {
+            return Err(self.refusal());
+        }
+        Ok((q.items.is_empty() && q.in_flight == 0).then(|| q.enter(&self.queue)))
+    }
+
     /// Moves queued requests into `batch` up to `max_batch`, releases the
     /// queue lock, and wakes submitters parked on a full queue.
     fn drain(&self, mut q: MutexGuard<'_, QueueState>, batch: &mut Vec<Request>) {
@@ -467,19 +511,21 @@ impl<B: AdvisorBackend> Shared<B> {
         slots
     }
 
-    /// Fills every empty slot: one stacked forward over the distinct
-    /// missing fingerprints (N clients asking about one dataset in
-    /// lockstep, or a burst repeating a graph, encode it once), then the
-    /// cache fill. Inserts are generation-tagged, so if a snapshot swap
-    /// raced the forward the cache drops them.
+    /// Every slot's embedding: the cached ones as they are, the empty ones
+    /// from one stacked forward over the distinct missing fingerprints (N
+    /// clients asking about one dataset in lockstep, or a burst repeating a
+    /// graph, encode it once), then the cache fill. Inserts are
+    /// generation-tagged, so if a snapshot swap raced the forward the cache
+    /// drops them. A backend answering fewer embeddings than it was asked
+    /// for is [`AdvisorError::Protocol`].
     fn encode_misses<G: Borrow<FeatureGraph>>(
         &self,
         snap: &B,
         graphs: &[G],
         fps: &[u64],
-        slots: &mut [Option<Vec<f32>>],
+        slots: Vec<Option<Vec<f32>>>,
         path: Path,
-    ) {
+    ) -> Result<Vec<Vec<f32>>, AdvisorError> {
         let mut first: HashMap<u64, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new();
         for (i, slot) in slots.iter().enumerate() {
@@ -491,28 +537,36 @@ impl<B: AdvisorBackend> Shared<B> {
             }
         }
         if unique.is_empty() {
-            return;
+            return Ok(slots.into_iter().flatten().collect());
         }
         let batch: Vec<&FeatureGraph> = unique.iter().map(|&i| graphs[i].borrow()).collect();
-        let fresh = {
+        let mut fresh = {
             let _encode = self.obs.encode_ns[path as usize].start_span();
             snap.embed_graph_batch(&batch)
-        };
+        }
+        .into_iter();
+        let mut embedded: Vec<Vec<f32>> = Vec::with_capacity(slots.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            let embedding = match slot {
+                Some(cached) => cached,
+                None => match first[&fps[i]] {
+                    f if f < i => embedded[f].clone(),
+                    _ => fresh.next().ok_or_else(|| {
+                        AdvisorError::Protocol(format!(
+                            "embed_graph_batch answered fewer than {} embeddings",
+                            batch.len()
+                        ))
+                    })?,
+                },
+            };
+            embedded.push(embedding);
+        }
         let generation = snap.generation();
-        {
-            let mut cache = plock(&self.cache);
-            for (&i, emb) in unique.iter().zip(&fresh) {
-                cache.insert_ref(generation, fps[i], emb);
-            }
+        let mut cache = plock(&self.cache);
+        for &i in &unique {
+            cache.insert_ref(generation, fps[i], &embedded[i]);
         }
-        for (&i, emb) in unique.iter().zip(fresh) {
-            slots[i] = Some(emb);
-        }
-        for i in 0..slots.len() {
-            if slots[i].is_none() {
-                slots[i] = slots[first[&fps[i]]].clone();
-            }
-        }
+        Ok(embedded)
     }
 
     /// One [`AdvisorBackend::predict_batch`] over `reqs` — against a
@@ -522,7 +576,8 @@ impl<B: AdvisorBackend> Shared<B> {
     /// counted when its vote is asked for (see [`ServiceStats`]). A backend
     /// failure fails the whole vote with that typed error, because every
     /// query fans out to the same ranges — a partial answer would let one
-    /// range's failure silently skew a subset.
+    /// range's failure silently skew a subset; an answer count other than
+    /// the request count is [`AdvisorError::Protocol`], before any `put`.
     fn vote(
         &self,
         snap: &B,
@@ -550,6 +605,13 @@ impl<B: AdvisorBackend> Shared<B> {
             let _vote = self.obs.vote_ns[path as usize].start_span();
             snap.predict_batch(reqs)?
         };
+        if answers.len() != reqs.len() {
+            return Err(AdvisorError::Protocol(format!(
+                "predict_batch answered {} of {} queries",
+                answers.len(),
+                reqs.len()
+            )));
+        }
         let generation = snap.generation();
         for (j, (model, scores)) in answers.into_iter().enumerate() {
             put(
@@ -613,13 +675,31 @@ impl<B: AdvisorBackend> Shared<B> {
     }
 }
 
-/// The vote request for slot `i`, which the pipeline has filled.
-fn request(slots: &[Option<Vec<f32>>], i: usize, w: MetricWeights) -> BatchPredictRequest<'_> {
+/// The vote request for one embedding.
+fn request(embedding: &[f32], w: MetricWeights) -> BatchPredictRequest<'_> {
     BatchPredictRequest {
-        embedding: slots[i].as_deref().expect("every request embedded"),
+        embedding,
         w,
         exclude: usize::MAX,
     }
+}
+
+/// The shape the encoder takes, checked before anything reads the graph:
+/// every vertex row `dim` wide and an n × n edge matrix for n vertices
+/// (zero vertices is valid). Anything else would panic inside the stacked
+/// forward, on whichever thread runs it.
+fn check_graph(g: &FeatureGraph, dim: usize) -> Result<(), String> {
+    let n = g.vertices.len();
+    if let Some(row) = g.vertices.iter().find(|row| row.len() != dim) {
+        return Err(format!(
+            "a vertex row is {} wide, the encoder takes {dim}",
+            row.len()
+        ));
+    }
+    if g.edges.len() != n || g.edges.iter().any(|row| row.len() != n) {
+        return Err(format!("the edge matrix is not {n} × {n}"));
+    }
+    Ok(())
 }
 
 /// A cloneable client handle onto a running [`AdvisorService`].
@@ -680,25 +760,29 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
         graph: FeatureGraph,
         w: MetricWeights,
     ) -> Result<Recommendation, AdvisorError> {
-        Ok(self
-            .query(Query::graph(graph, w))?
+        self.query(Query::graph(graph, w))?
             .pop()
-            .expect("one recommendation per graph"))
+            .ok_or_else(|| AdvisorError::Protocol("a one-graph query answered nothing".into()))
     }
 
     /// **The** serving entry point — [`Self::recommend`] and
     /// [`Self::recommend_graph`] lower into it, and bursts call it with
     /// [`Query::graphs`] (owned) or [`Query::graph_refs`] (borrowed: a
     /// graph is cloned only if its request rides the queue to the worker,
-    /// which must outlive the borrow). Every fingerprint is looked up once;
+    /// which must outlive the borrow). Every graph's shape is checked
+    /// first: a vertex row not [`AdvisorBackend::vertex_dim`] wide or an
+    /// edge matrix not n × n is [`AdvisorError::InvalidDataset`], and
+    /// nothing of the query is served. Every fingerprint is looked up once;
     /// cache hits are voted **on the calling thread** against the current
-    /// snapshot (no queue handoff — the KNN vote is microseconds, so
-    /// repeat-heavy traffic never wakes the worker); two or more misses are
-    /// encoded and voted inline (one stacked forward, no handoff); a lone
-    /// miss rides the micro-batch queue so concurrent single-graph clients
-    /// share forwards. Responses come back in input order; each is
-    /// identical to a separate single-graph call. A backend failure (e.g. a
-    /// dark cluster range) fails the whole burst with that typed error.
+    /// snapshot (the KNN vote is microseconds, so repeat-heavy traffic
+    /// never wakes the worker). The misses are encoded and voted on the
+    /// calling thread too (one stacked forward, no handoff) — unless a lone
+    /// miss meets a busy front (something queued, or a worker batch or
+    /// another inline lone miss in flight): that one rides the micro-batch
+    /// queue, so concurrent single-graph clients share forwards. Responses
+    /// come back in input order; each is identical to a separate
+    /// single-graph call. A backend failure (e.g. a dark cluster range)
+    /// fails the whole burst with that typed error.
     pub fn query(&self, q: Query<'_>) -> Result<Vec<Recommendation>, AdvisorError> {
         let Query { mut graphs, w } = q;
         let shared = &*self.shared;
@@ -708,14 +792,19 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
         if shared.shutting_down.load(Ordering::Acquire) {
             return Err(shared.refusal());
         }
+        for (i, g) in graphs.iter().enumerate() {
+            check_graph(g, shared.vertex_dim)
+                .map_err(|why| AdvisorError::InvalidDataset(format!("feature graph {i}: {why}")))?;
+        }
         let snap = shared.current();
         let fps: Vec<u64> = graphs.iter().map(|g| graph_fingerprint(g)).collect();
-        let mut slots = shared.lookup(&snap, &fps);
-        let mut out: Vec<Option<Recommendation>> = (0..graphs.len()).map(|_| None).collect();
-        let (hits, missed): (Vec<usize>, Vec<usize>) =
+        let slots = shared.lookup(&snap, &fps);
+        let mut out: Vec<Option<Recommendation>> = vec![None; graphs.len()];
+        let (hits, mut missed): (Vec<usize>, Vec<usize>) =
             (0..graphs.len()).partition(|&i| slots[i].is_some());
         if !hits.is_empty() {
-            let reqs: Vec<_> = hits.iter().map(|&i| request(&slots, i, w)).collect();
+            let mut reqs = Vec::with_capacity(hits.len());
+            reqs.extend(slots.iter().flatten().map(|e| request(e, w)));
             shared.vote(
                 &snap,
                 &reqs,
@@ -724,11 +813,29 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
                 |j, rec| out[hits[j]] = Some(rec),
             )?;
         }
-        if missed.len() >= INLINE_BURST_MISSES {
-            // The burst is its own micro-batch: the worker's steps, run
-            // here, without the enqueue/park/wake round trip.
-            shared.encode_misses(&snap, &graphs, &fps, &mut slots, Path::Inline);
-            let reqs: Vec<_> = missed.iter().map(|&i| request(&slots, i, w)).collect();
+        // A lone miss runs here only on an idle front, and holds it busy
+        // until its run below is answered (or unwinds).
+        let lone = match missed[..] {
+            [i] => Some(i),
+            _ => None,
+        };
+        let busy = match lone {
+            Some(_) => shared.claim_idle()?,
+            None => None,
+        };
+        if let (Some(i), None) = (lone, &busy) {
+            // Owned submissions move their graph into the request; borrowed
+            // ones clone here — the only point where the worker must
+            // outlive the borrow.
+            let graph = graphs.swap_remove(i).into_owned();
+            out[i] = Some(shared.enqueue(graph, fps[i], w)?);
+            missed.clear();
+        }
+        if !missed.is_empty() {
+            // The worker's steps, run here, without the enqueue/park/wake
+            // round trip.
+            let embedded = shared.encode_misses(&snap, &graphs, &fps, slots, Path::Inline)?;
+            let reqs: Vec<_> = missed.iter().map(|&i| request(&embedded[i], w)).collect();
             shared.vote(
                 &snap,
                 &reqs,
@@ -736,17 +843,14 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
                 Path::Inline,
                 |j, rec| out[missed[j]] = Some(rec),
             )?;
-        } else if let [i] = missed[..] {
-            // Owned submissions move their graph into the request; borrowed
-            // ones clone here — the only point where the worker must
-            // outlive the borrow.
-            let graph = graphs.swap_remove(i).into_owned();
-            out[i] = Some(shared.enqueue(graph, fps[i], w)?);
         }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect())
+        let mut recs = Vec::with_capacity(out.len());
+        for rec in out {
+            recs.push(
+                rec.ok_or_else(|| AdvisorError::Protocol("a request went unanswered".into()))?,
+            );
+        }
+        Ok(recs)
     }
 
     /// The current serving snapshot (for monitoring or direct unbatched
@@ -873,6 +977,9 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
 
     /// [`Self::try_start`] for configs known to be valid; panics where it
     /// returns `Err`.
+    // Audited: the documented panic of the infallible constructor, before
+    // any request exists; `try_start` is the typed way in.
+    #[allow(clippy::expect_used)]
     pub fn start(advisor: B, cfg: ServeConfig) -> Self {
         Self::try_start(advisor, cfg).expect("invalid ServeConfig")
     }
@@ -893,12 +1000,17 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
 
     /// [`Self::try_start_shared`] for configs known to be valid; panics
     /// where it returns `Err`.
+    // Audited: as `start`.
+    #[allow(clippy::expect_used)]
     pub fn start_shared(advisor: Arc<B>, cfg: ServeConfig) -> Self {
         Self::try_start_shared(advisor, cfg).expect("invalid ServeConfig")
     }
 
     /// Fits the detector, seeds the reservoir and spawns the batcher over
     /// a validated config.
+    // Audited: the batcher's spawn fails only when the OS refuses a
+    // thread, at start, before any request exists.
+    #[allow(clippy::expect_used)]
     fn spawn(advisor: Arc<B>, cfg: ServeConfig) -> Self {
         // Register every handle up front (the registry's own mutex, cold
         // path): nothing on the serving path ever registers.
@@ -916,11 +1028,13 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
             )),
             obs,
             cfg,
+            vertex_dim: advisor.vertex_dim(),
             shutting_down: AtomicBool::new(false),
             worker_failed: AtomicBool::new(false),
             queue: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 shutdown: false,
+                in_flight: 0,
             }),
             not_empty: Condvar::new(),
             space: Condvar::new(),
@@ -1058,7 +1172,11 @@ impl<B: AdvisorBackend + 'static> Drop for AdvisorService<B> {
     }
 }
 
-/// The batcher: drain → deadline-wait → one pipeline run → respond.
+/// The batcher: drain → deadline-wait → one pipeline run → respond. The
+/// front is busy from the first drain until the batch's vote returns, so
+/// lone misses arriving meanwhile queue up behind it; it is free again
+/// before the first reply goes out, so a client just answered finds it
+/// idle for its next lone miss.
 fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
     let max_batch = shared.cfg.max_batch;
     loop {
@@ -1073,6 +1191,7 @@ fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
                 .wait(q)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+        let busy = q.enter(&shared.queue);
         shared.drain(q, &mut batch);
         // Straggler pickup, cheapest first: yield once so clients that
         // were about to enqueue (closed-loop callers just woken by the
@@ -1106,8 +1225,8 @@ fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
                 shared.drain(q, &mut batch);
             }
         }
-        // A panic while serving (a malformed graph blowing an encoder
-        // invariant, say) must not strand submitters: without the catch,
+        // A panic while serving (a backend invariant blowing up, say) must
+        // not strand submitters: without the catch,
         // the worker dies with the batch's reply senders *and* every
         // queued sender still alive in the abandoned queue — queued
         // submitters block on `recv` forever. Catch it, fail the service
@@ -1115,7 +1234,7 @@ fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
         // reply senders drop *after* the failure flag is set — their
         // submitters must wake into `WorkerFailed`, not `ShuttingDown`.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_batch(shared, &mut batch)
+            process_batch(shared, &mut batch, busy)
         }));
         if outcome.is_err() {
             fail_service(shared);
@@ -1145,8 +1264,9 @@ fn fail_service<B>(shared: &Shared<B>) {
 /// stacked forward over the misses, then **one** vote for every request
 /// (each with its own weights; a request that hits the cache here is voted
 /// with the rest). A vote failure reaches every submitter in the batch as
-/// the same typed error.
-fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request]) {
+/// the same typed error. The worker's `busy` claim is released before any
+/// reply is sent.
+fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request], busy: Busy<'_>) {
     // The requests just left the queue: close their wait spans first so
     // queue wait never includes encode time.
     for r in batch.iter_mut() {
@@ -1155,24 +1275,26 @@ fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request]) {
     let batch = &*batch;
     let snap = shared.current();
     let fps: Vec<u64> = batch.iter().map(|r| r.fingerprint).collect();
-    let mut slots = shared.lookup(&snap, &fps);
+    let slots = shared.lookup(&snap, &fps);
     let hit: Vec<bool> = slots.iter().map(Option::is_some).collect();
     let graphs: Vec<&FeatureGraph> = batch.iter().map(|r| &r.graph).collect();
-    shared.encode_misses(&snap, &graphs, &fps, &mut slots, Path::Worker);
-    let reqs: Vec<_> = (batch.iter().enumerate())
-        .map(|(j, r)| request(&slots, j, r.w))
-        .collect();
+    let mut busy = Some(busy);
     // A dropped receiver (client gave up) is not an error.
-    let voted = shared.vote(
-        &snap,
-        &reqs,
-        |j| hit[j],
-        Path::Worker,
-        |j, rec| {
-            let _ = batch[j].reply.send(Ok(rec));
-        },
-    );
+    let voted = (shared.encode_misses(&snap, &graphs, &fps, slots, Path::Worker)).and_then(|e| {
+        let reqs: Vec<_> = batch.iter().zip(&e).map(|(r, e)| request(e, r.w)).collect();
+        shared.vote(
+            &snap,
+            &reqs,
+            |j| hit[j],
+            Path::Worker,
+            |j, rec| {
+                drop(busy.take());
+                let _ = batch[j].reply.send(Ok(rec));
+            },
+        )
+    });
     if let Err(e) = voted {
+        drop(busy);
         for r in batch {
             let _ = r.reply.send(Err(e.clone()));
         }

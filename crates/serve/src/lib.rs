@@ -5,10 +5,11 @@
 //! [`autoce::AdvisorBackend`] — the in-process [`autoce::AutoCe`] at any
 //! shard count (the default backend) or `ce-cluster`'s coordinator:
 //!
-//! * [`batch`]: the concurrent service — requests from any number of
-//!   client threads are micro-batched (bounded queue + batch deadline)
-//!   into single stacked forwards, served from immutable snapshots so a
-//!   refresh never blocks a read; online adaptation (§V-E) clones the
+//! * [`batch`]: the concurrent service — a submission's cache misses are
+//!   served on the calling thread in one stacked forward, and lone misses
+//!   from concurrent clients that meet a busy front are micro-batched
+//!   (bounded queue + batch deadline) by a worker instead; everything is
+//!   served from immutable snapshots so a refresh never blocks a read; online adaptation (§V-E) clones the
 //!   snapshot, adapts it over a [`Reservoir`] sample of the RCS and swaps
 //!   it in. Its public surface returns the unified
 //!   [`autoce::AdvisorError`].

@@ -2,15 +2,23 @@
 //! backend calls (which `embed_graph_batch` / `predict_batch`, with which
 //! arguments, in which order), every answer, both ledgers and every metric
 //! sample, folded into one FNV-1a checksum over a scripted single-client
-//! session that walks every serving path — lone misses (worker), repeats
-//! (cache hit), bursts with in-burst duplicates (inline), hits mixed with
-//! one miss and with several, an empty query, and more distinct graphs
-//! than the cache holds (evictions).
+//! session — lone misses (inline: one client always meets an idle front),
+//! repeats (cache hit), bursts with in-burst duplicates (inline), hits
+//! mixed with one miss and with several, an empty query, and more distinct
+//! graphs than the cache holds (evictions). The worker path needs a second
+//! client; `tests/front.rs` drives it.
 //!
-//! The constant was captured before the three copies of lookup → encode →
-//! vote in `ce-serve::batch` became one; a refactor of the pipeline must
-//! leave it unchanged. Histograms contribute their counts only (their sums
-//! are wall-clock).
+//! Two constants. `PIPELINE_STABLE_FNV1A` folds the backend calls, the
+//! answers and the ledgers, and no `path`-labelled metric sample: it was
+//! captured while lone misses still rode the queue, and held when they
+//! moved onto the calling thread. It leaves out `CacheStats::misses`,
+//! which counts cache lookups, and a queued request is looked up twice (at
+//! admission and again when the worker drains it). `PIPELINE_FNV1A` folds
+//! everything, metric samples included; it was re-captured when lone misses
+//! moved from the worker to the calling thread, which moved exactly their
+//! `path` label (`worker` → `inline`), the `ce_serve_queue_wait_ns` count
+//! and that second lookup. Histograms contribute their counts only (their
+//! sums are wall-clock).
 
 use autoce::fixtures::synthetic_flat;
 use autoce::online::DriftDetector;
@@ -24,7 +32,8 @@ use ce_serve::{
 use ce_testbed::{DatasetLabel, MetricWeights};
 use std::sync::{Arc, Mutex};
 
-const PIPELINE_FNV1A: u64 = 0x1c16_8ae0_68cb_54ef;
+const PIPELINE_FNV1A: u64 = 0x214e_c4d5_3560_a0f5;
+const PIPELINE_STABLE_FNV1A: u64 = 0x350b_8bd6_1b6f_3a1f;
 
 /// FNV-1a, 64-bit, fed word by word (little-endian bytes).
 struct Fnv(u64);
@@ -79,6 +88,10 @@ impl AdvisorBackend for Recording {
 
     fn feature_config(&self) -> FeatureConfig {
         AdvisorBackend::feature_config(&self.inner)
+    }
+
+    fn vertex_dim(&self) -> usize {
+        AdvisorBackend::vertex_dim(&self.inner)
     }
 
     fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
@@ -186,20 +199,21 @@ fn the_request_pipeline_is_the_captured_sequence() {
 
     // (owned?, graph indices) per scripted call.
     let script: [(bool, &[usize]); 12] = [
-        (true, &[0]),                              // lone miss: worker
+        (true, &[0]),                              // lone miss: inline
         (false, &[0]),                             // repeat: hit
         (true, &[1, 2, 1, 3]),                     // inline burst, in-burst duplicate
         (false, &[0, 2, 4]),                       // hits + one miss
         (true, &[1, 5, 6, 5, 3]),                  // hits + several misses
         (true, &[]),                               // empty query
         (false, &[7, 8, 9, 10, 11]),               // evictions
-        (true, &[0]),                              // evicted: lone miss again
+        (true, &[0]),                              // evicted: lone miss again, inline
         (false, &[11, 10, 0, 7]),                  // mixed after churn
         (true, &[2, 2]),                           // duplicate pair
         (false, &[3]),                             // lone
         (true, &[4, 5, 6, 7, 8, 9, 10, 11, 0, 1]), // a burst wider than max_batch
     ];
     let mut h = Fnv::new();
+    let mut stable = Fnv::new();
     for (call, (owned, idx)) in script.iter().enumerate() {
         let w = MetricWeights::new(0.1 * (call % 10) as f64);
         let recs = if *owned {
@@ -213,14 +227,17 @@ fn the_request_pipeline_is_the_captured_sequence() {
         }
         .expect("scripted query");
         assert_eq!(recs.len(), idx.len());
-        h.u64(recs.len() as u64);
-        for r in &recs {
-            fold_answer(&mut h, r);
+        for h in [&mut h, &mut stable] {
+            h.u64(recs.len() as u64);
+            for r in &recs {
+                fold_answer(h, r);
+            }
         }
         let single = handle
             .recommend_graph(g[(call * 5) % g.len()].clone(), w)
             .expect("single");
         fold_answer(&mut h, &single);
+        fold_answer(&mut stable, &single);
     }
 
     let stats = service.stats();
@@ -232,6 +249,7 @@ fn the_request_pipeline_is_the_captured_sequence() {
         stats.adaptations,
     ] {
         h.u64(v);
+        stable.u64(v);
     }
     let cache = service.cache_stats();
     for v in [
@@ -245,6 +263,17 @@ fn the_request_pipeline_is_the_captured_sequence() {
         cache.capacity as u64,
     ] {
         h.u64(v);
+    }
+    for v in [
+        cache.hits,
+        cache.inserts,
+        cache.rejected_first_touch,
+        cache.rejected_stale_generation,
+        cache.rejected_disabled,
+        cache.resident as u64,
+        cache.capacity as u64,
+    ] {
+        stable.u64(v);
     }
     for s in &service.metrics_snapshot().samples {
         h.str(&s.name);
@@ -261,10 +290,18 @@ fn the_request_pipeline_is_the_captured_sequence() {
     service.shutdown();
 
     let log = backend.log.lock().expect("log lock").clone();
-    h.u64(log.len() as u64);
-    for word in log {
-        h.u64(word);
+    for h in [&mut h, &mut stable] {
+        h.u64(log.len() as u64);
+        for &word in &log {
+            h.u64(word);
+        }
     }
+    assert_eq!(
+        stable.0, PIPELINE_STABLE_FNV1A,
+        "what the service asks of its backend, or what it answers or counts, moved \
+         (0x{:016x})",
+        stable.0
+    );
     assert_eq!(
         h.0, PIPELINE_FNV1A,
         "the serving pipeline changed: backend calls, answers, ledgers or metrics moved \

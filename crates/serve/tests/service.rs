@@ -3,6 +3,7 @@
 //! and swap snapshots without disturbing concurrent readers.
 
 mod common;
+mod faulty;
 
 use autoce::{AdvisorBackend, AdvisorError, AutoCe};
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
@@ -12,6 +13,7 @@ use ce_storage::Dataset;
 use ce_testbed::MetricWeights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn serve_config() -> ServeConfig {
@@ -210,6 +212,67 @@ fn a_malformed_dataset_is_refused_not_panicked_on() {
     service.shutdown();
 }
 
+/// A `FeatureGraph` is all `pub` fields too. One whose vertex rows are not
+/// the encoder's width, or whose edge matrix is not n × n, used to panic
+/// inside the stacked forward — on the worker (the service was
+/// `WorkerFailed` for good) or, inline, on the caller. Now it is refused
+/// at admission on every path, before it is fingerprinted: a lone graph or
+/// one in a burst fails its whole query with `InvalidDataset`, nothing of
+/// it is served or counted, and the service keeps answering. Zero vertices
+/// is a valid shape.
+#[test]
+fn a_malformed_feature_graph_is_refused_alone() {
+    let (datasets, flat) = common::trained_advisor(6, 0xbad6);
+    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), serve_config());
+    let handle = service.handle();
+    let w = MetricWeights::new(0.5);
+    let good = extract_features(&datasets[0], &flat.config.feature);
+    let expected = handle
+        .recommend_graph(good.clone(), w)
+        .expect("well-formed");
+
+    let breaks: [fn(&mut ce_features::FeatureGraph); 4] = [
+        |g| g.vertices[0].truncate(1),
+        |g| g.vertices.push(vec![0.5; 3]),
+        |g| {
+            g.edges.pop();
+        },
+        |g| g.edges[0].push(0.0),
+    ];
+    for (i, break_it) in breaks.iter().enumerate() {
+        let mut broken = good.clone();
+        break_it(&mut broken);
+        for query in [
+            Query::graph(broken.clone(), w),
+            Query::graphs(vec![good.clone(), broken.clone(), good.clone()], w),
+        ] {
+            match handle.query(query) {
+                Err(AdvisorError::InvalidDataset(why)) => {
+                    assert!(why.contains("feature graph"), "{why}")
+                }
+                other => panic!("malformed graph {i} must be refused, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(service.stats().requests, 1, "nothing refused was counted");
+
+    let empty = ce_features::FeatureGraph {
+        vertices: Vec::new(),
+        edges: Vec::new(),
+    };
+    let rec = handle
+        .recommend_graph(empty.clone(), w)
+        .expect("zero vertices");
+    let x = AdvisorBackend::embed_graph_batch(&flat, &[&empty]).remove(0);
+    assert_eq!((rec.model, rec.scores), flat.predict_from_embedding(&x, w));
+    let again = handle.recommend_graph(good, w).expect("still serving");
+    assert_eq!(
+        (again.model, again.scores),
+        (expected.model, expected.scores)
+    );
+    service.shutdown();
+}
+
 #[test]
 fn adapt_with_reservoir_trains_on_bounded_subset() {
     let (_, flat) = common::trained_advisor(16, 0xb0b);
@@ -246,7 +309,13 @@ fn adapt_with_reservoir_trains_on_bounded_subset() {
 /// submitter facing a full queue wakes the worker before parking on the
 /// space condvar (regression test for a mutual deadlock where the worker
 /// was only notified after a full burst was enqueued). Each submission is
-/// a lone miss, so every request rides the queue.
+/// a lone miss, which queues only on a busy front, so the first round is
+/// held there: one client's inline run is held at the backend's gate
+/// before the other seven start, and the worker's first batch is held
+/// too, until every client has looked its graph up. One request is then
+/// inline, the held batch has at most `max_batch` (2) and the queue
+/// `queue_capacity` (3) — so at least two of the seven are parked on the
+/// full queue, and the gate opens only after they had time to park.
 #[test]
 fn burst_larger_than_queue_capacity_completes() {
     let (datasets, flat) = common::trained_advisor(8, 0xb157);
@@ -256,7 +325,12 @@ fn burst_larger_than_queue_capacity_completes() {
         max_batch: 2,
         ..serve_config()
     };
-    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), cfg);
+    let backend = Arc::new(faulty::Faulty::new(
+        AutoCe::from_advisor(&flat, 2),
+        &[0, 1],
+        None,
+    ));
+    let service = AdvisorService::start_shared(backend.clone(), cfg);
     let w = MetricWeights::new(0.6);
     let graphs: Vec<_> = datasets
         .iter()
@@ -268,7 +342,8 @@ fn burst_larger_than_queue_capacity_completes() {
         .collect();
     // 8 client threads × 4 single distinct misses through a 3-slot queue.
     std::thread::scope(|scope| {
-        for t in 0..8 {
+        let gate = backend.opener();
+        let client = |t: usize| {
             let handle = service.handle();
             let (graphs, expected) = (&graphs, &expected);
             scope.spawn(move || {
@@ -280,7 +355,29 @@ fn burst_larger_than_queue_capacity_completes() {
                     assert_eq!((rec.model, rec.scores), expected[j].clone(), "thread {t}");
                 }
             });
-        }
+        };
+        // Call 0 is client 0's inline run, call 1 the worker's first batch.
+        client(0);
+        assert_eq!(
+            backend.wait_for_calls(1),
+            [1],
+            "a lone miss on an idle front"
+        );
+        (1..8).for_each(client);
+        let held = backend.wait_for_calls(2)[1] as u64;
+        assert!(
+            (1..=2).contains(&held),
+            "the worker batch is at most max_batch"
+        );
+        // Each first-round submitter looks its graph up once, the worker
+        // each request of its batch once more; nobody gets past round 0
+        // while the gate is shut.
+        faulty::wait_until("every client has looked its graph up", || {
+            service.cache_stats().misses == 8 + held
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(backend.calls().len(), 2, "nothing ran past the gate");
+        drop(gate);
     });
     let stats = service.stats();
     assert_eq!((stats.requests, stats.cache_misses), (32, 32));
@@ -342,84 +439,138 @@ fn shutdown_rejects_new_requests() {
     );
 }
 
-/// A worker panic (here: a malformed graph blowing an encoder shape
-/// invariant inside the stacked forward) must fail the service cleanly:
-/// the submitter that poisoned the batch — and every submitter after it —
-/// gets `Err(WorkerFailed)` instead of hanging forever on a reply channel
-/// whose sender died with the worker.
+/// A worker panic (here: a backend that panics on its second encode) must
+/// fail the service cleanly: the submitter whose batch it was — and every
+/// submitter after it — gets `Err(WorkerFailed)` instead of hanging
+/// forever on a reply channel whose sender died with the worker. A lone
+/// miss reaches the worker only on a busy front, so the first client's
+/// inline run is held at the backend's gate while the second client's
+/// lone miss queues.
 #[test]
 fn worker_panic_fails_submitters_instead_of_hanging() {
     let (datasets, flat) = common::trained_advisor(6, 0xdead);
-    // A lone miss rides the queue to the worker (an inline burst would
-    // panic the *caller*, which is not the failure mode under test).
     let cfg = ServeConfig {
         cache_capacity: 0,
         ..serve_config()
     };
-    let service = AdvisorService::start(AutoCe::from_advisor(&flat, 2), cfg);
-    let handle = service.handle();
+    let backend = Arc::new(faulty::Faulty::new(
+        AutoCe::from_advisor(&flat, 2),
+        &[0],
+        Some(1),
+    ));
+    let service = AdvisorService::start_shared(backend.clone(), cfg);
     let w = MetricWeights::new(0.5);
-    // Vertex width disagrees with the encoder's input dimension.
-    let poison = ce_features::FeatureGraph {
-        vertices: vec![vec![0.0]],
-        edges: vec![vec![0.0]],
-    };
+    let graphs: Vec<_> = datasets
+        .iter()
+        .map(|ds| extract_features(ds, &flat.config.feature))
+        .collect();
+    std::thread::scope(|scope| {
+        let gate = backend.opener();
+        let (handle, graph) = (service.handle(), graphs[0].clone());
+        let first = scope.spawn(move || handle.recommend_graph(graph, w));
+        backend.wait_for_calls(1);
+        assert_eq!(
+            service.handle().recommend_graph(graphs[1].clone(), w),
+            Err(AdvisorError::WorkerFailed),
+            "the submitter whose batch panicked must get an error, not a hang"
+        );
+        drop(gate);
+        // The held run was the first client's own, on its own thread: it
+        // finishes with the flat advisor's bits.
+        let rec = first
+            .join()
+            .expect("the inline run does not panic")
+            .expect("admitted before the worker failed");
+        let x = flat.embed_graph(&graphs[0]);
+        assert_eq!((rec.model, rec.scores), flat.predict_from_embedding(&x, w));
+    });
     assert_eq!(
-        handle.recommend_graph(poison, w),
-        Err(AdvisorError::WorkerFailed),
-        "the poisoning submitter must get an error, not a hang"
+        backend.calls(),
+        [1, 1],
+        "the second lone miss was the worker's"
     );
     // The service is terminally failed: well-formed requests are refused
     // with the same diagnosis (not ShuttingDown, which would suggest an
     // orderly stop).
-    let graph = extract_features(&datasets[0], &flat.config.feature);
     assert_eq!(
-        handle.recommend_graph(graph, w),
+        service.handle().recommend_graph(graphs[2].clone(), w),
         Err(AdvisorError::WorkerFailed)
     );
     // Dropping the service joins the (already dead) worker cleanly.
     drop(service);
 }
 
+/// Path counts `(inline, worker)` from a service's metrics.
+fn inline_and_worker(service: &AdvisorService<impl AdvisorBackend + 'static>) -> (u64, u64) {
+    let snap = service.metrics_snapshot();
+    let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
+    (path("inline"), path("worker"))
+}
+
 /// An RCS with nothing to select fails the request, not the service: the
-/// vote answers `EmptyRcs` on every path — the worker (a lone miss), the
-/// cache-hit path (the 4-burst repeats the graph the first miss cached)
-/// and the inline path (a burst of new graphs) — and the worker is still
-/// there for the next caller. (The tuple forms used to `assert!` inside
-/// the batcher: one miss and the service was `WorkerFailed` for good.)
+/// vote answers `EmptyRcs` on every path and the worker is still there for
+/// the next caller. (The tuple forms used to `assert!` inside the batcher:
+/// one miss and the service was `WorkerFailed` for good.) A lone miss
+/// reaches the worker only on a busy front, so a first client's inline
+/// run is held at the backend's gate while two lone misses queue: the
+/// worker answers both `EmptyRcs` — the second proves it survived the
+/// first. Then the cache-hit path (a 4-burst repeating a graph the worker
+/// cached) and the inline path (a burst of new graphs) answer it too.
 /// Failed votes still count: a request is counted when its vote is asked
 /// for.
 #[test]
 fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
-    fn check<B: autoce::AdvisorBackend + 'static>(empty: B) {
+    fn check<B: AdvisorBackend + 'static>(empty: B) {
         let graph = |v: f32| ce_features::FeatureGraph {
             vertices: vec![vec![v, 0.3, 0.3, 0.3]],
             edges: vec![vec![0.0]],
         };
         let w = MetricWeights::new(0.5);
-        let service = AdvisorService::start(empty, serve_config());
+        let backend = Arc::new(faulty::Faulty::new(empty, &[0], None));
+        let cfg = ServeConfig {
+            metrics: autoce::MetricsRegistry::new(),
+            ..serve_config()
+        };
+        let service = AdvisorService::start_shared(backend.clone(), cfg);
         let handle = service.handle();
-        assert_eq!(
-            handle.recommend_graph(graph(0.3), w),
-            Err(AdvisorError::EmptyRcs)
-        );
+        std::thread::scope(|scope| {
+            let gate = backend.opener();
+            let first = {
+                let handle = service.handle();
+                scope.spawn(move || handle.recommend_graph(graph(0.9), w))
+            };
+            backend.wait_for_calls(1);
+            assert_eq!(
+                handle.recommend_graph(graph(0.3), w),
+                Err(AdvisorError::EmptyRcs)
+            );
+            assert_eq!(
+                service.handle().recommend_graph(graph(0.2), w),
+                Err(AdvisorError::EmptyRcs),
+                "a later caller gets the request's error, not WorkerFailed"
+            );
+            assert_eq!(backend.calls(), [1, 1, 1], "two worker batches ran");
+            drop(gate);
+            assert_eq!(
+                first.join().expect("the inline run returns"),
+                Err(AdvisorError::EmptyRcs)
+            );
+        });
+        assert_eq!(inline_and_worker(&service), (1, 2));
+        let stats =
+            |s: ce_serve::ServiceStats| (s.requests, s.batches, s.cache_hits, s.cache_misses);
+        assert_eq!(stats(service.stats()), (3, 3, 0, 3));
         assert_eq!(
             handle.query(Query::graphs(vec![graph(0.3); 4], w)),
             Err(AdvisorError::EmptyRcs)
         );
+        assert_eq!(stats(service.stats()), (7, 3, 4, 3));
         assert_eq!(
-            service.handle().recommend_graph(graph(0.3), w),
-            Err(AdvisorError::EmptyRcs),
-            "a later caller gets the request's error, not WorkerFailed"
-        );
-        let stats =
-            |s: ce_serve::ServiceStats| (s.requests, s.batches, s.cache_hits, s.cache_misses);
-        assert_eq!(stats(service.stats()), (6, 1, 5, 1));
-        assert_eq!(
-            handle.query(Query::graphs(vec![graph(0.1), graph(0.2)], w)),
+            handle.query(Query::graphs(vec![graph(0.1), graph(0.4)], w)),
             Err(AdvisorError::EmptyRcs)
         );
-        assert_eq!(stats(service.stats()), (8, 2, 5, 3));
+        assert_eq!(stats(service.stats()), (9, 4, 4, 5));
+        assert_eq!(inline_and_worker(&service), (3, 2));
         service.shutdown();
     }
     let flat = || autoce::fixtures::synthetic_flat(0, 2);
@@ -430,20 +581,27 @@ fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
 /// A NaN or ±∞ feature survives the encoder into the query embedding, where
 /// `knn_order` used to panic the batcher — and every later request of every
 /// caller answered `WorkerFailed`. Each backend now refuses the batch typed
-/// before scanning: a NaN graph alone (the worker path), a +∞ graph in a
-/// burst (inline) and the cached NaN embedding asked again (the hit path)
-/// all answer `InvalidDataset`, and the next valid request gets the flat
-/// advisor's bits. Refused votes still count: a request is counted when
-/// its vote is asked for.
+/// before scanning. A NaN graph alone reaches the worker while a first
+/// client's inline run is held at the backend's gate (a lone miss queues
+/// only on a busy front) and is refused; the worker's next batch, a valid
+/// graph, gets the flat advisor's bits. Then a +∞ graph in a burst
+/// (inline) and the cached NaN embedding asked again (the hit path) are
+/// refused too, and the next valid request is answered. Refused votes
+/// still count: a request is counted when its vote is asked for.
 #[test]
 fn a_non_finite_query_is_refused_not_panicked_on() {
-    fn check<B: autoce::AdvisorBackend + 'static>(backend: B, flat: &autoce::AutoCe) {
+    fn check<B: AdvisorBackend + 'static>(backend: B, flat: &autoce::AutoCe) {
         let graph = |v: f32| ce_features::FeatureGraph {
             vertices: vec![vec![v, 0.3, 0.3, 0.3]],
             edges: vec![vec![0.0]],
         };
         let w = MetricWeights::new(0.5);
-        let service = AdvisorService::start(backend, serve_config());
+        let backend = Arc::new(faulty::Faulty::new(backend, &[0], None));
+        let cfg = ServeConfig {
+            metrics: autoce::MetricsRegistry::new(),
+            ..serve_config()
+        };
+        let service = AdvisorService::start_shared(backend.clone(), cfg);
         let handle = service.handle();
         fn refused<T: std::fmt::Debug>(got: Result<T, AdvisorError>) {
             assert!(
@@ -451,18 +609,38 @@ fn a_non_finite_query_is_refused_not_panicked_on() {
                 "{got:?}"
             );
         }
-        refused(handle.recommend_graph(graph(f32::NAN), w));
+        let flat_answer = |v: f32| flat.predict_from_embedding(&flat.embed_graph(&graph(v)), w);
+        std::thread::scope(|scope| {
+            let gate = backend.opener();
+            let first = {
+                let handle = service.handle();
+                scope.spawn(move || handle.recommend_graph(graph(0.4), w))
+            };
+            backend.wait_for_calls(1);
+            refused(handle.recommend_graph(graph(f32::NAN), w));
+            let rec = handle
+                .recommend_graph(graph(0.5), w)
+                .expect("the worker keeps answering");
+            assert_eq!((rec.model, rec.scores), flat_answer(0.5));
+            assert_eq!(backend.calls(), [1, 1, 1], "two worker batches ran");
+            drop(gate);
+            let rec = first
+                .join()
+                .expect("the inline run returns")
+                .expect("served");
+            assert_eq!((rec.model, rec.scores), flat_answer(0.4));
+        });
+        assert_eq!(inline_and_worker(&service), (1, 2));
         let burst = vec![graph(0.1), graph(f32::INFINITY), graph(0.2)];
         refused(handle.query(Query::graphs(burst, w)));
         refused(handle.recommend_graph(graph(f32::NAN), w));
         let rec = handle
-            .recommend_graph(graph(0.4), w)
+            .recommend_graph(graph(0.6), w)
             .expect("the service keeps answering");
-        let want = flat.predict_from_embedding(&flat.embed_graph(&graph(0.4)), w);
-        assert_eq!((rec.model, rec.scores), want);
+        assert_eq!((rec.model, rec.scores), flat_answer(0.6));
         let stats =
             |s: ce_serve::ServiceStats| (s.requests, s.batches, s.cache_hits, s.cache_misses);
-        assert_eq!(stats(service.stats()), (6, 3, 1, 5));
+        assert_eq!(stats(service.stats()), (8, 5, 1, 7));
         service.shutdown();
     }
     let flat = autoce::fixtures::synthetic_flat(9, 2);
