@@ -10,10 +10,8 @@
 //! 1. **Coarse stage**: seeded k-means ([`mod@ce_nn::kmeans`]) partitions the
 //!    embeddings (IVF). A query makes one lane-per-row pass over the packed
 //!    centroids ([`PackedRows`]), which gives every exact centroid
-//!    distance; it ranks partitions by those — or by the i8/f16 kernels of
-//!    [`ce_nn::index`] — and a partial select picks the closest few to
-//!    probe. Quantization error here can change *which partitions are
-//!    probed*, never an answer.
+//!    distance; it ranks partitions by those, and a partial select picks
+//!    the closest few to probe.
 //! 2. **Exact re-rank**: every candidate in a probed partition gets its
 //!    exact `f32` distance from one lane-per-row pass over that
 //!    partition's packed member block — each the bits of [`euclidean`],
@@ -22,9 +20,9 @@
 //!
 //! The result is returned **only once it is provably the flat scan's**: for
 //! every unprobed partition `p`, the triangle-inequality bound
-//! `d(x, c_p) − radius_p` (exact `f32` from the same coarse pass, whatever
-//! the quantization mode) must exceed the k-th candidate distance by a
-//! margin plus a conservative float-error slack. Strict inequality is
+//! `d(x, c_p) − radius_p` (exact `f32` from the same coarse pass) must
+//! exceed the k-th candidate distance by a margin plus a conservative
+//! float-error slack. Strict inequality is
 //! required because [`knn_order`] breaks distance ties by RCS index — an
 //! unprobed entry merely *tying* the k-th distance could win the slot. If
 //! any partition fails the bound, the query **widens**: it doubles its
@@ -60,29 +58,22 @@
 
 use crate::backend::{validate_nonzero, AdvisorError};
 use crate::knn::{top_k_onto, Scratch};
-use ce_nn::index::{
-    i8_scale, quantize_f16, quantize_i8, quantize_i8_into, sq_dists_f16, sq_dists_i8,
-};
 use ce_nn::kmeans::kmeans;
 use ce_nn::packed::PackedRows;
 use ce_obs::{Counter, Histogram, MetricsRegistry, COUNT_BUCKETS, LATENCY_NS_BUCKETS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Storage format of the coarse-stage centroids. Only partition
-/// *selection* ever reads the quantized form; the admissibility bound and
-/// the re-rank always use exact `f32`, so every mode is bit-identical to
-/// every other. Since the coarse pass computes every exact centroid
-/// distance for the bound anyway, a quantized mode only adds its own
-/// proxy pass: `Exact` is the cheapest mode.
+/// Ignored: the coarse pass ranks partitions by the exact centroid
+/// distances it computes for the admissibility bound. Kept only so that
+/// callers of [`IndexConfigBuilder::quant`] still compile; no config
+/// stores it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuantMode {
-    /// Exact `f32` centroid distances for partition selection too.
     #[default]
     Exact,
-    /// Symmetric i8 codes; integer kernels, fully vectorizable.
     I8,
-    /// IEEE binary16 centroids, dequantized on the fly.
     F16,
 }
 
@@ -104,8 +95,6 @@ pub struct IndexConfig {
     /// correct; a positive margin trades extra widening for headroom
     /// against adversarially tight layouts.
     pub margin: f32,
-    /// Coarse-stage centroid storage (see [`QuantMode`]).
-    pub quant: QuantMode,
     /// RCS size below which no index is built and every query takes the
     /// flat scan — at small sizes the scan wins outright. Must be ≥ the
     /// advisor's `k` (validated where `k` is known), so an engaged index
@@ -127,7 +116,6 @@ impl Default for IndexConfig {
             partitions: 64,
             probe: 6,
             margin: 0.0,
-            quant: QuantMode::Exact,
             min_rcs_for_index: 256,
             kmeans_iters: 8,
             sample_cap: 8192,
@@ -215,9 +203,9 @@ impl IndexConfigBuilder {
         self
     }
 
-    /// Sets the coarse-stage quantization mode.
-    pub fn quant(mut self, quant: QuantMode) -> Self {
-        self.cfg.quant = quant;
+    /// Ignored (see [`QuantMode`]): returns the builder unchanged.
+    #[doc(hidden)]
+    pub fn quant(self, _: QuantMode) -> Self {
         self
     }
 
@@ -302,10 +290,6 @@ pub struct KnnIndex {
     /// fifteen padding rows per partition. Like `packed`, a layout, not
     /// a decision of the build: not part of the structure checksum.
     blocks: Vec<PackedRows>,
-    /// Quantized centroids (same layout) for the non-exact modes.
-    quant_i8: Vec<i8>,
-    i8_inv: f32,
-    quant_f16: Vec<u16>,
     obs: IndexObs,
 }
 
@@ -377,32 +361,16 @@ impl KnnIndex {
             })
             .collect();
 
-        let centroids: Vec<f32> = km.centroids.iter().flatten().copied().collect();
-        let (mut quant_i8, mut i8_inv, mut quant_f16) = (Vec::new(), 1.0f32, Vec::new());
-        match cfg.quant {
-            QuantMode::Exact => {}
-            QuantMode::I8 => {
-                let max_abs = centroids.iter().fold(0f32, |m, &x| m.max(x.abs()));
-                let scale = i8_scale(max_abs);
-                quant_i8 = quantize_i8(&centroids, scale);
-                i8_inv = 1.0 / scale;
-            }
-            QuantMode::F16 => quant_f16 = quantize_f16(&centroids),
-        }
-
         Some(KnnIndex {
             cfg: cfg.clone(),
             generation,
             len: n,
             dim,
-            centroids,
+            centroids: km.centroids.iter().flatten().copied().collect(),
             packed: PackedRows::from_rows(&km.centroids),
             radii,
             members,
             blocks,
-            quant_i8,
-            i8_inv,
-            quant_f16,
             obs,
         })
     }
@@ -425,35 +393,14 @@ impl KnnIndex {
 
     /// The coarse pass: one packed kernel call leaves every centroid's
     /// exact distance in `scratch.dists` (`euclidean`'s bits), then each
-    /// partition's `(proxy, partition index)` key goes to `scratch.keys`,
-    /// in partition order. The proxy is the exact distance or, in a
-    /// quantized mode, its i8 / f16 stand-in — every centroid's from one
-    /// batched kernel call; ties and quantization error only steer
-    /// probing, never results.
+    /// partition's `(distance, partition index)` key goes to
+    /// `scratch.keys`, in partition order. Ties only steer probing, never
+    /// results.
     fn coarse(&self, query: &[f32], scratch: &mut Scratch) {
         self.packed.dists_into(query, &mut scratch.dists);
         let keys = &mut scratch.keys;
         keys.clear();
-        match self.cfg.quant {
-            QuantMode::Exact => keys.extend(
-                (scratch.dists.iter().enumerate()).map(|(c, &d)| order_key(f32_rank(d), c)),
-            ),
-            QuantMode::I8 => {
-                quantize_i8_into(query, 1.0 / self.i8_inv, &mut scratch.codes);
-                sq_dists_i8(&scratch.codes, &self.quant_i8, &mut scratch.proxies_i8);
-                keys.extend(
-                    (scratch.proxies_i8.iter().enumerate())
-                        .map(|(c, &d)| order_key(i32_rank(d), c)),
-                );
-            }
-            QuantMode::F16 => {
-                sq_dists_f16(query, &self.quant_f16, &mut scratch.proxies_f16);
-                keys.extend(
-                    (scratch.proxies_f16.iter().enumerate())
-                        .map(|(c, &d)| order_key(f32_rank(d), c)),
-                );
-            }
-        }
+        keys.extend((scratch.dists.iter().enumerate()).map(|(c, &d)| order_key(f32_rank(d), c)));
     }
 
     /// Two-stage query: probes the closest partitions, exactly re-ranks
@@ -541,8 +488,7 @@ impl KnnIndex {
     /// The admissibility bound over a sorted candidate `list`: it holds
     /// `k` entries, and every unprobed, non-empty partition is provably
     /// too far to contribute — or even tie — a top-k slot. All distances
-    /// here are the coarse pass's exact f32 (`coarse[c]`), whatever the
-    /// coarse mode.
+    /// here are the coarse pass's exact f32 (`coarse[c]`).
     fn admits<I>(&self, list: &[(I, f32)], k: usize, unprobed: &[u64], coarse: &[f32]) -> bool {
         let Some(&(_, d_k)) = list.get(k - 1) else {
             return false;
@@ -601,8 +547,9 @@ fn select_least(keys: &mut [u64], from: usize, to: usize) {
     rest[..n].sort_unstable();
 }
 
-/// `(proxy, partition)` as one integer: its unsigned order is the proxy
-/// rank's, then the partition index's — the coarse stage's total order.
+/// `(distance, partition)` as one integer: its unsigned order is the
+/// distance rank's, then the partition index's — the coarse stage's total
+/// order.
 fn order_key(rank: u32, partition: usize) -> u64 {
     (u64::from(rank) << 32) | partition as u64
 }
@@ -621,11 +568,6 @@ fn f32_rank(x: f32) -> u32 {
     } else {
         !bits
     }
-}
-
-/// An `i32`'s place in signed order, as an unsigned integer.
-fn i32_rank(x: i32) -> u32 {
-    (x as u32) ^ (1 << 31)
 }
 
 impl KnnIndex {
@@ -660,7 +602,6 @@ impl std::fmt::Debug for KnnIndex {
             .field("len", &self.len)
             .field("dim", &self.dim)
             .field("partitions", &self.radii.len())
-            .field("quant", &self.cfg.quant)
             .field(
                 "structure",
                 &format_args!("{:#018x}", self.structure_checksum()),
@@ -674,7 +615,6 @@ impl std::fmt::Debug for KnnIndex {
 mod tests {
     use super::*;
     use crate::knn::top_k;
-    use ce_nn::index::{sq_dist_f16, sq_dist_i8};
     use ce_nn::matrix::euclidean;
     use proptest::prelude::*;
     use rand::Rng;
@@ -684,30 +624,13 @@ mod tests {
         &ix.centroids[c * ix.dim..(c + 1) * ix.dim]
     }
 
-    /// The coarse order before the packed pass: one proxy per centroid,
-    /// ascending `(proxy, partition index)` by a full sort.
+    /// The coarse order before the packed pass: one scalar `euclidean`
+    /// per centroid, ascending `(distance, partition index)` by a full
+    /// sort.
     fn partition_order(ix: &KnnIndex, query: &[f32]) -> Vec<u32> {
-        let p = ix.radii.len();
-        let mut order: Vec<(f64, u32)> = match ix.cfg.quant {
-            QuantMode::Exact => (0..p)
-                .map(|c| (euclidean(query, centroid(ix, c)) as f64, c as u32))
-                .collect(),
-            QuantMode::I8 => {
-                let qq = quantize_i8(query, 1.0 / ix.i8_inv);
-                (0..p)
-                    .map(|c| {
-                        let chunk = &ix.quant_i8[c * ix.dim..(c + 1) * ix.dim];
-                        (sq_dist_i8(&qq, chunk) as f64, c as u32)
-                    })
-                    .collect()
-            }
-            QuantMode::F16 => (0..p)
-                .map(|c| {
-                    let chunk = &ix.quant_f16[c * ix.dim..(c + 1) * ix.dim];
-                    (sq_dist_f16(query, chunk) as f64, c as u32)
-                })
-                .collect(),
-        };
+        let mut order: Vec<(f32, u32)> = (0..ix.radii.len())
+            .map(|c| (euclidean(query, centroid(ix, c)), c as u32))
+            .collect();
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         order.into_iter().map(|(_, c)| c).collect()
     }
@@ -797,15 +720,14 @@ mod tests {
             .collect()
     }
 
-    /// Builds one index per [`QuantMode`] over `n` grid points and asks it
-    /// eight grid queries at several `k`, with and without an excluded
-    /// position, through `query_topk` and through the oracle: the served
-    /// flag, the appended list's bits, `scanned` and every counter must
-    /// agree, the centroid pack must hold `euclidean`'s bits, and every
-    /// member block those of its members, row by row in member order.
-    /// Returns a tally — builds that left a partition empty, then the
-    /// queries that were indexed, widened and bypassed — and every
-    /// member count a partition had.
+    /// Builds an index over `n` grid points and asks it eight grid queries
+    /// at several `k`, with and without an excluded position, through
+    /// `query_topk` and through the oracle: the served flag, the appended
+    /// list's bits, `scanned` and every counter must agree, the centroid
+    /// pack must hold `euclidean`'s bits, and every member block those of
+    /// its members, row by row in member order. Returns a tally — builds
+    /// that left a partition empty, then the queries that were indexed,
+    /// widened and bypassed — and every member count a partition had.
     fn check_against_oracle(
         seed: u64,
         n: usize,
@@ -821,72 +743,74 @@ mod tests {
         let queries = grid_points(&mut rng, 8, dim, grid + 1);
         let positions: Vec<usize> = (0..n).collect();
         let held = [(usize::MAX, -1.0f32), (3, 0.5)];
-        let (mut tally, mut sizes) = ([0; 4], BTreeSet::new());
-        for quant in [QuantMode::Exact, QuantMode::I8, QuantMode::F16] {
-            let cfg = IndexConfig {
-                partitions,
-                probe,
-                quant,
-                min_rcs_for_index: 1,
-                sample_cap: partitions.max(64),
-                seed,
-                ..IndexConfig::default()
-            };
-            cfg.validate().expect("valid shape");
-            let registry = MetricsRegistry::new();
-            let ix = KnnIndex::build(&refs, &cfg, 0, &registry).expect("n, dim ≥ 1 build");
-            tally[0] += usize::from(ix.members.iter().any(Vec::is_empty));
-            sizes.extend(ix.members.iter().map(Vec::len));
-            assert_eq!(ix.blocks.len(), ix.members.len(), "one block per partition");
-            for x in &queries {
-                ix.packed.dists_into(x, &mut scratch.dists);
-                let want: Vec<u32> = (0..ix.radii.len())
-                    .map(|c| euclidean(x, centroid(&ix, c)).to_bits())
+        let cfg = grid_config(seed, partitions, probe);
+        let registry = MetricsRegistry::new();
+        let ix = KnnIndex::build(&refs, &cfg, 0, &registry).expect("n, dim ≥ 1 build");
+        let mut tally = [usize::from(ix.members.iter().any(Vec::is_empty)), 0, 0, 0];
+        let sizes = ix.members.iter().map(Vec::len).collect();
+        assert_eq!(ix.blocks.len(), ix.members.len(), "one block per partition");
+        for x in &queries {
+            ix.packed.dists_into(x, &mut scratch.dists);
+            let want: Vec<u32> = (0..ix.radii.len())
+                .map(|c| euclidean(x, centroid(&ix, c)).to_bits())
+                .collect();
+            let got: Vec<u32> = scratch.dists.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(got, want, "centroid pack");
+            for (c, (block, members)) in ix.blocks.iter().zip(&ix.members).enumerate() {
+                block.dists_into(x, &mut scratch.dists);
+                let want: Vec<u32> = (members.iter())
+                    .map(|&m| euclidean(x, &embs[m as usize]).to_bits())
                     .collect();
                 let got: Vec<u32> = scratch.dists.iter().map(|d| d.to_bits()).collect();
-                assert_eq!(got, want, "centroid pack, {quant:?}");
-                for (c, (block, members)) in ix.blocks.iter().zip(&ix.members).enumerate() {
-                    block.dists_into(x, &mut scratch.dists);
-                    let want: Vec<u32> = (members.iter())
-                        .map(|&m| euclidean(x, &embs[m as usize]).to_bits())
-                        .collect();
-                    let got: Vec<u32> = scratch.dists.iter().map(|d| d.to_bits()).collect();
-                    assert_eq!(got, want, "member block {c}, {quant:?}");
-                }
-                for exclude in [usize::MAX, rng.gen_range(0..n)] {
-                    let selectable = n - usize::from(exclude < n);
-                    for k in [0, 1, 2, 5, selectable] {
-                        let k = k.min(selectable);
-                        let case = format!(
-                            "{quant:?}, n={n} dim={dim} p={partitions}/{probe}, k={k} exclude={exclude}"
-                        );
-                        let before = counts(&registry);
-                        let mut got = held.to_vec();
-                        let served = ix.query_topk(x, k, exclude, &positions, scratch, &mut got);
-                        let mid = counts(&registry);
-                        let mut want = held.to_vec();
-                        let outcome = oracle_answer(&ix, x, k, exclude, &embs, &mut want);
-                        let served_oracle = ix.record(outcome);
-                        let after = counts(&registry);
-                        assert_eq!(served, served_oracle, "{case}: served");
-                        assert_eq!(bits(&got), bits(&want), "{case}: list");
-                        let delta = |a: [u64; 5], b: [u64; 5]| -> Vec<u64> {
-                            a.iter().zip(b).map(|(a, b)| a - b).collect()
-                        };
-                        assert_eq!(delta(mid, before), delta(after, mid), "{case}: counters");
-                        let mut scanned = Vec::new();
-                        let again = ix.answer(x, k, exclude, &positions, scratch, &mut scanned);
-                        assert_eq!(again, outcome, "{case}: scanned");
-                        tally[match outcome {
-                            Outcome::Indexed { .. } => 1,
-                            Outcome::Fallback => 2,
-                            Outcome::Bypass => 3,
-                        }] += 1;
-                    }
+                assert_eq!(got, want, "member block {c}");
+            }
+            for exclude in [usize::MAX, rng.gen_range(0..n)] {
+                let selectable = n - usize::from(exclude < n);
+                for k in [0, 1, 2, 5, selectable] {
+                    let k = k.min(selectable);
+                    let case =
+                        format!("n={n} dim={dim} p={partitions}/{probe}, k={k} exclude={exclude}");
+                    let before = counts(&registry);
+                    let mut got = held.to_vec();
+                    let served = ix.query_topk(x, k, exclude, &positions, scratch, &mut got);
+                    let mid = counts(&registry);
+                    let mut want = held.to_vec();
+                    let outcome = oracle_answer(&ix, x, k, exclude, &embs, &mut want);
+                    let served_oracle = ix.record(outcome);
+                    let after = counts(&registry);
+                    assert_eq!(served, served_oracle, "{case}: served");
+                    assert_eq!(bits(&got), bits(&want), "{case}: list");
+                    let delta = |a: [u64; 5], b: [u64; 5]| -> Vec<u64> {
+                        a.iter().zip(b).map(|(a, b)| a - b).collect()
+                    };
+                    assert_eq!(delta(mid, before), delta(after, mid), "{case}: counters");
+                    let mut scanned = Vec::new();
+                    let again = ix.answer(x, k, exclude, &positions, scratch, &mut scanned);
+                    assert_eq!(again, outcome, "{case}: scanned");
+                    tally[match outcome {
+                        Outcome::Indexed { .. } => 1,
+                        Outcome::Fallback => 2,
+                        Outcome::Bypass => 3,
+                    }] += 1;
                 }
             }
         }
         (tally, sizes)
+    }
+
+    /// The grid tests' index shape: every point indexed, k-means on all of
+    /// them.
+    fn grid_config(seed: u64, partitions: usize, probe: usize) -> IndexConfig {
+        let cfg = IndexConfig {
+            partitions,
+            probe,
+            min_rcs_for_index: 1,
+            sample_cap: partitions.max(64),
+            seed,
+            ..IndexConfig::default()
+        };
+        cfg.validate().expect("valid shape");
+        cfg
     }
 
     /// The name of the dispatch arm every kernel of the coarse pass ran.

@@ -202,14 +202,8 @@ pub struct Scratch {
     /// index's coarse pass) followed by one per member of each probed
     /// partition (its re-rank).
     pub(crate) dists: Vec<f32>,
-    /// The coarse pass's `(proxy, partition)` keys, probed first.
+    /// The coarse pass's `(distance, partition)` keys, probed first.
     pub(crate) keys: Vec<u64>,
-    /// The query's i8 codes, under `QuantMode::I8`.
-    pub(crate) codes: Vec<i8>,
-    /// One coarse proxy per centroid, under `QuantMode::I8`.
-    pub(crate) proxies_i8: Vec<i32>,
-    /// One coarse proxy per centroid, under `QuantMode::F16`.
-    pub(crate) proxies_f16: Vec<f32>,
 }
 
 /// One RCS partition as [`partial_topk`] sees it: borrowed, so an

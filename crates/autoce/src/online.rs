@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::advisor::{AutoCeConfig, RcsEntry};
     use crate::backend::{AdvisorBackend, BatchPredictRequest};
-    use crate::index::{IndexConfig, QuantMode};
+    use crate::index::IndexConfig;
     use ce_datagen::{generate_batch, generate_dataset, DatasetSpec, SpecRange};
     use ce_features::FeatureGraph;
     use ce_gnn::DmlConfig;
@@ -318,9 +318,9 @@ mod tests {
         /// other member from its partitions' indexes, widening where the
         /// bound declines, or their flat scans — has the pairwise oracle's
         /// bits: clustered RCSs past the default cutover, dealt over 1, 2
-        /// or 4 indexed partitions, every coarse mode, at 1 and 3 threads;
-        /// with a margin that widens every query to every partition, and
-        /// with a NaN row (fitted unindexed over the finite rows).
+        /// or 4 indexed partitions, at 1 and 3 threads; with a margin that
+        /// widens every query to every partition, and with a NaN row
+        /// (fitted unindexed over the finite rows).
         #[test]
         fn indexed_fit_matches_the_pairwise_oracle(
             seed in 0u64..1_000_000,
@@ -328,7 +328,6 @@ mod tests {
             dim in 0usize..4,
             blobs in 1usize..12,
             parts in 0usize..3,
-            quant in 0usize..3,
             probe in 1usize..4,
             wide in 0usize..4,
             nan in 0usize..8,
@@ -347,7 +346,6 @@ mod tests {
                 partitions: 8,
                 probe,
                 margin: if wide { 1e30 } else { 0.0 },
-                quant: [QuantMode::Exact, QuantMode::I8, QuantMode::F16][quant],
                 min_rcs_for_index: 48,
                 ..IndexConfig::default()
             };
@@ -372,9 +370,8 @@ mod tests {
     }
 
     /// The fit over a realistic shape — 1200 clustered rows in two indexed
-    /// partitions of 32 dimensions, the benchmark's i8 coarse stage — has
-    /// the oracle's bits and is served by the indexes, nearly all of it
-    /// from the first probe.
+    /// partitions of 32 dimensions — has the oracle's bits and is served by
+    /// the indexes, nearly all of it from the first probe.
     #[test]
     fn indexed_fit_is_served_by_the_index() {
         let mut rng = StdRng::seed_from_u64(0xf17);
@@ -382,7 +379,6 @@ mod tests {
         let cfg = IndexConfig {
             partitions: 24,
             probe: 4,
-            quant: QuantMode::I8,
             ..IndexConfig::default()
         };
         let registry = MetricsRegistry::new();

@@ -12,7 +12,7 @@
 //! `crates/bench/benches/micro.rs` includes this file by path and asserts
 //! the same checksums before it times `detector_fit` and `index_build`.
 
-use autoce::index::{IndexConfig, KnnIndex, QuantMode};
+use autoce::index::{IndexConfig, KnnIndex};
 use autoce::online::DriftDetector;
 use autoce::MetricsRegistry;
 use rand::rngs::StdRng;
@@ -87,7 +87,6 @@ pub fn bench_index_config() -> IndexConfig {
     IndexConfig::builder()
         .partitions(100)
         .probe(4)
-        .quant(QuantMode::I8)
         .build()
         .expect("static index config is valid")
 }

@@ -2,10 +2,9 @@
 //! the flat scan **bit for bit** whenever it answers, widen its probe
 //! whenever it cannot prove admissibility, and never change a recommendation —
 //! across tie-heavy quantized-grid embeddings, empty partitions,
-//! single-entry RCSs, `k > |RCS|`, every [`QuantMode`], and forced
-//! inadmissibility.
+//! single-entry RCSs, `k > |RCS|`, and forced inadmissibility.
 
-use autoce::index::{IndexConfig, KnnIndex, QuantMode};
+use autoce::index::{IndexConfig, KnnIndex};
 use autoce::knn::Scratch;
 use autoce::{knn_order, AutoCe, AutoCeConfig, MetricsRegistry, RcsEntry};
 use ce_features::FeatureGraph;
@@ -84,13 +83,11 @@ fn synthetic_advisor(embq: &[Vec<i64>], k: usize) -> AutoCe {
     AutoCe::from_parts(config, GinEncoder::new(4, &[8], 3, 11), entries)
 }
 
-const MODES: [QuantMode; 3] = [QuantMode::Exact, QuantMode::I8, QuantMode::F16];
-
 proptest! {
     /// Whenever `query_topk` answers, the answer is the flat scan's —
-    /// same positions, same distance bits — for every quantization mode
-    /// and probe width, including probes that leave most partitions
-    /// (some of them empty) unvisited.
+    /// same positions, same distance bits — for every probe width,
+    /// including probes that leave most partitions (some of them empty)
+    /// unvisited.
     #[test]
     fn indexed_topk_bits_equal_flat_scan(
         embq in prop::collection::vec(prop::collection::vec(-4i64..=4, 3), 1..48),
@@ -109,31 +106,24 @@ proptest! {
         let selectable = embs.len() - usize::from(exclude != usize::MAX);
         let k_eff = k.min(selectable);
         let expect = flat_topk(&embs, &x, k_eff, exclude);
-        for &quant in &MODES {
-            let cfg = IndexConfig::builder()
-                .partitions(partitions)
-                .probe(probe.min(partitions))
-                .quant(quant)
-                .min_rcs_for_index(1)
-                .sample_cap(partitions.max(64))
-                .build()
-                .expect("valid index config");
-            let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
-            let Some(ix) = KnnIndex::build(&refs, &cfg, 7, &MetricsRegistry::disabled()) else {
-                // Below-cutover or degenerate builds decline; the flat
-                // scan serves. Nothing to compare.
-                continue;
-            };
+        let cfg = IndexConfig::builder()
+            .partitions(partitions)
+            .probe(probe.min(partitions))
+            .min_rcs_for_index(1)
+            .sample_cap(partitions.max(64))
+            .build()
+            .expect("valid index config");
+        let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+        // Below-cutover or degenerate builds decline; the flat scan
+        // serves. Nothing to compare.
+        if let Some(ix) = KnnIndex::build(&refs, &cfg, 7, &MetricsRegistry::disabled()) {
             if k_eff == 0 {
                 prop_assert!(indexed_topk(&ix, &embs, &x, k_eff, exclude).is_none());
-                continue;
-            }
-            if let Some(got) = indexed_topk(&ix, &embs, &x, k_eff, exclude) {
-                prop_assert_eq!(got.len(), expect.len(), "{:?}", quant);
+            } else if let Some(got) = indexed_topk(&ix, &embs, &x, k_eff, exclude) {
+                prop_assert_eq!(got.len(), expect.len());
                 for ((gi, gd), (ei, ed)) in got.iter().zip(&expect) {
-                    prop_assert_eq!(gi, ei, "position mismatch under {:?}", quant);
-                    prop_assert_eq!(gd.to_bits(), ed.to_bits(),
-                        "distance bits mismatch under {:?}", quant);
+                    prop_assert_eq!(gi, ei, "position mismatch");
+                    prop_assert_eq!(gd.to_bits(), ed.to_bits(), "distance bits mismatch");
                 }
             }
             // `None` is legitimate for an unprobed query: the caller
@@ -144,7 +134,7 @@ proptest! {
     /// End to end through the advisor: predictions with an installed
     /// index — model, score vector — are bit-identical to the plain flat
     /// advisor's, whether each query was answered from the index or fell
-    /// back, for every quantization mode.
+    /// back.
     #[test]
     fn indexed_advisor_predictions_match_flat(
         embq in prop::collection::vec(prop::collection::vec(-4i64..=4, 3), 1..32),
@@ -159,22 +149,19 @@ proptest! {
         let w = MetricWeights::new(wa10 as f64 / 10.0);
         let exclude = if exsel < n && n > 1 { exsel } else { usize::MAX };
         let expect = flat.predict_excluding(&x, w, exclude);
-        for &quant in &MODES {
-            let mut indexed = synthetic_advisor(&embq, k);
-            let cfg = IndexConfig::builder()
-                .partitions(4)
-                .probe(2)
-                .quant(quant)
-                .min_rcs_for_index(k.max(5))
-                .build()
-                .expect("valid index config");
-            indexed
-                .set_index_config(cfg)
-                .expect("config admissible for k");
-            let got = indexed.predict_excluding(&x, w, exclude);
-            prop_assert_eq!(&got.0, &expect.0, "model mismatch under {:?}", quant);
-            prop_assert_eq!(&got.1, &expect.1, "scores mismatch under {:?}", quant);
-        }
+        let mut indexed = synthetic_advisor(&embq, k);
+        let cfg = IndexConfig::builder()
+            .partitions(4)
+            .probe(2)
+            .min_rcs_for_index(k.max(5))
+            .build()
+            .expect("valid index config");
+        indexed
+            .set_index_config(cfg)
+            .expect("config admissible for k");
+        let got = indexed.predict_excluding(&x, w, exclude);
+        prop_assert_eq!(&got.0, &expect.0, "model mismatch");
+        prop_assert_eq!(&got.1, &expect.1, "scores mismatch");
     }
 }
 

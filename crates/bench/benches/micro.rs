@@ -751,7 +751,7 @@ fn indexed_advisor(
     index: Option<(usize, usize)>,
     metrics: &ce_serve::MetricsRegistry,
 ) -> autoce::AutoCe {
-    use autoce::{AutoCe, AutoCeConfig, IndexConfig, QuantMode};
+    use autoce::{AutoCe, AutoCeConfig, IndexConfig};
     let cfg = AutoCeConfig {
         k: 8,
         incremental: None,
@@ -767,7 +767,6 @@ fn indexed_advisor(
         let index = IndexConfig {
             partitions,
             probe,
-            quant: QuantMode::I8,
             // Extra k-means quality at build time: a larger sample and more
             // refinement keep partitions near the true blobs, which keeps
             // probed candidate pools small.
@@ -790,9 +789,9 @@ fn indexed_advisor(
 /// near each other), so the admissibility bound genuinely holds and the
 /// index's time is earned by the probed re-rank, not by silently returning
 /// different neighbors: every answer is asserted bit-identical to the flat
-/// scan *before* anything is timed, with the i8-quantized coarse stage
-/// engaged. After timing, each scale prints the index's own attribution from
-/// its registry: query outcomes, mean re-rank candidates and build time.
+/// scan *before* anything is timed. After timing, each scale prints the
+/// index's own attribution from its registry: query outcomes, mean re-rank
+/// candidates and build time.
 fn bench_indexed_knn(c: &mut Criterion) {
     use ce_serve::MetricsRegistry;
 

@@ -70,6 +70,8 @@
 //! therefore reproducible; the concurrency story (batching many client
 //! threads into few coordinator calls) lives a layer up.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::health::{ClusterHealth, ReplicaHealth};
 use crate::per_step_counters;
 use crate::protocol::{
@@ -269,8 +271,10 @@ struct RangeLane {
     /// Cached repair frame keyed by `(epoch, version)` — rebuilding the
     /// full table frame on every reload would re-encode the whole range.
     /// The key is self-validating: any authority mutation changes the
-    /// version (push) or the epoch (snapshot).
-    load_frame: Option<(u64, u64, Frame)>,
+    /// version (push) or the epoch (snapshot). Built with the lane, and
+    /// re-derived by [`CoordInner::prime_load_frame`] before any operation
+    /// that may need repair.
+    load_frame: (u64, u64, Frame),
     /// Metrics handles (no-ops when the registry is disabled).
     obs: LaneObs,
     /// RTT span of the in-flight request, opened by [`Self::raw_send`]
@@ -317,28 +321,25 @@ impl RangeLane {
         r: usize,
         frame: &Frame,
     ) -> Result<(), WireError> {
-        if self.replicas[r].conn.is_none() {
-            match self.replicas[r].connector.connect() {
-                Ok(conn) => self.replicas[r].conn = Some(conn),
+        let mut conn = match self.replicas[r].conn.take() {
+            Some(conn) => conn,
+            None => match self.replicas[r].connector.connect() {
+                Ok(conn) => conn,
                 Err(e) => {
                     self.sub.push(format!("dial-err range={range} r={r}: {e}"));
                     self.record_failure(range, cfg, r);
                     return Err(e);
                 }
-            }
-        }
-        let res = self.replicas[r]
-            .conn
-            .as_mut()
-            .expect("dialed above")
-            .send(frame, cfg.request_deadline);
+            },
+        };
+        let res = conn.send(frame, cfg.request_deadline);
         match &res {
             Ok(()) => {
+                self.replicas[r].conn = Some(conn);
                 self.obs.bytes_out[frame.step as u16 as usize].add(frame.wire_len() as u64);
                 self.rtt_span = Some(self.obs.rtt_ns.start_span());
             }
             Err(e) => {
-                self.replicas[r].conn = None;
                 self.sub.push(format!("send-err range={range} r={r}: {e}"));
                 self.record_failure(range, cfg, r);
             }
@@ -416,19 +417,15 @@ impl RangeLane {
         std::thread::sleep(capped.mul_f64(1.0 + jitter));
     }
 
-    /// Reloads replica `r` from the lane's cached `Load` frame (primed by
-    /// the coordinator against the authority before any operation that
-    /// may need repair). This is both bootstrap and *the* repair action.
+    /// Reloads replica `r` from the lane's cached `Load` frame. This is
+    /// both bootstrap and *the* repair action.
     fn load_replica(
         &mut self,
         range: usize,
         cfg: &ClusterConfig,
         r: usize,
     ) -> Result<(), WireError> {
-        let (epoch, version, frame) = self
-            .load_frame
-            .clone()
-            .expect("load frame primed before any repair path");
+        let (epoch, version, frame) = self.load_frame.clone();
         let reply = self.raw_call(range, cfg, r, &frame)?;
         let ack = LoadAck::from_frame(&reply).map_err(|e| WireError::Frame(e.to_string()))?;
         if (ack.epoch, ack.version) != (epoch, version) {
@@ -569,32 +566,35 @@ struct CoordInner {
     trace: Vec<String>,
 }
 
-impl CoordInner {
-    fn make_table(&self, range: usize) -> EpochTable {
-        let shard = &self.authority.shards()[range];
-        EpochTable {
-            epoch: self.epoch,
-            ids: shard.ids().iter().map(|&id| id as u64).collect(),
-            embeddings: shard
-                .entries()
-                .iter()
-                .map(|e| e.embedding.clone())
-                .collect(),
-        }
+/// The authority's shard `range` as the table a replica serves at `epoch`.
+fn epoch_table(authority: &AutoCe, epoch: u64, range: usize) -> EpochTable {
+    let shard = &authority.shards()[range];
+    EpochTable {
+        epoch,
+        ids: shard.ids().iter().map(|&id| id as u64).collect(),
+        embeddings: shard
+            .entries()
+            .iter()
+            .map(|e| e.embedding.clone())
+            .collect(),
     }
+}
 
+/// Lane `range`'s repair frame at `epoch`, keyed `(epoch, version)`.
+fn load_frame(authority: &AutoCe, epoch: u64, range: usize) -> (u64, u64, Frame) {
+    let table = epoch_table(authority, epoch, range);
+    (epoch, table.version(), Load { table }.into_frame())
+}
+
+impl CoordInner {
     /// Re-derives lane `range`'s cached `Load` frame when its
     /// `(epoch, version)` key no longer matches the authority.
     fn prime_load_frame(&mut self, range: usize) {
         let version = self.authority.shards()[range].len() as u64;
-        if matches!(&self.lanes[range].load_frame,
-                    Some((e, v, _)) if (*e, *v) == (self.epoch, version))
-        {
-            return;
+        let (epoch, cached, _) = &self.lanes[range].load_frame;
+        if (*epoch, *cached) != (self.epoch, version) {
+            self.lanes[range].load_frame = load_frame(&self.authority, self.epoch, range);
         }
-        let table = self.make_table(range);
-        debug_assert_eq!(table.version(), version);
-        self.lanes[range].load_frame = Some((self.epoch, version, Load { table }.into_frame()));
     }
 
     /// Drains every lane's sub-trace into the global trace, fixed range
@@ -699,32 +699,29 @@ impl CoordInner {
             }
         }
 
-        // Collect phase, fixed range order: each range's reply is checked
-        // against the contract and kept. Any optimistic failure is handled
-        // (health, trace, repair) and the range falls back to the full
-        // retry/failover loop.
+        // Collect phase, fixed range order. A range that fails the batch
+        // leaves the later ranges' optimistic requests unanswered; a
+        // connection keeps no in-flight state (a TCP stream would hand such
+        // a reply to the next call, where a batch of the same shape passes
+        // the contract check), so their connections are dropped first.
         let mut replies = Vec::with_capacity(ranges);
         for range in 0..ranges {
             let Some(frame) = frames[range].as_ref() else {
                 continue;
             };
-            let lane = &mut self.lanes[range];
-            let mut fast = None;
-            if let Some(r) = issued[range] {
-                match lane.raw_recv(range, &self.cfg, r) {
-                    Ok(f) if f.step != Step::ShardSendNack => fast = Some(f),
-                    Ok(f) => lane.on_nack(range, &self.cfg, r, &f)?,
-                    Err(_) => {}
+            match self.collect(range, frame, issued[range], queries, &ks) {
+                Ok(tb) => replies.push(tb),
+                Err(e) => {
+                    let later = self.lanes[range + 1..].iter_mut().zip(&issued[range + 1..]);
+                    for (lane, r) in later {
+                        if let Some(r) = *r {
+                            lane.replicas[r].conn = None;
+                            lane.rtt_span = None;
+                        }
+                    }
+                    return Err(e);
                 }
             }
-            let reply = match fast {
-                Some(f) => f,
-                None => lane.call_range(range, &self.cfg, frame)?,
-            };
-            let tb =
-                TopKBatch::from_frame(&reply).map_err(|e| AdvisorError::Protocol(e.to_string()))?;
-            self.check_reply(range, queries, &ks, &tb)?;
-            replies.push(tb);
         }
 
         // One candidate buffer for the batch: query `j`'s lists from every
@@ -739,6 +736,37 @@ impl CoordInner {
                 knn::merge_vote(&mut cands, k, q.w, |id| self.authority.entry(id))
             })
             .collect()
+    }
+
+    /// One range's answer to the batch: the reply to the optimistic request
+    /// issued to replica `issued`, if any, else the range's full
+    /// retry/failover loop (an optimistic failure is handled first —
+    /// health, trace, repair), checked against the contract.
+    fn collect(
+        &mut self,
+        range: usize,
+        frame: &Frame,
+        issued: Option<usize>,
+        queries: &[BatchPredictRequest<'_>],
+        ks: &[usize],
+    ) -> Result<TopKBatch, AdvisorError> {
+        let lane = &mut self.lanes[range];
+        let mut fast = None;
+        if let Some(r) = issued {
+            match lane.raw_recv(range, &self.cfg, r) {
+                Ok(f) if f.step != Step::ShardSendNack => fast = Some(f),
+                Ok(f) => lane.on_nack(range, &self.cfg, r, &f)?,
+                Err(_) => {}
+            }
+        }
+        let reply = match fast {
+            Some(f) => f,
+            None => lane.call_range(range, &self.cfg, frame)?,
+        };
+        let tb =
+            TopKBatch::from_frame(&reply).map_err(|e| AdvisorError::Protocol(e.to_string()))?;
+        self.check_reply(range, queries, ks, &tb)?;
+        Ok(tb)
     }
 
     /// The shard-reply contract, checked before anything is merged: one
@@ -791,12 +819,9 @@ impl CoordInner {
         label: &DatasetLabel,
     ) -> Result<usize, AdvisorError> {
         let global = self.authority.push_entry(graph, label);
-        let range = self
-            .authority
-            .shards()
-            .iter()
-            .position(|s| s.ids().last() == Some(&global))
-            .expect("pushed entry must land in some shard");
+        let range = self.authority.shard_of(global).ok_or_else(|| {
+            AdvisorError::Protocol(format!("the authority placed entry {global} in no range"))
+        })?;
         let version_before = (self.authority.shards()[range].len() - 1) as u64;
         let push = Push {
             epoch: self.epoch,
@@ -840,7 +865,7 @@ impl CoordInner {
         self.trace.push(format!("snapshot-epoch {}", self.epoch));
         for range in 0..self.lanes.len() {
             self.prime_load_frame(range);
-            let table = self.make_table(range);
+            let table = epoch_table(&self.authority, self.epoch, range);
             let (epoch, version) = (table.epoch, table.version());
             let frame = SnapshotEpoch { table }.into_frame();
             let lane = &mut self.lanes[range];
@@ -983,7 +1008,7 @@ impl ClusterCoordinator {
                     cfg.seed ^ (range as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ),
                 sub: Vec::new(),
-                load_frame: None,
+                load_frame: load_frame(&authority, 0, range),
                 obs: LaneObs::new(&cfg.metrics, range),
                 rtt_span: None,
             })
@@ -1005,6 +1030,7 @@ impl ClusterCoordinator {
     /// [`Self::try_new`] that panics on an invalid config or topology —
     /// the historical constructor shape, kept for call sites that
     /// construct from static topology.
+    #[allow(clippy::expect_used)] // Panicking on a bad config is this constructor's contract.
     pub fn new(
         authority: AutoCe,
         connectors: Vec<Vec<Box<dyn Connector>>>,
@@ -1232,6 +1258,7 @@ impl AdvisorBackend for ClusterCoordinator {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
@@ -1847,5 +1874,97 @@ mod tests {
                 "{what}: the next call"
             );
         }
+    }
+
+    /// A replica hosted in this process behind a FIFO connection, as a TCP
+    /// stream is: each request's reply queues until read, and nothing ties
+    /// a reply to the call that asked for it. While `dark` is set, dials
+    /// are refused and sends fail.
+    struct Fifo {
+        state: std::sync::Arc<Mutex<crate::server::ShardState>>,
+        dark: std::sync::Arc<std::sync::atomic::AtomicBool>,
+        replies: std::collections::VecDeque<Frame>,
+    }
+
+    impl Fifo {
+        fn is_dark(&self) -> bool {
+            self.dark.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Connector for Fifo {
+        fn connect(&mut self) -> Result<Box<dyn Conn>, WireError> {
+            if self.is_dark() {
+                return Err(WireError::Closed("refused".into()));
+            }
+            Ok(Box::new(Fifo {
+                state: self.state.clone(),
+                dark: self.dark.clone(),
+                replies: Default::default(),
+            }))
+        }
+
+        fn label(&self) -> String {
+            "fifo".into()
+        }
+    }
+
+    impl Conn for Fifo {
+        fn send(&mut self, frame: &Frame, _deadline: Duration) -> Result<(), WireError> {
+            if self.is_dark() {
+                return Err(WireError::Closed("reset".into()));
+            }
+            let reply = self.state.lock().expect("shard state").handle(frame);
+            self.replies.push_back(reply);
+            Ok(())
+        }
+
+        fn recv(&mut self, _deadline: Duration) -> Result<Frame, WireError> {
+            self.replies.pop_front().ok_or(WireError::Timeout)
+        }
+    }
+
+    /// A range that goes dark mid-collect fails its batch while a later
+    /// range's optimistic request is still unanswered. Over a connection
+    /// that keeps replies in order, that reply must not reach the next
+    /// call: it has the shape of any one-query batch, so it would pass the
+    /// contract check and be merged into a wrong answer, call after call.
+    #[test]
+    fn a_dark_range_leaves_no_stale_reply_behind() {
+        let w = MetricWeights::new(0.6);
+        // Ranges: ids 0–4 and 5–8; k = 3.
+        let sharded = AutoCe::from_advisor(&synthetic_flat(9, 3), 2);
+        let dark = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let connectors = (0..2)
+            .map(|range| {
+                let replica = Fifo {
+                    state: Default::default(),
+                    dark: if range == 0 {
+                        dark.clone()
+                    } else {
+                        Default::default()
+                    },
+                    replies: Default::default(),
+                };
+                vec![Box::new(replica) as Box<dyn Connector>]
+            })
+            .collect();
+        let coord = ClusterCoordinator::new(sharded.clone(), connectors, ClusterConfig::no_sleep());
+        coord.bootstrap().expect("bootstrap");
+        let set_dark = |on| dark.store(on, std::sync::atomic::Ordering::Relaxed);
+        set_dark(true);
+        assert_eq!(
+            coord.predict_excluding(&[40.0, -7.5, 3.0], w, usize::MAX),
+            Err(AdvisorError::RangeUnavailable { range: 0 })
+        );
+        set_dark(false);
+        for x in queries().iter().chain(&queries()) {
+            assert_eq!(
+                coord.predict_excluding(x, w, usize::MAX),
+                Ok(sharded.predict_excluding(x, w, usize::MAX)),
+                "{x:?} after the dark range"
+            );
+        }
+        assert!(!coord.health().any_range_dark());
     }
 }

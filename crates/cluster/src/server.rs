@@ -11,6 +11,8 @@
 //! `(epoch, version)` it expects — a replica that missed a push or a
 //! snapshot NACKs instead of silently serving stale bits.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::per_step_counters;
 use crate::protocol::{
     EpochAck, EpochTable, Frame, FrameError, FrameReader, Load, LoadAck, Message, MetricsReply,
@@ -530,7 +532,10 @@ pub fn spawn_shard_process(program: &std::path::Path) -> std::io::Result<(Child,
         .arg("__ce-shard-server")
         .stdout(Stdio::piped())
         .spawn()?;
-    let stdout = child.stdout.take().expect("piped stdout");
+    let Some(stdout) = child.stdout.take() else {
+        let _ = child.kill();
+        return Err(std::io::Error::other("the child's stdout was not piped"));
+    };
     let mut lines = BufReader::new(stdout).lines();
     for line in &mut lines {
         let line = line?;
@@ -572,6 +577,7 @@ pub fn maybe_run_shard_server_from_args() {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::protocol::BatchQuery;

@@ -240,10 +240,14 @@ fn kill_restart_cycle_heals_through_reload() {
 
 /// FNV-1a over the newline-terminated lines of seeds 1–8's batched event
 /// traces, captured on the parent of the commit that made a single query
-/// a batch of one: that change may not move a byte of them.
+/// a batch of one: that change may not move a byte of them. Seed 2's was
+/// re-captured when a batch failed by one range began dropping the
+/// connections of later ranges' unanswered requests: its trace used to
+/// charge an innocent replica a "send with a reply still in flight"
+/// failure on the next call.
 const BATCHED_TRACE_FNV1A: [u64; 8] = [
     0xb73d_20e7_1ba6_f0d2,
-    0x304e_99e1_87bc_e887,
+    0xeeb4_2b2e_fc4e_30a0,
     0xc2b5_414a_7a5b_1de7,
     0xb6f7_d812_c36b_9710,
     0x3545_b4ce_c9ff_97f0,

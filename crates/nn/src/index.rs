@@ -1,29 +1,21 @@
-//! Vector-level substrate for the coarse stage of the two-stage KNN
-//! index: f16/i8 centroid quantization plus SIMD-dispatched squared-
-//! distance kernels over the quantized forms.
+//! f16/i8 quantization and SIMD-dispatched squared-distance kernels over
+//! the quantized forms, one pair of vectors per call.
 //!
-//! These kernels exist to *order partitions for probing* — never to
-//! produce final distances. The exact re-rank and the admissibility
-//! bound upstream (`autoce::index`) recompute every distance that can
-//! influence an answer in exact `f32`, so quantization error here can
-//! change which partitions get probed (a performance effect) but never
-//! which neighbours are returned (a correctness effect). That split is
-//! what lets the quantized bodies use genuinely reduction-friendly
-//! arithmetic: the i8 kernel accumulates in integers, which are
-//! associative, so the autovectorizer may reorder the sum freely —
-//! something the exact `f32` kernels must never allow.
+//! No production path calls this module: the KNN index (`autoce::index`)
+//! ranks its partitions by the exact `f32` centroid distances its coarse
+//! pass computes anyway. What remains serves the end-to-end benchmark's
+//! trace, which times [`sq_dist_i8`] and [`sq_dist_f16`] as per-layer
+//! metrics.
 //!
-//! The kernels reuse the scalar/AVX2/AVX-512F dispatch pattern from
-//! [`crate::matrix`]: one body compiled under successively wider target
-//! features, selected once per call on cached CPU detection. Integer
-//! accumulation is exact at any vector width; the f16 kernel chains its
-//! `f32` accumulation in a fixed order (Rust never contracts `a*b + c`
-//! into an FMA), so both are bit-stable across the dispatch tiers.
-//!
-//! Each kernel comes in two forms: the one-pair [`sq_dist_i8`] /
-//! [`sq_dist_f16`], and the batched [`sq_dists_i8`] / [`sq_dists_f16`] the
-//! index's coarse pass calls — every centroid's proxy in one dispatch, each
-//! the pair kernel's value.
+//! The i8 kernel accumulates in integers, which are associative, so the
+//! autovectorizer may reorder the sum freely — something the exact `f32`
+//! kernels must never allow. The kernels reuse the scalar/AVX2/AVX-512F
+//! dispatch pattern from [`crate::matrix`]: one body compiled under
+//! successively wider target features, selected once per call on cached
+//! CPU detection. Integer accumulation is exact at any vector width; the
+//! f16 kernel chains its `f32` accumulation in a fixed order (Rust never
+//! contracts `a*b + c` into an FMA), so both are bit-stable across the
+//! dispatch tiers.
 
 use crate::matrix::simd_kernel;
 
@@ -119,21 +111,12 @@ pub fn i8_scale(max_abs: f32) -> f32 {
 
 /// Quantizes a vector with a shared symmetric scale (see [`i8_scale`]).
 pub fn quantize_i8(v: &[f32], scale: f32) -> Vec<i8> {
-    let mut codes = Vec::with_capacity(v.len());
-    quantize_i8_into(v, scale, &mut codes);
-    codes
+    v.iter()
+        .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
+        .collect()
 }
 
-/// [`quantize_i8`] into a buffer the caller reuses (cleared first).
-pub fn quantize_i8_into(v: &[f32], scale: f32, codes: &mut Vec<i8>) {
-    codes.clear();
-    codes.extend(
-        v.iter()
-            .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8),
-    );
-}
-
-// ---- coarse distance kernels -----------------------------------------------
+// ---- quantized distance kernels --------------------------------------------
 
 simd_kernel!(sq_dist_i8_kernel, (a: &[i8], b: &[i8], out: &mut [i32]), {
     // Integer accumulation is associative, so this reduction vectorizes
@@ -157,35 +140,6 @@ simd_kernel!(sq_dist_f16_kernel, (q: &[f32], h: &[u16], out: &mut [f32]), {
     out[0] = acc;
 });
 
-simd_kernel!(sq_dists_i8_kernel, (q: &[i8], rows: &[i8], out: &mut [i32]), {
-    // One row per output, each summed exactly as `sq_dist_i8_kernel` sums
-    // its pair; `rows` holds `out.len()` rows of `q.len()` codes.
-    let dim = q.len();
-    for (c, o) in out.iter_mut().enumerate() {
-        let row = &rows[c * dim..(c + 1) * dim];
-        let mut acc = 0i32;
-        for i in 0..dim {
-            let d = q[i] as i32 - row[i] as i32;
-            acc += d * d;
-        }
-        *o = acc;
-    }
-});
-
-simd_kernel!(sq_dists_f16_kernel, (q: &[f32], rows: &[u16], out: &mut [f32]), {
-    // Per row the chain of `sq_dist_f16_kernel`, in ascending index.
-    let dim = q.len();
-    for (c, o) in out.iter_mut().enumerate() {
-        let row = &rows[c * dim..(c + 1) * dim];
-        let mut acc = 0f32;
-        for i in 0..dim {
-            let d = q[i] - f16_to_f32(row[i]);
-            acc += d * d;
-        }
-        *o = acc;
-    }
-});
-
 /// Squared L2 distance between two i8 code vectors (exact, integer).
 /// Distances share a scale factor of `scale²`, which is positive, so
 /// ordering by this proxy equals ordering by dequantized distance.
@@ -204,26 +158,7 @@ pub fn sq_dist_f16(q: &[f32], h: &[u16]) -> f32 {
     out[0]
 }
 
-/// [`sq_dist_i8`] of `q` against every row of `rows` (concatenated code
-/// vectors of `q.len()` each) in one dispatch: `out` is resized to the row
-/// count and `out[c]` holds row `c`'s proxy, the pair kernel's value.
-pub fn sq_dists_i8(q: &[i8], rows: &[i8], out: &mut Vec<i32>) {
-    debug_assert!(q.len() < (1 << 15), "i8 kernel accumulator bound");
-    out.clear();
-    out.resize(rows.len().checked_div(q.len()).unwrap_or(0), 0);
-    sq_dists_i8_kernel::dispatch(q, rows, out);
-}
-
-/// [`sq_dist_f16`] of `q` against every row of `rows` (concatenated f16
-/// vectors of `q.len()` each) in one dispatch: `out` is resized to the row
-/// count and `out[c]` holds the pair kernel's bits for row `c`.
-pub fn sq_dists_f16(q: &[f32], rows: &[u16], out: &mut Vec<f32>) {
-    out.clear();
-    out.resize(rows.len().checked_div(q.len()).unwrap_or(0), 0.0);
-    sq_dists_f16_kernel::dispatch(q, rows, out);
-}
-
-/// One named arm of each coarse kernel (`None` when the host lacks it),
+/// One named arm of each quantized kernel (`None` when the host lacks it),
 /// for the differential tests in `matrix::arm_tests`: a kernel's module is
 /// private to the file that declares it.
 #[cfg(test)]
@@ -236,16 +171,6 @@ pub(crate) fn sq_dist_i8_arm(level: u8, a: &[i8], b: &[i8]) -> Option<i32> {
 pub(crate) fn sq_dist_f16_arm(level: u8, q: &[f32], h: &[u16]) -> Option<f32> {
     let mut out = [0f32];
     sq_dist_f16_kernel::run_arm(level, q, h, &mut out).then_some(out[0])
-}
-
-#[cfg(test)]
-pub(crate) fn sq_dists_i8_arm(level: u8, q: &[i8], rows: &[i8], out: &mut [i32]) -> bool {
-    sq_dists_i8_kernel::run_arm(level, q, rows, out)
-}
-
-#[cfg(test)]
-pub(crate) fn sq_dists_f16_arm(level: u8, q: &[f32], rows: &[u16], out: &mut [f32]) -> bool {
-    sq_dists_f16_kernel::run_arm(level, q, rows, out)
 }
 
 #[cfg(test)]

@@ -20,9 +20,9 @@
 //! * [`mod@kmeans`]: k-means (the row-clustering step of DeepDB's SPN
 //!   learner and the partitioner of the KNN index), its scans on
 //!   [`packed`];
-//! * [`index`]: f16/i8 quantization and SIMD coarse-distance kernels for
-//!   the two-stage KNN index in `autoce::index` (coarse stage only — the
-//!   exact re-rank never touches quantized values).
+//! * [`index`]: f16/i8 quantization and one-pair SIMD distance kernels
+//!   over the quantized forms; no production path calls them (the
+//!   end-to-end benchmark's trace times them).
 //!
 //! Everything is deterministic given a seeded `StdRng`.
 

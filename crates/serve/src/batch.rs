@@ -46,7 +46,8 @@
 //! * **One pipeline** — the cache-hit, inline and worker paths run the
 //!   same three steps (`lookup` → `encode_misses` → `vote`); they differ
 //!   only in which thread runs them and in the `path` label their metrics
-//!   carry.
+//!   carry. A queued request was looked up at admission, so the worker
+//!   starts at `encode_misses`.
 //!
 //! Responses are bit-identical to calling the backend's
 //! `recommend_graph` directly (and hence to the flat
@@ -93,7 +94,11 @@ use std::time::{Duration, Instant};
 /// field docs) and answer [`AdvisorError::InvalidConfig`].
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Maximum requests embedded in one stacked forward.
+    /// Maximum requests the worker drains into one batch (one stacked
+    /// forward). It bounds worker batches only: a submission's own misses
+    /// are served on its thread as one stacked forward whatever their
+    /// number (`tests/pipeline_golden.rs` sends a 10-graph burst under
+    /// `max_batch: 4`).
     pub max_batch: usize,
     /// How long the batcher waits after the first queued request for more
     /// to arrive before closing the batch. It applies to queued requests
@@ -494,7 +499,8 @@ impl<B> Shared<B> {
 
 /// The serving pipeline, written once: every path — cache hits on the
 /// calling thread, inline bursts, worker batches — is `lookup` → (for
-/// misses) `encode_misses` → `vote`.
+/// misses) `encode_misses` → `vote`, the worker's lookup being the one
+/// its requests had at admission.
 impl<B: AdvisorBackend> Shared<B> {
     /// Each fingerprint's cached embedding, copied out under one brief
     /// cache-lock hold (the votes run unlocked). Entries are only valid for
@@ -1260,12 +1266,16 @@ fn fail_service<B>(shared: &Shared<B>) {
     shared.space.notify_all();
 }
 
-/// Serves one micro-batch through the shared pipeline: lookup, one
-/// stacked forward over the misses, then **one** vote for every request
-/// (each with its own weights; a request that hits the cache here is voted
-/// with the rest). A vote failure reaches every submitter in the batch as
-/// the same typed error. The worker's `busy` claim is released before any
-/// reply is sent.
+/// Serves one micro-batch through the shared pipeline: one stacked forward
+/// over its distinct graphs, then **one** vote for every request (each with
+/// its own weights). Every queued request already missed the cache at
+/// admission, so the batch is not looked up again: one cache-lock hold and
+/// one `CacheStats::misses` count per request. The cost is that a graph
+/// cached between a request's admission and its drain (say, by a lockstep
+/// client's inline run) is encoded again and answered `cache_hit: false`;
+/// answers are unchanged. A vote failure reaches every submitter in the
+/// batch as the same typed error. The worker's `busy` claim is released
+/// before any reply is sent.
 fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request], busy: Busy<'_>) {
     // The requests just left the queue: close their wait spans first so
     // queue wait never includes encode time.
@@ -1275,9 +1285,8 @@ fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request], b
     let batch = &*batch;
     let snap = shared.current();
     let fps: Vec<u64> = batch.iter().map(|r| r.fingerprint).collect();
-    let slots = shared.lookup(&snap, &fps);
-    let hit: Vec<bool> = slots.iter().map(Option::is_some).collect();
     let graphs: Vec<&FeatureGraph> = batch.iter().map(|r| &r.graph).collect();
+    let slots = vec![None; batch.len()];
     let mut busy = Some(busy);
     // A dropped receiver (client gave up) is not an error.
     let voted = (shared.encode_misses(&snap, &graphs, &fps, slots, Path::Worker)).and_then(|e| {
@@ -1285,7 +1294,7 @@ fn process_batch<B: AdvisorBackend>(shared: &Shared<B>, batch: &mut [Request], b
         shared.vote(
             &snap,
             &reqs,
-            |j| hit[j],
+            |_| false,
             Path::Worker,
             |j, rec| {
                 drop(busy.take());
