@@ -182,9 +182,11 @@ fn bench_label_dataset(c: &mut Criterion) {
 
 /// The kernels under `label_dataset`, one at a time, on the inputs
 /// `label_dataset(ds, cfg, 1)` hands them: the cardinality counter over
-/// the testbed's 45 queries, a 100-bucket histogram of every data column
-/// (`PostgresEstimator`), LW-XGB's boosted fit on the 30 training rows,
-/// one Adam step of LW-NN's two layers, and LW-NN's whole training.
+/// the testbed's 45 queries, a 100-bucket histogram of every data column,
+/// `PostgresEstimator`'s whole ANALYZE (those histograms and the join-key
+/// distinct counts), LW-XGB's boosted fit on the 30 training rows, one
+/// Adam step of LW-NN's two layers, LW-NN's whole training, and the whole
+/// `label_dataset` they add up to — so one command times every stage.
 fn bench_label_kernels(c: &mut Criterion) {
     if !criterion::filter_allows("label_kernels") {
         return;
@@ -241,6 +243,9 @@ fn bench_label_kernels(c: &mut Criterion) {
             train_queries: train,
             seed: 1,
         };
+        c.bench_function(&name("postgres_train"), |b| {
+            b.iter(|| black_box(build_model(ModelKind::Postgres, &ctx)))
+        });
         c.bench_function(&name("lwnn_train"), |b| {
             b.iter(|| black_box(build_model(ModelKind::LwNn, &ctx)))
         });
@@ -265,6 +270,10 @@ fn bench_label_kernels(c: &mut Criterion) {
                     layer.adam_step_with(grad, 3e-3, t);
                 }
             })
+        });
+
+        c.bench_function(&name("label_dataset"), |b| {
+            b.iter(|| black_box(label_dataset(&ds, &cfg, 1)))
         });
     }
 }

@@ -71,8 +71,8 @@ impl TableBayesNet {
         let binners: Vec<Binner> = columns
             .iter()
             .map(|&c| {
-                let col = &table.columns[c];
-                Binner::new(col.min().unwrap_or(0), col.max().unwrap_or(0))
+                let (lo, hi) = table.columns[c].bounds();
+                Binner::new(lo, hi)
             })
             .collect();
         let binned: Vec<Vec<usize>> = columns
@@ -339,14 +339,14 @@ mod tests {
         let ds = generate_dataset("bc2", &DatasetSpec::small().single_table(), &mut rng);
         let model = BayesCardModel::learn(&ds);
         let col = ds.tables[0].data_column_indices()[0];
-        let c = &ds.tables[0].columns[col];
+        let (lo, hi) = ds.tables[0].columns[col].bounds();
         let q = Query::single_table(
             0,
             vec![Predicate {
                 table: 0,
                 column: col,
-                lo: c.min().unwrap(),
-                hi: c.max().unwrap(),
+                lo,
+                hi,
             }],
         );
         let est = model.estimate(&q);

@@ -41,8 +41,7 @@ impl SchemaEncoder {
         for (t, table) in ds.tables.iter().enumerate() {
             for c in table.data_column_indices() {
                 data_columns.push((t, c));
-                let col = &table.columns[c];
-                column_bounds.push((col.min().unwrap_or(0), col.max().unwrap_or(0)));
+                column_bounds.push(table.columns[c].bounds());
             }
         }
         let mut log_card_max = 0.0f64;

@@ -81,10 +81,7 @@ impl NeuroCard {
             .collect();
         let bounds: Vec<(Value, Value)> = modeled
             .iter()
-            .map(|&(t, c)| {
-                let col = &ds.tables[t].columns[c];
-                (col.min().unwrap_or(0), col.max().unwrap_or(0))
-            })
+            .map(|&(t, c)| ds.tables[t].columns[c].bounds())
             .collect();
         let model = ArModel::fit(&rows, &bounds, MC_SAMPLES, seed ^ 0x0ca);
         let slots = modeled

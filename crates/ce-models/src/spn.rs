@@ -143,17 +143,17 @@ fn learn_node(
     }
 
     // Row split: k-means with k = 2 on min-max normalized values.
+    let bounds: Vec<(Value, Value)> = cols.iter().map(|&c| table.columns[c].bounds()).collect();
     let points: Vec<Vec<f32>> = rows
         .iter()
         .map(|&r| {
             cols.iter()
-                .map(|&c| {
-                    let col = &table.columns[c];
-                    let (lo, hi) = (col.min().unwrap_or(0), col.max().unwrap_or(0));
+                .zip(&bounds)
+                .map(|(&c, &(lo, hi))| {
                     if hi <= lo {
                         0.0
                     } else {
-                        ((col.data[r as usize] - lo) as f32) / ((hi - lo) as f32)
+                        ((table.columns[c].data[r as usize] - lo) as f32) / ((hi - lo) as f32)
                     }
                 })
                 .collect()

@@ -34,14 +34,19 @@
 //!
 //! [`EquiDepthHistogram::build`] packs a column's sorted run-length
 //! encoding — each distinct value once, ascending, with its row count —
-//! into buckets. The runs come from one of two paths, picked by
-//! `counting_slots` from the value span and row count alone:
+//! into buckets. It scans the column's extremes once (the lane-wide pass
+//! behind [`Column::bounds`]) and hands them to the runs, which come from
+//! one of two paths, picked by `counting_slots` from the value span and
+//! row count alone:
 //!
 //! * **counting** — when the span `min..=max` has at most eight values per
 //!   row, each row adds one to the slot at `v − min`. The slots ascend
 //!   with the values they stand for, so the non-zero slots in slot order,
 //!   each with its count, are exactly the runs a sort would have produced:
-//!   the same values, in the same order, with the same counts;
+//!   the same values, in the same order, with the same counts. They are
+//!   compacted without a branch (every slot is written, the end advances
+//!   by `c > 0`): at a span of about two slots per row, half the slots are
+//!   empty and a `filter` mispredicts every other one;
 //! * **sorted** — otherwise it sorts a copy and counts runs, as the build
 //!   always did (that build is the test oracle).
 //!
@@ -76,14 +81,16 @@
 //!
 //! The integer pass and [`equality_rate`]'s count compile under scalar /
 //! AVX2 / AVX-512F through `ce_nn::simd_kernel!`, the workspace's one
-//! dispatch macro. The oracle is the two-loop definition, verbatim.
+//! dispatch macro. The oracle is the two-loop definition, verbatim. Every
+//! other bound this module takes (distinct counts, coverage, histograms)
+//! comes from the one extremes pass of [`crate::column`].
 //!
 //! Callers that summarise many columns in a row (`ce-features`) pass one
 //! [`StatsScratch`] through the `*_with` variants so the bitmap and the sort
 //! buffer are allocated once; [`ndv_with`] is the distinct count alone, for
 //! callers that want no moments.
 
-use crate::column::{Column, Value};
+use crate::column::{extremes, Column, Value};
 use crate::dataset::{Dataset, JoinEdge};
 use ce_nn::simd_kernel;
 use serde::{Deserialize, Serialize};
@@ -168,14 +175,13 @@ fn distinct_count(data: &[Value], min: Value, max: Value, scratch: &mut StatsScr
 /// Number of distinct values in `column` (its [`ColumnStats::ndv`]) without
 /// the moments.
 pub fn ndv_with(column: &Column, scratch: &mut StatsScratch) -> usize {
-    min_max(&column.data).map_or(0, |(min, max)| {
-        distinct_count(&column.data, min, max, scratch)
-    })
+    let (min, max) = column.bounds();
+    distinct_count(&column.data, min, max, scratch)
 }
 
 /// `(|set(pk) ∩ set(fk)|, |set(pk)|)`.
 fn coverage_counts(pk: &[Value], fk: &[Value], scratch: &mut StatsScratch) -> (usize, usize) {
-    let Some((min, max)) = min_max(pk) else {
+    let Some((min, max)) = extremes(pk) else {
         return (0, 0);
     };
     let Some(words) = dense_words(min, max, pk.len() + fk.len()) else {
@@ -201,19 +207,10 @@ fn coverage_counts(pk: &[Value], fk: &[Value], scratch: &mut StatsScratch) -> (u
     (both.sum(), popcount(p))
 }
 
-/// Extremes of a slice; `None` when empty.
-fn min_max(data: &[Value]) -> Option<(Value, Value)> {
-    let (&first, rest) = data.split_first()?;
-    Some(
-        rest.iter()
-            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
-    )
-}
-
 /// The value of the first row that repeats an earlier row's value, if any
 /// — what primary-key validation reports.
 pub(crate) fn first_duplicate(data: &[Value]) -> Option<Value> {
-    let (min, max) = min_max(data)?;
+    let (min, max) = extremes(data)?;
     if distinct_count(data, min, max, &mut StatsScratch::default()) == data.len() {
         return None;
     }
@@ -582,26 +579,36 @@ fn counting_slots(min: Value, max: Value, rows: usize) -> Option<usize> {
         .then_some(slots as usize)
 }
 
-/// The sorted run-length encoding of `data`: each distinct value once, in
-/// ascending order, with the number of rows holding it. Counted into one
-/// slot per value of the span when [`counting_slots`] allows (the non-zero
-/// slots in slot order *are* the runs in value order), else sorted.
-fn value_runs(data: &[Value]) -> Vec<(Value, usize)> {
-    let Some((min, max)) = min_max(data) else {
-        return Vec::new();
-    };
+/// The non-zero slots of `counts` as runs, slot `s` standing for the value
+/// `min + s`, in slot order. Branch-free compaction: every slot is written
+/// at the next free position, which advances by `c > 0`, so a column whose
+/// span is half empty costs no coin-flip branch per slot.
+fn compact_runs(counts: &[u32], min: Value) -> Vec<(Value, usize)> {
+    let mut runs = vec![(0, 0); counts.len()];
+    let mut len = 0;
+    for (slot, &c) in counts.iter().enumerate() {
+        // `len <= slot`: at most one run per slot before this one.
+        runs[len] = (min.wrapping_add(slot as Value), c as usize);
+        len += usize::from(c > 0);
+    }
+    runs.truncate(len);
+    runs
+}
+
+/// The sorted run-length encoding of `data`, whose extremes are `min` and
+/// `max`: each distinct value once, in ascending order, with the number of
+/// rows holding it. Counted into one slot per value of the span when
+/// [`counting_slots`] allows (the non-zero slots in slot order *are* the
+/// runs in value order; [`compact_runs`] collects them without a branch),
+/// else sorted.
+fn value_runs(data: &[Value], min: Value, max: Value) -> Vec<(Value, usize)> {
     if let Some(slots) = counting_slots(min, max, data.len()) {
         let mut counts = vec![0u32; slots];
         for &v in data {
             // `min..=max` holds every value, so the offset is below `slots`.
             counts[v.wrapping_sub(min) as u64 as usize] += 1;
         }
-        return counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(slot, &c)| (min.wrapping_add(slot as Value), c as usize))
-            .collect();
+        return compact_runs(&counts, min);
     }
     let mut sorted = data.to_vec();
     sorted.sort_unstable();
@@ -632,7 +639,7 @@ impl EquiDepthHistogram {
     /// Builds a histogram with at most `buckets` buckets.
     pub fn build(column: &Column, buckets: usize) -> Self {
         let total = column.len();
-        let Some((min, _)) = min_max(&column.data).filter(|_| buckets > 0) else {
+        let Some((min, max)) = extremes(&column.data).filter(|_| buckets > 0) else {
             return EquiDepthHistogram {
                 bounds: Vec::new(),
                 counts: Vec::new(),
@@ -645,7 +652,7 @@ impl EquiDepthHistogram {
         // at least as large as `per` (a heavy hitter) always gets its own
         // bucket, so point queries on skewed columns stay accurate — the
         // behavior PostgreSQL gets from its MCV list.
-        let runs = value_runs(&column.data);
+        let runs = value_runs(&column.data, min, max);
         let mut bounds = Vec::new();
         let mut counts = Vec::new();
         let mut acc = 0usize;
@@ -821,7 +828,7 @@ mod tests {
         assert_eq!(empty.total, 0);
         let no_buckets = EquiDepthHistogram::build(&Column::data("b", vec![3, 1]), 0);
         assert_eq!(no_buckets, oracle::histogram(&[3, 1], 0));
-        assert_eq!(value_runs(&[]), vec![]);
+        assert_eq!(value_runs(&[], 0, 0), vec![]);
         // The rule: slots up to eight per row are counted.
         assert_eq!(counting_slots(0, 15, 2), Some(16));
         assert_eq!(counting_slots(0, 16, 2), None);
@@ -1045,6 +1052,69 @@ mod tests {
         }
     }
 
+    /// `value_runs`' compaction before it went branch-free: a `filter` over
+    /// the slots.
+    fn runs_by_filter(counts: &[u32], min: Value) -> Vec<(Value, usize)> {
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(slot, &c)| (min.wrapping_add(slot as Value), c as usize))
+            .collect()
+    }
+
+    /// The counting slots of `data` over `min..=max`, as `value_runs` fills
+    /// them.
+    fn slot_counts(data: &[Value], min: Value, slots: usize) -> Vec<u32> {
+        let mut counts = vec![0u32; slots];
+        for &v in data {
+            counts[v.wrapping_sub(min) as u64 as usize] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn branch_free_runs_match_the_filter_oracle() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        // All slots full, none full, one distinct value, alternating and
+        // ragged occupancy; slot bases at either end of `i64`.
+        let shapes: [Vec<u32>; 7] = [
+            vec![],
+            vec![3; 17],
+            vec![0; 9],
+            vec![5],
+            (0..33).map(|s| s % 2).collect(),
+            (0..40).map(|s| u32::from(s % 7 == 3) * s).collect(),
+            (0..25).map(|s| (s * 7919) % 3).collect(),
+        ];
+        for counts in &shapes {
+            for min in [lo, -4, 0, 1, hi - counts.len() as i64] {
+                assert_eq!(compact_runs(counts, min), runs_by_filter(counts, min));
+            }
+        }
+        // Through `value_runs`: one distinct value, every value of a full
+        // span, and spans right at the counting rule's bound (`8·n` slots
+        // counted), at both ends of `i64`.
+        let counted = |data: &[Value]| {
+            let (min, max) = extremes(data).expect("non-empty");
+            let slots = counting_slots(min, max, data.len()).expect("counted");
+            let want = runs_by_filter(&slot_counts(data, min, slots), min);
+            assert_eq!(value_runs(data, min, max), want, "{data:?}");
+        };
+        counted(&[7; 5]);
+        counted(&[hi; 3]);
+        counted(&(1..=64).rev().collect::<Vec<_>>());
+        for n in [1i64, 2, 3, 8, 13] {
+            let span = 8 * n - 1; // `8n` slots: the most a count may take
+            for base in [lo, -span / 2, hi - span] {
+                let mut data: Vec<Value> = (0..n).map(|r| base + (r * 5) % (span + 1)).collect();
+                data[0] = base;
+                data[n as usize - 1] = base + span;
+                counted(&data);
+            }
+        }
+    }
+
     /// Shapes a column out of raw 64-bit draws: dictionary codes, negative
     /// codes, all-equal, spans hugging the dense/sorted cut-over, and
     /// sparse values over the whole `i64` range (always the sorted path).
@@ -1148,6 +1218,18 @@ mod tests {
                 EquiDepthHistogram::build(&column, buckets),
                 oracle::histogram(&data, buckets)
             );
+        }
+
+        #[test]
+        fn branch_free_runs_match_the_filter_oracle_on_any_counts(
+            raw in prop::collection::vec(0u32..4, 0..120),
+            min in i64::MIN..=i64::MAX,
+            full in 0usize..3,
+        ) {
+            // One draw in three has every slot full.
+            let counts: Vec<u32> = raw.iter().map(|&c| if full == 0 { c + 1 } else { c }).collect();
+            let min = min.min(i64::MAX - counts.len() as i64);
+            prop_assert_eq!(compact_runs(&counts, min), runs_by_filter(&counts, min));
         }
 
         #[test]

@@ -12,15 +12,15 @@
 //! training + 15 testing queries, `DatasetSpec::small()`, one pinned CPU),
 //! milliseconds per dataset at 7 tables / at 24 tables:
 //!
-//! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter | `u64` counter, counting runs, branch-free partition, one Adam kernel | membership-mask GBDT with a lane kernel, live-column LW-NN |
-//! |---|---|---|---|---|
-//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 | 0.6 / 1.5 |
-//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 | 1.4 / 4.1 |
-//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 | 1.3 / 1.5 |
-//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 | 0.5 / 1.8 |
-//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 | 0.1 / 0.3 |
-//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 |
-//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 | ≈4.2 / ≈9.6 |
+//! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter | `u64` counter, counting runs, branch-free partition, one Adam kernel | membership-mask GBDT with a lane kernel, live-column LW-NN | lane-wide predicate masks, branch-free runs, one extremes scan |
+//! |---|---|---|---|---|---|
+//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 | 0.6 / 1.5 | 0.7 / 1.2 |
+//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 | 1.4 / 4.1 | 1.3 / 4.0 |
+//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 | 1.3 / 1.5 | 0.5 / 0.6 |
+//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 | 0.5 / 1.8 | 0.2 / 0.9 |
+//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 | 0.1 / 0.3 | 0.04 / 0.06 |
+//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.3 / 0.3 |
+//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 | ≈4.2 / ≈9.6 | ≈3.9 / ≈7.4 |
 //!
 //! The left column re-sorted every feature at every node of every tree,
 //! rebuilt hash maps per join edge per query, and computed an input
@@ -60,6 +60,21 @@
 //! and 7.4–8.6 → 1.1–1.6 ms at 24 (`micro.rs -- label_kernels`,
 //! medians, same host). What is left is LW-NN's two matmuls, which every
 //! live column still pays, the counter's row passes and query validation.
+//!
+//! The fifth column takes the row passes off branches the data decides,
+//! again at the same bits: each predicate masks its weights in one
+//! `simd_kernel!` (`(lo <= v) & (v <= hi)`, where the short-circuit test
+//! mispredicted on random data), the histogram compacts its counting slots
+//! without a `filter`, and every column bound — the histogram's, the
+//! workload generator's, `SchemaEncoder::capture`'s (twice per label) and
+//! the counter's key spans — comes from one lane-wide extremes pass instead
+//! of two scalar folds. It was measured like the fourth (best of 30 calls
+//! per stage, least of four rounds alternated with the fourth column's
+//! code, which read 0.7 / 1.5, 1.4 / 4.2, 1.3 / 1.6, 0.5 / 1.9, 0.1 / 0.3,
+//! 0.2 / 0.3 and 4.4 / 10.1 down the rows on that host; its estimates row
+//! counts 3 models × 45 queries, and moved within noise). `LwXgb::train`
+//! and `LwNn::train` change only in their schema capture, which at 7
+//! tables is inside the noise.
 
 use crate::label::{label_dataset, DatasetLabel, TestbedConfig};
 use ce_storage::Dataset;

@@ -34,8 +34,7 @@ impl QueryTemplate {
             .iter()
             .map(|&(t, c)| {
                 let col = &ds.tables[t].columns[c];
-                let lo_v = col.min().unwrap_or(0);
-                let hi_v = col.max().unwrap_or(0);
+                let (lo_v, hi_v) = col.bounds();
                 let center = if col.is_empty() {
                     lo_v
                 } else {

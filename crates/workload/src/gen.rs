@@ -74,8 +74,7 @@ impl<'a> ColumnBounds<'a> {
 
     fn of(&mut self, table: usize, col: usize) -> (Value, Value) {
         let column = &self.ds.tables[table].columns[col];
-        *self.known[table][col]
-            .get_or_insert_with(|| (column.min().unwrap_or(0), column.max().unwrap_or(0)))
+        *self.known[table][col].get_or_insert_with(|| column.bounds())
     }
 }
 
