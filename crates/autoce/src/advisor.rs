@@ -33,7 +33,7 @@
 //!
 //! The lints below keep `unwrap`, `expect` and `panic!` out of this module;
 //! the one audited exception is the tuple-form
-//! [`AutoCe::predict_excluding`] convenience.
+//! [`AutoCe::predict_from_embedding`] convenience.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -44,8 +44,7 @@ use crate::knn;
 use crate::online::{online_update_config, DriftDetector, Reservoir};
 use crate::shard::AdvisorShard;
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
-use ce_gnn::train::train_encoder_incremental_observed;
-use ce_gnn::{train_encoder, DmlConfig, GinEncoder, StackedCtx};
+use ce_gnn::{train_encoder, train_encoder_incremental, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::ModelKind;
 use ce_nn::Matrix;
 use ce_obs::{MetricsRegistry, LATENCY_NS_BUCKETS};
@@ -177,7 +176,8 @@ impl AutoCe {
         // trainer, never cloned.
         let dml_labels: Vec<Vec<f64>> = entries.iter().map(RcsEntry::dml_label).collect();
         let graph_refs: Vec<&FeatureGraph> = entries.iter().map(|e| &e.graph).collect();
-        let mut encoder = train_encoder(&graph_refs, &dml_labels, &config.dml, seed);
+        let off = MetricsRegistry::disabled();
+        let mut encoder = train_encoder(&graph_refs, &dml_labels, &config.dml, seed, &off);
 
         // Stage 3: incremental learning with Mixup (Algorithm 2).
         if let Some(il) = &config.incremental {
@@ -300,28 +300,18 @@ impl AutoCe {
 
     /// KNN prediction from an embedding (Eq. 13): averaged neighbor score
     /// vector at the requested weighting; returns `(model, score_vector)`.
+    /// A convenience over [`AdvisorBackend::predict_from_embedding`] (the
+    /// [`knn`] steps, typed errors) that **panics** when the RCS holds
+    /// nothing to select.
+    // Audited: the documented panic of a tuple-form convenience that
+    // nothing behind `AdvisorService` calls.
+    #[allow(clippy::expect_used)]
     pub fn predict_from_embedding(
         &self,
         embedding: &[f32],
         w: MetricWeights,
     ) -> (ModelKind, Vec<f64>) {
-        self.predict_excluding(embedding, w, usize::MAX)
-    }
-
-    /// KNN prediction that can exclude one global RCS index — used by the
-    /// leave-one-out cross-validation of Algorithm 2. A convenience over
-    /// [`AdvisorBackend::predict_excluding`] (the [`knn`] steps, typed
-    /// errors) that **panics** when the RCS holds nothing to select.
-    // Audited: the documented panic of a tuple-form convenience that
-    // nothing behind `AdvisorService` calls.
-    #[allow(clippy::expect_used)]
-    pub fn predict_excluding(
-        &self,
-        embedding: &[f32],
-        w: MetricWeights,
-        exclude: usize,
-    ) -> (ModelKind, Vec<f64>) {
-        AdvisorBackend::predict_excluding(self, embedding, w, exclude)
+        AdvisorBackend::predict_from_embedding(self, embedding, w)
             .expect("the RCS holds a selectable entry")
     }
 
@@ -468,10 +458,9 @@ impl AutoCe {
                 &shards[s].entries()[slot].graph
             })
             .collect();
-        // The observed trainer lands the train phase timings in the same
-        // registry as the serving metrics; a disabled registry leaves it
-        // the plain trainer.
-        train_encoder_incremental_observed(encoder, &graphs, &labels, &cfg, seed ^ 0x0ada, metrics);
+        // The train phase timings land in the same registry as the serving
+        // metrics; a disabled registry records nothing.
+        train_encoder_incremental(encoder, &graphs, &labels, &cfg, seed ^ 0x0ada, metrics);
         // Bump BEFORE refreshing: the refresh rebuilds every index stamped
         // with the current generation, and a pre-bump stamp would mismatch
         // every post-adaptation query (permanent index bypass).
@@ -502,10 +491,6 @@ impl AdvisorBackend for AutoCe {
         self.encoder.input_dim()
     }
 
-    fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
-        self.encoder.encode(g)
-    }
-
     /// The stacked service: one tall forward per chunk.
     fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>> {
         self.encoder.encode_batch(graphs)
@@ -524,26 +509,9 @@ impl AdvisorBackend for AutoCe {
         knn::predict_batch(queries, self.config.k, &self.shards, self.generation, entry)
     }
 
-    fn distance_to_nearest(&self, x: &[f32]) -> f32 {
-        self.distance_to_embedding(x)
-    }
-
     /// Fitted over the shards as they serve, indexes included.
     fn drift_detector(&self) -> DriftDetector {
         DriftDetector::from_partitions(&self.shards, self.generation)
-    }
-
-    fn push_entry(
-        &mut self,
-        graph: FeatureGraph,
-        label: &DatasetLabel,
-    ) -> Result<usize, AdvisorError> {
-        Ok(AutoCe::push_entry(self, graph, label))
-    }
-
-    fn refresh(&mut self) -> Result<u64, AdvisorError> {
-        self.refresh_embeddings();
-        Ok(self.generation)
     }
 
     fn install_index(
@@ -654,7 +622,7 @@ mod tests {
         let (datasets, mut advisor) = tiny_training_run(2, false);
         // Per-graph references, computed before any refresh.
         let per_graph_rcs: Vec<Vec<f32>> = (0..advisor.len())
-            .map(|i| advisor.embed_graph(&advisor.entry(i).graph))
+            .map(|i| advisor.encoder().encode(&advisor.entry(i).graph))
             .collect();
         advisor.refresh_embeddings();
         for (i, expect) in per_graph_rcs.iter().enumerate() {
@@ -667,8 +635,10 @@ mod tests {
             .collect();
         let batch = advisor.encoder().encode_batch(&graphs);
         let w = MetricWeights::new(0.7);
-        for (ds, emb) in datasets.iter().zip(&batch) {
-            assert_eq!(emb, &advisor.embed(ds), "stacked embed must be bitwise");
+        for ((ds, g), emb) in datasets.iter().zip(&graphs).zip(&batch) {
+            let per_graph = advisor.encoder().encode(g);
+            assert_eq!(emb, &per_graph, "stacked embed must be bitwise");
+            assert_eq!(emb, &advisor.embed(ds), "and so must a batch of one");
             let rec = advisor.predict_from_embedding(emb, w).0;
             assert_eq!(rec, advisor.recommend(ds, w));
         }

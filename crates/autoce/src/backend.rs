@@ -3,10 +3,13 @@
 //!
 //! The in-process [`AutoCe`](crate::AutoCe) (at any shard count) and the
 //! cross-process cluster coordinator (`ce-cluster`) answer the same
-//! questions — embed a feature graph, KNN-vote over the RCS, absorb a new
-//! entry. This trait captures that query surface once, so serving
-//! machinery (micro-batching, embedding caches, benchmarks, parity tests)
-//! can be written one time and run against either backend.
+//! questions — embed a feature graph, KNN-vote over the RCS. This trait
+//! captures that query surface once, and only what a serving front calls,
+//! so serving machinery (micro-batching, embedding caches, benchmarks,
+//! parity tests) can be written one time and run against either backend.
+//! Absorbing a new entry is an owner's operation, not a query: each
+//! backend keeps its own (`AutoCe::push_entry`, the coordinator's
+//! `push_entry`).
 //!
 //! # Determinism obligations
 //!
@@ -34,7 +37,7 @@ use crate::online::DriftDetector;
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
 use ce_obs::MetricsSnapshot;
-use ce_testbed::{DatasetLabel, MetricWeights};
+use ce_testbed::MetricWeights;
 
 /// The unified advisor error taxonomy. Every backend and serving front
 /// (`ce-serve`, `ce-cluster`'s coordinator) returns it directly, so code
@@ -116,22 +119,19 @@ pub struct BatchPredictRequest<'a> {
 /// `ClusterCoordinator`. See the module docs for the determinism
 /// obligations implementations carry.
 ///
-/// Query methods take `&self` (backends needing internal state — wire
+/// The trait holds what a serving front generic over the backend calls,
+/// and nothing else: seven required methods and five provided ones. Every
+/// method takes `&self` (backends needing internal state — wire
 /// connections, retry randomness — use interior mutability) so a backend
-/// can serve from behind an `Arc`. The mutation hooks ([`Self::push_entry`],
-/// [`Self::refresh`]) take `&mut self`: mutation is an owner/admin
-/// concern, and serving fronts that adapt online do so by building a new
-/// backend value and swapping snapshots, not by mutating through shared
-/// references.
+/// can serve from behind an `Arc`; [`Self::install_index`] alone takes
+/// `&mut self`, before the backend is shared. Mutation is an owner's
+/// concern and has no trait method: `AutoCe` owners push, adapt and
+/// refresh through its inherent methods, a cluster through the
+/// coordinator's `&self` admin operations, and a serving front that
+/// adapts online builds a new backend value and swaps snapshots.
 pub trait AdvisorBackend: Send + Sync {
     /// Number of RCS entries backing recommendations.
     fn rcs_len(&self) -> usize;
-
-    /// True when the backend has no RCS entries: every query answers
-    /// [`AdvisorError::EmptyRcs`].
-    fn rcs_is_empty(&self) -> bool {
-        self.rcs_len() == 0
-    }
 
     /// Monotonic generation of the *encoder* state: bumps exactly when an
     /// adaptation changes the encoder (and therefore invalidates every
@@ -150,12 +150,18 @@ pub trait AdvisorBackend: Send + Sync {
     /// the encoder.
     fn vertex_dim(&self) -> usize;
 
-    /// Encodes one feature graph into an embedding.
-    fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32>;
-
-    /// Encodes a batch of feature graphs — the micro-batcher's entry
-    /// point. Must be bit-identical to per-graph [`Self::embed_graph`].
+    /// Encodes a batch of feature graphs — the one encode every backend
+    /// implements, and the micro-batcher's entry point. Must be
+    /// bit-identical to encoding each graph alone.
     fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>>;
+
+    /// Encodes one feature graph: [`Self::embed_graph_batch`] over a batch
+    /// of one, so the two agree by construction.
+    fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
+        self.embed_graph_batch(std::slice::from_ref(&g))
+            .pop()
+            .unwrap_or_default()
+    }
 
     /// KNN prediction for a batch of queries, each excluding one global RCS
     /// index (`usize::MAX` excludes nothing): the steps of [`crate::knn`],
@@ -204,40 +210,10 @@ pub trait AdvisorBackend: Send + Sync {
         self.predict_excluding(embedding, w, usize::MAX)
     }
 
-    /// Full recommendation from a feature graph: embed, then vote.
-    fn recommend_graph(
-        &self,
-        g: &FeatureGraph,
-        w: MetricWeights,
-    ) -> Result<ModelKind, AdvisorError> {
-        let x = self.embed_graph(g);
-        Ok(self.predict_from_embedding(&x, w)?.0)
-    }
-
-    /// Distance from an embedding to its nearest RCS entry (the drift
-    /// signal): [`crate::knn::nearest_distance`] over the backend's own
-    /// partitions.
-    fn distance_to_nearest(&self, x: &[f32]) -> f32;
-
     /// Fits a drift detector over the current RCS membership in global
     /// index order, through the partitions (and indexes) the backend
     /// serves from ([`DriftDetector::from_partitions`]).
     fn drift_detector(&self) -> DriftDetector;
-
-    /// Push hook: absorbs a freshly labeled dataset into the RCS (and,
-    /// for distributed backends, synchronizes replicas). Returns the new
-    /// entry's global RCS index.
-    fn push_entry(
-        &mut self,
-        graph: FeatureGraph,
-        label: &DatasetLabel,
-    ) -> Result<usize, AdvisorError>;
-
-    /// Refresh hook: re-encodes every RCS embedding under the current
-    /// encoder (and, for distributed backends, stages the result as a new
-    /// epoch on every replica). Returns the backend's post-refresh
-    /// version marker (generation or epoch).
-    fn refresh(&mut self) -> Result<u64, AdvisorError>;
 
     /// Installs a two-stage KNN index configuration
     /// ([`crate::index::IndexConfig`]) on backends that scan embeddings
@@ -324,38 +300,51 @@ mod tests {
         let backend: &dyn AdvisorBackend = &advisor;
         let w = MetricWeights::new(0.7);
         let x = vec![0.2f32, 0.1, 0.6];
+        let one = BatchPredictRequest {
+            embedding: &x,
+            w,
+            exclude: 1,
+        };
+        assert_eq!(
+            backend.predict_excluding(&x, w, 1),
+            Ok(advisor.predict_batch(&[one]).expect("flat never fails")[0].clone())
+        );
         assert_eq!(
             backend
-                .predict_excluding(&x, w, 1)
+                .predict_from_embedding(&x, w)
                 .expect("flat never fails"),
-            advisor.predict_excluding(&x, w, 1)
+            advisor.predict_from_embedding(&x, w)
         );
         assert_eq!(backend.rcs_len(), advisor.len());
         let g = advisor.entry(0).graph.clone();
-        assert_eq!(backend.embed_graph(&g), advisor.embed_graph(&g));
+        assert_eq!(backend.embed_graph(&g), advisor.encoder().encode(&g));
         assert_eq!(
             backend.embed_graph_batch(&[&g, &g]),
-            vec![advisor.embed_graph(&g), advisor.embed_graph(&g)]
+            vec![backend.embed_graph(&g), backend.embed_graph(&g)]
         );
+        let voted = backend.predict_from_embedding(&backend.embed_graph(&g), w);
         assert_eq!(
-            backend.recommend_graph(&g, w).expect("flat never fails"),
+            voted.expect("flat never fails").0,
             advisor.recommend_graph(&g, w)
         );
     }
 
+    /// The drift signal: the owner's `distance_to_embedding` is zero on a
+    /// member and positive away from the RCS.
     #[test]
     fn distance_to_nearest_hits_zero_on_members() {
         let advisor = tiny_advisor();
         let member = advisor.entry(2).embedding.clone();
-        assert_eq!(AdvisorBackend::distance_to_nearest(&advisor, &member), 0.0);
-        assert!(AdvisorBackend::distance_to_nearest(&advisor, &[9.0, 9.0, 9.0]) > 1.0);
+        assert_eq!(advisor.distance_to_embedding(&member), 0.0);
+        assert!(advisor.distance_to_embedding(&[9.0, 9.0, 9.0]) > 1.0);
     }
 
+    /// The owner's push returns the new entry's global index.
     #[test]
     fn push_hook_returns_the_new_global_index() {
         let mut advisor = tiny_advisor();
         let before = advisor.len();
-        let label = DatasetLabel {
+        let label = ce_testbed::DatasetLabel {
             dataset: "new".into(),
             performances: advisor
                 .entry(0)
@@ -374,8 +363,7 @@ mod tests {
                 .collect(),
         };
         let g = advisor.entry(0).graph.clone();
-        let id = AdvisorBackend::push_entry(&mut advisor, g, &label).expect("push");
-        assert_eq!(id, before);
+        assert_eq!(advisor.push_entry(g, &label), before);
         assert_eq!(advisor.len(), before + 1);
     }
 

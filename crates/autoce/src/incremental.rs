@@ -12,15 +12,15 @@
 
 use crate::advisor::{AutoCeConfig, RcsEntry};
 use crate::beta::sample_beta;
+use crate::knn::knn_order;
 use ce_features::{mixup_graphs, mixup_labels, FeatureGraph};
-use ce_gnn::train::train_encoder_incremental;
-use ce_gnn::GinEncoder;
+use ce_gnn::{train_encoder_incremental, GinEncoder};
 use ce_nn::matrix::euclidean;
+use ce_obs::MetricsRegistry;
 use ce_testbed::score::best_index;
 use ce_testbed::{d_error, MetricWeights};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Incremental-learning parameters.
@@ -68,9 +68,12 @@ pub struct FeedbackSplit {
     pub reference: Vec<usize>,
 }
 
-/// Step 1 of Algorithm 2: cross-validated feedback collection.
+/// Step 1 of Algorithm 2: cross-validated feedback collection over the
+/// entries' embeddings under the current encoder (`embeddings[i]` is entry
+/// `i`'s). Each validation sample's neighbours rank by [`knn_order`], so a
+/// NaN embedding ranks last instead of panicking.
 pub fn collect_feedback(
-    encoder: &GinEncoder,
+    embeddings: &[Vec<f32>],
     entries: &[RcsEntry],
     il: &IncrementalConfig,
     k: usize,
@@ -80,10 +83,6 @@ pub fn collect_feedback(
         return FeedbackSplit::default();
     }
     let w = MetricWeights::new(il.validation_weight);
-    let embeddings: Vec<Vec<f32>> = entries
-        .par_iter()
-        .map(|e| encoder.encode(&e.graph))
-        .collect();
     let folds = il.folds.clamp(2, n);
     let mut split = FeedbackSplit::default();
     for i in 0..n {
@@ -97,7 +96,7 @@ pub fn collect_feedback(
             split.reference.push(i);
             continue;
         }
-        dists.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+        dists.sort_by(knn_order);
         let kk = k.clamp(1, dists.len());
         let arity = entries[i].sa.len();
         let mut avg = vec![0.0f64; arity];
@@ -126,15 +125,15 @@ pub fn run_incremental_learning(
     config: &AutoCeConfig,
     seed: u64,
 ) -> usize {
-    let split = collect_feedback(encoder, entries, il, config.k);
+    // One stacked encode serves both the feedback split and Mixup's
+    // nearest-reference search: the encoder does not change in between.
+    let graphs: Vec<&FeatureGraph> = entries.iter().map(|e| &e.graph).collect();
+    let embeddings = encoder.encode_batch(&graphs);
+    let split = collect_feedback(&embeddings, entries, il, config.k);
     if split.feedback.is_empty() || split.reference.is_empty() {
         return 0;
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x3141);
-    let embeddings: Vec<Vec<f32>> = entries
-        .par_iter()
-        .map(|e| encoder.encode(&e.graph))
-        .collect();
 
     // Step 2: Mixup each feedback sample with its nearest reference.
     let mut aug_graphs: Vec<FeatureGraph> = Vec::with_capacity(split.feedback.len());
@@ -145,14 +144,9 @@ pub fn run_incremental_learning(
         Vec::new()
     };
     for &i in &feedback {
-        let &j = split
-            .reference
-            .iter()
-            .min_by(|&&a, &&b| {
-                euclidean(&embeddings[i], &embeddings[a])
-                    .partial_cmp(&euclidean(&embeddings[i], &embeddings[b]))
-                    .expect("finite distances")
-            })
+        let (j, _) = (split.reference.iter())
+            .map(|&a| (a, euclidean(&embeddings[i], &embeddings[a])))
+            .min_by(knn_order)
             .expect("reference set nonempty");
         let lambda = sample_beta(il.mixup_alpha, il.mixup_beta, &mut rng);
         aug_graphs.push(mixup_graphs(
@@ -170,16 +164,13 @@ pub fn run_incremental_learning(
 
     // Step 3: incremental training on original + synthetic data (original
     // graphs borrowed from the RCS, only the synthetics are owned).
-    let graphs: Vec<&FeatureGraph> = entries
-        .iter()
-        .map(|e| &e.graph)
-        .chain(aug_graphs.iter())
-        .collect();
+    let graphs: Vec<&FeatureGraph> = graphs.into_iter().chain(aug_graphs.iter()).collect();
     let mut labels: Vec<Vec<f64>> = entries.iter().map(RcsEntry::dml_label).collect();
     labels.extend(aug_labels);
     let mut cfg = config.dml.clone();
     cfg.epochs = il.epochs;
-    train_encoder_incremental(encoder, &graphs, &labels, &cfg, seed ^ 0x1715);
+    let metrics = MetricsRegistry::disabled();
+    train_encoder_incremental(encoder, &graphs, &labels, &cfg, seed ^ 0x1715, &metrics);
     synthesized
 }
 
@@ -216,6 +207,10 @@ mod tests {
         out
     }
 
+    fn embed(encoder: &GinEncoder, entries: &[RcsEntry]) -> Vec<Vec<f32>> {
+        encoder.encode_batch(&entries.iter().map(|e| &e.graph).collect::<Vec<_>>())
+    }
+
     #[test]
     fn feedback_collection_flags_the_outlier() {
         let entries = synthetic_entries();
@@ -225,7 +220,7 @@ mod tests {
             d_error_threshold: 0.3,
             ..IncrementalConfig::default()
         };
-        let split = collect_feedback(&encoder, &entries, &il, 2);
+        let split = collect_feedback(&embed(&encoder, &entries), &entries, &il, 2);
         assert_eq!(split.feedback.len() + split.reference.len(), entries.len());
         assert!(
             split.feedback.contains(&10),
@@ -260,7 +255,28 @@ mod tests {
     fn empty_or_tiny_inputs_are_safe() {
         let encoder = GinEncoder::new(4, &[8], 4, 53);
         let il = IncrementalConfig::default();
-        let split = collect_feedback(&encoder, &[], &il, 2);
+        let split = collect_feedback(&[], &[], &il, 2);
         assert!(split.feedback.is_empty() && split.reference.is_empty());
+        let one = &synthetic_entries()[..1];
+        let split = collect_feedback(&embed(&encoder, one), one, &il, 2);
+        assert!(split.feedback.is_empty() && split.reference.is_empty());
+    }
+
+    /// Training does not refuse a NaN feature graph (a `FeatureGraph` is
+    /// all public fields), so its NaN embedding reaches the fold KNN: it
+    /// ranks last under `knn_order` and the split still covers every entry.
+    #[test]
+    fn a_nan_embedding_does_not_panic_the_feedback_split() {
+        let mut entries = synthetic_entries();
+        entries[3].graph.vertices[0][0] = f32::NAN;
+        let encoder = GinEncoder::new(4, &[8], 4, 50);
+        let embeddings = embed(&encoder, &entries);
+        assert!(embeddings[3].iter().any(|v| v.is_nan()));
+        let il = IncrementalConfig {
+            folds: 3,
+            ..IncrementalConfig::default()
+        };
+        let split = collect_feedback(&embeddings, &entries, &il, 2);
+        assert_eq!(split.feedback.len() + split.reference.len(), entries.len());
     }
 }

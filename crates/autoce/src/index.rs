@@ -386,11 +386,6 @@ impl KnnIndex {
         self.obs.bypass.inc();
     }
 
-    /// The configuration the index was built with.
-    pub fn config(&self) -> &IndexConfig {
-        &self.cfg
-    }
-
     /// The coarse pass: one packed kernel call leaves every centroid's
     /// exact distance in `scratch.dists` (`euclidean`'s bits), then each
     /// partition's `(distance, partition index)` key goes to

@@ -6,7 +6,7 @@
 
 use autoce::index::{IndexConfig, KnnIndex};
 use autoce::knn::Scratch;
-use autoce::{knn_order, AutoCe, AutoCeConfig, MetricsRegistry, RcsEntry};
+use autoce::{knn_order, AdvisorBackend, AutoCe, AutoCeConfig, MetricsRegistry, RcsEntry};
 use ce_features::FeatureGraph;
 use ce_gnn::{DmlConfig, GinEncoder};
 use ce_models::ModelKind;
@@ -148,7 +148,7 @@ proptest! {
         let x: Vec<f32> = query.iter().map(|&v| v as f32 / 2.0).collect();
         let w = MetricWeights::new(wa10 as f64 / 10.0);
         let exclude = if exsel < n && n > 1 { exsel } else { usize::MAX };
-        let expect = flat.predict_excluding(&x, w, exclude);
+        let expect = flat.predict_excluding(&x, w, exclude).expect("flat");
         let mut indexed = synthetic_advisor(&embq, k);
         let cfg = IndexConfig::builder()
             .partitions(4)
@@ -159,7 +159,7 @@ proptest! {
         indexed
             .set_index_config(cfg)
             .expect("config admissible for k");
-        let got = indexed.predict_excluding(&x, w, exclude);
+        let got = indexed.predict_excluding(&x, w, exclude).expect("indexed");
         prop_assert_eq!(&got.0, &expect.0, "model mismatch");
         prop_assert_eq!(&got.1, &expect.1, "scores mismatch");
     }
@@ -309,7 +309,7 @@ fn stale_tag_bypasses_until_refresh() {
         .expect("installs");
     let x = vec![0.5f32, -0.5, 1.0];
     let w = MetricWeights::new(0.5);
-    let before = advisor.predict_excluding(&x, w, usize::MAX);
+    let before = advisor.predict_from_embedding(&x, w);
     // Probing every partition (probe == partitions) is always admissible.
     assert_eq!(
         metrics
@@ -341,7 +341,7 @@ fn stale_tag_bypasses_until_refresh() {
             .collect(),
     };
     advisor.push_entry(graph, &label);
-    let _ = advisor.predict_excluding(&x, w, usize::MAX);
+    let _ = advisor.predict_from_embedding(&x, w);
     let snap = metrics.snapshot();
     assert_eq!(
         snap.counter("ce_index_queries_total", &[("outcome", "indexed")]),
@@ -350,7 +350,7 @@ fn stale_tag_bypasses_until_refresh() {
     );
     // Refresh rebuilds over the 13 entries; queries index again.
     advisor.refresh_embeddings();
-    let after = advisor.predict_excluding(&x, w, usize::MAX);
+    let after = advisor.predict_from_embedding(&x, w);
     assert_eq!(
         metrics
             .snapshot()

@@ -3,8 +3,8 @@
 //! These back the §VII-A timing claims (training 107 s offline, 0.79 s
 //! inference per dataset at paper scale; proportionally smaller here).
 
-use autoce::AdvisorBackend;
-use ce_bench::harness::{blob_rcs, build_corpus, train_default_advisor, Scale};
+use autoce::{AdvisorBackend, RcsEntry};
+use ce_bench::harness::{build_corpus, train_default_advisor, Scale};
 use ce_datagen::{generate_dataset, DatasetSpec, SpecRange};
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::{train_encoder, DmlConfig, GinEncoder, StackedCtx};
@@ -19,7 +19,7 @@ use ce_testbed::{label_dataset, MetricWeights};
 use ce_workload::{generate_workload, label_workload, WorkloadSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::hint::black_box;
 
@@ -47,6 +47,43 @@ mod golden_kmeans_bits;
 
 /// Entries and dimension of the end-to-end benchmark's `knn-read` RCS.
 const KNN_READ_SHAPE: (usize, usize) = (6000, 32);
+
+/// A synthetic RCS for the KNN micro-benches: `n` entries
+/// scattered around `blobs` centres in `dim` dimensions (entry `i` near
+/// centre `i % blobs`), and `queries` query embeddings near those centres.
+fn blob_rcs(
+    n: usize,
+    blobs: usize,
+    dim: usize,
+    queries: usize,
+    rng: &mut StdRng,
+) -> (Vec<RcsEntry>, Vec<Vec<f32>>) {
+    let kinds = [ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
+    let centers: Vec<Vec<f32>> = (0..blobs)
+        .map(|_| (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect())
+        .collect();
+    let mut near = |c: usize| -> Vec<f32> {
+        centers[c]
+            .iter()
+            .map(|&v| v + rng.gen_range(-0.3f32..0.3))
+            .collect()
+    };
+    let entries = (0..n)
+        .map(|i| RcsEntry {
+            name: format!("b{i}"),
+            graph: FeatureGraph {
+                vertices: vec![vec![i as f32, 0.0, 0.0, 1.0]],
+                edges: vec![vec![0.0]],
+            },
+            embedding: near(i % blobs),
+            kinds: kinds.to_vec(),
+            sa: (0..3).map(|m| ((i + m) % 4) as f64 / 3.0).collect(),
+            se: (0..3).map(|m| ((i + 2 * m) % 3) as f64 / 2.0).collect(),
+        })
+        .collect();
+    let queries = (0..queries).map(|i| near((i * 7) % blobs)).collect();
+    (entries, queries)
+}
 
 fn bench_detector_fit(c: &mut Criterion) {
     if !criterion::filter_allows("detector_fit") {
@@ -401,7 +438,13 @@ fn bench_gnn_engine(c: &mut Criterion) {
     let cfg = DmlConfig::default();
     let input_dim = graphs[0].vertex_dim();
 
-    let trained = train_encoder(&graphs, &labels, &cfg, 9);
+    let trained = train_encoder(
+        &graphs,
+        &labels,
+        &cfg,
+        9,
+        &autoce::MetricsRegistry::disabled(),
+    );
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in trained.flat_params() {
         golden_kmeans_bits::fnv1a(&mut h, &v.to_le_bytes());
@@ -416,7 +459,15 @@ fn bench_gnn_engine(c: &mut Criterion) {
     }
 
     c.bench_function("train_encoder_stacked", |b| {
-        b.iter(|| black_box(train_encoder(&graphs, &labels, &cfg, 9)))
+        b.iter(|| {
+            black_box(train_encoder(
+                &graphs,
+                &labels,
+                &cfg,
+                9,
+                &autoce::MetricsRegistry::disabled(),
+            ))
+        })
     });
     c.bench_function("encode_parallel_sparse", |b| {
         b.iter(|| {
@@ -825,8 +876,8 @@ fn bench_indexed_knn(c: &mut Criterion) {
             } else {
                 usize::MAX
             };
-            let (fm, fs) = flat.predict_excluding(x, w, exclude);
-            let (im, is) = indexed.predict_excluding(x, w, exclude);
+            let (fm, fs) = flat.predict_excluding(x, w, exclude).expect("flat");
+            let (im, is) = indexed.predict_excluding(x, w, exclude).expect("indexed");
             let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 (fm, bits(&fs)),

@@ -1,16 +1,15 @@
 //! Shared experiment infrastructure: scaling, corpus construction (with a
 //! label cache), advisor training and selector evaluation.
 
-use autoce::{AutoCe, AutoCeConfig, IncrementalConfig, RcsEntry, Selector};
+use autoce::{AutoCe, AutoCeConfig, IncrementalConfig, Selector};
 use ce_datagen::{generate_batch, DatasetSpec};
-use ce_features::FeatureGraph;
 use ce_gnn::{DmlConfig, LossKind};
 use ce_models::{ModelKind, SELECTABLE_MODELS};
 use ce_storage::Dataset;
 use ce_testbed::{label_datasets, DatasetLabel, MetricWeights, TestbedConfig};
 use ce_workload::WorkloadSpec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
@@ -237,43 +236,6 @@ pub fn eval_selector_breakdown(
         lat.push(label.latency_of(kind));
     }
     (mean(&derr), mean(&qerr), mean(&lat))
-}
-
-/// A synthetic RCS for the KNN micro-benches: `n` entries
-/// scattered around `blobs` centres in `dim` dimensions (entry `i` near
-/// centre `i % blobs`), and `queries` query embeddings near those centres.
-pub fn blob_rcs(
-    n: usize,
-    blobs: usize,
-    dim: usize,
-    queries: usize,
-    rng: &mut StdRng,
-) -> (Vec<RcsEntry>, Vec<Vec<f32>>) {
-    let kinds = [ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
-    let centers: Vec<Vec<f32>> = (0..blobs)
-        .map(|_| (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect())
-        .collect();
-    let mut near = |c: usize| -> Vec<f32> {
-        centers[c]
-            .iter()
-            .map(|&v| v + rng.gen_range(-0.3f32..0.3))
-            .collect()
-    };
-    let entries = (0..n)
-        .map(|i| RcsEntry {
-            name: format!("b{i}"),
-            graph: FeatureGraph {
-                vertices: vec![vec![i as f32, 0.0, 0.0, 1.0]],
-                edges: vec![vec![0.0]],
-            },
-            embedding: near(i % blobs),
-            kinds: kinds.to_vec(),
-            sa: (0..3).map(|m| ((i + m) % 4) as f64 / 3.0).collect(),
-            se: (0..3).map(|m| ((i + 2 * m) % 3) as f64 / 2.0).collect(),
-        })
-        .collect();
-    let queries = (0..queries).map(|i| near((i * 7) % blobs)).collect();
-    (entries, queries)
 }
 
 #[cfg(test)]

@@ -50,11 +50,6 @@ impl Ensemble {
         let weights = weights.into_iter().map(|w| w / z).collect();
         Ensemble { members, weights }
     }
-
-    /// Normalized member weights (for inspection).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 impl CardEstimator for Ensemble {
@@ -98,8 +93,8 @@ mod tests {
             train_queries: &train,
             seed: 21,
         });
-        assert_eq!(model.weights().len(), MEMBERS.len());
-        let wsum: f64 = model.weights().iter().sum();
+        assert_eq!(model.weights.len(), MEMBERS.len());
+        let wsum: f64 = model.weights.iter().sum();
         assert!((wsum - 1.0).abs() < 1e-9, "weights normalized");
         let est: Vec<f64> = test.iter().map(|lq| model.estimate(&lq.query)).collect();
         let tru: Vec<f64> = test.iter().map(|lq| lq.true_card as f64).collect();

@@ -181,11 +181,6 @@ impl Gbdt {
         }
         y
     }
-
-    /// Number of trees in the ensemble.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 /// A split: kept feature, threshold, gain.
@@ -612,6 +607,14 @@ fn lane_scan(
         _mm512_storeu_ps(out.threshold.as_mut_ptr(), threshold);
     }
     out
+}
+
+#[cfg(test)]
+impl Gbdt {
+    /// Number of trees in the ensemble.
+    fn num_trees(&self) -> usize {
+        self.trees.len()
+    }
 }
 
 #[cfg(test)]

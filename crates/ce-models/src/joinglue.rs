@@ -73,16 +73,6 @@ impl JoinIndex {
         }
         (full * sel).max(0.0)
     }
-
-    /// Number of indexed subtrees.
-    pub fn len(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// True if nothing was indexed (empty dataset).
-    pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
-    }
 }
 
 /// Returns the join edges connecting `tables` if they form a connected
@@ -131,7 +121,7 @@ mod tests {
         let ds = generate_dataset("ji", &DatasetSpec::small().multi_table(), &mut rng);
         let idx = JoinIndex::build(&ds);
         // All singletons are connected.
-        assert!(idx.len() >= ds.num_tables());
+        assert!(idx.sizes.len() >= ds.num_tables());
         for t in 0..ds.num_tables() {
             let q = Query::single_table(t, vec![]);
             assert_eq!(

@@ -58,15 +58,6 @@ impl SpnNode {
                 .sum(),
         }
     }
-
-    fn node_count(&self) -> usize {
-        match self {
-            SpnNode::Leaf { .. } => 1,
-            SpnNode::Product { children } | SpnNode::Sum { children, .. } => {
-                1 + children.iter().map(SpnNode::node_count).sum::<usize>()
-            }
-        }
-    }
 }
 
 /// SPN for a whole table.
@@ -250,11 +241,6 @@ impl DeepDb {
         }
     }
 
-    /// Total SPN node count (used by tests and the latency profile).
-    pub fn total_nodes(&self) -> usize {
-        self.spns.iter().map(|s| s.root.node_count()).sum()
-    }
-
     fn table_selectivity(&self, query: &Query, table: usize) -> f64 {
         let ranges: HashMap<usize, (Value, Value)> = query
             .predicates_on(table)
@@ -281,6 +267,26 @@ impl CardEstimator for DeepDb {
         self.join_index
             .estimate(query, |t| self.table_selectivity(query, t))
             .max(1.0)
+    }
+}
+
+#[cfg(test)]
+impl SpnNode {
+    fn node_count(&self) -> usize {
+        match self {
+            SpnNode::Leaf { .. } => 1,
+            SpnNode::Product { children } | SpnNode::Sum { children, .. } => {
+                1 + children.iter().map(SpnNode::node_count).sum::<usize>()
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl DeepDb {
+    /// Total SPN node count.
+    fn total_nodes(&self) -> usize {
+        self.spns.iter().map(|s| s.root.node_count()).sum()
     }
 }
 

@@ -143,21 +143,16 @@ impl FaultPlan {
         })
     }
 
-    /// Merges two plans into one schedule.
-    pub fn merge(self, other: FaultPlan) -> Self {
-        let mut events = self.events;
-        events.extend(other.events);
-        FaultPlan::scripted(events)
-    }
-
     /// All scheduled events, ordered by step.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
+}
 
-    /// Lifecycle events that arm at or before `step` (consumed in order
-    /// by the sim's liveness bookkeeping).
-    pub fn lifecycle_through(&self, step: u64) -> impl Iterator<Item = &FaultEvent> {
+#[cfg(test)]
+impl FaultPlan {
+    /// Lifecycle events that arm at or before `step`.
+    fn lifecycle_through(&self, step: u64) -> impl Iterator<Item = &FaultEvent> {
         self.events
             .iter()
             .filter(move |e| e.kind.is_lifecycle() && e.step <= step)

@@ -326,7 +326,7 @@ fn concurrent_predict_batch_matches_per_query_bits() {
         .collect();
     let want: Vec<(ModelKind, Vec<f64>)> = cases
         .iter()
-        .map(|(x, w, exclude)| sharded.predict_excluding(x, *w, *exclude))
+        .map(|(x, w, exclude)| sharded.predict_excluding(x, *w, *exclude).expect("flat"))
         .collect();
 
     let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
@@ -498,7 +498,7 @@ proptest::proptest! {
         let x: Vec<f32> = quarters.iter().map(|&q| q as f32 * 0.25).collect();
         let w = MetricWeights::new(alpha);
         let exclude = if exclude_nothing == 1 { usize::MAX } else { excluded };
-        let want = sharded.predict_excluding(&x, w, exclude);
+        let want = sharded.predict_excluding(&x, w, exclude).expect("flat");
         let single = coord.predict_excluding(&x, w, exclude).expect("single");
         let batch = coord
             .predict_batch(&[BatchPredictRequest { embedding: &x, w, exclude }])

@@ -119,7 +119,7 @@ fn seeded_fault_sweep_is_bit_identical_to_flat() {
     let w = MetricWeights::new(0.7);
     let expected: Vec<(ModelKind, Vec<f64>)> = workload()
         .iter()
-        .map(|(x, exclude)| sharded.predict_excluding(x, w, *exclude))
+        .map(|(x, exclude)| sharded.predict_excluding(x, w, *exclude).expect("flat"))
         .collect();
 
     let mut errors = 0usize; // dial-err + send-err + call-err
@@ -343,7 +343,7 @@ fn batched_fault_sweep_is_bit_identical_to_flat() {
     let w = MetricWeights::new(0.7);
     let expected: Vec<(ModelKind, Vec<f64>)> = workload()
         .iter()
-        .map(|(x, exclude)| sharded.predict_excluding(x, w, *exclude))
+        .map(|(x, exclude)| sharded.predict_excluding(x, w, *exclude).expect("flat"))
         .collect();
 
     let mut errors = 0usize;
@@ -493,7 +493,7 @@ fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
         let _ = holder.join().expect("the holder returns");
         trace
     });
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
     assert_eq!(
         path("worker"),

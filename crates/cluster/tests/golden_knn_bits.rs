@@ -190,7 +190,7 @@ fn flat_tier(registry: Option<&MetricsRegistry>) -> [u64; 3] {
             a
         },
         AutoCe::len,
-        |a, x, w, e| a.predict_excluding(x, w, e),
+        |a, x, w, e| a.predict_excluding(x, w, e).expect("flat"),
         |a, g, l| {
             a.push_entry(g, l);
         },
@@ -209,7 +209,7 @@ fn sharded_tier(shards: usize, registry: Option<&MetricsRegistry>) -> [u64; 3] {
             a
         },
         AutoCe::len,
-        |a, x, w, e| a.predict_excluding(x, w, e),
+        |a, x, w, e| a.predict_excluding(x, w, e).expect("flat"),
         |a, g, l| {
             a.push_entry(g, l);
         },

@@ -19,7 +19,7 @@
 
 use crate::single::generate_table;
 use crate::spec::SpecRange;
-use ce_storage::{Column, ColumnRole, Dataset, JoinEdge, Table, Value};
+use ce_storage::{Column, Dataset, JoinEdge, Table, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -457,16 +457,10 @@ fn split_one<R: Rng>(ds: &Dataset, index: usize, rng: &mut R) -> Dataset {
         .expect("split preserves tree structure")
 }
 
-/// Convenience: checks whether any column kept a key role (used in tests).
-pub fn has_key_columns(ds: &Dataset) -> bool {
-    ds.tables
-        .iter()
-        .any(|t| t.columns.iter().any(|c| c.role != ColumnRole::Data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ce_storage::ColumnRole;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -10,7 +10,10 @@
 //!   al.]), plus performance similarity (Def. 2) and positive/negative pair
 //!   assignment (Def. 3).
 //! * [`train`]: Algorithm 1 — batched DML training of the encoder from
-//!   labeled feature graphs.
+//!   labeled feature graphs. One trainer per mode: [`train_encoder`] for a
+//!   fresh encoder, [`train_encoder_incremental`] to continue one. Each
+//!   takes the `MetricsRegistry` its phase timings land in; a disabled one
+//!   costs nothing and no registry moves a trained bit.
 //! * [`stack`]: the batch-stacked engine — N graphs concatenated into one
 //!   tall vertex matrix + block-diagonal CSR. Serving side, one stacked
 //!   forward encodes the whole chunk bit-identically to per-graph
@@ -37,10 +40,7 @@ pub use gin::{BackwardPlan, GinEncoder, GinGrads, GraphCtx};
 pub use loss::{basic_contrastive, performance_similarity, weighted_contrastive, PairSets};
 pub use pool::{GradPool, StackedTapePool, WorkspacePools};
 pub use stack::{StackedCtx, StackedTape, STACK_CHUNK_ROWS};
-pub use train::{
-    train_encoder, train_encoder_incremental_observed, train_encoder_observed, DmlConfig, LossKind,
-    TrainObs,
-};
+pub use train::{train_encoder, train_encoder_incremental, DmlConfig, LossKind};
 
 #[cfg(test)]
 mod per_graph;

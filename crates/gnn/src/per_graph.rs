@@ -10,7 +10,7 @@ use crate::pool::GradPool;
 use crate::train::{batch_loss, DmlConfig};
 use ce_features::FeatureGraph;
 use ce_nn::matrix::spmm_csr;
-use ce_nn::Matrix;
+use ce_nn::{Dense, DenseGrad, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -98,10 +98,14 @@ impl GinEncoder {
                 &tape.steps[l - 1].y
             };
             let layer_acc = acc.layer_mut(l);
-            let gm =
-                layer
-                    .mlp
-                    .backward_owned_wt(&step.m, &step.y, g, plan.wt(l), &mut layer_acc.dense);
+            let gm = dense_backward(
+                &layer.mlp,
+                &step.m,
+                &step.y,
+                g,
+                plan.wt(l),
+                &mut layer_acc.dense,
+            );
             // dL/dε = Σ_i <gm_i, h_i> (the ε term contributes ε·h_i to m_i).
             for (a, b) in gm.data.iter().zip(&h.data) {
                 layer_acc.eps += a * b;
@@ -122,6 +126,28 @@ impl GinEncoder {
             g = gh;
         }
     }
+}
+
+/// The pure backward of one dense layer over a per-graph tape: given its
+/// input `x` and post-activation output `y`, routes the output gradient `g`
+/// into `acc` (weight and bias gradients) and returns the gradient w.r.t.
+/// `x`, with `wt` the layer's transposed weights.
+fn dense_backward(
+    layer: &Dense,
+    x: &Matrix,
+    y: &Matrix,
+    mut g: Matrix,
+    wt: &Matrix,
+    acc: &mut DenseGrad,
+) -> Matrix {
+    layer.activation.backward(y, &mut g);
+    x.matmul_transposed_left_into(&g, &mut acc.gw);
+    for r in 0..g.rows {
+        for (b, &v) in acc.gb.iter_mut().zip(g.row(r)) {
+            *b += v;
+        }
+    }
+    g.matmul(wt)
 }
 
 /// Recycling pool for [`ForwardTape`]s; checked-out tapes hold stale
@@ -153,7 +179,7 @@ pub(crate) fn train_encoder_per_graph(
     let input_dim = graphs.first().map_or(1, FeatureGraph::vertex_dim);
     let mut encoder = GinEncoder::new(input_dim, &cfg.hidden, cfg.embed_dim, seed);
     let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
-    let (tapes, grads) = (TapePool::default(), GradPool::new());
+    let (tapes, grads) = (TapePool::default(), GradPool::default());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xd31);
     let mut order: Vec<usize> = (0..ctxs.len()).collect();
     for _ in 0..cfg.epochs {
@@ -218,6 +244,7 @@ mod tests {
     use super::*;
     use crate::stack::StackedCtx;
     use crate::train::{evaluate_loss, train_encoder};
+    use ce_obs::MetricsRegistry;
     use proptest::prelude::*;
     use rand::Rng;
 
@@ -267,7 +294,7 @@ mod tests {
                 embed_dim: 5,
                 ..DmlConfig::default()
             };
-            let stacked = train_encoder(&graphs, &labels, &cfg, seed);
+            let stacked = train_encoder(&graphs, &labels, &cfg, seed, &MetricsRegistry::disabled());
             let per_graph = train_encoder_per_graph(&graphs, &labels, &cfg, seed);
             prop_assert_eq!(stacked.flat_params(), per_graph.flat_params());
             let loss_s = evaluate_loss(&stacked, &graphs, &labels, &cfg);
@@ -304,7 +331,7 @@ mod tests {
                 })
                 .collect();
             let plan = enc.backward_plan();
-            let pool = GradPool::new();
+            let pool = GradPool::default();
             let accs = enc.backward_stacked_tape(&stacked_ctx, &tape, &grads_in, &plan, &pool);
             for (i, (ctx, acc)) in ctxs.iter().zip(&accs).enumerate() {
                 // Embeddings agree first (empty graphs pool to zeros).

@@ -63,11 +63,6 @@ pub struct StackedTapePool {
 }
 
 impl StackedTapePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        StackedTapePool::default()
-    }
-
     /// An empty pool recording checkout stats into `registry` as
     /// `ce_gnn_pool_{checkouts,misses}_total{pool="stacked"}`.
     pub fn observed(registry: &MetricsRegistry) -> Self {
@@ -89,14 +84,6 @@ impl StackedTapePool {
         })
     }
 
-    /// Returns one stacked tape to the pool.
-    pub fn restore(&self, tape: StackedTape) {
-        self.slots
-            .lock()
-            .expect("stacked tape pool poisoned")
-            .push(tape);
-    }
-
     /// Returns a batch of stacked tapes to the pool.
     pub fn restore_all(&self, tapes: impl IntoIterator<Item = StackedTape>) {
         self.slots
@@ -115,11 +102,6 @@ pub struct GradPool {
 }
 
 impl GradPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        GradPool::default()
-    }
-
     /// An empty pool recording checkout stats into `registry` as
     /// `ce_gnn_pool_{checkouts,misses}_total{pool="grad"}`. A pooled
     /// accumulator whose shape no longer matches the encoder counts as a
@@ -176,20 +158,23 @@ pub struct WorkspacePools {
 }
 
 impl WorkspacePools {
-    /// Empty pools.
-    pub fn new() -> Self {
-        WorkspacePools::default()
-    }
-
     /// Empty pools recording checkout stats into `registry` under
     /// `ce_gnn_pool_checkouts_total{pool}` / `ce_gnn_pool_misses_total{pool}`
     /// with `pool` ∈ `grad` | `stacked`. With a disabled registry
-    /// this is identical to [`WorkspacePools::new`].
+    /// this is identical to [`WorkspacePools::default`].
     pub fn observed(registry: &MetricsRegistry) -> Self {
         WorkspacePools {
             grads: GradPool::observed(registry),
             stacked: StackedTapePool::observed(registry),
         }
+    }
+}
+
+#[cfg(test)]
+impl StackedTapePool {
+    /// Returns one stacked tape to the pool.
+    fn restore(&self, tape: StackedTape) {
+        self.restore_all([tape]);
     }
 }
 
@@ -221,7 +206,7 @@ mod tests {
                 (!acc.is_zero()).then_some((enc, acc))
             })
             .expect("some seed yields live gradients");
-        let pool = GradPool::new();
+        let pool = GradPool::default();
         assert!(pool.checkout(&enc).is_zero());
         // Restore dirty — the pool must still hand out zeros.
         pool.restore(acc);
@@ -257,7 +242,7 @@ mod tests {
         assert_eq!(c("ce_gnn_pool_checkouts_total", "grad"), 3);
         assert_eq!(c("ce_gnn_pool_misses_total", "grad"), 2);
         // Unobserved pools stay silent and free.
-        let silent = WorkspacePools::new();
+        let silent = WorkspacePools::default();
         let t = silent.stacked.checkout();
         silent.stacked.restore(t);
         assert_eq!(c("ce_gnn_pool_checkouts_total", "stacked"), 2);
@@ -267,7 +252,7 @@ mod tests {
     fn grad_checkout_replaces_mismatched_shapes() {
         let small = GinEncoder::new(2, &[4], 3, 1);
         let big = GinEncoder::new(2, &[8, 8], 5, 2);
-        let pool = GradPool::new();
+        let pool = GradPool::default();
         pool.restore(GinGrads::zeros_like(&small));
         let g = pool.checkout(&big);
         assert!(g.shape_matches(&big));
@@ -283,7 +268,7 @@ mod tests {
         let graphs = [toy_graph(), toy_graph()];
         let ctxs: Vec<GraphCtx> = graphs.iter().map(GraphCtx::from_graph).collect();
         let stacked = StackedCtx::from_ctxs(&ctxs);
-        let pool = StackedTapePool::new();
+        let pool = StackedTapePool::default();
         // Dirty the pool with a tape shaped for a larger encoder.
         let big = GinEncoder::new(2, &[16, 16], 9, 3);
         pool.restore(big.forward_stacked_tape(&stacked));
@@ -297,7 +282,7 @@ mod tests {
         // And it must back an identical segmented backward.
         let plan = small.backward_plan();
         let grads_in = vec![vec![1.0f32, -0.5, 0.25]; 2];
-        let gp = GradPool::new();
+        let gp = GradPool::default();
         let a = small.backward_stacked_tape(&stacked, &fresh, &grads_in, &plan, &gp);
         let b = small.backward_stacked_tape(&stacked, &tape, &grads_in, &plan, &gp);
         for (x, y) in a.iter().zip(&b) {

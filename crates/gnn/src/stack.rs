@@ -258,11 +258,6 @@ impl StackedTape {
     pub fn embedding(&self, i: usize) -> &[f32] {
         self.pooled.row(i)
     }
-
-    /// All embeddings, one row per stacked graph.
-    pub fn embeddings(&self) -> &Matrix {
-        &self.pooled
-    }
 }
 
 impl Default for StackedTape {
@@ -277,17 +272,10 @@ impl GinEncoder {
     /// graph's embedding. One kernel dispatch per layer for N graphs —
     /// embeddings and tape contents are bit-identical per block to N
     /// per-graph taped forwards (every kernel is row-local or block-local
-    /// with preserved order; see the module docs).
-    pub fn forward_stacked_tape(&self, stacked: &StackedCtx) -> StackedTape {
-        let mut tape = StackedTape::new();
-        self.forward_stacked_tape_into(stacked, &mut tape);
-        tape
-    }
-
-    /// Allocation-recycling variant of [`Self::forward_stacked_tape`]:
-    /// overwrites `tape` in place (reshaping its matrices), bit-identical
-    /// to a freshly allocated tape. This is what a
-    /// [`StackedTapePool`](crate::pool::StackedTapePool) checkout runs.
+    /// with preserved order; see the module docs). Overwrites `tape` in
+    /// place (reshaping its matrices), bit-identical to a freshly allocated
+    /// tape, so a [`StackedTapePool`](crate::pool::StackedTapePool)
+    /// checkout can be filled by it.
     pub fn forward_stacked_tape_into(&self, stacked: &StackedCtx, tape: &mut StackedTape) {
         if stacked.num_vertices() == 0 {
             // All-empty stacks (or empty batches) pool to all-zero
@@ -427,6 +415,24 @@ impl GinEncoder {
             std::mem::swap(&mut g, &mut gh);
         }
         accs
+    }
+}
+
+#[cfg(test)]
+impl StackedTape {
+    /// All embeddings, one row per stacked graph.
+    pub(crate) fn embeddings(&self) -> &Matrix {
+        &self.pooled
+    }
+}
+
+#[cfg(test)]
+impl GinEncoder {
+    /// [`Self::forward_stacked_tape_into`] into a freshly allocated tape.
+    pub(crate) fn forward_stacked_tape(&self, stacked: &StackedCtx) -> StackedTape {
+        let mut tape = StackedTape::new();
+        self.forward_stacked_tape_into(stacked, &mut tape);
+        tape
     }
 }
 
@@ -636,7 +642,7 @@ mod tests {
             })
             .collect();
         let plan = enc.backward_plan();
-        let pool = GradPool::new();
+        let pool = GradPool::default();
         let accs = enc.backward_stacked_tape(&stacked, &tape, &grads_in, &plan, &pool);
         assert_eq!(accs.len(), graphs.len());
         for (i, (ctx, acc)) in ctxs.iter().zip(&accs).enumerate() {

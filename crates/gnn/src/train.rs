@@ -13,7 +13,7 @@
 //! prepared once per training run. Inside a batch, the graphs are packed
 //! (in batch order) into chunks of ≈[`crate::stack::STACK_CHUNK_ROWS`]
 //! vertex rows; each rayon task stacks its chunk into one tall matrix and
-//! runs **one taped forward** ([`GinEncoder::forward_stacked_tape`]) and
+//! runs **one taped forward** ([`GinEncoder::forward_stacked_tape_into`]) and
 //! one segmented backward ([`GinEncoder::backward_stacked_tape`]) for the
 //! whole chunk — the encoder is `&self` for both. The segmented backward
 //! splits parameter-gradient contributions at segment boundaries into
@@ -86,20 +86,13 @@ impl Default for DmlConfig {
 /// `labels[i]` is the score vector `y⃗_i` of graph `i` for the metric-weight
 /// combination being trained. Graphs may be owned or borrowed
 /// (`&[FeatureGraph]` or `&[&FeatureGraph]`) — callers holding graphs
-/// elsewhere need not clone them.
+/// elsewhere need not clone them. Per-phase timings
+/// (`ce_gnn_train_phase_ns{phase}`, `ce_gnn_train_batches_total`) and the
+/// workspace pools' counters land in `metrics`; a
+/// [`MetricsRegistry::disabled`] one records nothing and costs nothing.
+/// Either way the trained bits are the same: spans only read the clock,
+/// never the data.
 pub fn train_encoder<G: Borrow<FeatureGraph> + Sync>(
-    graphs: &[G],
-    labels: &[Vec<f64>],
-    cfg: &DmlConfig,
-    seed: u64,
-) -> GinEncoder {
-    train_encoder_observed(graphs, labels, cfg, seed, &MetricsRegistry::disabled())
-}
-
-/// [`train_encoder`] with per-phase timing recorded into `metrics` (see
-/// [`TrainObs`] for the metric names). Bit-identical to the unobserved
-/// path: spans only read the clock, never the data.
-pub fn train_encoder_observed<G: Borrow<FeatureGraph> + Sync>(
     graphs: &[G],
     labels: &[Vec<f64>],
     cfg: &DmlConfig,
@@ -119,30 +112,12 @@ pub fn train_encoder_observed<G: Borrow<FeatureGraph> + Sync>(
 }
 
 /// Continues training an existing encoder on (possibly augmented) data —
-/// the incremental-learning entry point (Algorithm 2, step 3), used by the
-/// serving layer's reservoir-bounded online adaptation. Batches run
-/// through the same stacked engine as [`train_encoder`].
+/// the incremental-learning entry point (Algorithm 2, step 3), and the
+/// update the serving layer's reservoir-bounded online adaptation runs,
+/// recording into the serving registry so refresh and train costs show up
+/// in one metrics surface. Batches run through the same stacked engine as
+/// [`train_encoder`], and `metrics` is observed the same way.
 pub fn train_encoder_incremental<G: Borrow<FeatureGraph> + Sync>(
-    encoder: &mut GinEncoder,
-    graphs: &[G],
-    labels: &[Vec<f64>],
-    cfg: &DmlConfig,
-    seed: u64,
-) {
-    train_encoder_incremental_observed(
-        encoder,
-        graphs,
-        labels,
-        cfg,
-        seed,
-        &MetricsRegistry::disabled(),
-    )
-}
-
-/// [`train_encoder_incremental`] with per-phase timing recorded into
-/// `metrics` — the entry point the serving layer's online adaptation uses
-/// so refresh/train costs show up in the unified metrics surface.
-pub fn train_encoder_incremental_observed<G: Borrow<FeatureGraph> + Sync>(
     encoder: &mut GinEncoder,
     graphs: &[G],
     labels: &[Vec<f64>],
@@ -166,7 +141,7 @@ pub fn train_encoder_incremental_observed<G: Borrow<FeatureGraph> + Sync>(
 /// `ce_gnn_train_batches_total` count. Spans are driver-thread only (they
 /// bracket the rayon fan-outs, never run inside them), are a read-only
 /// side channel, and cost nothing on a disabled registry.
-pub struct TrainObs {
+struct TrainObs {
     registry: MetricsRegistry,
     prepare_ns: Histogram,
     forward_ns: Histogram,
@@ -178,7 +153,7 @@ pub struct TrainObs {
 
 impl TrainObs {
     /// Registers the training phase metrics on `registry`.
-    pub fn new(registry: &MetricsRegistry) -> Self {
+    fn new(registry: &MetricsRegistry) -> Self {
         let phase = |p: &str| {
             registry.histogram("ce_gnn_train_phase_ns", &[("phase", p)], LATENCY_NS_BUCKETS)
         };
@@ -422,7 +397,7 @@ mod tests {
             embed_dim: 8,
             ..DmlConfig::default()
         };
-        let encoder = train_encoder(&graphs, &labels, &cfg, 3);
+        let encoder = train_encoder(&graphs, &labels, &cfg, 3, &MetricsRegistry::disabled());
         let (within, between) = class_separation(&encoder, &graphs);
         assert!(
             between > 2.0 * within,
@@ -441,9 +416,16 @@ mod tests {
             embed_dim: 8,
             ..DmlConfig::default()
         };
-        let mut encoder = train_encoder(&graphs, &labels, &cfg, 4);
+        let mut encoder = train_encoder(&graphs, &labels, &cfg, 4, &MetricsRegistry::disabled());
         let before = evaluate_loss(&encoder, &graphs, &labels, &cfg);
-        train_encoder_incremental(&mut encoder, &graphs, &labels, &cfg, 5);
+        train_encoder_incremental(
+            &mut encoder,
+            &graphs,
+            &labels,
+            &cfg,
+            5,
+            &MetricsRegistry::disabled(),
+        );
         let after = evaluate_loss(&encoder, &graphs, &labels, &cfg);
         assert!(after <= before + 0.5, "loss {before} -> {after}");
     }
@@ -460,7 +442,7 @@ mod tests {
             loss: LossKind::Basic,
             ..DmlConfig::default()
         };
-        let encoder = train_encoder(&graphs, &labels, &cfg, 6);
+        let encoder = train_encoder(&graphs, &labels, &cfg, 6, &MetricsRegistry::disabled());
         let (within, between) = class_separation(&encoder, &graphs);
         assert!(between > within, "between {between} vs within {within}");
     }
@@ -468,7 +450,7 @@ mod tests {
     #[test]
     fn empty_training_set_returns_fresh_encoder() {
         let cfg = DmlConfig::default();
-        let enc = train_encoder::<FeatureGraph>(&[], &[], &cfg, 7);
+        let enc = train_encoder::<FeatureGraph>(&[], &[], &cfg, 7, &MetricsRegistry::disabled());
         assert_eq!(enc.embed_dim(), cfg.embed_dim);
     }
 
@@ -482,9 +464,9 @@ mod tests {
             embed_dim: 4,
             ..DmlConfig::default()
         };
-        let owned = train_encoder(&graphs, &labels, &cfg, 11);
+        let owned = train_encoder(&graphs, &labels, &cfg, 11, &MetricsRegistry::disabled());
         let refs: Vec<&FeatureGraph> = graphs.iter().collect();
-        let borrowed = train_encoder(&refs, &labels, &cfg, 11);
+        let borrowed = train_encoder(&refs, &labels, &cfg, 11, &MetricsRegistry::disabled());
         assert_eq!(owned.flat_params(), borrowed.flat_params());
     }
 
@@ -504,7 +486,7 @@ mod tests {
                 embed_dim: 6,
                 ..DmlConfig::default()
             };
-            let stacked = train_encoder(&graphs, &labels, &cfg, seed);
+            let stacked = train_encoder(&graphs, &labels, &cfg, seed, &MetricsRegistry::disabled());
             let per_graph = train_encoder_per_graph(&graphs, &labels, &cfg, seed);
             assert_eq!(
                 stacked.flat_params(),
@@ -519,10 +501,10 @@ mod tests {
 
     /// Observed training is bit-identical to unobserved training (spans
     /// only read the clock), and the phase histograms/pool counters come
-    /// back populated with exactly the expected structure.
+    /// back populated with exactly the expected structure — for a fresh
+    /// encoder and for the incremental update alike.
     #[test]
     fn observed_training_is_bit_identical_and_reports_phases() {
-        use ce_obs::MetricsRegistry;
         let (graphs, labels) = toy_multivertex_data();
         let cfg = DmlConfig {
             epochs: 4,
@@ -531,23 +513,43 @@ mod tests {
             embed_dim: 4,
             ..DmlConfig::default()
         };
-        let plain = train_encoder(&graphs, &labels, &cfg, 17);
+        let batches = (graphs.len().div_ceil(cfg.batch_size) * cfg.epochs) as u64;
+        let plain = train_encoder(&graphs, &labels, &cfg, 17, &MetricsRegistry::disabled());
         let reg = MetricsRegistry::new();
-        let observed = train_encoder_observed(&graphs, &labels, &cfg, 17, &reg);
+        let observed = train_encoder(&graphs, &labels, &cfg, 17, &reg);
         assert_eq!(
             plain.flat_params(),
             observed.flat_params(),
             "metrics must not perturb training"
         );
-        let snap = reg.snapshot();
-        let batches = graphs.len().div_ceil(cfg.batch_size) * cfg.epochs;
-        assert_eq!(
-            snap.counter("ce_gnn_train_batches_total", &[]),
-            batches as u64
+        assert_reports_phases(&reg, batches);
+        // The incremental leg: continue both encoders, one observed.
+        let (mut plain, mut observed) = (plain, observed);
+        train_encoder_incremental(
+            &mut plain,
+            &graphs,
+            &labels,
+            &cfg,
+            18,
+            &MetricsRegistry::disabled(),
         );
+        let reg = MetricsRegistry::new();
+        train_encoder_incremental(&mut observed, &graphs, &labels, &cfg, 18, &reg);
+        assert_eq!(
+            plain.flat_params(),
+            observed.flat_params(),
+            "metrics must not perturb incremental training"
+        );
+        assert_reports_phases(&reg, batches);
+    }
+
+    /// One training run's phase spans, batch count and pool counters.
+    fn assert_reports_phases(reg: &MetricsRegistry, batches: u64) {
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("ce_gnn_train_batches_total", &[]), batches);
         for phase in ["forward", "loss", "backward", "step"] {
             let (_, count) = snap.histogram_totals("ce_gnn_train_phase_ns", &[("phase", phase)]);
-            assert_eq!(count, batches as u64, "one {phase} span per batch");
+            assert_eq!(count, batches, "one {phase} span per batch");
         }
         let (_, prep) = snap.histogram_totals("ce_gnn_train_phase_ns", &[("phase", "prepare")]);
         assert_eq!(prep, 1, "one prepare span per training run");
@@ -578,7 +580,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool builds")
-                .install(|| train_encoder(&graphs, &labels, &cfg, 21))
+                .install(|| train_encoder(&graphs, &labels, &cfg, 21, &MetricsRegistry::disabled()))
         };
         let single = train_at(1);
         let multi = train_at(4);
@@ -607,7 +609,7 @@ mod tests {
         };
         let fresh = GinEncoder::new(3, &cfg.hidden, cfg.embed_dim, 33);
         let fresh_ref = crate::reference::ReferenceEncoder::from_gin(&fresh);
-        let trained = train_encoder(&graphs, &labels, &cfg, 33);
+        let trained = train_encoder(&graphs, &labels, &cfg, 33, &MetricsRegistry::disabled());
         let trained_ref = crate::reference::ReferenceEncoder::from_gin(&trained);
         for g in &graphs {
             assert_eq!(fresh.encode(g), fresh_ref.encode(g), "fresh params");
@@ -643,7 +645,7 @@ mod tests {
                 embed_dim: 6,
                 ..DmlConfig::default()
             };
-            let fast = train_encoder(&graphs, &labels, &cfg, 33);
+            let fast = train_encoder(&graphs, &labels, &cfg, 33, &MetricsRegistry::disabled());
             let reference = train_encoder_reference(&graphs, &labels, &cfg, 33);
             close(&fast.flat_params(), &reference.flat_params(), tol, "params");
             for g in &graphs {

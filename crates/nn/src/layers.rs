@@ -71,9 +71,9 @@ impl Activation {
 ///
 /// The layer's built-in `forward`/`backward` keep caches and gradients
 /// inside the layer, which makes it single-stream. Batch-parallel training
-/// (the GIN engine) instead runs the pure [`Dense::backward_owned_wt`]
-/// against per-stream accumulators and reduces them in a fixed order
-/// before one [`Dense::adam_step_with`].
+/// (the GIN engine's segmented backward) instead accumulates into
+/// per-graph accumulators and reduces them in a fixed order before one
+/// [`Dense::adam_step_with`].
 #[derive(Debug, Clone)]
 pub struct DenseGrad {
     /// Accumulated weight gradient.
@@ -320,48 +320,6 @@ impl Dense {
         (self.x_cache, self.y_cache) = (None, None);
     }
 
-    /// Pure backward: given the input `x` and the post-activation output
-    /// `y` of an [`infer`](Self::infer) call, routes `grad_out` into `acc`
-    /// (weight/bias gradients) and returns the gradient w.r.t. `x`. Shares
-    /// no mutable state with the layer, so independent streams may run
-    /// concurrently against separate accumulators.
-    pub fn backward_into(
-        &self,
-        x: &Matrix,
-        y: &Matrix,
-        grad_out: &Matrix,
-        acc: &mut DenseGrad,
-    ) -> Matrix {
-        // Convenience form of [`Self::backward_owned_wt`]: transposes the
-        // weights per call. Batch training amortizes the transpose via a
-        // shared plan instead; both paths are bit-identical.
-        let wt = self.w.transpose();
-        self.backward_owned_wt(x, y, grad_out.clone(), &wt, acc)
-    }
-
-    /// Variant of [`Self::backward_into`] for batch training: consumes the
-    /// output gradient (no defensive clone) and takes `Wᵀ` pre-materialized
-    /// — one transpose per layer per *batch* instead of a row-dot kernel
-    /// per graph, which keeps the `dx` product on the vectorized i-k-j
-    /// path. The caller guarantees `wt` is this layer's transposed weights.
-    pub fn backward_owned_wt(
-        &self,
-        x: &Matrix,
-        y: &Matrix,
-        mut g: Matrix,
-        wt: &Matrix,
-        acc: &mut DenseGrad,
-    ) -> Matrix {
-        self.activation.backward(y, &mut g);
-        x.matmul_transposed_left_into(&g, &mut acc.gw);
-        for r in 0..g.rows {
-            for (b, &v) in acc.gb.iter_mut().zip(g.row(r)) {
-                *b += v;
-            }
-        }
-        g.matmul(wt)
-    }
-
     /// Adam update reading gradients from an external accumulator (the
     /// reduced batch gradient); the layer's internal gradient buffers are
     /// untouched.
@@ -392,7 +350,7 @@ impl Dense {
     }
 
     /// Clears accumulated gradients without updating.
-    pub fn zero_grad(&mut self) {
+    fn zero_grad(&mut self) {
         self.gw.data.iter_mut().for_each(|v| *v = 0.0);
         self.gb.iter_mut().for_each(|v| *v = 0.0);
     }

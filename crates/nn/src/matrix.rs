@@ -14,11 +14,10 @@
 //! accumulation order (and hence the exact floating-point result) is
 //! independent of the blocking and identical to the naive triple loop.
 //!
-//! The transposed products (`matmul_transposed_left` = `selfᵀ·other`,
-//! `matmul_transposed_right` = `self·otherᵀ`) index the transposed operand
-//! directly instead of materializing the transpose; backprop calls them on
-//! every layer of every graph, where the saved allocation dominates the
-//! cost at GIN sizes.
+//! The transposed product (`matmul_transposed_left_into`, `out += selfᵀ·other`)
+//! indexes the transposed operand directly instead of materializing the
+//! transpose; backprop calls it on every layer of every graph, where the
+//! saved allocation dominates the cost at GIN sizes.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -505,19 +504,11 @@ impl Matrix {
         );
     }
 
-    /// Fused product `selfᵀ (k×r) · other (k×c)` without materializing the
-    /// transpose. Used for weight gradients (`xᵀ·g`). `k` runs over shared
-    /// rows in ascending order, matching `self.transpose().matmul(other)`
-    /// bit-for-bit.
-    pub fn matmul_transposed_left(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_transposed_left_into(other, &mut out);
-        out
-    }
-
-    /// Accumulating variant of [`Self::matmul_transposed_left`]:
-    /// `out += selfᵀ·other`, with no temporary product matrix. This is the
-    /// gradient-accumulation shape (`gw += xᵀ·g`) of backprop.
+    /// Fused accumulating product `out += selfᵀ·other` without
+    /// materializing the transpose or a temporary product matrix. This is
+    /// the gradient-accumulation shape (`gw += xᵀ·g`) of backprop; `k` runs
+    /// over shared rows in ascending order, matching
+    /// `self.transpose().matmul(other)` bit for bit.
     pub fn matmul_transposed_left_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_transposed_left mismatch");
         assert_eq!(out.rows, self.cols, "output rows mismatch");
@@ -530,28 +521,6 @@ impl Matrix {
             self.cols,
             other.cols,
         );
-    }
-
-    /// Fused product `self (r×k) · otherᵀ (k×c)` without materializing the
-    /// transpose. Used for input gradients (`g·Wᵀ`); each output entry is a
-    /// dot product of two rows, the cache-optimal layout for row-major
-    /// storage.
-    pub fn matmul_transposed_right(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transposed_right mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-        out
     }
 
     /// Transpose.
@@ -577,12 +546,6 @@ impl Matrix {
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.data.len(), other.data.len(), "shape mismatch");
         add_slices_kernel::dispatch(&mut self.data, &other.data);
-    }
-
-    /// Fused elementwise `self += s · other` (matrix axpy).
-    pub fn add_scaled(&mut self, other: &Matrix, s: f32) {
-        assert_eq!(self.data.len(), other.data.len(), "shape mismatch");
-        axpy(&mut self.data, &other.data, s);
     }
 
     /// Elementwise in-place scaling.
@@ -621,11 +584,6 @@ impl Matrix {
             out.scale(1.0 / self.rows as f32);
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -766,19 +724,6 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
         .sqrt()
 }
 
-/// Cosine similarity between two equal-length slices (0 when degenerate).
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|v| v * v).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|v| v * v).sum::<f32>().sqrt();
-    if na < 1e-12 || nb < 1e-12 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
 #[cfg(test)]
 mod arm_tests;
 
@@ -821,10 +766,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let a = Matrix::xavier(7, 5, &mut rng);
         let b = Matrix::xavier(7, 4, &mut rng);
-        assert_eq!(a.matmul_transposed_left(&b), a.transpose().matmul(&b));
-        let c = Matrix::xavier(3, 5, &mut rng);
-        let d = Matrix::xavier(6, 5, &mut rng);
-        assert_eq!(c.matmul_transposed_right(&d), c.matmul(&d.transpose()));
+        let mut fresh = Matrix::zeros(5, 4);
+        a.matmul_transposed_left_into(&b, &mut fresh);
+        assert_eq!(fresh, a.transpose().matmul(&b));
         let mut acc = Matrix::xavier(5, 4, &mut rng);
         let mut expect = acc.clone();
         expect.add_assign(&a.transpose().matmul(&b));
@@ -1026,15 +970,12 @@ mod tests {
         let limit = (6.0f32 / 50.0).sqrt();
         assert!(m.data.iter().all(|&v| v.abs() <= limit));
         // Not all zero.
-        assert!(m.norm() > 0.0);
+        assert!(m.data.iter().any(|&v| v != 0.0));
     }
 
     #[test]
     fn distances() {
         assert_eq!(euclidean(&[0.0, 3.0], &[4.0, 0.0]), 5.0);
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!(cosine(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl Mlp {
         self.layers.first().map_or(0, Dense::input_dim)
     }
 
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, Dense::output_dim)
-    }
-
     /// Training-mode forward pass (caches activations for backward).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
@@ -147,13 +142,6 @@ impl Mlp {
         self.t += 1;
         for layer in &mut self.layers {
             layer.adam_step(lr, self.t);
-        }
-    }
-
-    /// Clears accumulated gradients without stepping.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
         }
     }
 
@@ -298,7 +286,7 @@ mod tests {
             &mut rng,
         );
         assert_eq!(mlp.input_dim(), 1);
-        assert_eq!(mlp.output_dim(), 1);
+        assert_eq!(mlp.layers.last().map(Dense::output_dim), Some(1));
         // y = x^2 on [-1, 1].
         let xs: Vec<f32> = (0..64).map(|i| -1.0 + 2.0 * i as f32 / 63.0).collect();
         let x = Matrix::from_rows(xs.iter().map(|&v| vec![v]).collect());

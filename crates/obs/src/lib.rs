@@ -1,7 +1,8 @@
 //! `ce-obs`: the dependency-free observability core of the AutoCE
-//! reproduction — atomic counters, gauges, fixed-bound bucketed
-//! histograms, and span timing, collected through a [`MetricsRegistry`]
-//! and exposed as a typed [`MetricsSnapshot`] or Prometheus text.
+//! reproduction — atomic counters, fixed-bound bucketed histograms and
+//! span timing, collected through a [`MetricsRegistry`] and exposed as a
+//! typed [`MetricsSnapshot`] (which may also carry gauge samples a layer
+//! reads at snapshot time) or Prometheus text.
 //!
 //! Design constraints (these are invariants, not preferences — see
 //! `docs/observability.md`):
@@ -122,7 +123,6 @@ impl HistCell {
 struct Inner {
     clock: Clock,
     counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<Key, Arc<HistCell>>>,
 }
 
@@ -174,7 +174,6 @@ impl MetricsRegistry {
             inner: Some(Arc::new(Inner {
                 clock,
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
             })),
         }
@@ -183,17 +182,6 @@ impl MetricsRegistry {
     /// Whether handles from this registry record anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether spans use the logical clock.
-    pub fn is_logical(&self) -> bool {
-        matches!(
-            self.inner.as_deref(),
-            Some(Inner {
-                clock: Clock::Logical(_),
-                ..
-            })
-        )
     }
 
     fn key(name: &str, labels: &[(&str, &str)]) -> Key {
@@ -210,16 +198,6 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         Counter(self.inner.as_ref().map(|inner| {
             let mut map = inner.counters.lock().expect("obs counter map");
-            map.entry(Self::key(name, labels))
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .clone()
-        }))
-    }
-
-    /// Registers (or re-fetches) a gauge.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| {
-            let mut map = inner.gauges.lock().expect("obs gauge map");
             map.entry(Self::key(name, labels))
                 .or_insert_with(|| Arc::new(AtomicU64::new(0)))
                 .clone()
@@ -261,13 +239,6 @@ impl MetricsRegistry {
                     name: key.0.clone(),
                     labels: key.1.clone(),
                     value: SampleValue::Counter(cell.load(Ordering::Relaxed)),
-                });
-            }
-            for (key, cell) in inner.gauges.lock().expect("obs gauge map").iter() {
-                samples.push(Sample {
-                    name: key.0.clone(),
-                    labels: key.1.clone(),
-                    value: SampleValue::Gauge(cell.load(Ordering::Relaxed)),
                 });
             }
             for (key, cell) in inner.histograms.lock().expect("obs histogram map").iter() {
@@ -312,37 +283,6 @@ impl Counter {
             cell.fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-}
-
-/// Last-write-wins point-in-time value. All methods are no-ops on a
-/// disabled handle.
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if let Some(cell) = &self.0 {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
 }
 
 /// Fixed-bound bucketed histogram handle. `observe` is lock-free; a
@@ -369,22 +309,6 @@ impl Histogram {
         if let Some(cell) = &self.cell {
             cell.observe(v);
         }
-    }
-
-    /// Total observation count (0 when disabled).
-    pub fn count(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map(|c| c.count.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Sum of all observed values (0 when disabled).
-    pub fn sum(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map(|c| c.sum.load(Ordering::Relaxed))
-            .unwrap_or(0)
     }
 
     /// Starts a span that records its duration (wall nanoseconds, or
@@ -441,6 +365,50 @@ impl Drop for Span {
 }
 
 #[cfg(test)]
+impl MetricsRegistry {
+    /// Whether spans use the logical clock.
+    pub(crate) fn is_logical(&self) -> bool {
+        matches!(
+            self.inner.as_deref(),
+            Some(Inner {
+                clock: Clock::Logical(_),
+                ..
+            })
+        )
+    }
+}
+
+#[cfg(test)]
+impl Counter {
+    /// Current value (0 when disabled).
+    pub(crate) fn get(&self) -> u64 {
+        self.0
+            .as_ref()
+            .map(|c| c.load(Ordering::Relaxed))
+            .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+impl Histogram {
+    /// Total observation count (0 when disabled).
+    pub(crate) fn count(&self) -> u64 {
+        self.cell
+            .as_ref()
+            .map(|c| c.count.load(Ordering::Relaxed))
+            .unwrap_or(0)
+    }
+
+    /// Sum of all observed values (0 when disabled).
+    pub(crate) fn sum(&self) -> u64 {
+        self.cell
+            .as_ref()
+            .map(|c| c.sum.load(Ordering::Relaxed))
+            .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -448,13 +416,11 @@ mod tests {
     fn disabled_registry_is_free_and_empty() {
         let reg = MetricsRegistry::disabled();
         let c = reg.counter("x_total", &[]);
-        let g = reg.gauge("x", &[]);
         let h = reg.histogram("x_ns", &[], LATENCY_NS_BUCKETS);
         c.inc();
-        g.set(7);
         h.observe(123);
         drop(h.start_span());
-        assert_eq!((c.get(), g.get(), h.count()), (0, 0, 0));
+        assert_eq!((c.get(), h.count()), (0, 0));
         assert!(reg.snapshot().samples.is_empty());
         assert!(!reg.is_enabled());
     }

@@ -116,11 +116,6 @@ impl MetricsSnapshot {
         MetricsSnapshot::default()
     }
 
-    /// Whether there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Restores the stable order invariant. Called by every constructor
     /// path; callers mutating `samples` directly should re-call it.
     pub fn normalize(&mut self) {

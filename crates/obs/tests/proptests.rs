@@ -25,12 +25,20 @@ fn build_snapshot(counter: u64, gauge: u64, label_idx: usize, values: &[u64]) ->
     let label = LABEL_VALUES[label_idx % LABEL_VALUES.len()];
     reg.counter("ce_prop_events_total", &[("tag", label)])
         .add(counter);
-    reg.gauge("ce_prop_resident", &[]).set(gauge);
     let h = reg.histogram("ce_prop_latency_ns", &[("tag", label)], LATENCY_NS_BUCKETS);
     for &v in values {
         h.observe(v);
     }
-    reg.snapshot()
+    // A gauge is read at snapshot time by the layer that owns the value,
+    // the way the service reports its cache residency.
+    let mut snap = reg.snapshot();
+    snap.samples.push(Sample {
+        name: "ce_prop_resident".to_string(),
+        labels: Vec::new(),
+        value: SampleValue::Gauge(gauge),
+    });
+    snap.normalize();
+    snap
 }
 
 proptest! {

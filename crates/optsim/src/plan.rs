@@ -59,9 +59,12 @@ impl PlanNode {
             PlanNode::Scan { est_rows, .. } | PlanNode::Join { est_rows, .. } => *est_rows,
         }
     }
+}
 
+#[cfg(test)]
+impl PlanNode {
     /// Tables covered by the subtree, in plan order.
-    pub fn tables(&self) -> Vec<usize> {
+    pub(crate) fn tables(&self) -> Vec<usize> {
         match self {
             PlanNode::Scan { table, .. } => vec![*table],
             PlanNode::Join { left, right, .. } => {
@@ -73,7 +76,7 @@ impl PlanNode {
     }
 
     /// Number of join operators in the plan.
-    pub fn num_joins(&self) -> usize {
+    pub(crate) fn num_joins(&self) -> usize {
         match self {
             PlanNode::Scan { .. } => 0,
             PlanNode::Join { left, right, .. } => 1 + left.num_joins() + right.num_joins(),
@@ -81,7 +84,7 @@ impl PlanNode {
     }
 
     /// Pretty one-line rendering (for debugging and EXPLAIN-style output).
-    pub fn explain(&self) -> String {
+    pub(crate) fn explain(&self) -> String {
         match self {
             PlanNode::Scan {
                 table,

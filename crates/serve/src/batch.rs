@@ -49,8 +49,8 @@
 //!   carry. A queued request was looked up at admission, so the worker
 //!   starts at `encode_misses`.
 //!
-//! Responses are bit-identical to calling the backend's
-//! `recommend_graph` directly (and hence to the flat
+//! Responses are bit-identical to asking the backend directly — its
+//! `embed_graph`, then its `predict_from_embedding` (and hence to the flat
 //! [`autoce::AutoCe::recommend`]): batching, caching and snapshotting all
 //! preserve the underlying bits.
 //!
@@ -222,21 +222,6 @@ impl<'a> Query<'a> {
             graphs: graphs.iter().map(|&g| Cow::Borrowed(g)).collect(),
             w,
         }
-    }
-
-    /// Number of graphs in the query.
-    pub fn len(&self) -> usize {
-        self.graphs.len()
-    }
-
-    /// True when the query holds no graphs (served as an empty answer).
-    pub fn is_empty(&self) -> bool {
-        self.graphs.is_empty()
-    }
-
-    /// The metric weighting the KNN vote runs under.
-    pub fn weights(&self) -> MetricWeights {
-        self.w
     }
 }
 
@@ -1088,12 +1073,6 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
     /// The embedding cache's own ledger (see [`ServeHandle::cache_stats`]).
     pub fn cache_stats(&self) -> CacheStats {
         self.handle().cache_stats()
-    }
-
-    /// A point-in-time metrics snapshot (see
-    /// [`ServeHandle::metrics_snapshot`]).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.handle().metrics_snapshot()
     }
 
     /// Stops the worker: no new requests are accepted, already-queued

@@ -212,16 +212,6 @@ impl EmbeddingCache {
         self.generation
     }
 
-    /// Number of cached embeddings.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Unlinks a slot from the recency list.
     fn unlink(&mut self, i: usize) {
         let (prev, next) = (self.slots[i].prev, self.slots[i].next);
@@ -270,18 +260,9 @@ impl EmbeddingCache {
     /// Inserts (or refreshes) an embedding computed under snapshot
     /// `generation`, evicting the least recently used entry when at
     /// capacity. Inserts from a stale generation are dropped (see the
-    /// `generation` field).
-    pub fn insert(&mut self, generation: u64, key: u64, value: Vec<f32>) -> Admission {
-        let a = self.admits(generation);
-        if a == Admission::Admitted {
-            self.store(key, value);
-        }
-        a
-    }
-
-    /// Like [`Self::insert`] for callers holding a borrowed embedding:
-    /// the admission decision runs first, so a rejected insert (disabled
-    /// cache, stale generation) costs no clone at all.
+    /// `generation` field). The admission decision runs first, so a
+    /// rejected insert (disabled cache, stale generation) costs no clone
+    /// of the borrowed embedding.
     pub fn insert_ref(&mut self, generation: u64, key: u64, value: &[f32]) -> Admission {
         let a = self.admits(generation);
         if a == Admission::Admitted {
@@ -354,6 +335,21 @@ impl EmbeddingCache {
         self.head = NIL;
         self.tail = NIL;
         self.generation = generation;
+    }
+}
+
+#[cfg(test)]
+impl EmbeddingCache {
+    fn insert(&mut self, generation: u64, key: u64, value: Vec<f32>) -> Admission {
+        self.insert_ref(generation, key, &value)
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 

@@ -12,7 +12,6 @@ use autoce::online::DriftDetector;
 use autoce::{AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
 use ce_features::{FeatureConfig, FeatureGraph};
 use ce_models::ModelKind;
-use ce_testbed::DatasetLabel;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -131,10 +130,6 @@ impl<B: AdvisorBackend> AdvisorBackend for Faulty<B> {
         AdvisorBackend::vertex_dim(&self.inner)
     }
 
-    fn embed_graph(&self, g: &FeatureGraph) -> Vec<f32> {
-        AdvisorBackend::embed_graph(&self.inner, g)
-    }
-
     fn embed_graph_batch(&self, graphs: &[&FeatureGraph]) -> Vec<Vec<f32>> {
         let call = {
             let mut st = self.state.lock().expect("faulty state");
@@ -172,23 +167,7 @@ impl<B: AdvisorBackend> AdvisorBackend for Faulty<B> {
         Ok(answers)
     }
 
-    fn distance_to_nearest(&self, x: &[f32]) -> f32 {
-        AdvisorBackend::distance_to_nearest(&self.inner, x)
-    }
-
     fn drift_detector(&self) -> DriftDetector {
         AdvisorBackend::drift_detector(&self.inner)
-    }
-
-    fn push_entry(
-        &mut self,
-        graph: FeatureGraph,
-        label: &DatasetLabel,
-    ) -> Result<usize, AdvisorError> {
-        AdvisorBackend::push_entry(&mut self.inner, graph, label)
-    }
-
-    fn refresh(&mut self) -> Result<u64, AdvisorError> {
-        AdvisorBackend::refresh(&mut self.inner)
     }
 }

@@ -55,7 +55,7 @@ fn a_panicking_inline_run_leaves_the_front_idle() {
         let x = flat.embed_graph(g);
         assert_eq!((rec.model, rec.scores), flat.predict_from_embedding(&x, w));
     }
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
     assert_eq!(
         path("inline"),
@@ -114,7 +114,7 @@ fn lockstep_lone_misses_on_a_busy_front_share_worker_batches() {
         let x = flat.embed_graph(g);
         assert_eq!((rec.model, rec.scores), flat.predict_from_embedding(&x, w));
     }
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
     assert_eq!((path("inline"), path("worker")), (1, 3));
     let (depth_sum, batches) = snap.histogram_totals("ce_serve_batch_depth", &[("path", "worker")]);
@@ -182,7 +182,7 @@ fn a_short_backend_answer_is_a_protocol_error_on_every_path() {
     served(0, handle.recommend_graph(graphs[0].clone(), w));
     // A request is counted when its vote is asked for: the two short
     // encodes never got that far.
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
     assert_eq!((path("inline"), path("worker")), (3, 2));
     assert_eq!(backend.calls(), [1; 7]);

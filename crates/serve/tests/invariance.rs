@@ -69,11 +69,11 @@ proptest! {
         // Exclusion: a valid index some of the time, disabled otherwise
         // (never exclude the only entry — the flat path rejects that).
         let exclude = if exsel < n && n > 1 { exsel } else { usize::MAX };
-        let expect = flat.predict_excluding(&x, w, exclude);
+        let expect = flat.predict_excluding(&x, w, exclude).expect("flat");
         for shards in 1..=4 {
             let sharded = AutoCe::from_advisor(&flat, shards);
             prop_assert_eq!(sharded.len(), n);
-            let got = sharded.predict_excluding(&x, w, exclude);
+            let got = sharded.predict_excluding(&x, w, exclude).expect("sharded");
             prop_assert_eq!(&got.0, &expect.0, "model mismatch at {} shards", shards);
             prop_assert_eq!(&got.1, &expect.1, "score vector mismatch at {} shards", shards);
         }

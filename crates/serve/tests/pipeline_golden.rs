@@ -29,7 +29,7 @@ use ce_obs::SampleValue;
 use ce_serve::{
     graph_fingerprint, AdvisorService, MetricsRegistry, Query, Recommendation, ServeConfig,
 };
-use ce_testbed::{DatasetLabel, MetricWeights};
+use ce_testbed::MetricWeights;
 use std::sync::{Arc, Mutex};
 
 const PIPELINE_FNV1A: u64 = 0x214e_c4d5_3560_a0f5;
@@ -133,24 +133,8 @@ impl AdvisorBackend for Recording {
         AdvisorBackend::predict_batch(&self.inner, queries)
     }
 
-    fn distance_to_nearest(&self, x: &[f32]) -> f32 {
-        AdvisorBackend::distance_to_nearest(&self.inner, x)
-    }
-
     fn drift_detector(&self) -> DriftDetector {
         AdvisorBackend::drift_detector(&self.inner)
-    }
-
-    fn push_entry(
-        &mut self,
-        graph: FeatureGraph,
-        label: &DatasetLabel,
-    ) -> Result<usize, AdvisorError> {
-        AdvisorBackend::push_entry(&mut self.inner, graph, label)
-    }
-
-    fn refresh(&mut self) -> Result<u64, AdvisorError> {
-        AdvisorBackend::refresh(&mut self.inner)
     }
 
     fn metrics(&self) -> ce_obs::MetricsSnapshot {
@@ -275,7 +259,7 @@ fn the_request_pipeline_is_the_captured_sequence() {
     ] {
         stable.u64(v);
     }
-    for s in &service.metrics_snapshot().samples {
+    for s in &service.handle().metrics_snapshot().samples {
         h.str(&s.name);
         for (k, v) in &s.labels {
             h.str(k);

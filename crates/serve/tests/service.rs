@@ -501,7 +501,7 @@ fn worker_panic_fails_submitters_instead_of_hanging() {
 
 /// Path counts `(inline, worker)` from a service's metrics.
 fn inline_and_worker(service: &AdvisorService<impl AdvisorBackend + 'static>) -> (u64, u64) {
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
     (path("inline"), path("worker"))
 }
@@ -683,7 +683,7 @@ fn metrics_snapshot_reports_instrumented_serving() {
             );
         }
     }
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     // Path counters: every request went inline (cold) or cache-hit (warm).
     assert_eq!(
         snap.counter("ce_serve_path_requests_total", &[("path", "inline")]),
@@ -727,6 +727,7 @@ fn metrics_snapshot_reports_instrumented_serving() {
         assert_eq!(r.model, flat.recommend(ds, w));
     }
     let (extract_sum, extracts) = service
+        .handle()
         .metrics_snapshot()
         .histogram_totals("ce_serve_feature_extract_ns", &[]);
     assert_eq!(extracts, 2, "one extraction per dataset request");
@@ -735,7 +736,7 @@ fn metrics_snapshot_reports_instrumented_serving() {
     // the drift test.
     let testbed = common::testbed();
     assert!(!service.adapt(&datasets[0], &testbed, 1));
-    let snap = service.metrics_snapshot();
+    let snap = service.handle().metrics_snapshot();
     let (_, labels) = snap.histogram_totals("ce_serve_adapt_label_ns", &[]);
     assert_eq!(labels, 0, "in-distribution datasets are never labelled");
     let (_, fits) = snap.histogram_totals("ce_serve_detector_fit_ns", &[]);
@@ -744,11 +745,13 @@ fn metrics_snapshot_reports_instrumented_serving() {
     assert_eq!(extracts, 3, "adapt extracts under the same span");
     assert!(service.adapt(&five_table_dataset(), &testbed, 7));
     let (label_sum, labels) = service
+        .handle()
         .metrics_snapshot()
         .histogram_totals("ce_serve_adapt_label_ns", &[]);
     assert_eq!(labels, 1, "one labelling per adaptation");
     assert!(label_sum > 0);
     let (fit_sum, fits) = service
+        .handle()
         .metrics_snapshot()
         .histogram_totals("ce_serve_detector_fit_ns", &[]);
     assert_eq!(fits, 2, "and one refit per adaptation");

@@ -64,11 +64,6 @@ impl Query {
             .collect()
     }
 
-    /// Number of joins in the query.
-    pub fn num_joins(&self) -> usize {
-        self.joins.len()
-    }
-
     /// Validates the query against a dataset: tables exist, join edges exist,
     /// the joined subgraph is a connected tree, and predicates reference
     /// joined tables and in-range columns.

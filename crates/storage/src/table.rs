@@ -1,6 +1,6 @@
 //! Tables: ordered collections of equal-length columns.
 
-use crate::column::{Column, ColumnRole, Value};
+use crate::column::{Column, ColumnRole};
 use crate::error::StorageError;
 use crate::stats::first_duplicate;
 use serde::{Deserialize, Serialize};
@@ -68,11 +68,6 @@ impl Table {
         })
     }
 
-    /// Finds a column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Indices of the non-key (plain data) columns.
     pub fn data_column_indices(&self) -> Vec<usize> {
         self.columns
@@ -88,11 +83,6 @@ impl Table {
         self.columns
             .iter()
             .position(|c| c.role == ColumnRole::PrimaryKey)
-    }
-
-    /// Reads one full row (allocates; intended for tests and samplers).
-    pub fn row(&self, idx: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.data[idx]).collect()
     }
 
     /// The half of [`Self::validate`] that reads no row: every column as
@@ -165,7 +155,7 @@ mod tests {
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.primary_key_index(), Some(0));
         assert_eq!(t.data_column_indices(), vec![1]);
-        assert_eq!(t.column_index("x"), Some(1));
-        assert_eq!(t.row(1), vec![2, 20, 1]);
+        let row: Vec<crate::Value> = t.columns.iter().map(|c| c.data[1]).collect();
+        assert_eq!(row, vec![2, 20, 1]);
     }
 }

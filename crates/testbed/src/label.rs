@@ -168,11 +168,6 @@ impl DatasetLabel {
         self.performances[self.index_of(kind).expect("model labeled")].latency_mean_us
     }
 
-    /// Total labeling cost: summed model training time (ms).
-    pub fn total_train_time_ms(&self) -> f64 {
-        self.performances.iter().map(|p| p.train_time_ms).sum()
-    }
-
     /// Restricts the label to a subset of model kinds (e.g. the seven
     /// selectable models when the corpus was labeled with all nine).
     /// Normalization is re-derived over the subset.
@@ -292,7 +287,14 @@ mod tests {
             assert!(p.latency_mean_us > 0.0);
             assert!(p.train_time_ms >= 0.0);
         }
-        assert!(label.total_train_time_ms() > 0.0);
+        assert!(
+            label
+                .performances
+                .iter()
+                .map(|p| p.train_time_ms)
+                .sum::<f64>()
+                > 0.0
+        );
     }
 
     #[test]

@@ -21,13 +21,6 @@ impl MetricWeights {
     pub fn efficiency(&self) -> f64 {
         1.0 - self.accuracy
     }
-
-    /// The paper's grid: `w_a` from 0 to 1 with a step of 0.1.
-    pub fn grid() -> Vec<MetricWeights> {
-        (0..=10)
-            .map(|i| MetricWeights::new(i as f64 / 10.0))
-            .collect()
-    }
 }
 
 /// Min-max normalization of Eq. 3/4: best (smallest) raw value → 1, worst →
@@ -93,6 +86,16 @@ pub fn best_index(scores: &[f64]) -> usize {
         }
     }
     best
+}
+
+#[cfg(test)]
+impl MetricWeights {
+    /// The paper's grid: `w_a` from 0 to 1 with a step of 0.1.
+    fn grid() -> Vec<MetricWeights> {
+        (0..=10)
+            .map(|i| MetricWeights::new(i as f64 / 10.0))
+            .collect()
+    }
 }
 
 #[cfg(test)]
