@@ -509,9 +509,10 @@ impl AdvisorBackend for AutoCe {
         knn::predict_batch(queries, self.config.k, &self.shards, self.generation, entry)
     }
 
-    /// Fitted over the shards as they serve, indexes included.
+    /// Fitted over the shards as they serve, indexes included; the join's
+    /// partition pairs count in the advisor's registry.
     fn drift_detector(&self) -> DriftDetector {
-        DriftDetector::from_partitions(&self.shards, self.generation)
+        DriftDetector::fit(&self.shards, self.generation, &self.metrics)
     }
 
     fn install_index(

@@ -380,6 +380,32 @@ impl KnnIndex {
         self.generation == generation && self.len == len
     }
 
+    /// The dimension of the embeddings this index was built over.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The configured admissibility margin.
+    pub(crate) fn margin(&self) -> f32 {
+        self.cfg.margin
+    }
+
+    /// Every partition of the build, in partition order: its centroid,
+    /// radius, ascending member positions and packed member block — what
+    /// the drift detector's fit joins over (`crate::online`).
+    pub(crate) fn partitions(&self) -> impl Iterator<Item = IndexPartition<'_>> {
+        (self.centroids.chunks_exact(self.dim))
+            .zip(&self.radii)
+            .zip(&self.members)
+            .zip(&self.blocks)
+            .map(|(((centroid, &radius), members), block)| IndexPartition {
+                centroid,
+                radius,
+                members,
+                block,
+            })
+    }
+
     /// Records that a backend skipped this index (stale tag) and served
     /// the flat scan directly.
     pub(crate) fn note_bypass(&self) {
@@ -494,8 +520,7 @@ impl KnnIndex {
                 continue;
             }
             let (d_c, r_c) = (coarse[c], self.radii[c]);
-            let slack = 4.0 * f32::EPSILON * (self.dim as f32 + 8.0) * (d_c + r_c + d_k);
-            if d_c - r_c <= d_k + self.cfg.margin + slack {
+            if d_c - r_c <= d_k + self.cfg.margin + slack(self.dim, d_c + r_c + d_k) {
                 return false;
             }
         }
@@ -517,6 +542,28 @@ impl KnnIndex {
         }
         true
     }
+}
+
+/// One partition of a built [`KnnIndex`], read-only.
+pub(crate) struct IndexPartition<'a> {
+    /// The exact centroid.
+    pub(crate) centroid: &'a [f32],
+    /// The largest exact member distance to `centroid`.
+    pub(crate) radius: f32,
+    /// Member positions, ascending.
+    pub(crate) members: &'a [u32],
+    /// The members' embeddings packed in member order.
+    pub(crate) block: &'a PackedRows,
+}
+
+/// The float-error slack of a triangle-inequality bound over exact `f32`
+/// distances of dimension `dim` whose magnitudes sum to `magnitude`: it
+/// over-approximates the accumulation error of every distance in the
+/// bound, so rounding can only make a bound decline, never admit wrongly.
+/// [`KnnIndex::admits`] and the drift detector's partition join
+/// (`crate::online`) both take it.
+pub(crate) fn slack(dim: usize, magnitude: f32) -> f32 {
+    4.0 * f32::EPSILON * (dim as f32 + 8.0) * magnitude
 }
 
 /// What one index query did; [`KnnIndex::record`] counts it.

@@ -22,8 +22,9 @@
 //!    `k`, [`knn_vote`]. One partition is not a special case: merging one
 //!    sorted list is a no-op sort.
 //! 4. [`nearest_distance`] — step 2 at `k = 1` over every partition, the
-//!    least answer: the drift signal, and every row of the drift
-//!    detector's fit ([`crate::online::DriftDetector`]).
+//!    least answer: the drift signal of one dataset. The drift detector's
+//!    fit ([`crate::online::DriftDetector`]) asks for every row at once
+//!    and joins the partitions instead.
 //!
 //! [`AutoCe`](crate::AutoCe) owns one [`AdvisorShard`] (ids `0..n`) or N,
 //! and answers through [`predict_batch`], which runs steps 1–3 with one
@@ -49,8 +50,9 @@
 //!   once per partition query that meets a build: `bypass` for a stale tag
 //!   (here) or a dimension mismatch, `indexed` / `fallback` (answered after
 //!   widening) inside [`KnnIndex::query_topk`]. An empty slot counts
-//!   nothing. Step 4 queries through step 2, so a drift check and a
-//!   detector fit count here too.
+//!   nothing. Step 4 queries through step 2, so a drift check counts
+//!   here too; the detector fit asks no query and counts its partition
+//!   pairs instead (`ce_index_fit_pairs_total`).
 //! * **Fan-out.** None here. A query scans its partitions serially (a scan
 //!   is microseconds; the rayon shim spawns threads per call). The refresh
 //!   is [`AutoCe::refresh_embeddings`](crate::AutoCe::refresh_embeddings):
@@ -328,8 +330,7 @@ pub fn merge_vote<'a>(
 /// Step 4: the distance from `x` to its nearest member other than
 /// `exclude` — [`partial_topk`] at `k = 1` in every partition, the least of
 /// their answers; `+∞` over no member and for a non-finite `x`. The drift
-/// signal, and the detector fit once per RCS row. `scratch` and `cands` are
-/// the caller's reusable buffers.
+/// signal. `scratch` and `cands` are the caller's reusable buffers.
 pub fn nearest_distance(
     partitions: &[Partition<'_, usize>],
     x: &[f32],

@@ -7,27 +7,41 @@
 //! ground truth; (3) **model update** — the new sample joins the RCS and
 //! the encoder receives an incremental DML update.
 //!
-//! Both distances of step 1 come from the Stage-4 scan the advisor serves
-//! with ([`knn::nearest_distance`]: [`knn::partial_topk`] at `k = 1` over
-//! the backend's own partitions, index first). A dataset's distance is one
-//! such query; the detector's fit is one per RCS row, excluding the row
-//! itself, so with an index installed the fit is sub-quadratic.
+//! A dataset's distance in step 1 is the Stage-4 scan the advisor serves
+//! with ([`crate::knn::nearest_distance`]: `partial_topk` at `k = 1` over
+//! the backend's own partitions, index first). The detector's fit asks for
+//! every row's nearest other row at once, so it is one join over the
+//! partitions the RCS is already cut into, asking no index a query: each
+//! live index contributes its k-means partitions (centroid, radius, packed
+//! member block), and a shard without a live index is one partition
+//! without a centroid. A row's nearest other row comes from its own
+//! partition, its own position excluded, then from every other partition
+//! the centroid bound cannot rule out for the whole partition at once
+//! ([`nearest_per_row`]). Every value is a minimum of `euclidean` bits,
+//! so the threshold is the pairwise fit's at any thread count.
 //!
 //! Step 3 has one body ([`AutoCe::adapt_with_reservoir`]'s): push the
 //! newcomer, train on an ascending list of global ids, bump the generation,
 //! refresh. [`adapt_online`] trains on every id; a [`Reservoir`] bounds the
 //! list to a fixed-size uniform sample of the RCS plus the newcomer, which
 //! is what the serving layer adapts with.
+//!
+//! Nothing in the fit panics on its inputs; the lints below keep it so.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::advisor::AutoCe;
-use crate::knn::{self, finite, Partition, Scratch};
+use crate::index::slack;
+use crate::knn::finite;
 use crate::shard::AdvisorShard;
 use ce_features::extract_features;
 use ce_gnn::DmlConfig;
 use ce_nn::packed::PackedRows;
+use ce_obs::MetricsRegistry;
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, TestbedConfig};
 use rayon::prelude::*;
+use std::ops::Range;
 
 pub use crate::reservoir::Reservoir;
 
@@ -36,8 +50,8 @@ pub use crate::reservoir::Reservoir;
 /// Its threshold is the [`Self::PERCENTILE`] rank of every RCS row's
 /// distance to its nearest *other* row, each the bits of the smallest
 /// `euclidean` over the other rows. A row holding a NaN or ±∞ neither gets
-/// nor gives a distance: such an RCS is fitted over its finite rows, in one
-/// temporary unindexed partition.
+/// nor gives a distance: such an RCS is fitted over its finite rows, as one
+/// partition without a centroid.
 pub struct DriftDetector {
     threshold: f32,
 }
@@ -47,91 +61,48 @@ impl DriftDetector {
     /// drift threshold (the paper takes the 90th).
     pub const PERCENTILE: f64 = 90.0;
 
-    /// Rows per task of the fit's fan-out.
-    const FIT_CHUNK: usize = 64;
-
     /// Builds the detector over an RCS held as `partitions` (global ids
     /// `0..n` between them) under the owner's live `generation` — what
     /// [`AutoCe`]'s [`drift_detector`](crate::AdvisorBackend::drift_detector)
-    /// fits, so every shard count produces the same threshold. Each row's
-    /// nearest other member comes from [`knn::nearest_distance`] over the
-    /// partitions as they serve — a partition's index when its tag is live,
-    /// widening wherever the bound declines, its flat scan otherwise.
+    /// fits, so every shard count produces the same threshold: the
+    /// percentile rank over [`nearest_per_row`].
     pub fn from_partitions(partitions: &[AdvisorShard], generation: u64) -> Self {
-        let mut rows: Vec<(usize, &[f32])> = (partitions.iter())
-            .flat_map(|p| p.ids().iter().copied().zip(p.entries()))
-            .map(|(id, e)| (id, e.embedding.as_slice()))
-            .collect();
-        rows.sort_unstable_by_key(|&(id, _)| id);
-        if !rows.iter().all(|(_, x)| finite(x)) {
-            return Self::unindexed(&rows);
-        }
-        let views: Vec<Partition<'_, usize>> =
-            partitions.iter().map(|p| p.view(generation)).collect();
-        Self::nearest_per_row(&rows, &views)
+        Self::fit(partitions, generation, &MetricsRegistry::disabled())
+    }
+
+    /// [`Self::from_partitions`], counting the join's partition pairs in
+    /// `metrics` (`ce_index_fit_pairs_total`).
+    pub(crate) fn fit(
+        partitions: &[AdvisorShard],
+        generation: u64,
+        metrics: &MetricsRegistry,
+    ) -> Self {
+        Self::from_nn_dists(nearest_per_row(partitions, generation, metrics))
     }
 
     /// Builds the detector from raw embeddings in RCS order, over one
-    /// temporary unindexed partition: each row's distance is the flat
-    /// scan's.
+    /// partition without a centroid: each row's distance is the least over
+    /// every other row.
     pub fn from_embeddings(embeddings: &[&[f32]]) -> Self {
-        let rows: Vec<(usize, &[f32])> = embeddings.iter().copied().enumerate().collect();
-        Self::unindexed(&rows)
+        let rows = embeddings.iter().copied().enumerate();
+        Self::from_nn_dists(unindexed(embeddings.len(), rows))
     }
 
-    /// The fit over one temporary unindexed partition of the finite
-    /// `rows`; the others take no part.
-    fn unindexed(rows: &[(usize, &[f32])]) -> Self {
-        let rows: Vec<(usize, &[f32])> = rows.iter().copied().filter(|(_, x)| finite(x)).collect();
-        let ids: Vec<usize> = rows.iter().map(|&(id, _)| id).collect();
-        let embeddings: Vec<&[f32]> = rows.iter().map(|&(_, x)| x).collect();
-        let packed = PackedRows::from_rows(&embeddings);
-        let view = Partition {
-            ids: &ids,
-            packed: &packed,
-            index: None,
-            generation: 0,
-        };
-        Self::nearest_per_row(&rows, &[view])
-    }
-
-    /// The fit proper: every `(id, embedding)` row's
-    /// [`knn::nearest_distance`] over `partitions`, excluding the row
-    /// itself, then the percentile rank. Rows fan out over the rayon pool
-    /// in chunks of 64, each task on its own buffers, and the distances are
-    /// collected **in row order** — the threshold is bit-identical at any
-    /// thread count, and to the pairwise `euclidean` loop kept as the test
-    /// oracle: over finite rows every distance is `euclidean`'s bits and
-    /// the index answers only what the flat scan would.
-    fn nearest_per_row(rows: &[(usize, &[f32])], partitions: &[Partition<'_, usize>]) -> Self {
-        let chunks: Vec<&[(usize, &[f32])]> = rows.chunks(Self::FIT_CHUNK).collect();
-        let nearest: Vec<Vec<f32>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let (mut scratch, mut cands) = (Scratch::default(), Vec::new());
-                (chunk.iter())
-                    .map(|&(id, x)| {
-                        knn::nearest_distance(partitions, x, id, &mut scratch, &mut cands)
-                    })
-                    .collect()
-            })
-            .collect();
-        Self::from_nn_dists(nearest.into_iter().flatten().collect())
-    }
-
-    /// The percentile rank over each row's nearest-neighbor distance.
+    /// The percentile rank over each row's nearest-neighbor distance, the
+    /// non-finite ones left out. A selection under `total_cmp` picks the
+    /// value a full sort would: the distances never mix `-0.0` and `+0.0`
+    /// (only dimension zero makes a `-0.0`, and there every distance is).
     fn from_nn_dists(mut nn_dists: Vec<f32>) -> Self {
         nn_dists.retain(|d| d.is_finite());
-        if nn_dists.is_empty() {
+        let Some(last) = nn_dists.len().checked_sub(1) else {
             return DriftDetector {
                 threshold: f32::MAX,
             };
-        }
-        nn_dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-        let rank = ((Self::PERCENTILE / 100.0) * (nn_dists.len() - 1) as f64).round() as usize;
-        DriftDetector {
-            threshold: nn_dists[rank.min(nn_dists.len() - 1)],
-        }
+        };
+        let rank = ((Self::PERCENTILE / 100.0) * last as f64).round() as usize;
+        let (_, &mut threshold, _) =
+            nn_dists.select_nth_unstable_by(rank.min(last), f32::total_cmp);
+        DriftDetector { threshold }
     }
 
     /// Distance threshold in embedding space.
@@ -148,6 +119,249 @@ impl DriftDetector {
     pub fn is_drifted(&self, advisor: &AutoCe, ds: &Dataset) -> bool {
         self.distance_to_rcs(advisor, ds) > self.threshold
     }
+}
+
+/// Every RCS row's distance to its nearest other row, by global id (the
+/// `shards` hold ids `0..n` between them): `+∞` for a row with no other
+/// row, and for a non-finite row, which also gives no distance. One join
+/// ([`join`]) over the partitions the shards serve from: a shard whose
+/// index tag is live under `generation` gives each non-empty k-means
+/// partition of it, any other shard is one partition without a centroid,
+/// and an RCS holding a non-finite row is one such partition over its
+/// finite rows. When a live index takes part, the join's ordered partition
+/// pairs count in `metrics` as `ce_index_fit_pairs_total{outcome=scanned|pruned}`;
+/// a fit without one counts nothing. `ce_index_queries_total` does not
+/// move: the join asks no index a query.
+pub(crate) fn nearest_per_row(
+    shards: &[AdvisorShard],
+    generation: u64,
+    metrics: &MetricsRegistry,
+) -> Vec<f32> {
+    let n = shards.iter().map(AdvisorShard::len).sum();
+    let rows = || {
+        shards.iter().flat_map(|s| {
+            let embeddings = s.entries().iter().map(|e| e.embedding.as_slice());
+            s.ids().iter().copied().zip(embeddings)
+        })
+    };
+    if !rows().all(|(_, x)| finite(x)) {
+        return unindexed(n, rows());
+    }
+    let mut cells = Vec::new();
+    for shard in shards.iter().filter(|s| !s.is_empty()) {
+        let view = shard.view(generation);
+        let ids = shard.ids();
+        let embedding = |m: usize| shard.entries()[m].embedding.as_slice();
+        let live = (view.index).filter(|ix| {
+            ix.tag_matches(generation, ids.len()) && Some(ix.dim()) == view.packed.dim()
+        });
+        let Some(index) = live else {
+            cells.push(Cell {
+                ids: ids.to_vec(),
+                rows: (0..ids.len()).map(embedding).collect(),
+                block: view.packed,
+                ball: None,
+            });
+            continue;
+        };
+        for p in index.partitions().filter(|p| !p.members.is_empty()) {
+            let members = p.members.iter().map(|&m| m as usize);
+            cells.push(Cell {
+                ids: members.clone().map(|m| ids[m]).collect(),
+                rows: members.map(embedding).collect(),
+                block: p.block,
+                ball: Some(Ball {
+                    centroid: p.centroid,
+                    radius: p.radius,
+                    margin: index.margin(),
+                }),
+            });
+        }
+    }
+    let (nearest, pruned) = join(n, &cells);
+    if cells.iter().any(|c| c.ball.is_some()) {
+        let pairs = (cells.len() * (cells.len() - 1)) as u64;
+        let counter = |o| metrics.counter("ce_index_fit_pairs_total", &[("outcome", o)]);
+        counter("scanned").add(pairs - pruned);
+        counter("pruned").add(pruned);
+    }
+    nearest
+}
+
+/// [`nearest_per_row`] over the finite ones of `rows` (`(global id,
+/// embedding)`, ids below `n`) as one partition without a centroid.
+fn unindexed<'a>(n: usize, rows: impl Iterator<Item = (usize, &'a [f32])>) -> Vec<f32> {
+    let (ids, rows): (Vec<usize>, Vec<&[f32]>) = rows.filter(|(_, x)| finite(x)).unzip();
+    let block = PackedRows::from_rows(&rows);
+    let cell = Cell {
+        ids,
+        rows,
+        block: &block,
+        ball: None,
+    };
+    join(n, &[cell]).0
+}
+
+/// One partition of the fit's join: its members' global ids and
+/// embeddings, in the row order of their packed block.
+struct Cell<'a> {
+    ids: Vec<usize>,
+    rows: Vec<&'a [f32]>,
+    block: &'a PackedRows,
+    /// The partition's index ball; `None` for a partition that no centroid
+    /// bounds, which is scanned by every other and prunes nothing.
+    ball: Option<Ball<'a>>,
+}
+
+/// An index partition's centroid, its radius (the largest exact member
+/// distance to it) and its index's admissibility margin.
+#[derive(Clone, Copy)]
+struct Ball<'a> {
+    centroid: &'a [f32],
+    radius: f32,
+    margin: f32,
+}
+
+/// The partition join: each row's least distance to another member of
+/// `cells`, written at its global id in a vector of `n` (`+∞` where no
+/// cell holds the id), and how many ordered pairs of cells were pruned.
+/// Tasks are whole cells — a cell without a centroid split into one row
+/// range per worker, since no pair decision depends on its rows together —
+/// fanned out over the rayon pool, each writing only its own rows. Every
+/// row's value is the minimum of the same `euclidean` bits in any
+/// schedule, so the result is the same at any thread count.
+fn join(n: usize, cells: &[Cell<'_>]) -> (Vec<f32>, u64) {
+    let mut ball_rows = vec![None; cells.len()];
+    let mut centres = Vec::new();
+    for (c, ball) in cells
+        .iter()
+        .enumerate()
+        .filter_map(|(c, cell)| Some((c, cell.ball?)))
+    {
+        ball_rows[c] = Some(centres.len());
+        centres.push(ball.centroid);
+    }
+    let join = Join {
+        cells,
+        centroids: PackedRows::from_rows(&centres),
+        ball_rows,
+    };
+    let workers = rayon::current_num_threads().max(1);
+    let tasks: Vec<(usize, Range<usize>)> = (cells.iter().enumerate())
+        .flat_map(|(c, cell)| {
+            let len = cell.rows.len();
+            let parts = if cell.ball.is_some() {
+                1
+            } else {
+                workers.min(len).max(1)
+            };
+            (0..parts).map(move |i| (c, i * len / parts..(i + 1) * len / parts))
+        })
+        .collect();
+    let done: Vec<(Vec<f32>, u64)> = (tasks.par_iter())
+        .map(|(c, rows)| join.nearest(*c, rows.clone()))
+        .collect();
+    let mut nearest = vec![f32::INFINITY; n];
+    let mut pruned = 0;
+    for ((c, rows), (best, p)) in tasks.into_iter().zip(done) {
+        pruned += p;
+        for (&id, d) in cells[c].ids[rows].iter().zip(best) {
+            if let Some(slot) = nearest.get_mut(id) {
+                *slot = d;
+            }
+        }
+    }
+    (nearest, pruned)
+}
+
+/// The join's shared, read-only state.
+struct Join<'a, 'c> {
+    cells: &'c [Cell<'a>],
+    /// Every ball's centroid, packed in cell order.
+    centroids: PackedRows,
+    /// Each cell's row in `centroids`.
+    ball_rows: Vec<Option<usize>>,
+}
+
+impl Join<'_, '_> {
+    /// The least distance from each of cell `c`'s `rows` to another
+    /// member: over its own block with its own position excluded, then
+    /// over every other cell's block the centroid bound cannot rule out
+    /// for all of `c` at once — nearest-bounded first, so the rows' reach
+    /// shrinks early. Returns the distances and the pruned pair count.
+    fn nearest(&self, c: usize, rows: Range<usize>) -> (Vec<f32>, u64) {
+        let cell = &self.cells[c];
+        let mut best = vec![f32::INFINITY; rows.len()];
+        let mut dists = Vec::new();
+        for (b, j) in best.iter_mut().zip(rows.clone()) {
+            cell.block.dists_into(cell.rows[j], &mut dists);
+            if let Some(own) = dists.get_mut(j) {
+                *own = f32::INFINITY;
+            }
+            *b = least(*b, &dists);
+        }
+        let others = (0..self.cells.len()).filter(|&q| q != c);
+        let Some(ball) = cell.ball else {
+            for q in others {
+                self.scan(q, &cell.rows[rows.clone()], &mut best, &mut dists);
+            }
+            return (best, 0);
+        };
+        // Each other cell's exact centroid distance and ball, and its lower
+        // bound on any member-to-member distance, `d(c_P, c_Q) − r_P − r_Q`
+        // (−∞ without a centroid): scanned in that order, the near rows
+        // come first.
+        let mut centre = Vec::new();
+        self.centroids.dists_into(ball.centroid, &mut centre);
+        let mut order: Vec<_> = others
+            .map(|q| {
+                let other = self.cells[q].ball.zip(self.ball_rows[q]);
+                let other = other.map(|(other, r)| (centre[r], other));
+                let lower = other.map_or(f32::NEG_INFINITY, |(d, o)| d - ball.radius - o.radius);
+                (lower, q, other)
+            })
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let dim = ball.centroid.len();
+        let mut reach = best.iter().fold(0.0f32, |m, &d| m.max(d));
+        let mut pruned = 0;
+        for (lower, q, other) in order {
+            if let Some((d, other)) = other {
+                let margin = ball.margin.max(other.margin);
+                let magnitude = d + ball.radius + other.radius + reach;
+                if lower > reach + margin + slack(dim, magnitude) {
+                    pruned += 1;
+                    continue;
+                }
+            }
+            self.scan(q, &cell.rows[rows.clone()], &mut best, &mut dists);
+            reach = best.iter().fold(0.0f32, |m, &d| m.max(d));
+        }
+        (best, pruned)
+    }
+
+    /// Folds cell `q`'s block into `best`, the least distances of `rows`.
+    fn scan(&self, q: usize, rows: &[&[f32]], best: &mut [f32], dists: &mut Vec<f32>) {
+        let block = self.cells[q].block;
+        for (b, x) in best.iter_mut().zip(rows) {
+            block.dists_into(x, dists);
+            *b = least(*b, dists);
+        }
+    }
+}
+
+/// The least of `from` and `dists` under `total_cmp` — the numeric least
+/// over distances, which hold no NaN and never mix `-0.0` with `+0.0`.
+/// Folded over `total_cmp`'s integer keys, so the reduction vectorises.
+fn least(from: f32, dists: &[f32]) -> f32 {
+    /// `x`'s place under `total_cmp` as an `i32`; its own inverse.
+    fn key(x: i32) -> i32 {
+        x ^ (((x >> 31) as u32) >> 1) as i32
+    }
+    let least = (dists.iter()).fold(key(from.to_bits() as i32), |m, d| {
+        m.min(key(d.to_bits() as i32))
+    });
+    f32::from_bits(key(least) as u32)
 }
 
 /// DML configuration of an *online* encoder update: identical to Stage-2
@@ -186,26 +400,7 @@ pub fn adapt_online(
 }
 
 #[cfg(test)]
-impl DriftDetector {
-    /// The pairwise loop the fit replaced, kept as its oracle: one
-    /// `euclidean` call per ordered pair, the minimum over roots.
-    fn from_embeddings_oracle(embeddings: &[&[f32]]) -> Self {
-        Self::from_nn_dists(
-            (0..embeddings.len())
-                .map(|i| {
-                    embeddings
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .map(|(_, o)| ce_nn::matrix::euclidean(embeddings[i], o))
-                        .fold(f32::INFINITY, f32::min)
-                })
-                .collect(),
-        )
-    }
-}
-
-#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::advisor::{AutoCeConfig, RcsEntry};
@@ -222,7 +417,50 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The pairwise oracle: per row, one `euclidean` call per other row,
+    /// the minimum over roots.
+    fn oracle_rows(embeddings: &[&[f32]]) -> Vec<f32> {
+        (0..embeddings.len())
+            .map(|i| {
+                (embeddings.iter().enumerate())
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, o)| ce_nn::matrix::euclidean(embeddings[i], o))
+                    .fold(f32::INFINITY, f32::min)
+            })
+            .collect()
+    }
+
+    /// The oracle's threshold: the percentile rank over a full sort of the
+    /// finite [`oracle_rows`].
+    fn oracle_threshold(embeddings: &[&[f32]]) -> f32 {
+        let mut dists = oracle_rows(embeddings);
+        dists.retain(|d| d.is_finite());
+        if dists.is_empty() {
+            return f32::MAX;
+        }
+        dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+        let last = dists.len() - 1;
+        let rank = ((DriftDetector::PERCENTILE / 100.0) * last as f64).round() as usize;
+        dists[rank.min(last)]
+    }
+
+    fn bits(rows: &[f32]) -> Vec<u32> {
+        rows.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// `op` on a pool of `threads` workers.
+    fn on_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(op)
+    }
+
     proptest! {
+        /// The unindexed fit — one partition without a centroid over the
+        /// finite rows — has the pairwise oracle's bits row by row, and its
+        /// threshold the oracle's sorted rank, at 1 and 3 threads.
         #[test]
         fn packed_fit_matches_the_pairwise_oracle(
             seed in 0u64..1_000_000,
@@ -242,11 +480,12 @@ mod tests {
                 }
             }
             let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            let want = bits(&oracle_rows(&refs));
             for threads in [1, 3] {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let got = pool.install(|| DriftDetector::from_embeddings(&refs).threshold());
-                let want = DriftDetector::from_embeddings_oracle(&refs).threshold();
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} threads", threads);
+                let got = on_threads(threads, || unindexed(n, refs.iter().copied().enumerate()));
+                prop_assert_eq!(bits(&got), want.clone(), "{} threads", threads);
+                let got = on_threads(threads, || DriftDetector::from_embeddings(&refs).threshold());
+                prop_assert_eq!(got.to_bits(), oracle_threshold(&refs).to_bits(), "{} threads", threads);
             }
         }
     }
@@ -272,14 +511,15 @@ mod tests {
     }
 
     /// `rows` (global ids `0..n`) dealt at random into `parts` partitions,
-    /// ids ascending within each, every one indexed under `cfg` where it
-    /// reaches the cutover.
+    /// ids ascending within each, each indexed under `cfg` (where it
+    /// reaches the cutover) at the generation `generation(shard)` names.
     fn deal(
         rng: &mut StdRng,
         rows: &[Vec<f32>],
         parts: usize,
         cfg: Option<&IndexConfig>,
         registry: &MetricsRegistry,
+        generation: impl Fn(usize) -> u64,
     ) -> Vec<AdvisorShard> {
         let mut split: Vec<(Vec<usize>, Vec<RcsEntry>)> = vec![(Vec::new(), Vec::new()); parts];
         for (id, row) in rows.iter().enumerate() {
@@ -297,81 +537,109 @@ mod tests {
                 se: vec![1.0],
             });
         }
-        (split.into_iter())
-            .map(|(ids, entries)| {
+        (split.into_iter().enumerate())
+            .map(|(s, (ids, entries))| {
                 let mut shard = AdvisorShard::new(ids, entries);
-                shard.rebuild_index(cfg, registry, 3);
+                shard.rebuild_index(cfg, registry, generation(s));
                 shard
             })
             .collect()
     }
 
-    /// `[indexed, fallback, bypass]` so far.
+    /// `[indexed, fallback, bypass]` index queries so far.
     fn outcomes(registry: &MetricsRegistry) -> [u64; 3] {
         let snap = registry.snapshot();
         ["indexed", "fallback", "bypass"]
             .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]))
     }
 
+    /// `[scanned, pruned]` partition pairs of the fits so far.
+    fn pairs(registry: &MetricsRegistry) -> [u64; 2] {
+        let snap = registry.snapshot();
+        ["scanned", "pruned"].map(|o| snap.counter("ce_index_fit_pairs_total", &[("outcome", o)]))
+    }
+
+    /// The fit's generation; a stale shard's index is stamped one before.
+    const LIVE: u64 = 3;
+
     proptest! {
-        /// The fit through the serving partitions — each row's nearest
-        /// other member from its partitions' indexes, widening where the
-        /// bound declines, or their flat scans — has the pairwise oracle's
-        /// bits: clustered RCSs past the default cutover, dealt over 1, 2
-        /// or 4 indexed partitions, at 1 and 3 threads; with a margin that
-        /// widens every query to every partition, and with a NaN row
-        /// (fitted unindexed over the finite rows).
+        /// The partition join has the pairwise oracle's bits row by row,
+        /// and its threshold the oracle's: clustered RCSs dealt over 1, 2 or
+        /// 4 shards (some of them empty at small sizes), indexed on every
+        /// shard, on all but one (whose tag is stale) or on none; up to 24
+        /// k-means partitions at a cutover of 2, so singleton and empty
+        /// partitions are common; rows duplicated across shards; with a
+        /// margin that prunes no pair, and with a NaN row of either sign
+        /// (fitted over the finite rows); at 1 and 3 threads. No fit asks
+        /// an index a query.
         #[test]
         fn indexed_fit_matches_the_pairwise_oracle(
             seed in 0u64..1_000_000,
-            n in 256usize..400,
+            n in 0usize..320,
             dim in 0usize..4,
             blobs in 1usize..12,
-            parts in 0usize..3,
-            probe in 1usize..4,
+            shards in 0usize..3,
+            live in 0usize..3,
+            partitions in 1usize..24,
             wide in 0usize..4,
+            dups in 0usize..6,
             nan in 0usize..8,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let dim = [1, 3, 8, 32][dim];
             let mut rows = clustered(&mut rng, n, dim, blobs);
+            for _ in 0..dups.min(n / 2) {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                rows[to] = rows[from].clone();
+            }
             // Either sign: a negative NaN distance ranks first under
-            // `knn_order`, so only leaving the row out keeps the bits.
-            let (nan, sign) = (nan < 2, nan % 2);
+            // `total_cmp`, so only leaving the row out keeps the bits.
+            let (nan, sign) = (nan < 2 && n > 0, nan % 2);
             if nan {
                 rows[rng.gen_range(0..n)][rng.gen_range(0..dim)] = [f32::NAN, -f32::NAN][sign];
             }
             let wide = wide == 0;
             let cfg = IndexConfig {
-                partitions: 8,
-                probe,
+                partitions,
+                probe: 1,
                 margin: if wide { 1e30 } else { 0.0 },
-                min_rcs_for_index: 48,
+                min_rcs_for_index: 2,
                 ..IndexConfig::default()
             };
             let registry = MetricsRegistry::new();
             // k-means cannot partition a NaN row: such an RCS has no index.
-            let index = Some(&cfg).filter(|_| !nan);
-            let shards = deal(&mut rng, &rows, [1, 2, 4][parts], index, &registry);
+            let index = Some(&cfg).filter(|_| !nan && live < 2);
+            let stale = |s: usize| if live == 1 && s == 0 { LIVE - 1 } else { LIVE };
+            let shards = deal(&mut rng, &rows, [1, 2, 4][shards], index, &registry, stale);
             let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-            let want = DriftDetector::from_embeddings_oracle(&refs).threshold();
+            let want = bits(&oracle_rows(&refs));
+            let threshold = oracle_threshold(&refs).to_bits();
+            let queries = outcomes(&registry);
             for threads in [1, 3] {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let got = pool.install(|| DriftDetector::from_partitions(&shards, 3).threshold());
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} threads", threads);
+                let got = on_threads(threads, || nearest_per_row(&shards, LIVE, &registry));
+                prop_assert_eq!(bits(&got), want.clone(), "{} threads", threads);
+                let got = on_threads(threads, || DriftDetector::from_partitions(&shards, LIVE));
+                prop_assert_eq!(got.threshold().to_bits(), threshold, "{} threads", threads);
             }
-            let [indexed, fallback, bypass] = outcomes(&registry);
-            prop_assert_eq!(bypass, 0);
-            if wide && !nan {
-                prop_assert_eq!(indexed, 0, "every query widens");
-                prop_assert!(fallback > 0, "the largest partition is indexed");
+            prop_assert_eq!(outcomes(&registry), queries, "the fit asks no index a query");
+            let [scanned, pruned] = pairs(&registry);
+            let indexed = (shards.iter()).any(|s| {
+                s.view(LIVE).index.is_some_and(|ix| ix.tag_matches(LIVE, s.len()))
+            });
+            if !indexed {
+                prop_assert_eq!(scanned + pruned, 0, "no live index, no pairs counted");
+            }
+            if wide {
+                prop_assert_eq!(pruned, 0, "a huge margin prunes nothing");
             }
         }
     }
 
     /// The fit over a realistic shape — 1200 clustered rows in two indexed
-    /// partitions of 32 dimensions — has the oracle's bits and is served by
-    /// the indexes, nearly all of it from the first probe.
+    /// shards of 24 partitions, 32 dimensions — has the oracle's bits row
+    /// by row, asks no index a query, and is served by the index's
+    /// partitions: every ordered pair of them is counted once, and the
+    /// centroid bound prunes most.
     #[test]
     fn indexed_fit_is_served_by_the_index() {
         let mut rng = StdRng::seed_from_u64(0xf17);
@@ -382,19 +650,29 @@ mod tests {
             ..IndexConfig::default()
         };
         let registry = MetricsRegistry::new();
-        let shards = deal(&mut rng, &rows, 2, Some(&cfg), &registry);
+        let shards = deal(&mut rng, &rows, 2, Some(&cfg), &registry, |_| LIVE);
         let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-        let want = DriftDetector::from_embeddings_oracle(&refs).threshold();
-        let got = DriftDetector::from_partitions(&shards, 3).threshold();
-        assert_eq!(got.to_bits(), want.to_bits());
-        let [indexed, fallback, bypass] = outcomes(&registry);
-        println!("indexed fit: 1200 rows × 2 partitions → indexed {indexed}, widened {fallback}, bypass {bypass}");
-        assert_eq!(
-            indexed + fallback + bypass,
-            2 * 1200,
-            "one query per row and partition"
+        let got = nearest_per_row(&shards, LIVE, &registry);
+        assert_eq!(bits(&got), bits(&oracle_rows(&refs)));
+        assert_eq!(outcomes(&registry), [0; 3], "the fit asks no index a query");
+        let cells: u64 = (shards.iter())
+            .map(|s| {
+                let index = s.view(LIVE).index.expect("both shards indexed");
+                index.partitions().filter(|p| !p.members.is_empty()).count() as u64
+            })
+            .sum();
+        let [scanned, pruned] = pairs(&registry);
+        println!(
+            "indexed fit: 1200 rows, {cells} partitions → pairs scanned {scanned}, pruned {pruned}"
         );
-        assert!(indexed > 9 * fallback, "the first probe answers most rows");
+        assert_eq!(
+            scanned + pruned,
+            cells * (cells - 1),
+            "one count per ordered pair"
+        );
+        assert!(pruned > scanned, "the bound rules out most pairs");
+        let threshold = DriftDetector::from_partitions(&shards, LIVE).threshold();
+        assert_eq!(threshold.to_bits(), oracle_threshold(&refs).to_bits());
     }
 
     fn testbed() -> TestbedConfig {

@@ -926,9 +926,9 @@ fn bench_indexed_knn(c: &mut Criterion) {
 /// over the indexed advisors of `knn_indexed/{n}`, same blob data, same
 /// index shapes — at 10³/10⁴/10⁵ rows. Before timing: `DETECTOR_GOLDEN`
 /// still holds, and the indexed threshold's bits are the unindexed fit's
-/// (`DriftDetector::from_embeddings`, one flat scan per row: about a
-/// minute at 10⁵). After timing, the outcome counts of that one checked
-/// fit: how many row queries the first probe answered and how many widened.
+/// (`DriftDetector::from_embeddings`, every row against every other: about
+/// a minute at 10⁵). After timing, the partition pairs of that one checked
+/// fit: how many the join scanned and how many the centroid bound pruned.
 /// ROADMAP's gate for the fit at 10⁵ is ≤ 5 s on one CPU.
 fn bench_detector_fit_indexed(c: &mut Criterion) {
     use autoce::online::DriftDetector;
@@ -949,27 +949,27 @@ fn bench_detector_fit_indexed(c: &mut Criterion) {
         let unindexed = DriftDetector::from_embeddings(&rows).threshold();
         let metrics = MetricsRegistry::new();
         let indexed = indexed_advisor(entries.clone(), Some((partitions, probe)), &metrics);
-        let outcomes = || {
+        let pairs = || {
             let snap = metrics.snapshot();
-            ["indexed", "fallback", "bypass"]
-                .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]))
+            ["scanned", "pruned"]
+                .map(|o| snap.counter("ce_index_fit_pairs_total", &[("outcome", o)]))
         };
-        let before = outcomes();
+        let before = pairs();
         let threshold = indexed.drift_detector().threshold();
         assert_eq!(
             threshold.to_bits(),
             unindexed.to_bits(),
             "indexed fit ≠ unindexed fit at n={n}"
         );
-        let after = outcomes();
+        let after = pairs();
         let counts: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
         c.bench_function(&name, |b| {
             b.iter(|| black_box(indexed.drift_detector().threshold()))
         });
         println!(
-            "detector fit indexed: n={n} p={partitions}/{probe} → per fit, rows indexed {}, \
-             widened (fallback) {}, bypass {}",
-            counts[0], counts[1], counts[2]
+            "detector fit indexed: n={n} p={partitions}/{probe} → per fit, partition pairs \
+             scanned {}, pruned {}",
+            counts[0], counts[1]
         );
     }
 }

@@ -116,8 +116,10 @@ fn trained_sharded_recommend_matches_flat_across_threads() {
 }
 
 /// The sharded drift threshold equals the one-shard detector's, and so does
-/// either one fitted through an installed index (one probe of three
-/// partitions, so rows widen too).
+/// either one fitted through an installed index (three partitions a shard,
+/// joined over their centroid bounds). The fit asks no index a query: it
+/// leaves `ce_index_queries_total` where it was and counts its partition
+/// pairs instead.
 #[test]
 fn sharded_drift_threshold_matches_flat() {
     let (_, flat) = common::trained_advisor(12, 0xd1f7);
@@ -140,18 +142,28 @@ fn sharded_drift_threshold_matches_flat() {
         indexed
             .set_index_config(index.clone())
             .expect("cutover covers k");
+        let queries = || {
+            let snap = metrics.snapshot();
+            ["indexed", "fallback", "bypass"]
+                .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]))
+        };
+        let before = queries();
         assert_eq!(
             indexed.drift_detector().threshold().to_bits(),
             flat_threshold.to_bits(),
             "{shards} indexed shards"
         );
-        let snap = metrics.snapshot();
-        let served = ["indexed", "fallback"]
-            .map(|o| snap.counter("ce_index_queries_total", &[("outcome", o)]));
         assert_eq!(
-            served.iter().sum::<u64>(),
-            12 * shards as u64,
-            "{shards} shards"
+            queries(),
+            before,
+            "{shards} shards: the fit queries no index"
+        );
+        let snap = metrics.snapshot();
+        let pairs = ["scanned", "pruned"]
+            .map(|o| snap.counter("ce_index_fit_pairs_total", &[("outcome", o)]));
+        assert!(
+            pairs.iter().sum::<u64>() > 0,
+            "{shards} shards: the join counted its pairs"
         );
     }
     let mut indexed = common::trained_advisor(12, 0xd1f7).1;
