@@ -12,13 +12,14 @@
 //! * **Learning-All** — online learning on the full dataset (the
 //!   near-oracle upper baseline of Fig. 12).
 
-use crate::advisor::AutoCe;
-use crate::knn::knn_order;
+use crate::advisor::{AutoCe, RcsEntry};
+use crate::backend::BatchPredictRequest;
+use crate::knn;
+use crate::shard::AdvisorShard;
 use ce_features::{extract_features, FeatureConfig, FeatureGraph};
 use ce_gnn::{DmlConfig, GinEncoder, GradPool, StackedCtx, StackedTape};
 use ce_models::ModelKind;
 use ce_nn::loss::softmax_cross_entropy;
-use ce_nn::matrix::euclidean;
 use ce_nn::{Activation, Matrix, Mlp};
 use ce_storage::{Column, Dataset, Table};
 use ce_testbed::score::best_index;
@@ -46,43 +47,80 @@ impl Selector for AutoCe {
     }
 }
 
-/// End-to-end training of a GIN-headed baseline: per epoch the graphs are
-/// shuffled, and each graph takes one step — a taped forward of its
-/// one-graph stack, the head's forward and loss gradient (`loss_grad`,
-/// given the graph's index), then the backward through head and encoder
-/// and one Adam step on each. A graph whose embedding gradient is exactly
-/// zero still steps (with a zero accumulator), so Adam's `t` advances.
-fn train_end_to_end(
-    encoder: &mut GinEncoder,
-    head: &mut Mlp,
-    graphs: &[FeatureGraph],
-    dml: &DmlConfig,
-    rng: &mut StdRng,
-    loss_grad: impl Fn(&mut Mlp, &[f32], usize) -> Matrix,
-) {
-    let stacks: Vec<StackedCtx> = graphs
-        .iter()
-        .map(|g| StackedCtx::from_graphs(&[g]))
-        .collect();
-    let mut tape = StackedTape::new();
-    let pool = GradPool::default();
-    let mut order: Vec<usize> = (0..graphs.len()).collect();
-    for _ in 0..dml.epochs {
-        order.shuffle(rng);
-        for &i in &order {
-            encoder.forward_stacked_tape_into(&stacks[i], &mut tape);
-            let grad = loss_grad(head, tape.embedding(0), i);
-            let g_emb = vec![head.backward(&grad).row(0).to_vec()];
-            let plan = encoder.backward_plan();
-            let acc = encoder
-                .backward_stacked_tape(&stacks[i], &tape, &g_emb, &plan, &pool)
-                .pop()
-                .flatten()
-                .unwrap_or_else(|| pool.checkout(encoder));
-            head.step(dml.lr);
-            encoder.step_with(&acc, dml.lr);
-            pool.restore(acc);
+/// A GIN encoder under a three-layer MLP head with one output per labelled
+/// kind (at least `min_outputs`): the model both GIN-headed baselines
+/// train. It selects the kind of the head's largest output on the
+/// dataset's embedding.
+struct GinHead {
+    feature: FeatureConfig,
+    encoder: GinEncoder,
+    head: Mlp,
+    kinds: Vec<ModelKind>,
+}
+
+impl GinHead {
+    /// End-to-end training: the encoder from `seeds.0`, the head from an
+    /// rng seeded `seeds.1` that then shuffles the graphs every epoch; each
+    /// graph takes one step — a taped forward of its one-graph stack, the
+    /// head's forward and loss gradient (`loss_grad`, given the graph's
+    /// index), then the backward through head and encoder and one Adam step
+    /// on each. A graph whose embedding gradient is exactly zero still
+    /// steps (with a zero accumulator), so Adam's `t` advances.
+    fn train(
+        graphs: &[FeatureGraph],
+        labels: &[DatasetLabel],
+        feature: FeatureConfig,
+        dml: &DmlConfig,
+        seeds: (u64, u64),
+        (min_outputs, output): (usize, Activation),
+        loss_grad: impl Fn(&mut Mlp, &[f32], usize) -> Matrix,
+    ) -> Self {
+        let kinds: Vec<ModelKind> = (labels.first())
+            .map(|l| l.performances.iter().map(|p| p.kind).collect())
+            .unwrap_or_default();
+        let input_dim = graphs.first().map_or(1, FeatureGraph::vertex_dim);
+        let mut encoder = GinEncoder::new(input_dim, &dml.hidden, dml.embed_dim, seeds.0);
+        let mut rng = StdRng::seed_from_u64(seeds.1);
+        let widths = [dml.embed_dim, 32, 32, kinds.len().max(min_outputs)];
+        let mut head = Mlp::new(&widths, Activation::Relu, output, &mut rng);
+        let stacks: Vec<StackedCtx> = (graphs.iter())
+            .map(|g| StackedCtx::from_graphs(&[g]))
+            .collect();
+        let mut tape = StackedTape::new();
+        let pool = GradPool::default();
+        let mut order: Vec<usize> = (0..graphs.len()).collect();
+        for _ in 0..dml.epochs {
+            order.shuffle(&mut rng);
+            for &i in &order {
+                encoder.forward_stacked_tape_into(&stacks[i], &mut tape);
+                let grad = loss_grad(&mut head, tape.embedding(0), i);
+                let g_emb = vec![head.backward(&grad).row(0).to_vec()];
+                let plan = encoder.backward_plan();
+                let acc = encoder
+                    .backward_stacked_tape(&stacks[i], &tape, &g_emb, &plan, &pool)
+                    .pop()
+                    .flatten()
+                    .unwrap_or_else(|| pool.checkout(&encoder));
+                head.step(dml.lr);
+                encoder.step_with(&acc, dml.lr);
+                pool.restore(acc);
+            }
         }
+        GinHead {
+            feature,
+            encoder,
+            head,
+            kinds,
+        }
+    }
+
+    fn select(&self, ds: &Dataset) -> ModelKind {
+        let emb = self.encoder.encode(&extract_features(ds, &self.feature));
+        let out = self.head.infer(&Matrix::row_vector(&emb));
+        let best = (out.row(0).iter().enumerate())
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite head outputs"))
+            .map_or(0, |(i, _)| i);
+        self.kinds.get(best).copied().unwrap_or(ModelKind::Postgres)
     }
 }
 
@@ -93,12 +131,7 @@ fn train_end_to_end(
 /// GIN + three-layer MLP classifier, trained with cross-entropy for one
 /// metric weighting (the paper's first baseline and the DML ablation of
 /// Fig. 11a).
-pub struct MlpSelector {
-    feature: FeatureConfig,
-    encoder: GinEncoder,
-    head: Mlp,
-    kinds: Vec<ModelKind>,
-}
+pub struct MlpSelector(GinHead);
 
 impl MlpSelector {
     /// Trains end-to-end on labeled datasets for weighting `w`.
@@ -127,40 +160,18 @@ impl MlpSelector {
         seed: u64,
     ) -> Self {
         assert_eq!(graphs.len(), labels.len(), "graph/label mismatch");
-        let kinds: Vec<ModelKind> = labels
-            .first()
-            .map(|l| l.performances.iter().map(|p| p.kind).collect())
-            .unwrap_or_default();
-        let classes: Vec<usize> = labels
-            .iter()
+        let classes: Vec<usize> = (labels.iter())
             .map(|l| best_index(&l.score_vector(w)))
             .collect();
-        let input_dim = graphs.first().map_or(1, FeatureGraph::vertex_dim);
-        let mut encoder = GinEncoder::new(input_dim, &dml.hidden, dml.embed_dim, seed ^ 0x3107);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x31f);
-        let mut head = Mlp::new(
-            &[dml.embed_dim, 32, 32, kinds.len().max(2)],
-            Activation::Relu,
-            Activation::Linear,
-            &mut rng,
-        );
-        train_end_to_end(
-            &mut encoder,
-            &mut head,
-            graphs,
-            dml,
-            &mut rng,
-            |head, emb, i| {
-                let logits = head.forward(&Matrix::row_vector(emb));
-                softmax_cross_entropy(&logits, &[classes[i]]).1
-            },
-        );
-        MlpSelector {
-            feature,
-            encoder,
-            head,
-            kinds,
-        }
+        let seeds = (seed ^ 0x3107, seed ^ 0x31f);
+        let loss = |head: &mut Mlp, emb: &[f32], i: usize| {
+            let logits = head.forward(&Matrix::row_vector(emb));
+            softmax_cross_entropy(&logits, &[classes[i]]).1
+        };
+        let head = (2, Activation::Linear);
+        MlpSelector(GinHead::train(
+            graphs, labels, feature, dml, seeds, head, loss,
+        ))
     }
 }
 
@@ -170,17 +181,7 @@ impl Selector for MlpSelector {
     }
 
     fn select(&self, ds: &Dataset, _w: MetricWeights) -> ModelKind {
-        let g = extract_features(ds, &self.feature);
-        let emb = self.encoder.encode(&g);
-        let logits = self.head.infer(&Matrix::row_vector(&emb));
-        let cls = logits
-            .row(0)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.kinds.get(cls).copied().unwrap_or(ModelKind::Postgres)
+        self.0.select(ds)
     }
 }
 
@@ -191,12 +192,7 @@ impl Selector for MlpSelector {
 /// AutoCE (Without DML): "appending three fully connected layers to the GIN
 /// network and using the MSE loss `L = Σ‖y⃗_i − ŷ⃗‖²` to train the entire
 /// network", recommending `max(ŷ⃗).index` (§VII-E).
-pub struct RegressionSelector {
-    feature: FeatureConfig,
-    encoder: GinEncoder,
-    head: Mlp,
-    kinds: Vec<ModelKind>,
-}
+pub struct RegressionSelector(GinHead);
 
 impl RegressionSelector {
     /// Trains end-to-end with MSE against score vectors at weighting `w`.
@@ -208,44 +204,22 @@ impl RegressionSelector {
         dml: &DmlConfig,
         seed: u64,
     ) -> Self {
+        let targets: Vec<Vec<f32>> = (labels.iter())
+            .map(|l| l.score_vector(w).iter().map(|&v| v as f32).collect())
+            .collect();
         let graphs: Vec<FeatureGraph> = datasets
             .iter()
             .map(|ds| extract_features(ds, &feature))
             .collect();
-        let kinds: Vec<ModelKind> = labels
-            .first()
-            .map(|l| l.performances.iter().map(|p| p.kind).collect())
-            .unwrap_or_default();
-        let targets: Vec<Vec<f32>> = labels
-            .iter()
-            .map(|l| l.score_vector(w).iter().map(|&v| v as f32).collect())
-            .collect();
-        let input_dim = graphs.first().map_or(1, FeatureGraph::vertex_dim);
-        let mut encoder = GinEncoder::new(input_dim, &dml.hidden, dml.embed_dim, seed ^ 0x7e6);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7e65);
-        let mut head = Mlp::new(
-            &[dml.embed_dim, 32, 32, kinds.len().max(1)],
-            Activation::Relu,
-            Activation::Sigmoid,
-            &mut rng,
-        );
-        train_end_to_end(
-            &mut encoder,
-            &mut head,
-            &graphs,
-            dml,
-            &mut rng,
-            |head, emb, i| {
-                let pred = head.forward(&Matrix::row_vector(emb));
-                ce_nn::loss::mse_loss(&pred, &Matrix::row_vector(&targets[i])).1
-            },
-        );
-        RegressionSelector {
-            feature,
-            encoder,
-            head,
-            kinds,
-        }
+        let seeds = (seed ^ 0x7e6, seed ^ 0x7e65);
+        let loss = |head: &mut Mlp, emb: &[f32], i: usize| {
+            let pred = head.forward(&Matrix::row_vector(emb));
+            ce_nn::loss::mse_loss(&pred, &Matrix::row_vector(&targets[i])).1
+        };
+        let head = (1, Activation::Sigmoid);
+        RegressionSelector(GinHead::train(
+            &graphs, labels, feature, dml, seeds, head, loss,
+        ))
     }
 }
 
@@ -255,17 +229,7 @@ impl Selector for RegressionSelector {
     }
 
     fn select(&self, ds: &Dataset, _w: MetricWeights) -> ModelKind {
-        let g = extract_features(ds, &self.feature);
-        let emb = self.encoder.encode(&g);
-        let pred = self.head.infer(&Matrix::row_vector(&emb));
-        let best = pred
-            .row(0)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite predictions"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.kinds.get(best).copied().unwrap_or(ModelKind::Postgres)
+        self.0.select(ds)
     }
 }
 
@@ -327,12 +291,15 @@ impl Selector for RuleSelector {
 // ---------------------------------------------------------------------------
 
 /// KNN over raw dataset feature vectors: the ablation showing why the
-/// similarity-aware embedding matters.
+/// similarity-aware embedding matters. It is the Stage-4 predictor
+/// ([`knn::predict_batch`]) over one partition whose embeddings are the
+/// datasets' flattened raw features.
 pub struct KnnFeatureSelector {
     feature: FeatureConfig,
     k: usize,
-    entries: Vec<(Vec<f32>, Vec<f64>, Vec<f64>)>, // (features, sa, se)
-    kinds: Vec<ModelKind>,
+    /// Entry `i` is dataset `i`: its flattened features as the embedding,
+    /// its label's scores, no graph.
+    rcs: AdvisorShard,
 }
 
 impl KnnFeatureSelector {
@@ -343,23 +310,19 @@ impl KnnFeatureSelector {
         feature: FeatureConfig,
         k: usize,
     ) -> Self {
-        let kinds = labels
-            .first()
-            .map(|l| l.performances.iter().map(|p| p.kind).collect())
-            .unwrap_or_default();
-        let entries = datasets
-            .iter()
-            .zip(labels)
-            .map(|(ds, l)| {
-                let (sa, se) = l.normalized_components();
-                (Self::flatten(ds, &feature), sa, se)
+        let entries: Vec<RcsEntry> = (datasets.iter().zip(labels))
+            .map(|(ds, label)| {
+                let graph = FeatureGraph {
+                    vertices: Vec::new(),
+                    edges: Vec::new(),
+                };
+                RcsEntry::from_label(graph, label, Self::flatten(ds, &feature))
             })
             .collect();
         KnnFeatureSelector {
             feature,
             k,
-            entries,
-            kinds,
+            rcs: AdvisorShard::new((0..entries.len()).collect(), entries),
         }
     }
 
@@ -387,25 +350,18 @@ impl Selector for KnnFeatureSelector {
         "Knn"
     }
 
+    /// Panics, like [`AutoCe::recommend`], when built over no dataset or
+    /// when `ds`'s flattened features are not all finite.
     fn select(&self, ds: &Dataset, w: MetricWeights) -> ModelKind {
-        let f = Self::flatten(ds, &self.feature);
-        let mut dists: Vec<(usize, f32)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, (feat, _, _))| (i, euclidean(&f, feat)))
-            .collect();
-        dists.sort_by(knn_order);
-        let k = self.k.clamp(1, dists.len());
-        let arity = self.kinds.len();
-        let mut avg = vec![0.0f64; arity];
-        for &(i, _) in &dists[..k] {
-            let (_, sa, se) = &self.entries[i];
-            for (s, (a, e)) in avg.iter_mut().zip(sa.iter().zip(se)) {
-                *s += (w.accuracy * a + w.efficiency() * e) / k as f64;
-            }
-        }
-        self.kinds[best_index(&avg)]
+        let query = BatchPredictRequest {
+            embedding: &Self::flatten(ds, &self.feature),
+            w,
+            exclude: usize::MAX,
+        };
+        let rcs = std::slice::from_ref(&self.rcs);
+        let answers = knn::predict_batch(&[query], self.k, rcs, 0, |id| &self.rcs.entries()[id]);
+        // Audited: the documented panic of `AutoCe::predict_from_embedding`.
+        answers.expect("the RCS holds a selectable entry")[0].0
     }
 }
 
@@ -634,8 +590,8 @@ mod tests {
         let mlp = MlpSelector::train_from_graphs(&graphs, &labels, w, feature, &dml, 46);
         let reg = RegressionSelector::train(&datasets, &labels, w, feature, &dml, 47);
         let mut h = FNV_OFFSET;
-        fold_trained(&mut h, &mlp.encoder, &mlp.head, &graphs);
-        fold_trained(&mut h, &reg.encoder, &reg.head, &graphs);
+        fold_trained(&mut h, &mlp.0.encoder, &mlp.0.head, &graphs);
+        fold_trained(&mut h, &reg.0.encoder, &reg.0.head, &graphs);
         assert_eq!(h, GOLDEN, "trained baseline bits moved: {h:#018x}");
     }
 
@@ -673,9 +629,9 @@ mod tests {
             };
             for w in [MetricWeights::new(0.9), MetricWeights::new(0.3)] {
                 let mlp = MlpSelector::train_from_graphs(&graphs, &labels, w, feature, &dml, seed);
-                fold_trained(&mut mlp_h, &mlp.encoder, &mlp.head, &graphs);
+                fold_trained(&mut mlp_h, &mlp.0.encoder, &mlp.0.head, &graphs);
                 let reg = RegressionSelector::train(&datasets, &labels, w, feature, &dml, seed);
-                fold_trained(&mut reg_h, &reg.encoder, &reg.head, &graphs);
+                fold_trained(&mut reg_h, &reg.0.encoder, &reg.0.head, &graphs);
             }
         }
         assert_eq!(mlp_h, MLP_GOLDEN, "MLP baseline bits moved: {mlp_h:#018x}");
@@ -683,6 +639,33 @@ mod tests {
             reg_h, REGRESSION_GOLDEN,
             "regression baseline bits moved: {reg_h:#018x}"
         );
+    }
+
+    /// The Knn baseline's answers over a seeded 24-dataset corpus with
+    /// hand-built labels, for its own datasets (distance 0 to themselves)
+    /// and four it never saw, at four `k`s and three weightings: FNV-1a over
+    /// the chosen kinds' names. Captured while the baseline still scanned,
+    /// sorted and voted by hand.
+    #[test]
+    fn knn_baseline_answers_are_pinned() {
+        const GOLDEN: u64 = 0x90d6_b8db_5239_abd8;
+        let mut rng = StdRng::seed_from_u64(247);
+        let datasets = generate_batch("kb", 24, &DatasetSpec::small(), &mut rng);
+        let queries = generate_batch("kq", 4, &DatasetSpec::small(), &mut rng);
+        let labels = pinned_labels(datasets.len());
+        let mut h = FNV_OFFSET;
+        for k in [1, 2, 5, 40] {
+            let knn = KnnFeatureSelector::build(&datasets, &labels, FeatureConfig::default(), k);
+            for ds in datasets.iter().chain(&queries) {
+                for w in [0.0, 0.5, 0.9] {
+                    let kind = knn.select(ds, MetricWeights::new(w));
+                    for b in kind.to_string().bytes().chain([0]) {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, GOLDEN, "Knn baseline answers moved: {h:#018x}");
     }
 
     #[test]

@@ -9,13 +9,19 @@
 //!    space, producing synthetic labeled feature graphs.
 //! 3. **Incremental training**: the encoder continues DML training on the
 //!    original + synthetic data.
+//!
+//! Steps 1 and 2 take every KNN vote and nearest-neighbour pick from the
+//! Stage-4 predictor ([`crate::knn`]) over unindexed partition views. The
+//! module holds no `unwrap`, `expect` or `panic`; the lints below keep it so.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::advisor::{AutoCeConfig, RcsEntry};
 use crate::beta::sample_beta;
-use crate::knn::knn_order;
+use crate::knn::{merge_vote, partial_topk, select_k, Partition, Scratch};
 use ce_features::{mixup_graphs, mixup_labels, FeatureGraph};
 use ce_gnn::{train_encoder_incremental, GinEncoder};
-use ce_nn::matrix::euclidean;
+use ce_nn::packed::PackedRows;
 use ce_obs::MetricsRegistry;
 use ce_testbed::score::best_index;
 use ce_testbed::{d_error, MetricWeights};
@@ -68,10 +74,31 @@ pub struct FeedbackSplit {
     pub reference: Vec<usize>,
 }
 
+/// The rows `ids` (ascending) of `embeddings`, packed: the parts of a
+/// partition view.
+type Packed = (Vec<usize>, PackedRows);
+
+fn pack(embeddings: &[Vec<f32>], ids: Vec<usize>) -> Packed {
+    let rows: Vec<&Vec<f32>> = ids.iter().map(|&j| &embeddings[j]).collect();
+    (ids, PackedRows::from_rows(&rows))
+}
+
+/// A [`Packed`] as a partition view without an index.
+fn view((ids, packed): &Packed) -> Partition<'_, usize> {
+    Partition {
+        ids,
+        packed,
+        index: None,
+        generation: 0,
+    }
+}
+
 /// Step 1 of Algorithm 2: cross-validated feedback collection over the
 /// entries' embeddings under the current encoder (`embeddings[i]` is entry
-/// `i`'s). Each validation sample's neighbours rank by [`knn_order`], so a
-/// NaN embedding ranks last instead of panicking.
+/// `i`'s). Fold `f` holds rows `f, f + folds, …`; each row is voted on by
+/// the Stage-4 predictor over the other folds (their [`partial_topk`]s,
+/// then [`merge_vote`]), so a NaN embedding ranks last instead of
+/// panicking.
 pub fn collect_feedback(
     embeddings: &[Vec<f32>],
     entries: &[RcsEntry],
@@ -83,37 +110,43 @@ pub fn collect_feedback(
         return FeedbackSplit::default();
     }
     let w = MetricWeights::new(il.validation_weight);
+    // `folds ≤ n`: every fold holds a row, so every row has voters.
     let folds = il.folds.clamp(2, n);
-    let mut split = FeedbackSplit::default();
-    for i in 0..n {
-        let my_fold = i % folds;
-        // RCS = entries outside the validation fold.
-        let mut dists: Vec<(usize, f32)> = (0..n)
-            .filter(|&j| j % folds != my_fold)
-            .map(|j| (j, euclidean(&embeddings[i], &embeddings[j])))
-            .collect();
-        if dists.is_empty() {
-            split.reference.push(i);
-            continue;
-        }
-        dists.sort_by(knn_order);
-        let kk = k.clamp(1, dists.len());
-        let arity = entries[i].sa.len();
-        let mut avg = vec![0.0f64; arity];
-        for &(j, _) in &dists[..kk] {
-            for (s, v) in avg.iter_mut().zip(entries[j].scores(w)) {
-                *s += v / kk as f64;
+    let packed: Vec<Packed> = (0..folds)
+        .map(|f| pack(embeddings, (f..n).step_by(folds).collect()))
+        .collect();
+    let (mut scratch, mut cands) = (Scratch::default(), Vec::new());
+    let (feedback, reference) = (0..n).partition(|&i| {
+        let (own, x) = (i % folds, &embeddings[i]);
+        let vote = select_k(k, n - packed[own].0.len(), usize::MAX).and_then(|k| {
+            cands.clear();
+            for (_, fold) in packed.iter().enumerate().filter(|&(f, _)| f != own) {
+                partial_topk(&view(fold), x, k, usize::MAX, &mut scratch, &mut cands);
             }
-        }
-        let recommended = best_index(&avg);
+            merge_vote(&mut cands, k, w, |j| &entries[j])
+        });
         let own_scores = entries[i].scores(w);
-        if d_error(&own_scores, recommended) > il.d_error_threshold {
-            split.feedback.push(i);
-        } else {
-            split.reference.push(i);
-        }
+        vote.is_ok_and(|(_, avg)| d_error(&own_scores, best_index(&avg)) > il.d_error_threshold)
+    });
+    FeedbackSplit {
+        feedback,
+        reference,
     }
-    split
+}
+
+/// Step 2's pairing: the nearest member of `reference` (ascending) to each
+/// of `feedback`, in `feedback`'s order — [`partial_topk`] at `k = 1`.
+fn nearest_references(
+    embeddings: &[Vec<f32>],
+    feedback: &[usize],
+    reference: Vec<usize>,
+) -> Vec<(usize, f32)> {
+    let refs = pack(embeddings, reference);
+    let (mut scratch, mut out) = (Scratch::default(), Vec::with_capacity(feedback.len()));
+    for x in feedback.iter().map(|&i| &embeddings[i]) {
+        partial_topk(&view(&refs), x, 1, usize::MAX, &mut scratch, &mut out);
+    }
+    out
 }
 
 /// Steps 2-3 of Algorithm 2: augmentation and incremental training.
@@ -136,18 +169,11 @@ pub fn run_incremental_learning(
     let mut rng = StdRng::seed_from_u64(seed ^ 0x3141);
 
     // Step 2: Mixup each feedback sample with its nearest reference.
-    let mut aug_graphs: Vec<FeatureGraph> = Vec::with_capacity(split.feedback.len());
-    let mut aug_labels: Vec<Vec<f64>> = Vec::with_capacity(split.feedback.len());
-    let feedback = if il.augment {
-        split.feedback.clone()
-    } else {
-        Vec::new()
-    };
-    for &i in &feedback {
-        let (j, _) = (split.reference.iter())
-            .map(|&a| (a, euclidean(&embeddings[i], &embeddings[a])))
-            .min_by(knn_order)
-            .expect("reference set nonempty");
+    let feedback: &[usize] = if il.augment { &split.feedback } else { &[] };
+    let nearest = nearest_references(&embeddings, feedback, split.reference);
+    let mut aug_graphs: Vec<FeatureGraph> = Vec::with_capacity(nearest.len());
+    let mut aug_labels: Vec<Vec<f64>> = Vec::with_capacity(nearest.len());
+    for (&i, &(j, _)) in feedback.iter().zip(&nearest) {
         let lambda = sample_beta(il.mixup_alpha, il.mixup_beta, &mut rng);
         aug_graphs.push(mixup_graphs(
             &entries[i].graph,
@@ -175,10 +201,132 @@ pub fn run_incremental_learning(
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::knn::knn_order;
     use ce_gnn::DmlConfig;
     use ce_models::ModelKind;
+    use ce_nn::matrix::euclidean;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle: the feedback split before it went through
+    /// [`crate::knn`] — per row, one `euclidean` to every row outside its
+    /// fold, a full sort by [`knn_order`], the first `k` averaged by hand.
+    fn oracle_feedback(
+        embeddings: &[Vec<f32>],
+        entries: &[RcsEntry],
+        il: &IncrementalConfig,
+        k: usize,
+    ) -> FeedbackSplit {
+        let n = entries.len();
+        if n < 2 {
+            return FeedbackSplit::default();
+        }
+        let w = MetricWeights::new(il.validation_weight);
+        let folds = il.folds.clamp(2, n);
+        let mut split = FeedbackSplit::default();
+        for i in 0..n {
+            let mut dists: Vec<(usize, f32)> = (0..n)
+                .filter(|&j| j % folds != i % folds)
+                .map(|j| (j, euclidean(&embeddings[i], &embeddings[j])))
+                .collect();
+            dists.sort_by(knn_order);
+            let kk = k.clamp(1, dists.len());
+            let mut avg = vec![0.0f64; entries[i].sa.len()];
+            for &(j, _) in &dists[..kk] {
+                for (s, v) in avg.iter_mut().zip(entries[j].scores(w)) {
+                    *s += v / kk as f64;
+                }
+            }
+            if d_error(&entries[i].scores(w), best_index(&avg)) > il.d_error_threshold {
+                split.feedback.push(i);
+            } else {
+                split.reference.push(i);
+            }
+        }
+        split
+    }
+
+    /// The oracle of Mixup's pick: a flat `min_by(knn_order)` over the
+    /// reference set.
+    fn oracle_nearest(embeddings: &[Vec<f32>], i: usize, reference: &[usize]) -> (usize, f32) {
+        (reference.iter())
+            .map(|&a| (a, euclidean(&embeddings[i], &embeddings[a])))
+            .min_by(knn_order)
+            .expect("a reference row")
+    }
+
+    /// `n` five-model entries with quantized score vectors (ties common).
+    fn random_entries(rng: &mut StdRng, n: usize) -> Vec<RcsEntry> {
+        let kinds = ce_models::SELECTABLE_MODELS[..5].to_vec();
+        (0..n)
+            .map(|i| RcsEntry {
+                name: format!("r{i}"),
+                graph: FeatureGraph {
+                    vertices: Vec::new(),
+                    edges: Vec::new(),
+                },
+                embedding: Vec::new(),
+                kinds: kinds.clone(),
+                sa: (0..5).map(|_| rng.gen_range(0..4) as f64 / 3.0).collect(),
+                se: (0..5).map(|_| rng.gen_range(0..3) as f64 / 2.0).collect(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The split is the hand-rolled loop's, and Mixup's pick the flat
+        /// scan's, over random and 0.5-grid embeddings (distance ties
+        /// common), folds from 1 to more than `n` and `k` from 0 to more
+        /// than `n`. Finite embeddings only: which NaN a distance kernel
+        /// returns is unspecified, and `knn_order` ranks a NaN by its sign.
+        #[test]
+        fn the_split_and_the_mixup_pick_are_the_hand_rolled_loops(
+            seed in 0u64..1_000_000,
+            n in 2usize..300,
+            dim in 0usize..4,
+            grid in 0usize..2,
+            folds in 0usize..1_000,
+            k in 0usize..1_000,
+            weight in 0usize..5,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = [1, 3, 8, 32][dim];
+            let embeddings: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| match grid {
+                            0 => rng.gen::<f32>() * 2.0 - 1.0,
+                            _ => rng.gen_range(0..5) as f32 * 0.5 - 1.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let entries = random_entries(&mut rng, n);
+            let il = IncrementalConfig {
+                folds: 1 + folds % (n + 3),
+                validation_weight: weight as f64 / 4.0,
+                ..IncrementalConfig::default()
+            };
+            let k = k % (n + 3);
+            let got = collect_feedback(&embeddings, &entries, &il, k);
+            let want = oracle_feedback(&embeddings, &entries, &il, k);
+            prop_assert_eq!(&got.feedback, &want.feedback, "folds {}, k {}", il.folds, k);
+            prop_assert_eq!(&got.reference, &want.reference, "folds {}, k {}", il.folds, k);
+            // Mixup's pick over a random split of the rows, ascending.
+            let (feedback, reference): (Vec<usize>, Vec<usize>) =
+                (0..n).partition(|_| rng.gen_range(0..3) == 0);
+            if !reference.is_empty() {
+                let got = nearest_references(&embeddings, &feedback, reference.clone());
+                let want: Vec<(usize, f32)> =
+                    feedback.iter().map(|&i| oracle_nearest(&embeddings, i, &reference)).collect();
+                let bits = |l: &[(usize, f32)]| l.iter().map(|&(j, d)| (j, d.to_bits())).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+    }
 
     /// Hand-built RCS entries: two tight clusters with matching labels plus
     /// one outlier mislabeled relative to its cluster → the outlier should

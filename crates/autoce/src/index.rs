@@ -562,8 +562,15 @@ pub(crate) struct IndexPartition<'a> {
 /// bound, so rounding can only make a bound decline, never admit wrongly.
 /// [`KnnIndex::admits`] and the drift detector's partition join
 /// (`crate::online`) both take it.
+///
+/// The error is relative while squared coordinate differences are normal
+/// floats, and absolute below: a square that underflows is off by up to
+/// `2^-150`, so a distance by up to `sqrt(2·dim)·2^-75`. Taking every
+/// magnitude as at least `2^-51` covers that term (`docs/knn-index.md`);
+/// from `2^-26` up the floor is absorbed and the slack is the relative
+/// term's bits.
 pub(crate) fn slack(dim: usize, magnitude: f32) -> f32 {
-    4.0 * f32::EPSILON * (dim as f32 + 8.0) * magnitude
+    4.0 * f32::EPSILON * (dim as f32 + 8.0) * (magnitude + f32::powi(2.0, -51))
 }
 
 /// What one index query did; [`KnnIndex::record`] counts it.
@@ -724,7 +731,7 @@ mod tests {
                 continue;
             }
             let d_c = euclidean(query, centroid(ix, c));
-            let slack = 4.0 * f32::EPSILON * (ix.dim as f32 + 8.0) * (d_c + ix.radii[c] + d_k);
+            let slack = slack(ix.dim, d_c + ix.radii[c] + d_k);
             if d_c - ix.radii[c] <= d_k + ix.cfg.margin + slack {
                 return widen(out);
             }

@@ -31,7 +31,12 @@
 //! [`Scratch`] and one candidate buffer for the whole batch. `ce-cluster`'s
 //! shard server lends its wire tables as [`Partition`] views under the same
 //! discipline, and its coordinator takes the clamp and the merge from here
-//! around its own framing.
+//! around its own framing. Two callers besides the serving tiers: Stage 3's
+//! feedback split ([`collect_feedback`](crate::incremental::collect_feedback))
+//! votes on each row over the other folds, each an unindexed [`Partition`]
+//! view, and asks the reference set's view for Mixup's `k = 1`; the §VII
+//! Knn baseline ([`KnnFeatureSelector`](crate::KnnFeatureSelector)) is
+//! [`predict_batch`] over one shard of flattened raw features.
 //!
 //! # Five things the former per-tier copies disagreed on, settled
 //!

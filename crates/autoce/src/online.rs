@@ -17,7 +17,7 @@
 //! without a centroid. A row's nearest other row comes from its own
 //! partition, its own position excluded, then from every other partition
 //! the centroid bound cannot rule out for the whole partition at once
-//! ([`nearest_per_row`]). Every value is a minimum of `euclidean` bits,
+//! (`nearest_per_row`). Every value is a minimum of `euclidean` bits,
 //! so the threshold is the pairwise fit's at any thread count.
 //!
 //! Step 3 has one body ([`AutoCe::adapt_with_reservoir`]'s): push the
@@ -65,7 +65,7 @@ impl DriftDetector {
     /// `0..n` between them) under the owner's live `generation` — what
     /// [`AutoCe`]'s [`drift_detector`](crate::AdvisorBackend::drift_detector)
     /// fits, so every shard count produces the same threshold: the
-    /// percentile rank over [`nearest_per_row`].
+    /// percentile rank over `nearest_per_row`.
     pub fn from_partitions(partitions: &[AdvisorShard], generation: u64) -> Self {
         Self::fit(partitions, generation, &MetricsRegistry::disabled())
     }
@@ -631,6 +631,47 @@ mod tests {
             }
             if wide {
                 prop_assert_eq!(pruned, 0, "a huge margin prunes nothing");
+            }
+        }
+    }
+
+    proptest! {
+        /// The join is exact at every float scale: blob-clustered rows off
+        /// any grid, scaled by `2^-shift` from 1 down to `2^-80` — through
+        /// the band where squared coordinate differences are subnormal, and
+        /// past it, where they are zero — and dealt over two indexed shards,
+        /// have the pairwise oracle's bits row by row.
+        #[test]
+        fn indexed_fit_matches_the_pairwise_oracle_at_every_float_scale(
+            seed in 0u64..1_000_000,
+            dim in 0usize..4,
+            blobs in 2usize..12,
+            partitions in 2usize..16,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = [1, 3, 8, 32][dim];
+            let centres: Vec<Vec<f32>> = (0..blobs)
+                .map(|_| (0..dim).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect())
+                .collect();
+            let base: Vec<Vec<f32>> = (0..160)
+                .map(|i| centres[i % blobs].iter().map(|v| v + (rng.gen::<f32>() - 0.5) * 0.2).collect())
+                .collect();
+            let cfg = IndexConfig {
+                partitions,
+                probe: 1,
+                min_rcs_for_index: 2,
+                ..IndexConfig::default()
+            };
+            let registry = MetricsRegistry::disabled();
+            for shift in (0..=80).step_by(4) {
+                let scale = 2f32.powi(-shift);
+                let rows: Vec<Vec<f32>> =
+                    base.iter().map(|r| r.iter().map(|v| v * scale).collect()).collect();
+                let mut deal_rng = StdRng::seed_from_u64(seed);
+                let shards = deal(&mut deal_rng, &rows, 2, Some(&cfg), &registry, |_| LIVE);
+                let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+                let got = nearest_per_row(&shards, LIVE, &registry);
+                prop_assert_eq!(bits(&got), bits(&oracle_rows(&refs)), "scale 2^-{}", shift);
             }
         }
     }

@@ -131,6 +131,58 @@ proptest! {
         }
     }
 
+    /// The index is exact at every float scale: blob-clustered embeddings
+    /// and queries scaled by `2^-shift`, swept from 1 down to `2^-80` —
+    /// through the band where squared coordinate differences are
+    /// subnormal, and past it, where they are zero — are served the flat
+    /// scan's bits whenever the index answers.
+    #[test]
+    fn indexed_topk_bits_equal_flat_scan_at_every_float_scale(
+        seed in 0u64..1_000_000,
+        dim in 1usize..33,
+        k in 1usize..6,
+        partitions in 2usize..12,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centres: Vec<Vec<f32>> = (0..partitions)
+            .map(|_| (0..dim).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect())
+            .collect();
+        let mut near = |c: usize| -> Vec<f32> {
+            centres[c].iter().map(|v| v + (rng.gen::<f32>() - 0.5) * 0.2).collect()
+        };
+        let base: Vec<Vec<f32>> = (0..240).map(|i| near(i % partitions)).collect();
+        let queries: Vec<Vec<f32>> = (0..12).map(|i| near(i * 5 % partitions)).collect();
+        let cfg = IndexConfig::builder()
+            .partitions(partitions)
+            .probe(1)
+            .min_rcs_for_index(1)
+            .build()
+            .expect("valid index config");
+        for shift in (0..=80).step_by(2) {
+            let scale = 2f32.powi(-shift);
+            let scaled = |rows: &[Vec<f32>]| -> Vec<Vec<f32>> {
+                rows.iter().map(|r| r.iter().map(|v| v * scale).collect()).collect()
+            };
+            let (embs, xs) = (scaled(&base), scaled(&queries));
+            let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+            let Some(ix) = KnnIndex::build(&refs, &cfg, 7, &MetricsRegistry::disabled()) else {
+                continue;
+            };
+            for (q, x) in xs.iter().enumerate() {
+                let Some(got) = indexed_topk(&ix, &embs, x, k, usize::MAX) else {
+                    continue;
+                };
+                let want = flat_topk(&embs, x, k, usize::MAX);
+                let bits = |l: &[(usize, f32)]| {
+                    l.iter().map(|&(i, d)| (i, d.to_bits())).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(bits(&got), bits(&want), "scale 2^-{}, query {}", shift, q);
+            }
+        }
+    }
+
     /// End to end through the advisor: predictions with an installed
     /// index — model, score vector — are bit-identical to the plain flat
     /// advisor's, whether each query was answered from the index or fell

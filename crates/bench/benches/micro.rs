@@ -40,6 +40,12 @@ mod golden_label_bits;
 #[path = "../../autoce/tests/golden_setup_bits.rs"]
 mod golden_setup_bits;
 
+/// The advisor crate's Stage-3 golden-bits test, shared by path: its
+/// seeded RCS and the feedback-split checksum captured while the split
+/// still sorted and voted by hand.
+#[path = "../../autoce/tests/golden_stage3_bits.rs"]
+mod golden_stage3_bits;
+
 /// The nn crate's golden-bits test, shared by path: the `kmeans` checksum
 /// captured before the same kernel.
 #[path = "../../nn/tests/golden_kmeans_bits.rs"]
@@ -86,7 +92,7 @@ fn blob_rcs(
 }
 
 fn bench_detector_fit(c: &mut Criterion) {
-    if !criterion::filter_allows("detector_fit") {
+    if !criterion::filter_allows("detector_fit_flat") {
         return;
     }
     // Same bits first, then time.
@@ -97,9 +103,36 @@ fn bench_detector_fit(c: &mut Criterion) {
     );
     let (n, dim) = KNN_READ_SHAPE;
     let embeddings = golden_setup_bits::seeded_embeddings(n, dim, 1);
-    c.bench_function("detector_fit", |b| {
+    c.bench_function("detector_fit_flat", |b| {
         b.iter(|| black_box(golden_setup_bits::threshold_bits(&embeddings)))
     });
+}
+
+/// Algorithm 2's feedback split (`collect_feedback`, five folds, `k = 3`)
+/// over 10³ and 10⁴ seeded 32-dimensional embeddings, after
+/// `SPLIT_GOLDEN` is checked. The names end in `1e3`/`1e4` so that neither
+/// filter selects the other.
+fn bench_collect_feedback(c: &mut Criterion) {
+    use autoce::incremental::{collect_feedback, IncrementalConfig};
+
+    for (n, name) in [
+        (1_000, "collect_feedback/1e3"),
+        (10_000, "collect_feedback/1e4"),
+    ] {
+        if !criterion::filter_allows(name) {
+            continue;
+        }
+        assert_eq!(
+            golden_stage3_bits::split_checksum(),
+            golden_stage3_bits::SPLIT_GOLDEN,
+            "collect_feedback moved a bit; its timing means nothing"
+        );
+        let (embeddings, entries) = golden_stage3_bits::seeded_rcs(n, 32, 1, false);
+        let il = IncrementalConfig::default();
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(collect_feedback(&embeddings, &entries, &il, 3)))
+        });
+    }
 }
 
 fn bench_index_build(c: &mut Criterion) {
@@ -987,6 +1020,7 @@ criterion_group!(
         bench_label_kernels,
         bench_detector_fit,
         bench_detector_fit_indexed,
+        bench_collect_feedback,
         bench_index_build,
         bench_advisor_paths,
         bench_model_inference,
