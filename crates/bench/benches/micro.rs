@@ -11,7 +11,8 @@ use ce_gnn::{train_encoder, DmlConfig, GinEncoder, StackedCtx};
 use ce_models::encoding::SchemaEncoder;
 use ce_models::gbdt::{Gbdt, GbdtParams};
 use ce_models::{build_model, ModelKind, TrainContext};
-use ce_nn::{Activation, Dense, DenseGrad, Matrix};
+use ce_nn::matrix::SparseRows;
+use ce_nn::{Activation, Matrix, Mlp};
 use ce_optsim::{optimize_query, DatasetIndexes, TrueCardEstimator};
 use ce_storage::stats::{ColumnStats, EquiDepthHistogram, StatsScratch};
 use ce_storage::{Column, Dataset};
@@ -254,8 +255,8 @@ fn bench_label_dataset(c: &mut Criterion) {
 /// `label_dataset(ds, cfg, 1)` hands them: the cardinality counter over
 /// the testbed's 45 queries, a 100-bucket histogram of every data column,
 /// `PostgresEstimator`'s whole ANALYZE (those histograms and the join-key
-/// distinct counts), LW-XGB's boosted fit on the 30 training rows, one
-/// Adam step of LW-NN's two layers, LW-NN's whole training, and the whole
+/// distinct counts), LW-XGB's boosted fit on the 30 training rows, LW-NN's
+/// whole training and one of its training steps, and the whole
 /// `label_dataset` they add up to — so one command times every stage.
 fn bench_label_kernels(c: &mut Criterion) {
     if !criterion::filter_allows("label_kernels") {
@@ -320,25 +321,28 @@ fn bench_label_kernels(c: &mut Criterion) {
             b.iter(|| black_box(build_model(ModelKind::LwNn, &ctx)))
         });
 
-        let rng = &mut StdRng::seed_from_u64(1);
-        let mut layers = [
-            Dense::new(encoder.flat_dim(), 64, Activation::Relu, rng),
-            Dense::new(64, 1, Activation::Sigmoid, rng),
-        ];
-        let grads: Vec<DenseGrad> = layers
-            .iter()
-            .map(|layer| DenseGrad {
-                gw: Matrix::xavier(layer.w.rows, layer.w.cols, rng),
-                gb: Matrix::xavier(1, layer.b.len(), rng).data,
-            })
-            .collect();
-        let mut t = 0;
-        c.bench_function(&name("adam_step"), |b| {
+        // One step of LW-NN's training: the 30 training rows as one batch,
+        // on their non-zero inputs, Adam over the live first-layer rows.
+        // The network restarts from its draws every 40 steps, as many as
+        // one fit takes (longer runs decay Adam's moments of idle units
+        // into subnormals, which no fit reaches and which cost far more).
+        let fresh = Mlp::new(
+            &[encoder.flat_dim(), 64, 1],
+            Activation::Relu,
+            Activation::Sigmoid,
+            &mut StdRng::seed_from_u64(1 ^ 0x1f00d),
+        );
+        let rows = SparseRows::new(&xs, encoder.flat_dim());
+        let batch: Vec<usize> = (0..xs.len()).collect();
+        let by = Matrix::from_rows(ys.iter().map(|&y| vec![y]).collect());
+        let (mut net, mut steps) = (fresh.clone(), 0);
+        c.bench_function(&name("lwnn_step"), |b| {
             b.iter(|| {
-                t += 1;
-                for (layer, grad) in layers.iter_mut().zip(&grads) {
-                    layer.adam_step_with(grad, 3e-3, t);
+                if steps % 40 == 0 {
+                    net = fresh.clone();
                 }
+                steps += 1;
+                black_box(net.train_mse_sparse(&rows, &batch, &by, 3e-3))
             })
         });
 

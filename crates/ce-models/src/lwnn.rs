@@ -7,37 +7,45 @@
 //! workload, the fastest of all models — our single 64-unit hidden layer
 //! preserves that profile.
 //!
-//! # Live input columns
+//! # Training on non-zero inputs
 //!
 //! The flat encoding gives every table and column of the schema its own
-//! inputs, and most of them are zero in every training query. Training
-//! reads only the *live* columns — those non-zero in some training row —
-//! and leaves the bits full-width training leaves:
+//! inputs, and most of each training row is zero (on the end-to-end
+//! benchmark's corpus, 38 of 89 inputs per row at 7 tables and 117 of 340
+//! at 24). Training takes each row's non-zero entries only
+//! ([`SparseRows`]: `−0` counts as zero and NaN as non-zero, so every
+//! input left out is `±0`) and leaves the bits full-width training leaves
+//! as long as every first-layer weight and every first-layer output
+//! gradient `g` is finite:
 //!
-//! * **Forward.** A dead column is `±0` in every row, and its weights are
-//!   finite (Xavier draws) and never updated (below), so each of its terms
-//!   `x·w` is `±0`. The product adds the terms in ascending column order
-//!   to a sum that starts at `+0` and is never `−0` under round-to-nearest
-//!   (`+0 + −0 = +0`, and `a + −a = +0`), so adding `±0` leaves it
-//!   unchanged: the hidden activations, the loss, every gradient and the
-//!   live rows' weight gradients have the full-width bits.
-//! * **Adam.** A dead row's weight gradient is `Σ x·g` over the batch,
-//!   `+0` when every first-layer output gradient `g` is finite. With a
-//!   zero gradient and a positive learning rate Adam leaves that row's
-//!   moments at `+0` and its weights as they are (`w − lr·0/(√0 + ε) =
-//!   w`), so the row is exactly its initial draw, as narrow training
-//!   leaves it.
-//! * **Guard.** A non-finite `g` at any step makes the first layer's bias
-//!   gradient non-finite, and Adam turns a non-finite gradient into a NaN
-//!   bias (`±∞/∞` or NaN), which no later step clears. So a trained bias
-//!   that is all finite proves every step's `g` was finite; otherwise the
-//!   network is trained again at full width from the same draws.
-//!
-//! The trained rows are written back into the full-width network, so
-//! estimates read every column as before.
+//! * **Forward.** A hidden activation adds the terms `x·w` of its row's
+//!   inputs in ascending column order to a sum that starts at `+0`, then
+//!   the bias. A term left out is `±0·w`, which is `±0` for a finite `w`,
+//!   and the sum is never `−0` under round-to-nearest (`+0 + −0 = +0`,
+//!   `a + −a = +0`), so adding `±0` leaves it unchanged: the activations,
+//!   the head, the loss and `g` have the full-width bits.
+//! * **Weight gradient.** Row `c`'s gradient adds `x·g` over the batch
+//!   rows in batch order from `+0`; a row whose input `c` is left out adds
+//!   `±0·g`, which is `±0` for a finite `g`, so summing the entries only
+//!   gives the same bits. A column no training row has (a dead one) keeps
+//!   a `+0` gradient row.
+//! * **Adam.** Adam updates the live rows only. A dead row's gradient and
+//!   moments stay `+0`, and with those Adam leaves the row as it is (`w −
+//!   lr·0/(√0 + ε) = w`), as full-width training does.
+//! * **Guard.** Both conditions are checked once, after training. A
+//!   non-finite weight stays non-finite under Adam (NaN stays NaN, `±∞`
+//!   less a finite step stays infinite, less an infinite or NaN one turns
+//!   NaN). A non-finite `g` makes the bias gradient, which sums `g`,
+//!   non-finite, and Adam turns that into a NaN bias (`±∞/∞` or NaN) that
+//!   no later step clears. So a trained first layer whose weights and bias
+//!   are all finite proves every step matched full width; otherwise the
+//!   network is drawn again and trained at full width. A NaN input, for
+//!   one, leaves its row's activations and so the bias NaN; an infinite
+//!   one turns its column's weight row non-finite.
 
 use crate::encoding::SchemaEncoder;
 use crate::traits::{CardEstimator, ModelKind, TrainContext};
+use ce_nn::matrix::SparseRows;
 use ce_nn::{Activation, Matrix, Mlp};
 use ce_storage::Query;
 use rand::rngs::StdRng;
@@ -61,13 +69,6 @@ impl LwNn {
     /// Trains from the labeled query workload.
     pub fn train(ctx: &TrainContext<'_>) -> Self {
         let encoder = SchemaEncoder::capture(ctx.dataset);
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x1f00d);
-        let net = Mlp::new(
-            &[encoder.flat_dim(), 64, 1],
-            Activation::Relu,
-            Activation::Sigmoid,
-            &mut rng,
-        );
         let xs: Vec<Vec<f32>> = ctx
             .train_queries
             .iter()
@@ -78,60 +79,66 @@ impl LwNn {
             .iter()
             .map(|lq| encoder.normalize_card(lq.true_card as f64))
             .collect();
-        let net = Self::fit(net, &xs, &ys, rng);
+        let rng = StdRng::seed_from_u64(ctx.seed ^ 0x1f00d);
+        let net = Self::fit(encoder.flat_dim(), &xs, &ys, rng);
         LwNn { encoder, net }
     }
 
-    /// `net` trained on `xs`/`ys`, the batch order drawn from `rng`: on the
-    /// live input columns and written back, or at full width when every
-    /// column is live or the guard fails (see the module notes).
-    fn fit(mut net: Mlp, xs: &[Vec<f32>], ys: &[f32], rng: StdRng) -> Mlp {
-        let live = live_columns(xs, net.input_dim());
-        if live.len() < net.input_dim() {
-            let rows: Vec<Vec<f32>> = xs
-                .iter()
-                .map(|x| live.iter().map(|&c| x[c]).collect())
-                .collect();
-            let narrow = Self::train_on(net.select_inputs(&live), &rows, ys, rng.clone());
-            if narrow.layers()[0].b.iter().all(|b| b.is_finite()) {
-                net.scatter_inputs(&narrow, &live);
-                return net;
-            }
+    /// The untrained network over `dim` inputs, drawn from `rng`.
+    fn network(dim: usize, rng: &mut StdRng) -> Mlp {
+        Mlp::new(&[dim, 64, 1], Activation::Relu, Activation::Sigmoid, rng)
+    }
+
+    /// A network drawn from `rng` and trained on `xs`/`ys` (`dim` inputs
+    /// per row), the batch order drawn from what `rng` draws next: on each
+    /// row's non-zero inputs, or drawn again and trained at full width when
+    /// the guard fails (see the module notes).
+    fn fit(dim: usize, xs: &[Vec<f32>], ys: &[f32], mut rng: StdRng) -> Mlp {
+        let draws = rng.clone();
+        let mut net = Self::network(dim, &mut rng);
+        let rows = SparseRows::new(xs, dim);
+        Self::batches(ys, rng.clone(), |batch, by| {
+            net.train_mse_sparse(&rows, batch, by, Self::LR);
+        });
+        let first = &net.layers()[0];
+        if first.w.data.iter().chain(&first.b).all(|v| v.is_finite()) {
+            return net;
         }
-        Self::train_on(net, xs, ys, rng)
+        Self::train_on(Self::network(dim, &mut draws.clone()), xs, ys, rng)
     }
 
     /// `net` trained on the rows `xs` (one input per column) and targets
-    /// `ys`: [`Self::EPOCHS`] passes in an order drawn from `rng`, in
-    /// batches of [`Self::BATCH`].
-    fn train_on(mut net: Mlp, xs: &[Vec<f32>], ys: &[f32], mut rng: StdRng) -> Mlp {
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        // One batch buffer per side, refilled in place every step.
+    /// `ys` at full width.
+    fn train_on(mut net: Mlp, xs: &[Vec<f32>], ys: &[f32], rng: StdRng) -> Mlp {
+        // One batch buffer, refilled in place every step.
         let mut bx = Matrix::zeros(0, net.input_dim());
+        Self::batches(ys, rng, |batch, by| {
+            bx.data.clear();
+            for &i in batch {
+                bx.data.extend_from_slice(&xs[i]);
+            }
+            bx.rows = batch.len();
+            net.train_mse(&bx, by, Self::LR);
+        });
+        net
+    }
+
+    /// Calls `step` with each batch of row ids and its targets (one column
+    /// of `ys`): [`Self::EPOCHS`] passes in an order drawn from `rng`, in
+    /// batches of [`Self::BATCH`].
+    fn batches(ys: &[f32], mut rng: StdRng, mut step: impl FnMut(&[usize], &Matrix)) {
+        let mut order: Vec<usize> = (0..ys.len()).collect();
         let mut by = Matrix::zeros(0, 1);
         for _ in 0..Self::EPOCHS {
             order.shuffle(&mut rng);
             for chunk in order.chunks(Self::BATCH) {
-                bx.data.clear();
-                for &i in chunk {
-                    bx.data.extend_from_slice(&xs[i]);
-                }
                 by.data.clear();
                 by.data.extend(chunk.iter().map(|&i| ys[i]));
-                (bx.rows, by.rows) = (chunk.len(), chunk.len());
-                net.train_mse(&bx, &by, Self::LR);
+                by.rows = chunk.len();
+                step(chunk, &by);
             }
         }
-        net
     }
-}
-
-/// The input columns that are non-zero (`-0.0` counts as zero, NaN as
-/// non-zero) in some row of `xs`, ascending.
-fn live_columns(xs: &[Vec<f32>], dims: usize) -> Vec<usize> {
-    (0..dims)
-        .filter(|&c| xs.iter().any(|x| x[c] != 0.0))
-        .collect()
 }
 
 impl CardEstimator for LwNn {
@@ -156,29 +163,51 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
 
-    /// Training rows over `dims` columns: column `c` is live when
-    /// `live(c)`, else `+0` or `−0` (by row and column) in every row.
-    fn rows(
-        n: usize,
-        dims: usize,
-        live: impl Fn(usize) -> bool,
-        rng: &mut StdRng,
-    ) -> Vec<Vec<f32>> {
-        (0..n)
+    /// How a test column fills its training rows.
+    #[derive(Clone, Copy)]
+    enum Fill {
+        /// `+0` or `−0` (by row and column) in every row.
+        Dead,
+        /// Never zero: `1.0` or a draw.
+        Full,
+        /// By turns a draw, `1.0`, `+0` and `−0`.
+        Mixed,
+    }
+
+    /// `n` training rows over the columns `fill` describes, one per
+    /// column; when `sparse_rows`, the first row is all zero (`±0`) and the
+    /// second has one non-zero input, so that no column is full.
+    fn rows(n: usize, fill: &[Fill], sparse_rows: bool, rng: &mut StdRng) -> Vec<Vec<f32>> {
+        let mut xs: Vec<Vec<f32>> = (0..n)
             .map(|i| {
-                (0..dims)
-                    .map(|c| match (live(c), (i + c) % 3) {
-                        (true, _) => rng.gen::<f32>(),
-                        (false, 0) => -0.0,
-                        (false, _) => 0.0,
+                (0..fill.len())
+                    .map(|c| match (fill[c], rng.gen_range(0..4)) {
+                        (Fill::Dead, _) if (i + c) % 3 == 0 => -0.0,
+                        (Fill::Dead, _) => 0.0,
+                        (Fill::Full | Fill::Mixed, 0) => 1.0,
+                        (Fill::Mixed, 1) => 0.0,
+                        (Fill::Mixed, 2) => -0.0,
+                        _ => rng.gen_range(-1.0..1.0),
                     })
                     .collect()
             })
-            .collect()
+            .collect();
+        if sparse_rows {
+            for (i, x) in xs.iter_mut().take(2).enumerate() {
+                for (c, v) in x.iter_mut().enumerate() {
+                    *v = match (i, c) {
+                        (1, 2) => 0.5,
+                        _ if c % 2 == 0 => -0.0,
+                        _ => 0.0,
+                    };
+                }
+            }
+        }
+        xs
     }
 
-    /// The network before this module trained live columns only: every
-    /// column, every step.
+    /// Training before the network trained on non-zero inputs only: every
+    /// column of every row, every step.
     fn full_width_oracle(net: &Mlp, xs: &[Vec<f32>], ys: &[f32], mut rng: StdRng) -> Mlp {
         let mut net = net.clone();
         let mut order: Vec<usize> = (0..xs.len()).collect();
@@ -193,43 +222,54 @@ mod tests {
         net
     }
 
-    /// Live-column training against full-width training: every weight,
-    /// bias, gradient and Adam moment, the step counter and the estimates
-    /// on probes have the oracle's bits. Returns whether the guard
-    /// retrained.
-    fn check_live_columns(dims: usize, xs: &[Vec<f32>], ys: &[f32], seed: u64) -> bool {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(
-            &[dims, 64, 1],
-            Activation::Relu,
-            Activation::Sigmoid,
-            &mut rng,
+    /// `net`'s `Debug` state — every parameter, gradient and Adam moment of
+    /// every layer and the step counter — without the layers' caches,
+    /// which only full-width training fills.
+    fn state(net: &Mlp) -> String {
+        let text = format!("{net:?}");
+        let (mut out, mut rest) = (String::new(), text.as_str());
+        while let Some(at) = rest.find(", x_cache: ") {
+            out.push_str(&rest[..at]);
+            // Both caches run to the `}` that closes the layer.
+            let mut depth = 0usize;
+            let end = rest[at..]
+                .char_indices()
+                .find(|&(_, ch)| match ch {
+                    '(' | '[' | '{' => {
+                        depth += 1;
+                        false
+                    }
+                    ')' | ']' | '}' if depth > 0 => {
+                        depth -= 1;
+                        false
+                    }
+                    '}' => true,
+                    _ => false,
+                })
+                .map_or(rest.len() - at, |(i, _)| i);
+            rest = &rest[at + end..];
+        }
+        out + rest
+    }
+
+    /// [`LwNn::fit`] against full-width training from the same draws:
+    /// every weight, bias, gradient and Adam moment, the step counter and
+    /// the estimates on probes and on the training rows have the oracle's
+    /// bits. Returns whether the guard retrained.
+    fn check_sparse_fit(xs: &[Vec<f32>], ys: &[f32], seed: u64) -> bool {
+        let dims = xs.first().map_or(5, Vec::len);
+        let rng = StdRng::seed_from_u64(seed);
+        let got = LwNn::fit(dims, xs, ys, rng.clone());
+        let mut draws = rng;
+        let net = LwNn::network(dims, &mut draws);
+        let oracle = full_width_oracle(&net, xs, ys, draws.clone());
+        assert_eq!(state(&got), state(&oracle), "state, {} rows", xs.len());
+        let probes = rows(
+            8,
+            &vec![Fill::Full; dims],
+            false,
+            &mut StdRng::seed_from_u64(seed ^ 1),
         );
-        let got = LwNn::fit(net.clone(), xs, ys, rng.clone());
-        let oracle = full_width_oracle(&net, xs, ys, rng.clone());
-        // Whether the live-column network fails the guard.
-        let live = live_columns(xs, dims);
-        let narrow_rows: Vec<Vec<f32>> = xs
-            .iter()
-            .map(|x| live.iter().map(|&c| x[c]).collect())
-            .collect();
-        let narrow = LwNn::train_on(net.select_inputs(&live), &narrow_rows, ys, rng);
-        let retrained = !narrow.layers()[0].b.iter().all(|b| b.is_finite());
-        // A written-back network has no first-layer caches; selecting
-        // every column copies the oracle but for those.
-        let want = if live.len() < dims && !retrained {
-            let every: Vec<usize> = (0..dims).collect();
-            oracle.select_inputs(&every)
-        } else {
-            oracle.clone()
-        };
-        assert_eq!(
-            format!("{got:?}"),
-            format!("{want:?}"),
-            "state, {} rows",
-            xs.len()
-        );
-        let probes = rows(8, dims, |_| true, &mut StdRng::seed_from_u64(seed ^ 1));
         for probe in probes.iter().chain(xs) {
             let x = Matrix::row_vector(probe);
             assert_eq!(
@@ -238,45 +278,56 @@ mod tests {
                 "estimate"
             );
         }
-        live.len() < dims && retrained
+        // Whether the sparse steps left a non-finite first layer.
+        let (sparse_rows, mut sparse) = (SparseRows::new(xs, dims), net);
+        LwNn::batches(ys, draws, |batch, by| {
+            sparse.train_mse_sparse(&sparse_rows, batch, by, LwNn::LR);
+        });
+        let first = &sparse.layers()[0];
+        !first.w.data.iter().chain(&first.b).all(|v| v.is_finite())
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `−0.0` and `+0.0` dead columns, an all-zero training set, one batch
-    /// and more than one (past 64 rows), and a target that makes a
-    /// gradient non-finite, which must take the full-width retrain.
+    /// Rows with `+0`, `−0` and `1.0` entries in live columns, dead and
+    /// full columns, an all-zero row and a one-entry row, an all-zero
+    /// training set, one batch and more than one (past 64 rows); then a NaN
+    /// input, an infinite input and an infinite target, which must take
+    /// the full-width retrain.
     #[test]
-    fn live_column_training_matches_full_width() {
+    fn sparse_training_matches_full_width() {
         let rng = &mut StdRng::seed_from_u64(0x11fe);
-        let dims = 23;
-        let some_dead = |c: usize| c % 3 != 1;
+        let fill: Vec<Fill> = (0..23)
+            .map(|c| [Fill::Dead, Fill::Full, Fill::Mixed, Fill::Mixed][c % 4])
+            .collect();
         for n in [1, 30, 64, 65, 100] {
-            let xs = rows(n, dims, some_dead, rng);
             let ys: Vec<f32> = (0..n).map(|_| rng.gen()).collect();
-            assert!(
-                !check_live_columns(dims, &xs, &ys, n as u64),
-                "{n} rows: no retrain"
-            );
-            let zeros = rows(n, dims, |_| false, rng);
-            assert!(
-                !check_live_columns(dims, &zeros, &ys, n as u64),
-                "{n} zero rows"
-            );
+            for sparse_rows in [false, true] {
+                let xs = rows(n, &fill, sparse_rows, rng);
+                assert!(
+                    !check_sparse_fit(&xs, &ys, n as u64),
+                    "{n} rows: no retrain"
+                );
+            }
+            let zeros = rows(n, &[Fill::Dead; 23], false, rng);
+            assert!(!check_sparse_fit(&zeros, &ys, n as u64), "{n} zero rows");
+        }
+        assert!(!check_sparse_fit(&[], &[], 3), "no rows");
+        let ys: Vec<f32> = (0..40).map(|_| rng.gen()).collect();
+        for (what, value) in [("NaN", f32::NAN), ("infinite", f32::INFINITY)] {
+            let mut xs = rows(40, &fill, false, rng);
+            xs[9][2] = value;
+            assert!(check_sparse_fit(&xs, &ys, 9), "a {what} input retrains");
         }
         // An infinite target makes the loss gradient, and so the first
-        // layer's, non-finite: the narrow network's bias turns NaN, and
-        // the full-width network's dead rows would too.
-        let xs = rows(40, dims, some_dead, rng);
-        let mut ys: Vec<f32> = (0..40).map(|_| rng.gen()).collect();
+        // layer's, non-finite: the first layer's bias turns NaN.
+        let xs = rows(40, &fill, true, rng);
+        let mut ys = ys;
         ys[7] = f32::INFINITY;
-        assert!(
-            check_live_columns(dims, &xs, &ys, 7),
-            "guard retrains at full width"
-        );
-        println!("live-column LW-NN training: every case matched full width, one retrained");
+        assert!(check_sparse_fit(&xs, &ys, 7), "an infinite target retrains");
+        println!("sparse LW-NN training: every case matched full width, three retrained");
     }
 
     #[test]

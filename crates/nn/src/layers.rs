@@ -1,6 +1,6 @@
 //! Dense layers and activations with explicit backprop and built-in Adam.
 
-use crate::matrix::{simd_kernel, Matrix};
+use crate::matrix::{simd_kernel, Matrix, SparseRows, ROW_BLOCK};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -111,16 +111,74 @@ fn bias_corrections(t: u64) -> (f32, f32) {
     (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32))
 }
 
-// One Adam update per element: each lane is one parameter, and its
-// operations are the scalar loop's — separate `mul`/`add`/`div`/`sqrt` in
-// the same order, never an FMA — so every arm leaves the scalar arm's bits.
-simd_kernel!(adam_kernel, (w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, bc1: f32, bc2: f32), {
+/// One Adam update per element: each lane is one parameter, and its
+/// operations are the scalar loop's — separate `mul`/`add`/`div`/`sqrt` in
+/// the same order, never an FMA — so every arm leaves the scalar arm's
+/// bits. The one Adam body, inlined into both kernels below.
+#[inline(always)]
+fn adam_lanes(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, bc1: f32, bc2: f32) {
     for (((w, m), v), &g) in w.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
         *m = B1 * *m + (1.0 - B1) * g;
         *v = B2 * *v + (1.0 - B2) * g * g;
         let mhat = *m / bc1;
         let vhat = *v / bc2;
         *w -= lr * mhat / (vhat.sqrt() + EPS);
+    }
+}
+
+simd_kernel!(adam_kernel, (w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, bc1: f32, bc2: f32), {
+    adam_lanes(w, m, v, g, lr, bc1, bc2)
+});
+
+// The weight-gradient rows of a sparse-input layer's full columns and
+// their Adam update at the step `[lr, bc1, bc2]`: row `full[k]` is `Σ x_ik ·
+// g_i` over every batch row in batch order from `+0` (the dense `xᵀ·g`
+// chain), summed `ROW_BLOCK` elements at a time in registers and handed
+// straight to the Adam body, so no gradient is stored for these rows.
+simd_kernel!(full_adam_kernel, (x: &SparseRows, batch: &[usize], g: &[f32], w: &mut [f32], m: &mut [f32], v: &mut [f32], step: [f32; 3]), {
+    let [lr, bc1, bc2] = step;
+    let nf = x.full.len();
+    let width = w.len().checked_div(x.dim).unwrap_or(0);
+    for (k, &c) in x.full.iter().enumerate() {
+        let row = c * width..(c + 1) * width;
+        let (w, m, v) = (&mut w[row.clone()], &mut m[row.clone()], &mut v[row]);
+        let mut j0 = 0;
+        while j0 + ROW_BLOCK <= width {
+            let mut acc = [0.0f32; ROW_BLOCK];
+            for (i, &r) in batch.iter().enumerate() {
+                let (xv, start) = (x.full_vals[r * nf + k], i * width + j0);
+                for (a, &gv) in acc.iter_mut().zip(&g[start..start + ROW_BLOCK]) {
+                    *a += xv * gv;
+                }
+            }
+            let span = j0..j0 + ROW_BLOCK;
+            adam_lanes(&mut w[span.clone()], &mut m[span.clone()], &mut v[span], &acc, lr, bc1, bc2);
+            j0 += ROW_BLOCK;
+        }
+        if j0 < width {
+            let mut acc = [0.0f32; ROW_BLOCK];
+            let tail = &mut acc[..width - j0];
+            for (i, &r) in batch.iter().enumerate() {
+                let xv = x.full_vals[r * nf + k];
+                for (a, &gv) in tail.iter_mut().zip(&g[i * width + j0..(i + 1) * width]) {
+                    *a += xv * gv;
+                }
+            }
+            adam_lanes(&mut w[j0..], &mut m[j0..], &mut v[j0..], tail, lr, bc1, bc2);
+        }
+    }
+});
+
+// Adam over the rows `rows` of `width`-wide parameters at the step
+// `[lr, bc1, bc2]`, each row's gradient cleared after its update; no other
+// row is read or written.
+simd_kernel!(adam_rows_kernel, (w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &mut [f32], rows: &[usize], width: usize, step: [f32; 3]), {
+    let [lr, bc1, bc2] = step;
+    for &r in rows {
+        let span = r * width..(r + 1) * width;
+        let g = &mut g[span.clone()];
+        adam_lanes(&mut w[span.clone()], &mut m[span.clone()], &mut v[span], g, lr, bc1, bc2);
+        g.iter_mut().for_each(|g| *g = 0.0);
     }
 });
 
@@ -270,54 +328,85 @@ impl Dense {
         }
     }
 
-    /// This layer reading only the input rows `keep` of its weights: those
-    /// rows of `w`, of its gradient and of both Adam moments, every other
-    /// field copied; no caches.
-    pub(crate) fn select_inputs(&self, keep: &[usize]) -> Dense {
-        let rows = |m: &Matrix| Matrix {
-            rows: keep.len(),
-            cols: m.cols,
-            data: keep.iter().flat_map(|&r| m.row(r)).copied().collect(),
-        };
-        Dense {
-            w: rows(&self.w),
-            b: self.b.clone(),
-            activation: self.activation,
-            gw: rows(&self.gw),
-            gb: self.gb.clone(),
-            mw: rows(&self.mw),
-            vw: rows(&self.vw),
-            mb: self.mb.clone(),
-            vb: self.vb.clone(),
-            x_cache: None,
-            y_cache: None,
-        }
+    /// [`Self::infer_into`] on the rows `batch` of `x`, each product taken
+    /// over the row's non-zero entries only ([`SparseRows`] states when
+    /// the bits agree with the dense rows'). Touches no cache.
+    pub(crate) fn forward_sparse(&self, x: &SparseRows, batch: &[usize], out: &mut Matrix) {
+        x.affine_into(batch, &self.w, &self.b, out);
+        self.activation.apply(out);
     }
 
-    /// Writes `narrow`, made by [`Self::select_inputs`] with the same
-    /// `keep`, back: its rows into rows `keep` of `w`, the gradient and both
-    /// moments, every other field copied; the caches are dropped.
-    pub(crate) fn scatter_inputs(&mut self, narrow: &Dense, keep: &[usize]) {
-        for (wide, narrow) in [
-            (&mut self.w, &narrow.w),
-            (&mut self.gw, &narrow.gw),
-            (&mut self.mw, &narrow.mw),
-            (&mut self.vw, &narrow.vw),
-        ] {
-            for (j, &r) in keep.iter().enumerate() {
-                wide.row_mut(r).copy_from_slice(narrow.row(j));
-            }
-        }
-        for (wide, narrow) in [
-            (&mut self.b, &narrow.b),
-            (&mut self.gb, &narrow.gb),
-            (&mut self.mb, &narrow.mb),
-            (&mut self.vb, &narrow.vb),
-        ] {
-            wide.clone_from(narrow);
-        }
-        self.activation = narrow.activation;
-        (self.x_cache, self.y_cache) = (None, None);
+    /// [`Self::backward_params`] and [`Self::adam_step`] at step `t` for
+    /// [`Self::forward_sparse`]'s output `y` on the rows `batch` of `x`
+    /// (`g`, the output gradient, is taken through the activation in
+    /// place), updating only the rows of `x`'s live columns: a full
+    /// column's weight gradient goes from registers straight into Adam,
+    /// another live column's is scattered into the weight gradient, which
+    /// Adam then clears. The rows of the other columns must have `+0`
+    /// moments, as [`Self::new`] leaves them and these steps keep them:
+    /// Adam would leave them as they are (`w − lr·0/(√0 + ε) = w`).
+    pub(crate) fn train_sparse(
+        &mut self,
+        x: &SparseRows,
+        batch: &[usize],
+        y: &Matrix,
+        g: &mut Matrix,
+        lr: f32,
+        t: u64,
+    ) {
+        self.activation.backward(y, g);
+        x.rest_tmatmul_into(batch, g, &mut self.gw, &mut self.gb);
+        let (bc1, bc2) = bias_corrections(t);
+        let step = [lr, bc1, bc2];
+        full_adam_kernel::dispatch(
+            x,
+            batch,
+            &g.data,
+            &mut self.w.data,
+            &mut self.mw.data,
+            &mut self.vw.data,
+            step,
+        );
+        adam_rows_kernel::dispatch(
+            &mut self.w.data,
+            &mut self.mw.data,
+            &mut self.vw.data,
+            &mut self.gw.data,
+            &x.rest,
+            self.w.cols,
+            step,
+        );
+        adam(&mut self.b, &mut self.mb, &mut self.vb, &self.gb, lr, t);
+        self.gb.iter_mut().for_each(|v| *v = 0.0);
+    }
+
+    /// [`Self::infer_into`] of a one-output layer, on a kernel without the
+    /// blocked product's one-lane inner loops (same bits).
+    pub(crate) fn forward_column(&self, x: &Matrix, out: &mut Matrix) {
+        x.matvec_into(&self.w.data, self.b[0], out);
+        self.activation.apply(out);
+    }
+
+    /// [`Self::backward_params`] of a one-output layer over its input `x`
+    /// and output `y`, followed by the input gradient `dx = g·Wᵀ` that
+    /// [`Mlp::train_mse`](crate::Mlp::train_mse) takes next — the bits of
+    /// both, on a one-column kernel. The weight and bias gradients must
+    /// be zero on entry, as every step leaves them.
+    pub(crate) fn backward_column(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        g: &mut Matrix,
+        dx: &mut Matrix,
+    ) {
+        self.activation.backward(y, g);
+        x.column_backward_into(
+            &self.w.data,
+            &g.data,
+            &mut self.gw.data,
+            &mut self.gb[0],
+            dx,
+        );
     }
 
     /// Adam update reading gradients from an external accumulator (the
@@ -371,8 +460,9 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_values::{awkward, ARMS};
+    use crate::test_values::{self, awkward, ARMS};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     #[test]
@@ -536,6 +626,119 @@ mod tests {
         }
         let missing: Vec<_> = ARMS.iter().filter(|arm| !covered.contains(arm)).collect();
         println!("Adam kernel arms covered on this host: {covered:?}; NOT covered: {missing:?}");
+    }
+
+    /// A sparse-input layer's Adam step on every arm the host has — the
+    /// full columns' fused gradient-and-Adam kernel and the row-wise Adam
+    /// kernel over the other live rows, after the scattered gradient of
+    /// those — leaves the dense step's bits: `xᵀ·g` over the batch rows
+    /// into a zeroed product added to a zeroed gradient, then the scalar
+    /// Adam loop, on every live row, and every other row as it was, with a
+    /// zero gradient left behind. Over dead, full and mixed columns (in-row
+    /// `±0`, `1.0`, NaN and ±∞ inputs), batches of none to every row,
+    /// widths across the vector widths and the register block, with finite
+    /// gradients (an entry left out is `±0 · g`, which is `±0` only then);
+    /// with awkward gradients too, every arm leaves the scalar arm's bits.
+    #[test]
+    fn adam_kernel_on_sparse_rows_matches_the_dense_step_on_every_arm() {
+        let rng = &mut StdRng::seed_from_u64(0xad0);
+        let fold = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|&x| test_values::bits(x)).collect() };
+        let shapes = [
+            (0, 3, 8),
+            (1, 1, 1),
+            (5, 7, 16),
+            (30, 23, 64),
+            (9, 12, 65),
+            (4, 6, 129),
+        ];
+        let mut covered = Vec::new();
+        for (case, (rows, dim, width)) in shapes.into_iter().enumerate() {
+            for special in [false, true] {
+                let xs = test_values::sparse_rows(rows, dim, special, rng);
+                let sparse = SparseRows::new(&xs, dim);
+                let mut batch: Vec<usize> = (0..rows).collect();
+                batch.shuffle(rng);
+                batch.truncate(rng.gen_range(0..=rows));
+                let w = test_values::awkward_vec(dim * width, rng);
+                let m = test_values::awkward_vec(dim * width, rng);
+                let v: Vec<f32> = test_values::awkward_vec(dim * width, rng)
+                    .iter()
+                    .map(|x| x.abs())
+                    .collect();
+                let t = [1u64, 3, 1_000][case % 3];
+                let (bc1, bc2) = bias_corrections(t);
+                let step = [3e-3, bc1, bc2];
+                let what = format!("{rows} rows, batch {batch:?}, {dim} × {width}, t {t}");
+                // Runs the step on one arm; `None` when the host lacks it.
+                let run = |level: u8, g: &Matrix| {
+                    let (mut w, mut m, mut v) = (w.clone(), m.clone(), v.clone());
+                    let (mut gw, mut gb) = (Matrix::zeros(dim, width), vec![0.0; width]);
+                    sparse.rest_tmatmul_into(&batch, g, &mut gw, &mut gb);
+                    let full = full_adam_kernel::run_arm(
+                        level, &sparse, &batch, &g.data, &mut w, &mut m, &mut v, step,
+                    );
+                    let rows = adam_rows_kernel::run_arm(
+                        level,
+                        &mut w,
+                        &mut m,
+                        &mut v,
+                        &mut gw.data,
+                        &sparse.rest,
+                        width,
+                        step,
+                    );
+                    assert_eq!(full, rows, "both kernels have the arm");
+                    full.then(|| [fold(&w), fold(&m), fold(&v), fold(&gw.data)])
+                };
+                // The dense step on the batch rows; only live rows move.
+                let g = Matrix::xavier(batch.len(), width, rng);
+                let bx = Matrix {
+                    rows: batch.len(),
+                    cols: dim,
+                    data: batch.iter().flat_map(|&r| xs[r].iter().copied()).collect(),
+                };
+                let mut product = Matrix::zeros(dim, width);
+                bx.matmul_transposed_left_into(&g, &mut product);
+                let mut gw = Matrix::zeros(dim, width);
+                gw.add_assign(&product);
+                let (mut want_w, mut want_m, mut want_v) = (w.clone(), m.clone(), v.clone());
+                for c in (0..dim).filter(|&c| xs.iter().any(|x| x[c] != 0.0)) {
+                    let span = c * width..(c + 1) * width;
+                    scalar_adam(
+                        &mut want_w[span.clone()],
+                        &mut want_m[span.clone()],
+                        &mut want_v[span.clone()],
+                        gw.row(c),
+                        3e-3,
+                        t,
+                    );
+                }
+                let zeros = vec![0.0; dim * width];
+                let want = [fold(&want_w), fold(&want_m), fold(&want_v), fold(&zeros)];
+                let mut arms = Vec::new();
+                for (level, name) in ARMS.iter().enumerate() {
+                    if let Some(got) = run(level as u8, &g) {
+                        assert_eq!(got, want, "{what}: {name}");
+                        arms.push(*name);
+                    }
+                }
+                // Awkward gradients: every arm leaves the scalar arm's bits.
+                let g = Matrix {
+                    rows: batch.len(),
+                    cols: width,
+                    data: test_values::awkward_vec(batch.len() * width, rng),
+                };
+                let scalar = run(0, &g).expect("the scalar arm always runs");
+                for (level, name) in ARMS.iter().enumerate().skip(1) {
+                    if let Some(got) = run(level as u8, &g) {
+                        assert_eq!(got, scalar, "{what}, awkward gradients: {name}");
+                    }
+                }
+                covered = arms;
+            }
+        }
+        let missing: Vec<_> = ARMS.iter().filter(|arm| !covered.contains(arm)).collect();
+        println!("sparse-layer Adam kernel arms covered on this host: {covered:?}; NOT covered: {missing:?}");
     }
 
     #[test]

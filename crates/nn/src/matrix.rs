@@ -18,6 +18,12 @@
 //! indexes the transposed operand directly instead of materializing the
 //! transpose; backprop calls it on every layer of every graph, where the
 //! saved allocation dominates the cost at GIN sizes.
+//!
+//! [`SparseRows`] take the same products over rows kept as their non-zero
+//! entries (LW-NN's flat range encodings, most of whose inputs are zero),
+//! and two one-column kernels take a one-output layer's forward and
+//! backward pass; each keeps the dense chain's order, so each has the
+//! dense product's bits wherever the terms it leaves out are `±0`.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -25,6 +31,9 @@ use std::ops::Range;
 
 /// `k`-panel size of the blocked matmul (rows of `b` kept hot in L1).
 const KERNEL_BLOCK: usize = 64;
+
+/// Output columns the sparse kernels accumulate in registers at a time.
+pub(crate) const ROW_BLOCK: usize = 64;
 
 // ---- SIMD dispatch ---------------------------------------------------------
 //
@@ -367,6 +376,109 @@ simd_kernel!(spmm_kernel, (indptr: &[usize], indices: &[usize], weights: &[f32],
     }
 });
 
+simd_kernel!(sparse_affine_kernel, (offsets: &[usize], cols: &[usize], vals: &[f32], batch: &[usize], w: &[f32], b: &[f32], out: &mut [f32]), {
+    // Output row `i` is batch row `batch[i]`'s product with `w`: the weight
+    // rows of its entries added in ascending column order to a `+0`
+    // accumulator, then the bias — the dense product's chain and bias add
+    // without the terms of the entries left out. The accumulator stays in
+    // registers, `ROW_BLOCK` output columns at a time; a narrower last
+    // block accumulates in place.
+    let width = b.len();
+    for (i, &r) in batch.iter().enumerate() {
+        let entries = offsets[r]..offsets[r + 1];
+        let (cols, vals) = (&cols[entries.clone()], &vals[entries]);
+        let out_row = &mut out[i * width..(i + 1) * width];
+        let mut j0 = 0;
+        while j0 + ROW_BLOCK <= width {
+            let mut acc = [0.0f32; ROW_BLOCK];
+            for (&c, &x) in cols.iter().zip(vals) {
+                let w_row = &w[c * width + j0..c * width + j0 + ROW_BLOCK];
+                for (a, &wv) in acc.iter_mut().zip(w_row) {
+                    *a += x * wv;
+                }
+            }
+            for ((o, a), &bv) in out_row[j0..].iter_mut().zip(acc).zip(&b[j0..]) {
+                *o = a + bv;
+            }
+            j0 += ROW_BLOCK;
+        }
+        if j0 < width {
+            let tail = &mut out_row[j0..];
+            tail.iter_mut().for_each(|o| *o = 0.0);
+            for (&c, &x) in cols.iter().zip(vals) {
+                for (o, &wv) in tail.iter_mut().zip(&w[c * width + j0..(c + 1) * width]) {
+                    *o += x * wv;
+                }
+            }
+            for (o, &bv) in tail.iter_mut().zip(&b[j0..]) {
+                *o += bv;
+            }
+        }
+    }
+});
+
+simd_kernel!(sparse_tmatmul_kernel, (offsets: &[usize], cols: &[usize], vals: &[f32], batch: &[usize], g: &[f32], gw: &mut [f32], gb: &mut [f32]), {
+    // Batch row by batch row: `gb += g_i`, and each entry's row of `gw`
+    // gains `x · g_i`, so every element chains its terms in batch order.
+    let width = gb.len();
+    for (i, &r) in batch.iter().enumerate() {
+        let g_row = &g[i * width..(i + 1) * width];
+        for (acc, &v) in gb.iter_mut().zip(g_row) {
+            *acc += v;
+        }
+        for (&c, &x) in cols[offsets[r]..offsets[r + 1]].iter().zip(&vals[offsets[r]..]) {
+            for (acc, &gv) in gw[c * width..(c + 1) * width].iter_mut().zip(g_row) {
+                *acc += x * gv;
+            }
+        }
+    }
+});
+
+simd_kernel!(matvec_kernel, (a: &[f32], w: &[f32], bias: f32, out: &mut [f32]), {
+    // `out = a·w + bias` for a one-column `w`: each row's terms chained in
+    // ascending `k` from `+0`, then the bias, as the dense product and bias
+    // add do. Eight rows advance together so that their chains overlap.
+    let inner = w.len();
+    let blocked = out.len() / 8 * 8;
+    let (blocks, tail) = out.split_at_mut(blocked);
+    for (i, block) in blocks.chunks_exact_mut(8).enumerate() {
+        let rows = &a[i * 8 * inner..(i + 1) * 8 * inner];
+        let mut acc = [0.0f32; 8];
+        for (k, &wk) in w.iter().enumerate() {
+            for (l, v) in acc.iter_mut().enumerate() {
+                *v += rows[l * inner + k] * wk;
+            }
+        }
+        for (o, v) in block.iter_mut().zip(acc) {
+            *o = v + bias;
+        }
+    }
+    for (i, o) in tail.iter_mut().enumerate() {
+        let r = blocked + i;
+        let mut v = 0.0f32;
+        for (&x, &wk) in a[r * inner..(r + 1) * inner].iter().zip(w) {
+            v += x * wk;
+        }
+        *o = v + bias;
+    }
+});
+
+simd_kernel!(column_backward_kernel, (x: &[f32], g: &[f32], w: &[f32], gw: &mut [f32], gb: &mut f32, dx: &mut [f32]), {
+    // The backward pass of `y = x·w` for a one-column `w`, row by row:
+    // `gw += x_iᵀ·g_i` and `gb += g_i`, each element's terms in row order,
+    // and `dx_i = +0 + g_i·wᵀ`, the dense product's one-term chain.
+    let width = w.len();
+    for (i, &gv) in g.iter().enumerate() {
+        *gb += gv;
+        for (acc, &xv) in gw.iter_mut().zip(&x[i * width..(i + 1) * width]) {
+            *acc += xv * gv;
+        }
+        for (d, &wv) in dx[i * width..(i + 1) * width].iter_mut().zip(w) {
+            *d = 0.0 + gv * wv;
+        }
+    }
+});
+
 /// A dense row-major matrix.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -584,6 +696,161 @@ impl Matrix {
             out.scale(1.0 / self.rows as f32);
         }
         out
+    }
+
+    /// `out = self·w + bias` for a one-column `w` (`self.cols` long): each
+    /// row's product chained in ascending `k` from `+0`, then the bias — the
+    /// bits of [`Matrix::matmul_into`] followed by the bias add, without the
+    /// blocked kernel's one-lane inner loops.
+    pub(crate) fn matvec_into(&self, w: &[f32], bias: f32, out: &mut Matrix) {
+        assert_eq!(self.cols, w.len(), "matvec shape mismatch");
+        out.reshape_for_overwrite(self.rows, 1);
+        matvec_kernel::dispatch(&self.data, w, bias, &mut out.data);
+    }
+
+    /// The backward pass of `y = self·w` for a one-column `w`, given `g`
+    /// (one gradient per row): `gw += selfᵀ·g`, `gb += Σ g` (terms in row
+    /// order) and `dx = g·wᵀ` (reshaped, overwritten) — the bits of
+    /// [`Matrix::matmul_transposed_left_into`] into a zeroed product added to
+    /// a zeroed `gw`, the row sum, and [`Matrix::matmul_into`] by `wᵀ`.
+    pub(crate) fn column_backward_into(
+        &self,
+        w: &[f32],
+        g: &[f32],
+        gw: &mut [f32],
+        gb: &mut f32,
+        dx: &mut Matrix,
+    ) {
+        assert_eq!(self.cols, w.len(), "column backward shape mismatch");
+        assert_eq!(
+            (self.rows, w.len()),
+            (g.len(), gw.len()),
+            "column backward shape mismatch"
+        );
+        dx.reshape_for_overwrite(self.rows, self.cols);
+        column_backward_kernel::dispatch(&self.data, g, w, gw, gb, &mut dx.data);
+    }
+}
+
+/// Rows kept as their non-zero entries (CSR): per row, the ascending ids
+/// of the columns whose value is non-zero, and those values. `−0.0` counts
+/// as zero and NaN as non-zero, so every entry left out is `±0`.
+///
+/// The products over a batch of these rows have the dense products' bits
+/// whenever every term left out, `±0 · w`, is `±0` (a finite `w`): each
+/// chain starts at `+0` and is never `−0` under round-to-nearest (`+0 +
+/// −0 = +0`, `a + −a = +0`), so adding `±0` to it changes nothing.
+///
+/// The *full* columns, non-zero in every row, are also kept as a dense
+/// block of each row's values there: every batch row has an entry in
+/// them, so their weight-gradient rows are summed over the batch in
+/// registers (`Dense::train_sparse`) rather than scattered entry by entry.
+#[derive(Debug, Clone, Default)]
+pub struct SparseRows {
+    /// Every entry: row `r`'s are `offsets[r]..offsets[r + 1]` of `cols`
+    /// and `vals`.
+    offsets: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f32>,
+    /// The full columns, ascending, and each row's values there (`rows ×
+    /// full.len()`, row-major).
+    pub(crate) full: Vec<usize>,
+    pub(crate) full_vals: Vec<f32>,
+    /// The other live columns, ascending, and the entries there, laid out
+    /// like `offsets`.
+    pub(crate) rest: Vec<usize>,
+    rest_offsets: Vec<usize>,
+    rest_cols: Vec<usize>,
+    rest_vals: Vec<f32>,
+    /// Columns per row.
+    pub(crate) dim: usize,
+}
+
+impl SparseRows {
+    /// The non-zero entries of `rows`, each `dim` long.
+    pub fn new(rows: &[Vec<f32>], dim: usize) -> Self {
+        let mut count = vec![0usize; dim];
+        for row in rows {
+            assert_eq!(row.len(), dim, "ragged rows");
+            for (n, &v) in count.iter_mut().zip(row) {
+                *n += usize::from(v != 0.0);
+            }
+        }
+        let (full, rest) = (0..dim)
+            .filter(|&c| count[c] > 0)
+            .partition(|&c| count[c] == rows.len());
+        let mut sparse = SparseRows {
+            offsets: vec![0],
+            full,
+            rest,
+            rest_offsets: vec![0],
+            dim,
+            ..SparseRows::default()
+        };
+        for row in rows {
+            for (c, &v) in row.iter().enumerate().filter(|&(_, &v)| v != 0.0) {
+                sparse.cols.push(c);
+                sparse.vals.push(v);
+                if count[c] < rows.len() {
+                    sparse.rest_cols.push(c);
+                    sparse.rest_vals.push(v);
+                }
+            }
+            sparse.offsets.push(sparse.cols.len());
+            sparse.rest_offsets.push(sparse.rest_cols.len());
+            sparse.full_vals.extend(sparse.full.iter().map(|&c| row[c]));
+        }
+        sparse
+    }
+
+    /// `out = x·w + b` over the rows `batch` (reshaped, overwritten, one
+    /// output row per batch row): per output row, the weight rows of its
+    /// entries added in ascending column order to `+0`, then `b`.
+    pub(crate) fn affine_into(&self, batch: &[usize], w: &Matrix, b: &[f32], out: &mut Matrix) {
+        assert_eq!(
+            (w.rows, w.cols),
+            (self.dim, b.len()),
+            "affine shape mismatch"
+        );
+        out.reshape_for_overwrite(batch.len(), w.cols);
+        sparse_affine_kernel::dispatch(
+            &self.offsets,
+            &self.cols,
+            &self.vals,
+            batch,
+            &w.data,
+            b,
+            &mut out.data,
+        );
+    }
+
+    /// `gw += xᵀ·g` over the rows `batch` (`g` has one row per batch row)
+    /// on the rows of the live columns that are not full, and `gb += Σ g`:
+    /// each element gains its entries' `x · g` terms in batch order. No
+    /// other row of `gw` is touched.
+    pub(crate) fn rest_tmatmul_into(
+        &self,
+        batch: &[usize],
+        g: &Matrix,
+        gw: &mut Matrix,
+        gb: &mut [f32],
+    ) {
+        assert_eq!(g.rows, batch.len(), "one gradient row per batch row");
+        assert_eq!(
+            (gw.rows, gw.cols),
+            (self.dim, g.cols),
+            "gradient shape mismatch"
+        );
+        assert_eq!(gb.len(), g.cols, "gradient shape mismatch");
+        sparse_tmatmul_kernel::dispatch(
+            &self.rest_offsets,
+            &self.rest_cols,
+            &self.rest_vals,
+            batch,
+            &g.data,
+            &mut gw.data,
+            gb,
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::layers::{Activation, Dense};
 use crate::loss::mse_loss_into;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, SparseRows};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -32,6 +32,9 @@ struct TrainBuffers {
     wt: Matrix,
     /// A layer's `xᵀ·g` before it is added to the weight gradient.
     product: Matrix,
+    /// [`Mlp::train_mse_sparse`]'s hidden and output activations.
+    hidden: Matrix,
+    out: Matrix,
 }
 
 impl std::fmt::Debug for TrainBuffers {
@@ -67,41 +70,6 @@ impl Mlp {
     /// The layers, input first.
     pub fn layers(&self) -> &[Dense] {
         &self.layers
-    }
-
-    /// A copy of this network that reads only the input columns `keep`:
-    /// the first layer keeps those rows of its weights, of their gradient
-    /// and of both Adam moments; every other parameter, the step counter
-    /// included, is copied. Training it on the inputs' `keep` columns is
-    /// training this network on inputs whose other columns are `±0`
-    /// (`ce-models::lwnn` states when the bits agree); write the result
-    /// back with [`Self::scatter_inputs`].
-    pub fn select_inputs(&self, keep: &[usize]) -> Mlp {
-        let (first, rest) = self.layers.split_first().expect("an MLP has a layer");
-        let layers = std::iter::once(first.select_inputs(keep))
-            .chain(rest.iter().cloned())
-            .collect();
-        Mlp {
-            layers,
-            t: self.t,
-            buffers: TrainBuffers::default(),
-        }
-    }
-
-    /// Writes `narrow`, made by [`Self::select_inputs`] with the same
-    /// `keep`, back into this network: its first layer's rows into rows
-    /// `keep`, every other parameter, gradient and moment copied. The other
-    /// rows keep their values; the first layer's caches are dropped.
-    pub fn scatter_inputs(&mut self, narrow: &Mlp, keep: &[usize]) {
-        assert_eq!(
-            self.layers.len(),
-            narrow.layers.len(),
-            "networks differ in depth"
-        );
-        let (first, rest) = self.layers.split_first_mut().expect("an MLP has a layer");
-        first.scatter_inputs(&narrow.layers[0], keep);
-        rest.clone_from_slice(&narrow.layers[1..]);
-        self.t = narrow.t;
     }
 
     /// Input dimension.
@@ -173,6 +141,48 @@ impl Mlp {
         self.step(lr);
         loss
     }
+
+    /// [`Self::train_mse`] of a network with one hidden layer and one
+    /// output on the rows `batch` of `x` (targets `y`, one per batch row),
+    /// at the cost of those rows' non-zero entries: the hidden layer's
+    /// product and weight gradient take only the entries, Adam updates
+    /// only the first layer's rows of the columns non-zero in some row of
+    /// `x`, and the one-output head runs on one-column kernels. Returns
+    /// the loss.
+    ///
+    /// Every parameter, gradient and moment, the step counter and the loss
+    /// have `train_mse`'s bits on the dense rows when every first-layer
+    /// parameter is finite after the step and the first-layer rows no
+    /// entry of `x` names have `+0` moments (as [`Self::new`] leaves them
+    /// and these steps keep them): a term left out is `±0` then (see
+    /// [`SparseRows`]), and such a row's weight gradient is `+0`, which
+    /// Adam turns into no update. `ce-models::lwnn` has the proof. The
+    /// layer caches are not touched.
+    pub fn train_mse_sparse(
+        &mut self,
+        x: &SparseRows,
+        batch: &[usize],
+        y: &Matrix,
+        lr: f32,
+    ) -> f32 {
+        let [first, head] = &mut self.layers[..] else {
+            panic!("a sparse step trains one hidden layer and a head");
+        };
+        assert_eq!(
+            head.output_dim(),
+            1,
+            "a sparse step trains a one-output head"
+        );
+        let b = &mut self.buffers;
+        first.forward_sparse(x, batch, &mut b.hidden);
+        head.forward_column(&b.hidden, &mut b.out);
+        let loss = mse_loss_into(&b.out, y, &mut b.grad);
+        head.backward_column(&b.hidden, &b.out, &mut b.grad, &mut b.next);
+        self.t += 1;
+        first.train_sparse(x, batch, &b.hidden, &mut b.next, lr, self.t);
+        head.adam_step(lr, self.t);
+        loss
+    }
 }
 
 #[cfg(test)]
@@ -181,7 +191,8 @@ mod tests {
     use crate::loss::mse_loss;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     /// The step `train_mse` replaced: the full backward pass, first layer's
     /// input gradient included.
@@ -232,47 +243,55 @@ mod tests {
     }
 
     proptest! {
-        /// Training a network on the live columns of inputs whose other
-        /// columns are `±0` in every row, then writing it back, leaves the
-        /// bits full-width training leaves (`ce-models::lwnn` states why).
+        /// [`Mlp::train_mse_sparse`] against `train_mse` on the dense rows,
+        /// step by step over several batches: same loss bits and the same
+        /// bits in every parameter, gradient and moment. Each column is
+        /// dead (`±0` in every row), full (never zero) or mixed (draws,
+        /// `1.0`, `+0` and `−0`); batches are chunks of a shuffled order
+        /// (past one chunk when `rows > batch`), so they repeat no row.
         #[test]
-        fn live_column_training_matches_full_width_training(
+        fn sparse_step_matches_train_mse(
             seed in 0u64..1_000_000,
-            input in 1usize..24,
-            hidden in prop::collection::vec(1usize..12, 0..3),
-            rows in 1usize..9,
-            dead in prop::collection::vec(0u8..4, 24),
+            kinds in prop::collection::vec(0u8..3, 1..24),
+            hidden in 1usize..70,
+            rows in 0usize..12,
+            batch in 1usize..6,
+            act in 0usize..4,
         ) {
-            let mut sizes = vec![input];
-            sizes.extend(&hidden);
-            sizes.push(1);
+            let acts = [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Linear];
             let mut rng = StdRng::seed_from_u64(seed);
-            let fresh = Mlp::new(&sizes, Activation::Relu, Activation::Sigmoid, &mut rng);
-            // Per column: live, or dead as `+0`, `−0` or either sign.
-            let keep: Vec<usize> = (0..input).filter(|&c| dead[c] == 0).collect();
-            let mut full = fresh.clone();
-            let mut narrow = fresh.select_inputs(&keep);
-            for step in 0..6 {
-                let mut x = Matrix::xavier(rows, input, &mut rng);
-                for (i, v) in x.data.iter_mut().enumerate() {
-                    match dead[i % input] {
-                        0 => {}
-                        1 => *v = 0.0,
-                        2 => *v = -0.0,
-                        _ => *v = if *v < 0.0 { -0.0 } else { 0.0 },
-                    }
+            let input = kinds.len();
+            let fresh = Mlp::new(&[input, hidden, 1], acts[act], acts[(act + 2) % 4], &mut rng);
+            let xs: Vec<Vec<f32>> = (0..rows)
+                .map(|r| {
+                    kinds
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &kind)| match (kind, rng.gen_range(0..4)) {
+                            (0, _) => if (r + c) % 2 == 0 { 0.0 } else { -0.0 },
+                            (_, 0) => 1.0,
+                            (2, 1) => 0.0,
+                            (2, 2) => -0.0,
+                            _ => rng.gen_range(-1.0..1.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let ys: Vec<f32> = (0..rows).map(|_| rng.gen()).collect();
+            let sparse_rows = SparseRows::new(&xs, input);
+            let (mut dense, mut sparse) = (fresh.clone(), fresh);
+            let mut order: Vec<usize> = (0..rows).collect();
+            for epoch in 0..3 {
+                order.shuffle(&mut rng);
+                for chunk in order.chunks(batch) {
+                    let x = Matrix::from_rows(chunk.iter().map(|&i| xs[i].clone()).collect());
+                    let y = Matrix::from_rows(chunk.iter().map(|&i| vec![ys[i]]).collect());
+                    let a = dense.train_mse(&x, &y, 1e-2);
+                    let b = sparse.train_mse_sparse(&sparse_rows, chunk, &y, 1e-2);
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "loss in epoch {}", epoch);
+                    prop_assert_eq!(state_bits(&dense), state_bits(&sparse), "state in epoch {}", epoch);
                 }
-                let y = Matrix::xavier(rows, 1, &mut rng);
-                let narrow_x = Matrix::from_rows(
-                    (0..rows).map(|r| keep.iter().map(|&c| x.get(r, c)).collect()).collect(),
-                );
-                let a = full.train_mse(&x, &y, 1e-2);
-                let b = narrow.train_mse(&narrow_x, &y, 1e-2);
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "loss at step {}", step);
             }
-            let mut wide = fresh.clone();
-            wide.scatter_inputs(&narrow, &keep);
-            prop_assert_eq!(state_bits(&wide), state_bits(&full));
         }
     }
 

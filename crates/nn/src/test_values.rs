@@ -39,3 +39,38 @@ pub(crate) fn bits(d: f32) -> u32 {
         d.to_bits()
     }
 }
+
+/// `n` rows over `dim` columns for the sparse kernels: each column dead
+/// (`±0` in every row), full (never zero) or mixed (`+0`, `−0`, `1.0` and
+/// draws); the draws are [`awkward`] when `special` (NaN and ±∞ inputs
+/// among them), ordinary magnitudes otherwise.
+pub(crate) fn sparse_rows(n: usize, dim: usize, special: bool, rng: &mut StdRng) -> Vec<Vec<f32>> {
+    let kinds: Vec<usize> = (0..dim).map(|_| rng.gen_range(0..3usize)).collect();
+    (0..n)
+        .map(|r| {
+            kinds
+                .iter()
+                .enumerate()
+                .map(|(c, &kind)| match (kind, rng.gen_range(0..4)) {
+                    (0, _) if (r + c) % 2 == 0 => -0.0,
+                    (0, _) => 0.0,
+                    (_, 0) => 1.0,
+                    (2, 1) => 0.0,
+                    (2, 2) => -0.0,
+                    _ => {
+                        let v = if special {
+                            awkward(rng)
+                        } else {
+                            rng.gen::<f32>() * 4.0 - 2.0
+                        };
+                        if v == 0.0 {
+                            0.5
+                        } else {
+                            v
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
