@@ -1,6 +1,6 @@
 //! Dense layers and activations with explicit backprop and built-in Adam.
 
-use crate::matrix::{simd_kernel, Matrix, SparseRows, ROW_BLOCK};
+use crate::matrix::{simd_kernel, Matrix, SparseRows};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -128,45 +128,6 @@ fn adam_lanes(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, b
 
 simd_kernel!(adam_kernel, (w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, bc1: f32, bc2: f32), {
     adam_lanes(w, m, v, g, lr, bc1, bc2)
-});
-
-// The weight-gradient rows of a sparse-input layer's full columns and
-// their Adam update at the step `[lr, bc1, bc2]`: row `full[k]` is `Σ x_ik ·
-// g_i` over every batch row in batch order from `+0` (the dense `xᵀ·g`
-// chain), summed `ROW_BLOCK` elements at a time in registers and handed
-// straight to the Adam body, so no gradient is stored for these rows.
-simd_kernel!(full_adam_kernel, (x: &SparseRows, batch: &[usize], g: &[f32], w: &mut [f32], m: &mut [f32], v: &mut [f32], step: [f32; 3]), {
-    let [lr, bc1, bc2] = step;
-    let nf = x.full.len();
-    let width = w.len().checked_div(x.dim).unwrap_or(0);
-    for (k, &c) in x.full.iter().enumerate() {
-        let row = c * width..(c + 1) * width;
-        let (w, m, v) = (&mut w[row.clone()], &mut m[row.clone()], &mut v[row]);
-        let mut j0 = 0;
-        while j0 + ROW_BLOCK <= width {
-            let mut acc = [0.0f32; ROW_BLOCK];
-            for (i, &r) in batch.iter().enumerate() {
-                let (xv, start) = (x.full_vals[r * nf + k], i * width + j0);
-                for (a, &gv) in acc.iter_mut().zip(&g[start..start + ROW_BLOCK]) {
-                    *a += xv * gv;
-                }
-            }
-            let span = j0..j0 + ROW_BLOCK;
-            adam_lanes(&mut w[span.clone()], &mut m[span.clone()], &mut v[span], &acc, lr, bc1, bc2);
-            j0 += ROW_BLOCK;
-        }
-        if j0 < width {
-            let mut acc = [0.0f32; ROW_BLOCK];
-            let tail = &mut acc[..width - j0];
-            for (i, &r) in batch.iter().enumerate() {
-                let xv = x.full_vals[r * nf + k];
-                for (a, &gv) in tail.iter_mut().zip(&g[i * width + j0..(i + 1) * width]) {
-                    *a += xv * gv;
-                }
-            }
-            adam_lanes(&mut w[j0..], &mut m[j0..], &mut v[j0..], tail, lr, bc1, bc2);
-        }
-    }
 });
 
 // Adam over the rows `rows` of `width`-wide parameters at the step
@@ -339,9 +300,8 @@ impl Dense {
     /// [`Self::backward_params`] and [`Self::adam_step`] at step `t` for
     /// [`Self::forward_sparse`]'s output `y` on the rows `batch` of `x`
     /// (`g`, the output gradient, is taken through the activation in
-    /// place), updating only the rows of `x`'s live columns: a full
-    /// column's weight gradient goes from registers straight into Adam,
-    /// another live column's is scattered into the weight gradient, which
+    /// place), updating only the rows of `x`'s live columns: their weight
+    /// gradient is scattered entry by entry into the zeroed gradient, which
     /// Adam then clears. The rows of the other columns must have `+0`
     /// moments, as [`Self::new`] leaves them and these steps keep them:
     /// Adam would leave them as they are (`w − lr·0/(√0 + ε) = w`).
@@ -355,26 +315,16 @@ impl Dense {
         t: u64,
     ) {
         self.activation.backward(y, g);
-        x.rest_tmatmul_into(batch, g, &mut self.gw, &mut self.gb);
+        x.tmatmul_into(batch, g, &mut self.gw, &mut self.gb);
         let (bc1, bc2) = bias_corrections(t);
-        let step = [lr, bc1, bc2];
-        full_adam_kernel::dispatch(
-            x,
-            batch,
-            &g.data,
-            &mut self.w.data,
-            &mut self.mw.data,
-            &mut self.vw.data,
-            step,
-        );
         adam_rows_kernel::dispatch(
             &mut self.w.data,
             &mut self.mw.data,
             &mut self.vw.data,
             &mut self.gw.data,
-            &x.rest,
+            &x.live,
             self.w.cols,
-            step,
+            [lr, bc1, bc2],
         );
         adam(&mut self.b, &mut self.mb, &mut self.vb, &self.gb, lr, t);
         self.gb.iter_mut().for_each(|v| *v = 0.0);
@@ -629,16 +579,15 @@ mod tests {
     }
 
     /// A sparse-input layer's Adam step on every arm the host has — the
-    /// full columns' fused gradient-and-Adam kernel and the row-wise Adam
-    /// kernel over the other live rows, after the scattered gradient of
-    /// those — leaves the dense step's bits: `xᵀ·g` over the batch rows
+    /// row-wise Adam kernel over the live rows, after the scattered
+    /// gradient — leaves the dense step's bits: `xᵀ·g` over the batch rows
     /// into a zeroed product added to a zeroed gradient, then the scalar
     /// Adam loop, on every live row, and every other row as it was, with a
     /// zero gradient left behind. Over dead, full and mixed columns (in-row
     /// `±0`, `1.0`, NaN and ±∞ inputs), batches of none to every row,
-    /// widths across the vector widths and the register block, with finite
-    /// gradients (an entry left out is `±0 · g`, which is `±0` only then);
-    /// with awkward gradients too, every arm leaves the scalar arm's bits.
+    /// widths across the vector widths, with finite gradients (an entry
+    /// left out is `±0 · g`, which is `±0` only then); with awkward
+    /// gradients too, every arm leaves the scalar arm's bits.
     #[test]
     fn adam_kernel_on_sparse_rows_matches_the_dense_step_on_every_arm() {
         let rng = &mut StdRng::seed_from_u64(0xad0);
@@ -673,22 +622,18 @@ mod tests {
                 let run = |level: u8, g: &Matrix| {
                     let (mut w, mut m, mut v) = (w.clone(), m.clone(), v.clone());
                     let (mut gw, mut gb) = (Matrix::zeros(dim, width), vec![0.0; width]);
-                    sparse.rest_tmatmul_into(&batch, g, &mut gw, &mut gb);
-                    let full = full_adam_kernel::run_arm(
-                        level, &sparse, &batch, &g.data, &mut w, &mut m, &mut v, step,
-                    );
-                    let rows = adam_rows_kernel::run_arm(
+                    sparse.tmatmul_into(&batch, g, &mut gw, &mut gb);
+                    adam_rows_kernel::run_arm(
                         level,
                         &mut w,
                         &mut m,
                         &mut v,
                         &mut gw.data,
-                        &sparse.rest,
+                        &sparse.live,
                         width,
                         step,
-                    );
-                    assert_eq!(full, rows, "both kernels have the arm");
-                    full.then(|| [fold(&w), fold(&m), fold(&v), fold(&gw.data)])
+                    )
+                    .then(|| [fold(&w), fold(&m), fold(&v), fold(&gw.data)])
                 };
                 // The dense step on the batch rows; only live rows move.
                 let g = Matrix::xavier(batch.len(), width, rng);

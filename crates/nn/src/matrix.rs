@@ -33,7 +33,7 @@ use std::ops::Range;
 const KERNEL_BLOCK: usize = 64;
 
 /// Output columns the sparse kernels accumulate in registers at a time.
-pub(crate) const ROW_BLOCK: usize = 64;
+const ROW_BLOCK: usize = 64;
 
 // ---- SIMD dispatch ---------------------------------------------------------
 //
@@ -740,11 +740,6 @@ impl Matrix {
 /// whenever every term left out, `±0 · w`, is `±0` (a finite `w`): each
 /// chain starts at `+0` and is never `−0` under round-to-nearest (`+0 +
 /// −0 = +0`, `a + −a = +0`), so adding `±0` to it changes nothing.
-///
-/// The *full* columns, non-zero in every row, are also kept as a dense
-/// block of each row's values there: every batch row has an entry in
-/// them, so their weight-gradient rows are summed over the batch in
-/// registers (`Dense::train_sparse`) rather than scattered entry by entry.
 #[derive(Debug, Clone, Default)]
 pub struct SparseRows {
     /// Every entry: row `r`'s are `offsets[r]..offsets[r + 1]` of `cols`
@@ -752,54 +747,31 @@ pub struct SparseRows {
     offsets: Vec<usize>,
     cols: Vec<usize>,
     vals: Vec<f32>,
-    /// The full columns, ascending, and each row's values there (`rows ×
-    /// full.len()`, row-major).
-    pub(crate) full: Vec<usize>,
-    pub(crate) full_vals: Vec<f32>,
-    /// The other live columns, ascending, and the entries there, laid out
-    /// like `offsets`.
-    pub(crate) rest: Vec<usize>,
-    rest_offsets: Vec<usize>,
-    rest_cols: Vec<usize>,
-    rest_vals: Vec<f32>,
+    /// The live columns, non-zero in some row, ascending.
+    pub(crate) live: Vec<usize>,
     /// Columns per row.
-    pub(crate) dim: usize,
+    dim: usize,
 }
 
 impl SparseRows {
     /// The non-zero entries of `rows`, each `dim` long.
     pub fn new(rows: &[Vec<f32>], dim: usize) -> Self {
-        let mut count = vec![0usize; dim];
-        for row in rows {
-            assert_eq!(row.len(), dim, "ragged rows");
-            for (n, &v) in count.iter_mut().zip(row) {
-                *n += usize::from(v != 0.0);
-            }
-        }
-        let (full, rest) = (0..dim)
-            .filter(|&c| count[c] > 0)
-            .partition(|&c| count[c] == rows.len());
         let mut sparse = SparseRows {
             offsets: vec![0],
-            full,
-            rest,
-            rest_offsets: vec![0],
             dim,
             ..SparseRows::default()
         };
+        let mut live = vec![false; dim];
         for row in rows {
+            assert_eq!(row.len(), dim, "ragged rows");
             for (c, &v) in row.iter().enumerate().filter(|&(_, &v)| v != 0.0) {
                 sparse.cols.push(c);
                 sparse.vals.push(v);
-                if count[c] < rows.len() {
-                    sparse.rest_cols.push(c);
-                    sparse.rest_vals.push(v);
-                }
+                live[c] = true;
             }
             sparse.offsets.push(sparse.cols.len());
-            sparse.rest_offsets.push(sparse.rest_cols.len());
-            sparse.full_vals.extend(sparse.full.iter().map(|&c| row[c]));
         }
+        sparse.live = (0..dim).filter(|&c| live[c]).collect();
         sparse
     }
 
@@ -825,10 +797,9 @@ impl SparseRows {
     }
 
     /// `gw += xᵀ·g` over the rows `batch` (`g` has one row per batch row)
-    /// on the rows of the live columns that are not full, and `gb += Σ g`:
-    /// each element gains its entries' `x · g` terms in batch order. No
-    /// other row of `gw` is touched.
-    pub(crate) fn rest_tmatmul_into(
+    /// and `gb += Σ g`: each entry's row of `gw` gains its `x · g` terms in
+    /// batch order. No row of a column without an entry is touched.
+    pub(crate) fn tmatmul_into(
         &self,
         batch: &[usize],
         g: &Matrix,
@@ -843,9 +814,9 @@ impl SparseRows {
         );
         assert_eq!(gb.len(), g.cols, "gradient shape mismatch");
         sparse_tmatmul_kernel::dispatch(
-            &self.rest_offsets,
-            &self.rest_cols,
-            &self.rest_vals,
+            &self.offsets,
+            &self.cols,
+            &self.vals,
             batch,
             &g.data,
             &mut gw.data,

@@ -14,13 +14,13 @@
 //!
 //! | stage | per-node-sort GBDT, per-query key maps | presorted GBDT, prepared counter | `u64` counter, counting runs, branch-free partition, one Adam kernel | membership-mask GBDT with a lane kernel, live-column LW-NN | lane-wide predicate masks, branch-free runs, one extremes scan | LW-NN on non-zero inputs, one-output head, Adam over live rows |
 //! |---|---|---|---|---|---|---|
-//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 | 0.6 / 1.5 | 0.7 / 1.2 | 0.6 / 1.6 |
-//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 | 1.4 / 4.1 | 1.3 / 4.0 | 0.8 / 2.4 |
-//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 | 1.3 / 1.5 | 0.5 / 0.6 | 0.5 / 0.9 |
-//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 | 0.5 / 1.8 | 0.2 / 0.9 | 0.2 / 1.4 |
-//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 | 0.1 / 0.3 | 0.04 / 0.06 | 0.04 / 0.09 |
-//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.3 / 0.3 | 0.2 / 0.4 |
-//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 | ≈4.2 / ≈9.6 | ≈3.9 / ≈7.4 | ≈2.6 / ≈6.1 |
+//! | `LwXgb::train` | 11.3 / 26.1 | 2.7 / 4.9 | 1.7 / 4.2 | 0.6 / 1.5 | 0.7 / 1.2 | 0.5 / 1.0 |
+//! | `LwNn::train` | 3.1 / 9.6 | 2.3 / 6.4 | 1.4 / 4.1 | 1.4 / 4.1 | 1.3 / 4.0 | 0.8 / 2.6 |
+//! | `label_workload` | 3.1 / 3.2 | 1.7 / 2.0 | 1.1 / 1.2 | 1.3 / 1.5 | 0.5 / 0.6 | 0.4 / 0.4 |
+//! | `PostgresEstimator` | 0.9 / 3.0 | 1.0 / 3.1 | 0.4 / 1.7 | 0.5 / 1.8 | 0.2 / 0.9 | 0.2 / 0.8 |
+//! | `generate_workload` | 0.6 / 0.7 | 0.2 / 0.5 | 0.1 / 0.3 | 0.1 / 0.3 | 0.04 / 0.06 | 0.03 / 0.06 |
+//! | all 135 estimates | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.1 / 0.1 | 0.3 / 0.3 | 0.2 / 0.3 |
+//! | `label_dataset` | ≈19 / ≈43 | ≈8 / ≈17 | ≈4.9 / ≈11.5 | ≈4.2 / ≈9.6 | ≈3.9 / ≈7.4 | ≈2.2 / ≈5.3 |
 //!
 //! The left column re-sorted every feature at every node of every tree,
 //! rebuilt hash maps per join edge per query, and computed an input
@@ -79,21 +79,19 @@
 //! The sixth column trains LW-NN at the cost of each row's non-zero
 //! inputs, again at the same bits (`ce-models::lwnn` has the proof): the
 //! first layer's forward adds only the weight rows of a row's entries,
-//! Adam updates only the live rows — a column non-zero in every training
-//! row has its gradient summed in registers and handed straight to Adam,
-//! the others' are scattered entry by entry — and the one-output head runs
-//! on one-column kernels. On this testbed 38 of 89 inputs per row are
-//! non-zero at 7 tables and 117 of 340 at 24. It was measured like the
-//! fifth (best of 30 calls per stage, least of four rounds alternated
-//! with the fifth column's code, which read 0.78 / 1.60, 1.72 / 5.15,
-//! 0.76 / 0.81, 0.31 / 1.12, 0.05 / 0.09, 0.28 / 0.35 and 3.94 / 7.03 down
-//! the rows on that host); only `LwNn::train` changed, and the other rows
-//! moved within this host's noise. Of an LW-NN step (`micro.rs --
-//! label_kernels`, `lwnn_step`: ≈21–26 / ≈51–67 µs at 7 / 24 tables),
-//! running the forward twice adds ≈20 µs at 24 tables, and Adam over the
-//! live rows costs about what the parent's full-width `adam_step` (7 / 26
-//! µs over 89 / 340 rows) does per row: three divisions and a square root
-//! per parameter, which no kernel can drop at the same bits.
+//! its weight gradient is scattered entry by entry, Adam updates only the
+//! live rows, and the one-output head runs on one-column kernels. On this
+//! testbed 38 of 89 inputs per row are non-zero at 7 tables and 117 of 340
+//! at 24. It was measured like the fifth (best of 30 calls per stage,
+//! least of four rounds alternated with the fifth column's code, which
+//! read 0.65 / 1.02, 1.61 / 3.75, 0.41 / 0.43, 0.18 / 0.73, 0.03 / 0.05,
+//! 0.17 / 0.29 and 2.65 / 6.48 down the rows on that host); only
+//! `LwNn::train` changed, and the other rows moved within this host's
+//! noise. Of an LW-NN step (`micro.rs -- label_kernels`, `lwnn_step`:
+//! ≈19–25 / ≈63–76 µs at 7 / 24 tables), Adam over the live rows costs
+//! about what the parent's full-width `adam_step` (7 / 26 µs over 89 / 340
+//! rows) does per row: three divisions and a square root per parameter,
+//! which no kernel can drop at the same bits.
 
 use crate::label::{label_dataset, DatasetLabel, TestbedConfig};
 use ce_storage::Dataset;
