@@ -1,9 +1,10 @@
 //! Synthetic advisors for tests across the workspace (`autoce`, `ce-serve`,
 //! `ce-cluster`): built from explicit parts, no training, so every test
-//! binary constructs bit-identical state from scratch. Not part of the
-//! public API.
+//! binary constructs bit-identical state from scratch. Test-only: `autoce`
+//! declares this module under `#[cfg(test)]`, and other test targets mount
+//! this file by `#[path]`, so it names `autoce` by its crate path only.
 
-use crate::advisor::{AutoCe, AutoCeConfig, RcsEntry};
+use autoce::{AutoCe, AutoCeConfig, RcsEntry};
 use ce_features::FeatureGraph;
 use ce_gnn::{DmlConfig, GinEncoder};
 use ce_models::ModelKind;

@@ -23,13 +23,25 @@
 //! * [`index`]: the two-stage deterministic KNN index (coarse IVF probe +
 //!   exact re-rank under [`knn_order`]) that keeps serving sub-linear in
 //!   RCS size while staying bit-identical to the flat scan.
+//!
+//! # Test fixtures
+//!
+//! The synthetic advisors the workspace's tests share, `src/fixtures.rs`,
+//! compile into test targets only: this crate's unit tests declare the
+//! module under `#[cfg(test)]`, and other test targets mount the file by
+//! `#[path]`. It is not public:
+//!
+//! ```compile_fail,E0433
+//! let _ = autoce::fixtures::synthetic_flat;
+//! ```
+
+// Lets `fixtures.rs` name this crate by the path its other mounts use.
+extern crate self as autoce;
 
 pub mod advisor;
 pub mod backend;
 pub mod baselines;
 pub mod beta;
-#[doc(hidden)]
-pub mod fixtures;
 pub mod incremental;
 pub mod index;
 pub mod knn;
@@ -50,3 +62,6 @@ pub use baselines::{
 pub use ce_obs::{MetricsRegistry, MetricsSnapshot};
 pub use incremental::IncrementalConfig;
 pub use shard::AdvisorShard;
+
+#[cfg(test)]
+mod fixtures;

@@ -86,11 +86,17 @@ use ce_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span, LATENCY
 use ce_testbed::DatasetLabel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+/// Lines the coordinator's event trace keeps: the newest ones, so a trace
+/// nobody drains stays bounded. The longest trace a test takes between two
+/// drains is 123 lines (a gauntlet run).
+const TRACE_CAP: usize = 1024;
+
 /// Robustness knobs for the wire fan-out: a plain struct, written as a
-/// literal over [`ClusterConfig::default`] (or [`ClusterConfig::no_sleep`]).
+/// literal over [`ClusterConfig::default`].
 /// [`ClusterCoordinator::try_new`] checks it before anything is built and
 /// answers [`AdvisorError::InvalidConfig`] for a combination that cannot
 /// work.
@@ -119,10 +125,10 @@ pub struct ClusterConfig {
     /// channel: it never takes a lock beyond the coordinator mutex the
     /// caller already holds, never routes through the transport, and
     /// never appends an event-trace line, so fault-plan step arithmetic
-    /// and trace bytes are identical with metrics on or off. Under
-    /// `SimNet`, pass [`MetricsRegistry::new_logical`] so RTT spans count
-    /// logical ticks instead of wall time and exposition replays
-    /// byte-equal.
+    /// and trace bytes are identical with metrics on or off. Under the
+    /// test harness's simulated network, pass
+    /// [`MetricsRegistry::new_logical`] so RTT spans count logical ticks
+    /// instead of wall time and exposition replays byte-equal.
     pub metrics: MetricsRegistry,
     /// Two-stage KNN index configuration for the coordinator's
     /// **authority** advisor (installed at construction). Shard servers
@@ -148,16 +154,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A config with zero backoff sleeps — what the deterministic
-    /// gauntlet uses so fault sweeps run at memory speed.
-    pub fn no_sleep() -> Self {
-        ClusterConfig {
-            backoff_base: Duration::ZERO,
-            backoff_max: Duration::ZERO,
-            ..ClusterConfig::default()
-        }
-    }
-
     /// Every check [`ClusterCoordinator::try_new`] runs on the config
     /// before it builds anything: a zero attempt budget would turn the
     /// first fault into a dark range with no retry and no failover, a zero
@@ -202,7 +198,7 @@ struct LaneObs {
     /// same replica.
     retries: Counter,
     /// `ce_cluster_backoffs_total{range}`: actual backoff sleeps (zero
-    /// under `no_sleep` configs — the counter reports real waiting, not
+    /// under a zero-backoff config — the counter reports real waiting, not
     /// retry pressure; see `retries` for that).
     backoffs: Counter,
     /// `ce_cluster_failovers_total{range}`.
@@ -563,7 +559,9 @@ struct CoordInner {
     /// `lanes[range]`, fixed range order.
     lanes: Vec<RangeLane>,
     ping_nonce: u64,
-    trace: Vec<String>,
+    /// The event trace since the last drain, its newest [`TRACE_CAP`]
+    /// lines.
+    trace: VecDeque<String>,
 }
 
 /// The authority's shard `range` as the table a replica serves at `epoch`.
@@ -600,10 +598,18 @@ impl CoordInner {
     /// Drains every lane's sub-trace into the global trace, fixed range
     /// order — the deterministic merge point described in the module docs.
     fn merge_trace(&mut self) {
-        let trace = &mut self.trace;
         for lane in &mut self.lanes {
-            trace.append(&mut lane.sub);
+            self.trace.extend(lane.sub.drain(..));
         }
+        self.cap_trace();
+    }
+
+    /// Drops the global trace's oldest lines beyond [`TRACE_CAP`]: nothing
+    /// in production drains it, and a long-lived coordinator that adapts
+    /// adds lines on every push and snapshot.
+    fn cap_trace(&mut self) {
+        let over = self.trace.len().saturating_sub(TRACE_CAP);
+        self.trace.drain(..over);
     }
 
     fn health(&self) -> ClusterHealth {
@@ -862,7 +868,9 @@ impl CoordInner {
     fn refresh_and_snapshot(&mut self) -> Result<u64, AdvisorError> {
         self.authority.refresh_embeddings();
         self.epoch += 1;
-        self.trace.push(format!("snapshot-epoch {}", self.epoch));
+        self.trace
+            .push_back(format!("snapshot-epoch {}", self.epoch));
+        self.cap_trace();
         for range in 0..self.lanes.len() {
             self.prime_load_frame(range);
             let table = epoch_table(&self.authority, self.epoch, range);
@@ -1021,7 +1029,7 @@ impl ClusterCoordinator {
                 epoch: 0,
                 lanes,
                 ping_nonce: 0,
-                trace: Vec::new(),
+                trace: VecDeque::new(),
             }),
             metrics,
         })
@@ -1039,45 +1047,17 @@ impl ClusterCoordinator {
         Self::try_new(authority, connectors, cfg).expect("valid cluster config and topology")
     }
 
-    /// Convenience: a coordinator over a [`crate::sim::SimNet`] with
-    /// `replicas_per_range` replicas per authority range, numbered
-    /// `range * replicas_per_range + r` on the net (the flat numbering
-    /// [`crate::fault::FaultEvent::replica`] uses).
-    pub fn over_sim(
-        authority: AutoCe,
-        net: &crate::sim::SimNet,
-        replicas_per_range: usize,
-        cfg: ClusterConfig,
-    ) -> Self {
-        let ranges = authority.num_shards();
-        let connectors = (0..ranges)
-            .map(|range| {
-                (0..replicas_per_range)
-                    .map(|r| {
-                        Box::new(net.connector(range * replicas_per_range + r))
-                            as Box<dyn Connector>
-                    })
-                    .collect()
-            })
-            .collect();
-        ClusterCoordinator::new(authority, connectors, cfg)
-    }
-
     /// Current serving epoch.
     pub fn epoch(&self) -> u64 {
         self.lock().epoch
     }
 
-    /// A snapshot of the ordered event trace so far (wall-clock free:
-    /// dials, failures, reloads, failovers, demotions, snapshots — same
-    /// seed and same fault plan give the same trace, byte for byte).
-    pub fn trace(&self) -> Vec<String> {
-        self.lock().trace.clone()
-    }
-
-    /// Drains the event trace.
+    /// Drains the ordered event trace: the newest 1024 lines since the
+    /// last drain (wall-clock free: dials, failures, reloads,
+    /// failovers, demotions, snapshots — same seed and same fault plan
+    /// give the same trace, byte for byte).
     pub fn take_trace(&self) -> Vec<String> {
-        std::mem::take(&mut self.lock().trace)
+        std::mem::take(&mut self.lock().trace).into()
     }
 
     /// Point-in-time health snapshot.
@@ -1149,9 +1129,9 @@ impl ClusterCoordinator {
     /// that are down or answer a NACK or a corrupt snapshot are skipped,
     /// never an error. Unlike
     /// [`AdvisorBackend::metrics`] this serializes behind the coordinator mutex and
-    /// does cross the wire — under `SimNet` the fetches advance the
-    /// simulated step counter like any other frames, so call it after a
-    /// scripted fault workload, not in the middle of one.
+    /// does cross the wire — under the test harness's simulated network the
+    /// fetches advance its step counter like any other frames, so call it
+    /// after a scripted fault workload, not in the middle of one.
     pub fn cluster_metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         let mut inner = self.lock();
@@ -1242,8 +1222,8 @@ impl AdvisorBackend for ClusterCoordinator {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::sim::SimNet;
-    use autoce::fixtures::synthetic_flat;
+    use crate::fixtures::{synthetic_flat, synthetic_label};
+    use crate::sim::{no_sleep, over_sim, SimNet};
     use autoce::index::IndexConfig;
     use ce_testbed::MetricWeights;
 
@@ -1262,8 +1242,7 @@ mod tests {
         for ranges in [1usize, 3] {
             let sharded = AutoCe::from_advisor(&flat, ranges);
             let net = SimNet::new(ranges * 2, FaultPlan::none());
-            let coord =
-                ClusterCoordinator::over_sim(sharded.clone(), &net, 2, ClusterConfig::no_sleep());
+            let coord = over_sim(sharded.clone(), &net, 2, no_sleep());
             coord.bootstrap().expect("bootstrap");
             for x in queries() {
                 for exclude in [usize::MAX, 0, 10] {
@@ -1285,8 +1264,7 @@ mod tests {
         // (dial + load) = 8 steps) and never comes back.
         let plan = FaultPlan::none().with_kill(9, 0);
         let net = SimNet::new(4, plan);
-        let coord =
-            ClusterCoordinator::over_sim(sharded.clone(), &net, 2, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded.clone(), &net, 2, no_sleep());
         coord.bootstrap().expect("bootstrap");
         for x in queries() {
             let want = sharded.predict_from_embedding(&x, w);
@@ -1296,10 +1274,10 @@ mod tests {
         let health = coord.health();
         assert!(health.degraded(), "the dead replica must be reported");
         assert!(!health.any_range_dark(), "its sibling still serves");
+        let trace = coord.take_trace();
         assert!(
-            coord.trace().iter().any(|l| l.starts_with("failover")),
-            "trace records the failover: {:?}",
-            coord.trace()
+            trace.iter().any(|l| l.starts_with("failover")),
+            "trace records the failover: {trace:?}"
         );
     }
 
@@ -1310,7 +1288,7 @@ mod tests {
         // Both replicas die after bootstrap (2 × (dial + load) = 4 steps).
         let plan = FaultPlan::none().with_kill(5, 0).with_kill(5, 1);
         let net = SimNet::new(2, plan);
-        let coord = ClusterCoordinator::over_sim(sharded, &net, 2, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded, &net, 2, no_sleep());
         coord.bootstrap().expect("bootstrap");
         let got = coord.predict_from_embedding(&[0.0, 0.0, 0.0], MetricWeights::new(0.5));
         assert_eq!(got, Err(AdvisorError::RangeUnavailable { range: 0 }));
@@ -1324,7 +1302,7 @@ mod tests {
         let sharded = AutoCe::from_advisor(&flat, 2);
         let mut mirror = sharded.clone();
         let net = SimNet::new(4, FaultPlan::none());
-        let coord = ClusterCoordinator::over_sim(sharded, &net, 2, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded, &net, 2, no_sleep());
         coord.bootstrap().expect("bootstrap");
         let label = DatasetLabel {
             dataset: "new".into(),
@@ -1371,6 +1349,50 @@ mod tests {
         assert!(!coord.heartbeat().degraded());
     }
 
+    /// A trace nobody drains keeps its newest `TRACE_CAP` lines, whether
+    /// they come from the lanes (pushes) or from the epoch line itself.
+    #[test]
+    fn the_event_trace_keeps_only_its_newest_lines() {
+        let flat = synthetic_flat(3, 2);
+        let net = SimNet::new(2, FaultPlan::none());
+        let coord = over_sim(AutoCe::from_advisor(&flat, 1), &net, 2, no_sleep());
+        coord.bootstrap().expect("bootstrap");
+        // Two lines per push (one per replica), so the cap is passed
+        // within the loop and the bootstrap lines are long gone.
+        let label = synthetic_label(&flat.entry(0).kinds);
+        let graph = &flat.entry(0).graph;
+        let mut last = 0;
+        for _ in 0..TRACE_CAP / 2 + 8 {
+            last = coord.push_entry(graph.clone(), &label).expect("push");
+        }
+        let trace = coord.take_trace();
+        assert_eq!(trace.len(), TRACE_CAP);
+        let first = last + 1 - TRACE_CAP / 2;
+        assert_eq!(
+            trace[0],
+            format!("push range=0 r=0 id={first} v={}", first + 1)
+        );
+        assert_eq!(
+            trace[TRACE_CAP - 1],
+            format!("push range=0 r=1 id={last} v={}", last + 1)
+        );
+
+        for _ in 0..TRACE_CAP / 2 {
+            coord.push_entry(graph.clone(), &label).expect("push");
+        }
+        assert_eq!(coord.refresh_and_snapshot().expect("snapshot"), 1);
+        let trace = coord.take_trace();
+        assert_eq!(trace.len(), TRACE_CAP);
+        assert_eq!(
+            trace[TRACE_CAP - 3..],
+            [
+                "snapshot-epoch 1",
+                "epoch-ack range=0 r=0 epoch=1",
+                "epoch-ack range=0 r=1 epoch=1"
+            ]
+        );
+    }
+
     #[test]
     fn dead_replica_is_demoted_and_heartbeat_repromotes() {
         let flat = synthetic_flat(9, 3);
@@ -1382,8 +1404,7 @@ mod tests {
         // arithmetic in the comments below).
         let plan = FaultPlan::none().with_kill(5, 0).with_restart(11, 0);
         let net = SimNet::new(2, plan);
-        let coord =
-            ClusterCoordinator::over_sim(sharded.clone(), &net, 2, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded.clone(), &net, 2, no_sleep());
         coord.bootstrap().expect("bootstrap");
 
         // Query 1: optimistic send to r=0 executes at step 5 (killed →
@@ -1393,7 +1414,7 @@ mod tests {
         let x = &queries()[0];
         let want = sharded.predict_from_embedding(x, w);
         assert_eq!(coord.predict_from_embedding(x, w).expect("predict"), want);
-        let trace = coord.trace();
+        let trace = coord.take_trace();
         assert!(
             trace.iter().any(|l| l == "demote range=0 r=0 streak=3"),
             "demotion must be traced: {trace:?}"
@@ -1415,7 +1436,7 @@ mod tests {
         // restart applies — the ping succeeds (re-promotion), the pong
         // exposes the empty table (stale-pong), and the reload repairs it.
         coord.heartbeat();
-        let trace = coord.trace();
+        let trace = coord.take_trace();
         assert!(
             trace.iter().any(|l| l == "repromote range=0 r=0"),
             "re-promotion must be traced: {trace:?}"
@@ -1506,7 +1527,7 @@ mod tests {
         let connectors: Vec<Vec<Box<dyn Connector>>> =
             vec![vec![Box::new(net.connector(0))], vec![]];
         assert!(matches!(
-            ClusterCoordinator::try_new(sharded, connectors, ClusterConfig::no_sleep()),
+            ClusterCoordinator::try_new(sharded, connectors, no_sleep()),
             Err(AdvisorError::InvalidConfig(_))
         ));
     }
@@ -1523,9 +1544,9 @@ mod tests {
             let net = SimNet::new(4, plan);
             let cfg = ClusterConfig {
                 metrics,
-                ..ClusterConfig::no_sleep()
+                ..no_sleep()
             };
-            let coord = ClusterCoordinator::over_sim(sharded, &net, 2, cfg);
+            let coord = over_sim(sharded, &net, 2, cfg);
             coord.bootstrap().expect("bootstrap");
             let answers: Vec<_> = queries()
                 .iter()
@@ -1538,7 +1559,7 @@ mod tests {
         let (bare, a2) = run(MetricsRegistry::disabled());
         // Enabling metrics changes no answer bit and no trace byte.
         assert_eq!(a1, a2);
-        assert_eq!(instrumented.trace(), bare.trace());
+        assert_eq!(instrumented.take_trace(), bare.take_trace());
         assert!(
             bare.metrics().samples.is_empty(),
             "disabled registry stays empty"
@@ -1580,7 +1601,7 @@ mod tests {
             cluster.render_prometheus()
         );
         // Aggregation is itself side-effect free on the trace.
-        assert_eq!(instrumented.trace(), bare.trace());
+        assert_eq!(instrumented.take_trace(), bare.take_trace());
     }
 
     #[test]
@@ -1589,8 +1610,7 @@ mod tests {
         let w = MetricWeights::new(0.6);
         let sharded = AutoCe::from_advisor(&flat, 2);
         let net = SimNet::new(4, FaultPlan::none());
-        let coord =
-            ClusterCoordinator::over_sim(sharded.clone(), &net, 2, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded.clone(), &net, 2, no_sleep());
         coord.bootstrap().expect("bootstrap");
         let backend: &dyn AdvisorBackend = &coord;
         assert_eq!(backend.rcs_len(), 7);
@@ -1654,7 +1674,7 @@ mod tests {
                 }) as Box<dyn Connector>
             })
             .collect()];
-        let coord = ClusterCoordinator::new(sharded, connectors, ClusterConfig::no_sleep());
+        let coord = ClusterCoordinator::new(sharded, connectors, no_sleep());
         let got = coord.predict_from_embedding(&[0.0, 0.0, 0.0], MetricWeights::new(0.5));
         assert!(
             matches!(got, Err(AdvisorError::Protocol(_))),
@@ -1665,7 +1685,7 @@ mod tests {
             1,
             "exactly one attempt: no retry, no failover, no repair"
         );
-        let trace = coord.trace();
+        let trace = coord.take_trace();
         assert!(
             trace
                 .iter()
@@ -1693,7 +1713,7 @@ mod tests {
         // fails its whole batch.
         let sharded = AutoCe::from_advisor(&synthetic_flat(1, 2), 1);
         let net = SimNet::new(1, FaultPlan::none());
-        let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded, &net, 1, no_sleep());
         coord.bootstrap().expect("bootstrap");
         let steps = net.step();
         let excluded = BatchPredictRequest { exclude: 0, ..only };
@@ -1710,7 +1730,7 @@ mod tests {
         // No entry at all.
         let sharded = AutoCe::from_advisor(&synthetic_flat(0, 2), 1);
         let net = SimNet::new(1, FaultPlan::none());
-        let coord = ClusterCoordinator::over_sim(sharded, &net, 1, ClusterConfig::no_sleep());
+        let coord = over_sim(sharded, &net, 1, no_sleep());
         coord.bootstrap().expect("bootstrap");
         assert_eq!(coord.predict_batch(&[only]), Err(AdvisorError::EmptyRcs));
     }
@@ -1724,16 +1744,17 @@ mod tests {
         let net = SimNet::new(2, FaultPlan::none());
         let cfg = ClusterConfig {
             metrics: MetricsRegistry::new_logical(),
-            ..ClusterConfig::no_sleep()
+            ..no_sleep()
         };
-        let coord = ClusterCoordinator::over_sim(sharded.clone(), &net, 1, cfg);
+        let coord = over_sim(sharded.clone(), &net, 1, cfg);
         coord.bootstrap().expect("bootstrap");
         let wire_bytes = || {
             let m = coord.metrics();
             let step = [("step", "coord_send_query_batch")];
             m.counter("ce_cluster_wire_bytes_out_total", &step)
         };
-        let (steps, trace, bytes) = (net.step(), coord.trace(), wire_bytes());
+        coord.take_trace();
+        let (steps, bytes) = (net.step(), wire_bytes());
         let good = [0.5f32, 0.25, 0.0];
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let x = [0.5, bad, 0.0];
@@ -1750,7 +1771,7 @@ mod tests {
         }
         assert_eq!(net.step(), steps, "nothing may reach the wire");
         assert_eq!(wire_bytes(), bytes);
-        assert_eq!(coord.trace(), trace);
+        assert_eq!(coord.take_trace(), Vec::<String>::new());
         assert_eq!(
             coord.predict_excluding(&good, w, usize::MAX),
             sharded.predict_excluding(&good, w, usize::MAX)
@@ -1829,7 +1850,7 @@ mod tests {
                 vec![Box::new(replica) as Box<dyn Connector>]
             })
             .collect();
-        let coord = ClusterCoordinator::new(sharded.clone(), connectors, ClusterConfig::no_sleep());
+        let coord = ClusterCoordinator::new(sharded.clone(), connectors, no_sleep());
         coord.bootstrap().expect("bootstrap");
         let x = [1.3f32, 0.4, -0.2];
         let cases: [(&str, usize, Forgery); 8] = [
@@ -1932,7 +1953,7 @@ mod tests {
                 vec![Box::new(replica) as Box<dyn Connector>]
             })
             .collect();
-        let coord = ClusterCoordinator::new(sharded.clone(), connectors, ClusterConfig::no_sleep());
+        let coord = ClusterCoordinator::new(sharded.clone(), connectors, no_sleep());
         coord.bootstrap().expect("bootstrap");
         let set_dark = |on| dark.store(on, std::sync::atomic::Ordering::Relaxed);
         set_dark(true);

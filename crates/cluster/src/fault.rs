@@ -2,12 +2,14 @@
 //!
 //! A [`FaultPlan`] is a *schedule*, not a probability: every fault names
 //! the logical step at which it fires and the replica it targets. The
-//! simulated transport ([`crate::sim`]) counts coordinator calls on a
+//! simulated transport (`sim.rs`) counts coordinator calls on a
 //! global step counter and consults the plan at every call, so the same
 //! plan against the same workload produces the same event trace byte for
 //! byte. Seeded construction ([`FaultPlan::seeded`]) turns one `u64` into
 //! such a schedule through the deterministic `rand` shim, which is what
 //! the gauntlet tests use to sweep many distinct fault mixes cheaply.
+//!
+//! Test-only, like `sim.rs`: see that file for how test targets mount it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,19 +151,16 @@ impl FaultPlan {
     }
 }
 
-#[cfg(test)]
-impl FaultPlan {
-    /// Lifecycle events that arm at or before `step`.
-    fn lifecycle_through(&self, step: u64) -> impl Iterator<Item = &FaultEvent> {
-        self.events
+unit_tests! {
+mod tests {
+    use super::*;
+
+    /// Lifecycle events of `plan` that arm at or before `step`.
+    fn lifecycle_through(plan: &FaultPlan, step: u64) -> impl Iterator<Item = &FaultEvent> {
+        plan.events()
             .iter()
             .filter(move |e| e.kind.is_lifecycle() && e.step <= step)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn seeded_plans_are_reproducible_and_heal() {
@@ -196,7 +195,8 @@ mod tests {
             });
         let steps: Vec<u64> = plan.events().iter().map(|e| e.step).collect();
         assert_eq!(steps, vec![3, 5, 9]);
-        assert_eq!(plan.lifecycle_through(5).count(), 1);
-        assert_eq!(plan.lifecycle_through(9).count(), 2);
+        assert_eq!(lifecycle_through(&plan, 5).count(), 1);
+        assert_eq!(lifecycle_through(&plan, 9).count(), 2);
     }
+}
 }

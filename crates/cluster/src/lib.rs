@@ -13,7 +13,8 @@
 //!   structured NACKs) over the compact binary codec in `serde::bin`, and
 //!   the one frame reader both ends cut a byte stream with.
 //! * [`transport`]: the `Conn`/`Connector` round-trip abstraction with
-//!   per-request deadlines; TCP for production, [`sim`] for tests.
+//!   per-request deadlines; TCP for production, a simulated network for
+//!   tests (below).
 //! * [`server`]: the shard-server state machine and TCP serving loop —
 //!   two live epochs, version-pinned queries, NACK-don't-crash.
 //! * [`coordinator`]: authority-first mutation, bounded retry with seeded
@@ -21,23 +22,45 @@
 //!   snapshot swaps.
 //! * [`health`]: per-replica health records and the explicit
 //!   degraded-mode report.
-//! * [`fault`] + [`sim`]: deterministic fault-injection plans and the
-//!   in-process network that executes them — same seed, same workload →
-//!   same failure sequence → same coordinator event trace.
 //!
 //! See `docs/cluster-protocol.md` for the wire contract and the failover
 //! state machine.
+//!
+//! # Fault harness
+//!
+//! The deterministic fault harness — `src/fault.rs` (fault schedules) and
+//! `src/sim.rs` (the simulated network that executes them, `over_sim` and
+//! `no_sleep`) — compiles into test targets only: this crate's unit tests
+//! declare it under `#[cfg(test)]`, and integration tests mount the files
+//! by `#[path]` from `tests/common/mod.rs`. It plugs in through
+//! [`Connector`] and [`ClusterCoordinator::try_new`]. None of it is public:
+//!
+//! ```compile_fail,E0432
+//! use ce_cluster::SimNet;
+//! ```
+//!
+//! ```compile_fail,E0432
+//! use ce_cluster::FaultPlan;
+//! ```
+//!
+//! ```compile_fail,E0599
+//! let _ = ce_cluster::ClusterConfig::no_sleep();
+//! ```
+//!
+//! ```compile_fail,E0599
+//! let _ = ce_cluster::ClusterCoordinator::over_sim;
+//! ```
+
+// Lets the harness files name this crate by the path their other mounts use.
+extern crate self as ce_cluster;
 
 pub mod coordinator;
-pub mod fault;
 pub mod health;
 pub mod protocol;
 pub mod server;
-pub mod sim;
 pub mod transport;
 
 pub use coordinator::{ClusterConfig, ClusterCoordinator};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use health::{ClusterHealth, ReplicaHealth, ReplicaStatus};
 pub use protocol::{
     BatchQuery, EpochTable, Frame, Message, MetricsReply, MetricsRequest, NackCode, QueryBatch,
@@ -50,7 +73,6 @@ pub use server::{
     maybe_run_shard_server_from_args, shard_server_main, spawn_shard_process, ShardState,
     READY_LINE_PREFIX,
 };
-pub use sim::SimNet;
 pub use transport::{Conn, Connector, TcpConnector, WireError};
 
 /// One `name{step=…}` counter per defined step, indexed by wire number
@@ -63,3 +85,23 @@ pub(crate) fn per_step_counters(registry: &MetricsRegistry, name: &str) -> Vec<c
     }
     out
 }
+
+// The fault harness and the workspace's synthetic advisors, for this
+// crate's unit tests (see "Fault harness" above).
+
+/// Expands a harness file's own unit tests in this crate only: a test
+/// target that mounts the file by `#[path]` defines a `unit_tests!` that
+/// drops them, so each of those tests is compiled into one target.
+#[cfg(test)]
+macro_rules! unit_tests {
+    ($($item:item)*) => { $($item)* };
+}
+
+#[cfg(test)]
+mod fault;
+#[cfg(test)]
+#[allow(dead_code)] // the coordinator's tests use `synthetic_flat` only
+#[path = "../../autoce/src/fixtures.rs"]
+mod fixtures;
+#[cfg(test)]
+mod sim;

@@ -25,13 +25,52 @@
 //!   payload checksum (TCP's covers transport corruption in production),
 //!   so only header damage is detectable, and the plan stays honest about
 //!   that.
+//!
+//! Test-only: `ce-cluster` declares this module (and its sibling
+//! `fault`) under `#[cfg(test)]`, and integration tests mount both files
+//! by `#[path]` from `tests/common/mod.rs`, so the file names the crate
+//! as `ce_cluster` and the schedule as `super::fault`.
 
-use crate::fault::{FaultKind, FaultPlan};
-use crate::protocol::Frame;
-use crate::server::ShardState;
-use crate::transport::{Conn, Connector, WireError};
+use super::fault::{FaultKind, FaultPlan};
+use autoce::AutoCe;
+use ce_cluster::protocol::Frame;
+use ce_cluster::server::ShardState;
+use ce_cluster::transport::{Conn, Connector, WireError};
+use ce_cluster::{ClusterConfig, ClusterCoordinator};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// A config with zero backoff sleeps — what the deterministic gauntlet
+/// uses so fault sweeps run at memory speed.
+pub fn no_sleep() -> ClusterConfig {
+    ClusterConfig {
+        backoff_base: Duration::ZERO,
+        backoff_max: Duration::ZERO,
+        ..ClusterConfig::default()
+    }
+}
+
+/// A coordinator over `net` with `replicas_per_range` replicas per
+/// authority range, numbered `range * replicas_per_range + r` on the net
+/// (the flat numbering a fault event's `replica` uses).
+pub fn over_sim(
+    authority: AutoCe,
+    net: &SimNet,
+    replicas_per_range: usize,
+    cfg: ClusterConfig,
+) -> ClusterCoordinator {
+    let ranges = authority.num_shards();
+    let connectors = (0..ranges)
+        .map(|range| {
+            (0..replicas_per_range)
+                .map(|r| {
+                    Box::new(net.connector(range * replicas_per_range + r)) as Box<dyn Connector>
+                })
+                .collect()
+        })
+        .collect();
+    ClusterCoordinator::new(authority, connectors, cfg)
+}
 
 struct SimShard {
     alive: bool,
@@ -269,7 +308,7 @@ impl Conn for SimConn {
     }
 }
 
-#[cfg(test)]
+unit_tests! {
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;
@@ -353,4 +392,5 @@ mod tests {
             "the load applied even though its ack was lost"
         );
     }
+}
 }

@@ -13,9 +13,9 @@
 //!
 //! * [`TcpConnector`]/`TcpConn` over `std::net::TcpStream` (loopback or
 //!   real network) — the production shape;
-//! * the in-process simulated transport in [`crate::sim`], which shares
-//!   the exact frame codec but routes through a deterministic
-//!   fault-injection layer.
+//! * the in-process simulated transport of the test harness
+//!   (`src/sim.rs`, test targets only), which shares the exact frame
+//!   codec but routes through a deterministic fault-injection layer.
 //!
 //! Any transport error poisons the connection: the coordinator drops the
 //! `Conn` and re-dials rather than attempting to resynchronize a torn

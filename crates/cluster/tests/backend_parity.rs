@@ -8,11 +8,13 @@
 mod common;
 
 use autoce::{AdvisorBackend, AutoCe, BatchPredictRequest};
-use ce_cluster::{ClusterConfig, ClusterCoordinator, FaultPlan, SimNet};
+use ce_cluster::ClusterConfig;
 use ce_features::FeatureGraph;
 use ce_models::ModelKind;
 use ce_serve::{AdvisorService, IndexConfig, Query, ServeConfig, ShardedAdvisor};
 use ce_testbed::MetricWeights;
+use common::fault::FaultPlan;
+use common::sim::{no_sleep, over_sim, SimNet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -120,11 +122,11 @@ fn service_answers_identically_over_flat_sharded_and_cluster_backends() {
         // Cluster backend over a healthy SimNet; the caller keeps the
         // admin handle while queries ride the service.
         let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
-        let coord = Arc::new(ClusterCoordinator::over_sim(
+        let coord = Arc::new(over_sim(
             ShardedAdvisor::from_advisor(&flat, RANGES),
             &net,
             REPLICAS_PER_RANGE,
-            ClusterConfig::no_sleep(),
+            no_sleep(),
         ));
         coord.bootstrap().expect("bootstrap");
         let service = AdvisorService::start_shared(coord.clone(), serve_config());
@@ -152,11 +154,11 @@ fn burst_submissions_ride_the_batched_wire_path_bit_identically() {
 
     for clients in [1usize, 2, 4, 8] {
         let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
-        let coord = Arc::new(ClusterCoordinator::over_sim(
+        let coord = Arc::new(over_sim(
             ShardedAdvisor::from_advisor(&flat, RANGES),
             &net,
             REPLICAS_PER_RANGE,
-            ClusterConfig::no_sleep(),
+            no_sleep(),
         ));
         coord.bootstrap().expect("bootstrap");
         let service = AdvisorService::start_shared(coord.clone(), serve_config());
@@ -287,13 +289,13 @@ fn unified_query_entrypoint_is_bit_identical_over_all_backends() {
         service.shutdown();
 
         let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
-        let coord = Arc::new(ClusterCoordinator::over_sim(
+        let coord = Arc::new(over_sim(
             ShardedAdvisor::from_advisor(&flat, RANGES),
             &net,
             REPLICAS_PER_RANGE,
             ClusterConfig {
                 index: Some(index_cfg()),
-                ..ClusterConfig::no_sleep()
+                ..no_sleep()
             },
         ));
         coord.bootstrap().expect("bootstrap");
@@ -330,12 +332,7 @@ fn concurrent_predict_batch_matches_per_query_bits() {
         .collect();
 
     let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
-    let coord = Arc::new(ClusterCoordinator::over_sim(
-        sharded,
-        &net,
-        REPLICAS_PER_RANGE,
-        ClusterConfig::no_sleep(),
-    ));
+    let coord = Arc::new(over_sim(sharded, &net, REPLICAS_PER_RANGE, no_sleep()));
     coord.bootstrap().expect("bootstrap");
     for clients in [1usize, 2, 4, 8] {
         std::thread::scope(|scope| {
@@ -382,12 +379,7 @@ fn service_fronted_cluster_tracks_push_and_snapshot_bit_identically() {
     let sharded = ShardedAdvisor::from_advisor(&flat, RANGES);
     let mut mirror = sharded.clone();
     let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
-    let coord = Arc::new(ClusterCoordinator::over_sim(
-        sharded,
-        &net,
-        REPLICAS_PER_RANGE,
-        ClusterConfig::no_sleep(),
-    ));
+    let coord = Arc::new(over_sim(sharded, &net, REPLICAS_PER_RANGE, no_sleep()));
     coord.bootstrap().expect("bootstrap");
     let service = AdvisorService::start_shared(coord.clone(), serve_config());
     let handle = service.handle();
@@ -488,11 +480,10 @@ proptest::proptest! {
     ) {
         let sharded = ShardedAdvisor::from_advisor(&common::synthetic_flat(11, 3), RANGES);
         let net = SimNet::new(RANGES * REPLICAS_PER_RANGE, FaultPlan::none());
-        let coord = ClusterCoordinator::over_sim(
-            sharded.clone(),
+        let coord = over_sim(sharded.clone(),
             &net,
             REPLICAS_PER_RANGE,
-            ClusterConfig::no_sleep(),
+            no_sleep(),
         );
         coord.bootstrap().expect("bootstrap");
         let x: Vec<f32> = quarters.iter().map(|&q| q as f32 * 0.25).collect();

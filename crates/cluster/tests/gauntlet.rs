@@ -17,10 +17,12 @@ mod common;
 mod faulty;
 
 use autoce::{AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
-use ce_cluster::{ClusterConfig, ClusterCoordinator, FaultPlan, MetricsRegistry, SimNet};
+use ce_cluster::{ClusterConfig, MetricsRegistry};
 use ce_models::ModelKind;
 use ce_serve::{AdvisorService, ServeConfig};
 use ce_testbed::MetricWeights;
+use common::fault::FaultPlan;
+use common::sim::{no_sleep, over_sim, SimNet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,7 +51,7 @@ fn workload() -> Vec<(Vec<f32>, usize)> {
 /// dark after the fault schedule has provably drained (which would be a
 /// real failover bug, not an injected fault).
 fn run_gauntlet(seed: u64) -> GauntletRun {
-    run_gauntlet_cfg(seed, ClusterConfig::no_sleep())
+    run_gauntlet_cfg(seed, no_sleep())
 }
 
 /// [`run_gauntlet`] with an explicit [`ClusterConfig`], so the metrics
@@ -60,7 +62,7 @@ fn run_gauntlet_cfg(seed: u64, cfg: ClusterConfig) -> GauntletRun {
     let replicas = RANGES * REPLICAS_PER_RANGE;
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
-    let coord = ClusterCoordinator::over_sim(sharded, &net, REPLICAS_PER_RANGE, cfg);
+    let coord = over_sim(sharded, &net, REPLICAS_PER_RANGE, cfg);
     let mut retries = 0usize;
     let mut attempt = 0u32;
     // Bootstrap may land while a seeded kill holds a whole range down;
@@ -206,12 +208,7 @@ fn kill_restart_cycle_heals_through_reload() {
     // second query round reaches it.
     let plan = FaultPlan::none().with_kill(9, 0).with_restart(14, 0);
     let net = SimNet::new(replicas, plan);
-    let coord = ClusterCoordinator::over_sim(
-        sharded.clone(),
-        &net,
-        REPLICAS_PER_RANGE,
-        ClusterConfig::no_sleep(),
-    );
+    let coord = over_sim(sharded.clone(), &net, REPLICAS_PER_RANGE, no_sleep());
     coord.bootstrap().expect("healthy bootstrap");
     let w = MetricWeights::new(0.5);
     for round in 0..3 {
@@ -282,8 +279,7 @@ fn run_batched_gauntlet(seed: u64) -> GauntletRun {
     let replicas = RANGES * REPLICAS_PER_RANGE;
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
-    let coord =
-        ClusterCoordinator::over_sim(sharded, &net, REPLICAS_PER_RANGE, ClusterConfig::no_sleep());
+    let coord = over_sim(sharded, &net, REPLICAS_PER_RANGE, no_sleep());
     let mut retries = 0usize;
     let mut attempt = 0u32;
     while let Err(e) = coord.bootstrap() {
@@ -431,7 +427,7 @@ fn run_service_gauntlet(seed: u64) -> ServiceGauntletRun {
     let plan = FaultPlan::seeded(seed, PLAN_STEPS, replicas, INTENSITY);
     let net = SimNet::new(replicas, plan);
     let backend = Arc::new(faulty::Faulty::new(
-        ClusterCoordinator::over_sim(sharded, &net, REPLICAS_PER_RANGE, ClusterConfig::no_sleep()),
+        over_sim(sharded, &net, REPLICAS_PER_RANGE, no_sleep()),
         &[0],
         None,
     ));
@@ -548,7 +544,7 @@ fn service_fronted_gauntlet_is_bit_identical_and_replays() {
 /// A logically-clocked [`ClusterConfig`] plus the registry it records into.
 fn observed_cfg() -> (ClusterConfig, MetricsRegistry) {
     let registry = MetricsRegistry::new_logical();
-    let mut cfg = ClusterConfig::no_sleep();
+    let mut cfg = no_sleep();
     cfg.metrics = registry.clone();
     (cfg, registry)
 }
@@ -624,7 +620,7 @@ fn metrics_enabled_service_is_bit_identical_at_every_thread_count() {
         let registry = MetricsRegistry::new_logical();
         let replicas = RANGES * REPLICAS_PER_RANGE;
         let net = SimNet::new(replicas, FaultPlan::none());
-        let coord = Arc::new(ClusterCoordinator::over_sim(
+        let coord = Arc::new(over_sim(
             AutoCe::from_advisor(&flat, RANGES),
             &net,
             REPLICAS_PER_RANGE,

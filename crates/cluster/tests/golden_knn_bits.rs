@@ -15,17 +15,21 @@
 //! after the refresh that follows it). All tiers answer one state with one
 //! checksum; the shard server's partial lists are folded separately.
 
-use autoce::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
+mod common;
+
 use autoce::{AdvisorBackend, AutoCe, BatchPredictRequest, IndexConfig};
 use ce_cluster::protocol::{Load, Message, Push};
 use ce_cluster::{
-    BatchQuery, ClusterConfig, ClusterCoordinator, Conn, Connector, EpochTable, FaultPlan, Frame,
-    QueryBatch, ShardState, SimNet, TopKBatch, WireError,
+    BatchQuery, ClusterCoordinator, Conn, Connector, EpochTable, Frame, QueryBatch, ShardState,
+    TopKBatch, WireError,
 };
 use ce_features::FeatureGraph;
 use ce_models::ModelKind;
 use ce_obs::{MetricsRegistry, MetricsSnapshot};
 use ce_testbed::{DatasetLabel, MetricWeights};
+use common::fault::FaultPlan;
+use common::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
+use common::sim::{no_sleep, over_sim, SimNet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -284,7 +288,7 @@ fn cluster(flat: &AutoCe, shard_index: Option<Option<IndexConfig>>) -> ClusterCo
     let coord = match shard_index {
         None => {
             let net = SimNet::new(RANGES * REPLICAS, FaultPlan::none());
-            ClusterCoordinator::over_sim(authority, &net, REPLICAS, ClusterConfig::no_sleep())
+            over_sim(authority, &net, REPLICAS, no_sleep())
         }
         Some(knob) => {
             let connectors = (0..RANGES)
@@ -301,7 +305,7 @@ fn cluster(flat: &AutoCe, shard_index: Option<Option<IndexConfig>>) -> ClusterCo
                         .collect()
                 })
                 .collect();
-            ClusterCoordinator::new(authority, connectors, ClusterConfig::no_sleep())
+            ClusterCoordinator::new(authority, connectors, no_sleep())
         }
     };
     coord.bootstrap().expect("every replica loads");

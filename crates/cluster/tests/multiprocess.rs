@@ -8,11 +8,11 @@ mod common;
 
 use autoce::{AdvisorBackend, AutoCe};
 use ce_cluster::{
-    spawn_shard_process, ClusterConfig, ClusterCoordinator, Connector, MetricsRegistry,
-    TcpConnector,
+    spawn_shard_process, ClusterCoordinator, Connector, MetricsRegistry, TcpConnector,
 };
 use ce_obs::parse_prometheus;
 use ce_testbed::MetricWeights;
+use common::sim::no_sleep;
 use std::path::Path;
 use std::time::Duration;
 
@@ -38,7 +38,7 @@ fn loopback_cluster_survives_a_hard_shard_kill() {
         connectors.push(row);
     }
 
-    let coord = ClusterCoordinator::new(mirror.clone(), connectors, ClusterConfig::no_sleep());
+    let coord = ClusterCoordinator::new(mirror.clone(), connectors, no_sleep());
     coord.bootstrap().expect("bootstrap over loopback");
     let w = MetricWeights::new(0.6);
     for x in common::queries() {
@@ -64,10 +64,10 @@ fn loopback_cluster_survives_a_hard_shard_kill() {
             "failover to the surviving replica must not change a bit"
         );
     }
+    let trace = coord.take_trace();
     assert!(
-        coord.trace().iter().any(|l| l.starts_with("failover")),
-        "the kill must surface as a traced failover: {:?}",
-        coord.trace()
+        trace.iter().any(|l| l.starts_with("failover")),
+        "the kill must surface as a traced failover: {trace:?}"
     );
     let health = coord.heartbeat();
     assert!(health.degraded(), "the dead process must be reported");
@@ -123,7 +123,7 @@ fn metrics_smoke_scrapes_every_family_over_real_processes() {
     }
 
     let registry = MetricsRegistry::new();
-    let mut cfg = ClusterConfig::no_sleep();
+    let mut cfg = no_sleep();
     cfg.metrics = registry.clone();
     let coord = ClusterCoordinator::new(mirror.clone(), connectors, cfg);
     coord.bootstrap().expect("bootstrap over loopback");

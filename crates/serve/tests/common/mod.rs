@@ -1,5 +1,12 @@
 //! Shared fixtures for the ce-serve integration tests: a small trained
-//! advisor over generated datasets (fast enough to build per test).
+//! advisor over generated datasets (fast enough to build per test), and
+//! the workspace's synthetic advisors (`autoce`'s `src/fixtures.rs`),
+//! mounted by `#[path]` because they compile into test targets only.
+//! (Not every test binary uses every fixture.)
+#![allow(dead_code)]
+
+#[path = "../../../autoce/src/fixtures.rs"]
+pub mod fixtures;
 
 use autoce::{AutoCe, AutoCeConfig};
 use ce_datagen::{generate_batch, DatasetSpec};

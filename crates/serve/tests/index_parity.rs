@@ -5,11 +5,13 @@
 //! adaptation stamps the rebuilt indexes with the **post-bump**
 //! generation (the swap-race regression).
 
-use autoce::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
+mod common;
+
 use autoce::{AdvisorBackend, AutoCe};
 use ce_features::FeatureGraph;
 use ce_serve::{IndexConfig, MetricsRegistry, Reservoir};
 use ce_testbed::MetricWeights;
+use common::fixtures::{synthetic_grid, synthetic_label, tie_heavy_queries};
 
 /// Indexed sharded advisors (1–4 shards, admissibility-guaranteed and
 /// fallback-heavy probe widths alike) reproduce the flat advisor bit for

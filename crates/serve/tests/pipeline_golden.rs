@@ -20,7 +20,8 @@
 //! and that second lookup. Histograms contribute their counts only (their
 //! sums are wall-clock).
 
-use autoce::fixtures::synthetic_flat;
+mod common;
+
 use autoce::online::DriftDetector;
 use autoce::{AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
 use ce_features::{FeatureConfig, FeatureGraph};
@@ -30,6 +31,7 @@ use ce_serve::{
     graph_fingerprint, AdvisorService, MetricsRegistry, Query, Recommendation, ServeConfig,
 };
 use ce_testbed::MetricWeights;
+use common::fixtures::synthetic_flat;
 use std::sync::{Arc, Mutex};
 
 const PIPELINE_FNV1A: u64 = 0x214e_c4d5_3560_a0f5;

@@ -572,7 +572,7 @@ fn empty_rcs_is_a_typed_error_and_the_worker_survives() {
         assert_eq!(inline_and_worker(&service), (3, 2));
         service.shutdown();
     }
-    let flat = || autoce::fixtures::synthetic_flat(0, 2);
+    let flat = || common::fixtures::synthetic_flat(0, 2);
     check(AutoCe::from_advisor(&flat(), 2));
     check(flat());
 }
@@ -642,9 +642,9 @@ fn a_non_finite_query_is_refused_not_panicked_on() {
         assert_eq!(stats(service.stats()), (8, 5, 1, 7));
         service.shutdown();
     }
-    let flat = autoce::fixtures::synthetic_flat(9, 2);
+    let flat = common::fixtures::synthetic_flat(9, 2);
     check(AutoCe::from_advisor(&flat, 2), &flat);
-    check(autoce::fixtures::synthetic_flat(9, 2), &flat);
+    check(common::fixtures::synthetic_flat(9, 2), &flat);
 }
 
 /// The observability side channel: an instrumented service exposes phase

@@ -3,15 +3,17 @@
 # `src/`, counted up to its first `#[cfg(test)]` attribute line, with the
 # files of modules declared under `#[cfg(test)]` (test-only oracles such as
 # `ce-gnn`'s `per_graph`) left out altogether. The attribute is anchored
-# (`^\s*#\[cfg\(test\)\]`), so a doc comment that only mentions it does not
-# cut a file short.
+# (`^#\[cfg\(test\)\]`), so a doc comment that only mentions it does not
+# cut a file short. It is anchored at column 0 too: an indented attribute
+# belongs to an item inside a block (a `simd_kernel!` body's test-only arm),
+# not to the file's trailing test module, and must not end the count there.
 #
 # Usage: scripts/nontest_lines.sh [repo-root]   (default: the script's repo)
 set -euo pipefail
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 cd "$root"
 
-attr='^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$'
+attr='^#\[cfg\(test\)\][[:space:]]*$'
 
 # Files of modules declared as `#[cfg(test)] mod name;` (the declaration on
 # the line after the attribute), relative to the repo root.
