@@ -59,7 +59,7 @@
 use crate::backend::{validate_nonzero, AdvisorError};
 use crate::knn::{top_k_onto, Scratch};
 use ce_nn::kmeans::kmeans;
-use ce_nn::packed::PackedRows;
+use ce_nn::packed::{slack, PackedRows};
 use ce_obs::{Counter, Histogram, MetricsRegistry, COUNT_BUCKETS, LATENCY_NS_BUCKETS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -296,8 +296,9 @@ pub struct KnnIndex {
 impl KnnIndex {
     /// Builds an index over `embeddings` (position `i` must be the RCS
     /// entry with the i-th smallest global index — see the module docs).
-    /// Returns `None` below the cutover, for empty/ragged embeddings, or
-    /// zero dimension; callers then stay on the flat scan.
+    /// Returns `None` below the cutover, for empty/ragged embeddings, zero
+    /// dimension, or an embedding holding a NaN or ±∞ (k-means cannot place
+    /// such a row); callers then stay on the flat scan.
     pub fn build(
         embeddings: &[&[f32]],
         cfg: &IndexConfig,
@@ -309,7 +310,9 @@ impl KnnIndex {
             return None;
         }
         let dim = embeddings.first()?.len();
-        if dim == 0 || embeddings.iter().any(|e| e.len() != dim) {
+        if dim == 0
+            || (embeddings.iter()).any(|e| e.len() != dim || e.iter().any(|v| !v.is_finite()))
+        {
             return None;
         }
         let obs = IndexObs::new(metrics);
@@ -318,13 +321,12 @@ impl KnnIndex {
         // Coarse structure: k-means over a deterministic stride sample
         // (every build is a pure function of embeddings + config).
         let p = cfg.partitions.min(n);
+        let cap = cfg.sample_cap.min(n);
         let strided: Vec<&[f32]>;
-        let sample = if n <= cfg.sample_cap {
+        let sample = if n == cap {
             embeddings
         } else {
-            strided = (0..cfg.sample_cap)
-                .map(|i| embeddings[i * n / cfg.sample_cap])
-                .collect();
+            strided = (0..cap).map(|i| embeddings[i * n / cap]).collect();
             &strided
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -332,21 +334,17 @@ impl KnnIndex {
         let p = km.centroids.len();
 
         // Assign every point to its nearest centroid (ties to the lowest
-        // partition index) and record exact radii: one kernel pass per
-        // centroid over a transient pack of the embeddings, each distance
-        // the bits of the `euclidean` call it replaces.
-        let packed = PackedRows::from_rows(embeddings);
-        let mut nearest = vec![(0usize, f32::INFINITY); n];
-        let mut dists = Vec::new();
-        for (c, cent) in km.centroids.iter().enumerate() {
-            packed.dists_into(cent, &mut dists);
-            for ((best, best_d), &d) in nearest.iter_mut().zip(&dists) {
-                if d < *best_d {
-                    *best_d = d;
-                    *best = c;
-                }
-            }
-        }
+        // partition index) and record exact radii, each distance the bits
+        // of the `euclidean` call a full scan makes: a sampled point starts
+        // from the bounds k-means ended with and is re-scanned only when
+        // they cannot prove its partition; `i * n / cap` is the sample's
+        // `i`-th point, so position `m` is sampled when the least such `i`
+        // lands on it.
+        let sampled = |m: usize| {
+            let i = (m * cap).div_ceil(n);
+            (i * n / cap == m).then_some(i)
+        };
+        let nearest = km.nearest(embeddings, sampled);
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); p];
         let mut radii = vec![0f32; p];
         for (i, &(best, best_d)) in nearest.iter().enumerate() {
@@ -554,23 +552,6 @@ pub(crate) struct IndexPartition<'a> {
     pub(crate) members: &'a [u32],
     /// The members' embeddings packed in member order.
     pub(crate) block: &'a PackedRows,
-}
-
-/// The float-error slack of a triangle-inequality bound over exact `f32`
-/// distances of dimension `dim` whose magnitudes sum to `magnitude`: it
-/// over-approximates the accumulation error of every distance in the
-/// bound, so rounding can only make a bound decline, never admit wrongly.
-/// [`KnnIndex::admits`] and the drift detector's partition join
-/// (`crate::online`) both take it.
-///
-/// The error is relative while squared coordinate differences are normal
-/// floats, and absolute below: a square that underflows is off by up to
-/// `2^-150`, so a distance by up to `sqrt(2·dim)·2^-75`. Taking every
-/// magnitude as at least `2^-51` covers that term (`docs/knn-index.md`);
-/// from `2^-26` up the floor is absorbed and the slack is the relative
-/// term's bits.
-pub(crate) fn slack(dim: usize, magnitude: f32) -> f32 {
-    4.0 * f32::EPSILON * (dim as f32 + 8.0) * (magnitude + f32::powi(2.0, -51))
 }
 
 /// What one index query did; [`KnnIndex::record`] counts it.
@@ -915,6 +896,57 @@ mod tests {
         );
         for rows in [0, 1, 15, 16, 17, 33] {
             assert!(sizes.contains(&rows), "no member block of {rows} rows");
+        }
+    }
+
+    /// The build's step 2 — every embedding to its nearest final centroid,
+    /// through the bounds k-means ended with — against a full scan of the
+    /// built centroids (one `euclidean` per pair, the first minimum): the
+    /// same members and radius bits at every float scale from 1 down to
+    /// `2^-80`, with k-means on every point and on a stride sample.
+    #[test]
+    fn build_assigns_like_a_full_scan_at_every_float_scale() {
+        let mut rng = StdRng::seed_from_u64(0x5ca1);
+        let centres: Vec<Vec<f32>> = (0..20)
+            .map(|_| (0..8).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect())
+            .collect();
+        let blobs: Vec<Vec<f32>> = (0..700)
+            .map(|i| {
+                (centres[i % 20].iter())
+                    .map(|v| v + (rng.gen::<f32>() - 0.5) * 0.2)
+                    .collect()
+            })
+            .collect();
+        let grid = grid_points(&mut rng, 500, 3, 5);
+        let whole = grid_config(7, 24, 4);
+        let sampled = IndexConfig {
+            sample_cap: 300,
+            ..whole.clone()
+        };
+        for shift in (0..=80).step_by(4) {
+            let scale = 2f32.powi(-shift);
+            for (points, cfg) in [(&blobs, &whole), (&blobs, &sampled), (&grid, &whole)] {
+                let embs: Vec<Vec<f32>> = (points.iter())
+                    .map(|p| p.iter().map(|v| v * scale).collect())
+                    .collect();
+                let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+                let registry = MetricsRegistry::disabled();
+                let ix = KnnIndex::build(&refs, cfg, 0, &registry).expect("index builds");
+                let p = ix.radii.len();
+                let mut members = vec![Vec::new(); p];
+                let mut radii = vec![0f32; p];
+                for (i, e) in embs.iter().enumerate() {
+                    let (best, d) = ((0..p).map(|c| euclidean(e, centroid(&ix, c))).enumerate())
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("partitions ≥ 1");
+                    members[best].push(i as u32);
+                    radii[best] = radii[best].max(d);
+                }
+                let case = format!("scale 2^-{shift}, sample cap {}", cfg.sample_cap);
+                assert_eq!(ix.members, members, "{case}: members");
+                let bits = |r: &[f32]| r.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ix.radii), bits(&radii), "{case}: radii");
+            }
         }
     }
 

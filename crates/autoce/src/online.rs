@@ -31,12 +31,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::advisor::AutoCe;
-use crate::index::slack;
 use crate::knn::finite;
 use crate::shard::AdvisorShard;
 use ce_features::extract_features;
 use ce_gnn::DmlConfig;
-use ce_nn::packed::PackedRows;
+use ce_nn::packed::{least, slack, PackedRows};
 use ce_obs::MetricsRegistry;
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, TestbedConfig};
@@ -348,20 +347,6 @@ impl Join<'_, '_> {
             *b = least(*b, dists);
         }
     }
-}
-
-/// The least of `from` and `dists` under `total_cmp` — the numeric least
-/// over distances, which hold no NaN and never mix `-0.0` with `+0.0`.
-/// Folded over `total_cmp`'s integer keys, so the reduction vectorises.
-fn least(from: f32, dists: &[f32]) -> f32 {
-    /// `x`'s place under `total_cmp` as an `i32`; its own inverse.
-    fn key(x: i32) -> i32 {
-        x ^ (((x >> 31) as u32) >> 1) as i32
-    }
-    let least = (dists.iter()).fold(key(from.to_bits() as i32), |m, d| {
-        m.min(key(d.to_bits() as i32))
-    });
-    f32::from_bits(key(least) as u32)
 }
 
 /// DML configuration of an *online* encoder update: identical to Stage-2

@@ -54,17 +54,27 @@ fn indexed_topk(
 /// distance and score ties are common — the tie-breaking rules are what
 /// the admissibility bound must respect).
 fn synthetic_advisor(embq: &[Vec<i64>], k: usize) -> AutoCe {
-    let kinds = vec![ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
-    let entries: Vec<RcsEntry> = embq
+    let embeddings = embq
         .iter()
+        .map(|e| e.iter().map(|&v| v as f32 / 2.0).collect())
+        .collect();
+    advisor_over(embeddings, k)
+}
+
+/// A flat advisor over `embeddings` (dimension 3), scores as
+/// [`synthetic_advisor`]'s.
+fn advisor_over(embeddings: Vec<Vec<f32>>, k: usize) -> AutoCe {
+    let kinds = vec![ModelKind::Postgres, ModelKind::LwXgb, ModelKind::LwNn];
+    let entries: Vec<RcsEntry> = embeddings
+        .into_iter()
         .enumerate()
-        .map(|(i, e)| RcsEntry {
+        .map(|(i, embedding)| RcsEntry {
             name: format!("s{i}"),
             graph: FeatureGraph {
                 vertices: vec![vec![i as f32, 0.5, -0.5, 1.0]],
                 edges: vec![vec![0.0]],
             },
-            embedding: e.iter().map(|&v| v as f32 / 2.0).collect(),
+            embedding,
             kinds: kinds.clone(),
             sa: vec![(i % 3) as f64 / 2.0, 0.5, 1.0],
             se: vec![1.0, (i % 2) as f64, 0.5],
@@ -280,6 +290,72 @@ fn forced_inadmissible_falls_back() {
     for ((gi, gd), (ei, ed)) in got.iter().zip(&expect) {
         assert_eq!(gi, ei);
         assert_eq!(gd.to_bits(), ed.to_bits());
+    }
+}
+
+/// 400 embeddings of dimension 3 on a 0.5-grid, with row 123 holding
+/// `bad` in one coordinate when given.
+fn grid_with(bad: Option<f32>) -> Vec<Vec<f32>> {
+    let mut embs: Vec<Vec<f32>> = (0..400)
+        .map(|i| {
+            let v = [i % 7, i / 7 % 5, i / 35 % 11];
+            v.iter().map(|&x| x as f32 * 0.5 - 1.0).collect()
+        })
+        .collect();
+    if let Some(bad) = bad {
+        embs[123][1] = bad;
+    }
+    embs
+}
+
+/// An embedding holding a NaN or ±∞ declines the build (k-means cannot
+/// place it), as a ragged or empty one does; the same rows made finite
+/// build.
+#[test]
+fn a_non_finite_embedding_declines_the_build() {
+    let cfg = IndexConfig::default();
+    let registry = MetricsRegistry::disabled();
+    let build = |embs: &[Vec<f32>]| {
+        let refs: Vec<&[f32]> = embs.iter().map(Vec::as_slice).collect();
+        KnnIndex::build(&refs, &cfg, 0, &registry)
+    };
+    assert!(
+        build(&grid_with(None)).is_some(),
+        "400 rows reach the cutover"
+    );
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        assert!(build(&grid_with(Some(bad))).is_none(), "{bad}");
+    }
+}
+
+/// Through the advisor: installing an index over an RCS with a non-finite
+/// embedding leaves every shard on the flat scan, and every answer — model
+/// and score bits, with and without an exclusion — is the flat advisor's.
+#[test]
+fn a_non_finite_embedding_keeps_the_advisor_on_the_flat_scan() {
+    let w = MetricWeights::new(0.5);
+    let queries: Vec<Vec<f32>> = (0..12)
+        .map(|i| vec![(i % 4) as f32 * 0.75 - 1.0, 0.25 * i as f32 - 1.0, 0.5])
+        .collect();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let flat = advisor_over(grid_with(Some(bad)), 5);
+        let mut indexed = advisor_over(grid_with(Some(bad)), 5);
+        let metrics = MetricsRegistry::new();
+        indexed.set_metrics(metrics.clone());
+        indexed
+            .set_index_config(IndexConfig::default())
+            .expect("installs");
+        for x in &queries {
+            for exclude in [usize::MAX, 7, 123] {
+                let want = flat.predict_excluding(x, w, exclude).expect("flat");
+                let got = indexed.predict_excluding(x, w, exclude).expect("indexed");
+                let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!((got.0, bits(&got.1)), (want.0, bits(&want.1)), "{bad}");
+            }
+        }
+        let snap = metrics.snapshot();
+        let (_, builds) = snap.histogram_totals("ce_index_build_ns", &[]);
+        assert_eq!(builds, 0, "{bad}: no index was built");
     }
 }
 

@@ -136,8 +136,17 @@ fn bench_collect_feedback(c: &mut Criterion) {
     }
 }
 
+/// `KnnIndex::build` over one of the two 3000-entry shards `knn-read`
+/// builds an index over (`index_build`), and over the 10⁵-entry blob RCS
+/// of `knn_indexed/100000` at the default `sample_cap` and iteration
+/// budget (`index_build/100000`), after the golden k-means and build
+/// checksums are checked. Each then prints, per Lloyd iteration of its
+/// k-means, how many points the bounds could not keep in place and
+/// re-scanned against every centroid (the first iteration takes the
+/// seeding's assignment).
 fn bench_index_build(c: &mut Criterion) {
-    if !criterion::filter_allows("index_build") {
+    let names = ["index_build", "index_build/100000"];
+    if !names.iter().any(|name| criterion::filter_allows(name)) {
         return;
     }
     // Same bits first, then time.
@@ -151,15 +160,41 @@ fn bench_index_build(c: &mut Criterion) {
         golden_setup_bits::INDEX_GOLDEN,
         "KnnIndex::build moved a bit; its timing means nothing"
     );
-    // One of the two shards `knn-read` builds an index over.
     let (n, dim) = KNN_READ_SHAPE;
-    let embeddings = golden_setup_bits::seeded_embeddings(n / 2, dim, 1);
-    let refs: Vec<&[f32]> = embeddings.iter().map(Vec::as_slice).collect();
-    let cfg = golden_setup_bits::bench_index_config();
-    let metrics = autoce::MetricsRegistry::disabled();
-    c.bench_function("index_build", |b| {
-        b.iter(|| black_box(autoce::KnnIndex::build(&refs, &cfg, 0, &metrics)))
-    });
+    let shard = golden_setup_bits::seeded_embeddings(n / 2, dim, 1);
+    let (n, partitions, probe) = INDEXED_SCALES[2];
+    let (entries, _) = indexed_rcs(n, partitions, 0);
+    let blobs: Vec<Vec<f32>> = entries.into_iter().map(|e| e.embedding).collect();
+    let large = autoce::IndexConfig::builder()
+        .partitions(partitions)
+        .probe(probe)
+        .build()
+        .expect("static index config is valid");
+    let cases = [
+        (names[0], shard, golden_setup_bits::bench_index_config()),
+        (names[1], blobs, large),
+    ];
+    for (name, embeddings, cfg) in cases {
+        if !criterion::filter_allows(name) {
+            continue;
+        }
+        let refs: Vec<&[f32]> = embeddings.iter().map(Vec::as_slice).collect();
+        let metrics = autoce::MetricsRegistry::disabled();
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(autoce::KnnIndex::build(&refs, &cfg, 0, &metrics)))
+        });
+        // The build's own k-means: the same stride sample, seed and budget.
+        let (n, cap) = (refs.len(), cfg.sample_cap.min(refs.len()));
+        let sample: Vec<&[f32]> = (0..cap).map(|i| refs[i * n / cap]).collect();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let km = ce_nn::kmeans(&sample, cfg.partitions, cfg.kmeans_iters, &mut rng);
+        println!(
+            "{name}: k-means over {cap} of {n} points, {} partitions; re-scanned per Lloyd \
+             iteration {:?}",
+            km.centroids.len(),
+            km.rescans
+        );
+    }
 }
 
 fn bench_feature_extraction(c: &mut Criterion) {

@@ -862,6 +862,68 @@ mod tests {
         assert_eq!(topk(&s.handle(&q)).expect("topk"), [(0, 0.0)]);
     }
 
+    /// A table holding a NaN or ±∞ row never reaches the lazy index build:
+    /// its load and its snapshot are refused as malformed before anything is
+    /// installed, and the indexed shard answers the next batch, over its
+    /// finite table and through a build, with the flat shard's bits.
+    #[test]
+    fn a_non_finite_row_never_reaches_the_lazy_index_build() {
+        let cfg = IndexConfig::builder()
+            .partitions(8)
+            .probe(2)
+            .min_rcs_for_index(1)
+            .build()
+            .expect("valid index config");
+        let mut indexed = ShardState::new();
+        indexed.set_index_config(Some(cfg)).expect("valid knob");
+        let mut flat = ShardState::new();
+        flat.set_index_config(None).expect("flat knob");
+        for s in [&mut indexed, &mut flat] {
+            s.handle(
+                &Load {
+                    table: table(0, 400),
+                }
+                .into_frame(),
+            );
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut rows = table(1, 400);
+            rows.embeddings[123][1] = bad;
+            let frames = [
+                Load {
+                    table: rows.clone(),
+                }
+                .into_frame(),
+                crate::protocol::SnapshotEpoch { table: rows }.into_frame(),
+            ];
+            for frame in frames {
+                let nack = Nack::from_frame(&indexed.handle(&frame)).expect("nack");
+                assert_eq!(nack.code, NackCode::Malformed, "{bad}: {}", nack.detail);
+            }
+        }
+        let batch = QueryBatch {
+            epoch: 0,
+            version: 400,
+            queries: (0..6)
+                .map(|i| BatchQuery {
+                    embedding: vec![i as f32 * 70.0, 1.0 - i as f32 * 70.0],
+                    k: 4,
+                    exclude: if i % 2 == 0 { i as u64 * 60 } else { u64::MAX },
+                })
+                .collect(),
+        }
+        .into_frame();
+        let a = TopKBatch::from_frame(&indexed.handle(&batch)).expect("indexed batch");
+        let b = TopKBatch::from_frame(&flat.handle(&batch)).expect("flat batch");
+        assert_eq!(a.lists.len(), 6);
+        for (la, lb) in a.lists.iter().zip(&b.lists) {
+            assert_same_bits(la, lb);
+        }
+        let snap = indexed.metrics();
+        let (_, builds) = snap.histogram_totals("ce_index_build_ns", &[]);
+        assert_eq!(builds, 1, "the finite table was indexed");
+    }
+
     #[test]
     fn metrics_step_reports_per_step_traffic() {
         let mut s = ShardState::new();

@@ -16,10 +16,12 @@
 //! * [`packed`]: [`PackedRows`](packed::PackedRows), the exact
 //!   many-vs-one distance kernel that vectorises across rows — every
 //!   distance keeps the bits of [`matrix::euclidean`], which stays the
-//!   one-pair primitive and the kernel's oracle;
+//!   one-pair primitive and the kernel's oracle — and
+//!   [`slack`](packed::slack), the float-error slack of every bound over
+//!   those distances;
 //! * [`mod@kmeans`]: k-means (the row-clustering step of DeepDB's SPN
 //!   learner and the partitioner of the KNN index), its scans on
-//!   [`packed`];
+//!   [`packed`], its later Lloyd iterations bounded and exact;
 //! * [`index`]: f16/i8 quantization and one-pair SIMD distance kernels
 //!   over the quantized forms; no production path calls them (the
 //!   end-to-end benchmark's trace times them).

@@ -149,6 +149,40 @@ impl PackedRows {
     }
 }
 
+/// The float-error slack of a triangle-inequality bound over exact `f32`
+/// distances of dimension `dim` whose magnitudes sum to `magnitude`: it
+/// over-approximates the accumulation error of every distance in the
+/// bound, so rounding can only make a bound decline, never admit wrongly.
+/// The one bound function of the distances this module computes: the KNN
+/// index's admissibility bound, the drift detector's partition join and
+/// [`kmeans`](crate::kmeans::kmeans)'s bounded assignment all take it.
+///
+/// The error is relative while squared coordinate differences are normal
+/// floats, and absolute below: a square that underflows is off by up to
+/// `2^-150`, so a distance by up to `sqrt(2·dim)·2^-75`. Taking every
+/// magnitude as at least `2^-51` covers that term (`docs/knn-index.md`);
+/// from `2^-26` up the floor is absorbed and the slack is the relative
+/// term's bits.
+#[inline]
+pub fn slack(dim: usize, magnitude: f32) -> f32 {
+    4.0 * f32::EPSILON * (dim as f32 + 8.0) * (magnitude + f32::powi(2.0, -51))
+}
+
+/// The least of `from` and `dists` under `total_cmp` — the numeric least
+/// over distances, which hold no NaN and never mix `-0.0` with `+0.0`.
+/// Folded over `total_cmp`'s integer keys, so the reduction vectorises.
+#[inline]
+pub fn least(from: f32, dists: &[f32]) -> f32 {
+    /// `x`'s place under `total_cmp` as an `i32`; its own inverse.
+    fn key(x: i32) -> i32 {
+        x ^ (((x >> 31) as u32) >> 1) as i32
+    }
+    let least = (dists.iter()).fold(key(from.to_bits() as i32), |m, d| {
+        m.min(key(d.to_bits() as i32))
+    });
+    f32::from_bits(key(least) as u32)
+}
+
 /// `acc[lane] += (q − x[lane])²` over one dimension of one block.
 #[inline(always)]
 fn accumulate(acc: &mut [f32; LANES], x: &Lane, q: f32) {

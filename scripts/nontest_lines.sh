@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Non-test lines per workspace crate: every `.rs` file under a crate's
-# `src/`, counted up to its first `#[cfg(test)]` attribute line, with the
-# files of modules declared under `#[cfg(test)]` (test-only oracles such as
-# `ce-gnn`'s `per_graph`) left out altogether. The attribute is anchored
+# `src/`, counted up to its first `#[cfg(test)]` attribute line that does not
+# introduce a module declaration, with the files of modules declared under
+# `#[cfg(test)]` (test-only oracles such as `ce-gnn`'s `per_graph`) left out
+# altogether. Such a declaration (`#[cfg(test)]` over `mod name;`) is
+# skipped, attribute and all, and the count goes on past it: it can sit in
+# the middle of a `lib.rs`, before the re-exports. The attribute is anchored
 # (`^#\[cfg\(test\)\]`), so a doc comment that only mentions it does not
 # cut a file short. It is anchored at column 0 too: an indented attribute
 # belongs to an item inside a block (a `simd_kernel!` body's test-only arm),
@@ -14,6 +17,7 @@ root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 cd "$root"
 
 attr='^#\[cfg\(test\)\][[:space:]]*$'
+decl='^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[a-z_0-9]+[[:space:]]*;'
 
 # Files of modules declared as `#[cfg(test)] mod name;` (the declaration on
 # the line after the attribute), relative to the repo root.
@@ -26,11 +30,11 @@ test_module_files() {
             lib | main | mod) ;;
             *) dir="$dir/$stem" ;;
         esac
-        awk -v attr="$attr" '
+        awk -v attr="$attr" -v decl="$decl" '
             $0 ~ attr { armed = 1; next }
             armed && /^[[:space:]]*$/ { next }
             armed {
-                if (match($0, /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[a-z_0-9]+[[:space:]]*;/)) {
+                if (match($0, decl)) {
                     line = substr($0, RSTART, RLENGTH)
                     sub(/;.*/, "", line); sub(/.*mod[[:space:]]+/, "", line)
                     print line
@@ -50,7 +54,13 @@ count_crate() {
         if [ -n "$skip" ] && grep -qxF "$f" <<<"$skip"; then
             continue
         fi
-        n=$(awk -v attr="$attr" '$0 ~ attr { exit } { n++ } END { print n + 0 }' "$f")
+        n=$(awk -v attr="$attr" -v decl="$decl" '
+            $0 ~ attr { armed = 1; next }
+            armed && /^[[:space:]]*$/ { next }
+            armed && $0 ~ decl { armed = 0; next }
+            armed { exit }
+            { n++ }
+            END { print n + 0 }' "$f")
         total=$((total + n))
     done < <(find "$dir/src" -name '*.rs' | sort)
     echo "$total"
