@@ -5,25 +5,21 @@
 //!
 //! * **Backend-generic** — [`AdvisorService<B>`] fronts any
 //!   [`AdvisorBackend`]: the in-process [`AutoCe`] at any shard count (the
-//!   default type parameter, so existing code keeps reading
-//!   `AdvisorService`) or `ce-cluster`'s coordinator. The
-//!   batching, caching and snapshot machinery below is written once
-//!   against the trait; a cluster behind the service gets one taped
-//!   query fan-out per *batch* instead of per request.
-//! * **Micro-batching** — lone misses that meet a busy front (see below)
-//!   go into a bounded queue; a single worker drains it into batches of at
-//!   most [`ServeConfig::max_batch`], waiting up to
-//!   [`ServeConfig::batch_deadline`] after the first request for
-//!   stragglers. Each batch's cache-missing graphs run as **one** stacked
-//!   forward ([`AdvisorBackend::embed_graph_batch`]) — the whole point:
-//!   per-graph kernel dispatch is what makes per-request serving slow.
+//!   default type parameter) or `ce-cluster`'s coordinator. The batching,
+//!   caching and snapshot machinery below is written once against the
+//!   trait; a cluster behind the service gets one taped query fan-out per
+//!   *batch* instead of per request.
+//! * **Admission** — a submission's misses run on the calling thread,
+//!   except a *lone* miss on a busy front: one worker batches those (up to
+//!   [`ServeConfig::max_batch`], within [`ServeConfig::batch_deadline`])
+//!   into **one** stacked forward ([`AdvisorBackend::embed_graph_batch`]).
+//!   The rule and the service's lifecycle live only in the private
+//!   `FrontState` (`front.rs`).
 //! * **Snapshot reads** — every pipeline run serves from an `Arc<B>`
-//!   snapshot. Online adaptation builds a *new* advisor value and swaps the `Arc`
-//!   under a momentary lock; in-flight batches keep reading the old
-//!   snapshot, so serving never blocks behind a refresh (requests are
-//!   answered by whichever snapshot their batch started on — the same
-//!   consistency a flat advisor under a lock would give, minus the
-//!   blocking).
+//!   snapshot. Online adaptation builds a *new* advisor value and swaps
+//!   the `Arc` under a momentary lock; in-flight batches keep reading the
+//!   old snapshot, so serving never blocks behind a refresh (a flat
+//!   advisor under a lock gives the same consistency, but blocks).
 //! * **Embedding cache** — embeddings are cached by graph fingerprint
 //!   ([`crate::cache`]) and invalidated on snapshot swaps (the cache lock
 //!   is held across the swap and entries are generation-tagged, so a
@@ -34,15 +30,6 @@
 //!   request and never wakes the worker. Hits skip the encoder entirely;
 //!   every other step is identical, so caching never changes a
 //!   recommendation.
-//! * **Inline miss serving** — a submission's cache misses are encoded
-//!   and voted on the calling thread, with no enqueue/park/wake round trip,
-//!   with one exception: a *lone* miss that arrives while the front is busy
-//!   rides the queue, so concurrent single-graph clients still share
-//!   stacked forwards. The front is idle when nothing is queued and no
-//!   pipeline run (a worker batch or an inline lone miss) is in flight —
-//!   observed under the queue lock, not configured. A single closed-loop
-//!   client therefore never pays a handoff; two or more misses in one
-//!   submission are already their own micro-batch and never queue.
 //! * **One pipeline** — the cache-hit, inline and worker paths run the
 //!   same three steps (`lookup` → `encode_misses` → `vote`); they differ
 //!   only in which thread runs them and in the `path` label their metrics
@@ -61,13 +48,13 @@
 //! `WorkerFailed` and `InvalidDataset` (a malformed dataset or feature
 //! graph, refused before it is fingerprinted), and a distributed backend's
 //! typed failures (`RangeUnavailable`, protocol violations) pass through
-//! untouched — a
-//! cache-hit request and a batched request fail with the same variant the
-//! direct call would.
+//! untouched — a cache-hit request and a batched request fail with the
+//! same variant the direct call would.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::cache::{graph_fingerprint, CacheStats, EmbeddingCache};
+use crate::front::{Claim, Fill, FrontState, Work};
 use autoce::index::IndexConfig;
 use autoce::online::{DriftDetector, Reservoir};
 use autoce::{validate_nonzero, AdvisorBackend, AdvisorError, AutoCe, BatchPredictRequest};
@@ -80,10 +67,10 @@ use ce_obs::{
 use ce_storage::Dataset;
 use ce_testbed::{label_dataset, MetricWeights, TestbedConfig};
 use std::borrow::{Borrow, Cow};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,7 +79,7 @@ use std::time::{Duration, Instant};
 /// [`AdvisorService::try_start_shared`] check it before anything starts
 /// (a zero `max_batch` or `queue_capacity` would hang clients; see the
 /// field docs) and answer [`AdvisorError::InvalidConfig`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Maximum requests the worker drains into one batch (one stacked
     /// forward). It bounds worker batches only: a submission's own misses
@@ -100,15 +87,13 @@ pub struct ServeConfig {
     /// number (`tests/pipeline_golden.rs` sends a 10-graph burst under
     /// `max_batch: 4`).
     pub max_batch: usize,
-    /// How long the batcher waits after the first queued request for more
-    /// to arrive before closing the batch. It applies to queued requests
-    /// only — lone misses that met a busy front; misses served on the
-    /// calling thread never wait. Zero (the default) is the right mode for
-    /// blocking callers: the worker still yields once and re-drains before
-    /// encoding — enough for concurrent clients to share forwards — but
+    /// How long the batcher waits after the first queued request (a lone
+    /// miss that met a busy front) for more before closing the batch. Zero
+    /// (the default) suits blocking callers: the worker still yields once
+    /// and re-drains, enough for concurrent clients to share forwards, but
     /// never sleeps on speculation. A nonzero deadline trades latency for
-    /// occupancy with open-loop producers (pipelined submitters, network
-    /// frontends).
+    /// occupancy with open-loop producers; one too far to represent has no
+    /// timeout (the batch closes at `max_batch` or at shutdown).
     pub batch_deadline: Duration,
     /// Bounded request-queue capacity; submitters block when it is full
     /// (backpressure instead of unbounded memory growth).
@@ -134,23 +119,6 @@ pub struct ServeConfig {
     /// default) serves every query by flat scan; see `docs/knn-index.md`
     /// for when an index pays off.
     pub index: Option<IndexConfig>,
-}
-
-// Manual impl: `MetricsRegistry` is deliberately opaque (handles and
-// atomics), so derive is unavailable; print whether it records instead.
-impl std::fmt::Debug for ServeConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeConfig")
-            .field("max_batch", &self.max_batch)
-            .field("batch_deadline", &self.batch_deadline)
-            .field("queue_capacity", &self.queue_capacity)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("reservoir_capacity", &self.reservoir_capacity)
-            .field("seed", &self.seed)
-            .field("metrics_enabled", &self.metrics.is_enabled())
-            .field("index", &self.index)
-            .finish()
-    }
 }
 
 impl Default for ServeConfig {
@@ -273,6 +241,7 @@ pub struct ServiceStats {
     pub adaptations: u64,
 }
 
+#[derive(Default)]
 struct Stats {
     requests: AtomicU64,
     batches: AtomicU64,
@@ -284,33 +253,19 @@ struct Stats {
 /// Pre-registered observability handles. Registration happens once at
 /// service start (under the registry's own mutex — a cold path that is
 /// not a serving lock); recording afterwards is lock-free `fetch_add`,
-/// and with a disabled registry every handle is a no-op. Metric names
-/// are stable API — the catalogue lives in `docs/observability.md`.
+/// and with a disabled registry every handle is a no-op. Each field is the
+/// metric `ce_serve_<field>` (`path`-labelled ones indexed by [`Path`]);
+/// names are stable API, catalogued in `docs/observability.md`.
 struct ObsHandles {
     registry: MetricsRegistry,
-    /// `ce_serve_feature_extract_ns`: `extract_features` on the calling
-    /// thread, per `Dataset` request (`recommend`, `adapt`).
     feature_extract_ns: Histogram,
-    /// `ce_serve_adapt_label_ns`: `label_dataset` on the adapting thread,
-    /// per adaptation that passed the drift test.
     adapt_label_ns: Histogram,
-    /// `ce_serve_detector_fit_ns`: the drift-detector fit, once at start
-    /// and once per adaptation, on the thread that builds the snapshot.
     detector_fit_ns: Histogram,
-    /// `ce_serve_queue_wait_ns`: enqueue → worker-drain wait per queued
-    /// request.
     queue_wait_ns: Histogram,
-    /// `ce_serve_encode_ns{path}`: the stacked-forward phase, indexed by
-    /// the batched [`Path`]s.
     encode_ns: [Histogram; 2],
-    /// `ce_serve_batch_depth{path}`: requests per micro-batch, indexed by
-    /// the batched [`Path`]s.
     batch_depth: [Histogram; 2],
-    /// `ce_serve_vote_ns{path}`: the batched-KNN-vote phase, per [`Path`].
     vote_ns: [Histogram; 3],
-    /// `ce_serve_path_requests_total{path}`: which path ran the request.
     path_requests: [Counter; 3],
-    /// `ce_serve_snapshot_swaps_total`: adaptations applied.
     snapshot_swaps: Counter,
 }
 
@@ -341,11 +296,9 @@ impl ObsHandles {
 /// they index the encode and depth handles.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Path {
-    /// A submission's misses, encoded on the calling thread: two or more,
-    /// or a lone one on an idle front.
+    /// A submission's misses, encoded on the calling thread.
     Inline,
-    /// A micro-batch drained from the queue by the worker: lone misses
-    /// that met a busy front.
+    /// A worker batch of queued lone misses.
     Worker,
     /// Cache hits, voted on the calling thread.
     CacheHit,
@@ -375,46 +328,26 @@ struct Request {
     queue_span: Option<ce_obs::Span>,
 }
 
-struct QueueState {
-    items: VecDeque<Request>,
-    shutdown: bool,
-    /// Pipeline runs holding the front busy: worker batches and inline
-    /// lone misses. With `items`, what a lone miss reads to choose between
-    /// the calling thread and the queue.
-    in_flight: usize,
-}
-
-impl QueueState {
-    /// Counts one more run in flight until the returned guard drops.
-    fn enter<'a>(&mut self, queue: &'a Mutex<QueueState>) -> Busy<'a> {
-        self.in_flight += 1;
-        Busy(queue)
-    }
-}
-
-/// One pipeline run holding the front busy ([`QueueState::in_flight`]).
-/// Dropping it frees the front — also while unwinding, so a caller that
-/// panics mid-run cannot wedge every later lone miss onto the queue.
-struct Busy<'a>(&'a Mutex<QueueState>);
+/// One pipeline run holding the front busy until this guard drops — also
+/// while unwinding, so a caller that panics mid-run cannot wedge every
+/// later lone miss onto the queue.
+struct Busy<'a>(&'a Mutex<FrontState<Request>>);
 
 impl Drop for Busy<'_> {
     fn drop(&mut self) {
-        plock(self.0).in_flight -= 1;
+        plock(self.0).release();
     }
 }
 
-/// Locks a service mutex, tolerating poison: the worker catches its own
-/// panics, but a *client* thread can die inside the inline path while
-/// holding the cache lock, and the service must keep refusing (or
-/// serving) cleanly instead of cascading panics through every submitter.
-/// All states guarded here are safe to take mid-poison — the cache is
-/// regenerable, the queue's invariants are single-field, and the admin
-/// state changes in whole steps (the reservoir observes one index at a
-/// time, the detector is replaced by assignment): an adaptation that died
-/// half-way leaves at worst a sampled index the next adaptation's own
-/// newcomer takes.
+/// Locks a service mutex, tolerating poison: a *client* thread can die
+/// inside the inline path while holding a lock, and the service must keep
+/// refusing (or serving) cleanly instead of cascading panics through every
+/// submitter. All states guarded here are safe to take mid-poison — the
+/// cache is regenerable, the front changes only in whole transitions, and
+/// the admin state in whole steps (the reservoir observes one index at a
+/// time, the detector is replaced by assignment).
 fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Shared<B> {
@@ -422,12 +355,10 @@ struct Shared<B> {
     /// The backend's [`AdvisorBackend::vertex_dim`], read once at start:
     /// no adaptation changes the encoder's shape.
     vertex_dim: usize,
-    /// Mirrors `QueueState::shutdown` for the lock-free fast path.
-    shutting_down: AtomicBool,
-    /// Set (never cleared) when the worker dies on a panic; distinguishes
-    /// [`AdvisorError::WorkerFailed`] from an orderly shutdown.
-    worker_failed: AtomicBool,
-    queue: Mutex<QueueState>,
+    /// The admission rule and lifecycle; see [`crate::front`].
+    front: Mutex<FrontState<Request>>,
+    /// [`FrontState::open`], read without the front's lock.
+    open: Arc<AtomicBool>,
     /// Signaled when a request is queued (or shutdown begins).
     not_empty: Condvar,
     /// Signaled when queue space frees up.
@@ -449,36 +380,6 @@ impl<B> Shared<B> {
     fn extract(&self, ds: &Dataset, feature: &FeatureConfig) -> FeatureGraph {
         let _extract = self.obs.feature_extract_ns.start_span();
         extract_features(ds, feature)
-    }
-
-    /// The error a refused request should carry right now.
-    fn refusal(&self) -> AdvisorError {
-        if self.worker_failed.load(Ordering::Acquire) {
-            AdvisorError::WorkerFailed
-        } else {
-            AdvisorError::ShuttingDown
-        }
-    }
-
-    /// Claims the front for a lone miss if it is idle — nothing queued, no
-    /// run in flight — in the critical section that checks it. `None` when
-    /// busy: the miss rides the queue and batches with whoever is there.
-    /// Refuses as [`Self::enqueue`] does once the service is stopping.
-    fn claim_idle(&self) -> Result<Option<Busy<'_>>, AdvisorError> {
-        let mut q = plock(&self.queue);
-        if q.shutdown {
-            return Err(self.refusal());
-        }
-        Ok((q.items.is_empty() && q.in_flight == 0).then(|| q.enter(&self.queue)))
-    }
-
-    /// Moves queued requests into `batch` up to `max_batch`, releases the
-    /// queue lock, and wakes submitters parked on a full queue.
-    fn drain(&self, mut q: MutexGuard<'_, QueueState>, batch: &mut Vec<Request>) {
-        let take = (self.cfg.max_batch - batch.len()).min(q.items.len());
-        batch.extend(q.items.drain(..take));
-        drop(q);
-        self.space.notify_all();
     }
 }
 
@@ -626,43 +527,34 @@ impl<B: AdvisorBackend> Shared<B> {
         w: MetricWeights,
     ) -> Result<Recommendation, AdvisorError> {
         let (reply, rx) = mpsc::channel();
-        {
-            let mut q = plock(&self.queue);
-            loop {
-                if q.shutdown {
-                    return Err(self.refusal());
-                }
-                if q.items.len() < self.cfg.queue_capacity {
-                    break;
-                }
-                // Backpressure: wake the worker *before* parking. Draining
-                // the full queue is what frees our slot, so this submitter
-                // makes sure the worker is awake rather than relying on the
-                // wakes of whoever filled it. The lock is released while
-                // waiting, so the worker drains meanwhile.
-                self.not_empty.notify_one();
-                q = self
-                    .space
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            q.items.push_back(Request {
-                graph,
-                fingerprint,
-                w,
-                reply,
-                queue_span: self
-                    .obs
-                    .registry
-                    .is_enabled()
-                    .then(|| self.obs.queue_wait_ns.start_span()),
-            });
+        let mut make = || Request {
+            graph,
+            fingerprint,
+            w,
+            reply,
+            queue_span: self
+                .obs
+                .registry
+                .is_enabled()
+                .then(|| self.obs.queue_wait_ns.start_span()),
+        };
+        let mut q = plock(&self.front);
+        while let Some(again) = q.enqueue(make)? {
+            // Backpressure: wake the worker *before* parking. Draining the
+            // full queue is what frees our slot, so this submitter makes
+            // sure the worker is awake rather than relying on the wakes of
+            // whoever filled it. The lock is released while waiting.
+            make = again;
+            self.not_empty.notify_one();
+            q = self.space.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
         // Wake after the lock is dropped: notifying while holding the mutex
         // makes the worker wake straight into a held lock.
+        drop(q);
         self.not_empty.notify_one();
-        // The worker only drops a sender after replying or at shutdown.
-        rx.recv().map_err(|_| self.refusal())?
+        // The worker drops a sender unanswered only when it has died
+        // (`FrontState::fail`, or a batch unwinding).
+        rx.recv().map_err(|_| AdvisorError::WorkerFailed)?
     }
 }
 
@@ -714,17 +606,10 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
     /// until the response arrives; applies backpressure (blocks) while the
     /// request queue is full.
     ///
-    /// Extraction is the dominant cost of this call, not a cheap prelude.
-    /// On the `e2e` benchmark's `dataset-cold` workload (4–10 small
-    /// tables, every request a cache miss) it was 1228 µs of a 1285 µs
-    /// call (0.96–0.99 of it) under hash-set statistics, ≈0.21 ms of a
-    /// ≈0.23 ms call (0.94) under the dense kernels of
-    /// `ce_storage::stats`, and is ≈0.12–0.14 ms of a ≈0.17 ms call
-    /// (≈0.8 of it across traced runs) since those summarise a table at
-    /// a time — still an order of magnitude above encode + queue + vote.
-    /// Callers that re-ask about one dataset should extract once and use
-    /// [`Self::recommend_graph`].
-    /// `ce_serve_feature_extract_ns` times it.
+    /// Extraction is the dominant cost of this call (≈0.8 of it on the
+    /// `e2e` benchmark's `dataset-cold` workload, timed by
+    /// `ce_serve_feature_extract_ns`): callers that re-ask about one
+    /// dataset should extract once and use [`Self::recommend_graph`].
     ///
     /// A dataset is all `pub` fields, so one that never met
     /// `Dataset::new` can arrive here. Its shape is checked first
@@ -765,12 +650,9 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
     /// edge matrix not n × n is [`AdvisorError::InvalidDataset`], and
     /// nothing of the query is served. Every fingerprint is looked up once;
     /// cache hits are voted **on the calling thread** against the current
-    /// snapshot (the KNN vote is microseconds, so repeat-heavy traffic
-    /// never wakes the worker). The misses are encoded and voted on the
-    /// calling thread too (one stacked forward, no handoff) — unless a lone
-    /// miss meets a busy front (something queued, or a worker batch or
-    /// another inline lone miss in flight): that one rides the micro-batch
-    /// queue, so concurrent single-graph clients share forwards. Responses
+    /// snapshot, and the misses are encoded and voted there too (one
+    /// stacked forward, no handoff) unless the front's admission rule
+    /// queues a lone miss for the worker (see the module docs). Responses
     /// come back in input order; each is identical to a separate
     /// single-graph call. A backend failure (e.g. a dark cluster range)
     /// fails the whole burst with that typed error.
@@ -778,10 +660,9 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
         let Query { mut graphs, w } = q;
         let shared = &*self.shared;
         // Uniform shutdown semantics: once the service is stopping, even
-        // cache-servable requests are refused (the fast path never touches
-        // the queue, so it must check explicitly).
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return Err(shared.refusal());
+        // cache-servable requests are refused.
+        if !shared.open.load(Ordering::Acquire) {
+            plock(&shared.front).submit()?;
         }
         for (i, g) in graphs.iter().enumerate() {
             check_graph(g, shared.vertex_dim)
@@ -806,15 +687,12 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
         }
         // A lone miss runs here only on an idle front, and holds it busy
         // until its run below is answered (or unwinds).
-        let lone = match missed[..] {
-            [i] => Some(i),
+        let claim = match missed[..] {
+            [i] => Some((i, plock(&shared.front).claim()?)),
             _ => None,
         };
-        let busy = match lone {
-            Some(_) => shared.claim_idle()?,
-            None => None,
-        };
-        if let (Some(i), None) = (lone, &busy) {
+        let _busy = matches!(claim, Some((_, Claim::Inline))).then(|| Busy(&shared.front));
+        if let Some((i, Claim::Queue)) = claim {
             // Owned submissions move their graph into the request; borrowed
             // ones clone here — the only point where the worker must
             // outlive the borrow.
@@ -835,13 +713,11 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
                 |j, rec| out[missed[j]] = Some(rec),
             )?;
         }
-        let mut recs = Vec::with_capacity(out.len());
-        for rec in out {
-            recs.push(
-                rec.ok_or_else(|| AdvisorError::Protocol("a request went unanswered".into()))?,
-            );
-        }
-        Ok(recs)
+        out.into_iter()
+            .map(|rec| {
+                rec.ok_or_else(|| AdvisorError::Protocol("a request went unanswered".into()))
+            })
+            .collect()
     }
 
     /// The current serving snapshot (for monitoring or direct unbatched
@@ -879,48 +755,31 @@ impl<B: AdvisorBackend + 'static> ServeHandle<B> {
     /// ledger samples) even under a disabled registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.shared.obs.registry.snapshot();
-        let stats = self.stats();
-        let cache = self.cache_stats();
-        let counter = |name: &str, labels: &[(&str, &str)], v: u64| Sample {
+        let (stats, cache) = (self.stats(), self.cache_stats());
+        let sample = |name: &str, reason: Option<&str>, value| Sample {
             name: name.to_string(),
-            labels: {
-                let mut l: Vec<(String, String)> = labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect();
-                l.sort();
-                l
-            },
-            value: SampleValue::Counter(v),
+            labels: Vec::from_iter(reason.map(|r| ("reason".to_string(), r.to_string()))),
+            value,
         };
+        let counter = |name, v| sample(name, None, SampleValue::Counter(v));
+        const REJECTS: &str = "ce_serve_cache_rejects_total";
+        let rejects = |why, v| sample(REJECTS, Some(why), SampleValue::Counter(v));
         snap.samples.extend([
-            counter("ce_serve_requests_total", &[], stats.requests),
-            counter("ce_serve_batches_total", &[], stats.batches),
-            counter("ce_serve_cache_hits_total", &[], stats.cache_hits),
-            counter("ce_serve_cache_misses_total", &[], stats.cache_misses),
-            counter("ce_serve_adaptations_total", &[], stats.adaptations),
-            counter("ce_serve_cache_inserts_total", &[], cache.inserts),
+            counter("ce_serve_requests_total", stats.requests),
+            counter("ce_serve_batches_total", stats.batches),
+            counter("ce_serve_cache_hits_total", stats.cache_hits),
+            counter("ce_serve_cache_misses_total", stats.cache_misses),
+            counter("ce_serve_adaptations_total", stats.adaptations),
+            counter("ce_serve_cache_inserts_total", cache.inserts),
             // Retired with second-touch admission: always 0.
-            counter(
-                "ce_serve_cache_rejects_total",
-                &[("reason", "first_touch")],
-                cache.rejected_first_touch,
+            rejects("first_touch", cache.rejected_first_touch),
+            rejects("stale_generation", cache.rejected_stale_generation),
+            rejects("disabled", cache.rejected_disabled),
+            sample(
+                "ce_serve_cache_resident",
+                None,
+                SampleValue::Gauge(cache.resident as u64),
             ),
-            counter(
-                "ce_serve_cache_rejects_total",
-                &[("reason", "stale_generation")],
-                cache.rejected_stale_generation,
-            ),
-            counter(
-                "ce_serve_cache_rejects_total",
-                &[("reason", "disabled")],
-                cache.rejected_disabled,
-            ),
-            Sample {
-                name: "ce_serve_cache_resident".to_string(),
-                labels: Vec::new(),
-                value: SampleValue::Gauge(cache.resident as u64),
-            },
         ]);
         snap.normalize();
         snap.merge(&self.shared.current().metrics());
@@ -1012,6 +871,7 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
         };
         let reservoir =
             Reservoir::over_initial(advisor.rcs_len(), cfg.reservoir_capacity, cfg.seed);
+        let front = FrontState::new(&cfg);
         let shared = Arc::new(Shared {
             cache: Mutex::new(EmbeddingCache::new(
                 cfg.cache_capacity,
@@ -1020,23 +880,12 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
             obs,
             cfg,
             vertex_dim: advisor.vertex_dim(),
-            shutting_down: AtomicBool::new(false),
-            worker_failed: AtomicBool::new(false),
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                shutdown: false,
-                in_flight: 0,
-            }),
+            open: front.open(),
+            front: Mutex::new(front),
             not_empty: Condvar::new(),
             space: Condvar::new(),
             snapshot: Mutex::new(advisor),
-            stats: Stats {
-                requests: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
-                cache_misses: AtomicU64::new(0),
-                adaptations: AtomicU64::new(0),
-            },
+            stats: Stats::default(),
         });
         let worker_shared = shared.clone();
         let worker = std::thread::Builder::new()
@@ -1082,11 +931,7 @@ impl<B: AdvisorBackend + 'static> AdvisorService<B> {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        {
-            let mut q = plock(&self.shared.queue);
-            q.shutdown = true;
-        }
+        plock(&self.shared.front).close();
         self.shared.not_empty.notify_all();
         self.shared.space.notify_all();
         if let Some(worker) = self.worker.take() {
@@ -1157,92 +1002,74 @@ impl<B: AdvisorBackend + 'static> Drop for AdvisorService<B> {
     }
 }
 
-/// The batcher: drain → deadline-wait → one pipeline run → respond. The
-/// front is busy from the first drain until the batch's vote returns, so
-/// lone misses arriving meanwhile queue up behind it; it is free again
-/// before the first reply goes out, so a client just answered finds it
-/// idle for its next lone miss.
+/// The batcher: one batch after another until the front closes. A panic in
+/// it (a backend invariant blowing up, say) fails the front, which refuses
+/// every later request and hands back the queued ones. Their reply senders
+/// drop, and the batch's only then (it lives outside the unwind guard): a
+/// submitter woken so reads `WorkerFailed` from a front that already says so.
 fn worker_loop<B: AdvisorBackend>(shared: &Shared<B>) {
-    let max_batch = shared.cfg.max_batch;
-    loop {
-        let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
-        let mut q = plock(&shared.queue);
-        while q.items.is_empty() {
-            if q.shutdown {
-                return;
-            }
-            q = shared
-                .not_empty
-                .wait(q)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut batch = Vec::with_capacity(shared.cfg.max_batch);
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        while let Some(busy) = next_batch(shared, &mut batch) {
+            process_batch(shared, &mut batch, busy);
+            batch.clear();
         }
-        let busy = q.enter(&shared.queue);
-        shared.drain(q, &mut batch);
-        // Straggler pickup, cheapest first: yield once so clients that
-        // were about to enqueue (closed-loop callers just woken by the
-        // previous batch's responses) get scheduled, then re-drain. Only
-        // after that spend the configured deadline in a timed wait — with
-        // a zero deadline the worker never sleeps while work exists, which
-        // is the right mode for blocking callers (their next request
-        // arrives only after this batch answers, so waiting is pure idle).
-        if batch.len() < max_batch {
-            std::thread::yield_now();
-            shared.drain(plock(&shared.queue), &mut batch);
-        }
-        if !shared.cfg.batch_deadline.is_zero() {
-            let deadline = Instant::now() + shared.cfg.batch_deadline;
-            while batch.len() < max_batch {
-                let mut q = plock(&shared.queue);
-                while q.items.is_empty() {
-                    let now = Instant::now();
-                    if q.shutdown || now >= deadline {
-                        break;
-                    }
-                    let (guard, _) = shared
-                        .not_empty
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    q = guard;
-                }
-                if q.items.is_empty() {
-                    break;
-                }
-                shared.drain(q, &mut batch);
-            }
-        }
-        // A panic while serving (a backend invariant blowing up, say) must
-        // not strand submitters: without the catch,
-        // the worker dies with the batch's reply senders *and* every
-        // queued sender still alive in the abandoned queue — queued
-        // submitters block on `recv` forever. Catch it, fail the service
-        // loudly, and drain. The batch is borrowed (not moved) so its
-        // reply senders drop *after* the failure flag is set — their
-        // submitters must wake into `WorkerFailed`, not `ShuttingDown`.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_batch(shared, &mut batch, busy)
-        }));
-        if outcome.is_err() {
-            fail_service(shared);
-            drop(batch);
-            return;
-        }
+    }));
+    if served.is_err() {
+        drop(plock(&shared.front).fail());
+        shared.space.notify_all();
     }
 }
 
-/// Transitions the service into its terminal failed state after a worker
-/// panic: refuse new requests, drop every queued request (each drop
-/// releases a reply sender, so its blocked submitter unblocks into
-/// [`AdvisorError::WorkerFailed`] instead of hanging), and wake everyone.
-fn fail_service<B>(shared: &Shared<B>) {
-    shared.worker_failed.store(true, Ordering::Release);
-    shared.shutting_down.store(true, Ordering::Release);
-    {
-        let mut q = plock(&shared.queue);
-        q.shutdown = true;
-        q.items.clear();
+/// Fills the next batch through [`FrontState::drain`], the front busy
+/// from its first take until the batch is voted; `None` once the front
+/// closed with nothing queued. Straggler pickup goes cheapest first: one
+/// yield lets closed-loop clients just answered enqueue, so a zero
+/// deadline never sleeps while work exists; only then does a nonzero one
+/// wait — without timeout if it is too far to represent.
+fn next_batch<'a, B>(shared: &'a Shared<B>, batch: &mut Vec<Request>) -> Option<Busy<'a>> {
+    let (mut fill, mut busy) = (Fill::Empty, None);
+    // The straggling batch's deadline, unless too far to represent.
+    let mut until = None;
+    let mut q = plock(&shared.front);
+    loop {
+        if let Fill::Straggling { passed } = &mut fill {
+            *passed = until.is_some_and(|t| Instant::now() >= t);
+        }
+        let (next, wake_submitters) = q.drain(batch, fill);
+        match next {
+            Work::Exit => return None,
+            Work::Sleep => {
+                q = match until {
+                    Some(t) => {
+                        let left = t.saturating_duration_since(Instant::now());
+                        let waited = shared.not_empty.wait_timeout(q, left);
+                        waited.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                    None => (shared.not_empty.wait(q)).unwrap_or_else(PoisonError::into_inner),
+                };
+                continue;
+            }
+            _ => {}
+        }
+        busy.get_or_insert_with(|| Busy(&shared.front));
+        drop(q);
+        if wake_submitters {
+            shared.space.notify_all();
+        }
+        fill = match next {
+            Work::Run => return busy,
+            Work::Yield => {
+                std::thread::yield_now();
+                Fill::Yielded
+            }
+            _ => {
+                until = until.or_else(|| Instant::now().checked_add(shared.cfg.batch_deadline));
+                Fill::Straggling { passed: false }
+            }
+        };
+        q = plock(&shared.front);
     }
-    shared.not_empty.notify_all();
-    shared.space.notify_all();
 }
 
 /// Serves one micro-batch through the shared pipeline: one stacked forward

@@ -5,14 +5,13 @@
 //! [`autoce::AdvisorBackend`] — the in-process [`autoce::AutoCe`] at any
 //! shard count (the default backend) or `ce-cluster`'s coordinator:
 //!
-//! * [`batch`]: the concurrent service — a submission's cache misses are
-//!   served on the calling thread in one stacked forward, and lone misses
-//!   from concurrent clients that meet a busy front are micro-batched
-//!   (bounded queue + batch deadline) by a worker instead; everything is
-//!   served from immutable snapshots so a refresh never blocks a read; online adaptation (§V-E) clones the
-//!   snapshot, adapts it over a [`Reservoir`] sample of the RCS and swaps
-//!   it in. Its public surface returns the unified
-//!   [`autoce::AdvisorError`].
+//! * [`batch`]: the concurrent service — a submission's cache misses run
+//!   on the calling thread in one stacked forward, except that a worker
+//!   micro-batches lone misses meeting a busy front (that rule and the
+//!   lifecycle live in one private state machine, `FrontState`); reads
+//!   come from immutable snapshots, and online adaptation (§V-E) swaps in
+//!   one adapted over a [`Reservoir`] sample of the RCS. Its public
+//!   surface returns the unified [`autoce::AdvisorError`].
 //! * [`cache`]: an LRU embedding cache keyed by feature-graph fingerprint;
 //!   hits skip the encoder entirely and never change a recommendation.
 //!
@@ -28,6 +27,7 @@
 
 pub mod batch;
 pub mod cache;
+mod front;
 
 pub use batch::{AdvisorService, Query, Recommendation, ServeConfig, ServeHandle, ServiceStats};
 // Index surface: what callers need to configure `ServeConfig::index`.

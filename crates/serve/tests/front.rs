@@ -103,7 +103,6 @@ fn lockstep_lone_misses_on_a_busy_front_share_worker_batches() {
         faulty::wait_until("every client has looked its graph up", || {
             service.cache_stats().misses == graphs.len() as u64
         });
-        std::thread::sleep(Duration::from_millis(20));
         drop(gate);
         std::iter::once(first)
             .chain(rest)
@@ -187,4 +186,65 @@ fn a_short_backend_answer_is_a_protocol_error_on_every_path() {
     assert_eq!((path("inline"), path("worker")), (3, 2));
     assert_eq!(backend.calls(), [1; 7]);
     service.shutdown();
+}
+
+/// A `batch_deadline` too far to represent means no timeout. It used to
+/// panic the batcher outside its unwind guard (`Instant + Duration::MAX`
+/// overflows): the drained submitters read `ShuttingDown` and every later
+/// queued lone miss waited on a dead worker for good. While a first
+/// client's inline run is held at the backend's gate, two concurrent lone
+/// misses queue; the worker's batch waits for the second, closes full
+/// (`max_batch: 2`) and answers both with the flat advisor's bits. The
+/// service then shuts down cleanly: a later request reads `ShuttingDown`,
+/// not `WorkerFailed`. (That a batch which never fills closes at shutdown
+/// is checked by the front explorer, `front::explore`.)
+#[test]
+fn an_unrepresentable_batch_deadline_serves_and_shuts_down() {
+    let (datasets, flat) = common::trained_advisor(6, 0xdea1);
+    let backend = Arc::new(faulty::Faulty::new(
+        AutoCe::from_advisor(&flat, 2),
+        &[0],
+        None,
+    ));
+    let registry = MetricsRegistry::new();
+    let cfg = ServeConfig {
+        max_batch: 2,
+        batch_deadline: Duration::MAX,
+        ..serve_config(&registry)
+    };
+    let service = AdvisorService::start_shared(backend.clone(), cfg);
+    let w = MetricWeights::new(0.5);
+    let graphs: Vec<_> = datasets[..3]
+        .iter()
+        .map(|ds| extract_features(ds, &flat.config.feature))
+        .collect();
+    let recs = std::thread::scope(|scope| {
+        let gate = backend.opener();
+        let ask = |i: usize| {
+            let (handle, graph) = (service.handle(), graphs[i].clone());
+            scope.spawn(move || handle.recommend_graph(graph, w))
+        };
+        let first = ask(0);
+        backend.wait_for_calls(1);
+        let rest: Vec<_> = (1..3).map(ask).collect();
+        assert_eq!(backend.wait_for_calls(2), [1, 2], "one full worker batch");
+        drop(gate);
+        std::iter::once(first)
+            .chain(rest)
+            .map(|t| t.join().expect("client").expect("served"))
+            .collect::<Vec<_>>()
+    });
+    for (g, rec) in graphs.iter().zip(recs) {
+        let x = flat.embed_graph(g);
+        assert_eq!((rec.model, rec.scores), flat.predict_from_embedding(&x, w));
+    }
+    let snap = service.handle().metrics_snapshot();
+    let path = |p: &str| snap.counter("ce_serve_path_requests_total", &[("path", p)]);
+    assert_eq!((path("inline"), path("worker")), (1, 2));
+    let handle = service.handle();
+    service.shutdown();
+    assert_eq!(
+        handle.recommend_graph(graphs[0].clone(), w),
+        Err(AdvisorError::ShuttingDown)
+    );
 }
